@@ -7,6 +7,7 @@
 
 use crate::check::{Golden, Tally};
 use crate::metrics::Metrics;
+use crate::serve::Rounds;
 use crate::stats::{fastest_per_input, median, secs, Budget, Calls};
 use crate::trace::{Overhead, Tracer};
 use sparsenn_core::engine::{InferenceBackend, KernelBackend};
@@ -44,12 +45,14 @@ pub struct Batch {
 }
 
 /// Sends batch `j` = test images `8j .. 8j + 8` (wrapping) round-robin
-/// within `budget`, checking every sample against the golden model.
+/// within `budget`, checking every sample against the golden model, with
+/// `side`'s slices between the batches.
 pub fn run(
     sys: &TrainedSystem,
     backend: &KernelBackend,
     golden: &Golden,
     budget: Budget,
+    mut side: Option<&mut Rounds<'_>>,
     mut tracer: Option<&mut Tracer>,
     tally: &mut Tally,
 ) -> Batch {
@@ -110,6 +113,9 @@ pub fn run(
                 }
             }
             _ => (0..BATCH).for_each(|_| tally.record(false)),
+        }
+        if let Some(side) = side.as_deref_mut() {
+            side.tick(tracer.as_deref_mut(), tally);
         }
     }
     let traced = raw.map(|(kernel, mut scratch)| {

@@ -10,6 +10,7 @@
 
 use crate::check::Tally;
 use crate::metrics::Metrics;
+use crate::serve::Rounds;
 use crate::stats::{secs, Budget, Calls};
 use crate::trace::{timed, Overhead, Tracer};
 use sparsenn_core::engine::Session;
@@ -89,7 +90,8 @@ pub struct Cycle {
 }
 
 /// Runs rounds within `budget` (at least one), checking each against the
-/// first, then the untimed reference calls.
+/// first, with `side`'s slices between the rounds, then the untimed
+/// reference calls.
 ///
 /// # Errors
 ///
@@ -98,6 +100,7 @@ pub struct Cycle {
 pub fn run(
     arms: &Arms<'_>,
     budget: Budget,
+    mut side: Option<&mut Rounds<'_>>,
     mut tracer: Option<&mut Tracer>,
     tally: &mut Tally,
 ) -> Result<Cycle, String> {
@@ -129,6 +132,9 @@ pub fn run(
             }
             (Err(e), None) => return Err(format!("cycle_sim first round: {e}")),
             (Err(_), Some(_)) => (0..ARMS.len()).for_each(|_| tally.record(false)),
+        }
+        if let Some(side) = side.as_deref_mut() {
+            side.tick(tracer.as_deref_mut(), tally);
         }
     }
     let reference = [0, 1, 2].map(|arm| arms.call(arm, REFERENCE_SAMPLES));

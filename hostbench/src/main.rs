@@ -90,8 +90,9 @@ impl Workload {
         match probe {
             Workload::OnlineSparse => Budget::Calls(64),
             Workload::BatchDense => Budget::Calls(16),
-            // Long enough for a steady `sim_requests_per_s`.
-            Workload::ServeSim => Budget::Seconds(5.0),
+            // In slices between the own probe's calls, through the whole
+            // window (`serve::Rounds::tick`).
+            Workload::ServeSim => Budget::Seconds(seconds),
             Workload::CycleSim => Budget::Calls(1),
         }
     }
@@ -211,7 +212,11 @@ fn run(args: &Args) -> Result<String, String> {
     let golden = Golden::new(&sys, systems::requests(&recipe, args.seed));
 
     // The workload's own probe runs for the measured window; the others
-    // run briefly for the metrics this workload reports from them.
+    // run briefly for the metrics this workload reports from them. The
+    // serving path, unless it is the workload's own, runs in slices
+    // between the own probe's calls.
+    let scenarios = serve::setup(&sys, args.seed)?;
+    let mut side = (w != Workload::ServeSim).then(|| serve::Rounds::new(&scenarios));
     let online = if wanted(Workload::OnlineSparse) {
         let session = online::setup(&sys)?;
         let b = budget(Workload::OnlineSparse);
@@ -220,6 +225,7 @@ fn run(args: &Args) -> Result<String, String> {
             &session,
             &golden,
             b,
+            side.as_mut().filter(|_| w == Workload::OnlineSparse),
             tracer.as_mut(),
             &mut tally,
         ))
@@ -234,6 +240,7 @@ fn run(args: &Args) -> Result<String, String> {
             &backend,
             &golden,
             b,
+            side.as_mut().filter(|_| w == Workload::BatchDense),
             tracer.as_mut(),
             &mut tally,
         ))
@@ -244,16 +251,19 @@ fn run(args: &Args) -> Result<String, String> {
     let cycle = cycle::run(
         &arms,
         budget(Workload::CycleSim),
+        side.as_mut().filter(|_| w == Workload::CycleSim),
         tracer.as_mut(),
         &mut tally,
     )?;
-    let scenarios = serve::setup(&sys, args.seed)?;
-    let serve = serve::run(
-        &scenarios,
-        budget(Workload::ServeSim),
-        tracer.as_mut(),
-        &mut tally,
-    )?;
+    let serve = match side {
+        Some(side) => side.finish(args.trace, &mut tally)?,
+        None => serve::run(
+            &scenarios,
+            budget(Workload::ServeSim),
+            tracer.as_mut(),
+            &mut tally,
+        )?,
+    };
 
     let (calls, overhead): (&Calls, _) = match w {
         Workload::OnlineSparse => {

@@ -10,6 +10,7 @@
 use crate::alloc::counted;
 use crate::check::{Golden, Tally};
 use crate::metrics::Metrics;
+use crate::serve::Rounds;
 use crate::stats::{fastest_per_input, median, secs, Budget, Calls};
 use crate::trace::{Overhead, Tracer};
 use sparsenn_core::engine::Session;
@@ -96,12 +97,13 @@ pub struct Online {
 }
 
 /// Serves the request images round-robin within `budget`, checking every response
-/// against the golden model.
+/// against the golden model, with `side`'s slices between the requests.
 pub fn run(
     sys: &TrainedSystem,
     session: &Session<'_>,
     golden: &Golden,
     budget: Budget,
+    mut side: Option<&mut Rounds<'_>>,
     mut tracer: Option<&mut Tracer>,
     tally: &mut Tally,
 ) -> Online {
@@ -166,6 +168,9 @@ pub fn run(
             ch.prescan.push(prescan);
         }
         tally.record(result.is_ok_and(|r| golden.matches(k, &r)));
+        if let Some(side) = side.as_deref_mut() {
+            side.tick(tracer.as_deref_mut(), tally);
+        }
     }
     let traced = raw.map(|mut raw| {
         let counts = counts(session, &mut raw, golden);

@@ -12,9 +12,14 @@
 //!
 //! Shards serve from the cycle-accurate machine's *modelled* per-sample
 //! and per-batch times on the system's network, so every replay of a round
-//! must reproduce the first round's summaries exactly. The virtual
+//! must reproduce set-up's round's summaries exactly. The virtual
 //! end-to-end metrics come from a longer front-end run of the same
 //! scenario, made twice.
+//!
+//! On `serve_sim` the rounds are the measured calls. Every other workload
+//! reports `sim_requests_per_s` too, and runs rounds in short slices
+//! between its own calls ([`Rounds::tick`]), so that both sample the whole
+//! window.
 
 use crate::check::Tally;
 use crate::metrics::Metrics;
@@ -37,11 +42,16 @@ use sparsenn_serve::{
     fleet_capacity_rps, simulate, simulate_batched, BatchShardSpec, BatchedSummary, MetricsMode,
     ServeSummary, ShardSpec, Workload,
 };
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Requests each simulator serves per round: short calls, so that a
 /// quiet moment on a shared host fits one (see `Calls::fastest_per_input`).
 pub const REQUESTS: usize = 2_000;
+/// Host seconds of rounds per [`Rounds::tick`] slice, and of the main probe's
+/// calls between two slices: a quarter of the window, in slices far
+/// shorter than a shared host's busy phases.
+const SIDE_SLICE_S: f64 = 0.1;
+const MAIN_SLICE_S: f64 = 0.3;
 /// Requests of the front-end run behind the virtual end-to-end metrics:
 /// enough for a steady high-priority p99.
 const VIRTUAL_REQUESTS: usize = 200_000;
@@ -233,6 +243,8 @@ impl Scenario {
 pub struct Scenarios {
     rounds: Scenario,
     reference: Scenario,
+    /// Set-up's round, which every timed round must reproduce.
+    first: Summaries,
 }
 
 /// Builds the service tables and the scenarios, and runs the first round.
@@ -240,8 +252,106 @@ pub fn setup(sys: &TrainedSystem, seed: u64) -> Result<Scenarios, String> {
     let (per_sample, per_batch) = modelled_tables(sys)?;
     let rounds = Scenario::new(&per_sample, &per_batch, seed, REQUESTS);
     let reference = Scenario::new(&per_sample, &per_batch, seed, VIRTUAL_REQUESTS);
-    rounds.round(None, None, 0).0?;
-    Ok(Scenarios { rounds, reference })
+    let first = rounds
+        .round(None, None, 0)
+        .0
+        .map_err(|e| format!("serve_sim first round: {e}"))?;
+    Ok(Scenarios {
+        rounds,
+        reference,
+        first,
+    })
+}
+
+/// Timed rounds, each checked against set-up's round: the measured calls
+/// of `serve_sim` ([`run`]), or slices of rounds between another probe's
+/// calls ([`tick`](Self::tick)).
+pub struct Rounds<'a> {
+    scenarios: &'a Scenarios,
+    calls: Calls,
+    overhead: Overhead,
+    /// When the next slice is due.
+    next: Instant,
+}
+
+impl<'a> Rounds<'a> {
+    pub fn new(scenarios: &'a Scenarios) -> Self {
+        Self {
+            scenarios,
+            // The three simulators are the three distinct inputs of the calls.
+            calls: Calls::new(3, REQUESTS as f64),
+            overhead: Overhead::default(),
+            next: Instant::now(),
+        }
+    }
+
+    /// Called after each of another probe's calls: runs a slice of
+    /// `SIDE_SLICE_S` (at least one round) once `MAIN_SLICE_S` has passed
+    /// since the last slice.
+    pub fn tick(&mut self, mut tracer: Option<&mut Tracer>, tally: &mut Tally) {
+        let start = Instant::now();
+        if start < self.next {
+            return;
+        }
+        loop {
+            self.round(tracer.as_deref_mut(), tally);
+            if secs(start, Instant::now()) >= SIDE_SLICE_S {
+                break;
+            }
+        }
+        self.next = Instant::now() + Duration::from_secs_f64(MAIN_SLICE_S);
+    }
+
+    fn round(&mut self, mut tracer: Option<&mut Tracer>, tally: &mut Tally) {
+        let id = self.calls.len() as u64;
+        let t_pre = Instant::now();
+        let root = tracer
+            .as_deref_mut()
+            .and_then(|t| t.open("serve.round", t_pre, id));
+        let (result, host) = self.scenarios.rounds.round(tracer.as_deref_mut(), root, id);
+        self.calls.seconds.extend(host);
+        if let Some(tr) = tracer {
+            tr.close(root, Instant::now());
+            self.overhead.bare_s.push(host.iter().sum());
+            self.overhead.wrapped_s.push(secs(t_pre, Instant::now()));
+        }
+        let first = &self.scenarios.first;
+        match result {
+            Ok(s) => {
+                tally.record(s.serve == first.serve);
+                tally.record(s.batched == first.batched);
+                tally.record(s.front == first.front);
+            }
+            Err(_) => (0..3).for_each(|_| tally.record(false)),
+        }
+    }
+
+    /// The virtual-metrics run, twice to check the replay, and in traced
+    /// runs the recorder-overhead probe.
+    ///
+    /// # Errors
+    ///
+    /// When the virtual or recorder runs fail.
+    pub fn finish(self, traced: bool, tally: &mut Tally) -> Result<Serve, String> {
+        let Self {
+            scenarios,
+            calls,
+            overhead,
+            ..
+        } = self;
+        let virtual_front = scenarios.reference.frontend()?;
+        tally.record(scenarios.reference.frontend()? == virtual_front);
+        let obs = traced
+            .then(|| scenarios.rounds.recorder_overhead())
+            .transpose()?;
+        Ok(Serve {
+            calls,
+            overhead,
+            reference: scenarios.first.clone(),
+            virtual_front,
+            obs,
+        })
+    }
 }
 
 /// What one serve probe measured.
@@ -255,65 +365,23 @@ pub struct Serve {
     obs: Option<(f64, f64)>,
 }
 
-/// Runs rounds within `budget` (at least one), checking each against the
-/// first, then the virtual-metrics run twice, checking the replay.
+/// Runs rounds within `budget` (at least one), then finishes them.
 ///
 /// # Errors
 ///
-/// When the first round fails, or the virtual or recorder runs do.
+/// When the virtual or recorder runs fail.
 pub fn run(
     scenarios: &Scenarios,
     budget: Budget,
     mut tracer: Option<&mut Tracer>,
     tally: &mut Tally,
 ) -> Result<Serve, String> {
-    // The three simulators are the three distinct inputs of the calls.
-    let mut calls = Calls::new(3, REQUESTS as f64);
-    let mut overhead = Overhead::default();
-    let mut reference: Option<Summaries> = None;
-    let scenario = &scenarios.rounds;
+    let mut rounds = Rounds::new(scenarios);
     let start = Instant::now();
-    while budget.more(start, calls.len()) {
-        let id = calls.len() as u64;
-        let t_pre = Instant::now();
-        let root = tracer
-            .as_deref_mut()
-            .and_then(|t| t.open("serve.round", t_pre, id));
-        let (result, host) = scenario.round(tracer.as_deref_mut(), root, id);
-        let round_s: f64 = host.iter().sum();
-        calls.seconds.extend(host);
-        if let Some(tr) = tracer.as_deref_mut() {
-            tr.close(root, Instant::now());
-            overhead.bare_s.push(round_s);
-            overhead.wrapped_s.push(secs(t_pre, Instant::now()));
-        }
-        match (result, &reference) {
-            (Ok(s), Some(first)) => {
-                tally.record(s.serve == first.serve);
-                tally.record(s.batched == first.batched);
-                tally.record(s.front == first.front);
-            }
-            (Ok(s), None) => {
-                (0..3).for_each(|_| tally.record(true));
-                reference = Some(s);
-            }
-            (Err(e), None) => return Err(format!("serve_sim first round: {e}")),
-            (Err(_), Some(_)) => (0..3).for_each(|_| tally.record(false)),
-        }
+    while budget.more(start, rounds.calls.len()) {
+        rounds.round(tracer.as_deref_mut(), tally);
     }
-    let virtual_front = scenarios.reference.frontend()?;
-    tally.record(scenarios.reference.frontend()? == virtual_front);
-    let obs = tracer
-        .is_some()
-        .then(|| scenario.recorder_overhead())
-        .transpose()?;
-    Ok(Serve {
-        calls,
-        overhead,
-        reference: reference.expect("at least one round ran"),
-        virtual_front,
-        obs,
-    })
+    rounds.finish(tracer.is_some(), tally)
 }
 
 impl Serve {
