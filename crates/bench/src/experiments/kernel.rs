@@ -2,8 +2,8 @@
 //! wall-clock for the two-stage prescan + block-skip CPU kernel.
 //!
 //! Every other experiment reports *modelled* time (cycles × clock). This
-//! one reports what the host CPU actually does, and gates two oracles on
-//! it:
+//! one reports what the host CPU actually does, and gates three oracles
+//! on it:
 //!
 //! 1. **Bit-exactness** — kernel outputs (dense, prescan, batched) equal
 //!    the golden fixed-point model bit for bit in both UV modes.
@@ -12,6 +12,11 @@
 //!    the trained UV predictor), the prescan strategy beats the dense
 //!    baseline — same packed layout, same accumulator — by ≥ 2×
 //!    measured wall-clock per sample.
+//! 3. **Engine overhead** — a `KernelBackend::run` call costs at most
+//!    1.25× the raw `SparseKernel::run` it wraps, on the same inputs
+//!    (`kernel.engine_overhead`), so no per-call cost that grows with the
+//!    network (such as a weight-comparing cache guard) hides in the
+//!    serving path.
 //!
 //! Around the oracles: a block-size sweep, a synthetic input-sparsity
 //! sweep (speedup vs zeros), native `run_batch` per-sample latency for
@@ -36,6 +41,13 @@ use std::time::Instant;
 
 /// Largest batch the study measures.
 const MAX_BATCH: usize = 8;
+
+/// The engine-overhead gate: a `KernelBackend::run` may cost at most
+/// this multiple of the raw `SparseKernel::run` it wraps.
+const MAX_ENGINE_OVERHEAD: f64 = 1.25;
+
+/// Alternating backend/raw rep pairs behind the engine-overhead ratio.
+const ENGINE_OVERHEAD_REPS: usize = 20;
 
 /// Measured kernel results plus named metrics for `BENCH_results.json`.
 pub struct KernelReport {
@@ -264,6 +276,53 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> KernelRep
         &rows,
     ));
 
+    // — Engine overhead: the backend call against the raw kernel it wraps
+    //   (same block, same inputs), timed alternately rep by rep so host
+    //   drift hits both arms alike. Any per-call cost that grows with the
+    //   network (a weight-comparing guard, a repack) shows up here —
+    let measured_backend = KernelBackend::new();
+    let _ = measured_backend.run(net, &inputs[0], UvMode::On); // pack
+    let (mut backend_us, mut raw_us) = (f64::INFINITY, f64::INFINITY);
+    prof.time("kernel.backend", || {
+        for _ in 0..ENGINE_OVERHEAD_REPS {
+            backend_us = backend_us.min(time_us(1, || {
+                for x in &inputs {
+                    std::hint::black_box(measured_backend.run(net, x, UvMode::On).expect("fits"));
+                }
+            }));
+            raw_us = raw_us.min(time_us(1, || {
+                for x in &inputs {
+                    std::hint::black_box(kernel_def.run(
+                        x,
+                        UvMode::On,
+                        Strategy::Prescan,
+                        &mut scratch,
+                    ));
+                }
+            }));
+        }
+    });
+    let (measured_us, raw_us) = (
+        backend_us / inputs.len() as f64,
+        raw_us / inputs.len() as f64,
+    );
+    let engine_overhead = measured_us / raw_us.max(1e-12);
+    let _ = writeln!(
+        out,
+        "\n### Engine overhead\n\n\
+         engine overhead (KernelBackend::run ÷ raw kernel) ≤ {MAX_ENGINE_OVERHEAD}×: {} \
+         ({}×: {} vs {} µs/sample, block {DEFAULT_BLOCK}, prescan, uv_on)",
+        if engine_overhead <= MAX_ENGINE_OVERHEAD {
+            "yes"
+        } else {
+            "NO — investigate"
+        },
+        fmt_f(engine_overhead, 2),
+        fmt_f(measured_us, 2),
+        fmt_f(raw_us, 2),
+    );
+    metrics.push(("kernel.engine_overhead".into(), engine_overhead));
+
     // — Modelled vs measured: the SimdBackend's analytic clock against
     //   real host wall-clock on the same samples (informational — the
     //   platforms model *other* silicon, the ratio is a sanity scale) —
@@ -277,17 +336,6 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> KernelRep
         })
         .sum::<f64>()
         / inputs.len() as f64;
-    let measured_backend = KernelBackend::new();
-    let measured_us = {
-        let _ = measured_backend.run(net, &inputs[0], UvMode::On); // pack
-        prof.time("kernel.backend", || {
-            time_us(r, || {
-                for x in &inputs {
-                    std::hint::black_box(measured_backend.run(net, x, UvMode::On).expect("fits"));
-                }
-            })
-        }) / inputs.len() as f64
-    };
     let ratio = modelled_us / measured_us.max(1e-12);
     let _ = writeln!(
         out,

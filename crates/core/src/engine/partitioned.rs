@@ -168,8 +168,10 @@ pub struct PartitionedMachine {
     interchip: InterChipConfig,
     pipeline: PipelineMode,
     plan: PartitionPlan,
-    /// The network the tiles were cut from; `run` uses the precomputed
-    /// tiles only when the served network is this exact network.
+    /// A handle to the network the tiles were cut from; `run` uses the
+    /// precomputed tiles only when the served network equals it — one
+    /// pointer compare for the shared network the backend was built
+    /// with, a structural compare for any other.
     planned: FixedNetwork,
     tiles: Vec<Vec<ChipTile>>,
     /// Lazily-cut tiles for a *different* same-shape network being

@@ -326,6 +326,8 @@ impl ShardState {
     }
 }
 
+/// One entry per simulated request, kept for the whole run: its size is
+/// the simulator's memory per request, so derivable flags stay out.
 struct RequestState {
     class: Priority,
     arrival_us: f64,
@@ -339,8 +341,8 @@ struct RequestState {
     buffered: bool,
     /// Attempts currently in a queue or in service.
     live_attempts: u32,
+    /// Hedges issued so far; nonzero marks a hedged request.
     hedges_used: usize,
-    hedged: bool,
     done: bool,
 }
 
@@ -692,7 +694,7 @@ impl<'a> Engine<'a> {
         if let Some(scaler) = &mut self.scaler {
             scaler.observe_latency(latency);
         }
-        if self.requests[request].hedged {
+        if self.requests[request].hedges_used > 0 {
             self.hedge_wins += 1;
         }
         self.emit_request_span(request, now, "completed");
@@ -812,7 +814,6 @@ impl<'a> Engine<'a> {
             buffered: false,
             live_attempts: 0,
             hedges_used: 0,
-            hedged: false,
             done: false,
         });
         let stats = &mut self.classes[class.index()];
@@ -933,7 +934,6 @@ impl<'a> Engine<'a> {
             return;
         }
         r.hedges_used += 1;
-        r.hedged = true;
         self.hedges_issued += 1;
         self.emit_marker(SpanKind::Hedge, request, now);
         self.dispatch(request, now, AttemptOrigin::Hedge);

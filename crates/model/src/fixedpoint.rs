@@ -10,6 +10,7 @@
 
 use crate::{Mlp, PredictedNetwork, Predictor};
 use sparsenn_numeric::{quantize, Accumulator, Q6_10};
+use std::sync::Arc;
 
 /// A quantized dense matrix in row-major order.
 #[derive(Clone, Debug, PartialEq)]
@@ -174,10 +175,35 @@ pub enum UvMode {
 
 /// A fully quantized network: one [`FixedMatrix`] per layer plus one
 /// [`FixedPredictor`] per hidden layer.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The network is a cheap handle to immutable, shared weights: `clone()`
+/// copies a pointer, never the weights, so backends can cache the
+/// network they packed or tiled at O(1) cost. Equality is a pointer
+/// compare when both handles share one allocation — the steady state of
+/// every per-call "is this still the cached network?" guard — and the
+/// full structural compare otherwise, so an equal network built
+/// separately still matches and a different one never does.
+///
+/// The pointer fast path is sound because the weights cannot change:
+/// `FixedNetwork` must never expose mutation (no `&mut` accessors, no
+/// `Arc::get_mut` or `Arc::make_mut`). Keep it that way — a mutable
+/// handle would let two "equal" pointers disagree on their weights.
+#[derive(Clone, Debug)]
 pub struct FixedNetwork {
+    inner: Arc<NetInner>,
+}
+
+/// The weights behind a [`FixedNetwork`] handle.
+#[derive(Debug, PartialEq)]
+struct NetInner {
     layers: Vec<FixedMatrix>,
     predictors: Vec<FixedPredictor>,
+}
+
+impl PartialEq for FixedNetwork {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner) || *self.inner == *other.inner
+    }
 }
 
 /// Per-layer record of a golden forward pass.
@@ -195,47 +221,45 @@ pub struct GoldenLayer {
 impl FixedNetwork {
     /// Quantizes a trained float network.
     pub fn from_float(net: &PredictedNetwork) -> Self {
-        Self {
-            layers: net
-                .mlp()
-                .layers()
-                .iter()
-                .map(|l| FixedMatrix::from_float(l.w()))
-                .collect(),
-            predictors: net
-                .predictors()
-                .iter()
-                .map(FixedPredictor::from_float)
-                .collect(),
-        }
+        let predictors = net
+            .predictors()
+            .iter()
+            .map(FixedPredictor::from_float)
+            .collect();
+        Self::quantize(net.mlp(), predictors)
     }
 
     /// Quantizes a plain MLP (no predictors; only [`UvMode::Off`] makes
     /// sense then).
     pub fn from_mlp(mlp: &Mlp) -> Self {
+        Self::quantize(mlp, Vec::new())
+    }
+
+    /// Quantizes `mlp`'s weights into a fresh shared allocation.
+    fn quantize(mlp: &Mlp, predictors: Vec<FixedPredictor>) -> Self {
+        let layers = mlp
+            .layers()
+            .iter()
+            .map(|l| FixedMatrix::from_float(l.w()))
+            .collect();
         Self {
-            layers: mlp
-                .layers()
-                .iter()
-                .map(|l| FixedMatrix::from_float(l.w()))
-                .collect(),
-            predictors: Vec::new(),
+            inner: Arc::new(NetInner { layers, predictors }),
         }
     }
 
     /// The quantized weight layers.
     pub fn layers(&self) -> &[FixedMatrix] {
-        &self.layers
+        &self.inner.layers
     }
 
     /// The quantized predictors (one per hidden layer when present).
     pub fn predictors(&self) -> &[FixedPredictor] {
-        &self.predictors
+        &self.inner.predictors
     }
 
     /// Number of weight layers.
     pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        self.layers().len()
     }
 
     /// Quantizes a float input vector to the network's activation format.
@@ -253,11 +277,12 @@ impl FixedNetwork {
     ///
     /// Panics if `layer` is out of range or `a` has the wrong width.
     pub fn forward_layer(&self, layer: usize, a: &[Q6_10], mode: UvMode) -> GoldenLayer {
-        assert!(layer < self.layers.len(), "layer out of range");
-        let w = &self.layers[layer];
-        let is_hidden = layer + 1 < self.layers.len();
+        let layers = self.layers();
+        assert!(layer < layers.len(), "layer out of range");
+        let w = &layers[layer];
+        let is_hidden = layer + 1 < layers.len();
         let predictor = if mode == UvMode::On && is_hidden {
-            self.predictors.get(layer)
+            self.predictors().get(layer)
         } else {
             None
         };
@@ -292,8 +317,8 @@ impl FixedNetwork {
     /// Golden forward pass through the whole network.
     pub fn forward(&self, x: &[Q6_10], mode: UvMode) -> Vec<GoldenLayer> {
         let mut acts = x.to_vec();
-        let mut out = Vec::with_capacity(self.layers.len());
-        for l in 0..self.layers.len() {
+        let mut out = Vec::with_capacity(self.num_layers());
+        for l in 0..self.num_layers() {
             let g = self.forward_layer(l, &acts, mode);
             acts = g.output.clone();
             out.push(g);
@@ -420,6 +445,30 @@ mod tests {
         let full = p.predict(&x);
         let sub = p.select_rows(&[5, 2]).predict(&x);
         assert_eq!(sub, vec![full[5], full[2]]);
+    }
+
+    #[test]
+    fn clones_share_weights_and_equality_sees_one_weight() {
+        let mut rng = seeded_rng(7);
+        let mut mlp = Mlp::random(&[6, 12, 4], &mut rng);
+        let a = FixedNetwork::from_mlp(&mlp);
+        let b = a.clone();
+        assert!(std::ptr::eq(a.layers().as_ptr(), b.layers().as_ptr()));
+        assert_eq!(a, b);
+        // Built separately from the same weights: a new allocation that
+        // still compares equal, structurally.
+        let rebuilt = FixedNetwork::from_mlp(&mlp);
+        assert!(!std::ptr::eq(
+            a.layers().as_ptr(),
+            rebuilt.layers().as_ptr()
+        ));
+        assert_eq!(a, rebuilt);
+        // One quantized weight different: unequal.
+        let w = mlp.layers()[1].w().get(2, 3);
+        mlp.layers_mut()[1].w_mut().set(2, 3, w + 0.5);
+        let changed = FixedNetwork::from_mlp(&mlp);
+        assert_ne!(changed.layers()[1].get(2, 3), a.layers()[1].get(2, 3));
+        assert_ne!(a, changed);
     }
 
     #[test]

@@ -66,8 +66,9 @@ impl<const FRAC: u32> Fixed<FRAC> {
             return Self::ZERO;
         }
         let scaled = (x as f64) * f64::from(1u32 << FRAC);
-        let rounded = round_ties_even(scaled);
-        let clamped = rounded.clamp(i16::MIN as f64, i16::MAX as f64);
+        let clamped = scaled
+            .round_ties_even()
+            .clamp(i16::MIN as f64, i16::MAX as f64);
         Self {
             raw: clamped as i16,
         }
@@ -133,25 +134,6 @@ impl<const FRAC: u32> Fixed<FRAC> {
         } else {
             self
         }
-    }
-}
-
-/// Round a finite `f64` to the nearest integer with ties to even,
-/// implemented explicitly so the quantizer matches the documented hardware
-/// behaviour on all Rust versions.
-#[inline]
-#[allow(clippy::if_same_then_else)] // branches spell out the rounding cases
-fn round_ties_even(x: f64) -> f64 {
-    let floor = x.floor();
-    let diff = x - floor;
-    if diff > 0.5 {
-        floor + 1.0
-    } else if diff < 0.5 {
-        floor
-    } else if (floor as i64) % 2 == 0 {
-        floor
-    } else {
-        floor + 1.0
     }
 }
 
@@ -259,6 +241,23 @@ mod tests {
         // Plain nearest.
         assert_eq!(Q6_10::from_f32(0.25).raw(), 256);
         assert_eq!(Q6_10::from_f32(-0.25).raw(), -256);
+        // Negative ties go to even too (not away from zero).
+        for (scaled, raw) in [(-307.5, -308), (-306.5, -306), (-0.5, 0), (-1.5, -2)] {
+            assert_eq!(Q6_10::from_f32(scaled / 1024.0).raw(), raw, "{scaled}");
+        }
+        // Ties at the i16 rails round, then saturate.
+        for (scaled, raw) in [
+            (32766.5, 32766),
+            (32767.5, i16::MAX),
+            (-32767.5, i16::MIN),
+            (-32768.5, i16::MIN),
+        ] {
+            assert_eq!(Q6_10::from_f32(scaled / 1024.0).raw(), raw, "{scaled}");
+        }
+        assert_eq!(Q6_10::from_f32(f32::INFINITY), Q6_10::MAX);
+        assert_eq!(Q6_10::from_f32(f32::NEG_INFINITY), Q6_10::MIN);
+        assert_eq!(Q6_10::from_f32(f32::NAN), Q6_10::ZERO);
+        assert_eq!(Q6_10::from_f32(-f32::NAN), Q6_10::ZERO);
     }
 
     #[test]

@@ -461,7 +461,8 @@ impl PartitionPlan {
     ///
     /// # Errors
     ///
-    /// [`PartitionError::Format`] describing the first malformed line.
+    /// [`PartitionError::Format`] describing the first malformed line,
+    /// including a row index outside its layer's `rows`.
     pub fn from_plan_str(text: &str) -> Result<Self, PartitionError> {
         let bad = |message: String| PartitionError::Format { message };
         let mut lines = text.lines();
@@ -485,7 +486,9 @@ impl PartitionPlan {
         let n_layers = num(next("layers")?
             .strip_prefix("layers ")
             .ok_or_else(|| bad("expected `layers N`".into()))?)?;
-        let mut layers = Vec::with_capacity(n_layers);
+        // Counts read from the text size nothing up front: every layer and
+        // tile must be present as a line, so missing lines end the parse.
+        let mut layers = Vec::new();
         for l in 0..n_layers {
             let fields: Vec<&str> = next("layer")?.split_whitespace().collect();
             let [kw, idx, rkw, rows, ckw, cols] = fields[..] else {
@@ -495,7 +498,13 @@ impl PartitionPlan {
                 return Err(bad(format!("layer {l}: malformed layer line")));
             }
             let (rows, cols) = (num(rows)?, num(cols)?);
-            let mut tiles = Vec::with_capacity(chips);
+            let row = |t: &str| -> Result<usize, PartitionError> {
+                match num(t)? {
+                    r if r < rows => Ok(r),
+                    r => Err(bad(format!("layer {l}: row {r} out of range 0..{rows}"))),
+                }
+            };
+            let mut tiles = Vec::new();
             for c in 0..chips {
                 let line = next("tile")?;
                 let mut toks = line.split_whitespace();
@@ -510,13 +519,16 @@ impl PartitionPlan {
                 for tok in toks {
                     match tok.split_once('-') {
                         Some((a, b)) => {
-                            let (a, b) = (num(a)?, num(b)?);
+                            let (a, b) = (row(a)?, row(b)?);
                             if a > b {
                                 return Err(bad(format!("layer {l} tile {c}: bad run `{tok}`")));
                             }
+                            tile.try_reserve(b - a + 1).map_err(|e| {
+                                bad(format!("layer {l} tile {c}: run `{tok}`: {e}"))
+                            })?;
                             tile.extend(a..=b);
                         }
-                        None => tile.push(num(tok)?),
+                        None => tile.push(row(tok)?),
                     }
                 }
                 tiles.push(tile);
@@ -769,6 +781,30 @@ mod tests {
             );
         }
         assert!(PartitionPlan::from_plan_str(&good).is_ok());
+    }
+
+    /// Counts and row indices read from the text never size an allocation
+    /// unchecked, and a row outside its layer is a format error.
+    #[test]
+    fn huge_counts_in_plan_text_are_errors_not_panics() {
+        const MAX: &str = "18446744073709551615";
+        let header = "sparsenn-partition v1\n";
+        for text in [
+            format!("{header}chips 1\nlayers {MAX}\n"),
+            format!("{header}chips {MAX}\nlayers 1\nlayer 0 rows 4 cols 4\n"),
+            format!("{header}chips 1\nlayers 1\nlayer 0 rows 4 cols 4\ntile 0 0-18446744073709551614\n"),
+            // Rows in range, but the run cannot be allocated.
+            format!("{header}chips 1\nlayers 1\nlayer 0 rows {MAX} cols 4\ntile 0 0-18446744073709551613\n"),
+            format!("{header}chips 1\nlayers 1\nlayer 0 rows 4 cols 4\ntile 0 0-3 4\n"),
+        ] {
+            assert!(
+                matches!(
+                    PartitionPlan::from_plan_str(&text),
+                    Err(PartitionError::Format { .. })
+                ),
+                "should reject {text:?}"
+            );
+        }
     }
 
     #[test]
