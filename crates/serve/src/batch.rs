@@ -362,13 +362,16 @@ pub fn simulate_batched_traced(
             return;
         }
         let oldest = state[i].queue.front().expect("non-empty").arrival_us;
-        // The epsilon absorbs float round-off when a deadline event fires
-        // exactly `deadline_us` after the oldest arrival.
-        if !policy.should_dispatch(state[i].queue.len(), now - oldest + 1e-9) {
+        // A shard whose table caps batches below the policy's `max` fires
+        // once it holds its own largest batch. The epsilon absorbs float
+        // round-off when a deadline event fires exactly `deadline_us`
+        // after the oldest arrival.
+        let cap = policy.max_batch().min(shards[i].max_batch()).max(1);
+        let queued = state[i].queue.len();
+        if queued < cap && !policy.should_dispatch(queued, now - oldest + 1e-9) {
             return;
         }
-        let cap = policy.max_batch().min(shards[i].max_batch()).max(1);
-        let b = state[i].queue.len().min(cap);
+        let b = queued.min(cap);
         let batch: Vec<Request> = state[i].queue.drain(..b).collect();
         let service = shards[i].service_for_batch(b);
         if spans.enabled() {
@@ -799,6 +802,30 @@ mod tests {
         )
         .unwrap();
         assert!(s.latency.mean_us > imm.latency.mean_us + 50.0);
+    }
+
+    /// A shard whose table caps batches below the policy's `max` fires
+    /// as soon as it can fill its own largest batch: holding on for a
+    /// `max` it can never execute would only add the deadline's wait.
+    #[test]
+    fn table_cap_below_policy_max_fires_at_the_table_cap() {
+        let shards = vec![BatchShardSpec::with_table(
+            "m",
+            vec![10.0, 13.0, 16.0, 19.0],
+        )];
+        let w = Workload::Poisson {
+            rate_rps: 100_000.0,
+            requests: 400,
+            seed: 3,
+        };
+        let run = |max| {
+            let policy = BatchPolicy::SizeOrDeadline {
+                max,
+                deadline_us: 200.0,
+            };
+            simulate_batched(&shards, &FirstIdle, policy, &w, MetricsMode::Exact).unwrap()
+        };
+        assert_eq!(run(8), run(4));
     }
 
     #[test]
