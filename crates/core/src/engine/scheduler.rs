@@ -9,9 +9,10 @@
 //!   a caller needs a shard (it can only *use* idle shards — it has no
 //!   per-shard queues — so a pick of a busy shard, or [`None`], makes the
 //!   caller wait until a shard frees and re-ask);
-//! * the **simulator** (`sparsenn-serve`) honours the pick literally: a
-//!   busy shard's pick joins that shard's FIFO queue, and [`None`] holds
-//!   the request in a central queue until the first shard goes idle.
+//! * the **simulators** (`sparsenn-serve` and `sparsenn-frontend`) honour
+//!   a usable pick literally: a busy shard's pick joins that shard's FIFO
+//!   queue. What each does with a pick it cannot use is its own rule
+//!   (see [`Scheduler::pick`]).
 //!
 //! Because the policy is shared, a scheduler tuned against simulated
 //! latency-vs-load curves drops into real serving unchanged.
@@ -62,11 +63,20 @@ pub trait Scheduler: Send + Sync {
     fn name(&self) -> &str;
 
     /// Picks the shard the arriving request should be placed on, or
-    /// `None` to hold the request until the first shard becomes idle.
+    /// `None` to place it nowhere.
     ///
     /// Returning the index of a busy shard means "queue behind it" where
-    /// queues exist (the simulator); the live fleet treats it as "wait".
-    /// An out-of-range index is treated as `None` by both consumers.
+    /// queues exist (the simulators); the live fleet treats it as "wait".
+    /// An out-of-range index is treated as `None` by every consumer.
+    ///
+    /// The live fleet makes a caller with no usable pick wait for a shard
+    /// to free. Each simulator applies its own rule, documented on its
+    /// entry point: `sparsenn_serve::simulate_with` holds the request in
+    /// a central queue (unless every shard is idle),
+    /// `sparsenn_serve::simulate_batched` places it on the shallowest
+    /// queue, and `sparsenn_frontend::simulate_frontend` — for which an
+    /// unhealthy shard is unusable too — takes the first healthy idle
+    /// shard, else the central queue.
     /// Implementations must never pick an unhealthy shard
     /// ([`ShardView::healthy`] is `false`) — its queue may never drain.
     fn pick(&self, shards: &[ShardView]) -> Option<usize>;

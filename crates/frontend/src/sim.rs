@@ -1,8 +1,8 @@
 //! The production-front-end simulator: admission, faults, hedging and
 //! autoscaling on one deterministic virtual timeline.
 //!
-//! [`simulate_frontend`] extends the `sparsenn-serve` discrete-event core
-//! with the full [`FleetEvent`] vocabulary. Each arriving request is
+//! [`simulate_frontend`] drives the `sparsenn-serve` discrete-event
+//! [`Core`] with the full [`FleetEvent`] vocabulary. Each arriving request is
 //! classified ([`Priority`]), gated ([`AdmissionGate`] — admit, degrade,
 //! or shed *before* touching a shard), then dispatched as a service
 //! **attempt** by the shared [`Scheduler`] trait. Attempts — not requests
@@ -25,12 +25,16 @@ use crate::metrics::{ClassBurnAlert, ClassStats, FrontendSummary};
 use crate::slo::SloPolicy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparsenn_core::engine::{AdmissionDecision, AdmissionGate, Priority, Scheduler, ShardView};
+use sparsenn_core::engine::{
+    AdmissionDecision, AdmissionGate, BatchPolicy, Priority, Scheduler, ShardView,
+};
 use sparsenn_obs::{
     track, AttrKey, BurnConfig, BurnRateMonitor, NullSink, Span, SpanKind, TraceSink,
 };
-use sparsenn_serve::{EventQueue, FleetEvent, ShardSpec, StreamingLatency, Workload};
-use std::collections::VecDeque;
+use sparsenn_serve::{
+    rate_per_s, Core, FleetEvent, ServeError, ShardSpec, StreamingLatency, Workload,
+    DEADLINE_SLACK_US,
+};
 
 /// The trace-friendly class label.
 fn class_name(class: Priority) -> &'static str {
@@ -90,8 +94,6 @@ pub struct FrontendConfig {
 /// cost of a batch whose first sample pays full price and every further
 /// sample `marginal_cost` of it (the batched machine's W-read
 /// amortization shape).
-///
-/// [`BatchPolicy::SizeOrDeadline`]: sparsenn_core::engine::BatchPolicy::SizeOrDeadline
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DegradeBatching {
     /// Buffer size that triggers a flush (≥ 1).
@@ -124,17 +126,14 @@ impl DegradeBatching {
     }
 
     /// Checks the parameters, returning a description of the first
-    /// violation.
+    /// violation. The hold window is checked as the
+    /// [`BatchPolicy::SizeOrDeadline`] it is.
     pub fn validate(&self) -> Result<(), String> {
-        if self.max == 0 {
-            return Err("degrade batch size must be at least 1".into());
+        BatchPolicy::SizeOrDeadline {
+            max: self.max,
+            deadline_us: self.deadline_us,
         }
-        if !self.deadline_us.is_finite() || self.deadline_us < 0.0 {
-            return Err(format!(
-                "degrade batch deadline must be finite and non-negative, got {}",
-                self.deadline_us
-            ));
-        }
+        .validate()?;
         if !(self.marginal_cost.is_finite()
             && self.marginal_cost > 0.0
             && self.marginal_cost <= 1.0)
@@ -241,6 +240,20 @@ impl std::fmt::Display for FrontendError {
 
 impl std::error::Error for FrontendError {}
 
+impl From<ServeError> for FrontendError {
+    fn from(e: ServeError) -> Self {
+        match e {
+            ServeError::NoShards => FrontendError::NoShards,
+            ServeError::BadServiceTable { shard, reason } => {
+                FrontendError::BadServiceTable { shard, reason }
+            }
+            ServeError::InvalidWorkload(reason) | ServeError::InvalidPolicy(reason) => {
+                FrontendError::BadConfig(reason)
+            }
+        }
+    }
+}
+
 /// Why an attempt was dispatched: the admission-time primary, a hedge
 /// duplicate racing a straggler, or a re-dispatch after a fail-stop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -272,7 +285,9 @@ struct Attempt {
     issued_us: f64,
 }
 
-struct ShardState {
+/// A shard's standing in the front end's fleet; its serving state lives
+/// in the core.
+struct Health {
     /// Part of the serving set (false: scale-out reserve or scaled in).
     active: bool,
     /// Activated but still paying the warm-up cost.
@@ -281,48 +296,11 @@ struct ShardState {
     failed: bool,
     /// Service-time multiplier while a straggler window is open.
     slow_factor: f64,
-    queue: VecDeque<Attempt>,
-    queued_work_us: f64,
-    current: Option<(Attempt, f64)>,
-    busy_until: f64,
-    served: usize,
-    busy_us: f64,
 }
 
-impl ShardState {
-    fn new(active: bool) -> Self {
-        Self {
-            active,
-            warming: false,
-            failed: false,
-            slow_factor: 1.0,
-            queue: VecDeque::new(),
-            queued_work_us: 0.0,
-            current: None,
-            busy_until: 0.0,
-            served: 0,
-            busy_us: 0.0,
-        }
-    }
-
+impl Health {
     fn healthy(&self) -> bool {
         self.active && !self.warming && !self.failed
-    }
-
-    fn idle(&self) -> bool {
-        self.current.is_none() && self.queue.is_empty()
-    }
-
-    fn depth(&self) -> usize {
-        self.queue.len() + usize::from(self.current.is_some())
-    }
-
-    fn backlog_us(&self, now_us: f64) -> f64 {
-        let in_service = match self.current {
-            Some(_) => (self.busy_until - now_us).max(0.0),
-            None => 0.0,
-        };
-        in_service + self.queued_work_us
     }
 }
 
@@ -346,6 +324,13 @@ struct RequestState {
     done: bool,
 }
 
+/// Service time of `request`'s attempt on a shard, µs: the shard's
+/// modelled time, stretched by any straggler window and scaled by the
+/// request's admission factor.
+fn attempt_service_us(spec: &ShardSpec, health: &Health, request: usize, factor: f64) -> f64 {
+    spec.service_for(request) * health.slow_factor * factor
+}
+
 /// The running simulation. All mutation funnels through these methods so
 /// the attempt/queue/waiting invariants live in one place.
 struct Engine<'a> {
@@ -356,10 +341,9 @@ struct Engine<'a> {
     /// Trace destination; span construction is skipped entirely when
     /// the sink reports itself disabled.
     sink: &'a dyn TraceSink,
-    events: EventQueue<FleetEvent>,
-    shards: Vec<ShardState>,
+    core: Core<Attempt, FleetEvent>,
+    health: Vec<Health>,
     requests: Vec<RequestState>,
-    central: VecDeque<Attempt>,
     /// Degraded requests held for the next batch flush (request ids, in
     /// arrival order — index 0 is the oldest, whose wait arms deadlines).
     degrade_buffer: Vec<usize>,
@@ -368,13 +352,8 @@ struct Engine<'a> {
     waiting: [usize; 2],
     next_attempt: u64,
     resolved: usize,
-    total_requests: usize,
-    /// Closed-loop requests still to issue (completion/shed/fail driven).
-    to_issue: usize,
-    think_us: f64,
     class_rng: StdRng,
     scaler: Option<Autoscaler>,
-    makespan_us: f64,
     // Accumulators.
     classes: [ClassStats; 2],
     latency: [StreamingLatency; 2],
@@ -468,25 +447,29 @@ impl<'a> Engine<'a> {
         );
     }
 
-    fn views(&self, now: f64, request: usize) -> Vec<ShardView> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ShardView {
-                healthy: s.healthy(),
-                idle: s.idle(),
-                depth: s.depth(),
-                backlog_us: s.backlog_us(now),
-                service_us: self.specs[i].service_us[request % self.specs[i].service_us.len()]
-                    * s.slow_factor,
-            })
-            .collect()
+    /// The shards as a scheduler or admission gate sees them when placing
+    /// `request`.
+    fn views(&mut self, now: f64, request: usize) -> &[ShardView] {
+        let (specs, health) = (self.specs, &self.health);
+        self.core.views(now, |i| {
+            (
+                health[i].healthy(),
+                specs[i].service_for(request) * health[i].slow_factor,
+            )
+        })
     }
 
     fn service_us(&self, shard: usize, request: usize) -> f64 {
-        let spec = &self.specs[shard];
-        let base = spec.service_us[request % spec.service_us.len()];
-        base * self.shards[shard].slow_factor * self.requests[request].service_factor
+        let factor = self.requests[request].service_factor;
+        attempt_service_us(&self.specs[shard], &self.health[shard], request, factor)
+    }
+
+    /// Shards counted as serving capacity: active and warmed up.
+    fn serving(&self) -> usize {
+        self.health
+            .iter()
+            .filter(|h| h.active && !h.warming)
+            .count()
     }
 
     fn start_service(&mut self, shard: usize, attempt: Attempt, now: f64) {
@@ -507,20 +490,15 @@ impl<'a> Engine<'a> {
             );
         }
         let service = self.service_us(shard, attempt.request);
-        self.shards[shard].current = Some((attempt, now));
-        self.shards[shard].busy_until = now + service;
-        self.events.push(
-            now + service,
-            FleetEvent::Completion {
-                shard,
-                attempt: attempt.id,
-            },
-        );
+        let done = FleetEvent::Completion {
+            shard,
+            attempt: attempt.id,
+        };
+        self.core.start(shard, attempt, now, service, done);
     }
 
-    /// Places a fresh attempt for `request`: scheduler pick, then the
-    /// first healthy idle shard, then the central queue (drained by the
-    /// next shard to free up or come back).
+    /// Places a fresh attempt for `request` by the rule
+    /// [`simulate_frontend`] documents.
     fn dispatch(&mut self, request: usize, now: f64, origin: AttemptOrigin) {
         let attempt = Attempt {
             id: self.next_attempt,
@@ -530,26 +508,29 @@ impl<'a> Engine<'a> {
         };
         self.next_attempt += 1;
         self.requests[request].live_attempts += 1;
-        let class = self.requests[request].class;
-        let views = self.views(now, request);
-        match self.scheduler.pick(&views) {
-            Some(i) if i < self.shards.len() && self.shards[i].healthy() => {
-                if self.shards[i].idle() {
+        let class = self.requests[request].class.index();
+        let scheduler = self.scheduler;
+        let n = self.health.len();
+        match scheduler.pick(self.views(now, request)) {
+            Some(i) if i < n && self.health[i].healthy() => {
+                if self.core.shards[i].idle() {
                     self.start_service(i, attempt, now);
                 } else {
-                    self.shards[i].queued_work_us += self.service_us(i, request);
-                    self.shards[i].queue.push_back(attempt);
-                    self.waiting[class.index()] += 1;
+                    let work = self.service_us(i, request);
+                    self.core.enqueue(i, attempt, work);
+                    self.waiting[class] += 1;
                 }
             }
+            // An unusable pick: the first healthy idle shard, else the
+            // central queue.
             _ => {
-                if let Some(i) = (0..self.shards.len())
-                    .find(|&i| self.shards[i].healthy() && self.shards[i].idle())
+                if let Some(i) =
+                    (0..n).find(|&i| self.health[i].healthy() && self.core.shards[i].idle())
                 {
                     self.start_service(i, attempt, now);
                 } else {
-                    self.central.push_back(attempt);
-                    self.waiting[class.index()] += 1;
+                    self.core.central.push_back(attempt);
+                    self.waiting[class] += 1;
                 }
             }
         }
@@ -558,19 +539,18 @@ impl<'a> Engine<'a> {
     /// A shard freed up (completion, cancellation, recovery, warm-up
     /// done): pull its own queue first, then the central queue.
     fn pull_next(&mut self, shard: usize, now: f64) {
-        if !self.shards[shard].healthy() || self.shards[shard].current.is_some() {
+        if !self.health[shard].healthy() || self.core.shards[shard].busy() {
             return;
         }
-        let next = if let Some(a) = self.shards[shard].queue.pop_front() {
-            // Slowdown windows opening/closing between enqueue and
-            // dequeue can skew the backlog estimate; clamp so it stays a
-            // usable scheduler heuristic.
-            let work = self.service_us(shard, a.request);
-            self.shards[shard].queued_work_us = (self.shards[shard].queued_work_us - work).max(0.0);
-            Some(a)
-        } else {
-            self.central.pop_front()
-        };
+        let (spec, health, requests) = (&self.specs[shard], &self.health[shard], &self.requests);
+        let next = self.core.next_for(shard, |a| {
+            attempt_service_us(spec, health, a.request, requests[a.request].service_factor)
+        });
+        // Slowdown windows opening/closing between enqueue and dequeue
+        // can skew the backlog estimate; clamp so it stays a usable
+        // scheduler heuristic.
+        let s = &mut self.core.shards[shard];
+        s.queued_work_us = s.queued_work_us.max(0.0);
         if let Some(a) = next {
             self.waiting[self.requests[a.request].class.index()] -= 1;
             self.start_service(shard, a, now);
@@ -585,11 +565,10 @@ impl<'a> Engine<'a> {
             return;
         }
         let mut freed: Vec<usize> = Vec::new();
-        for i in 0..self.shards.len() {
-            if let Some((att, start)) = self.shards[i].current {
-                if att.request == request {
-                    self.shards[i].busy_us += now - start;
-                    self.shards[i].current = None;
+        for i in 0..self.core.shards.len() {
+            match self.core.shards[i].in_service.first() {
+                Some(&att) if att.request == request => {
+                    let start = self.core.abort(i, now);
                     self.requests[request].live_attempts -= 1;
                     self.cancelled_attempts += 1;
                     if att.origin == AttemptOrigin::Hedge {
@@ -599,31 +578,28 @@ impl<'a> Engine<'a> {
                     self.emit_marker(SpanKind::Cancel, request, now);
                     freed.push(i);
                 }
+                _ => {}
             }
         }
         if self.requests[request].live_attempts > 0 {
             let class = self.requests[request].class;
+            let factor = self.requests[request].service_factor;
             let mut cancelled: Vec<Attempt> = Vec::new();
-            for i in 0..self.shards.len() {
-                let specs = self.specs;
-                let slow = self.shards[i].slow_factor;
-                let factor = self.requests[request].service_factor;
+            for (i, s) in self.core.shards.iter_mut().enumerate() {
+                let work = attempt_service_us(&self.specs[i], &self.health[i], request, factor);
                 let mut dropped_work = 0.0;
-                self.shards[i].queue.retain(|a| {
+                s.queue.retain(|a| {
                     if a.request == request {
-                        dropped_work += specs[i].service_us[request % specs[i].service_us.len()]
-                            * slow
-                            * factor;
+                        dropped_work += work;
                         cancelled.push(*a);
                         false
                     } else {
                         true
                     }
                 });
-                self.shards[i].queued_work_us =
-                    (self.shards[i].queued_work_us - dropped_work).max(0.0);
+                s.queued_work_us = (s.queued_work_us - dropped_work).max(0.0);
             }
-            self.central.retain(|a| {
+            self.core.central.retain(|a| {
                 if a.request == request {
                     cancelled.push(*a);
                     false
@@ -651,24 +627,19 @@ impl<'a> Engine<'a> {
     /// makespan and keep a closed-loop client issuing.
     fn resolve(&mut self, now: f64) {
         self.resolved += 1;
-        self.makespan_us = self.makespan_us.max(now);
-        if self.to_issue > 0 {
-            self.to_issue -= 1;
-            self.events.push(now + self.think_us, FleetEvent::Arrival);
-        }
+        self.core.makespan_us = self.core.makespan_us.max(now);
+        self.core.reissue(now, 1);
     }
 
     fn on_completion(&mut self, shard: usize, attempt_id: u64, now: f64) {
         // Lazy cancellation: the completion is real only if the shard is
         // still running that exact attempt (fail-stops and cancellations
-        // clear `current`, leaving the scheduled event to pop dead).
-        let (attempt, start) = match self.shards[shard].current {
-            Some((a, s)) if a.id == attempt_id => (a, s),
+        // free the shard, leaving the scheduled event to pop dead).
+        let attempt = match self.core.shards[shard].in_service.first() {
+            Some(&a) if a.id == attempt_id => a,
             _ => return,
         };
-        self.shards[shard].current = None;
-        self.shards[shard].served += 1;
-        self.shards[shard].busy_us += now - start;
+        let start = self.core.finish(shard, now);
         let request = attempt.request;
         debug_assert!(!self.requests[request].done, "winner races are settled");
         self.requests[request].done = true;
@@ -703,19 +674,19 @@ impl<'a> Engine<'a> {
     }
 
     fn on_fail(&mut self, shard: usize, now: f64) {
-        self.shards[shard].failed = true;
+        self.health[shard].failed = true;
         // Everything the shard held — in service and queued — is lost.
         let mut lost: Vec<Attempt> = Vec::new();
-        if let Some((att, start)) = self.shards[shard].current.take() {
-            self.shards[shard].busy_us += now - start;
+        if let Some(&att) = self.core.shards[shard].in_service.first() {
+            let start = self.core.abort(shard, now);
             self.emit_attempt_span(shard, att, start, now, "failed");
             lost.push(att);
         }
-        while let Some(att) = self.shards[shard].queue.pop_front() {
+        while let Some(att) = self.core.shards[shard].queue.pop_front() {
             self.waiting[self.requests[att.request].class.index()] -= 1;
             lost.push(att);
         }
-        self.shards[shard].queued_work_us = 0.0;
+        self.core.shards[shard].queued_work_us = 0.0;
         for att in lost {
             let request = att.request;
             if self.requests[request].done {
@@ -746,18 +717,15 @@ impl<'a> Engine<'a> {
         };
         // Busy time this epoch, including in-flight partial work.
         let total_busy: f64 = self
+            .core
             .shards
             .iter()
-            .map(|s| s.busy_us + s.current.map_or(0.0, |(_, start)| now - start))
+            .map(|s| s.busy_us + if s.busy() { now - s.started_us } else { 0.0 })
             .sum();
         let epoch_busy = total_busy - self.last_epoch_busy_us;
         self.last_epoch_busy_us = total_busy;
-        let active = self
-            .shards
-            .iter()
-            .filter(|s| s.active && !s.warming)
-            .count();
-        let warming = self.shards.iter().filter(|s| s.warming).count();
+        let active = self.serving();
+        let warming = self.health.iter().filter(|h| h.warming).count();
         let utilization = if active > 0 {
             (epoch_busy / (active as f64 * epoch_us)).clamp(0.0, 1.0)
         } else {
@@ -766,46 +734,43 @@ impl<'a> Engine<'a> {
         let scaler = self.scaler.as_mut().expect("autoscale config has a scaler");
         match scaler.decide(utilization, active, warming) {
             ScaleDecision::Out => {
-                if let Some(i) = (0..self.shards.len()).find(|&i| !self.shards[i].active) {
-                    self.shards[i].active = true;
-                    self.shards[i].warming = true;
+                if let Some(i) = (0..self.health.len()).find(|&i| !self.health[i].active) {
+                    self.health[i].active = true;
+                    self.health[i].warming = true;
                     self.scale_outs += 1;
                     let warmup = self.cfg.autoscale.as_ref().expect("checked").warmup_us;
-                    self.events
+                    self.core
+                        .events
                         .push(now + warmup, FleetEvent::ShardReady { shard: i });
                 }
             }
             ScaleDecision::In => {
                 // Retire the highest-indexed idle healthy shard; if every
                 // active shard holds work, hold instead.
-                if let Some(i) = (0..self.shards.len())
+                if let Some(i) = (0..self.health.len())
                     .rev()
-                    .find(|&i| self.shards[i].healthy() && self.shards[i].idle())
+                    .find(|&i| self.health[i].healthy() && self.core.shards[i].idle())
                 {
-                    self.shards[i].active = false;
+                    self.health[i].active = false;
                     self.scale_ins += 1;
                 }
             }
             ScaleDecision::Hold => {}
         }
-        self.peak_active = self.peak_active.max(
-            self.shards
-                .iter()
-                .filter(|s| s.active && !s.warming)
-                .count(),
-        );
-        if self.resolved < self.total_requests {
-            self.events.push(now + epoch_us, FleetEvent::ScaleTick);
+        self.peak_active = self.peak_active.max(self.serving());
+        if self.resolved < self.cfg.workload.requests() {
+            self.core.events.push(now + epoch_us, FleetEvent::ScaleTick);
         }
     }
 
     fn on_arrival(&mut self, now: f64) {
+        let request = self.core.arrive();
         let class = if self.class_rng.gen::<f64>() < self.cfg.low_fraction {
             Priority::Low
         } else {
             Priority::High
         };
-        let request = self.requests.len();
+        debug_assert_eq!(request, self.requests.len(), "ids count arrivals");
         self.requests.push(RequestState {
             class,
             arrival_us: now,
@@ -816,13 +781,9 @@ impl<'a> Engine<'a> {
             hedges_used: 0,
             done: false,
         });
-        let stats = &mut self.classes[class.index()];
-        stats.offered += 1;
-        let views = self.views(now, request);
-        match self
-            .admission
-            .decide(class, self.waiting[class.index()], &views)
-        {
+        self.classes[class.index()].offered += 1;
+        let (admission, waiting) = (self.admission, self.waiting[class.index()]);
+        match admission.decide(class, waiting, self.views(now, request)) {
             AdmissionDecision::Admit => {
                 self.classes[class.index()].admitted += 1;
                 self.emit_marker(SpanKind::Admit, request, now);
@@ -842,7 +803,8 @@ impl<'a> Engine<'a> {
                     if self.degrade_buffer.len() >= b.max {
                         self.flush_degrade_buffer(now);
                     } else {
-                        self.events
+                        self.core
+                            .events
                             .push(now + b.deadline_us, FleetEvent::BatchFlush);
                     }
                     return;
@@ -862,8 +824,13 @@ impl<'a> Engine<'a> {
             }
         }
         self.dispatch(request, now, AttemptOrigin::Primary);
+        self.arm_hedge(request, now);
+    }
+
+    fn arm_hedge(&mut self, request: usize, now: f64) {
         if self.cfg.hedge.hedging_enabled() {
-            self.events
+            self.core
+                .events
                 .push(now + self.cfg.hedge.after_us, FleetEvent::Hedge { request });
         }
     }
@@ -903,17 +870,14 @@ impl<'a> Engine<'a> {
             self.requests[request].buffered = false;
             self.requests[request].service_factor = factor;
             self.dispatch(request, now, AttemptOrigin::Primary);
-            if self.cfg.hedge.hedging_enabled() {
-                self.events
-                    .push(now + self.cfg.hedge.after_us, FleetEvent::Hedge { request });
-            }
+            self.arm_hedge(request, now);
         }
     }
 
     /// A degrade-batch deadline pops. A fill may have flushed the buffer
     /// early, leaving this deadline stale for a *younger* buffer: only
     /// fire when the current oldest member has genuinely waited out the
-    /// deadline (ε absorbs float round-off at an exactly-on-time pop).
+    /// deadline.
     fn on_batch_flush(&mut self, now: f64) {
         let batching = match self.cfg.degrade_batching {
             Some(b) => b,
@@ -923,7 +887,7 @@ impl<'a> Engine<'a> {
             Some(&r) => self.requests[r].arrival_us,
             None => return,
         };
-        if now - oldest + 1e-9 >= batching.deadline_us {
+        if now - oldest + DEADLINE_SLACK_US >= batching.deadline_us {
             self.flush_degrade_buffer(now);
         }
     }
@@ -938,13 +902,17 @@ impl<'a> Engine<'a> {
         self.emit_marker(SpanKind::Hedge, request, now);
         self.dispatch(request, now, AttemptOrigin::Hedge);
         if self.requests[request].hedges_used < self.cfg.hedge.max_hedges {
-            self.events
-                .push(now + self.cfg.hedge.after_us, FleetEvent::Hedge { request });
+            self.arm_hedge(request, now);
         }
     }
 }
 
 /// Runs one front-end simulation to completion.
+///
+/// Each attempt goes to the scheduler's pick when it names a healthy
+/// shard. A pick the run cannot use — `None`, an out-of-range index or
+/// an unhealthy shard — goes to the first healthy idle shard, else to
+/// the central queue, drained by the next shard to free up or come back.
 ///
 /// Deterministic: the summary is a pure function of the arguments.
 ///
@@ -980,24 +948,8 @@ pub fn simulate_frontend_traced(
     cfg: &FrontendConfig,
     sink: &dyn TraceSink,
 ) -> Result<FrontendSummary, FrontendError> {
-    if fleet.is_empty() {
-        return Err(FrontendError::NoShards);
-    }
-    for (i, s) in fleet.iter().enumerate() {
-        if s.service_us.is_empty() {
-            return Err(FrontendError::BadServiceTable {
-                shard: i,
-                reason: "empty".into(),
-            });
-        }
-        if let Some(bad) = s.service_us.iter().find(|v| !v.is_finite() || **v < 0.0) {
-            return Err(FrontendError::BadServiceTable {
-                shard: i,
-                reason: format!("service time {bad} is not finite and non-negative"),
-            });
-        }
-    }
-    cfg.workload.validate().map_err(FrontendError::BadConfig)?;
+    let tables = fleet.iter().map(|s| s.service_us.as_slice());
+    let core = Core::new(tables, "service time", &cfg.workload, FleetEvent::Arrival)?;
     cfg.hedge.validate().map_err(FrontendError::BadConfig)?;
     cfg.faults
         .validate(fleet.len())
@@ -1048,28 +1000,50 @@ pub fn simulate_frontend_traced(
     }
 
     let total_requests = cfg.workload.requests();
-    let mut events: EventQueue<FleetEvent> = EventQueue::new();
-    let mut open_arrivals = cfg.workload.open_arrivals();
-    let (think_us, to_issue) = match cfg.workload {
-        Workload::ClosedLoop {
-            concurrency,
-            requests,
-            think_us,
-        } => {
-            for _ in 0..concurrency.min(requests) {
-                events.push(0.0, FleetEvent::Arrival);
-            }
-            (think_us, requests - concurrency.min(requests))
-        }
-        _ => {
-            let stream = open_arrivals.as_mut().expect("open workload has a stream");
-            if let Some(t) = stream.next() {
-                events.push(t, FleetEvent::Arrival);
-            }
-            (0.0, 0)
-        }
+    let mut engine = Engine {
+        specs: fleet,
+        scheduler,
+        admission,
+        cfg,
+        sink,
+        core,
+        health: (0..fleet.len())
+            .map(|i| Health {
+                active: i < initial_active,
+                warming: false,
+                failed: false,
+                slow_factor: 1.0,
+            })
+            .collect(),
+        requests: Vec::with_capacity(total_requests),
+        degrade_buffer: Vec::new(),
+        waiting: [0, 0],
+        next_attempt: 0,
+        resolved: 0,
+        class_rng: StdRng::seed_from_u64(cfg.class_seed),
+        scaler: cfg.autoscale.map(Autoscaler::new),
+        classes: [ClassStats::default(), ClassStats::default()],
+        latency: [StreamingLatency::new(), StreamingLatency::new()],
+        hedges_issued: 0,
+        hedge_wins: 0,
+        cancelled_attempts: 0,
+        hedges_cancelled: 0,
+        retries: 0,
+        retry_wins: 0,
+        scale_outs: 0,
+        scale_ins: 0,
+        peak_active: initial_active,
+        last_epoch_busy_us: 0.0,
+        degrade_batches: 0,
+        degrade_batch_samples: 0,
+        max_degrade_batch: 0,
+        burn: [
+            cfg.burn.map(BurnRateMonitor::new),
+            cfg.burn.map(BurnRateMonitor::new),
+        ],
     };
     // The fault timeline goes on the same queue as the traffic.
+    let events = &mut engine.core.events;
     for f in &cfg.faults.faults {
         match *f {
             Fault::FailStop {
@@ -1095,92 +1069,36 @@ pub fn simulate_frontend_traced(
         events.push(a.epoch_us, FleetEvent::ScaleTick);
     }
 
-    let mut engine = Engine {
-        specs: fleet,
-        scheduler,
-        admission,
-        cfg,
-        sink,
-        events,
-        shards: (0..fleet.len())
-            .map(|i| ShardState::new(i < initial_active))
-            .collect(),
-        requests: Vec::with_capacity(total_requests),
-        central: VecDeque::new(),
-        degrade_buffer: Vec::new(),
-        waiting: [0, 0],
-        next_attempt: 0,
-        resolved: 0,
-        total_requests,
-        to_issue,
-        think_us,
-        class_rng: StdRng::seed_from_u64(cfg.class_seed),
-        scaler: cfg.autoscale.map(Autoscaler::new),
-        makespan_us: 0.0,
-        classes: [ClassStats::default(), ClassStats::default()],
-        latency: [StreamingLatency::new(), StreamingLatency::new()],
-        hedges_issued: 0,
-        hedge_wins: 0,
-        cancelled_attempts: 0,
-        hedges_cancelled: 0,
-        retries: 0,
-        retry_wins: 0,
-        scale_outs: 0,
-        scale_ins: 0,
-        peak_active: initial_active,
-        last_epoch_busy_us: 0.0,
-        degrade_batches: 0,
-        degrade_batch_samples: 0,
-        max_degrade_batch: 0,
-        burn: [
-            cfg.burn.map(BurnRateMonitor::new),
-            cfg.burn.map(BurnRateMonitor::new),
-        ],
-    };
-
-    while let Some((now, event)) = engine.events.pop() {
+    while let Some((now, event)) = engine.core.events.pop() {
         // The run is over once every request resolves; events still on
         // the timeline (a recovery, a shard becoming warm, a stale
         // hedge timer) must not keep mutating the measured state.
-        if engine.resolved >= engine.total_requests {
+        if engine.resolved >= total_requests {
             break;
         }
         match event {
-            FleetEvent::Arrival => {
-                if let Some(stream) = open_arrivals.as_mut() {
-                    if let Some(t) = stream.next() {
-                        engine.events.push(t, FleetEvent::Arrival);
-                    }
-                }
-                engine.on_arrival(now);
-            }
+            FleetEvent::Arrival => engine.on_arrival(now),
             FleetEvent::Completion { shard, attempt } => {
                 engine.on_completion(shard, attempt, now);
             }
             FleetEvent::Fail { shard } => engine.on_fail(shard, now),
             FleetEvent::Recover { shard } => {
-                engine.shards[shard].failed = false;
+                engine.health[shard].failed = false;
                 engine.pull_next(shard, now);
             }
             FleetEvent::SlowdownStart { shard, factor } => {
-                engine.shards[shard].slow_factor = factor;
+                engine.health[shard].slow_factor = factor;
             }
             FleetEvent::SlowdownEnd { shard } => {
-                engine.shards[shard].slow_factor = 1.0;
+                engine.health[shard].slow_factor = 1.0;
             }
             FleetEvent::Hedge { request } => engine.on_hedge(request, now),
             FleetEvent::BatchFlush => engine.on_batch_flush(now),
             FleetEvent::ScaleTick => engine.on_scale_tick(now),
             FleetEvent::ShardReady { shard } => {
-                if engine.shards[shard].warming {
-                    engine.shards[shard].warming = false;
-                    engine.peak_active = engine.peak_active.max(
-                        engine
-                            .shards
-                            .iter()
-                            .filter(|s| s.active && !s.warming)
-                            .count(),
-                    );
+                if engine.health[shard].warming {
+                    engine.health[shard].warming = false;
+                    engine.peak_active = engine.peak_active.max(engine.serving());
                     engine.pull_next(shard, now);
                 }
             }
@@ -1188,6 +1106,7 @@ pub fn simulate_frontend_traced(
     }
 
     debug_assert_eq!(engine.resolved, total_requests, "every request resolves");
+    let final_active_shards = engine.serving();
     let mut classes = engine.classes;
     for (c, lat) in classes.iter_mut().zip(&engine.latency) {
         c.latency = lat.stats();
@@ -1196,7 +1115,7 @@ pub fn simulate_frontend_traced(
     let completed: usize = classes.iter().map(|c| c.completed).sum();
     let slo_met: usize = classes.iter().map(|c| c.slo_met).sum();
     let shed: usize = classes.iter().map(|c| c.shed).sum();
-    let makespan_s = engine.makespan_us * 1e-6;
+    let makespan_us = engine.core.makespan_us;
     let mut burn_alerts: Vec<ClassBurnAlert> = Vec::new();
     for (class, monitor) in [Priority::High, Priority::Low]
         .into_iter()
@@ -1221,17 +1140,9 @@ pub fn simulate_frontend_traced(
         admission: admission.name().to_string(),
         workload: cfg.workload.to_string(),
         requests: offered,
-        makespan_us: engine.makespan_us,
-        throughput_rps: if makespan_s > 0.0 {
-            completed as f64 / makespan_s
-        } else {
-            0.0
-        },
-        goodput_rps: if makespan_s > 0.0 {
-            slo_met as f64 / makespan_s
-        } else {
-            0.0
-        },
+        makespan_us,
+        throughput_rps: rate_per_s(completed, makespan_us),
+        goodput_rps: rate_per_s(slo_met, makespan_us),
         shed_rate: if offered > 0 {
             shed as f64 / offered as f64
         } else {
@@ -1261,11 +1172,7 @@ pub fn simulate_frontend_traced(
         },
         max_degrade_batch: engine.max_degrade_batch,
         peak_active_shards: engine.peak_active,
-        final_active_shards: engine
-            .shards
-            .iter()
-            .filter(|s| s.active && !s.warming)
-            .count(),
+        final_active_shards,
         burn_alerts,
     })
 }

@@ -21,13 +21,13 @@
 //!
 //! [`BatchRunRecord::batch_time_us`]: sparsenn_core::engine::BatchRunRecord
 
-use crate::events::EventQueue;
-use crate::metrics::{LatencyStats, RequestMetric, ShardUsage, StreamingLatency};
-use crate::sim::{MetricsMode, ServeError};
+use crate::core::{
+    rate_per_s, Core, LatencyBook, MetricsMode, Request, ServeError, DEADLINE_SLACK_US,
+};
+use crate::metrics::{LatencyStats, RequestMetric, ShardUsage};
 use crate::workload::Workload;
-use sparsenn_core::engine::{BatchPolicy, Scheduler, ShardView};
+use sparsenn_core::engine::{BatchPolicy, Scheduler};
 use sparsenn_obs::{track, AttrKey, NullSink, Span, SpanBuffer, SpanKind, TraceSink};
-use std::collections::VecDeque;
 
 /// One simulated batch-capable shard: a name and its modelled batch
 /// service times.
@@ -73,12 +73,9 @@ impl BatchShardSpec {
     ///
     /// # Errors
     ///
-    /// Whatever the backend's `run_batch` returns
-    /// ([`SparseNnError`](sparsenn_core::SparseNnError)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty or `max_batch == 0`.
+    /// [`SparseNnError::EmptyBatch`](sparsenn_core::SparseNnError::EmptyBatch)
+    /// when `inputs` is empty or `max_batch == 0`; otherwise whatever the
+    /// backend's `run_batch` returns.
     pub fn from_measured(
         name: impl Into<String>,
         backend: &dyn sparsenn_core::engine::InferenceBackend,
@@ -88,8 +85,9 @@ impl BatchShardSpec {
         max_batch: usize,
         reps: usize,
     ) -> Result<Self, sparsenn_core::SparseNnError> {
-        assert!(!inputs.is_empty(), "need at least one input to measure");
-        assert!(max_batch > 0, "max_batch must be positive");
+        if inputs.is_empty() || max_batch == 0 {
+            return Err(sparsenn_core::SparseNnError::EmptyBatch);
+        }
         let reps = reps.max(1);
         backend.run_batch(net, &inputs[..1], mode)?; // warm-up (pack, caches)
         let mut batch_service_us = Vec::with_capacity(max_batch);
@@ -212,46 +210,15 @@ enum Event {
     },
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Request {
-    id: usize,
-    arrival_us: f64,
-}
-
-struct ShardState {
-    queue: VecDeque<Request>,
-    /// In-service batch: `(requests, start_us)`.
-    current: Option<(Vec<Request>, f64)>,
-    busy_until: f64,
-    /// When the shard last became idle (0 at the start).
-    idle_since: f64,
-    served: usize,
-    busy_us: f64,
-}
-
-impl ShardState {
-    fn new() -> Self {
-        Self {
-            queue: VecDeque::new(),
-            current: None,
-            busy_until: 0.0,
-            idle_since: 0.0,
-            served: 0,
-            busy_us: 0.0,
-        }
-    }
-
-    fn depth(&self) -> usize {
-        self.queue.len() + self.current.as_ref().map_or(0, |(b, _)| b.len())
-    }
-}
-
 /// Runs one batched simulation to completion.
 ///
-/// Arrivals are placed per shard by the `scheduler` (a `None` or invalid
-/// pick falls back to the shallowest queue); each shard serves its own
-/// queue FIFO, firing batches when the `policy` says so. Deterministic:
-/// the summary is a pure function of the arguments.
+/// Arrivals are placed per shard by the `scheduler`; a pick the run
+/// cannot use (`None` or an out-of-range index) goes to the shallowest
+/// queue, ties to the lowest index, so every request lands somewhere and
+/// progress is guaranteed. Each shard serves its own queue FIFO, firing
+/// batches when the `policy` says so, or as soon as it holds its table's
+/// largest batch. Deterministic: the summary is a pure function of the
+/// arguments.
 ///
 /// # Errors
 ///
@@ -282,101 +249,129 @@ pub fn simulate_batched_traced(
     mode: MetricsMode,
     sink: &dyn TraceSink,
 ) -> Result<BatchedSummary, ServeError> {
-    if shards.is_empty() {
-        return Err(ServeError::NoShards);
-    }
-    for (i, s) in shards.iter().enumerate() {
-        if s.batch_service_us.is_empty() {
-            return Err(ServeError::BadServiceTable {
-                shard: i,
-                reason: "empty".into(),
-            });
-        }
-        if let Some(bad) = s
-            .batch_service_us
-            .iter()
-            .find(|v| !v.is_finite() || **v < 0.0)
-        {
-            return Err(ServeError::BadServiceTable {
-                shard: i,
-                reason: format!("batch service time {bad} is not finite and non-negative"),
-            });
-        }
-    }
-    workload.validate().map_err(ServeError::InvalidWorkload)?;
+    let tables = shards.iter().map(|s| s.batch_service_us.as_slice());
+    let core = Core::new(tables, "batch service time", workload, Event::Arrival)?;
     policy.validate().map_err(ServeError::InvalidPolicy)?;
     let deadline_us = match policy {
         BatchPolicy::SizeOrDeadline { deadline_us, .. } => Some(deadline_us),
         BatchPolicy::Immediate => None,
     };
-
-    let total_requests = workload.requests();
-    let mut events: EventQueue<Event> = EventQueue::new();
-    let mut open_arrivals = workload.open_arrivals();
-    let (closed_think_us, mut to_issue) = match *workload {
-        Workload::ClosedLoop {
-            concurrency,
-            requests,
-            think_us,
-        } => {
-            for _ in 0..concurrency.min(requests) {
-                events.push(0.0, Event::Arrival);
-            }
-            (think_us, requests - concurrency.min(requests))
-        }
-        _ => {
-            let stream = open_arrivals.as_mut().expect("open workload has a stream");
-            if let Some(t) = stream.next() {
-                events.push(t, Event::Arrival);
-            }
-            (0.0, 0)
-        }
+    let mut run = Batcher {
+        specs: shards,
+        policy,
+        core,
+        book: LatencyBook::new(mode, workload.requests()),
+        idle_since: vec![0.0; shards.len()],
+        batches: 0,
+        max_batch: 0,
+        batch_records: (mode == MetricsMode::Exact).then(Vec::new),
+        // All spans go through one emitter-side buffer: staged without a
+        // lock and handed to the sink as whole owned chunks, one sink
+        // interaction per ~256 spans.
+        spans: SpanBuffer::new(sink),
     };
-
-    let mut state: Vec<ShardState> = shards.iter().map(|_| ShardState::new()).collect();
-    let mut next_id = 0usize;
-    let mut makespan_us = 0.0f64;
-
-    let exact = mode == MetricsMode::Exact;
-    let mut per_request: Vec<RequestMetric> = Vec::new();
-    let mut batch_records: Vec<BatchRecord> = Vec::new();
-    let mut done = 0usize;
-    let mut streaming = StreamingLatency::new();
-    let mut queue_us_sum = 0.0f64;
-    let mut service_us_sum = 0.0f64;
-    let mut batches = 0usize;
-    let mut max_batch = 0usize;
-
-    // Fires a batch on `shard` if the policy says so. One closure keeps
-    // the Arrival / Completion / Deadline handlers honest about using
-    // identical dispatch conditions.
-    let try_dispatch = |i: usize,
-                        now: f64,
-                        state: &mut [ShardState],
-                        ev: &mut EventQueue<Event>,
-                        batches: &mut usize,
-                        max_batch: &mut usize,
-                        batch_records: &mut Vec<BatchRecord>,
-                        spans: &mut SpanBuffer| {
-        if state[i].current.is_some() || state[i].queue.is_empty() {
-            return;
+    while let Some((now, event)) = run.core.events.pop() {
+        match event {
+            Event::Arrival => {
+                let id = run.core.arrive();
+                let views = run
+                    .core
+                    .views(now, |i| (true, shards[i].service_for_batch(1)));
+                let i = match scheduler.pick(views) {
+                    Some(i) if i < shards.len() => i,
+                    // An unusable pick: the shallowest queue.
+                    _ => (0..shards.len())
+                        .min_by_key(|&i| run.core.shards[i].depth())
+                        .expect("non-empty fleet"),
+                };
+                run.core.shards[i].queue.push_back(Request {
+                    id,
+                    arrival_us: now,
+                });
+                run.estimate_queue(i);
+                if let Some(d) = deadline_us {
+                    run.core.events.push(now + d, Event::Deadline { shard: i });
+                }
+                run.try_dispatch(i, now);
+            }
+            Event::Completion { shard } => run.complete(shard, now),
+            // Guarded: a no-op unless the shard is idle with an over-age
+            // queue (try_dispatch re-checks the policy).
+            Event::Deadline { shard } => run.try_dispatch(shard, now),
         }
-        let oldest = state[i].queue.front().expect("non-empty").arrival_us;
-        // A shard whose table caps batches below the policy's `max` fires
-        // once it holds its own largest batch. The epsilon absorbs float
-        // round-off when a deadline event fires exactly `deadline_us`
-        // after the oldest arrival.
-        let cap = policy.max_batch().min(shards[i].max_batch()).max(1);
-        let queued = state[i].queue.len();
-        if queued < cap && !policy.should_dispatch(queued, now - oldest + 1e-9) {
+    }
+    run.spans.flush();
+
+    let (book, batches) = (&run.book, run.batches);
+    debug_assert_eq!(book.done, workload.requests(), "every request completes");
+    Ok(BatchedSummary {
+        scheduler: scheduler.name().to_string(),
+        policy: policy.name().to_string(),
+        workload: workload.to_string(),
+        requests: book.done,
+        makespan_us: run.core.makespan_us,
+        throughput_rps: rate_per_s(book.done, run.core.makespan_us),
+        latency: book.latency(),
+        queue_us_mean: book.queue_us_mean(),
+        service_us_mean: book.service_us_mean(),
+        batches,
+        mean_batch: if batches > 0 {
+            book.done as f64 / batches as f64
+        } else {
+            0.0
+        },
+        max_batch: run.max_batch,
+        shards: run.core.usage(shards.iter().map(|s| &s.name)),
+        per_request: run.book.per_request,
+        batch_records: run.batch_records.unwrap_or_default(),
+    })
+}
+
+/// One batched run: the core plus the hold window's policy and books.
+struct Batcher<'a> {
+    specs: &'a [BatchShardSpec],
+    policy: BatchPolicy,
+    core: Core<Request, Event>,
+    book: LatencyBook,
+    /// When each shard last became idle (0 at the start).
+    idle_since: Vec<f64>,
+    batches: usize,
+    max_batch: usize,
+    /// Per-batch records ([`MetricsMode::Exact`] only).
+    batch_records: Option<Vec<BatchRecord>>,
+    spans: SpanBuffer<'a>,
+}
+
+impl Batcher<'_> {
+    /// A queued request is estimated at its shard's batch-of-1 time.
+    fn estimate_queue(&mut self, i: usize) {
+        let s = &mut self.core.shards[i];
+        s.queued_work_us = s.queue.len() as f64 * self.specs[i].service_for_batch(1);
+    }
+
+    /// Fires a batch on shard `i` if it is free and the policy says so —
+    /// or it holds its table's largest batch, which waiting cannot grow.
+    fn try_dispatch(&mut self, i: usize, now: f64) {
+        let s = &self.core.shards[i];
+        let oldest = match s.queue.front() {
+            Some(r) if !s.busy() => r.arrival_us,
+            _ => return,
+        };
+        let cap = self
+            .policy
+            .max_batch()
+            .min(self.specs[i].max_batch())
+            .max(1);
+        let queued = s.queue.len();
+        let wait = now - oldest + DEADLINE_SLACK_US;
+        if queued < cap && !self.policy.should_dispatch(queued, wait) {
             return;
         }
         let b = queued.min(cap);
-        let batch: Vec<Request> = state[i].queue.drain(..b).collect();
-        let service = shards[i].service_for_batch(b);
-        if spans.enabled() {
-            let seq = *batches as u64;
-            spans.record(
+        let service = self.specs[i].service_for_batch(b);
+        if self.spans.enabled() {
+            let seq = self.batches as u64;
+            self.spans.record(
                 Span::new(
                     seq,
                     SpanKind::BatchAssembly,
@@ -388,7 +383,7 @@ pub fn simulate_batched_traced(
                 .attr(AttrKey::Shard, i as u64)
                 .attr(AttrKey::Size, b as u64),
             );
-            spans.record(
+            self.spans.record(
                 Span::new(
                     seq,
                     SpanKind::Service,
@@ -400,201 +395,54 @@ pub fn simulate_batched_traced(
                 .attr(AttrKey::Size, b as u64),
             );
         }
-        *batches += 1;
-        *max_batch = (*max_batch).max(b);
-        if exact {
-            batch_records.push(BatchRecord {
+        self.batches += 1;
+        self.max_batch = self.max_batch.max(b);
+        if let Some(records) = &mut self.batch_records {
+            records.push(BatchRecord {
                 shard: i,
                 size: b,
                 oldest_wait_us: now - oldest,
-                idle_wait_us: (now - oldest.max(state[i].idle_since)).max(0.0),
+                idle_wait_us: (now - oldest.max(self.idle_since[i])).max(0.0),
             });
         }
-        state[i].current = Some((batch, now));
-        state[i].busy_until = now + service;
-        ev.push(now + service, Event::Completion { shard: i });
-    };
+        let done = Event::Completion { shard: i };
+        self.core.start_batch(i, b, now, service, done);
+        self.estimate_queue(i);
+    }
 
-    // All spans go through one emitter-side buffer: staged without a
-    // lock, handed to the sink as whole owned chunks, flushed when the
-    // event loop drains. Keeps the traced hot loop at one sink
-    // interaction per ~256 spans.
-    let mut spans = SpanBuffer::new(sink);
-    while let Some((now, event)) = events.pop() {
-        match event {
-            Event::Arrival => {
-                if let Some(stream) = open_arrivals.as_mut() {
-                    if let Some(t) = stream.next() {
-                        events.push(t, Event::Arrival);
-                    }
-                }
-                let req = Request {
-                    id: next_id,
-                    arrival_us: now,
-                };
-                next_id += 1;
-                let views: Vec<ShardView> = state
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| {
-                        let t1 = shards[i].service_for_batch(1);
-                        ShardView {
-                            healthy: true,
-                            idle: s.current.is_none() && s.queue.is_empty(),
-                            depth: s.depth(),
-                            backlog_us: match s.current {
-                                Some(_) => (s.busy_until - now).max(0.0),
-                                None => 0.0,
-                            } + s.queue.len() as f64 * t1,
-                            service_us: t1,
-                        }
-                    })
-                    .collect();
-                // Place per shard; an unusable pick falls back to the
-                // shallowest queue (ties to the lowest index) so every
-                // request lands somewhere and progress is guaranteed.
-                let i = match scheduler.pick(&views) {
-                    Some(i) if i < state.len() => i,
-                    _ => (0..state.len())
-                        .min_by_key(|&i| state[i].depth())
-                        .expect("non-empty fleet"),
-                };
-                state[i].queue.push_back(req);
-                if let Some(d) = deadline_us {
-                    events.push(now + d, Event::Deadline { shard: i });
-                }
-                try_dispatch(
-                    i,
-                    now,
-                    &mut state,
-                    &mut events,
-                    &mut batches,
-                    &mut max_batch,
-                    &mut batch_records,
-                    &mut spans,
-                );
-            }
-            Event::Completion { shard } => {
-                let (batch, start_us) = state[shard]
-                    .current
-                    .take()
-                    .expect("completion fired for an idle shard");
-                state[shard].idle_since = now;
-                state[shard].served += batch.len();
-                state[shard].busy_us += now - start_us;
-                makespan_us = makespan_us.max(now);
-                for req in &batch {
-                    done += 1;
-                    queue_us_sum += start_us - req.arrival_us;
-                    service_us_sum += now - start_us;
-                    if spans.enabled() {
-                        spans.record(
-                            Span::new(
-                                req.id as u64,
-                                SpanKind::Request,
-                                track::SERVE,
-                                track::CONTROL,
-                                req.arrival_us,
-                                now,
-                            )
-                            .attr(AttrKey::Shard, shard as u64)
-                            .attr(AttrKey::Batch, batch.len() as u64),
-                        );
-                    }
-                    if exact {
-                        per_request.push(RequestMetric {
-                            id: req.id,
-                            shard,
-                            arrival_us: req.arrival_us,
-                            start_us,
-                            completion_us: now,
-                        });
-                    } else {
-                        streaming.observe(now - req.arrival_us);
-                    }
-                }
-                // Closed-loop clients re-issue, one per completed request.
-                let reissue = batch.len().min(to_issue);
-                to_issue -= reissue;
-                for _ in 0..reissue {
-                    events.push(now + closed_think_us, Event::Arrival);
-                }
-                try_dispatch(
-                    shard,
-                    now,
-                    &mut state,
-                    &mut events,
-                    &mut batches,
-                    &mut max_batch,
-                    &mut batch_records,
-                    &mut spans,
-                );
-            }
-            Event::Deadline { shard } => {
-                // Guarded: a no-op unless the shard is idle with an
-                // over-age queue (try_dispatch re-checks the policy).
-                try_dispatch(
-                    shard,
-                    now,
-                    &mut state,
-                    &mut events,
-                    &mut batches,
-                    &mut max_batch,
-                    &mut batch_records,
-                    &mut spans,
+    /// Shard `i`'s batch completes: every member is recorded, closed-loop
+    /// clients re-issue, and the shard may fire again.
+    fn complete(&mut self, i: usize, now: f64) {
+        let s = &self.core.shards[i];
+        let size = s.in_service.len();
+        for req in &s.in_service {
+            self.book.record(RequestMetric {
+                id: req.id,
+                shard: i,
+                arrival_us: req.arrival_us,
+                start_us: s.started_us,
+                completion_us: now,
+            });
+            if self.spans.enabled() {
+                self.spans.record(
+                    Span::new(
+                        req.id as u64,
+                        SpanKind::Request,
+                        track::SERVE,
+                        track::CONTROL,
+                        req.arrival_us,
+                        now,
+                    )
+                    .attr(AttrKey::Shard, i as u64)
+                    .attr(AttrKey::Batch, size as u64),
                 );
             }
         }
+        self.core.finish(i, now);
+        self.idle_since[i] = now;
+        self.core.reissue(now, size);
+        self.try_dispatch(i, now);
     }
-
-    spans.flush();
-    debug_assert_eq!(done, total_requests, "every request completes");
-    let latency = if exact {
-        let latencies: Vec<f64> = per_request.iter().map(RequestMetric::latency_us).collect();
-        LatencyStats::of(&latencies)
-    } else {
-        streaming.stats()
-    };
-    let n = done.max(1) as f64;
-    let shard_usage = shards
-        .iter()
-        .zip(&state)
-        .map(|(spec, s)| ShardUsage {
-            name: spec.name.clone(),
-            served: s.served,
-            busy_us: s.busy_us,
-            utilization: if makespan_us > 0.0 {
-                s.busy_us / makespan_us
-            } else {
-                0.0
-            },
-        })
-        .collect();
-    Ok(BatchedSummary {
-        scheduler: scheduler.name().to_string(),
-        policy: policy.name().to_string(),
-        workload: workload.to_string(),
-        requests: done,
-        makespan_us,
-        throughput_rps: if makespan_us > 0.0 {
-            done as f64 / (makespan_us * 1e-6)
-        } else {
-            0.0
-        },
-        latency,
-        queue_us_mean: queue_us_sum / n,
-        service_us_mean: service_us_sum / n,
-        batches,
-        mean_batch: if batches > 0 {
-            done as f64 / batches as f64
-        } else {
-            0.0
-        },
-        max_batch,
-        shards: shard_usage,
-        per_request,
-        batch_records,
-    })
 }
 
 #[cfg(test)]
@@ -654,6 +502,26 @@ mod tests {
         .unwrap();
         assert_eq!(s.requests, 8);
         assert!(s.latency.mean_us > 0.0);
+    }
+
+    #[test]
+    fn from_measured_rejects_empty_inputs_and_a_zero_batch_cap() {
+        use sparsenn_core::engine::KernelBackend;
+        use sparsenn_core::linalg::init::seeded_rng;
+        use sparsenn_core::model::fixedpoint::{FixedNetwork, UvMode};
+        use sparsenn_core::model::{Mlp, PredictedNetwork};
+        use sparsenn_core::SparseNnError;
+        let mut rng = seeded_rng(7);
+        let mlp = Mlp::random(&[4, 3], &mut rng);
+        let net =
+            FixedNetwork::from_float(&PredictedNetwork::with_random_predictors(mlp, 2, &mut rng));
+        let input = vec![net.quantize_input(&[0.5; 4])];
+        let backend = KernelBackend::new();
+        let measure = |inputs: &[_], max_batch| {
+            BatchShardSpec::from_measured("k", &backend, &net, inputs, UvMode::On, max_batch, 1)
+        };
+        assert_eq!(measure(&[], 4), Err(SparseNnError::EmptyBatch));
+        assert_eq!(measure(&input, 0), Err(SparseNnError::EmptyBatch));
     }
 
     #[test]

@@ -7,31 +7,35 @@
 //! on a single global virtual timeline, in milliseconds of host time,
 //! deterministically.
 //!
-//! * [`EventQueue`] — the discrete-event core: pops in nondecreasing
-//!   virtual time, FIFO among equal times, so every run replays exactly;
+//! * [`Core`] — the one discrete-event core under every simulator here
+//!   and in `sparsenn-frontend`: the [`EventQueue`] timeline (FIFO among
+//!   equal virtual times, so every run replays exactly), per-shard
+//!   serving state, arrivals, validation and scheduler views;
 //! * [`Workload`] — open-loop Poisson, bursty on/off, and closed-loop
 //!   fixed-concurrency arrival generators (seeded, deterministic);
 //! * [`Scheduler`] — **the same trait the live fleet dispatches with**
 //!   (re-exported from `sparsenn_core::engine`), with the same policies:
 //!   [`FirstIdle`], [`LeastQueued`], [`FastestCompletion`];
 //! * [`simulate`] — drives a [`ShardSpec`] fleet (each shard's modelled
-//!   per-request `time_us` table) and folds a [`ServeSummary`]: latency
-//!   p50/p95/p99, time-in-queue vs time-in-service, queue-depth
-//!   trajectory, per-shard utilization. Runs in constant memory by
-//!   default ([`MetricsMode::Streaming`] — exact means, P² percentile
-//!   estimates); [`simulate_with`] selects [`MetricsMode::Exact`] when a
-//!   test needs every [`RequestMetric`] materialized.
+//!   per-request `time_us` table) on the core, one request at a time,
+//!   and folds a [`ServeSummary`]: latency p50/p95/p99, time-in-queue vs
+//!   time-in-service, queue-depth trajectory, per-shard utilization.
+//!   Runs in constant memory by default ([`MetricsMode::Streaming`] —
+//!   exact means, P² percentile estimates); [`simulate_with`] selects
+//!   [`MetricsMode::Exact`] when a test needs every [`RequestMetric`]
+//!   materialized.
 //!
 //! * [`simulate_batched`] — the queue-aware **cross-request batching**
-//!   model: shards serve whole batches ([`BatchShardSpec`] carries the
-//!   per-batch-size service table, fed from the real batched machine)
-//!   under a [`BatchPolicy`] (the same type the live fleet chunks with),
-//!   exposing the throughput/latency knee batching buys.
+//!   model on the same core: shards serve whole batches
+//!   ([`BatchShardSpec`] carries the per-batch-size service table, fed
+//!   from the real batched machine) under a [`BatchPolicy`] (the same
+//!   type the live fleet chunks with), exposing the throughput/latency
+//!   knee batching buys.
 //!
-//! The `sparsenn-frontend` crate builds the production front end on these
-//! pieces: its simulator drives the same [`EventQueue`] with the extended
-//! [`FleetEvent`] vocabulary (failures, hedges, autoscaler epochs) and
-//! folds per-class [`StreamingLatency`] accumulators.
+//! The `sparsenn-frontend` crate's production front end drives a
+//! [`Core`] too, with the extended [`FleetEvent`] vocabulary (failures,
+//! hedges, autoscaler epochs), and folds per-class [`StreamingLatency`]
+//! accumulators.
 //!
 //! # Example
 //!
@@ -60,11 +64,13 @@
 #![warn(missing_docs)]
 
 mod batch;
+mod core;
 mod events;
 mod metrics;
 mod sim;
 mod workload;
 
+pub use crate::core::{rate_per_s, Core, MetricsMode, ServeError, Shard, DEADLINE_SLACK_US};
 pub use batch::{
     simulate_batched, simulate_batched_traced, BatchRecord, BatchShardSpec, BatchedSummary,
 };
@@ -72,7 +78,7 @@ pub use events::{EventQueue, FleetEvent};
 pub use metrics::{
     LatencyStats, QueueStats, RequestMetric, ServeSummary, ShardUsage, StreamingLatency,
 };
-pub use sim::{fleet_capacity_rps, simulate, simulate_with, MetricsMode, ServeError, ShardSpec};
+pub use sim::{fleet_capacity_rps, simulate, simulate_with, ShardSpec};
 pub use sparsenn_core::engine::{
     BatchPolicy, FastestCompletion, FirstIdle, LeastQueued, Scheduler, ShardView,
 };

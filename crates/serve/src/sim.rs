@@ -1,49 +1,31 @@
-//! The discrete-event fleet simulator.
+//! The per-request fleet simulator: [`simulate`] and [`simulate_with`].
 //!
 //! One global virtual timeline, N shards, a pluggable
 //! [`Scheduler`](sparsenn_core::engine::Scheduler) — the same trait the
-//! live [`Fleet`](sparsenn_core::engine::Fleet) dispatches with. Two
-//! event kinds drive the run:
+//! live [`Fleet`](sparsenn_core::engine::Fleet) dispatches with — driven
+//! on the shared [`Core`]. Two event kinds drive the run:
 //!
 //! * **Arrival** — a request is issued (by the open-loop generator, or by
 //!   a closed-loop client finishing its previous request). The scheduler
-//!   sees a [`ShardView`] snapshot per shard and places the request: on
-//!   an idle shard (service starts immediately), behind a busy shard (it
-//!   joins that shard's FIFO queue), or — returning `None` — in the
-//!   central queue, to be claimed by the first shard that frees up
-//!   (exactly the live fleet's blocked-caller semantics).
+//!   sees a [`ShardView`](sparsenn_core::engine::ShardView) snapshot per
+//!   shard and places the request: on an idle shard (service starts
+//!   immediately), behind a busy shard (it joins that shard's FIFO
+//!   queue), or — returning `None` — in the central queue, to be claimed
+//!   by the first shard that frees up (exactly the live fleet's
+//!   blocked-caller semantics).
 //! * **Completion** — a shard finishes its request, records the metric,
 //!   and pulls its next request from its own queue first, then from the
 //!   central queue.
 //!
-//! Ties on the timeline break by push order ([`EventQueue`]), so a run is
-//! a pure function of `(shards, scheduler, workload)` — every replay is
-//! identical, which is what lets scheduler A-vs-B comparisons attribute
-//! every microsecond of difference to policy.
+//! Ties on the timeline break by push order, so a run is a pure function
+//! of `(shards, scheduler, workload)` — every replay is identical, which
+//! is what lets scheduler A-vs-B comparisons attribute every microsecond
+//! of difference to policy.
 
-use crate::events::EventQueue;
-use crate::metrics::{
-    LatencyStats, QueueStats, RequestMetric, ServeSummary, ShardUsage, StreamingLatency,
-};
+use crate::core::{rate_per_s, Core, LatencyBook, MetricsMode, Request, ServeError, Shard};
+use crate::metrics::{QueueStats, RequestMetric, ServeSummary};
 use crate::workload::Workload;
-use sparsenn_core::engine::{Scheduler, ShardView};
-use std::collections::VecDeque;
-
-/// How a simulation accounts for its requests.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MetricsMode {
-    /// Constant-memory accounting (the [`simulate`] default): exact
-    /// counts, means, maxima and queue-depth integrals, P²-estimated
-    /// latency percentiles. `per_request` and `queue.trajectory` stay
-    /// empty, so a sweep over millions of virtual requests holds memory
-    /// at O(shards + in-flight).
-    #[default]
-    Streaming,
-    /// Materialize every [`RequestMetric`] and the full queue-depth
-    /// trajectory; all latency statistics are exact nearest-rank. Memory
-    /// is O(total requests) — for tests and forensics.
-    Exact,
-}
+use sparsenn_core::engine::Scheduler;
 
 /// One simulated shard: a name and its modelled per-request service times.
 #[derive(Clone, Debug, PartialEq)]
@@ -84,12 +66,9 @@ impl ShardSpec {
     ///
     /// # Errors
     ///
-    /// Whatever the backend's `run` returns for the first failing input
-    /// ([`SparseNnError`](sparsenn_core::SparseNnError)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty.
+    /// [`SparseNnError::EmptyBatch`](sparsenn_core::SparseNnError::EmptyBatch)
+    /// when `inputs` is empty; otherwise whatever the backend's `run`
+    /// returns for the first failing input.
     pub fn from_measured(
         name: impl Into<String>,
         backend: &dyn sparsenn_core::engine::InferenceBackend,
@@ -98,9 +77,11 @@ impl ShardSpec {
         mode: sparsenn_core::model::fixedpoint::UvMode,
         reps: usize,
     ) -> Result<Self, sparsenn_core::SparseNnError> {
-        assert!(!inputs.is_empty(), "need at least one input to measure");
+        let first = inputs
+            .first()
+            .ok_or(sparsenn_core::SparseNnError::EmptyBatch)?;
         let reps = reps.max(1);
-        backend.run(net, &inputs[0], mode)?; // warm-up (pack, caches)
+        backend.run(net, first, mode)?; // warm-up (pack, caches)
         let mut service_us = Vec::with_capacity(inputs.len());
         for input in inputs {
             let mut best = f64::INFINITY;
@@ -114,7 +95,8 @@ impl ShardSpec {
         Ok(Self::with_table(name, service_us))
     }
 
-    fn service_for(&self, request: usize) -> f64 {
+    /// Modelled service time of request `request` on this shard, µs.
+    pub fn service_for(&self, request: usize) -> f64 {
         self.service_us[request % self.service_us.len()]
     }
 
@@ -140,93 +122,10 @@ pub fn fleet_capacity_rps(shards: &[ShardSpec]) -> f64 {
         .sum()
 }
 
-/// Why a simulation could not run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ServeError {
-    /// The fleet has no shards.
-    NoShards,
-    /// A shard's service table is empty or contains a non-finite or
-    /// negative time.
-    BadServiceTable {
-        /// Offending shard index.
-        shard: usize,
-        /// What is wrong with it.
-        reason: String,
-    },
-    /// The workload parameters are invalid.
-    InvalidWorkload(String),
-    /// The batching policy's parameters are invalid
-    /// ([`BatchPolicy::validate`](sparsenn_core::engine::BatchPolicy::validate)).
-    InvalidPolicy(String),
-}
-
-impl std::fmt::Display for ServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeError::NoShards => f.write_str("a simulated fleet needs at least one shard"),
-            ServeError::BadServiceTable { shard, reason } => {
-                write!(f, "shard {shard} service table: {reason}")
-            }
-            ServeError::InvalidWorkload(reason) => write!(f, "invalid workload: {reason}"),
-            ServeError::InvalidPolicy(reason) => write!(f, "invalid batch policy: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
 #[derive(Clone, Copy, Debug)]
 enum Event {
     Arrival,
     Completion { shard: usize },
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Request {
-    id: usize,
-    arrival_us: f64,
-}
-
-struct ShardState {
-    /// FIFO queue of requests placed behind this shard.
-    queue: VecDeque<Request>,
-    /// The in-service request and its start time.
-    current: Option<(Request, f64)>,
-    /// Virtual time the in-service request completes.
-    busy_until: f64,
-    /// Sum of modelled service of everything in `queue`.
-    queued_work_us: f64,
-    served: usize,
-    busy_us: f64,
-}
-
-impl ShardState {
-    fn new() -> Self {
-        Self {
-            queue: VecDeque::new(),
-            current: None,
-            busy_until: 0.0,
-            queued_work_us: 0.0,
-            served: 0,
-            busy_us: 0.0,
-        }
-    }
-
-    fn idle(&self) -> bool {
-        self.current.is_none() && self.queue.is_empty()
-    }
-
-    fn depth(&self) -> usize {
-        self.queue.len() + usize::from(self.current.is_some())
-    }
-
-    fn backlog_us(&self, now_us: f64) -> f64 {
-        let in_service = match self.current {
-            Some(_) => (self.busy_until - now_us).max(0.0),
-            None => 0.0,
-        };
-        in_service + self.queued_work_us
-    }
 }
 
 /// Runs one simulation to completion in the default
@@ -254,6 +153,13 @@ pub fn simulate(
 /// [`MetricsMode::Exact`] when a test or post-mortem needs the
 /// per-request records or the queue-depth trajectory.
 ///
+/// A pick the run cannot use — `None` or an out-of-range index — holds
+/// the request in the central queue, claimed by the first shard that
+/// frees up: the live fleet's blocked-caller semantics. When *every*
+/// shard is idle no completion would ever drain that queue, so the
+/// request starts on shard 0 instead, mirroring the live fleet's
+/// progress guarantee.
+///
 /// # Errors
 ///
 /// [`ServeError`] when the fleet is empty, a service table is unusable,
@@ -264,178 +170,69 @@ pub fn simulate_with(
     workload: &Workload,
     mode: MetricsMode,
 ) -> Result<ServeSummary, ServeError> {
-    if shards.is_empty() {
-        return Err(ServeError::NoShards);
-    }
-    for (i, s) in shards.iter().enumerate() {
-        if s.service_us.is_empty() {
-            return Err(ServeError::BadServiceTable {
-                shard: i,
-                reason: "empty".into(),
-            });
-        }
-        if let Some(bad) = s.service_us.iter().find(|v| !v.is_finite() || **v < 0.0) {
-            return Err(ServeError::BadServiceTable {
-                shard: i,
-                reason: format!("service time {bad} is not finite and non-negative"),
-            });
-        }
-    }
-    workload.validate().map_err(ServeError::InvalidWorkload)?;
-
-    let total_requests = workload.requests();
-    let mut events: EventQueue<Event> = EventQueue::new();
-    let mut open_arrivals = workload.open_arrivals();
-    let (closed_think_us, mut to_issue) = match *workload {
-        Workload::ClosedLoop {
-            concurrency,
-            requests,
-            think_us,
-        } => {
-            // Every client issues its first request at t = 0; the rest
-            // are completion-driven.
-            for _ in 0..concurrency.min(requests) {
-                events.push(0.0, Event::Arrival);
-            }
-            (think_us, requests - concurrency.min(requests))
-        }
-        _ => {
-            let stream = open_arrivals.as_mut().expect("open workload has a stream");
-            if let Some(t) = stream.next() {
-                events.push(t, Event::Arrival);
-            }
-            (0.0, 0)
-        }
-    };
-
-    let mut state: Vec<ShardState> = shards.iter().map(|_| ShardState::new()).collect();
-    let mut central: VecDeque<Request> = VecDeque::new();
-    let mut next_id = 0usize;
-    let mut makespan_us = 0.0f64;
-
-    // Completion accounting. Both modes keep the exact count and the
-    // exact queue/service-time sums; Exact additionally materializes the
-    // records, Streaming folds latencies into the P² accumulator.
-    let exact = mode == MetricsMode::Exact;
-    let mut completed: Vec<RequestMetric> = if exact {
-        Vec::with_capacity(total_requests)
-    } else {
-        Vec::new()
-    };
-    let mut done = 0usize;
-    let mut streaming = StreamingLatency::new();
-    let mut queue_us_sum = 0.0f64;
-    let mut service_us_sum = 0.0f64;
+    let tables = shards.iter().map(|s| s.service_us.as_slice());
+    let mut core = Core::new(tables, "service time", workload, Event::Arrival)?;
+    let mut book = LatencyBook::new(mode, workload.requests());
 
     // Queue-depth trajectory (waiting requests, central + per-shard) with
     // a time-weighted integral for the mean. The integral and maximum are
     // kept in both modes; the trajectory only in Exact.
+    let exact = mode == MetricsMode::Exact;
     let mut trajectory: Vec<(f64, usize)> = if exact { vec![(0.0, 0)] } else { Vec::new() };
     let mut depth_area = 0.0f64; // ∫ depth dt
     let mut last_t = 0.0f64;
     let mut last_depth = 0usize;
     let mut max_depth = 0usize;
 
-    let start_service =
-        |i: usize, req: Request, now: f64, state: &mut [ShardState], ev: &mut EventQueue<Event>| {
-            let service = shards[i].service_for(req.id);
-            state[i].current = Some((req, now));
-            state[i].busy_until = now + service;
-            ev.push(now + service, Event::Completion { shard: i });
-        };
-
-    while let Some((now, event)) = events.pop() {
+    while let Some((now, event)) = core.events.pop() {
         match event {
             Event::Arrival => {
-                // For open workloads, pull the next arrival lazily so the
-                // event queue stays O(in-flight), not O(total requests).
-                if let Some(stream) = open_arrivals.as_mut() {
-                    if let Some(t) = stream.next() {
-                        events.push(t, Event::Arrival);
-                    }
-                }
+                let id = core.arrive();
                 let req = Request {
-                    id: next_id,
+                    id,
                     arrival_us: now,
                 };
-                next_id += 1;
-                let views: Vec<ShardView> = state
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| ShardView {
-                        healthy: true,
-                        idle: s.idle(),
-                        depth: s.depth(),
-                        backlog_us: s.backlog_us(now),
-                        service_us: shards[i].service_for(req.id),
-                    })
-                    .collect();
-                match scheduler.pick(&views) {
-                    Some(i) if i < state.len() => {
-                        if state[i].idle() {
-                            start_service(i, req, now, &mut state, &mut events);
-                        } else {
-                            state[i].queued_work_us += shards[i].service_for(req.id);
-                            state[i].queue.push_back(req);
-                        }
+                let views = core.views(now, |i| (true, shards[i].service_for(id)));
+                match scheduler.pick(views) {
+                    Some(i) if i < shards.len() && !core.shards[i].idle() => {
+                        core.enqueue(i, req, shards[i].service_for(id));
                     }
-                    // No usable pick: hold centrally until a shard frees
-                    // — blocked-caller semantics, exactly what the live
-                    // fleet does with a waiting caller. A busy shard's
-                    // completion drains the central queue, so this
-                    // terminates whenever anything is running; only with
-                    // *every* shard idle (central queue necessarily empty
-                    // — the last busy shard never goes idle while it can
-                    // pull central work) would no completion ever come,
-                    // so that case falls back to the first idle shard,
-                    // mirroring the live fleet's progress guarantee.
-                    _ => {
-                        if state.iter().all(ShardState::idle) {
-                            start_service(0, req, now, &mut state, &mut events);
-                        } else {
-                            central.push_back(req);
-                        }
+                    Some(i) if i < shards.len() => {
+                        let done = Event::Completion { shard: i };
+                        core.start(i, req, now, shards[i].service_for(id), done);
                     }
+                    // An unusable pick waits centrally, unless no shard
+                    // is running to drain the central queue.
+                    _ if core.shards.iter().all(Shard::idle) => {
+                        let done = Event::Completion { shard: 0 };
+                        core.start(0, req, now, shards[0].service_for(id), done);
+                    }
+                    _ => core.central.push_back(req),
                 }
             }
             Event::Completion { shard } => {
-                let (req, start_us) = state[shard]
-                    .current
-                    .take()
+                let req = *core.shards[shard]
+                    .in_service
+                    .first()
                     .expect("completion fired for an idle shard");
-                state[shard].served += 1;
-                state[shard].busy_us += now - start_us;
-                makespan_us = makespan_us.max(now);
-                done += 1;
-                queue_us_sum += start_us - req.arrival_us;
-                service_us_sum += now - start_us;
-                if exact {
-                    completed.push(RequestMetric {
-                        id: req.id,
-                        shard,
-                        arrival_us: req.arrival_us,
-                        start_us,
-                        completion_us: now,
-                    });
-                } else {
-                    streaming.observe(now - req.arrival_us);
-                }
-                // A closed-loop client re-issues after its think time.
-                if to_issue > 0 {
-                    to_issue -= 1;
-                    events.push(now + closed_think_us, Event::Arrival);
-                }
-                // Own queue first (FIFO), then the central queue (FIFO).
-                if let Some(next) = state[shard].queue.pop_front() {
-                    state[shard].queued_work_us -= shards[shard].service_for(next.id);
-                    start_service(shard, next, now, &mut state, &mut events);
-                } else if let Some(next) = central.pop_front() {
-                    start_service(shard, next, now, &mut state, &mut events);
+                let start_us = core.finish(shard, now);
+                book.record(RequestMetric {
+                    id: req.id,
+                    shard,
+                    arrival_us: req.arrival_us,
+                    start_us,
+                    completion_us: now,
+                });
+                core.reissue(now, 1);
+                let spec = &shards[shard];
+                if let Some(next) = core.next_for(shard, |r| spec.service_for(r.id)) {
+                    let done = Event::Completion { shard };
+                    core.start(shard, next, now, spec.service_for(next.id), done);
                 }
             }
         }
         // Track the waiting population after every event.
-        let depth = central.len() + state.iter().map(|s| s.queue.len()).sum::<usize>();
+        let depth = core.central.len() + core.shards.iter().map(|s| s.queue.len()).sum::<usize>();
         if depth != last_depth {
             depth_area += last_depth as f64 * (now - last_t);
             if exact {
@@ -446,46 +243,20 @@ pub fn simulate_with(
             max_depth = max_depth.max(depth);
         }
     }
+    let makespan_us = core.makespan_us;
     depth_area += last_depth as f64 * (makespan_us - last_t).max(0.0);
 
-    debug_assert_eq!(done, total_requests, "every request completes");
-    let latency = if exact {
-        let latencies: Vec<f64> = completed.iter().map(RequestMetric::latency_us).collect();
-        LatencyStats::of(&latencies)
-    } else {
-        streaming.stats()
-    };
-    let n = done.max(1) as f64;
-    let queue_us_mean = queue_us_sum / n;
-    let service_us_mean = service_us_sum / n;
-    let shard_usage = shards
-        .iter()
-        .zip(&state)
-        .map(|(spec, s)| ShardUsage {
-            name: spec.name.clone(),
-            served: s.served,
-            busy_us: s.busy_us,
-            utilization: if makespan_us > 0.0 {
-                s.busy_us / makespan_us
-            } else {
-                0.0
-            },
-        })
-        .collect();
+    debug_assert_eq!(book.done, workload.requests(), "every request completes");
     Ok(ServeSummary {
         scheduler: scheduler.name().to_string(),
         workload: workload.to_string(),
-        requests: done,
+        requests: book.done,
         makespan_us,
-        throughput_rps: if makespan_us > 0.0 {
-            done as f64 / (makespan_us * 1e-6)
-        } else {
-            0.0
-        },
-        latency,
-        queue_us_mean,
-        service_us_mean,
-        shards: shard_usage,
+        throughput_rps: rate_per_s(book.done, makespan_us),
+        latency: book.latency(),
+        queue_us_mean: book.queue_us_mean(),
+        service_us_mean: book.service_us_mean(),
+        shards: core.usage(shards.iter().map(|s| &s.name)),
         queue: QueueStats {
             max_depth,
             mean_depth: if makespan_us > 0.0 {
@@ -495,7 +266,7 @@ pub fn simulate_with(
             },
             trajectory,
         },
-        per_request: completed,
+        per_request: book.per_request,
     })
 }
 
@@ -543,6 +314,20 @@ mod tests {
         let s = simulate(std::slice::from_ref(&spec), &FirstIdle, &workload).unwrap();
         assert_eq!(s.requests, 9);
         assert!(s.latency.mean_us > 0.0);
+    }
+
+    #[test]
+    fn from_measured_rejects_empty_inputs() {
+        use sparsenn_core::engine::KernelBackend;
+        use sparsenn_core::linalg::init::seeded_rng;
+        use sparsenn_core::model::fixedpoint::{FixedNetwork, UvMode};
+        use sparsenn_core::model::{Mlp, PredictedNetwork};
+        let mut rng = seeded_rng(7);
+        let mlp = Mlp::random(&[4, 3], &mut rng);
+        let net =
+            FixedNetwork::from_float(&PredictedNetwork::with_random_predictors(mlp, 2, &mut rng));
+        let err = ShardSpec::from_measured("k", &KernelBackend::new(), &net, &[], UvMode::On, 1);
+        assert_eq!(err, Err(sparsenn_core::SparseNnError::EmptyBatch));
     }
 
     /// The acceptance criterion: closed-loop with concurrency == shards on

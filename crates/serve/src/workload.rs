@@ -123,10 +123,8 @@ impl Workload {
     /// The open-loop arrival stream, or `None` for closed-loop workloads
     /// (their arrivals are completion-driven, generated by the simulator).
     ///
-    /// Public so other simulators over the same workloads — the
-    /// `sparsenn-frontend` production front end — replay the *identical*
-    /// seeded arrival sequence this crate's [`simulate`](crate::simulate)
-    /// sees.
+    /// Every simulator pulls it through the shared [`Core`](crate::Core),
+    /// so all of them replay the *identical* seeded arrival sequence.
     pub fn open_arrivals(&self) -> Option<OpenArrivals> {
         match *self {
             Workload::Poisson {
