@@ -1,6 +1,5 @@
 //! Ablation: ℓ1 regularization factor λ (paper Eq. (4)).
-
-fn main() {
+fn main() -> std::process::ExitCode {
     let p = sparsenn_core::Profile::from_env();
-    print!("{}", sparsenn_bench::experiments::ablations::lambda(p));
+    sparsenn_bench::report::finish(sparsenn_bench::experiments::ablations::lambda(p))
 }

@@ -1,5 +1,4 @@
 //! Ablation: buffered NoC flow control (paper §V.B).
-
-fn main() {
-    print!("{}", sparsenn_bench::experiments::ablations::noc());
+fn main() -> std::process::ExitCode {
+    sparsenn_bench::report::finish(sparsenn_bench::experiments::ablations::noc())
 }

@@ -1,5 +1,4 @@
 //! Ablation: column- vs row-based V scheduling (paper §V.C).
-
-fn main() {
-    print!("{}", sparsenn_bench::experiments::ablations::sched());
+fn main() -> std::process::ExitCode {
+    sparsenn_bench::report::finish(sparsenn_bench::experiments::ablations::sched())
 }

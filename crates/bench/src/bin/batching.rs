@@ -1,6 +1,5 @@
 //! Standalone runner for the cross-request batching study.
-
-fn main() {
+fn main() -> std::process::ExitCode {
     let p = sparsenn_core::Profile::from_env();
-    println!("{}", sparsenn_bench::experiments::batching::run(p));
+    sparsenn_bench::report::finish(sparsenn_bench::experiments::batching::run(p))
 }

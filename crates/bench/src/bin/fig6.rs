@@ -1,6 +1,5 @@
 //! Regenerates the paper's Fig. 6 (TER & sparsity vs rank).
-
-fn main() {
+fn main() -> std::process::ExitCode {
     let p = sparsenn_core::Profile::from_env();
-    print!("{}", sparsenn_bench::experiments::fig6::run(p));
+    sparsenn_bench::report::finish(sparsenn_bench::experiments::fig6::run(p))
 }

@@ -1,7 +1,6 @@
 //! Fleet serving scaling study: throughput/latency across simulated
 //! accelerator shards (beyond the paper — the "heavy traffic" north star).
-
-fn main() {
+fn main() -> std::process::ExitCode {
     let p = sparsenn_core::Profile::from_env();
-    print!("{}", sparsenn_bench::experiments::fleet::run(p));
+    sparsenn_bench::report::finish(sparsenn_bench::experiments::fleet::run(p))
 }

@@ -1,6 +1,5 @@
 //! Standalone runner for the native-kernel wall-clock study.
-
-fn main() {
+fn main() -> std::process::ExitCode {
     let p = sparsenn_core::Profile::from_env();
-    println!("{}", sparsenn_bench::experiments::kernel::run(p));
+    sparsenn_bench::report::finish(sparsenn_bench::experiments::kernel::run(p))
 }

@@ -1,8 +1,7 @@
 //! Standalone runner for the observability study: end-to-end trace
 //! export, the unified telemetry registry, and the tracing-overhead
 //! oracles.
-
-fn main() {
+fn main() -> std::process::ExitCode {
     let p = sparsenn_core::Profile::from_env();
-    println!("{}", sparsenn_bench::experiments::obs::run(p));
+    sparsenn_bench::report::finish(sparsenn_bench::experiments::obs::run(p))
 }

@@ -1,134 +1,63 @@
 //! Runs every experiment in paper order (tables II & III first because
 //! they are instantaneous, then the training-heavy figures), printing the
-//! markdown reports to stdout and recording per-experiment wall time in
-//! `BENCH_results.json` (override the path with `SPARSENN_BENCH_JSON`).
+//! markdown reports to stdout and recording per-experiment wall time and
+//! metrics in `BENCH_results.json` (override the path with
+//! `SPARSENN_BENCH_JSON`).
 
 use sparsenn_bench::experiments as e;
-use sparsenn_bench::report::BenchResults;
+use sparsenn_bench::report::{BenchResults, Report};
+use std::cell::OnceCell;
 
 fn main() {
     let p = sparsenn_core::Profile::from_env();
     println!("# SparseNN reproduction — experiment suite (profile: {p})\n");
     let mut results = BenchResults::new(p.to_string());
-    type Experiment<'a> = (&'a str, Box<dyn FnOnce() -> String>);
+    // The serving studies share one trained system — training is the
+    // expensive part, so it is built once, timed as its own
+    // `serving_train` line, and reused by every study after it.
+    let study = OnceCell::new();
+    let trained = || study.get_or_init(|| e::fleet::study_system(p));
+    type Experiment<'a> = (&'a str, Box<dyn FnOnce() -> Report + 'a>);
     let experiments: Vec<Experiment> = vec![
         ("table2", Box::new(e::table2::run)),
         ("table3", Box::new(e::table3::run)),
-        ("fig6", Box::new(move || e::fig6::run(p))),
-        ("table1", Box::new(move || e::table1::run(p))),
-        ("fig7", Box::new(move || e::fig7::run(p))),
-        ("table4", Box::new(move || e::table4::run(p))),
+        ("fig6", Box::new(|| e::fig6::run(p))),
+        ("table1", Box::new(|| e::table1::run(p))),
+        ("fig7", Box::new(|| e::fig7::run(p))),
+        ("table4", Box::new(|| e::table4::run(p))),
         ("ablation_noc", Box::new(e::ablations::noc)),
         ("ablation_sched", Box::new(e::ablations::sched)),
-        ("ablation_lambda", Box::new(move || e::ablations::lambda(p))),
+        ("ablation_lambda", Box::new(|| e::ablations::lambda(p))),
+        (
+            "serving_train",
+            Box::new(|| {
+                trained();
+                Report::default()
+            }),
+        ),
+        ("fleet", Box::new(|| e::fleet::measure_with(p, trained()))),
+        ("serve", Box::new(|| e::serve::measure_with(p, trained()))),
+        (
+            "frontend",
+            Box::new(|| e::frontend::measure_with(p, trained())),
+        ),
+        (
+            "batching",
+            Box::new(|| e::batching::measure_with(p, trained())),
+        ),
+        ("kernel", Box::new(|| e::kernel::measure_with(p, trained()))),
+        ("obs", Box::new(|| e::obs::measure_with(p, trained()))),
+        // Trace analytics is self-contained (synthetic shards, no trained
+        // system): critical-path attribution, tail exemplars, burn rates.
+        ("analyze", Box::new(e::analyze::run)),
+        // Model parallelism trains its own system: its study network must
+        // *overflow* its (shrunken) chip, unlike the serving studies'.
+        ("partition", Box::new(|| e::partition::run(p))),
     ];
     for (name, experiment) in experiments {
         let report = results.run(name, experiment);
-        println!("{report}");
-    }
-
-    // The serving studies (fleet scaling + virtual-time simulation) share
-    // one trained system — training is the expensive part, so it is built
-    // once and recorded as its own line. Both also yield modelled metrics
-    // (per-sample latency, latency-vs-load percentiles) for the JSON
-    // trajectory.
-    let mut study = None;
-    results.run("serving_train", || {
-        study = Some(e::fleet::study_system(p));
-        String::new()
-    });
-    let study = study.expect("the serving_train experiment builds the system");
-
-    let mut fleet_metrics = Vec::new();
-    let report = results.run("fleet", || {
-        let r = e::fleet::measure_with(p, &study);
-        fleet_metrics = r.metrics;
-        r.markdown
-    });
-    println!("{report}");
-    for (name, value) in fleet_metrics {
-        results.add_metric(name, value);
-    }
-
-    let mut serve_metrics = Vec::new();
-    let report = results.run("serve", || {
-        let r = e::serve::measure_with(p, &study);
-        serve_metrics = r.metrics;
-        r.markdown
-    });
-    println!("{report}");
-    for (name, value) in serve_metrics {
-        results.add_metric(name, value);
-    }
-
-    let mut frontend_metrics = Vec::new();
-    let report = results.run("frontend", || {
-        let r = e::frontend::measure_with(p, &study);
-        frontend_metrics = r.metrics;
-        r.markdown
-    });
-    println!("{report}");
-    for (name, value) in frontend_metrics {
-        results.add_metric(name, value);
-    }
-
-    let mut batching_metrics = Vec::new();
-    let report = results.run("batching", || {
-        let r = e::batching::measure_with(p, &study);
-        batching_metrics = r.metrics;
-        r.markdown
-    });
-    println!("{report}");
-    for (name, value) in batching_metrics {
-        results.add_metric(name, value);
-    }
-
-    let mut kernel_metrics = Vec::new();
-    let report = results.run("kernel", || {
-        let r = e::kernel::measure_with(p, &study);
-        kernel_metrics = r.metrics;
-        r.markdown
-    });
-    println!("{report}");
-    for (name, value) in kernel_metrics {
-        results.add_metric(name, value);
-    }
-
-    let mut obs_metrics = Vec::new();
-    let report = results.run("obs", || {
-        let r = e::obs::measure_with(p, &study);
-        obs_metrics = r.metrics;
-        r.markdown
-    });
-    println!("{report}");
-    for (name, value) in obs_metrics {
-        results.add_metric(name, value);
-    }
-
-    // Trace analytics is self-contained (synthetic shards, no trained
-    // system): critical-path attribution, tail exemplars, burn rates.
-    let mut analyze_metrics = Vec::new();
-    let report = results.run("analyze", || {
-        let r = e::analyze::measure();
-        analyze_metrics = r.metrics;
-        r.markdown
-    });
-    println!("{report}");
-    for (name, value) in analyze_metrics {
-        results.add_metric(name, value);
-    }
-
-    // Model parallelism trains its own system: its study network must
-    // *overflow* its (shrunken) chip, unlike the serving studies'.
-    let mut partition_metrics = Vec::new();
-    let report = results.run("partition", || {
-        let r = e::partition::measure(p);
-        partition_metrics = r.metrics;
-        r.markdown
-    });
-    println!("{report}");
-    for (name, value) in partition_metrics {
-        results.add_metric(name, value);
+        println!("{}", report.markdown);
+        results.metrics.extend(report.metrics);
     }
 
     let path =

@@ -1,5 +1,4 @@
 //! Regenerates the paper's Table III (area breakdown).
-
-fn main() {
-    print!("{}", sparsenn_bench::experiments::table3::run());
+fn main() -> std::process::ExitCode {
+    sparsenn_bench::report::finish(sparsenn_bench::experiments::table3::run())
 }

@@ -1,6 +1,5 @@
 //! Regenerates the paper's Table IV (SIMD platform comparison).
-
-fn main() {
+fn main() -> std::process::ExitCode {
     let p = sparsenn_core::Profile::from_env();
-    print!("{}", sparsenn_bench::experiments::table4::run(p));
+    sparsenn_bench::report::finish(sparsenn_bench::experiments::table4::run(p))
 }

@@ -1,6 +1,7 @@
 //! Ablations of the design choices DESIGN.md §6 calls out.
 
-use crate::{fmt_f, markdown_table};
+use crate::fmt_f;
+use crate::report::Report;
 use sparsenn_core::datasets::DatasetKind;
 use sparsenn_core::linalg::init::seeded_rng;
 use sparsenn_core::model::fixedpoint::{FixedMatrix, FixedNetwork, UvMode};
@@ -12,7 +13,7 @@ use std::fmt::Write as _;
 /// §V.B ablation: buffered credit flow control vs minimal router buffers,
 /// on a "fat" few-row matrix where the PE consumes one activation per
 /// cycle and any delivery hiccup becomes an idle datapath cycle.
-pub fn noc() -> String {
+pub fn noc() -> Report {
     let mut rng = seeded_rng(0xB0FFE2);
     // 16×784 "V-shaped" matrix: one row per 4 PEs ⇒ delivery-rate bound.
     let mlp = Mlp::random(&[784, 16], &mut rng);
@@ -38,7 +39,7 @@ pub fn noc() -> String {
             run.events.noc.sink_stalls.to_string(),
         ]);
     }
-    let mut out = String::new();
+    let mut out = Report::default();
     let _ = writeln!(
         out,
         "## Ablation — buffered NoC flow control (paper §V.B)\n"
@@ -51,7 +52,7 @@ pub fn noc() -> String {
          flight at a time — the broadcast waits out the full tree latency per \
          activation); the paper's buffered credit flow keeps one delivery per cycle.\n"
     );
-    out.push_str(&markdown_table(
+    out.table(
         &[
             "activation queue depth",
             "cycles",
@@ -60,7 +61,7 @@ pub fn noc() -> String {
             "root sink stalls",
         ],
         &rows,
-    ));
+    );
     let _ = writeln!(out);
 
     // Router-buffer depth, by contrast, barely matters once the PE-side
@@ -82,10 +83,10 @@ pub fn noc() -> String {
         "Router buffer depth is far less sensitive (cheap buffers suffice — \
          consistent with the paper's <1% routing area):\n"
     );
-    out.push_str(&markdown_table(
+    out.table(
         &["router buffer depth", "cycles", "credit stalls"],
         &router_rows,
-    ));
+    );
     out
 }
 
@@ -95,7 +96,7 @@ pub fn noc() -> String {
 /// Row-based scheduling maps V's `r` rows onto `r` of the 64 PEs (the rest
 /// idle); column-based scheduling (the paper's choice) spreads V's columns
 /// over all 64 PEs and reduces partial sums through the tree's ACC stage.
-pub fn sched() -> String {
+pub fn sched() -> Report {
     let mut rng = seeded_rng(0x5CED);
     let n = 784usize;
     let x: Vec<f32> = (0..n)
@@ -155,7 +156,7 @@ pub fn sched() -> String {
             format!("{:.1}", 100.0 * (r as f64 / 64.0).min(1.0)),
         ]);
     }
-    let mut out = String::new();
+    let mut out = Report::default();
     let _ = writeln!(out, "## Ablation — V-matrix scheduling (paper §V.C)\n");
     let _ = writeln!(
         out,
@@ -164,7 +165,7 @@ pub fn sched() -> String {
          the paper claims near-100% V utilization even at r = 16. The `vu cycles` \
          column is the machine's real (V+U) predictor phase at that rank.\n"
     );
-    out.push_str(&markdown_table(
+    out.table(
         &[
             "rank r",
             "row-based cycles",
@@ -173,12 +174,12 @@ pub fn sched() -> String {
             "row-based PE coverage % (r/64)",
         ],
         &rows,
-    ));
+    );
     out
 }
 
 /// Eq. (4) ablation: the sparsity/accuracy trade-off of the ℓ1 factor λ.
-pub fn lambda(p: Profile) -> String {
+pub fn lambda(p: Profile) -> Report {
     let mut rows = Vec::new();
     for &lambda in &[0.0f32, 1e-4, 1e-3, 5e-3, 2e-2] {
         let mut cfg = sparsenn_core::train::TrainConfig {
@@ -201,7 +202,7 @@ pub fn lambda(p: Profile) -> String {
             fmt_f(sys.predicted_sparsity()[0] as f64, 1),
         ]);
     }
-    let mut out = String::new();
+    let mut out = Report::default();
     let _ = writeln!(
         out,
         "## Ablation — ℓ1 regularization factor λ (Eq. (4), profile: {p})\n"
@@ -211,9 +212,6 @@ pub fn lambda(p: Profile) -> String {
         "Paper: \"a larger regularization factor λ can result in a larger sparsity \
          prediction in each layer, but TER might be affected due to the underfitting.\"\n"
     );
-    out.push_str(&markdown_table(
-        &["lambda", "TER %", "predicted sparsity %"],
-        &rows,
-    ));
+    out.table(&["lambda", "TER %", "predicted sparsity %"], &rows);
     out
 }

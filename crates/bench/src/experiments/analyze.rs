@@ -10,7 +10,7 @@
 //! live [`TailExemplars`] reservoir, and the front end carries a
 //! per-class [`BurnRateMonitor`](sparsenn_obs::BurnRateMonitor).
 //!
-//! Four oracles, asserted as `analyze.*` metrics and grep-able report
+//! Four oracles, recorded as `analyze.*` metrics beside their report
 //! lines:
 //!
 //! 1. **Attribution is exact** — every request's per-phase breakdown
@@ -28,7 +28,7 @@
 //! across two fresh captures of the same seed (the `trace_report` bin
 //! prints the same report).
 
-use crate::markdown_table;
+use crate::report::Report;
 use sparsenn_core::engine::LeastQueued;
 use sparsenn_frontend::{
     simulate_frontend_traced, AlertKind, BoundedQueues, BurnConfig, ClassBurnAlert,
@@ -147,19 +147,17 @@ pub fn render_report(
     out
 }
 
-/// Measured trace-analytics results plus named metrics for
-/// `BENCH_results.json` (schema 9).
-pub struct AnalyzeReport {
-    /// The rendered markdown report.
-    pub markdown: String,
-    /// Flat `(name, value)` metrics for the machine-readable results.
-    pub metrics: Vec<(String, f64)>,
-}
+const ORACLES: &[&str] = &[
+    "analyze.breakdown_sums_ok",
+    "analyze.critical_path_ok",
+    "analyze.exemplar_exact",
+    "analyze.burn_ok",
+    "analyze.report_deterministic",
+];
 
 /// Runs the trace-analytics study (self-contained; no trained system).
-pub fn measure() -> AnalyzeReport {
-    let mut out = String::new();
-    let mut metrics: Vec<(String, f64)> = Vec::new();
+pub fn run() -> Report {
+    let mut out = Report::new(ORACLES);
     let _ = writeln!(
         out,
         "## Trace analytics: critical paths, tail exemplars, burn rates\n"
@@ -203,7 +201,7 @@ pub fn measure() -> AnalyzeReport {
         "### Overload run: {} requests over {} shards (bursty 0.5×/3× capacity)\n",
         summary.requests, SHARDS
     );
-    out.push_str(&markdown_table(
+    out.table(
         &["measure", "value"],
         &[
             vec![
@@ -240,48 +238,42 @@ pub fn measure() -> AnalyzeReport {
             ],
             vec!["orphan spans".into(), analysis.orphan_spans.to_string()],
         ],
-    ));
-
-    let _ = writeln!(out, "\n```\n{report}```\n");
-    let yes = |ok: bool| if ok { "yes" } else { "NO — BUG" };
-    let _ = writeln!(
-        out,
-        "- phase breakdown sums to request latency: {}\n\
-         - critical path within [max phase, request span]: {}\n\
-         - tail exemplars match offline top-K: {}\n\
-         - burn-rate fires under overload, quiet at nominal: {}\n\
-         - trace report byte-identical across reruns: {}",
-        yes(sums_ok),
-        yes(path_ok),
-        yes(exemplar_exact),
-        yes(burn_ok),
-        yes(deterministic),
     );
 
-    let flag = |ok: bool| if ok { 1.0 } else { 0.0 };
-    metrics.push(("analyze.requests".into(), analysis.requests.len() as f64));
-    metrics.push(("analyze.orphan_spans".into(), analysis.orphan_spans as f64));
-    metrics.push(("analyze.breakdown_sums_ok".into(), flag(sums_ok)));
-    metrics.push(("analyze.critical_path_ok".into(), flag(path_ok)));
-    metrics.push(("analyze.exemplar_exact".into(), flag(exemplar_exact)));
-    metrics.push(("analyze.burn_fires_overload".into(), fires as f64));
-    metrics.push((
-        "analyze.burn_alerts_nominal".into(),
+    let _ = writeln!(out, "\n```\n{report}```\n");
+    out.metric("analyze.requests", analysis.requests.len() as f64);
+    out.metric("analyze.orphan_spans", analysis.orphan_spans as f64);
+    out.oracle(
+        "analyze.breakdown_sums_ok",
+        sums_ok,
+        "phase breakdown sums to request latency",
+    );
+    out.oracle(
+        "analyze.critical_path_ok",
+        path_ok,
+        "critical path within [max phase, request span]",
+    );
+    out.oracle(
+        "analyze.exemplar_exact",
+        exemplar_exact,
+        "tail exemplars match offline top-K",
+    );
+    out.metric("analyze.burn_fires_overload", fires as f64);
+    out.metric(
+        "analyze.burn_alerts_nominal",
         nominal.burn_alerts.len() as f64,
-    ));
-    metrics.push(("analyze.burn_ok".into(), flag(burn_ok)));
-    metrics.push(("analyze.report_deterministic".into(), flag(deterministic)));
-
-    AnalyzeReport {
-        markdown: out,
-        metrics,
-    }
-}
-
-/// Renders the trace-analytics report (markdown only — the `analyze`
-/// bin).
-pub fn run() -> String {
-    measure().markdown
+    );
+    out.oracle(
+        "analyze.burn_ok",
+        burn_ok,
+        "burn-rate fires under overload, quiet at nominal",
+    );
+    out.oracle(
+        "analyze.report_deterministic",
+        deterministic,
+        "trace report byte-identical across reruns",
+    );
+    out
 }
 
 #[cfg(test)]
@@ -290,7 +282,7 @@ mod tests {
 
     #[test]
     fn oracles_hold_on_the_seeded_scenario() {
-        let r = measure();
+        let r = run();
         let value = |name: &str| {
             r.metrics
                 .iter()
@@ -305,6 +297,6 @@ mod tests {
         assert_eq!(value("analyze.report_deterministic"), 1.0);
         assert!(value("analyze.burn_fires_overload") >= 1.0);
         assert_eq!(value("analyze.burn_alerts_nominal"), 0.0);
-        assert!(!r.markdown.contains("BUG"), "{}", r.markdown);
+        assert!(r.failures().is_empty(), "{}", r.markdown);
     }
 }

@@ -16,7 +16,8 @@
 //!    deadlines). The pair is the throughput/latency trade an operator
 //!    tunes `BatchPolicy` against.
 
-use crate::{fmt_f, markdown_table};
+use crate::fmt_f;
+use crate::report::Report;
 use sparsenn_core::engine::{BatchPolicy, CycleAccurateBackend, FirstIdle, InferenceBackend};
 use sparsenn_core::model::fixedpoint::UvMode;
 use sparsenn_core::numeric::Q6_10;
@@ -27,23 +28,21 @@ use std::fmt::Write as _;
 /// Largest batch the study measures.
 const MAX_BATCH: usize = 8;
 
-/// Measured batching results plus named metrics for `BENCH_results.json`.
-pub struct BatchingReport {
-    /// The rendered markdown report.
-    pub markdown: String,
-    /// Flat `(name, value)` metrics for the machine-readable results.
-    pub metrics: Vec<(String, f64)>,
-}
+const ORACLES: &[&str] = &[
+    "batching.bit_identical",
+    "batching.throughput_monotone",
+    "batching.latency_cost_visible",
+];
 
 /// Runs the batching study, training its own
 /// [`study_system`](super::fleet::study_system).
-pub fn measure(p: Profile) -> BatchingReport {
+pub fn run(p: Profile) -> Report {
     measure_with(p, &super::fleet::study_system(p))
 }
 
 /// Runs the batching study on an already-trained system (shared with the
 /// other serving studies by `run_all`).
-pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> BatchingReport {
+pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> Report {
     let backend = CycleAccurateBackend::new(sys.machine().clone());
     let net = sys.fixed();
     let test = &sys.split().test;
@@ -51,8 +50,7 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> BatchingR
         .map(|i| net.quantize_input(test.image(i % test.len())))
         .collect();
 
-    let mut out = String::new();
-    let mut metrics: Vec<(String, f64)> = Vec::new();
+    let mut out = Report::new(ORACLES);
     let _ = writeln!(out, "## Cross-request batching (profile: {p})\n");
 
     // — Amortization on the real machine, plus the bit-identity oracle —
@@ -85,17 +83,17 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> BatchingR
             fmt_f(rec.serial_time_us() / rec.batch_time_us.max(1e-12), 2),
             fmt_f(rec.w_read_amortization(), 2),
         ]);
-        metrics.push((format!("batching.per_sample_us.B{b}"), rec.mean_time_us()));
-        metrics.push((
+        out.metric(format!("batching.per_sample_us.B{b}"), rec.mean_time_us());
+        out.metric(
             format!("batching.w_read_amortization.B{b}"),
             rec.w_read_amortization(),
-        ));
+        );
     }
     let _ = writeln!(
         out,
         "### Machine-level amortization: `run_batch` on real test images\n"
     );
-    out.push_str(&markdown_table(
+    out.table(
         &[
             "B",
             "batch (µs)",
@@ -104,17 +102,16 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> BatchingR
             "W-read amortization",
         ],
         &rows,
-    ));
-    let _ = writeln!(
-        out,
-        "\nbatched execution bit-identical to the serial oracle across \
-         B=1..={MAX_BATCH}: {}\n",
-        if bit_identical { "yes" } else { "NO — BUG" },
     );
-    metrics.push((
-        "batching.bit_identical".into(),
-        if bit_identical { 1.0 } else { 0.0 },
-    ));
+    let _ = writeln!(out);
+    out.oracle(
+        "batching.bit_identical",
+        bit_identical,
+        format_args!(
+            "batched execution bit-identical to the serial oracle across B=1..={MAX_BATCH}"
+        ),
+    );
+    let _ = writeln!(out);
 
     // — The serving knee on the measured batch-service table —
     let spec = BatchShardSpec::with_table("machine", batch_service_us.clone());
@@ -156,26 +153,28 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> BatchingR
             fmt_f(l.latency.p99_us, 1),
             fmt_f(l.mean_batch, 2),
         ]);
-        metrics.push((
+        out.metric(
             format!("batching.throughput_rps.B{cap}@sat"),
             s.throughput_rps,
-        ));
-        metrics.push((format!("batching.p99_us.B{cap}@light"), l.latency.p99_us));
+        );
+        out.metric(format!("batching.p99_us.B{cap}@light"), l.latency.p99_us);
         sat.push(s);
         light.push(l);
     }
     let monotone = sat
         .windows(2)
         .all(|w| w[1].throughput_rps > w[0].throughput_rps);
-    let latency_cost = light.last().expect("caps non-empty").latency.p99_us
-        > light.first().expect("caps non-empty").latency.p99_us;
+    let (p99_b1, p99_b8) = (
+        light.first().expect("caps non-empty").latency.p99_us,
+        light.last().expect("caps non-empty").latency.p99_us,
+    );
     let _ = writeln!(
         out,
         "### The serving knee: one shard, SizeOrDeadline(B, {:.0} µs), \
          measured batch-service table\n",
         deadline_us,
     );
-    out.push_str(&markdown_table(
+    out.table(
         &[
             "batch cap",
             "throughput @2.5x load (rps)",
@@ -184,41 +183,20 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> BatchingR
             "mean batch @0.4x",
         ],
         &rows,
-    ));
-    let _ = writeln!(
-        out,
-        "\nThroughput per shard strictly improves with the batch cap under \
-         saturation — {}; the hold window costs light-load tail latency \
-         (p99 {:.1} µs at B=8 vs {:.1} µs at B=1) — {}.",
-        if monotone {
-            "yes"
-        } else {
-            "NO — investigate"
-        },
-        light.last().expect("caps non-empty").latency.p99_us,
-        light.first().expect("caps non-empty").latency.p99_us,
-        if latency_cost {
-            "visible"
-        } else {
-            "NOT VISIBLE — investigate"
-        },
     );
-    metrics.push((
-        "batching.throughput_monotone".into(),
-        if monotone { 1.0 } else { 0.0 },
-    ));
-    metrics.push((
-        "batching.latency_cost_visible".into(),
-        if latency_cost { 1.0 } else { 0.0 },
-    ));
-
-    BatchingReport {
-        markdown: out,
-        metrics,
-    }
-}
-
-/// Renders the batching report (markdown only — the `batching` bin).
-pub fn run(p: Profile) -> String {
-    measure(p).markdown
+    let _ = writeln!(out);
+    out.oracle(
+        "batching.throughput_monotone",
+        monotone,
+        "throughput per shard strictly improves with the batch cap under saturation",
+    );
+    out.oracle(
+        "batching.latency_cost_visible",
+        p99_b8 > p99_b1,
+        format_args!(
+            "the hold window costs light-load tail latency \
+             (p99 {p99_b8:.1} µs at B=8 vs {p99_b1:.1} µs at B=1)"
+        ),
+    );
+    out
 }

@@ -1,7 +1,8 @@
 //! Fig. 6: TER and predicted output sparsity vs predictor rank, 3-layer
 //! network, Truncated-SVD vs End-to-End, on BASIC / ROT / BG-RAND.
 
-use crate::{fmt_f, markdown_table};
+use crate::fmt_f;
+use crate::report::Report;
 use sparsenn_core::datasets::DatasetKind;
 use sparsenn_core::{Profile, SystemBuilder, TrainingAlgorithm};
 use std::fmt::Write as _;
@@ -72,8 +73,8 @@ pub fn sweep(kind: DatasetKind, p: Profile) -> Fig6Series {
 }
 
 /// Renders the Fig. 6 report for all three datasets.
-pub fn run(p: Profile) -> String {
-    let mut out = String::new();
+pub fn run(p: Profile) -> Report {
+    let mut out = Report::default();
     let _ = writeln!(
         out,
         "## Fig. 6 — TER and output sparsity vs rank (3-layer, profile: {p})\n"
@@ -105,7 +106,7 @@ pub fn run(p: Profile) -> String {
                 ]
             })
             .collect();
-        out.push_str(&markdown_table(
+        out.table(
             &[
                 "rank r",
                 "TER% SVD",
@@ -114,7 +115,7 @@ pub fn run(p: Profile) -> String {
                 "sparsity% End-to-End",
             ],
             &rows,
-        ));
+        );
         let _ = writeln!(out);
     }
     out

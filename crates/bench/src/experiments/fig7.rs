@@ -2,7 +2,8 @@
 //! datasets, 5-layer DNN, with the predictor enabled (`uv_on`) and
 //! disabled (`uv_off` = EIE baseline).
 
-use crate::{fmt_f, markdown_table, pct_change};
+use crate::report::Report;
+use crate::{fmt_f, pct_change};
 use sparsenn_core::datasets::DatasetKind;
 use sparsenn_core::model::fixedpoint::UvMode;
 use sparsenn_core::{Profile, SystemBuilder, TrainedSystem, TrainingAlgorithm};
@@ -73,8 +74,8 @@ pub fn measure(sys: &TrainedSystem, p: Profile) -> Fig7Series {
 }
 
 /// Renders the Fig. 7 report for all three datasets.
-pub fn run(p: Profile) -> String {
-    let mut out = String::new();
+pub fn run(p: Profile) -> Report {
+    let mut out = Report::default();
     let _ = writeln!(
         out,
         "## Fig. 7 — execution cycles & power per hidden layer (profile: {p})\n"
@@ -106,7 +107,7 @@ pub fn run(p: Profile) -> String {
             ]);
         }
     }
-    out.push_str(&markdown_table(
+    out.table(
         &[
             "dataset",
             "layer",
@@ -121,6 +122,6 @@ pub fn run(p: Profile) -> String {
             "delta-energy",
         ],
         &rows,
-    ));
+    );
     out
 }

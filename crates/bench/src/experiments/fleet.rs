@@ -14,12 +14,15 @@
 //! experiment's virtual-time simulation
 //! ([`experiments::serve`](super::serve)).
 
-use crate::{fmt_f, markdown_table};
+use crate::fmt_f;
+use crate::report::Report;
 use sparsenn_core::datasets::DatasetKind;
 use sparsenn_core::model::fixedpoint::UvMode;
 use sparsenn_core::{Profile, SystemBuilder, TrainedSystem, TrainingAlgorithm};
 use std::fmt::Write as _;
 use std::time::Instant;
+
+const ORACLES: &[&str] = &["fleet.bit_identical"];
 
 /// The small 3-layer system both serving studies (`fleet` and `serve`)
 /// measure — training is the expensive part, so `run_all` builds it once
@@ -50,21 +53,13 @@ pub struct FleetPoint {
     pub wall_s: f64,
 }
 
-/// Measured fleet scaling plus named metrics for `BENCH_results.json`.
-pub struct FleetReport {
-    /// The rendered markdown report.
-    pub markdown: String,
-    /// Flat `(name, value)` metrics for the machine-readable results.
-    pub metrics: Vec<(String, f64)>,
-}
-
 /// Runs the fleet scaling study, training its own [`study_system`].
-pub fn measure(p: Profile) -> FleetReport {
+pub fn run(p: Profile) -> Report {
     measure_with(p, &study_system(p))
 }
 
 /// Runs the fleet scaling study on an already-trained system.
-pub fn measure_with(p: Profile, sys: &TrainedSystem) -> FleetReport {
+pub fn measure_with(p: Profile, sys: &TrainedSystem) -> Report {
     let dims = sys.network().mlp().dims();
     let batch = (p.sim_samples() * 4).min(sys.split().test.len());
 
@@ -92,7 +87,7 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> FleetReport {
         });
     }
 
-    let mut out = String::new();
+    let mut out = Report::new(ORACLES);
     let _ = writeln!(
         out,
         "## Fleet serving — throughput/latency scaling across shards (profile: {p})\n"
@@ -116,33 +111,16 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> FleetReport {
             ]
         })
         .collect();
-    out.push_str(&markdown_table(
+    out.table(
         &["shards", "latency/sample (us)", "host wall time (s)"],
         &rows,
-    ));
-    let _ = writeln!(
-        out,
-        "\nAll fleet summaries bit-identical to the serial single-machine path: {}",
-        if identical { "yes" } else { "NO — BUG" }
     );
-
-    let metrics = vec![
-        (
-            "fleet.latency_us_per_sample".to_string(),
-            points[0].latency_us,
-        ),
-        (
-            "fleet.bit_identical".to_string(),
-            if identical { 1.0 } else { 0.0 },
-        ),
-    ];
-    FleetReport {
-        markdown: out,
-        metrics,
-    }
-}
-
-/// Renders the fleet report (markdown only — the `fleet` bin entry point).
-pub fn run(p: Profile) -> String {
-    measure(p).markdown
+    let _ = writeln!(out);
+    out.metric("fleet.latency_us_per_sample", points[0].latency_us);
+    out.oracle(
+        "fleet.bit_identical",
+        identical,
+        "all fleet summaries bit-identical to the serial single-machine path",
+    );
+    out
 }

@@ -23,7 +23,8 @@
 //!   gate's degrade tier onto the batch-native substrate (held, then
 //!   flushed as amortized batches).
 
-use crate::{fmt_f, markdown_table};
+use crate::fmt_f;
+use crate::report::Report;
 use sparsenn_core::engine::{
     AdmitAll, BoundedQueues, CycleAccurateBackend, FastestCompletion, InferenceBackend,
     LeastQueued, Priority,
@@ -37,13 +38,12 @@ use sparsenn_frontend::{
 use sparsenn_serve::{fleet_capacity_rps, ShardSpec, Workload};
 use std::fmt::Write as _;
 
-/// Measured front-end scenarios plus named metrics for `BENCH_results.json`.
-pub struct FrontendReport {
-    /// The rendered markdown report.
-    pub markdown: String,
-    /// Flat `(name, value)` metrics for the machine-readable results.
-    pub metrics: Vec<(String, f64)>,
-}
+const ORACLES: &[&str] = &[
+    "frontend.high_p99_within_slo",
+    "frontend.low_absorbs_overload",
+    "frontend.hedged_beats_unhedged",
+    "frontend.autoscale.reacts",
+];
 
 /// Per-sample modelled service times of the cycle-accurate machine (same
 /// bridge as the serve experiment).
@@ -78,14 +78,14 @@ fn class_row(label: &str, s: &FrontendSummary, class: Priority) -> Vec<String> {
 
 /// Runs the front-end study, training its own
 /// [`study_system`](super::fleet::study_system).
-pub fn measure(p: Profile) -> FrontendReport {
+pub fn run(p: Profile) -> Report {
     measure_with(p, &super::fleet::study_system(p))
 }
 
 /// Runs the front-end study on an already-trained system (shared with the
 /// fleet/serve experiments by `run_all`; only the per-sample latency
 /// table is consumed).
-pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> FrontendReport {
+pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> Report {
     let batch = (p.sim_samples() * 4).min(sys.split().test.len());
     let machine_us = machine_table(sys, batch);
     let service = mean(&machine_us);
@@ -102,8 +102,7 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> FrontendR
     };
     let requests = 4000;
 
-    let mut out = String::new();
-    let mut metrics: Vec<(String, f64)> = Vec::new();
+    let mut out = Report::new(ORACLES);
     let _ = writeln!(
         out,
         "## Production front end — admission, hedging, autoscaling (profile: {p})\n"
@@ -116,7 +115,7 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> FrontendR
          class streams, so every delta below is policy.\n",
         service, capacity, slo.high_us, slo.low_us,
     );
-    metrics.push(("frontend.capacity_rps".into(), capacity));
+    out.metric("frontend.capacity_rps", capacity);
 
     // — Overload: admit-all vs bounded per-class queues —
     let overload = FrontendConfig::new(
@@ -143,7 +142,7 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> FrontendR
             rows.push(class_row(label, s, class));
         }
     }
-    out.push_str(&markdown_table(
+    out.table(
         &[
             "admission",
             "class",
@@ -154,7 +153,7 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> FrontendR
             "SLO att. (%)",
         ],
         &rows,
-    ));
+    );
     let high_p99 = shed.class(Priority::High).latency.p99_us;
     let high_ok = high_p99 <= slo.high_us;
     let low_absorbs =
@@ -162,49 +161,42 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> FrontendR
     let _ = writeln!(
         out,
         "\nBounded admission sheds {:.1}% of offered load (vs {:.1}% \
-         admit-all) and holds the high-priority p99 at {:.1} µs against a \
-         {:.0} µs SLO — {}; low-priority absorbs the overload — {}. \
-         Goodput: {:.0} rps bounded vs {:.0} rps admit-all.\n",
+         admit-all). Goodput: {:.0} rps bounded vs {:.0} rps admit-all.\n",
         shed.shed_rate * 100.0,
         admit_all.shed_rate * 100.0,
-        high_p99,
-        slo.high_us,
-        if high_ok {
-            "within SLO"
-        } else {
-            "SLO MISS — BUG"
-        },
-        if low_absorbs {
-            "yes"
-        } else {
-            "NO — investigate"
-        },
         shed.goodput_rps,
         admit_all.goodput_rps,
     );
     for (label, s) in [("admit-all", &admit_all), ("bounded", &shed)] {
-        metrics.push((
+        out.metric(
             format!("frontend.overload.goodput_rps.{label}"),
             s.goodput_rps,
-        ));
-        metrics.push((format!("frontend.overload.shed_rate.{label}"), s.shed_rate));
-        metrics.push((
+        );
+        out.metric(format!("frontend.overload.shed_rate.{label}"), s.shed_rate);
+        out.metric(
             format!("frontend.overload.slo_attainment.{label}"),
             s.slo_attainment,
-        ));
-        metrics.push((
+        );
+        out.metric(
             format!("frontend.overload.high_p99_us.{label}"),
             s.class(Priority::High).latency.p99_us,
-        ));
+        );
     }
-    metrics.push((
-        "frontend.high_p99_within_slo".into(),
-        if high_ok { 1.0 } else { 0.0 },
-    ));
-    metrics.push((
-        "frontend.low_absorbs_overload".into(),
-        if low_absorbs { 1.0 } else { 0.0 },
-    ));
+    out.oracle(
+        "frontend.high_p99_within_slo",
+        high_ok,
+        format_args!(
+            "bounded admission holds the high-priority p99 ({high_p99:.1} µs) \
+             within its {:.0} µs SLO",
+            slo.high_us
+        ),
+    );
+    out.oracle(
+        "frontend.low_absorbs_overload",
+        low_absorbs,
+        "low-priority absorbs the overload",
+    );
+    let _ = writeln!(out);
 
     // — Fault tolerance: hedging + retries vs none —
     // Moderate load (the fleet survives losing a shard) with two faults
@@ -259,7 +251,7 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> FrontendR
             fmt_f(s.slo_attainment * 100.0, 1),
         ]);
     }
-    out.push_str(&markdown_table(
+    out.table(
         &[
             "policy",
             "goodput (rps)",
@@ -271,35 +263,23 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> FrontendR
             "SLO att. (%)",
         ],
         &rows,
-    ));
-    let hedged_wins = hedged.goodput_rps > unhedged.goodput_rps;
-    let _ = writeln!(
-        out,
-        "\nHedged goodput {:.0} rps vs unhedged {:.0} rps — hedging {}.\n",
-        hedged.goodput_rps,
-        unhedged.goodput_rps,
-        if hedged_wins {
-            "wins"
-        } else {
-            "DOES NOT WIN — investigate"
-        },
     );
-    metrics.push((
-        "frontend.fault.goodput_rps.unhedged".into(),
-        unhedged.goodput_rps,
-    ));
-    metrics.push((
-        "frontend.fault.goodput_rps.hedged".into(),
-        hedged.goodput_rps,
-    ));
-    metrics.push((
-        "frontend.fault.slo_attainment.hedged".into(),
+    let _ = writeln!(out);
+    out.metric("frontend.fault.goodput_rps.unhedged", unhedged.goodput_rps);
+    out.metric("frontend.fault.goodput_rps.hedged", hedged.goodput_rps);
+    out.metric(
+        "frontend.fault.slo_attainment.hedged",
         hedged.slo_attainment,
-    ));
-    metrics.push((
-        "frontend.hedged_beats_unhedged".into(),
-        if hedged_wins { 1.0 } else { 0.0 },
-    ));
+    );
+    out.oracle(
+        "frontend.hedged_beats_unhedged",
+        hedged.goodput_rps > unhedged.goodput_rps,
+        format_args!(
+            "hedged goodput ({:.0} rps) beats unhedged ({:.0} rps)",
+            hedged.goodput_rps, unhedged.goodput_rps
+        ),
+    );
+    let _ = writeln!(out);
 
     // — Autoscaling into a bursty workload —
     let scaled_cfg = FrontendConfig::new(
@@ -316,46 +296,33 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> FrontendR
     .autoscale(AutoscaleConfig::new(1, 4, 20.0 * service, 10.0 * service));
     let scaled = simulate_frontend(&fleet, &LeastQueued, &AdmitAll, &scaled_cfg)
         .expect("valid autoscale configuration");
-    let reacts = scaled.scale_outs > 0 && scaled.scale_ins > 0;
     let _ = writeln!(
         out,
         "### Autoscaling: bursty arrivals (0.9x/0.1x capacity, 30% duty), fleet 1..=4 shards\n\n\
          Starting from 1 shard, the autoscaler took {} scale-outs and {} \
          scale-ins (peak {} shards active, {} at the end; warm-up {:.0} µs \
-         per shard) — {}. SLO attainment {:.1}%, goodput {:.0} rps.\n",
+         per shard). SLO attainment {:.1}%, goodput {:.0} rps.\n",
         scaled.scale_outs,
         scaled.scale_ins,
         scaled.peak_active_shards,
         scaled.final_active_shards,
         10.0 * service,
-        if reacts {
-            "grew into the burst and shrank back"
-        } else {
-            "DID NOT REACT — investigate"
-        },
         scaled.slo_attainment * 100.0,
         scaled.goodput_rps,
     );
-    metrics.push((
-        "frontend.autoscale.scale_outs".into(),
-        scaled.scale_outs as f64,
-    ));
-    metrics.push((
-        "frontend.autoscale.scale_ins".into(),
-        scaled.scale_ins as f64,
-    ));
-    metrics.push((
-        "frontend.autoscale.peak_active_shards".into(),
+    out.metric("frontend.autoscale.scale_outs", scaled.scale_outs as f64);
+    out.metric("frontend.autoscale.scale_ins", scaled.scale_ins as f64);
+    out.metric(
+        "frontend.autoscale.peak_active_shards",
         scaled.peak_active_shards as f64,
-    ));
-    metrics.push((
-        "frontend.autoscale.slo_attainment".into(),
-        scaled.slo_attainment,
-    ));
-    metrics.push((
-        "frontend.autoscale.reacts".into(),
-        if reacts { 1.0 } else { 0.0 },
-    ));
+    );
+    out.metric("frontend.autoscale.slo_attainment", scaled.slo_attainment);
+    out.oracle(
+        "frontend.autoscale.reacts",
+        scaled.scale_outs > 0 && scaled.scale_ins > 0,
+        "the autoscaler grew into the burst and shrank back",
+    );
+    let _ = writeln!(out);
 
     // — Policy sweep over the overload + fault scenario —
     let overload_horizon = requests as f64 / (capacity * 1.5) * 1e6;
@@ -390,7 +357,7 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> FrontendR
             fmt_f(c.summary.class(Priority::High).latency.p99_us, 1),
         ]);
     }
-    out.push_str(&markdown_table(
+    out.table(
         &[
             "combo",
             "goodput (rps)",
@@ -399,7 +366,7 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> FrontendR
             "high p99 (µs)",
         ],
         &rows,
-    ));
+    );
     let best = best_goodput(&combos).expect("sweep is non-empty");
     let _ = writeln!(
         out,
@@ -408,22 +375,10 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> FrontendR
         best.summary.goodput_rps,
         best.summary.slo_attainment * 100.0,
     );
-    metrics.push((
-        "frontend.sweep.best_goodput_rps".into(),
-        best.summary.goodput_rps,
-    ));
-    metrics.push((
-        "frontend.sweep.best_slo_attainment".into(),
+    out.metric("frontend.sweep.best_goodput_rps", best.summary.goodput_rps);
+    out.metric(
+        "frontend.sweep.best_slo_attainment",
         best.summary.slo_attainment,
-    ));
-
-    FrontendReport {
-        markdown: out,
-        metrics,
-    }
-}
-
-/// Renders the front-end report (markdown only — the `frontend` bin).
-pub fn run(p: Profile) -> String {
-    measure(p).markdown
+    );
+    out
 }

@@ -26,7 +26,8 @@
 //! scanning — same bits, same cycles, less host time). All wall time is
 //! charged to a [`WallProfiler`] and exported as `profile.*` metrics.
 
-use crate::{fmt_f, markdown_table};
+use crate::fmt_f;
+use crate::report::Report;
 use sparsenn_core::engine::{InferenceBackend, KernelBackend, SimdBackend};
 use sparsenn_core::model::fixedpoint::{FixedNetwork, UvMode};
 use sparsenn_core::numeric::Q6_10;
@@ -34,10 +35,9 @@ use sparsenn_core::sim::simd::SimdPlatform;
 use sparsenn_core::sim::{Machine, MachineConfig, ScanMode};
 use sparsenn_core::Profile;
 use sparsenn_kernel::{SparseKernel, Strategy, DEFAULT_BLOCK};
-use sparsenn_obs::WallProfiler;
+use sparsenn_obs::{min_wall_us, WallProfiler};
 use sparsenn_serve::ShardSpec;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Largest batch the study measures.
 const MAX_BATCH: usize = 8;
@@ -49,13 +49,12 @@ const MAX_ENGINE_OVERHEAD: f64 = 1.25;
 /// Alternating backend/raw rep pairs behind the engine-overhead ratio.
 const ENGINE_OVERHEAD_REPS: usize = 20;
 
-/// Measured kernel results plus named metrics for `BENCH_results.json`.
-pub struct KernelReport {
-    /// The rendered markdown report.
-    pub markdown: String,
-    /// Flat `(name, value)` metrics for the machine-readable results.
-    pub metrics: Vec<(String, f64)>,
-}
+const ORACLES: &[&str] = &[
+    "kernel.bit_exact",
+    "kernel.speedup_ok",
+    "kernel.engine_overhead_ok",
+    "kernel.sim_hotloop_bit_identical",
+];
 
 /// Timing reps per measurement (min-of-reps kills scheduler noise).
 fn reps(p: Profile) -> usize {
@@ -63,17 +62,6 @@ fn reps(p: Profile) -> usize {
         Profile::Fast => 5,
         Profile::Full => 10,
     }
-}
-
-/// Min-of-`reps` wall time of `f`, microseconds.
-fn time_us(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e6);
-    }
-    best
 }
 
 /// Per-sample wall time of running `inputs` through `kernel` with the
@@ -88,22 +76,26 @@ fn per_sample_us(
     let mut s = kernel.scratch();
     // Warm the scratch (first run grows the arenas).
     let _ = kernel.run(&inputs[0], mode, strategy, &mut s);
-    time_us(r, || {
-        for x in inputs {
-            std::hint::black_box(kernel.run(x, mode, strategy, &mut s));
-        }
-    }) / inputs.len() as f64
+    let [us] = min_wall_us(
+        r,
+        [&mut || {
+            for x in inputs {
+                std::hint::black_box(kernel.run(x, mode, strategy, &mut s));
+            }
+        }],
+    );
+    us / inputs.len() as f64
 }
 
 /// Runs the kernel study, training its own
 /// [`study_system`](super::fleet::study_system).
-pub fn measure(p: Profile) -> KernelReport {
+pub fn run(p: Profile) -> Report {
     measure_with(p, &super::fleet::study_system(p))
 }
 
 /// Runs the kernel study on an already-trained system (shared with the
 /// serving studies by `run_all`).
-pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> KernelReport {
+pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> Report {
     let r = reps(p);
     let net = sys.fixed();
     let test = &sys.split().test;
@@ -112,8 +104,7 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> KernelRep
         .map(|i| net.quantize_input(test.image(i)))
         .collect();
 
-    let mut out = String::new();
-    let mut metrics: Vec<(String, f64)> = Vec::new();
+    let mut out = Report::new(ORACLES);
     let mut prof = WallProfiler::new();
     let _ = writeln!(
         out,
@@ -123,20 +114,20 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> KernelRep
     // — Bit-exactness oracle first: the speed numbers mean nothing if the
     //   bits are wrong —
     let bit_exact = prof.time("kernel.oracle", || bit_exact_vs_golden(net, &inputs));
-    let _ = writeln!(
-        out,
+    out.oracle(
+        "kernel.bit_exact",
+        bit_exact,
         "kernel outputs bit-exact vs the golden fixed-point model \
-         (both UV modes, dense/prescan/batch): {}\n",
-        if bit_exact { "yes" } else { "NO — BUG" },
+         (both UV modes, dense/prescan/batch)",
     );
-    metrics.push(("kernel.bit_exact".into(), if bit_exact { 1.0 } else { 0.0 }));
+    let _ = writeln!(out);
 
     // — Dense vs prescan on the study system, across block sizes —
     let kernel_def = prof.time("kernel.pack", || SparseKernel::pack(net, DEFAULT_BLOCK));
     let dense_us = prof.time("kernel.dense", || {
         per_sample_us(&kernel_def, &inputs, UvMode::On, Strategy::Dense, r)
     });
-    metrics.push(("kernel.dense_us".into(), dense_us));
+    out.metric("kernel.dense_us", dense_us);
     let mut rows = Vec::new();
     let mut best = (0usize, f64::INFINITY);
     for block in [8usize, 16, 32] {
@@ -156,14 +147,15 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> KernelRep
             fmt_f(pre_us, 2),
             fmt_f(dense_us / pre_us.max(1e-12), 2),
         ]);
-        metrics.push((format!("kernel.prescan_us.bs{block}"), pre_us));
-        metrics.push((
+        out.metric(format!("kernel.prescan_us.bs{block}"), pre_us);
+        out.metric(
             format!("kernel.speedup.bs{block}"),
             dense_us / pre_us.max(1e-12),
-        ));
+        );
     }
     let default_speedup = dense_us
-        / metrics
+        / out
+            .metrics
             .iter()
             .find(|(n, _)| n == &format!("kernel.prescan_us.bs{DEFAULT_BLOCK}"))
             .map(|(_, v)| *v)
@@ -176,29 +168,29 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> KernelRep
          dense baseline (same packed layout, same accumulator): {} µs/sample\n",
         fmt_f(dense_us, 2),
     );
-    out.push_str(&markdown_table(
+    out.table(
         &["block size", "prescan (µs/sample)", "speedup vs dense"],
         &rows,
-    ));
+    );
     // The oracle gates on the best measured block: block size is a tuning
     // knob (the default is itself set from this measurement), and the claim
     // under test is that the kernel *delivers* ≥ 2× at paper-level input
     // sparsity with a well-chosen block, on whatever host runs the bench.
-    let _ = writeln!(
-        out,
-        "\nmeasured prescan speedup at paper-level sparsity ≥ 2×: {} \
-         (best {}× at block {}, {}× at the default block size {DEFAULT_BLOCK})\n",
-        if best_speedup >= 2.0 {
-            "yes"
-        } else {
-            "NO — investigate"
-        },
-        fmt_f(best_speedup, 2),
-        best.0,
-        fmt_f(default_speedup, 2),
+    let _ = writeln!(out);
+    out.metric("kernel.speedup_at_paper_sparsity", best_speedup);
+    out.metric("kernel.speedup_at_default_block", default_speedup);
+    out.oracle(
+        "kernel.speedup_ok",
+        best_speedup >= 2.0,
+        format_args!(
+            "measured prescan speedup at paper-level sparsity ≥ 2× \
+             (best {}× at block {}, {}× at the default block size {DEFAULT_BLOCK})",
+            fmt_f(best_speedup, 2),
+            best.0,
+            fmt_f(default_speedup, 2),
+        ),
     );
-    metrics.push(("kernel.speedup_at_paper_sparsity".into(), best_speedup));
-    metrics.push(("kernel.speedup_at_default_block".into(), default_speedup));
+    let _ = writeln!(out);
 
     // — Synthetic input-sparsity sweep: where the win comes from —
     let _ = writeln!(
@@ -234,12 +226,12 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> KernelRep
             fmt_f(pre, 2),
             fmt_f(d / pre.max(1e-12), 2),
         ]);
-        metrics.push((format!("kernel.speedup.s{sparsity}"), d / pre.max(1e-12)));
+        out.metric(format!("kernel.speedup.s{sparsity}"), d / pre.max(1e-12));
     }
-    out.push_str(&markdown_table(
+    out.table(
         &["input zeros", "dense (µs)", "prescan (µs)", "speedup"],
         &rows,
-    ));
+    );
 
     // — Native batching: per-sample latency and W-word amortization —
     let _ = writeln!(out, "\n### Native `run_batch` (prescan, uv_on)\n");
@@ -248,15 +240,18 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> KernelRep
     for b in 1..=MAX_BATCH {
         let batch: Vec<Vec<Q6_10>> = (0..b).map(|i| inputs[i % inputs.len()].clone()).collect();
         let _ = kernel_def.run_batch(&batch, UvMode::On, Strategy::Prescan, &mut scratch);
-        let batch_us = prof.time("kernel.batch", || {
-            time_us(r, || {
-                std::hint::black_box(kernel_def.run_batch(
-                    &batch,
-                    UvMode::On,
-                    Strategy::Prescan,
-                    &mut scratch,
-                ));
-            })
+        let [batch_us] = prof.time("kernel.batch", || {
+            min_wall_us(
+                r,
+                [&mut || {
+                    std::hint::black_box(kernel_def.run_batch(
+                        &batch,
+                        UvMode::On,
+                        Strategy::Prescan,
+                        &mut scratch,
+                    ));
+                }],
+            )
         });
         let rec = kernel_def.run_batch(&batch, UvMode::On, Strategy::Prescan, &mut scratch);
         rows.push(vec![
@@ -265,16 +260,16 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> KernelRep
             fmt_f(batch_us / b as f64, 2),
             fmt_f(rec.w_amortization(), 2),
         ]);
-        metrics.push((
+        out.metric(
             format!("kernel.batch_per_sample_us.B{b}"),
             batch_us / b as f64,
-        ));
-        metrics.push((format!("kernel.w_amortization.B{b}"), rec.w_amortization()));
+        );
+        out.metric(format!("kernel.w_amortization.B{b}"), rec.w_amortization());
     }
-    out.push_str(&markdown_table(
+    out.table(
         &["B", "batch (µs)", "µs/sample", "W-word amortization"],
         &rows,
-    ));
+    );
 
     // — Engine overhead: the backend call against the raw kernel it wraps
     //   (same block, same inputs), timed alternately rep by rep so host
@@ -282,46 +277,48 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> KernelRep
     //   network (a weight-comparing guard, a repack) shows up here —
     let measured_backend = KernelBackend::new();
     let _ = measured_backend.run(net, &inputs[0], UvMode::On); // pack
-    let (mut backend_us, mut raw_us) = (f64::INFINITY, f64::INFINITY);
-    prof.time("kernel.backend", || {
-        for _ in 0..ENGINE_OVERHEAD_REPS {
-            backend_us = backend_us.min(time_us(1, || {
-                for x in &inputs {
-                    std::hint::black_box(measured_backend.run(net, x, UvMode::On).expect("fits"));
-                }
-            }));
-            raw_us = raw_us.min(time_us(1, || {
-                for x in &inputs {
-                    std::hint::black_box(kernel_def.run(
-                        x,
-                        UvMode::On,
-                        Strategy::Prescan,
-                        &mut scratch,
-                    ));
-                }
-            }));
-        }
+    let [backend_us, raw_us] = prof.time("kernel.backend", || {
+        min_wall_us(
+            ENGINE_OVERHEAD_REPS,
+            [
+                &mut || {
+                    for x in &inputs {
+                        std::hint::black_box(
+                            measured_backend.run(net, x, UvMode::On).expect("fits"),
+                        );
+                    }
+                },
+                &mut || {
+                    for x in &inputs {
+                        std::hint::black_box(kernel_def.run(
+                            x,
+                            UvMode::On,
+                            Strategy::Prescan,
+                            &mut scratch,
+                        ));
+                    }
+                },
+            ],
+        )
     });
     let (measured_us, raw_us) = (
         backend_us / inputs.len() as f64,
         raw_us / inputs.len() as f64,
     );
     let engine_overhead = measured_us / raw_us.max(1e-12);
-    let _ = writeln!(
-        out,
-        "\n### Engine overhead\n\n\
-         engine overhead (KernelBackend::run ÷ raw kernel) ≤ {MAX_ENGINE_OVERHEAD}×: {} \
-         ({}×: {} vs {} µs/sample, block {DEFAULT_BLOCK}, prescan, uv_on)",
-        if engine_overhead <= MAX_ENGINE_OVERHEAD {
-            "yes"
-        } else {
-            "NO — investigate"
-        },
-        fmt_f(engine_overhead, 2),
-        fmt_f(measured_us, 2),
-        fmt_f(raw_us, 2),
+    let _ = writeln!(out, "\n### Engine overhead\n");
+    out.metric("kernel.engine_overhead", engine_overhead);
+    out.oracle(
+        "kernel.engine_overhead_ok",
+        engine_overhead <= MAX_ENGINE_OVERHEAD,
+        format_args!(
+            "engine overhead (KernelBackend::run ÷ raw kernel) ≤ {MAX_ENGINE_OVERHEAD}× \
+             ({}×: {} vs {} µs/sample, block {DEFAULT_BLOCK}, prescan, uv_on)",
+            fmt_f(engine_overhead, 2),
+            fmt_f(measured_us, 2),
+            fmt_f(raw_us, 2),
+        ),
     );
-    metrics.push(("kernel.engine_overhead".into(), engine_overhead));
 
     // — Modelled vs measured: the SimdBackend's analytic clock against
     //   real host wall-clock on the same samples (informational — the
@@ -348,8 +345,8 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> KernelRep
         fmt_f(measured_us, 2),
         fmt_f(ratio, 2),
     );
-    metrics.push(("kernel.model_vs_measured".into(), ratio));
-    metrics.push(("kernel.backend_us".into(), measured_us));
+    out.metric("kernel.model_vs_measured", ratio);
+    out.metric("kernel.backend_us", measured_us);
 
     // — A measured service table for the serving simulators —
     let spec = ShardSpec::from_measured(
@@ -368,10 +365,7 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> KernelRep
         fmt_f(spec.mean_service_us(), 2),
         spec.service_us.len(),
     );
-    metrics.push((
-        "kernel.measured_service_us_mean".into(),
-        spec.mean_service_us(),
-    ));
+    out.metric("kernel.measured_service_us_mean", spec.mean_service_us());
 
     // — The cycle-accurate simulator's own hot loop: mask-word scanning
     //   vs the per-element reference — same bits, same cycles, less host
@@ -392,41 +386,38 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> KernelRep
             && a.total_cycles() == b.total_cycles()
             && a.total_events() == b.total_events();
     }
-    let t_mask = prof.time("sim.mask_word", || {
-        time_us(r, || {
-            for x in sim_inputs {
-                std::hint::black_box(mask_word.try_run_network(net, x, UvMode::On).expect("fits"));
-            }
-        })
-    });
-    let t_elem = prof.time("sim.per_element", || {
-        time_us(r, || {
-            for x in sim_inputs {
-                std::hint::black_box(
-                    per_element
-                        .try_run_network(net, x, UvMode::On)
-                        .expect("fits"),
-                );
-            }
-        })
-    });
+    let time_sim = |machine: &Machine| {
+        let [us] = min_wall_us(
+            r,
+            [&mut || {
+                for x in sim_inputs {
+                    std::hint::black_box(
+                        machine.try_run_network(net, x, UvMode::On).expect("fits"),
+                    );
+                }
+            }],
+        );
+        us
+    };
+    let t_mask = prof.time("sim.mask_word", || time_sim(&mask_word));
+    let t_elem = prof.time("sim.per_element", || time_sim(&per_element));
     let sim_speedup = t_elem / t_mask.max(1e-12);
     let _ = writeln!(
         out,
         "### Simulator hot loop: mask-word vs per-element scanning\n\n\
-         per-element {} µs vs mask-word {} µs over {} samples \
-         ({}× host speedup), results/cycles/events bit-identical: {}\n",
+         per-element {} µs vs mask-word {} µs over {} samples ({}× host speedup).\n",
         fmt_f(t_elem, 1),
         fmt_f(t_mask, 1),
         sim_inputs.len(),
         fmt_f(sim_speedup, 2),
-        if identical { "yes" } else { "NO — BUG" },
     );
-    metrics.push(("kernel.sim_hotloop_speedup".into(), sim_speedup));
-    metrics.push((
-        "kernel.sim_hotloop_bit_identical".into(),
-        if identical { 1.0 } else { 0.0 },
-    ));
+    out.metric("kernel.sim_hotloop_speedup", sim_speedup);
+    out.oracle(
+        "kernel.sim_hotloop_bit_identical",
+        identical,
+        "simulator results/cycles/events bit-identical across the two scans",
+    );
+    let _ = writeln!(out);
 
     // — Where the host time went —
     let _ = writeln!(out, "### Wall-clock profile\n");
@@ -438,17 +429,10 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> KernelRep
             fmt_f(stat.total_us, 0),
             fmt_f(stat.max_us, 0),
         ]);
-        metrics.push((format!("profile.{name}.total_us"), stat.total_us));
+        out.metric(format!("profile.{name}.total_us"), stat.total_us);
     }
-    out.push_str(&markdown_table(
-        &["phase", "calls", "total (µs)", "max (µs)"],
-        &rows,
-    ));
-
-    KernelReport {
-        markdown: out,
-        metrics,
-    }
+    out.table(&["phase", "calls", "total (µs)", "max (µs)"], &rows);
+    out
 }
 
 /// The oracle: dense, prescan and batched kernel runs all equal the
@@ -485,9 +469,4 @@ fn bit_exact_vs_golden(net: &FixedNetwork, inputs: &[Vec<Q6_10>]) -> bool {
         }
     }
     true
-}
-
-/// Renders the kernel report (markdown only — the `kernel` bin).
-pub fn run(p: Profile) -> String {
-    measure(p).markdown
 }

@@ -24,7 +24,8 @@
 //! (`run` / `run_batch` on the cycle-accurate backend) via
 //! [`WallProfiler`] and surface as `profile.*` registry entries.
 
-use crate::{fmt_f, markdown_table};
+use crate::fmt_f;
+use crate::report::Report;
 use sparsenn_core::engine::{
     BatchPolicy, CycleAccurateBackend, FirstIdle, InferenceBackend, LeastQueued, PartitionedMachine,
 };
@@ -37,13 +38,13 @@ use sparsenn_frontend::{
     FrontendSummary, HedgeConfig, SloPolicy,
 };
 use sparsenn_obs::{
-    check_nesting, chrome_trace, MetricsRegistry, NullSink, RingRecorder, SpanKind, WallProfiler,
+    check_nesting, chrome_trace, min_wall_us, MetricsRegistry, NullSink, RingRecorder, SpanKind,
+    WallProfiler,
 };
 use sparsenn_serve::{
     simulate_batched, simulate_batched_traced, BatchShardSpec, MetricsMode, ShardSpec, Workload,
 };
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// How many of the traced requests also get per-chip machine spans.
 const CHIP_TRACED_REQUESTS: usize = 3;
@@ -58,18 +59,17 @@ const OVERHEAD_REPS: usize = 15;
 /// milliseconds, not timer noise.
 const OVERHEAD_REQUESTS: usize = 40_000;
 
-/// Measured observability results plus named metrics for
-/// `BENCH_results.json` (schema 8).
-pub struct ObsReport {
-    /// The rendered markdown report.
-    pub markdown: String,
-    /// Flat `(name, value)` metrics for the machine-readable results.
-    pub metrics: Vec<(String, f64)>,
-}
+const ORACLES: &[&str] = &[
+    "obs.trace_deterministic",
+    "obs.nesting_ok",
+    "obs.spans_covered",
+    "obs.overhead_disabled_ok",
+    "obs.overhead_enabled_ok",
+];
 
 /// Runs the observability study, training its own
 /// [`study_system`](super::fleet::study_system).
-pub fn measure(p: Profile) -> ObsReport {
+pub fn run(p: Profile) -> Report {
     measure_with(p, &super::fleet::study_system(p))
 }
 
@@ -109,14 +109,13 @@ fn capture_trace(
 
 /// Runs the observability study on an already-trained system (shared
 /// with the other serving studies by `run_all`).
-pub fn measure_with(p: Profile, sys: &TrainedSystem) -> ObsReport {
+pub fn measure_with(p: Profile, sys: &TrainedSystem) -> Report {
     let backend = CycleAccurateBackend::new(sys.machine().clone());
     let net = sys.fixed();
     let test = &sys.split().test;
     let input = net.quantize_input(test.image(0));
 
-    let mut out = String::new();
-    let mut metrics: Vec<(String, f64)> = Vec::new();
+    let mut out = Report::new(ORACLES);
     let _ = writeln!(out, "## Observability plane (profile: {p})\n");
 
     // — Wall-clock profiling hooks around the machine's hot loops —
@@ -203,7 +202,7 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> ObsReport {
         out,
         "### End-to-end trace: front end + 2-chip machine, one request-id key\n"
     );
-    out.push_str(&markdown_table(
+    out.table(
         &["span kind", "count"],
         &[
             vec!["request".into(), kind_count(SpanKind::Request).to_string()],
@@ -236,13 +235,10 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> ObsReport {
                 chip_spans.to_string(),
             ],
         ],
-    ));
+    );
     let _ = writeln!(
         out,
-        "\n{} spans, {} bytes of Chrome-trace JSON{} — load in Perfetto / chrome://tracing.\n\
-         \n- trace deterministic across reruns: {}\
-         \n- span nesting invariants: {}\
-         \n- attempt & chip spans keyed to request ids: {}\n",
+        "\n{} spans, {} bytes of Chrome-trace JSON{} — load in Perfetto / chrome://tracing.\n",
         spans.len(),
         trace.len(),
         if written {
@@ -250,24 +246,30 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> ObsReport {
         } else {
             String::new()
         },
-        if deterministic { "yes" } else { "NO — BUG" },
-        match &nesting {
-            None => "ok".to_string(),
-            Some(err) => format!("VIOLATED — {err}"),
-        },
-        if covered { "yes" } else { "NO — BUG" },
     );
-    metrics.push(("obs.trace_spans".into(), spans.len() as f64));
-    metrics.push(("obs.trace_bytes".into(), trace.len() as f64));
-    metrics.push((
-        "obs.trace_deterministic".into(),
-        if deterministic { 1.0 } else { 0.0 },
-    ));
-    metrics.push((
-        "obs.nesting_ok".into(),
-        if nesting.is_none() { 1.0 } else { 0.0 },
-    ));
-    metrics.push(("obs.spans_covered".into(), if covered { 1.0 } else { 0.0 }));
+    out.metric("obs.trace_spans", spans.len() as f64);
+    out.metric("obs.trace_bytes", trace.len() as f64);
+    out.oracle(
+        "obs.trace_deterministic",
+        deterministic,
+        "trace deterministic across reruns",
+    );
+    out.oracle(
+        "obs.nesting_ok",
+        nesting.is_none(),
+        format_args!(
+            "span nesting invariants hold{}",
+            nesting
+                .map(|err| format!(" (violated: {err})"))
+                .unwrap_or_default()
+        ),
+    );
+    out.oracle(
+        "obs.spans_covered",
+        covered,
+        "attempt & chip spans keyed to request ids",
+    );
+    let _ = writeln!(out);
 
     // — 2. The unified registry —
     let mut registry = MetricsRegistry::new();
@@ -312,11 +314,6 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> ObsReport {
     );
     let overhead_spans = probe.len();
     drop(probe);
-    let time_run = |f: &dyn Fn()| {
-        let t = Instant::now();
-        f();
-        t.elapsed().as_secs_f64()
-    };
     // Two enabled configurations, both long-lived (allocated once,
     // cleared per rep, min-of-N skipping the rep that faults buffers
     // in — tracing infrastructure in a real server is allocated at
@@ -332,117 +329,84 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> ObsReport {
     //   of keeping 6 MB of trace, not of the tracing plane.
     let flight_recorder = RingRecorder::new(FLIGHT_RECORDER_SPANS);
     let full_recorder = RingRecorder::new(1 << 17);
-    let (mut base, mut disabled, mut flight, mut full) = (f64::MAX, f64::MAX, f64::MAX, f64::MAX);
-    for _ in 0..OVERHEAD_REPS {
-        base = base.min(time_run(&|| {
-            let _ = simulate_batched(
-                shards,
-                &FirstIdle,
-                policy,
-                &workload,
-                MetricsMode::Streaming,
-            );
-        }));
-        disabled = disabled.min(time_run(&|| {
-            let _ = simulate_batched_traced(
-                shards,
-                &FirstIdle,
-                policy,
-                &workload,
-                MetricsMode::Streaming,
-                &NullSink,
-            );
-        }));
-        flight = flight.min(time_run(&|| {
-            flight_recorder.clear();
-            let _ = simulate_batched_traced(
-                shards,
-                &FirstIdle,
-                policy,
-                &workload,
-                MetricsMode::Streaming,
-                &flight_recorder,
-            );
-        }));
-        full = full.min(time_run(&|| {
-            full_recorder.clear();
-            let _ = simulate_batched_traced(
-                shards,
-                &FirstIdle,
-                policy,
-                &workload,
-                MetricsMode::Streaming,
-                &full_recorder,
-            );
-        }));
-    }
+    let traced = |sink: &dyn sparsenn_obs::TraceSink| {
+        let _ = simulate_batched_traced(
+            shards,
+            &FirstIdle,
+            policy,
+            &workload,
+            MetricsMode::Streaming,
+            sink,
+        );
+    };
+    let [base, disabled, flight, full] = min_wall_us(
+        OVERHEAD_REPS,
+        [
+            &mut || {
+                let _ = simulate_batched(
+                    shards,
+                    &FirstIdle,
+                    policy,
+                    &workload,
+                    MetricsMode::Streaming,
+                );
+            },
+            &mut || traced(&NullSink),
+            &mut || {
+                flight_recorder.clear();
+                traced(&flight_recorder);
+            },
+            &mut || {
+                full_recorder.clear();
+                traced(&full_recorder);
+            },
+        ],
+    );
     let pct = |t: f64| (100.0 * (t - base) / base.max(1e-12)).max(0.0);
     let (disabled_pct, enabled_pct, full_pct) = (pct(disabled), pct(flight), pct(full));
-    let disabled_ok = disabled_pct <= 1.0;
-    let enabled_ok = enabled_pct <= 10.0;
     let _ = writeln!(
         out,
         "### Tracing overhead: {OVERHEAD_REQUESTS} batched requests on {} shards \
          ({overhead_spans} spans), min of {OVERHEAD_REPS}\n",
         shards.len()
     );
-    out.push_str(&markdown_table(
+    out.table(
         &["pipeline", "wall (ms)", "overhead"],
         &[
             vec![
                 "plain `simulate_batched`".into(),
-                fmt_f(base * 1e3, 2),
+                fmt_f(base * 1e-3, 2),
                 "—".into(),
             ],
             vec![
                 "traced, disabled sink".into(),
-                fmt_f(disabled * 1e3, 2),
+                fmt_f(disabled * 1e-3, 2),
                 format!("{disabled_pct:.2}%"),
             ],
             vec![
                 format!("traced, flight recorder ({FLIGHT_RECORDER_SPANS} spans)"),
-                fmt_f(flight * 1e3, 2),
+                fmt_f(flight * 1e-3, 2),
                 format!("{enabled_pct:.2}%"),
             ],
             vec![
                 "traced, full capture (informational)".into(),
-                fmt_f(full * 1e3, 2),
+                fmt_f(full * 1e-3, 2),
                 format!("{full_pct:.2}%"),
             ],
         ],
-    ));
-    let _ = writeln!(
-        out,
-        "\n- disabled-sink overhead within 1%: {}\n- enabled-recorder overhead within 10%: {}",
-        if disabled_ok {
-            "yes"
-        } else {
-            "NO — REGRESSED"
-        },
-        if enabled_ok {
-            "yes"
-        } else {
-            "NO — REGRESSED"
-        },
     );
-    metrics.push(("obs.overhead_disabled_pct".into(), disabled_pct));
-    metrics.push(("obs.overhead_enabled_pct".into(), enabled_pct));
-    metrics.push((
-        "obs.overhead_disabled_ok".into(),
-        if disabled_ok { 1.0 } else { 0.0 },
-    ));
-    metrics.push((
-        "obs.overhead_enabled_ok".into(),
-        if enabled_ok { 1.0 } else { 0.0 },
-    ));
-
-    ObsReport {
-        markdown: out,
-        metrics,
-    }
-}
-
-/// Renders the observability report (markdown only — the `obs` bin).
-pub fn run(p: Profile) -> String {
-    measure(p).markdown
+    let _ = writeln!(out);
+    out.metric("obs.overhead_disabled_pct", disabled_pct);
+    out.metric("obs.overhead_enabled_pct", enabled_pct);
+    out.oracle(
+        "obs.overhead_disabled_ok",
+        disabled_pct <= 1.0,
+        "disabled-sink overhead within 1%",
+    );
+    out.oracle(
+        "obs.overhead_enabled_ok",
+        enabled_pct <= 10.0,
+        "enabled-recorder overhead within 10%",
+    );
+    out
 }

@@ -16,7 +16,8 @@
 //! overlap soundness flag (wavefront strictly faster, never below the
 //! free bound, energy untouched).
 
-use crate::{fmt_f, markdown_table};
+use crate::fmt_f;
+use crate::report::Report;
 use sparsenn_core::datasets::DatasetKind;
 use sparsenn_core::engine::{CycleAccurateBackend, InferenceBackend, PartitionedMachine};
 use sparsenn_core::model::fixedpoint::UvMode;
@@ -25,14 +26,11 @@ use sparsenn_core::sim::MachineConfig;
 use sparsenn_core::{Profile, SparseNnError, SystemBuilder, TrainedSystem, TrainingAlgorithm};
 use std::fmt::Write as _;
 
-/// Measured multi-chip scaling plus named metrics for
-/// `BENCH_results.json` (schema 5).
-pub struct PartitionReport {
-    /// The rendered markdown report.
-    pub markdown: String,
-    /// Flat `(name, value)` metrics for the machine-readable results.
-    pub metrics: Vec<(String, f64)>,
-}
+const ORACLES: &[&str] = &[
+    "partition.single_chip_rejected",
+    "partition.pipeline.overlap_sound",
+    "partition.bit_identical",
+];
 
 /// A chip whose W memory holds exactly the 2-chip tile of a
 /// `hidden × 784` first layer — so one chip rejects the network and two
@@ -60,17 +58,16 @@ pub fn study_system(p: Profile) -> TrainedSystem {
 }
 
 /// Runs the partition study, training its own [`study_system`].
-pub fn measure(p: Profile) -> PartitionReport {
+pub fn run(p: Profile) -> Report {
     measure_with(p, &study_system(p))
 }
 
 /// Runs the partition study on an already-trained (oversized) system.
-pub fn measure_with(p: Profile, sys: &TrainedSystem) -> PartitionReport {
+pub fn measure_with(p: Profile, sys: &TrainedSystem) -> Report {
     let chip = *sys.machine().config();
     let dims = sys.network().mlp().dims();
     let batch = p.sim_samples().min(sys.split().test.len());
-    let mut metrics = Vec::new();
-    let mut out = String::new();
+    let mut out = Report::new(ORACLES);
     let _ = writeln!(
         out,
         "## Model parallelism — an MLP bigger than one chip's W memory (profile: {p})\n"
@@ -83,20 +80,16 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> PartitionReport {
     );
     let cap = chip.w_capacity_words_per_pe();
     let need = dims[1].div_ceil(chip.num_pes()) * dims[0];
-    let _ = writeln!(
-        out,
-        "[{}, {}, {}] network on a chip with {} W words per PE (layer 0 needs {need}): \
-         single-chip serving rejected with `WMemoryOverflow`: {}.\n",
-        dims[0],
-        dims[1],
-        dims[2],
-        cap,
-        if rejected { "yes" } else { "NO — BUG" }
+    out.oracle(
+        "partition.single_chip_rejected",
+        rejected,
+        format_args!(
+            "[{}, {}, {}] network on a chip with {cap} W words per PE (layer 0 needs {need}): \
+             single-chip serving rejected with `WMemoryOverflow`",
+            dims[0], dims[1], dims[2],
+        ),
     );
-    metrics.push((
-        "partition.single_chip_rejected".to_string(),
-        f64::from(u8::from(rejected)),
-    ));
+    let _ = writeln!(out);
 
     // 2. The 2/4/8-chip sweep under all three schedules: serialized
     //    (broadcast + slowest chip + gather, end to end), wavefront
@@ -136,18 +129,18 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> PartitionReport {
             fmt_f(comm_us, 2),
             fmt_f(comm_pct, 1),
         ]);
-        metrics.push((
+        out.metric(
             format!("partition.latency_us.{chips}chips"),
             costed.time_us(),
-        ));
-        metrics.push((
+        );
+        out.metric(
             format!("partition.energy_uj.{chips}chips"),
             costed.energy_uj(),
-        ));
-        metrics.push((
+        );
+        out.metric(
             format!("partition.comm_overhead_pct.{chips}chips"),
             comm_pct,
-        ));
+        );
 
         // Wavefront pipelining: how much of the comm overhead the
         // overlapped schedule hides. hidden% = share of the
@@ -173,19 +166,19 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> PartitionReport {
             fmt_f(speedup, 3),
             fmt_f(hidden_pct, 1),
         ]);
-        metrics.push((
+        out.metric(
             format!("partition.pipeline.wavefront_latency_us.{chips}chips"),
             wavefront.time_us(),
-        ));
-        metrics.push((
+        );
+        out.metric(
             format!("partition.pipeline.free_latency_us.{chips}chips"),
             free.time_us(),
-        ));
-        metrics.push((format!("partition.pipeline.speedup.{chips}chips"), speedup));
-        metrics.push((
+        );
+        out.metric(format!("partition.pipeline.speedup.{chips}chips"), speedup);
+        out.metric(
             format!("partition.pipeline.comm_hidden_pct.{chips}chips"),
             hidden_pct,
-        ));
+        );
     }
     let _ = writeln!(
         out,
@@ -193,7 +186,7 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> PartitionReport {
          (serialized critical path = broadcast + slowest chip + gather; energy sums every \
          chip's events plus inter-chip flit-hops).\n"
     );
-    out.push_str(&markdown_table(
+    out.table(
         &[
             "chips",
             "latency/sample (us)",
@@ -202,7 +195,7 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> PartitionReport {
             "comm overhead (%)",
         ],
         &rows,
-    ));
+    );
 
     let _ = writeln!(
         out,
@@ -211,7 +204,7 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> PartitionReport {
          on arrival), and the free-link lower bound. Outputs, masks and energy are \
          bit-identical across schedules; only time moves.\n"
     );
-    out.push_str(&markdown_table(
+    out.table(
         &[
             "chips",
             "serialized (us)",
@@ -221,16 +214,13 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> PartitionReport {
             "comm hidden (%)",
         ],
         &pipe_rows,
-    ));
-    let _ = writeln!(
-        out,
-        "\nwavefront strictly below serialized, never below free-link, energy identical: {}",
-        if overlap_sound { "yes" } else { "NO — BUG" }
     );
-    metrics.push((
-        "partition.pipeline.overlap_sound".to_string(),
-        f64::from(u8::from(overlap_sound)),
-    ));
+    let _ = writeln!(out);
+    out.oracle(
+        "partition.pipeline.overlap_sound",
+        overlap_sound,
+        "wavefront strictly below serialized, never below free-link, energy identical",
+    );
 
     // 3. Bit-identity oracle on a full-size chip (where a single machine
     //    can also hold the network).
@@ -249,24 +239,13 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> PartitionReport {
             .zip(&b.layers)
             .all(|(l, r)| l.output == r.output && l.mask == r.mask);
     }
-    let _ = writeln!(
-        out,
-        "\nOn a full-size chip, 4-chip partitioned outputs and masks bit-identical to the \
-         single machine over {batch} samples: {}",
-        if identical { "yes" } else { "NO — BUG" }
+    out.oracle(
+        "partition.bit_identical",
+        identical,
+        format_args!(
+            "on a full-size chip, 4-chip partitioned outputs and masks bit-identical to the \
+             single machine over {batch} samples"
+        ),
     );
-    metrics.push((
-        "partition.bit_identical".to_string(),
-        f64::from(u8::from(identical)),
-    ));
-
-    PartitionReport {
-        markdown: out,
-        metrics,
-    }
-}
-
-/// Renders the partition report (markdown only — the `partition` bin).
-pub fn run(p: Profile) -> String {
-    measure(p).markdown
+    out
 }

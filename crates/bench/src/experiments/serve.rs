@@ -17,7 +17,8 @@
 //!   platforms of Table IV (cf. LRADNN / DNN-Engine), where
 //!   fastest-expected-completion should beat first-idle on p95.
 
-use crate::{fmt_f, markdown_table};
+use crate::fmt_f;
+use crate::report::Report;
 use sparsenn_core::engine::{
     CycleAccurateBackend, FastestCompletion, FirstIdle, InferenceBackend, LeastQueued, Scheduler,
 };
@@ -27,13 +28,10 @@ use sparsenn_core::Profile;
 use sparsenn_serve::{fleet_capacity_rps, simulate, ServeSummary, ShardSpec, Workload};
 use std::fmt::Write as _;
 
-/// Measured serving curves plus named metrics for `BENCH_results.json`.
-pub struct ServeReport {
-    /// The rendered markdown report.
-    pub markdown: String,
-    /// Flat `(name, value)` metrics for the machine-readable results.
-    pub metrics: Vec<(String, f64)>,
-}
+const ORACLES: &[&str] = &[
+    "serve.closed_loop_matches_model",
+    "serve.fec_beats_first_idle_p95",
+];
 
 /// The per-sample modelled service times of one backend on the first
 /// `batch` test samples — the bridge from the inference engine's clock
@@ -90,7 +88,7 @@ fn sweep_rows(
 
 /// Runs the serving study, training its own
 /// [`study_system`](super::fleet::study_system).
-pub fn measure(p: Profile) -> ServeReport {
+pub fn run(p: Profile) -> Report {
     measure_with(p, &super::fleet::study_system(p))
 }
 
@@ -98,7 +96,7 @@ pub fn measure(p: Profile) -> ServeReport {
 /// `fleet` experiment by `run_all`: the serving curves depend on the
 /// *per-sample latency tables*, not on TER polish, so one training run
 /// feeds both).
-pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> ServeReport {
+pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> Report {
     let dims = sys.network().mlp().dims();
     let batch = (p.sim_samples() * 4).min(sys.split().test.len());
 
@@ -132,8 +130,7 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> ServeRepo
         ShardSpec::with_table("LRADNN", lradnn_us.clone()),
     ];
 
-    let mut out = String::new();
-    let mut metrics: Vec<(String, f64)> = Vec::new();
+    let mut out = Report::new(ORACLES);
     let _ = writeln!(
         out,
         "## Serving simulator — latency vs offered load per scheduler (profile: {p})\n"
@@ -171,25 +168,19 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> ServeRepo
         out,
         "**Closed-loop validation** (concurrency = shards = {}): simulated \
          mean latency {:.3} µs vs modelled per-sample time {:.3} µs, mean \
-         time-in-queue {:.3} µs — {}.\n",
+         time-in-queue {:.3} µs.\n",
         homogeneous.len(),
         closed.latency.mean_us,
         modelled_us,
         closed.queue_us_mean,
-        if matches {
-            "match, no queueing"
-        } else {
-            "MISMATCH — BUG"
-        },
     );
-    metrics.push((
-        "serve.closed_loop_mean_latency_us".into(),
-        closed.latency.mean_us,
-    ));
-    metrics.push((
-        "serve.closed_loop_matches_model".into(),
-        if matches { 1.0 } else { 0.0 },
-    ));
+    out.metric("serve.closed_loop_mean_latency_us", closed.latency.mean_us);
+    out.oracle(
+        "serve.closed_loop_matches_model",
+        matches,
+        "closed-loop latency matches the modelled service time, no queueing",
+    );
+    let _ = writeln!(out);
 
     // — Poisson load sweeps —
     let requests = 4000;
@@ -209,7 +200,7 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> ServeRepo
         );
         let mut rows = Vec::new();
         let results = sweep_rows(fleet, requests, &mut rows);
-        out.push_str(&markdown_table(
+        out.table(
             &[
                 "offered load",
                 "scheduler",
@@ -221,15 +212,15 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> ServeRepo
                 "throughput (rps)",
             ],
             &rows,
-        ));
-        out.push('\n');
-        metrics.push((format!("serve.{tag}.capacity_rps"), capacity));
+        );
+        let _ = writeln!(out);
+        out.metric(format!("serve.{tag}.capacity_rps"), capacity);
         for (frac, s) in &results {
             if (*frac - 0.75).abs() < 1e-9 {
-                metrics.push((
+                out.metric(
                     format!("serve.{tag}.p95_us.{}@75pct", s.scheduler),
                     s.latency.p95_us,
-                ));
+                );
             }
         }
         if tag == "hetero" {
@@ -242,22 +233,15 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> ServeRepo
             };
             let fec = p95_of("fastest-completion");
             let naive = p95_of("first-idle");
-            let _ = writeln!(
-                out,
-                "At 75% load, fastest-expected-completion p95 is {:.1} µs vs \
-                 first-idle {:.1} µs — latency-aware dispatch {}.\n",
-                fec,
-                naive,
-                if fec < naive {
-                    "wins"
-                } else {
-                    "DOES NOT WIN — investigate"
-                },
+            out.oracle(
+                "serve.fec_beats_first_idle_p95",
+                fec < naive,
+                format_args!(
+                    "at 75% load, fastest-expected-completion p95 ({fec:.1} µs) \
+                     beats first-idle ({naive:.1} µs)"
+                ),
             );
-            metrics.push((
-                "serve.fec_beats_first_idle_p95".into(),
-                if fec < naive { 1.0 } else { 0.0 },
-            ));
+            let _ = writeln!(out);
         }
     }
 
@@ -286,12 +270,12 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> ServeRepo
             fmt_f(s.queue.max_depth as f64, 0),
             fmt_f(s.queue.mean_depth, 2),
         ]);
-        metrics.push((
+        out.metric(
             format!("serve.bursty.p99_us.{}", s.scheduler),
             s.latency.p99_us,
-        ));
+        );
     }
-    out.push_str(&markdown_table(
+    out.table(
         &[
             "scheduler",
             "p50 (µs)",
@@ -301,19 +285,10 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> ServeRepo
             "mean depth",
         ],
         &rows,
-    ));
-
-    ServeReport {
-        markdown: out,
-        metrics,
-    }
+    );
+    out
 }
 
 fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len().max(1) as f64
-}
-
-/// Renders the serving report (markdown only — the `serve` bin).
-pub fn run(p: Profile) -> String {
-    measure(p).markdown
 }

@@ -1,7 +1,8 @@
 //! Table I: TER and per-layer predicted sparsity ρ of the 5-layer network
 //! at rank 15, for NO-UV / SVD / End-to-End on all three datasets.
 
-use crate::{fmt_f, markdown_table};
+use crate::fmt_f;
+use crate::report::Report;
 use sparsenn_core::datasets::DatasetKind;
 use sparsenn_core::{Profile, SystemBuilder, TrainingAlgorithm};
 use std::fmt::Write as _;
@@ -87,8 +88,8 @@ pub fn measure(kind: DatasetKind, algorithm: TrainingAlgorithm, p: Profile) -> T
 }
 
 /// Renders Table I, paper values beside measured ones.
-pub fn run(p: Profile) -> String {
-    let mut out = String::new();
+pub fn run(p: Profile) -> Report {
+    let mut out = Report::default();
     let _ = writeln!(
         out,
         "## Table I — 5-layer network, rank {} (profile: {p})\n",
@@ -130,7 +131,7 @@ pub fn run(p: Profile) -> String {
             ]);
         }
     }
-    out.push_str(&markdown_table(
+    out.table(
         &[
             "dataset",
             "algorithm",
@@ -140,7 +141,7 @@ pub fn run(p: Profile) -> String {
             "rho1/2/3 measured",
         ],
         &rows,
-    ));
+    );
     let _ = writeln!(out);
     let _ = writeln!(
         out,

@@ -1,12 +1,12 @@
 //! Table II: the micro-architectural parameters of 64-PE SparseNN.
 
-use crate::markdown_table;
+use crate::report::Report;
 use sparsenn_core::sim::MachineConfig;
 use std::fmt::Write as _;
 
 /// Renders Table II from the default [`MachineConfig`], so the report can
 /// never drift from what the simulator actually uses.
-pub fn run() -> String {
+pub fn run() -> Report {
     let cfg = MachineConfig::default();
     let rows = vec![
         vec![
@@ -38,12 +38,9 @@ pub fn run() -> String {
             ),
         ],
     ];
-    let mut out = String::new();
+    let mut out = Report::default();
     let _ = writeln!(out, "## Table II — micro-architectural parameters\n");
-    out.push_str(&markdown_table(
-        &["parameter", "paper", "this implementation"],
-        &rows,
-    ));
+    out.table(&["parameter", "paper", "this implementation"], &rows);
     let _ = writeln!(out);
     let _ = writeln!(
         out,
@@ -62,7 +59,7 @@ pub fn run() -> String {
 mod tests {
     #[test]
     fn report_contains_paper_values() {
-        let s = super::run();
+        let s = super::run().markdown;
         assert!(s.contains("128KB/8KB/8KB"));
         assert!(s.contains("64 GOP/s"));
         assert!(s.contains("8 MB"));

@@ -1,6 +1,7 @@
 //! Table III: area breakdown by component and by module.
 
-use crate::{fmt_f, markdown_table};
+use crate::fmt_f;
+use crate::report::Report;
 use sparsenn_core::energy::area::area_report;
 use sparsenn_core::sim::MachineConfig;
 use std::fmt::Write as _;
@@ -15,7 +16,7 @@ const PAPER_PE_MM2: f64 = 1.216_457;
 const PAPER_ROUTING_MM2: f64 = 0.590_062;
 
 /// Renders the measured area breakdown next to the paper's.
-pub fn run() -> String {
+pub fn run() -> Report {
     let r = area_report(&MachineConfig::default());
     let row = |name: &str, paper: f64, ours: f64| {
         vec![
@@ -38,12 +39,9 @@ pub fn run() -> String {
         row("Processing element (each)", PAPER_PE_MM2, r.pe_mm2),
         row("Routing logics", PAPER_ROUTING_MM2, r.routing_mm2),
     ];
-    let mut out = String::new();
+    let mut out = Report::default();
     let _ = writeln!(out, "## Table III — area breakdown (mm²)\n");
-    out.push_str(&markdown_table(
-        &["module", "paper", "measured", "delta"],
-        &rows,
-    ));
+    out.table(&["module", "paper", "measured", "delta"], &rows);
     let _ = writeln!(out);
     let _ = writeln!(
         out,
@@ -59,7 +57,7 @@ pub fn run() -> String {
 mod tests {
     #[test]
     fn measured_area_is_close_to_paper() {
-        let s = super::run();
+        let s = super::run().markdown;
         assert!(s.contains("Macro (Memory)"));
         // The headline claims must hold in the rendered report.
         assert!(s.contains("paper's headline claims hold"));

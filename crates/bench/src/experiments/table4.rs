@@ -1,7 +1,8 @@
 //! Table IV: comparison with the existing SIMD platforms, plus the paper's
 //! technology-normalized energy-efficiency argument.
 
-use crate::{fmt_f, markdown_table};
+use crate::fmt_f;
+use crate::report::Report;
 use sparsenn_core::datasets::DatasetKind;
 use sparsenn_core::energy::area::area_report;
 use sparsenn_core::energy::scaling::normalize_energy_to_sparsenn;
@@ -16,7 +17,7 @@ use std::fmt::Write as _;
 /// Renders Table IV. Reuses the Fig. 7 training pipeline to obtain the
 /// measured SparseNN power and the BG-RAND first-hidden-layer energy the
 /// paper's 4× argument is based on.
-pub fn run(p: Profile) -> String {
+pub fn run(p: Profile) -> Report {
     let cfg = MachineConfig::default();
     let area = area_report(&cfg);
 
@@ -71,12 +72,12 @@ pub fn run(p: Profile) -> String {
         format!("{:.0} mm2", area.total_mm2),
     );
 
-    let mut out = String::new();
+    let mut out = Report::default();
     let _ = writeln!(
         out,
         "## Table IV — comparison with SIMD platforms (profile: {p})\n"
     );
-    out.push_str(&markdown_table(
+    out.table(
         &[
             "platform",
             "technology",
@@ -86,7 +87,7 @@ pub fn run(p: Profile) -> String {
             "area",
         ],
         &rows,
-    ));
+    );
     let _ = writeln!(out);
     let _ = writeln!(
         out,
@@ -162,7 +163,7 @@ pub fn run(p: Profile) -> String {
             ]),
         }
     }
-    out.push_str(&markdown_table(
+    out.table(
         &[
             "backend",
             "modelled cycles",
@@ -172,7 +173,7 @@ pub fn run(p: Profile) -> String {
             "class",
         ],
         &backend_rows,
-    ));
+    );
     let _ = writeln!(
         out,
         "\nOutputs are bit-exact across all four rows (asserted by the engine tests); \

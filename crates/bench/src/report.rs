@@ -1,4 +1,10 @@
-//! Machine-readable benchmark results.
+//! Experiment reports and machine-readable benchmark results.
+//!
+//! Every experiment returns a [`Report`]: its markdown, its named
+//! metrics, and the oracles it declares. Each bench bin ends in
+//! [`finish`], which prints the markdown and exits non-zero when a
+//! declared oracle is false or was never recorded, so CI gates on the
+//! bins' exit status rather than on the wording of their reports.
 //!
 //! `run_all` writes a `BENCH_results.json` next to its markdown output so
 //! the perf trajectory (wall time per experiment, profile, parallelism,
@@ -61,7 +67,9 @@
 //! amortization per batch size, the modelled-vs-measured cross-check,
 //! the simulator hot-loop speedup, and the `kernel.bit_exact` /
 //! `kernel.sim_hotloop_bit_identical` oracle flags — plus `profile.*`
-//! wall-time phases from the `WallProfiler`.
+//! wall-time phases from the `WallProfiler`. Schema 10 later gained the
+//! `kernel.speedup_ok` / `kernel.engine_overhead_ok` flags for the
+//! kernel's two numeric gates; no metric was renamed or dropped.
 //! The `bench_diff` bin
 //! compares two such files (any schema — metrics diff generically by
 //! name, and metrics present only in the old file get explicit
@@ -74,7 +82,94 @@
 
 use sparsenn_obs::Span;
 use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
+
+/// One experiment's output: its markdown report, its named metrics for
+/// `BENCH_results.json`, and the names of the oracles it declares.
+///
+/// An oracle is a claim the experiment checks on every run, recorded as
+/// a 0/1 metric. `Report::oracle` writes the verdict line and the
+/// metric in one call, so the prose and the metric cannot drift apart.
+#[derive(Clone, Debug, Default)]
+pub struct Report {
+    /// The rendered markdown report.
+    pub markdown: String,
+    /// Flat `(name, value)` metrics for the machine-readable results.
+    pub metrics: Vec<(String, f64)>,
+    oracles: &'static [&'static str],
+}
+
+impl Report {
+    /// An empty report for an experiment that declares `oracles`, each
+    /// named by its metric.
+    pub(crate) fn new(oracles: &'static [&'static str]) -> Self {
+        Self {
+            oracles,
+            ..Self::default()
+        }
+    }
+
+    /// Records a named metric.
+    pub(crate) fn metric(&mut self, name: impl Into<String>, value: f64) {
+        self.metrics.push((name.into(), value));
+    }
+
+    /// Appends a markdown table (see [`markdown_table`](crate::markdown_table)).
+    pub(crate) fn table(&mut self, header: &[&str], rows: &[Vec<String>]) {
+        self.markdown.push_str(&crate::markdown_table(header, rows));
+    }
+
+    /// Records oracle `name` as a 1 (holds) or 0 (fails) metric and
+    /// writes its verdict line, `- {claim}: yes` or `- {claim}: NO`.
+    pub(crate) fn oracle(&mut self, name: &str, ok: bool, claim: impl std::fmt::Display) {
+        let verdict = if ok { "yes" } else { "NO" };
+        let _ = writeln!(self.markdown, "- {claim}: {verdict}");
+        self.metric(name, f64::from(u8::from(ok)));
+    }
+
+    /// One message per declared oracle that failed or was never
+    /// recorded; empty when every oracle holds.
+    pub(crate) fn failures(&self) -> Vec<String> {
+        self.oracles
+            .iter()
+            .filter_map(|&name| match self.metrics.iter().find(|(n, _)| n == name) {
+                Some(&(_, 1.0)) => None,
+                Some(_) => Some(format!("oracle `{name}` failed")),
+                None => Some(format!("oracle `{name}` was never recorded")),
+            })
+            .collect()
+    }
+}
+
+impl std::fmt::Write for Report {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.markdown.push_str(s);
+        Ok(())
+    }
+}
+
+impl AsRef<str> for Report {
+    fn as_ref(&self) -> &str {
+        &self.markdown
+    }
+}
+
+/// Prints `report`'s markdown and returns the bin's exit status: failure
+/// when a declared oracle is false or was never recorded, each named on
+/// stderr.
+pub fn finish(report: Report) -> ExitCode {
+    println!("{}", report.markdown);
+    let failures = report.failures();
+    for failure in &failures {
+        eprintln!("{failure}");
+    }
+    if failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
 
 /// Timing record for one experiment.
 #[derive(Clone, Debug, PartialEq)]
@@ -113,15 +208,15 @@ impl BenchResults {
         self.metrics.push((name.into(), value));
     }
 
-    /// Runs one experiment, printing its markdown report and recording its
-    /// wall time. Returns the report so callers can post-process it.
-    pub fn run(&mut self, name: &str, experiment: impl FnOnce() -> String) -> String {
+    /// Runs one experiment, recording its wall time and the size of its
+    /// markdown report. Returns the report so callers can post-process it.
+    pub fn run<R: AsRef<str>>(&mut self, name: &str, experiment: impl FnOnce() -> R) -> R {
         let t = Instant::now();
         let report = experiment();
         self.experiments.push(ExperimentResult {
             name: name.to_string(),
             seconds: t.elapsed().as_secs_f64(),
-            report_chars: report.chars().count(),
+            report_chars: report.as_ref().chars().count(),
         });
         report
     }
@@ -487,11 +582,21 @@ pub mod json {
         fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
+    /// Deepest array/object nesting [`parse`] accepts. The documents this
+    /// workspace writes nest at most four levels; the bound keeps the
+    /// recursive reader from overflowing the stack on hostile input.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Parses a complete JSON document.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first syntax error, or of nesting deeper
+    /// than [`MAX_DEPTH`].
     pub fn parse(src: &str) -> Result<JsonValue, String> {
         let bytes = src.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -515,11 +620,14 @@ pub mod json {
         }
     }
 
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+    fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
         skip_ws(b, pos);
         match b.get(*pos) {
-            Some(b'{') => parse_object(b, pos),
-            Some(b'[') => parse_array(b, pos),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+            }
+            Some(b'{') => parse_object(b, pos, depth + 1),
+            Some(b'[') => parse_array(b, pos, depth + 1),
             Some(b'"') => Ok(JsonValue::Str(parse_string(b, pos)?)),
             Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
             Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -602,7 +710,7 @@ pub mod json {
         }
     }
 
-    fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+    fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
         expect(b, pos, b'[')?;
         let mut items = Vec::new();
         skip_ws(b, pos);
@@ -611,7 +719,7 @@ pub mod json {
             return Ok(JsonValue::Arr(items));
         }
         loop {
-            items.push(parse_value(b, pos)?);
+            items.push(parse_value(b, pos, depth)?);
             skip_ws(b, pos);
             match b.get(*pos) {
                 Some(b',') => *pos += 1,
@@ -624,7 +732,7 @@ pub mod json {
         }
     }
 
-    fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+    fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
         expect(b, pos, b'{')?;
         let mut fields = Vec::new();
         skip_ws(b, pos);
@@ -636,7 +744,7 @@ pub mod json {
             skip_ws(b, pos);
             let key = parse_string(b, pos)?;
             expect(b, pos, b':')?;
-            fields.push((key, parse_value(b, pos)?));
+            fields.push((key, parse_value(b, pos, depth)?));
             skip_ws(b, pos);
             match b.get(*pos) {
                 Some(b',') => *pos += 1,
@@ -1093,5 +1201,59 @@ mod tests {
             report_chars: 0,
         });
         assert!((r.total_seconds() - 2.0).abs() < 1e-12);
+    }
+
+    const ORACLES: &[&str] = &["demo.first", "demo.second"];
+
+    #[test]
+    fn a_false_oracle_fails_the_exit_status() {
+        let mut r = Report::new(ORACLES);
+        r.oracle("demo.first", true, "first claim");
+        r.oracle("demo.second", false, "second claim");
+        assert!(r.markdown.contains("- first claim: yes\n"));
+        assert!(r.markdown.contains("- second claim: NO\n"));
+        assert_eq!(r.failures(), ["oracle `demo.second` failed"]);
+        assert_eq!(finish(r), ExitCode::FAILURE);
+    }
+
+    #[test]
+    fn a_declared_oracle_never_recorded_fails_the_exit_status() {
+        let mut r = Report::new(ORACLES);
+        r.oracle("demo.first", true, "first claim");
+        assert_eq!(r.failures(), ["oracle `demo.second` was never recorded"]);
+        assert_eq!(finish(r), ExitCode::FAILURE);
+    }
+
+    #[test]
+    fn an_all_true_report_succeeds() {
+        let mut r = Report::new(ORACLES);
+        r.oracle("demo.first", true, "first claim");
+        r.oracle("demo.second", true, "second claim");
+        r.metric("demo.latency_us", 12.5);
+        assert!(r.failures().is_empty());
+        assert_eq!(finish(r), ExitCode::SUCCESS);
+        assert_eq!(finish(Report::default()), ExitCode::SUCCESS, "no oracles");
+    }
+
+    #[test]
+    fn oracle_records_the_metric_the_json_carries() {
+        let mut r = Report::new(ORACLES);
+        r.oracle("demo.first", true, "first claim");
+        r.oracle("demo.second", false, "second claim");
+        let mut results = BenchResults::new("fast");
+        let r = results.run("demo", || r);
+        results.metrics.extend(r.metrics.iter().cloned());
+        assert_eq!(
+            results.experiments[0].report_chars,
+            r.markdown.chars().count()
+        );
+        let snap = BenchSnapshot::parse(&results.to_json()).unwrap();
+        assert_eq!(
+            snap.metrics,
+            [
+                ("demo.first".to_string(), 1.0),
+                ("demo.second".to_string(), 0.0)
+            ]
+        );
     }
 }

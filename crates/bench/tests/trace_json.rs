@@ -2,11 +2,15 @@
 //! valid JSON (re-read with the workspace's own reader), structurally a
 //! Perfetto trace-event document, byte-identical for a fixed seed, and
 //! its span lists satisfy the nesting invariants under randomized
-//! workloads (property-tested).
+//! workloads (property-tested). The readers of outside bytes — the JSON
+//! reader, `BenchSnapshot::parse` and `parse_chrome_trace` — are total:
+//! random, truncated, corrupted or absurdly nested input is an `Err`,
+//! never a panic or a stack overflow.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use sparsenn_bench::report::json::{lookup, parse, JsonValue};
+use sparsenn_bench::report::json::{lookup, parse, JsonValue, MAX_DEPTH};
+use sparsenn_bench::report::{parse_chrome_trace, BenchResults, BenchSnapshot, ExperimentResult};
 use sparsenn_core::engine::{BatchPolicy, FirstIdle, LeastQueued};
 use sparsenn_frontend::{
     simulate_frontend_traced, BoundedQueues, DegradeBatching, FrontendConfig, HedgeConfig,
@@ -189,5 +193,75 @@ proptest! {
         if let Some(err) = check_nesting(&spans) {
             return Err(TestCaseError::fail(format!("serve nesting violated: {err}")));
         }
+    }
+}
+
+#[test]
+fn deep_nesting_is_an_error_not_a_stack_overflow() {
+    let depth = 100_000;
+    for doc in [
+        "[".repeat(depth),
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth)),
+        format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth)),
+    ] {
+        assert!(parse(&doc).is_err());
+        assert!(BenchSnapshot::parse(&doc).is_err());
+        assert!(parse_chrome_trace(&doc).is_err());
+    }
+    let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+    assert!(parse(&nested(MAX_DEPTH)).is_ok());
+    assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+}
+
+/// A `BENCH_results.json` document and a Chrome-trace export: the
+/// well-formed inputs the totality property truncates and corrupts.
+fn documents() -> [String; 2] {
+    let mut results = BenchResults::new("fast");
+    for (name, seconds) in [("table2", 0.002), ("kernel", 1.5)] {
+        results.experiments.push(ExperimentResult {
+            name: name.into(),
+            seconds,
+            report_chars: 100,
+        });
+    }
+    results.add_metric("kernel.bit_exact", 1.0);
+    results.add_metric("serve.hetero.p95_us.first-idle@75pct", 12.5);
+    let spans = frontend_spans(5, 1.2);
+    [
+        results.to_json(),
+        chrome_trace(&spans[..60.min(spans.len())]),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random bytes, and truncated or byte-flipped copies of real
+    /// documents, come back `Ok` or `Err` from every parser — no panic.
+    #[test]
+    fn parsers_are_total_on_corrupted_input(
+        doc in 0usize..3,
+        cut in 0usize..1_000_000,
+        flips in prop::collection::vec((0usize..1_000_000, any::<u8>()), 0..4),
+        noise in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let bytes = match documents().into_iter().nth(doc) {
+            Some(text) => {
+                let mut bytes = text.into_bytes();
+                bytes.truncate(cut % (bytes.len() + 1));
+                for (at, mask) in flips {
+                    if !bytes.is_empty() {
+                        let i = at % bytes.len();
+                        bytes[i] ^= mask;
+                    }
+                }
+                bytes
+            }
+            None => noise,
+        };
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = parse(&text);
+        let _ = BenchSnapshot::parse(&text);
+        let _ = parse_chrome_trace(&text);
     }
 }

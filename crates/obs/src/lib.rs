@@ -62,4 +62,4 @@ pub use series::{WindowBucket, WindowSeries};
 pub use sink::{NullSink, RingRecorder, SpanBuffer, Tee, TraceSink};
 pub use slo::{AlertKind, BurnAlert, BurnConfig, BurnRateMonitor};
 pub use span::{track, AttrKey, AttrValue, Attrs, Span, SpanKind, MAX_ATTRS};
-pub use timer::{PhaseStat, WallProfiler};
+pub use timer::{min_wall_us, PhaseStat, WallProfiler};

@@ -27,7 +27,7 @@ use crate::core::{
 use crate::metrics::{LatencyStats, RequestMetric, ShardUsage};
 use crate::workload::Workload;
 use sparsenn_core::engine::{BatchPolicy, Scheduler};
-use sparsenn_obs::{track, AttrKey, NullSink, Span, SpanBuffer, SpanKind, TraceSink};
+use sparsenn_obs::{min_wall_us, track, AttrKey, NullSink, Span, SpanBuffer, SpanKind, TraceSink};
 
 /// One simulated batch-capable shard: a name and its modelled batch
 /// service times.
@@ -93,12 +93,12 @@ impl BatchShardSpec {
         let mut batch_service_us = Vec::with_capacity(max_batch);
         for b in 1..=max_batch {
             let batch: Vec<_> = (0..b).map(|i| inputs[i % inputs.len()].clone()).collect();
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                let t = std::time::Instant::now();
-                backend.run_batch(net, &batch, mode)?;
-                best = best.min(t.elapsed().as_secs_f64() * 1e6);
-            }
+            let mut outcome = Ok(());
+            let [best] = min_wall_us(
+                reps,
+                [&mut || outcome = backend.run_batch(net, &batch, mode).map(drop)],
+            );
+            outcome?;
             batch_service_us.push(best);
         }
         Ok(Self::with_table(name, batch_service_us))

@@ -26,6 +26,7 @@ use crate::core::{rate_per_s, Core, LatencyBook, MetricsMode, Request, ServeErro
 use crate::metrics::{QueueStats, RequestMetric, ServeSummary};
 use crate::workload::Workload;
 use sparsenn_core::engine::Scheduler;
+use sparsenn_obs::min_wall_us;
 
 /// One simulated shard: a name and its modelled per-request service times.
 #[derive(Clone, Debug, PartialEq)]
@@ -84,12 +85,12 @@ impl ShardSpec {
         backend.run(net, first, mode)?; // warm-up (pack, caches)
         let mut service_us = Vec::with_capacity(inputs.len());
         for input in inputs {
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                let t = std::time::Instant::now();
-                backend.run(net, input, mode)?;
-                best = best.min(t.elapsed().as_secs_f64() * 1e6);
-            }
+            let mut outcome = Ok(());
+            let [best] = min_wall_us(
+                reps,
+                [&mut || outcome = backend.run(net, input, mode).map(drop)],
+            );
+            outcome?;
             service_us.push(best);
         }
         Ok(Self::with_table(name, service_us))
