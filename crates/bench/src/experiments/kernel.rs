@@ -10,8 +10,11 @@
 //! 2. **Speedup at paper-level sparsity** — on the study system's real
 //!    test images (input sparsity from the glyphs, output sparsity from
 //!    the trained UV predictor), the prescan strategy beats the dense
-//!    baseline — same packed layout, same accumulator — by ≥ 2×
-//!    measured wall-clock per sample.
+//!    baseline — same packed layout, same i32 lanes — by ≥ 2×
+//!    measured wall-clock per sample. `kernel.dense_gmac_per_s` and
+//!    `kernel.prescan_gmac_per_s` (informational) give each arm's
+//!    achieved MAC rate, so the margin splits into work skipped and MAC
+//!    rate.
 //! 3. **Engine overhead** — a `KernelBackend::run` call costs at most
 //!    1.25× the raw `SparseKernel::run` it wraps, on the same inputs
 //!    (`kernel.engine_overhead`), so no per-call cost that grows with the
@@ -64,27 +67,54 @@ fn reps(p: Profile) -> usize {
     }
 }
 
-/// Per-sample wall time of running `inputs` through `kernel` with the
-/// given strategy, microseconds (min over `r` passes of the whole set).
-fn per_sample_us(
+/// Per-sample wall time, µs, of the dense arm (on `dense`) and the
+/// prescan arm (on `prescan`) over `inputs`: each the minimum over `r`
+/// passes of the whole set, the two arms alternating pass by pass so a
+/// change in the host's speed hits both sides of their ratio alike.
+fn dense_and_prescan_us(
+    dense: &SparseKernel,
+    prescan: &SparseKernel,
+    inputs: &[Vec<Q6_10>],
+    r: usize,
+) -> (f64, f64) {
+    let (mode, n) = (UvMode::On, inputs.len() as f64);
+    let (mut sd, mut sp) = (dense.scratch(), prescan.scratch());
+    // Warm the scratch (first run grows the arenas).
+    let _ = dense.run(&inputs[0], mode, Strategy::Dense, &mut sd);
+    let _ = prescan.run(&inputs[0], mode, Strategy::Prescan, &mut sp);
+    let [d, p] = min_wall_us(
+        r,
+        [
+            &mut || {
+                for x in inputs {
+                    std::hint::black_box(dense.run(x, mode, Strategy::Dense, &mut sd));
+                }
+            },
+            &mut || {
+                for x in inputs {
+                    std::hint::black_box(prescan.run(x, mode, Strategy::Prescan, &mut sp));
+                }
+            },
+        ],
+    );
+    (d / n, p / n)
+}
+
+/// Mean multiply-accumulates per sample (the kernel's `LayerStats` books)
+/// of running `inputs` with the given strategy.
+fn macs_per_sample(
     kernel: &SparseKernel,
     inputs: &[Vec<Q6_10>],
     mode: UvMode,
     strategy: Strategy,
-    r: usize,
 ) -> f64 {
     let mut s = kernel.scratch();
-    // Warm the scratch (first run grows the arenas).
-    let _ = kernel.run(&inputs[0], mode, strategy, &mut s);
-    let [us] = min_wall_us(
-        r,
-        [&mut || {
-            for x in inputs {
-                std::hint::black_box(kernel.run(x, mode, strategy, &mut s));
-            }
-        }],
-    );
-    us / inputs.len() as f64
+    let macs: u64 = inputs
+        .iter()
+        .flat_map(|x| kernel.run(x, mode, strategy, &mut s).layers)
+        .map(|l| l.stats.macs)
+        .sum();
+    macs as f64 / inputs.len() as f64
 }
 
 /// Runs the kernel study, training its own
@@ -122,54 +152,70 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> Report {
     );
     let _ = writeln!(out);
 
-    // — Dense vs prescan on the study system, across block sizes —
+    // — Dense vs prescan on the study system, across block sizes, each
+    //   block's prescan arm timed alternately with the dense arm —
     let kernel_def = prof.time("kernel.pack", || SparseKernel::pack(net, DEFAULT_BLOCK));
-    let dense_us = prof.time("kernel.dense", || {
-        per_sample_us(&kernel_def, &inputs, UvMode::On, Strategy::Dense, r)
-    });
-    out.metric("kernel.dense_us", dense_us);
-    let mut rows = Vec::new();
-    let mut best = (0usize, f64::INFINITY);
+    let mut pairs = Vec::new();
     for block in [8usize, 16, 32] {
         let k = if block == DEFAULT_BLOCK {
             kernel_def.clone()
         } else {
             prof.time("kernel.pack", || SparseKernel::pack(net, block))
         };
-        let pre_us = prof.time("kernel.prescan", || {
-            per_sample_us(&k, &inputs, UvMode::On, Strategy::Prescan, r)
+        let (d, pre) = prof.time("kernel.prescan", || {
+            dense_and_prescan_us(&kernel_def, &k, &inputs, r)
         });
-        if pre_us < best.1 {
-            best = (block, pre_us);
-        }
+        pairs.push((block, d, pre, d / pre.max(1e-12)));
+    }
+    let dense_us = pairs.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
+    out.metric("kernel.dense_us", dense_us);
+    let mut rows = Vec::new();
+    for &(block, d, pre, speedup) in &pairs {
         rows.push(vec![
             block.to_string(),
-            fmt_f(pre_us, 2),
-            fmt_f(dense_us / pre_us.max(1e-12), 2),
+            fmt_f(d, 2),
+            fmt_f(pre, 2),
+            fmt_f(speedup, 2),
         ]);
-        out.metric(format!("kernel.prescan_us.bs{block}"), pre_us);
-        out.metric(
-            format!("kernel.speedup.bs{block}"),
-            dense_us / pre_us.max(1e-12),
-        );
+        out.metric(format!("kernel.prescan_us.bs{block}"), pre);
+        out.metric(format!("kernel.speedup.bs{block}"), speedup);
     }
-    let default_speedup = dense_us
-        / out
-            .metrics
-            .iter()
-            .find(|(n, _)| n == &format!("kernel.prescan_us.bs{DEFAULT_BLOCK}"))
-            .map(|(_, v)| *v)
-            .unwrap_or(f64::INFINITY)
-            .max(1e-12);
-    let best_speedup = dense_us / best.1.max(1e-12);
+    let best = pairs
+        .iter()
+        .copied()
+        .max_by(|a, b| a.3.total_cmp(&b.3))
+        .expect("three block sizes");
+    let (_, default_dense_us, default_pre_us, default_speedup) = pairs
+        .iter()
+        .copied()
+        .find(|p| p.0 == DEFAULT_BLOCK)
+        .expect("the default block is measured");
+    let best_speedup = best.3;
+    // Achieved MAC rate of each arm at the default block: whether the
+    // speedup comes from work skipped or from a faster MAC.
+    let rate = |strategy, us: f64| {
+        macs_per_sample(&kernel_def, &inputs, UvMode::On, strategy) / us.max(1e-12) / 1e3
+    };
+    let dense_gmac = rate(Strategy::Dense, default_dense_us);
+    let prescan_gmac = rate(Strategy::Prescan, default_pre_us);
+    out.metric("kernel.dense_gmac_per_s", dense_gmac);
+    out.metric("kernel.prescan_gmac_per_s", prescan_gmac);
     let _ = writeln!(
         out,
         "### Dense vs prescan on the study system (real test images, uv_on)\n\n\
-         dense baseline (same packed layout, same accumulator): {} µs/sample\n",
+         dense baseline (same packed layout, same lanes): {} µs/sample; \
+         achieved {} GMAC/s dense, {} GMAC/s prescan at block {DEFAULT_BLOCK}\n",
         fmt_f(dense_us, 2),
+        fmt_f(dense_gmac, 2),
+        fmt_f(prescan_gmac, 2),
     );
     out.table(
-        &["block size", "prescan (µs/sample)", "speedup vs dense"],
+        &[
+            "block size",
+            "dense (µs/sample)",
+            "prescan (µs/sample)",
+            "speedup vs dense",
+        ],
         &rows,
     );
     // The oracle gates on the best measured block: block size is a tuning
@@ -214,11 +260,8 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> Report {
                 net.quantize_input(&x)
             })
             .collect();
-        let d = prof.time("kernel.dense", || {
-            per_sample_us(&kernel_def, &synth, UvMode::On, Strategy::Dense, r)
-        });
-        let pre = prof.time("kernel.prescan", || {
-            per_sample_us(&kernel_def, &synth, UvMode::On, Strategy::Prescan, r)
+        let (d, pre) = prof.time("kernel.prescan", || {
+            dense_and_prescan_us(&kernel_def, &kernel_def, &synth, r)
         });
         rows.push(vec![
             format!("{sparsity}%"),

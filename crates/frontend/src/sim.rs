@@ -35,6 +35,8 @@ use sparsenn_serve::{
     rate_per_s, Core, FleetEvent, ServeError, ShardSpec, StreamingLatency, Workload,
     DEADLINE_SLACK_US,
 };
+use std::collections::VecDeque;
+use std::ops::{Index, IndexMut};
 
 /// The trace-friendly class label.
 fn class_name(class: Priority) -> &'static str {
@@ -304,8 +306,8 @@ impl Health {
     }
 }
 
-/// One entry per simulated request, kept for the whole run: its size is
-/// the simulator's memory per request, so derivable flags stay out.
+/// One entry per request in flight: its size is the simulator's memory
+/// per request, so derivable flags stay out.
 struct RequestState {
     class: Priority,
     arrival_us: f64,
@@ -322,6 +324,58 @@ struct RequestState {
     /// Hedges issued so far; nonzero marks a hedged request.
     hedges_used: usize,
     done: bool,
+}
+
+/// Per-request state for the requests in flight, indexed by request id:
+/// the ids from the oldest unresolved request on. Resolved requests
+/// retire from the front, so memory follows the requests in flight, not
+/// the run's length. A retired id reads as done; only a hedge timer can
+/// still name one.
+#[derive(Default)]
+struct Window {
+    /// Id of `live[0]`.
+    base: usize,
+    live: VecDeque<RequestState>,
+    /// Most requests held at once.
+    peak: usize,
+}
+
+impl Window {
+    /// The id the next arrival gets.
+    fn next_id(&self) -> usize {
+        self.base + self.live.len()
+    }
+
+    fn push(&mut self, r: RequestState) {
+        self.live.push_back(r);
+        self.peak = self.peak.max(self.live.len());
+    }
+
+    /// Whether `request` is resolved, retired or not.
+    fn done(&self, request: usize) -> bool {
+        request < self.base || self.live[request - self.base].done
+    }
+
+    /// Drops the resolved requests at the front.
+    fn retire(&mut self) {
+        while self.live.front().is_some_and(|r| r.done) {
+            self.live.pop_front();
+            self.base += 1;
+        }
+    }
+}
+
+impl Index<usize> for Window {
+    type Output = RequestState;
+    fn index(&self, request: usize) -> &RequestState {
+        &self.live[request - self.base]
+    }
+}
+
+impl IndexMut<usize> for Window {
+    fn index_mut(&mut self, request: usize) -> &mut RequestState {
+        &mut self.live[request - self.base]
+    }
 }
 
 /// Service time of `request`'s attempt on a shard, µs: the shard's
@@ -343,7 +397,7 @@ struct Engine<'a> {
     sink: &'a dyn TraceSink,
     core: Core<Attempt, FleetEvent>,
     health: Vec<Health>,
-    requests: Vec<RequestState>,
+    requests: Window,
     /// Degraded requests held for the next batch flush (request ids, in
     /// arrival order — index 0 is the oldest, whose wait arms deadlines).
     degrade_buffer: Vec<usize>,
@@ -627,6 +681,7 @@ impl<'a> Engine<'a> {
     /// makespan and keep a closed-loop client issuing.
     fn resolve(&mut self, now: f64) {
         self.resolved += 1;
+        self.requests.retire();
         self.core.makespan_us = self.core.makespan_us.max(now);
         self.core.reissue(now, 1);
     }
@@ -689,7 +744,7 @@ impl<'a> Engine<'a> {
         self.core.shards[shard].queued_work_us = 0.0;
         for att in lost {
             let request = att.request;
-            if self.requests[request].done {
+            if self.requests.done(request) {
                 continue;
             }
             self.requests[request].live_attempts -= 1;
@@ -770,7 +825,7 @@ impl<'a> Engine<'a> {
         } else {
             Priority::High
         };
-        debug_assert_eq!(request, self.requests.len(), "ids count arrivals");
+        debug_assert_eq!(request, self.requests.next_id(), "ids count arrivals");
         self.requests.push(RequestState {
             class,
             arrival_us: now,
@@ -893,8 +948,11 @@ impl<'a> Engine<'a> {
     }
 
     fn on_hedge(&mut self, request: usize, now: f64) {
+        if self.requests.done(request) {
+            return;
+        }
         let r = &mut self.requests[request];
-        if r.done || r.buffered || r.hedges_used >= self.cfg.hedge.max_hedges {
+        if r.buffered || r.hedges_used >= self.cfg.hedge.max_hedges {
             return;
         }
         r.hedges_used += 1;
@@ -948,6 +1006,18 @@ pub fn simulate_frontend_traced(
     cfg: &FrontendConfig,
     sink: &dyn TraceSink,
 ) -> Result<FrontendSummary, FrontendError> {
+    run(fleet, scheduler, admission, cfg, sink).map(|(summary, _)| summary)
+}
+
+/// The run behind [`simulate_frontend_traced`], also returning the most
+/// requests its per-request window held at once.
+fn run(
+    fleet: &[ShardSpec],
+    scheduler: &dyn Scheduler,
+    admission: &dyn AdmissionGate,
+    cfg: &FrontendConfig,
+    sink: &dyn TraceSink,
+) -> Result<(FrontendSummary, usize), FrontendError> {
     let tables = fleet.iter().map(|s| s.service_us.as_slice());
     let core = Core::new(tables, "service time", &cfg.workload, FleetEvent::Arrival)?;
     cfg.hedge.validate().map_err(FrontendError::BadConfig)?;
@@ -1015,7 +1085,7 @@ pub fn simulate_frontend_traced(
                 slow_factor: 1.0,
             })
             .collect(),
-        requests: Vec::with_capacity(total_requests),
+        requests: Window::default(),
         degrade_buffer: Vec::new(),
         waiting: [0, 0],
         next_attempt: 0,
@@ -1135,7 +1205,7 @@ pub fn simulate_frontend_traced(
             .total_cmp(&y.alert.at_us)
             .then(x.class.index().cmp(&y.class.index()))
     });
-    Ok(FrontendSummary {
+    let summary = FrontendSummary {
         scheduler: scheduler.name().to_string(),
         admission: admission.name().to_string(),
         workload: cfg.workload.to_string(),
@@ -1174,7 +1244,8 @@ pub fn simulate_frontend_traced(
         peak_active_shards: engine.peak_active,
         final_active_shards,
         burn_alerts,
-    })
+    };
+    Ok((summary, engine.requests.peak))
 }
 
 #[cfg(test)]
@@ -1392,6 +1463,33 @@ mod tests {
             b.class(Priority::High).latency.p99_us,
             a.class(Priority::High).latency.p99_us
         );
+    }
+
+    #[test]
+    fn request_window_stays_at_the_requests_in_flight() {
+        // 100 000 requests at 2× a 4-shard fleet's capacity, with hedging,
+        // a straggler window and a degrade tier: the per-request window
+        // must follow what is in flight, not the run's length.
+        let w = Workload::Poisson {
+            rate_rps: 800_000.0,
+            requests: 100_000,
+            seed: 5,
+        };
+        let cfg = FrontendConfig::new(w, slo())
+            .faults(FaultPlan::new(vec![Fault::Slowdown {
+                shard: 1,
+                at_us: 10_000.0,
+                for_us: 40_000.0,
+                factor: 8.0,
+            }]))
+            .hedge(HedgeConfig::hedged(30.0));
+        let gate = BoundedQueues::new(16, 4).degrade_low_beyond(2);
+        let (s, peak) = run(&fleet(4, 10.0), &LeastQueued, &gate, &cfg, &NullSink).unwrap();
+        assert_eq!(s.requests, 100_000);
+        assert!(s.hedges_issued > 0 && s.shed_rate > 0.2, "{s:?}");
+        // About 200 here: the queues' bound plus the resolved requests
+        // waiting behind the oldest unresolved one.
+        assert!(peak <= 1_000, "window peaked at {peak} requests");
     }
 
     #[test]

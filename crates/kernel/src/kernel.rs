@@ -1,7 +1,7 @@
-//! The two-stage kernel: prescan → block-skip compute, over a whole
+//! The two-stage kernel: prescan → broadcast lane pass, over a whole
 //! quantized network.
 
-use crate::packed::{PackedLayer, PackedPredictor};
+use crate::packed::{Lanes, PackedLayer, PackedPredictor, TILE_ROWS};
 use crate::prescan::BlockIndex;
 use sparsenn_model::fixedpoint::{FixedNetwork, UvMode};
 use sparsenn_numeric::{argmax, Q6_10};
@@ -16,9 +16,9 @@ pub enum Strategy {
     /// only live blocks and predictor-active rows.
     #[default]
     Prescan,
-    /// Straight dense GEMV over every column and row (predictor verdicts
-    /// still computed; bypassed rows zeroed after the fact), on the same
-    /// packed layout with the same accumulator.
+    /// The same broadcast pass over every column block and every row
+    /// (predictor verdicts still computed; bypassed rows zeroed after the
+    /// fact), on the same packed layout with the same lanes.
     Dense,
 }
 
@@ -103,72 +103,71 @@ impl KernelBatchRun {
     }
 }
 
-/// Preallocated working memory for [`SparseKernel`] runs: padded ping-pong
-/// activation buffers, the prescan index, predictor intermediates — and,
-/// for batches, one set per sample. Build once with
-/// [`SparseKernel::scratch`]; every subsequent run allocates only its
-/// output vectors.
+/// One sample's working memory: padded ping-pong activation buffers, its
+/// prescan index, predictor intermediates and the current layer's stats.
 #[derive(Clone, Debug, Default)]
-pub struct Scratch {
+struct Sample {
     act: Vec<Q6_10>,
     next: Vec<Q6_10>,
     index: BlockIndex,
-    v_result: Vec<Q6_10>,
+    v: Vec<Q6_10>,
     mask: Vec<bool>,
-    // Per-sample arenas for batched runs (grown on demand, then reused).
-    b_act: Vec<Vec<Q6_10>>,
-    b_next: Vec<Vec<Q6_10>>,
-    b_index: Vec<BlockIndex>,
-    b_mask: Vec<Vec<bool>>,
+    /// Predictor-active rows, ascending.
+    active: Vec<u32>,
+    stats: LayerStats,
+}
+
+/// Preallocated working memory for [`SparseKernel`] runs: one set of
+/// per-sample buffers per batch slot, plus the lanes every pass
+/// accumulates in. Build once with [`SparseKernel::scratch`]; every
+/// subsequent run allocates only its output vectors.
+#[derive(Clone, Debug, Default)]
+pub struct Scratch {
+    samples: Vec<Sample>,
+    lanes: Lanes,
     union_words: Vec<u64>,
 }
 
 impl Scratch {
-    fn ensure(&mut self, k: &SparseKernel) {
-        if self.act.len() < k.buf_len {
-            self.act.resize(k.buf_len, Q6_10::ZERO);
-            self.next.resize(k.buf_len, Q6_10::ZERO);
+    fn ensure(&mut self, k: &SparseKernel, b: usize) {
+        if self.samples.len() < b {
+            self.samples.resize_with(b, Sample::default);
         }
-        if self.v_result.len() < k.max_rank {
-            self.v_result.resize(k.max_rank, Q6_10::ZERO);
+        for smp in &mut self.samples[..b] {
+            grow(&mut smp.act, k.buf_len, Q6_10::ZERO);
+            grow(&mut smp.next, k.buf_len, Q6_10::ZERO);
+            grow(&mut smp.v, k.max_rank, Q6_10::ZERO);
+            grow(&mut smp.mask, k.max_rows, false);
+            smp.active.clear();
+            smp.active.reserve(k.max_rows);
         }
-        if self.mask.len() < k.max_rows {
-            self.mask.resize(k.max_rows, false);
-        }
+        // One row tile of lanes for the broadcast pass, one lane per row
+        // for U's axpys.
+        self.lanes.ensure(
+            (TILE_ROWS * k.block).max(k.max_rows),
+            TILE_ROWS.max(k.max_rows),
+        );
+        grow(&mut self.union_words, k.max_words, 0);
     }
+}
 
-    fn ensure_batch(&mut self, k: &SparseKernel, b: usize) {
-        self.ensure(k);
-        while self.b_act.len() < b {
-            self.b_act.push(vec![Q6_10::ZERO; k.buf_len]);
-            self.b_next.push(vec![Q6_10::ZERO; k.buf_len]);
-            self.b_index.push(BlockIndex::new());
-            self.b_mask.push(vec![false; k.max_rows]);
-        }
-        for buf in self.b_act.iter_mut().chain(self.b_next.iter_mut()) {
-            if buf.len() < k.buf_len {
-                buf.resize(k.buf_len, Q6_10::ZERO);
-            }
-        }
-        for m in &mut self.b_mask {
-            if m.len() < k.max_rows {
-                m.resize(k.max_rows, false);
-            }
-        }
-        if self.union_words.len() < k.max_words {
-            self.union_words.resize(k.max_words, 0);
-        }
+fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
+    if v.len() < len {
+        v.resize(len, fill);
     }
 }
 
 /// A quantized network repacked for the two-stage kernel: one
-/// [`PackedLayer`] per weight layer, one [`PackedPredictor`] per predicted
+/// column-block-major W per weight layer, one V/U pair per predicted
 /// hidden layer. Packing happens once here; runs only read.
 #[derive(Clone, Debug)]
 pub struct SparseKernel {
     block: usize,
     layers: Vec<PackedLayer>,
     preds: Vec<Option<PackedPredictor>>,
+    /// `0, 1, 2, …` as far as the widest layer: the row list of a pass
+    /// over every row and the block list of a pass over every block.
+    ids: Vec<u32>,
     buf_len: usize,
     max_rank: usize,
     max_rows: usize,
@@ -198,31 +197,31 @@ impl SparseKernel {
                     .map(|p| PackedPredictor::pack(p, block))
             })
             .collect();
-        let max_padded = layers.iter().map(PackedLayer::padded).max().unwrap_or(0);
-        let max_rows = layers.iter().map(PackedLayer::rows).max().unwrap_or(0);
+        let max_of = |f: fn(&PackedLayer) -> usize| layers.iter().map(f).max().unwrap_or(0);
+        let (max_padded, max_rows, max_blocks) = (
+            max_of(PackedLayer::padded),
+            max_of(PackedLayer::rows),
+            max_of(PackedLayer::blocks),
+        );
         let max_rank = preds
             .iter()
             .flatten()
             .map(PackedPredictor::rank)
             .max()
             .unwrap_or(0);
-        let max_words = layers
-            .iter()
-            .map(|l| l.blocks().div_ceil(64))
-            .max()
-            .unwrap_or(0);
         Self {
             block,
             layers,
             preds,
+            ids: (0..max_rows.max(max_rank).max(max_blocks) as u32).collect(),
             buf_len: max_padded.max(max_rows),
             max_rank,
             max_rows,
-            max_words,
+            max_words: max_blocks.div_ceil(64),
         }
     }
 
-    /// The column-block size every panel was packed with.
+    /// The column-block size every layer was packed with.
     pub fn block_size(&self) -> usize {
         self.block
     }
@@ -240,7 +239,7 @@ impl SparseKernel {
     /// A scratch arena sized for this kernel.
     pub fn scratch(&self) -> Scratch {
         let mut s = Scratch::default();
-        s.ensure(self);
+        s.ensure(self, 1);
         s
     }
 
@@ -256,150 +255,17 @@ impl SparseKernel {
         strategy: Strategy,
         s: &mut Scratch,
     ) -> KernelRun {
-        assert_eq!(input.len(), self.input_width(), "input width mismatch");
-        s.ensure(self);
-        s.act[..input.len()].copy_from_slice(input);
-        s.act[input.len()..self.layers[0].padded()].fill(Q6_10::ZERO);
-        let mut layers = Vec::with_capacity(self.layers.len());
-        // Split the ping-pong buffers out of the scratch so the layer body
-        // can borrow index/mask/v_result alongside them.
-        let mut act = std::mem::take(&mut s.act);
-        let mut next = std::mem::take(&mut s.next);
-        for l in 0..self.layers.len() {
-            let stats = self.layer_pass(
-                l,
-                mode,
-                strategy,
-                &act,
-                &mut next,
-                &mut s.index,
-                &mut s.mask,
-                &mut s.v_result,
-            );
-            let lay = &self.layers[l];
-            let mask = self
-                .predicted(l, mode)
-                .then(|| s.mask[..lay.rows()].to_vec());
-            layers.push(KernelLayer {
-                output: next[..lay.rows()].to_vec(),
-                mask,
-                stats,
-            });
-            // Zero the padding tail the next layer's prescan will scan.
-            if l + 1 < self.layers.len() {
-                let pad_next = self.layers[l + 1].padded();
-                next[lay.rows()..pad_next].fill(Q6_10::ZERO);
-            }
-            std::mem::swap(&mut act, &mut next);
-        }
-        s.act = act;
-        s.next = next;
-        KernelRun { layers }
+        let mut run = [self.empty_run()];
+        self.forward(std::iter::once(input), mode, strategy, s, &mut run);
+        let [run] = run;
+        run
     }
 
-    /// Whether layer `l` runs the predictor in the given mode.
-    fn predicted(&self, l: usize, mode: UvMode) -> bool {
-        mode == UvMode::On && self.preds[l].is_some()
-    }
-
-    /// One layer pass: prescan + predictor + W stage, activations read
-    /// from `act[..padded]`, outputs written to `next[..rows]` (mask to
-    /// `mask[..rows]` when predicted). Returns what was touched.
-    #[allow(clippy::too_many_arguments)]
-    fn layer_pass(
-        &self,
-        l: usize,
-        mode: UvMode,
-        strategy: Strategy,
-        act: &[Q6_10],
-        next: &mut [Q6_10],
-        index: &mut BlockIndex,
-        mask: &mut [bool],
-        v_result: &mut [Q6_10],
-    ) -> LayerStats {
-        let lay = &self.layers[l];
-        let is_hidden = l + 1 < self.layers.len();
-        let rows = lay.rows();
-        let mut st = LayerStats {
-            rows: rows as u64,
-            cols: lay.cols() as u64,
-            total_blocks: lay.blocks() as u64,
-            ..LayerStats::default()
-        };
-        // Stage 1: prescan (the dense baseline pays a plain nnz count
-        // instead — it reads the input either way).
-        match strategy {
-            Strategy::Prescan => {
-                index.prescan(&act[..lay.padded()], self.block);
-                st.nnz_in = index.nnz();
-                st.live_blocks = index.live().len() as u64;
-            }
-            Strategy::Dense => {
-                st.nnz_in = act[..lay.cols()].iter().filter(|v| !v.is_zero()).count() as u64;
-                st.live_blocks = st.total_blocks;
-            }
-        }
-        // Predictor: V·a quantized per row, then sign of U·(V·a).
-        let predicted = self.predicted(l, mode);
-        if predicted {
-            let p = self.preds[l].as_ref().expect("predicted layers have one");
-            let r = p.rank();
-            for (t, v) in v_result.iter_mut().enumerate().take(r) {
-                let acc = match strategy {
-                    Strategy::Prescan => p.v.block_dot(t, index, act),
-                    Strategy::Dense => p.v.dense_dot(t, act),
-                };
-                *v = acc.to_fixed();
-            }
-            st.v_words = match strategy {
-                Strategy::Prescan => (r * index.live_cols()) as u64,
-                Strategy::Dense => (r * lay.cols()) as u64,
-            };
-            for (i, m) in mask.iter_mut().enumerate().take(rows) {
-                *m = p.u_verdict(i, &v_result[..r]);
-            }
-            st.u_words = (rows * r) as u64;
-        }
-        // Stage 2: the W pass over live blocks and active rows.
-        let mut active = 0u64;
-        for i in 0..rows {
-            let row_active = !predicted || mask[i];
-            match strategy {
-                Strategy::Prescan => {
-                    if !row_active {
-                        next[i] = Q6_10::ZERO;
-                        continue;
-                    }
-                    let q: Q6_10 = lay.block_dot(i, index, act).to_fixed();
-                    next[i] = if is_hidden { q.relu() } else { q };
-                    active += 1;
-                }
-                Strategy::Dense => {
-                    // Dense baseline computes every row; bypassed rows are
-                    // zeroed afterwards (same bits, full dense cost).
-                    let q: Q6_10 = lay.dense_dot(i, act).to_fixed();
-                    let q = if is_hidden { q.relu() } else { q };
-                    next[i] = if row_active { q } else { Q6_10::ZERO };
-                    if row_active {
-                        active += 1;
-                    }
-                }
-            }
-        }
-        st.active_rows = active;
-        st.w_words = match strategy {
-            Strategy::Prescan => active * index.live_cols() as u64,
-            Strategy::Dense => (rows * lay.cols()) as u64,
-        };
-        st.macs = st.w_words + st.v_words + st.u_words;
-        st
-    }
-
-    /// Runs a batch of quantized inputs in one pass: prescan once per
-    /// sample, then each layer's W stage iterates **rows outer, samples
-    /// inner**, so a row's weight panel is streamed from memory once per
-    /// batch while every sample applies its own live-block index and
-    /// predictor verdict — per-sample results stay bit-identical to
+    /// Runs a batch of quantized inputs in one pass: prescan and predictor
+    /// per sample, then each layer's W stage runs **row tile → sample →
+    /// live block**, so every sample in the batch reuses one tile of W
+    /// while it is in cache, applying its own live-block index and
+    /// predictor verdicts — per-sample results stay bit-identical to
     /// serial [`run`](Self::run)s.
     ///
     /// # Panics
@@ -413,151 +279,239 @@ impl SparseKernel {
         s: &mut Scratch,
     ) -> KernelBatchRun {
         assert!(!inputs.is_empty(), "batch has no samples");
-        let b = inputs.len();
-        s.ensure_batch(self, b);
-        for (x, buf) in inputs.iter().zip(&mut s.b_act) {
-            assert_eq!(x.len(), self.input_width(), "input width mismatch");
-            buf[..x.len()].copy_from_slice(x);
-            buf[x.len()..self.layers[0].padded()].fill(Q6_10::ZERO);
+        let mut runs: Vec<KernelRun> = inputs.iter().map(|_| self.empty_run()).collect();
+        let w_words_batch = self.forward(
+            inputs.iter().map(Vec::as_slice),
+            mode,
+            strategy,
+            s,
+            &mut runs,
+        );
+        let w_words_serial = runs
+            .iter()
+            .flat_map(|r| &r.layers)
+            .map(|l| l.stats.w_words)
+            .sum();
+        KernelBatchRun {
+            runs,
+            w_words_serial,
+            w_words_batch,
         }
-        let mut per_sample: Vec<Vec<KernelLayer>> = (0..b)
-            .map(|_| Vec::with_capacity(self.layers.len()))
-            .collect();
-        let (mut w_serial, mut w_batch) = (0u64, 0u64);
-        let mut b_act = std::mem::take(&mut s.b_act);
-        let mut b_next = std::mem::take(&mut s.b_next);
-        for l in 0..self.layers.len() {
-            let lay = &self.layers[l];
-            let is_hidden = l + 1 < self.layers.len();
+    }
+
+    /// Whether layer `l` runs the predictor in the given mode.
+    fn predicted(&self, l: usize, mode: UvMode) -> bool {
+        mode == UvMode::On && self.preds[l].is_some()
+    }
+
+    fn empty_run(&self) -> KernelRun {
+        KernelRun {
+            layers: Vec::with_capacity(self.layers.len()),
+        }
+    }
+
+    /// The forward pass behind [`run`](Self::run) and
+    /// [`run_batch`](Self::run_batch): fills one run per input and
+    /// returns the W words the batch read (each row's tile once, over the
+    /// union of its active samples' live blocks).
+    fn forward<'x>(
+        &self,
+        inputs: impl ExactSizeIterator<Item = &'x [Q6_10]>,
+        mode: UvMode,
+        strategy: Strategy,
+        s: &mut Scratch,
+        runs: &mut [KernelRun],
+    ) -> u64 {
+        let b = inputs.len();
+        s.ensure(self, b);
+        let samples = &mut s.samples[..b];
+        for (x, smp) in inputs.zip(samples.iter_mut()) {
+            assert_eq!(x.len(), self.input_width(), "input width mismatch");
+            smp.act[..x.len()].copy_from_slice(x);
+            smp.act[x.len()..self.layers[0].padded()].fill(Q6_10::ZERO);
+        }
+        let mut w_batch = 0u64;
+        for (l, lay) in self.layers.iter().enumerate() {
+            self.layer_pass(l, mode, strategy, samples, &mut s.lanes);
+            // One sample reads each active row's live blocks once, which
+            // is exactly its own W book.
+            w_batch += match samples {
+                [one] => one.stats.w_words,
+                _ => self.batch_w_words(l, mode, strategy, samples, &mut s.union_words),
+            };
             let rows = lay.rows();
             let predicted = self.predicted(l, mode);
-            let mut stats = vec![
-                LayerStats {
-                    rows: rows as u64,
-                    cols: lay.cols() as u64,
-                    total_blocks: lay.blocks() as u64,
-                    ..LayerStats::default()
-                };
-                b
-            ];
-            // Per-sample prescan + predictor (verdicts are per sample).
-            for si in 0..b {
-                let act = &b_act[si][..];
-                let st = &mut stats[si];
-                match strategy {
-                    Strategy::Prescan => {
-                        s.b_index[si].prescan(&act[..lay.padded()], self.block);
-                        st.nnz_in = s.b_index[si].nnz();
-                        st.live_blocks = s.b_index[si].live().len() as u64;
-                    }
-                    Strategy::Dense => {
-                        st.nnz_in =
-                            act[..lay.cols()].iter().filter(|v| !v.is_zero()).count() as u64;
-                        st.live_blocks = st.total_blocks;
-                    }
-                }
-                if predicted {
-                    let p = self.preds[l].as_ref().expect("predicted layers have one");
-                    let r = p.rank();
-                    for t in 0..r {
-                        let acc = match strategy {
-                            Strategy::Prescan => p.v.block_dot(t, &s.b_index[si], act),
-                            Strategy::Dense => p.v.dense_dot(t, act),
-                        };
-                        s.v_result[t] = acc.to_fixed();
-                    }
-                    st.v_words = match strategy {
-                        Strategy::Prescan => (r * s.b_index[si].live_cols()) as u64,
-                        Strategy::Dense => (r * lay.cols()) as u64,
-                    };
-                    for i in 0..rows {
-                        s.b_mask[si][i] = p.u_verdict(i, &s.v_result[..r]);
-                    }
-                    st.u_words = (rows * r) as u64;
-                }
-            }
-            // W stage: rows outer, samples inner — one panel stream per
-            // batch. The batch W book counts, per row, the union of the
-            // active samples' live blocks. `i` indexes four parallel
-            // per-sample structures, so a range loop reads clearest.
-            let nwords = lay.blocks().div_ceil(64);
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..rows {
-                let union = &mut s.union_words[..nwords];
-                union.fill(0);
-                let mut any = false;
-                for si in 0..b {
-                    let row_active = !predicted || s.b_mask[si][i];
-                    match strategy {
-                        Strategy::Prescan => {
-                            if !row_active {
-                                b_next[si][i] = Q6_10::ZERO;
-                                continue;
-                            }
-                            any = true;
-                            for (u, w) in union.iter_mut().zip(s.b_index[si].words()) {
-                                *u |= *w;
-                            }
-                            let q: Q6_10 = lay.block_dot(i, &s.b_index[si], &b_act[si]).to_fixed();
-                            b_next[si][i] = if is_hidden { q.relu() } else { q };
-                            stats[si].active_rows += 1;
-                        }
-                        Strategy::Dense => {
-                            // Dense computes every row (full baseline cost),
-                            // then zeroes the bypassed ones — same bits as
-                            // serial Dense.
-                            any = true;
-                            let q: Q6_10 = lay.dense_dot(i, &b_act[si]).to_fixed();
-                            let q = if is_hidden { q.relu() } else { q };
-                            b_next[si][i] = if row_active { q } else { Q6_10::ZERO };
-                            if row_active {
-                                stats[si].active_rows += 1;
-                            }
-                        }
-                    }
-                }
-                match strategy {
-                    Strategy::Prescan => {
-                        let union_blocks: u64 =
-                            union.iter().map(|w| u64::from(w.count_ones())).sum();
-                        w_batch += union_blocks * self.block as u64;
-                    }
-                    Strategy::Dense => {
-                        if any || !predicted {
-                            w_batch += lay.cols() as u64;
-                        }
-                    }
-                }
-            }
-            for si in 0..b {
-                let st = &mut stats[si];
-                st.w_words = match strategy {
-                    Strategy::Prescan => st.active_rows * s.b_index[si].live_cols() as u64,
-                    Strategy::Dense => (rows * lay.cols()) as u64,
-                };
-                st.macs = st.w_words + st.v_words + st.u_words;
-                w_serial += st.w_words;
-                per_sample[si].push(KernelLayer {
-                    output: b_next[si][..rows].to_vec(),
-                    mask: predicted.then(|| s.b_mask[si][..rows].to_vec()),
-                    stats: *st,
+            for (smp, run) in samples.iter_mut().zip(runs.iter_mut()) {
+                run.layers.push(KernelLayer {
+                    output: smp.next[..rows].to_vec(),
+                    mask: predicted.then(|| smp.mask[..rows].to_vec()),
+                    stats: smp.stats,
                 });
-                if l + 1 < self.layers.len() {
-                    let pad_next = self.layers[l + 1].padded();
-                    b_next[si][rows..pad_next].fill(Q6_10::ZERO);
+                // Zero the padding tail the next layer's prescan will scan.
+                if let Some(nx) = self.layers.get(l + 1) {
+                    smp.next[rows..nx.padded()].fill(Q6_10::ZERO);
+                }
+                std::mem::swap(&mut smp.act, &mut smp.next);
+            }
+        }
+        w_batch
+    }
+
+    /// One layer for every sample: prescan + predictor per sample, then the
+    /// W stage tile by tile. Activations are read from `act[..padded]`,
+    /// outputs written to `next[..rows]`, the mask to `mask[..rows]` when
+    /// predicted, and what was touched to `stats`.
+    fn layer_pass(
+        &self,
+        l: usize,
+        mode: UvMode,
+        strategy: Strategy,
+        samples: &mut [Sample],
+        lanes: &mut Lanes,
+    ) {
+        let lay = &self.layers[l];
+        let (rows, cols) = (lay.rows(), lay.cols());
+        let hidden = l + 1 < self.layers.len();
+        let pred = self.preds[l].as_ref().filter(|_| mode == UvMode::On);
+        let every_block = &self.ids[..lay.blocks()];
+        // Stage 1 (the dense baseline pays a plain nnz count instead — it
+        // reads the input either way) and the predictor: V·a quantized per
+        // rank row, then the sign of U·(V·a) per output row.
+        for smp in samples.iter_mut() {
+            let Sample {
+                act,
+                index,
+                v,
+                mask,
+                active,
+                stats,
+                ..
+            } = smp;
+            let act = &act[..lay.padded()];
+            *stats = LayerStats {
+                rows: rows as u64,
+                cols: cols as u64,
+                total_blocks: lay.blocks() as u64,
+                ..LayerStats::default()
+            };
+            stats.nnz_in = match strategy {
+                Strategy::Prescan => {
+                    index.prescan(act, self.block);
+                    index.nnz()
+                }
+                Strategy::Dense => act[..cols].iter().filter(|v| !v.is_zero()).count() as u64,
+            };
+            let live = live_blocks(strategy, index, every_block);
+            stats.live_blocks = live.len() as u64;
+            active.clear();
+            if let Some(p) = pred {
+                let r = p.rank();
+                for t in 0..p.v.tiles() {
+                    let span = p.v.tile_rows(t);
+                    p.v.dot_tile(t, &self.ids[span], live, act, lanes, |t, acc| {
+                        v[t] = acc.to_fixed();
+                    });
+                }
+                p.verdicts(&v[..r], lanes, &mut mask[..rows]);
+                active.extend((0..rows as u32).filter(|&i| mask[i as usize]));
+                stats.v_words = (r * row_words(strategy, stats, self.block)) as u64;
+                stats.u_words = (rows * r) as u64;
+            }
+        }
+        // Stage 2: the W pass, row tile → sample → live block.
+        for t in 0..lay.tiles() {
+            let span = lay.tile_rows(t);
+            for smp in samples.iter_mut() {
+                let Sample {
+                    act,
+                    next,
+                    index,
+                    active,
+                    ..
+                } = smp;
+                let pass_rows = match (pred, strategy) {
+                    (Some(_), Strategy::Prescan) => {
+                        let at = |r: usize| active.partition_point(|&i| (i as usize) < r);
+                        &active[at(span.start)..at(span.end)]
+                    }
+                    _ => &self.ids[span.clone()],
+                };
+                let live = live_blocks(strategy, index, every_block);
+                lay.dot_tile(t, pass_rows, live, act, lanes, |i, acc| {
+                    let q: Q6_10 = acc.to_fixed();
+                    next[i] = if hidden { q.relu() } else { q };
+                });
+            }
+        }
+        for smp in samples.iter_mut() {
+            let st = &mut smp.stats;
+            st.active_rows = if pred.is_some() {
+                // Bypassed rows read as zero; the prescan pass never wrote
+                // them, the dense one computed them at full cost.
+                for (o, _) in smp.next[..rows]
+                    .iter_mut()
+                    .zip(&smp.mask[..rows])
+                    .filter(|(_, &m)| !m)
+                {
+                    *o = Q6_10::ZERO;
+                }
+                smp.active.len() as u64
+            } else {
+                rows as u64
+            };
+            st.w_words = match strategy {
+                Strategy::Prescan => st.active_rows * row_words(strategy, st, self.block) as u64,
+                Strategy::Dense => (rows * cols) as u64,
+            };
+            st.macs = st.w_words + st.v_words + st.u_words;
+        }
+    }
+
+    /// W words a batched prescan pass reads for layer `l`: each row's
+    /// tile once per batch, over the union of the live blocks of the
+    /// samples that keep the row. Dense reads every row once.
+    fn batch_w_words(
+        &self,
+        l: usize,
+        mode: UvMode,
+        strategy: Strategy,
+        samples: &[Sample],
+        union: &mut [u64],
+    ) -> u64 {
+        let lay = &self.layers[l];
+        if strategy == Strategy::Dense {
+            return (lay.rows() * lay.cols()) as u64;
+        }
+        let predicted = self.predicted(l, mode);
+        let union = &mut union[..lay.blocks().div_ceil(64)];
+        let mut blocks = 0u64;
+        for i in 0..lay.rows() {
+            union.fill(0);
+            for smp in samples.iter().filter(|smp| !predicted || smp.mask[i]) {
+                for (u, w) in union.iter_mut().zip(smp.index.words()) {
+                    *u |= *w;
                 }
             }
-            std::mem::swap(&mut b_act, &mut b_next);
+            blocks += union.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
         }
-        s.b_act = b_act;
-        s.b_next = b_next;
-        KernelBatchRun {
-            runs: per_sample
-                .into_iter()
-                .map(|layers| KernelRun { layers })
-                .collect(),
-            w_words_serial: w_serial,
-            w_words_batch: w_batch,
-        }
+        blocks * self.block as u64
+    }
+}
+
+/// The blocks a pass reads: the prescan's live list, or every block for
+/// the dense baseline.
+fn live_blocks<'a>(strategy: Strategy, index: &'a BlockIndex, every: &'a [u32]) -> &'a [u32] {
+    match strategy {
+        Strategy::Prescan => index.live(),
+        Strategy::Dense => every,
+    }
+}
+
+/// Activation words one row's dot product reads: the live blocks in
+/// full, or every unpadded column for the dense baseline.
+fn row_words(strategy: Strategy, st: &LayerStats, block: usize) -> usize {
+    match strategy {
+        Strategy::Prescan => st.live_blocks as usize * block,
+        Strategy::Dense => st.cols as usize,
     }
 }

@@ -10,27 +10,38 @@
 //!    builds a nonzero-block index — per-layer bitmask words plus a
 //!    live-block list over fixed-size column blocks. Cost: `O(n)` loads,
 //!    no multiplies.
-//! 2. **Compute** ([`SparseKernel`]): touches only live blocks, against
-//!    weights repacked once at construction into row-major block panels
-//!    ([`PackedLayer`]) — contiguous, cache-blocked, SIMD-friendly. Output
-//!    sparsity composes on top: rows the UV predictor bypasses are skipped
-//!    whole.
+//! 2. **Compute** ([`SparseKernel`]): the paper's broadcast dataflow on a
+//!    general-purpose core. Weights are repacked once into row tiles of
+//!    64 rows, each column-block-major: column block `b` of a tile is one
+//!    contiguous `rows × block` panel. Each live activation block is
+//!    broadcast to every predictor-active row of the tile, which
+//!    multiplies it into its own `block` i32 lanes. Dead blocks and
+//!    bypassed rows are never touched. V runs the same pass, and U's
+//!    verdicts are `r` axpys over the rows. A batch runs row tile →
+//!    sample → live block, so every sample reuses one tile of W while it
+//!    is in cache.
 //!
 //! The hot path allocates nothing: all intermediates live in a
 //! preallocated [`Scratch`] arena reused across samples and batches.
 //!
 //! Results are **bit-exact** against the golden fixed-point model
-//! (`sparsenn_model::fixedpoint`) in both UV modes. The key property is
-//! that a zero activation contributes exactly `0` to the wide `i64`
-//! accumulator, so a dense dot product over a live block (zeros included)
-//! equals the golden `row_dot` (which skips zeros) bit for bit — and i64
-//! addition is order-independent, so block order doesn't matter either.
-//! Zero padding at the row tail is exact for the same reason.
+//! (`sparsenn_model::fixedpoint`) in both UV modes. Each lane holds
+//! products of a packed weight and a Q6.10 activation, so one product is
+//! at most `max|w| · 2¹⁵` in magnitude. Packing records the layer's
+//! largest `|w|` and from it `K = ⌊(2³¹ − 1) / (max|w| · 2¹⁵)⌋`: any `K`
+//! such products sum exactly in an `i32` (`K ≥ 1` always, since
+//! `max|w| ≤ 2¹⁵`). A lane takes one product per block and flushes into
+//! the i64 [`Accumulator`](sparsenn_numeric::Accumulator) at most every
+//! `K` blocks, so no lane ever wraps. The lane adds are plain `+=`, never
+//! `wrapping_add`, so a debug build checks the bound on every add. From there the argument is
+//! the golden one: a zero activation (inside a live block, or in the zero
+//! padding) contributes exactly `0`, and integer addition does not depend
+//! on order, so neither block order nor lane order matters.
 //!
-//! [`Strategy::Dense`] keeps an honest dense-GEMV baseline in the same
-//! crate (same data layout, same accumulator), so "prescan speedup" is
-//! measured against the best dense implementation of the same arithmetic,
-//! not a strawman.
+//! [`Strategy::Dense`] keeps an honest dense baseline in the same crate
+//! (the same pass over every block and row, same layout, same lanes), so
+//! "prescan speedup" is measured against the best dense implementation of
+//! the same arithmetic, not a strawman.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,13 +53,12 @@ mod prescan;
 pub use kernel::{
     KernelBatchRun, KernelLayer, KernelRun, LayerStats, Scratch, SparseKernel, Strategy,
 };
-pub use packed::{PackedLayer, PackedPredictor};
 pub use prescan::BlockIndex;
 
 /// Default column-block size, tuned by measurement (`--bin kernel` in the
 /// bench crate): with scattered zeros the chance a block is entirely dead
 /// falls off exponentially in the block width, so the finer 8-wide block
-/// (16 bytes per panel row) skips markedly more work than 16 or 32 on both
-/// glyph-style inputs and ReLU'd hidden activations, and still amortizes
-/// the index indirection.
+/// (16 bytes per tile row, one vector of lanes) skips markedly more work
+/// than 16 or 32 on both glyph-style inputs and ReLU'd hidden
+/// activations, and still amortizes the index indirection.
 pub const DEFAULT_BLOCK: usize = 8;

@@ -3,12 +3,10 @@
 use sparsenn_numeric::Q6_10;
 
 /// The nonzero-block index one prescan pass produces: a bitmask word per
-/// 64 blocks (bit set = block holds at least one nonzero activation), the
-/// ascending live-block list derived from the words by a trailing-zeros
-/// scan, and the live blocks coalesced into maximal adjacent runs — real
-/// sparsity patterns cluster (glyph strokes, ReLU'd activations), so the
-/// compute stage iterates a few long contiguous segments instead of many
-/// block-sized ones.
+/// 64 blocks (bit set = block holds at least one nonzero activation) and
+/// the ascending live-block list derived from the words by a
+/// trailing-zeros scan. The compute stage broadcasts each live block to
+/// every row it computes.
 ///
 /// Reused across layers and samples: [`prescan`](Self::prescan) clears and
 /// refills in place, so a warmed index never allocates.
@@ -18,7 +16,6 @@ pub struct BlockIndex {
     blocks: usize,
     words: Vec<u64>,
     live: Vec<u32>,
-    runs: Vec<(u32, u32)>,
     nnz: u64,
 }
 
@@ -54,16 +51,11 @@ impl BlockIndex {
             self.nnz += nz as u64;
         }
         self.live.clear();
-        self.runs.clear();
         for (wi, &word) in self.words.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
-                let b = (wi * 64 + bits.trailing_zeros() as usize) as u32;
-                self.live.push(b);
-                match self.runs.last_mut() {
-                    Some((start, len)) if *start + *len == b => *len += 1,
-                    _ => self.runs.push((b, 1)),
-                }
+                self.live
+                    .push((wi * 64 + bits.trailing_zeros() as usize) as u32);
                 bits &= bits - 1;
             }
         }
@@ -87,14 +79,6 @@ impl BlockIndex {
     /// Live block ids, ascending.
     pub fn live(&self) -> &[u32] {
         &self.live
-    }
-
-    /// Live blocks coalesced into maximal adjacent `(start, len)` runs,
-    /// ascending and non-overlapping; flattening the runs yields exactly
-    /// [`live`](Self::live). The compute stage iterates these so clustered
-    /// sparsity costs one loop setup per cluster, not per block.
-    pub fn runs(&self) -> &[(u32, u32)] {
-        &self.runs
     }
 
     /// Whether block `b` holds a nonzero.
@@ -130,7 +114,6 @@ mod tests {
         idx.prescan(&x, 4);
         assert_eq!(idx.blocks(), 3);
         assert_eq!(idx.live(), &[1]);
-        assert_eq!(idx.runs(), &[(1, 1)]);
         assert!(!idx.is_live(0) && idx.is_live(1) && !idx.is_live(2));
         assert_eq!(idx.nnz(), 2);
         assert_eq!(idx.live_cols(), 4);
@@ -153,7 +136,6 @@ mod tests {
         idx.prescan(&x, 8);
         assert_eq!(idx.blocks(), 5); // ceil(33/8)
         assert_eq!(idx.live(), &[0, 1, 2, 3, 4]);
-        assert_eq!(idx.runs(), &[(0, 5)], "adjacent blocks coalesce");
         assert_eq!(idx.nnz(), 33);
     }
 
@@ -164,7 +146,6 @@ mod tests {
         assert_eq!(idx.live().len(), 16);
         idx.prescan(&[Q6_10::ZERO; 8], 4);
         assert!(idx.live().is_empty());
-        assert!(idx.runs().is_empty());
         assert_eq!(idx.blocks(), 2);
     }
 
@@ -178,20 +159,5 @@ mod tests {
         idx.prescan(&x, 4);
         assert_eq!(idx.words().len(), 3);
         assert_eq!(idx.live(), &[0, 129]);
-        assert_eq!(idx.runs(), &[(0, 1), (129, 1)], "a word gap splits runs");
-    }
-
-    #[test]
-    fn runs_coalesce_across_word_boundaries() {
-        // Blocks 62..=66 live at block size 1: the run must not split at
-        // the 64-bit word boundary between block 63 and 64.
-        let mut x = vec![Q6_10::ZERO; 70];
-        for v in &mut x[62..=66] {
-            *v = Q6_10::from_f32(1.0);
-        }
-        let mut idx = BlockIndex::new();
-        idx.prescan(&x, 1);
-        assert_eq!(idx.live(), &[62, 63, 64, 65, 66]);
-        assert_eq!(idx.runs(), &[(62, 5)]);
     }
 }

@@ -1,13 +1,17 @@
 //! Property-based verification of the two-stage kernel against the golden
 //! fixed-point model: prescan coverage is exact, outputs are bit-identical
-//! in both UV modes, batched runs equal their serial counterparts sample
-//! by sample, and the prescan never does more work than dense.
+//! in both UV modes (also under full-scale operands that make the i32
+//! lanes flush after every block or two), batched runs equal their serial
+//! counterparts sample by sample, and the prescan never does more work
+//! than dense.
 
 use proptest::prelude::*;
+use rand::Rng;
 use sparsenn_kernel::{BlockIndex, Scratch, SparseKernel, Strategy};
 use sparsenn_linalg::init::seeded_rng;
+use sparsenn_linalg::Matrix;
 use sparsenn_model::fixedpoint::{FixedNetwork, UvMode};
-use sparsenn_model::{Mlp, PredictedNetwork};
+use sparsenn_model::{DenseLayer, Mlp, PredictedNetwork, Predictor};
 use sparsenn_numeric::Q6_10;
 
 fn build_net(seed: u64, hidden: usize, rank: usize) -> FixedNetwork {
@@ -21,7 +25,6 @@ fn build_input(seed: u64, len: usize, sparsity_pct: u8) -> Vec<f32> {
     let mut rng = seeded_rng(seed ^ 0xDEAD);
     (0..len)
         .map(|_| {
-            use rand::Rng;
             if rng.gen_range(0u8..100) < sparsity_pct {
                 0.0
             } else {
@@ -31,8 +34,92 @@ fn build_input(seed: u64, len: usize, sparsity_pct: u8) -> Vec<f32> {
         .collect()
 }
 
+/// A network whose every weight (W, U and V) is full scale: +32.0
+/// saturates to `i16::MAX`; the negative extreme is -32.0 (`i16::MIN`,
+/// so the lane capacity K is 1) when `with_min`, else `-i16::MAX`
+/// (K = 2). A quarter of the weights are zero, so the signs, masks and
+/// live blocks still vary.
+fn extreme_net(seed: u64, hidden: usize, rank: usize, with_min: bool) -> FixedNetwork {
+    let mut rng = seeded_rng(seed);
+    let low = if with_min {
+        -32.0
+    } else {
+        -32.0 + 1.0 / 1024.0
+    };
+    let mut full = |rows: usize, cols: usize| {
+        Matrix::from_fn(rows, cols, |_, _| match rng.gen_range(0u8..4) {
+            0 => 0.0,
+            1 => low,
+            _ => 32.0,
+        })
+    };
+    let dims = [24, hidden, hidden / 2 + 4, 10];
+    let layers = dims
+        .windows(2)
+        .map(|d| DenseLayer::new(full(d[1], d[0])))
+        .collect();
+    let predictors = dims[..dims.len() - 1]
+        .windows(2)
+        .map(|d| Predictor::new(full(d[1], rank), full(rank, d[0])))
+        .collect();
+    FixedNetwork::from_float(&PredictedNetwork::new(Mlp::new(layers), predictors))
+}
+
+/// Inputs at the saturation rails (±32.0 and beyond) or zero.
+fn rail_input(seed: u64, len: usize) -> Vec<f32> {
+    let mut rng = seeded_rng(seed ^ 0xBEEF);
+    (0..len)
+        .map(|_| match rng.gen_range(0u8..5) {
+            0 => 0.0,
+            1 => -32.0,
+            2 => -1.0e4,
+            3 => 31.999,
+            _ => 1.0e4,
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Full-scale operands: every product is up to 2³⁰ in magnitude, so a
+    /// lane holds one or two of them before it must flush. Both
+    /// strategies, both UV modes, `run` and `run_batch` stay bit-identical
+    /// to `FixedNetwork::forward`; in a debug build every lane add is
+    /// overflow-checked as well.
+    #[test]
+    fn full_scale_operands_stay_bit_exact(
+        seed in 0u64..10_000,
+        hidden in 8usize..72,
+        rank in 1usize..6,
+        block in 1usize..40,
+        with_min in any::<bool>(),
+        b in 1usize..=4,
+    ) {
+        let net = extreme_net(seed, hidden, rank, with_min);
+        let inputs: Vec<Vec<Q6_10>> = (0..b)
+            .map(|s| net.quantize_input(&rail_input(seed ^ ((s as u64) << 20), 24)))
+            .collect();
+        let kernel = SparseKernel::pack(&net, block);
+        let mut s = kernel.scratch();
+        for mode in [UvMode::Off, UvMode::On] {
+            for strategy in [Strategy::Prescan, Strategy::Dense] {
+                let batch = kernel.run_batch(&inputs, mode, strategy, &mut s);
+                for (si, x) in inputs.iter().enumerate() {
+                    let golden = net.forward(x, mode);
+                    let run = kernel.run(x, mode, strategy, &mut s);
+                    for (l, g) in golden.iter().enumerate() {
+                        for (what, got) in [("run", &run), ("run_batch", &batch.runs[si])] {
+                            prop_assert_eq!(&got.layers[l].output, &g.output,
+                                "{} layer {} output ({:?}, {:?})", what, l, strategy, mode);
+                            prop_assert_eq!(&got.layers[l].mask, &g.mask,
+                                "{} layer {} mask ({:?}, {:?})", what, l, strategy, mode);
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     /// The prescan index covers the nonzeros exactly: every nonzero lies
     /// in a live block (no misses) and every live block holds at least one
@@ -70,17 +157,6 @@ proptest! {
         // The live list and the mask words agree.
         for b in 0..idx.blocks() {
             prop_assert_eq!(idx.is_live(b), idx.live().contains(&(b as u32)));
-        }
-        // The coalesced runs flatten back to exactly the live list, and
-        // every run is maximal (no two adjacent runs touch).
-        let flat: Vec<u32> = idx
-            .runs()
-            .iter()
-            .flat_map(|&(s, n)| s..s + n)
-            .collect();
-        prop_assert_eq!(flat.as_slice(), idx.live());
-        for w in idx.runs().windows(2) {
-            prop_assert!(w[0].0 + w[0].1 < w[1].0, "runs {:?} not maximal", w);
         }
     }
 
