@@ -33,10 +33,11 @@
 //! `max|w| ≤ 2¹⁵`). A lane takes one product per block and flushes into
 //! the i64 [`Accumulator`](sparsenn_numeric::Accumulator) at most every
 //! `K` blocks, so no lane ever wraps. The lane adds are plain `+=`, never
-//! `wrapping_add`, so a debug build checks the bound on every add. From there the argument is
-//! the golden one: a zero activation (inside a live block, or in the zero
-//! padding) contributes exactly `0`, and integer addition does not depend
-//! on order, so neither block order nor lane order matters.
+//! `wrapping_add`, so a debug build checks the bound on every add. From
+//! there the argument is the golden one: a zero activation (inside a live
+//! block, or in the zero padding) contributes exactly `0`, and integer
+//! addition does not depend on order, so neither block order nor lane
+//! order matters.
 //!
 //! [`Strategy::Dense`] keeps an honest dense baseline in the same crate
 //! (the same pass over every block and row, same layout, same lanes), so

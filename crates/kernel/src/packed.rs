@@ -357,6 +357,8 @@ mod tests {
         assert_eq!(lane_capacity(251), 261);
         assert_eq!(lane_capacity(32768), 1);
         assert_eq!(lane_capacity(32767), 2);
+        // An all-zero layer never grows a lane.
+        assert_eq!(lane_capacity(0), usize::MAX);
     }
 
     #[test]
