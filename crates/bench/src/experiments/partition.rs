@@ -4,9 +4,8 @@
 //! The study shrinks the per-chip W memory until the 3-layer study
 //! network's first layer overflows a single chip (`Machine` rejects it
 //! with the typed `WMemoryOverflow`), then serves the same network
-//! through [`PartitionedMachine`](sparsenn_core::engine::PartitionedMachine)
-//! on 2/4/8 chips under all three schedules — serialized, wavefront
-//! pipelined, and the
+//! through [`PartitionedMachine`] on 2/4/8 chips under all three
+//! schedules — serialized, wavefront pipelined, and the
 //! [`InterChipConfig::free`](sparsenn_core::partition::InterChipConfig::free)
 //! no-comm ablation — reporting comm-inclusive latency/energy, the
 //! comm overhead, and the pipeline speedup (how much of that overhead

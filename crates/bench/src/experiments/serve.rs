@@ -7,8 +7,8 @@
 //! the win from latency-aware dispatch. This experiment feeds each
 //! backend's *measured* per-sample `time_us` table into the
 //! `sparsenn-serve` discrete-event simulator and sweeps offered load per
-//! [`Scheduler`](sparsenn_core::engine::Scheduler) — the same trait the
-//! live `engine::Fleet` dispatches with — over:
+//! [`Scheduler`] — the same trait the live `engine::Fleet` dispatches
+//! with — over:
 //!
 //! * a **homogeneous** fleet of cycle-accurate machines, where the
 //!   closed-loop concurrency = shards run validates the simulator (mean

@@ -141,11 +141,12 @@ pub fn run(p: Profile) -> Report {
     let mut backend_rows = Vec::new();
     for backend in backends {
         let session = sys.session_with(backend);
+        let name = session.backend_name().to_string();
         match session.run_sample(0, UvMode::On) {
             Ok(record) => {
                 let ev = record.total_events();
                 backend_rows.push(vec![
-                    record.backend.clone(),
+                    name,
                     format!("{}", record.total_cycles()),
                     fmt_f(record.time_us(), 2),
                     format!("{}", ev.macs),
@@ -154,7 +155,7 @@ pub fn run(p: Profile) -> Report {
                 ]);
             }
             Err(e) => backend_rows.push(vec![
-                session.backend_name().to_string(),
+                name,
                 format!("error: {e}"),
                 String::new(),
                 String::new(),

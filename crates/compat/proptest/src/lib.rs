@@ -309,7 +309,7 @@ pub mod prop {
         use crate::strategy::Strategy;
         use crate::test_runner::TestRng;
 
-        /// Length specifications accepted by [`vec`]: an exact `usize` or a
+        /// Length specifications accepted by [`vec()`]: an exact `usize` or a
         /// half-open `Range<usize>`.
         pub trait IntoSizeRange {
             /// Samples a length.

@@ -13,7 +13,8 @@ use sparsenn_sim::{Machine, MachineConfig, MachineEvents};
 /// Implementations must be `Send + Sync`: a [`Session`](super::Session)
 /// shares one backend across its worker pool.
 pub trait InferenceBackend: Send + Sync {
-    /// Human-readable substrate name (shows up in [`RunRecord::backend`]).
+    /// Human-readable substrate name (shows up as
+    /// [`Session::backend_name`](super::Session::backend_name)).
     fn name(&self) -> &str;
 
     /// The machine configuration whose power model applies to this
@@ -162,11 +163,7 @@ impl InferenceBackend for CycleAccurateBackend {
         mode: UvMode,
     ) -> Result<RunRecord, SparseNnError> {
         let run = self.machine.try_run_network(net, input, mode)?;
-        Ok(RunRecord::from_network_run(
-            self.name(),
-            run,
-            self.machine.config(),
-        ))
+        Ok(RunRecord::from_network_run(run, self.machine.config()))
     }
 
     /// The true batched core: one W pass per layer serves the whole
@@ -187,7 +184,7 @@ impl InferenceBackend for CycleAccurateBackend {
         let records = run
             .sample_runs()
             .into_iter()
-            .map(|r| RunRecord::from_network_run(self.name(), r, cfg))
+            .map(|r| RunRecord::from_network_run(r, cfg))
             .collect();
         Ok(BatchRunRecord {
             records,
@@ -265,10 +262,7 @@ impl InferenceBackend for GoldenBackend {
             });
             acts = golden.output;
         }
-        Ok(RunRecord {
-            backend: self.name().into(),
-            layers,
-        })
+        Ok(RunRecord { layers })
     }
 }
 
@@ -373,10 +367,7 @@ impl InferenceBackend for SimdBackend {
             });
             acts = golden.output;
         }
-        Ok(RunRecord {
-            backend: self.name().into(),
-            layers,
-        })
+        Ok(RunRecord { layers })
     }
 }
 

@@ -1,30 +1,4 @@
 //! Sharded serving: one request queue, N simulated accelerators.
-//!
-//! The paper's north-star workload is heavy traffic — far more requests
-//! than one simulated chip can absorb. A [`Fleet`] scales the serving
-//! layer the way a datacenter does: it owns several independent
-//! accelerator instances (*shards*, each any [`InferenceBackend`]) and
-//! exposes them as a single backend. Every [`run`](InferenceBackend::run)
-//! call asks the fleet's [`Scheduler`] which idle shard to check out
-//! ([`FirstIdle`](super::FirstIdle) by default — the lowest-indexed idle
-//! shard), executes on it, and returns it to the idle pool; when no shard
-//! is usable the caller blocks until one frees up. The scheduler trait is
-//! shared with the `sparsenn-serve` virtual-time simulator, so dispatch
-//! policies validated against simulated latency curves serve live traffic
-//! unchanged. Plugged into a [`Session`](super::Session), the session's
-//! worker pool becomes the shared request queue and the fleet becomes the
-//! dispatch layer.
-//!
-//! Because every substrate produces bit-exact outputs and deterministic
-//! per-sample records, a fleet of *identical* shards preserves the
-//! session's bit-identical-to-serial guarantee: whichever shard serves a
-//! sample, its [`RunRecord`](super::RunRecord) is the same, and the session
-//! folds records in sample order. (Heterogeneous fleets still classify
-//! identically — outputs are bit-exact across substrates — but their
-//! cycle/latency aggregates depend on which shard served which sample,
-//! and batch *energy* is priced at shard 0's machine configuration and
-//! technology node regardless of which shard did the work. Keep fleets
-//! homogeneous when timing or power numbers matter.)
 
 use crate::engine::admission::{AdmissionDecision, AdmissionGate, Priority};
 use crate::engine::backends::{CycleAccurateBackend, InferenceBackend};
@@ -35,7 +9,6 @@ use crate::error::SparseNnError;
 use sparsenn_energy::TechNode;
 use sparsenn_model::fixedpoint::{FixedNetwork, UvMode};
 use sparsenn_numeric::Q6_10;
-use sparsenn_obs::{LatencyStat, LatencyStats, MetricsRegistry, P2Quantile};
 use sparsenn_sim::MachineConfig;
 use std::sync::{Condvar, Mutex};
 
@@ -49,11 +22,8 @@ pub struct ShardStats {
     /// shards such as the golden model).
     pub busy_us: f64,
     /// The live service-time estimate schedulers see as
-    /// [`ShardView::service_us`]: the plain observed mean by default, an
-    /// EWMA when the fleet was built with [`Fleet::with_service_alpha`],
-    /// or an online percentile under
-    /// [`Fleet::with_service_percentile`]. 0 before the shard has served
-    /// anything.
+    /// [`ShardView::service_us`]: the observed mean of the per-sample
+    /// service times. 0 before the shard has served anything.
     pub service_estimate_us: f64,
     /// Batched dispatches this shard has executed
     /// ([`Fleet::run_batch_classified`]; single-sample runs do not
@@ -99,13 +69,10 @@ struct Dispatch {
     /// Indices of currently-idle shards.
     idle: Vec<usize>,
     stats: Vec<ShardStats>,
-    /// Per-shard service-time books — the unified `sparsenn-obs`
-    /// accumulator (count/mean/max plus P² percentiles). Feeds the live
-    /// estimate in every mode and the full distribution snapshot in
-    /// [`Fleet::shard_service_stats`]. Under
-    /// [`Fleet::with_service_percentile`] it also carries the extra
-    /// tracked quantile schedulers rank by.
-    service: Vec<LatencyStat>,
+    /// Per-shard sum of the observed per-sample service times, µs. With
+    /// the shard's `samples` as its count, this is the book behind
+    /// [`ShardStats::service_estimate_us`].
+    service_sum_us: Vec<f64>,
     /// Callers currently blocked waiting for a shard, per priority class
     /// — the live fleet's "queue depth", which is what the admission gate
     /// bounds.
@@ -114,9 +81,46 @@ struct Dispatch {
     admission: AdmissionStats,
 }
 
+impl Dispatch {
+    /// Credits `samples` served samples of `per_sample_us` each to a
+    /// shard's service book and returns its stats, with the live
+    /// estimate moved to the new observed mean.
+    fn credit(&mut self, shard: usize, per_sample_us: f64, samples: u64) -> &mut ShardStats {
+        self.service_sum_us[shard] += per_sample_us * samples as f64;
+        let s = &mut self.stats[shard];
+        s.samples += samples;
+        s.service_estimate_us = self.service_sum_us[shard] / s.samples as f64;
+        s
+    }
+}
+
 /// N independent simulated accelerators serving one request queue.
 ///
-/// See the [module docs](self) for the dispatch and determinism story.
+/// The paper's north-star workload is heavy traffic — far more requests
+/// than one simulated chip can absorb. A fleet scales the serving
+/// layer the way a datacenter does: it owns several independent
+/// accelerator instances (*shards*, each any [`InferenceBackend`]) and
+/// exposes them as a single backend. Every [`run`](InferenceBackend::run)
+/// call asks the fleet's [`Scheduler`] which idle shard to check out
+/// ([`FirstIdle`](super::FirstIdle) by default — the lowest-indexed idle
+/// shard), executes on it, and returns it to the idle pool; when no shard
+/// is usable the caller blocks until one frees up. The scheduler trait is
+/// shared with the `sparsenn-serve` virtual-time simulator, so dispatch
+/// policies validated against simulated latency curves serve live traffic
+/// unchanged. Plugged into a [`Session`](super::Session), the session's
+/// worker pool becomes the shared request queue and the fleet becomes the
+/// dispatch layer.
+///
+/// Because every substrate produces bit-exact outputs and deterministic
+/// per-sample records, a fleet of *identical* shards preserves the
+/// session's bit-identical-to-serial guarantee: whichever shard serves a
+/// sample, its [`RunRecord`](super::RunRecord) is the same, and the session
+/// folds records in sample order. (Heterogeneous fleets still classify
+/// identically — outputs are bit-exact across substrates — but their
+/// cycle/latency aggregates depend on which shard served which sample,
+/// and batch *energy* is priced at shard 0's machine configuration and
+/// technology node regardless of which shard did the work. Keep fleets
+/// homogeneous when timing or power numbers matter.)
 ///
 /// # Example
 ///
@@ -148,12 +152,6 @@ pub struct Fleet {
     scheduler: Box<dyn Scheduler>,
     /// Admission gate consulted before every run; `None` admits all.
     admission: Option<Box<dyn AdmissionGate>>,
-    /// EWMA weight for the live service-time estimate; `None` keeps the
-    /// plain observed mean (equivalent to a per-sample weight of `1/n`).
-    service_alpha: Option<f64>,
-    /// When set, the live estimate is this percentile of each shard's
-    /// observed service times (P²) instead of a mean.
-    service_percentile: Option<f64>,
     /// How [`run_batch_classified`](Self::run_batch_classified) chunks a
     /// batched call across dispatches.
     batch_policy: BatchPolicy,
@@ -196,69 +194,16 @@ impl Fleet {
             dispatch: Mutex::new(Dispatch {
                 idle: (0..n).collect(),
                 stats: vec![ShardStats::default(); n],
-                service: vec![LatencyStat::new(); n],
+                service_sum_us: vec![0.0; n],
                 waiting: [0; 2],
                 admission: AdmissionStats::default(),
             }),
             freed: Condvar::new(),
             scheduler: Box::new(FirstIdle),
             admission: None,
-            service_alpha: None,
-            service_percentile: None,
             batch_policy: BatchPolicy::Immediate,
             name,
         })
-    }
-
-    /// Switches the live service-time estimate from the plain observed
-    /// mean to an exponentially-weighted moving average with weight
-    /// `alpha` (clamped to `(0, 1]`): each served sample updates the
-    /// estimate by `est += alpha × (sample − est)`. The default (no
-    /// call) keeps the plain mean — exactly an EWMA whose weight decays
-    /// as `1/n` — which converges on stationary workloads but lags when
-    /// a shard's service distribution *shifts* (a new network, a
-    /// noisy neighbour): a fixed alpha forgets old samples at a constant
-    /// rate, so [`FastestCompletion`](super::FastestCompletion) re-ranks
-    /// shards within `~1/alpha` samples of a shift instead of `~n`.
-    ///
-    /// Mutually exclusive with
-    /// [`with_service_percentile`](Self::with_service_percentile) — the
-    /// last builder call wins.
-    pub fn with_service_alpha(mut self, alpha: f64) -> Self {
-        self.service_alpha = Some(alpha.clamp(f64::MIN_POSITIVE, 1.0));
-        self.service_percentile = None;
-        let d = self.dispatch.get_mut().unwrap_or_else(|e| e.into_inner());
-        d.service = vec![LatencyStat::new(); self.shards.len()];
-        self
-    }
-
-    /// Switches the live service-time estimate to an **online
-    /// percentile**: schedulers see each shard's `p`-quantile of
-    /// observed service times (P² streaming estimator —
-    /// [`P2Quantile`](crate::engine::P2Quantile), constant space, no
-    /// samples retained) instead of a mean. `p` is clamped to
-    /// `[0.01, 0.999]`; `0.95` makes
-    /// [`FastestCompletion`](super::FastestCompletion) rank shards by
-    /// tail latency, which is the number serving SLOs are written
-    /// against — a shard whose *mean* looks fast but whose tail is
-    /// heavy (occasional uv_on worst-case samples, a noisy neighbour)
-    /// stops attracting traffic it will serve late. Mutually exclusive
-    /// with [`with_service_alpha`](Self::with_service_alpha) — the last
-    /// builder call wins. The closed ROADMAP "online percentile service
-    /// estimate" item.
-    pub fn with_service_percentile(mut self, p: f64) -> Self {
-        self.service_percentile = Some(P2Quantile::new(p).quantile());
-        self.service_alpha = None;
-        let d = self.dispatch.get_mut().unwrap_or_else(|e| e.into_inner());
-        d.service = vec![LatencyStat::with_quantile(p); self.shards.len()];
-        self
-    }
-
-    /// The percentile the live service estimate tracks, when
-    /// [`with_service_percentile`](Self::with_service_percentile) is
-    /// active.
-    pub fn service_percentile(&self) -> Option<f64> {
-        self.service_percentile
     }
 
     /// Replaces the dispatch policy (default: [`FirstIdle`]). The same
@@ -453,51 +398,6 @@ impl Fleet {
             .clone()
     }
 
-    /// Per-shard service-time *distributions* (mean/p50/p95/p99/max from
-    /// the unified `sparsenn-obs` book) — richer than the single live
-    /// estimate in [`ShardStats::service_estimate_us`]. One entry per
-    /// observation fold: per sample in mean/EWMA modes, per dispatch
-    /// under [`with_service_percentile`](Self::with_service_percentile).
-    pub fn shard_service_stats(&self) -> Vec<LatencyStats> {
-        self.dispatch
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .service
-            .iter()
-            .map(LatencyStat::stats)
-            .collect()
-    }
-
-    /// Exports the fleet's books into a [`MetricsRegistry`] under
-    /// `fleet.*` names: per-shard counters (`fleet.shard0.samples`, …),
-    /// service-time gauges, and the admission ledger when a gate is
-    /// installed.
-    pub fn export_metrics(&self, registry: &mut MetricsRegistry) {
-        let d = self.dispatch.lock().unwrap_or_else(|e| e.into_inner());
-        for (i, (s, svc)) in d.stats.iter().zip(&d.service).enumerate() {
-            let p = format!("fleet.shard{i}");
-            registry.inc(&format!("{p}.samples"), s.samples);
-            registry.inc(&format!("{p}.batches"), s.batches);
-            registry.inc(&format!("{p}.batch_samples"), s.batch_samples);
-            registry.set_gauge(&format!("{p}.busy_us"), s.busy_us);
-            registry.set_gauge(&format!("{p}.max_batch"), s.max_batch as f64);
-            registry.set_gauge(&format!("{p}.service_estimate_us"), s.service_estimate_us);
-            registry.record_latency(&format!("{p}.service"), &svc.stats());
-        }
-        let a = d.admission;
-        for (class, idx) in [("high", 0), ("low", 1)] {
-            registry.inc(
-                &format!("fleet.admission.{class}.admitted"),
-                a.admitted[idx],
-            );
-            registry.inc(
-                &format!("fleet.admission.{class}.degraded"),
-                a.degraded[idx],
-            );
-            registry.inc(&format!("fleet.admission.{class}.shed"), a.shed[idx]);
-        }
-    }
-
     /// Checks out the shard the scheduler picks, blocking until one is
     /// usable.
     ///
@@ -536,12 +436,9 @@ impl Fleet {
         (0..self.shards.len())
             .map(|i| {
                 let idle = d.idle.contains(&i);
-                let s = &d.stats[i];
-                // Best live estimate of this shard's service time: the
-                // running estimate maintained by note_served — the plain
-                // mean by default, an EWMA under with_service_alpha
-                // (0 before the first run).
-                let est_us = s.service_estimate_us;
+                // The shard's observed mean service time (0 before the
+                // first run).
+                let est_us = d.stats[i].service_estimate_us;
                 ShardView {
                     healthy: true,
                     idle,
@@ -583,75 +480,28 @@ impl Fleet {
     }
 
     /// Credits a successfully served sample to a shard's statistics and
-    /// folds its service time into the live estimate (plain mean, EWMA
-    /// under [`with_service_alpha`](Self::with_service_alpha), or an
-    /// online percentile under
-    /// [`with_service_percentile`](Self::with_service_percentile)).
+    /// folds its service time into the shard's observed mean.
     fn note_served(&self, shard: usize, record: &RunRecord) {
-        let mut guard = self.dispatch.lock().unwrap_or_else(|e| e.into_inner());
-        let d = &mut *guard;
         let x = record.time_us();
-        d.service[shard].observe(x);
-        let s = &mut d.stats[shard];
-        s.samples += 1;
-        s.busy_us += x;
-        s.service_estimate_us = if self.service_percentile.is_some() {
-            d.service[shard].quantile_estimate().unwrap_or(0.0)
-        } else if let Some(alpha) = self.service_alpha {
-            let alpha = if s.samples == 1 {
-                1.0 // seed the estimate with the first observation
-            } else {
-                alpha
-            };
-            s.service_estimate_us + alpha * (x - s.service_estimate_us)
-        } else {
-            // Plain mean — the exact running mean the shared book keeps.
-            d.service[shard].mean_us()
-        };
+        let mut d = self.dispatch.lock().unwrap_or_else(|e| e.into_inner());
+        d.credit(shard, x, 1).busy_us += x;
     }
 
     /// Credits a batched dispatch to a shard's statistics. Each sample
     /// contributes the batch's *amortized* per-sample latency
     /// ([`BatchRunRecord::mean_time_us`]) to the service estimate — that
     /// is what the next request dispatched to this shard will observe —
-    /// so under the plain-mean default the estimate stays the observed
-    /// mean of per-sample service times, exactly as if `note_served` had
-    /// seen each sample individually at the amortized latency.
+    /// so the estimate stays the observed mean of per-sample service
+    /// times, exactly as if `note_served` had seen each sample
+    /// individually at the amortized latency.
     fn note_served_batch(&self, shard: usize, record: &BatchRunRecord) {
         let b = record.batch_size() as u64;
         if b == 0 {
             return;
         }
-        let per_sample_us = record.mean_time_us();
-        let mut guard = self.dispatch.lock().unwrap_or_else(|e| e.into_inner());
-        let d = &mut *guard;
-        if self.service_percentile.is_some() {
-            // One dispatch = one observation of the amortized latency:
-            // the tail the tracker models is over dispatches, which is
-            // what a queued request actually waits behind.
-            d.service[shard].observe(per_sample_us);
-        } else {
-            // Every sample in the dispatch observed the amortized
-            // latency — the book's mean stays the observed per-sample
-            // mean, exactly as if each sample were noted individually.
-            d.service[shard].observe_weighted(per_sample_us, b);
-        }
-        let s = &mut d.stats[shard];
-        let first = s.samples == 0;
-        s.samples += b;
+        let mut d = self.dispatch.lock().unwrap_or_else(|e| e.into_inner());
+        let s = d.credit(shard, record.mean_time_us(), b);
         s.busy_us += record.batch_time_us;
-        s.service_estimate_us = if self.service_percentile.is_some() {
-            d.service[shard].quantile_estimate().unwrap_or(0.0)
-        } else if let Some(alpha) = self.service_alpha {
-            let weight = if first {
-                1.0 // seed the estimate with the first dispatch
-            } else {
-                alpha
-            };
-            s.service_estimate_us + weight * (per_sample_us - s.service_estimate_us)
-        } else {
-            d.service[shard].mean_us()
-        };
         s.batches += 1;
         s.batch_samples += b;
         s.max_batch = s.max_batch.max(b);
@@ -852,7 +702,6 @@ mod tests {
     /// A record whose only layer models `us` microseconds of service.
     fn timed_record(us: f64) -> RunRecord {
         RunRecord {
-            backend: "test".into(),
             layers: vec![crate::engine::LayerRecord {
                 output: vec![Q6_10::ZERO],
                 mask: None,
@@ -863,139 +712,6 @@ mod tests {
                 events: sparsenn_sim::MachineEvents::default(),
             }],
         }
-    }
-
-    /// The ROADMAP follow-up: under a *shifted* service distribution the
-    /// plain observed mean lags for as many samples as it has history,
-    /// while a fixed-alpha EWMA re-converges at a constant rate — so
-    /// FastestCompletion re-ranks shards promptly after the shift.
-    #[test]
-    fn ewma_tracks_a_shifted_service_distribution_where_the_mean_lags() {
-        let mean_fleet = Fleet::of_machines(1, MachineConfig::default()).unwrap();
-        let ewma_fleet = Fleet::of_machines(1, MachineConfig::default())
-            .unwrap()
-            .with_service_alpha(0.3);
-        // 50 samples at 10 µs, then the distribution shifts to 100 µs.
-        for fleet in [&mean_fleet, &ewma_fleet] {
-            for _ in 0..50 {
-                fleet.note_served(0, &timed_record(10.0));
-            }
-            for _ in 0..10 {
-                fleet.note_served(0, &timed_record(100.0));
-            }
-        }
-        let mean_est = mean_fleet.shard_stats()[0].service_estimate_us;
-        let ewma_est = ewma_fleet.shard_stats()[0].service_estimate_us;
-        // After 10 post-shift samples the EWMA is nearly converged…
-        assert!(
-            ewma_est > 90.0,
-            "EWMA estimate {ewma_est:.1} should track the shift"
-        );
-        // …while the plain mean is still dominated by stale history.
-        assert!(mean_est < 30.0, "plain mean {mean_est:.1} should lag");
-        // And without a shift the default estimate equals the mean.
-        assert!(
-            (mean_fleet.shard_stats()[0].busy_us / 60.0 - mean_est).abs() < 1e-9,
-            "default estimate is the plain observed mean"
-        );
-    }
-
-    /// The ROADMAP open item: an online *percentile* estimate. A shard
-    /// with a fast mean but a heavy tail must rank by its tail under
-    /// `with_service_percentile` — the mean hides exactly the samples an
-    /// SLO is written against.
-    #[test]
-    fn percentile_estimate_sees_the_tail_the_mean_hides() {
-        let mean_fleet = Fleet::of_machines(1, MachineConfig::default()).unwrap();
-        let p95_fleet = Fleet::of_machines(1, MachineConfig::default())
-            .unwrap()
-            .with_service_percentile(0.95);
-        assert_eq!(p95_fleet.service_percentile(), Some(0.95));
-        assert_eq!(mean_fleet.service_percentile(), None);
-        // 19 of 20 samples at 10 µs, 1 at 500 µs (uv_on worst case).
-        for fleet in [&mean_fleet, &p95_fleet] {
-            for i in 0..200 {
-                let us = if i % 20 == 19 { 500.0 } else { 10.0 };
-                fleet.note_served(0, &timed_record(us));
-            }
-        }
-        let mean_est = mean_fleet.shard_stats()[0].service_estimate_us;
-        let p95_est = p95_fleet.shard_stats()[0].service_estimate_us;
-        assert!(
-            (mean_est - 34.5).abs() < 1.0,
-            "mean ≈ 34.5 µs, got {mean_est}"
-        );
-        assert!(
-            p95_est > 100.0,
-            "p95 {p95_est} must reflect the 500 µs tail"
-        );
-        // Sample accounting is unchanged by the estimator choice.
-        assert_eq!(p95_fleet.shard_stats()[0].samples, 200);
-        assert!(
-            (p95_fleet.shard_stats()[0].busy_us - mean_fleet.shard_stats()[0].busy_us).abs() < 1e-9
-        );
-    }
-
-    /// The percentile estimate flows into `ShardView::service_us`, so
-    /// FastestCompletion ranks by tail latency.
-    #[test]
-    fn percentile_estimate_drives_dispatch() {
-        let (net, x) = net_and_input();
-        let fleet = Fleet::of_machines(2, MachineConfig::default())
-            .unwrap()
-            .with_service_percentile(0.9)
-            .with_scheduler(Box::new(crate::engine::FastestCompletion));
-        for _ in 0..4 {
-            fleet.run(&net, &x, UvMode::On).unwrap();
-        }
-        let stats = fleet.shard_stats();
-        assert_eq!(stats.iter().map(|s| s.samples).sum::<u64>(), 4);
-        // Identical shards: the estimates agree wherever both served.
-        for s in &stats {
-            if s.samples > 0 {
-                assert!(s.service_estimate_us > 0.0);
-            }
-        }
-    }
-
-    /// The two estimator builders are mutually exclusive: the last call
-    /// decides which estimator `note_served` feeds.
-    #[test]
-    fn estimator_builders_last_call_wins() {
-        let alpha_last = Fleet::of_machines(1, MachineConfig::default())
-            .unwrap()
-            .with_service_percentile(0.95)
-            .with_service_alpha(0.5);
-        assert_eq!(alpha_last.service_percentile(), None);
-        for us in [10.0, 10.0, 100.0] {
-            alpha_last.note_served(0, &timed_record(us));
-        }
-        // EWMA(0.5): 10, 10, 55 — a percentile tracker would report a
-        // marker height, never this interpolation.
-        assert!((alpha_last.shard_stats()[0].service_estimate_us - 55.0).abs() < 1e-9);
-
-        let pct_last = Fleet::of_machines(1, MachineConfig::default())
-            .unwrap()
-            .with_service_alpha(0.5)
-            .with_service_percentile(0.5);
-        assert_eq!(pct_last.service_percentile(), Some(0.5));
-        for us in [30.0, 10.0, 20.0] {
-            pct_last.note_served(0, &timed_record(us));
-        }
-        assert_eq!(
-            pct_last.shard_stats()[0].service_estimate_us,
-            20.0,
-            "median of the warmup buffer, not an EWMA"
-        );
-    }
-
-    #[test]
-    fn first_sample_seeds_the_ewma_estimate() {
-        let fleet = Fleet::of_machines(1, MachineConfig::default())
-            .unwrap()
-            .with_service_alpha(0.1);
-        fleet.note_served(0, &timed_record(40.0));
-        assert_eq!(fleet.shard_stats()[0].service_estimate_us, 40.0);
     }
 
     #[test]
@@ -1220,12 +936,9 @@ mod tests {
         let s = fleet.shard_stats()[0];
         assert_eq!(s.samples, 4);
         assert!((s.busy_us - 45.0).abs() < 1e-12);
-        // Mean of the per-sample service times seen: (10+20+7.5+7.5)/4.
-        assert!(
-            (s.service_estimate_us - 45.0 / 4.0).abs() < 1e-9,
-            "estimate {} must equal the observed per-sample mean",
-            s.service_estimate_us
-        );
+        // Mean of the per-sample service times seen: (10+20+7.5+7.5)/4,
+        // exact in f64.
+        assert_eq!(s.service_estimate_us, 11.25);
         assert_eq!(s.batches, 1);
         assert_eq!(s.max_batch, 2);
     }

@@ -32,7 +32,7 @@ struct CachedKernel {
 /// timing-free (cycles and `time_us` are 0, like the golden backend's) so
 /// batch-vs-serial record bit-identity holds: measure latency around the
 /// call with `std::time::Instant`, as the bench plane's `kernel`
-/// experiment and [`ShardSpec::from_measured`] do.
+/// experiment and `sparsenn_serve::ShardSpec::from_measured` do.
 ///
 /// Events carry block-level functional counts — the 16-bit words the
 /// compute stage actually streams (`w_reads` = active rows × live-block
@@ -45,8 +45,6 @@ struct CachedKernel {
 /// a full structural compare for any other network (never silently
 /// stale). Steady-state serving therefore neither repacks nor re-reads
 /// the weights to prove they are unchanged.
-///
-/// [`ShardSpec::from_measured`]: sparsenn_serve::ShardSpec::from_measured
 #[derive(Debug)]
 pub struct KernelBackend {
     name: String,
@@ -113,7 +111,6 @@ impl KernelBackend {
     /// Converts a kernel run into the backend-independent record shape.
     fn to_record(&self, run: KernelRun) -> RunRecord {
         RunRecord {
-            backend: self.name.clone(),
             layers: run
                 .layers
                 .into_iter()
@@ -251,7 +248,7 @@ mod tests {
         assert_eq!(a, b, "cache reuse never changes records");
         assert_eq!(a.total_cycles(), 0);
         assert_eq!(a.time_us(), 0.0);
-        assert_eq!(a.backend, format!("kernel-cpu-b{DEFAULT_BLOCK}"));
+        assert_eq!(kb.name(), format!("kernel-cpu-b{DEFAULT_BLOCK}"));
         assert!(a.total_events().w_reads > 0, "events carry real activity");
     }
 

@@ -106,7 +106,3 @@ pub use partitioned::PartitionedMachine;
 pub use record::{BatchRunRecord, LayerRecord, RunRecord};
 pub use scheduler::{FastestCompletion, FirstIdle, LeastQueued, Scheduler, ShardView};
 pub use session::{default_worker_count, Session};
-/// Re-export: the P² streaming quantile estimator now lives in the
-/// observability crate (`sparsenn-obs`), alongside the unified
-/// [`LatencyStat`](sparsenn_obs::LatencyStat) accumulator built on it.
-pub use sparsenn_obs::P2Quantile;

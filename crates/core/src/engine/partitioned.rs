@@ -1,56 +1,5 @@
 //! Model-parallel execution: one network served by several
 //! NoC-connected cycle-accurate chips.
-//!
-//! A [`PartitionedMachine`] is the execution side of
-//! [`sparsenn_partition`]: given a [`PartitionPlan`] that tiles each
-//! layer's output rows across chips, it runs every tile on an unmodified
-//! cycle-accurate [`Machine`], broadcasts the (sparse) input activations
-//! to all chips and gathers the per-chip output slices over a chip-level
-//! interconnect costed by [`InterChipConfig`]. This is how the serving
-//! stack holds networks bigger than one chip's 8 MB W memory.
-//!
-//! **Determinism and bit-exactness.** Row arithmetic is row-local: a
-//! chip computing row `r` of a layer performs exactly the operand-level
-//! work the single big machine would (same zero-skipping, same
-//! full-precision accumulate, same round-to-nearest-even writeback), and
-//! a tiled predictor carries the whole V factor, so the quantized `V·a`
-//! — and hence every predictor bit — matches too. The gathered outputs
-//! and masks are therefore **bit-identical** to a single-chip
-//! [`Machine`] run for any network that fits one chip (the oracle the
-//! integration tests enforce).
-//!
-//! **Time and energy accounting.** Per layer, under the default
-//! [`PipelineMode::Serialized`] schedule:
-//!
-//! * `time_us` is the modelled critical path — the input broadcast, plus
-//!   the *slowest* chip's tile (chips run in parallel), plus the output
-//!   gather, each term on its own clock (chip cycles at the machine's
-//!   clock, transfer cycles at the interconnect's link clock);
-//! * `cycles`/`vu_cycles` carry the slowest chip's counts (the latency
-//!   view), while [`LayerRecord::events`] *sums* every chip's activity
-//!   and the interconnect's flit-hops (the energy view: all silicon
-//!   toggles, wherever it is), so batch power estimates price total
-//!   multi-chip activity.
-//!
-//! **Wavefront pipelining** ([`PipelineMode::Wavefront`]) replaces the
-//! serialized stage chain with a virtual-clock wavefront executor: each
-//! chip's output slice starts crossing the fabric as its rows become
-//! final (the [`LayerRun::row_ready`](sparsenn_sim::LayerRun::row_ready)
-//! availability profile from the staged machine core), the root feeds
-//! each gathered slice straight into the downward broadcast, and every
-//! chip starts layer *l+1* the moment the last slice of layer *l* lands
-//! on it — so inter-chip communication overlaps the compute of slower
-//! chips instead of serializing behind the whole layer. Pipelining
-//! reorders *time only*: outputs, masks and energy/event sums are
-//! bit-identical across both modes (the same tile simulations run; only
-//! the layer `time_us` differs), wavefront latency is never above
-//! serialized latency, and never below the
-//! [`InterChipConfig::free`]-link lower bound — the invariants the
-//! `prop_pipeline` suite pins down.
-//!
-//! Only nonzero activations cross chips — the interconnect extends the
-//! machine's input-sparsity skipping to the fabric, so UV-predicted
-//! output sparsity also cuts inter-chip traffic.
 
 use crate::engine::backends::{validate_shapes, InferenceBackend};
 use crate::engine::record::{LayerRecord, RunRecord};
@@ -143,8 +92,58 @@ struct ForeignTiles {
 }
 
 /// Several cycle-accurate chips serving one (possibly oversized) network
-/// under a [`PartitionPlan`]. See the [module docs](self) for the
-/// execution, determinism and accounting model.
+/// under a [`PartitionPlan`].
+///
+/// This is the execution side of [`sparsenn_partition`]: given a
+/// [`PartitionPlan`] that tiles each layer's output rows across chips,
+/// it runs every tile on an unmodified cycle-accurate [`Machine`],
+/// broadcasts the (sparse) input activations to all chips and gathers
+/// the per-chip output slices over a chip-level interconnect costed by
+/// [`InterChipConfig`]. This is how the serving stack holds networks
+/// bigger than one chip's 8 MB W memory.
+///
+/// **Determinism and bit-exactness.** Row arithmetic is row-local: a
+/// chip computing row `r` of a layer performs exactly the operand-level
+/// work the single big machine would (same zero-skipping, same
+/// full-precision accumulate, same round-to-nearest-even writeback), and
+/// a tiled predictor carries the whole V factor, so the quantized `V·a`
+/// — and hence every predictor bit — matches too. The gathered outputs
+/// and masks are therefore **bit-identical** to a single-chip
+/// [`Machine`] run for any network that fits one chip (the oracle the
+/// integration tests enforce).
+///
+/// **Time and energy accounting.** Per layer, under the default
+/// [`PipelineMode::Serialized`] schedule:
+///
+/// * `time_us` is the modelled critical path — the input broadcast, plus
+///   the *slowest* chip's tile (chips run in parallel), plus the output
+///   gather, each term on its own clock (chip cycles at the machine's
+///   clock, transfer cycles at the interconnect's link clock);
+/// * `cycles`/`vu_cycles` carry the slowest chip's counts (the latency
+///   view), while [`LayerRecord::events`] *sums* every chip's activity
+///   and the interconnect's flit-hops (the energy view: all silicon
+///   toggles, wherever it is), so batch power estimates price total
+///   multi-chip activity.
+///
+/// **Wavefront pipelining** ([`PipelineMode::Wavefront`]) replaces the
+/// serialized stage chain with a virtual-clock wavefront executor: each
+/// chip's output slice starts crossing the fabric as its rows become
+/// final (the [`LayerRun::row_ready`](sparsenn_sim::LayerRun::row_ready)
+/// availability profile from the staged machine core), the root feeds
+/// each gathered slice straight into the downward broadcast, and every
+/// chip starts layer *l+1* the moment the last slice of layer *l* lands
+/// on it — so inter-chip communication overlaps the compute of slower
+/// chips instead of serializing behind the whole layer. Pipelining
+/// reorders *time only*: outputs, masks and energy/event sums are
+/// bit-identical across both modes (the same tile simulations run; only
+/// the layer `time_us` differs), wavefront latency is never above
+/// serialized latency, and never below the
+/// [`InterChipConfig::free`]-link lower bound — the invariants the
+/// `prop_pipeline` suite pins down.
+///
+/// Only nonzero activations cross chips — the interconnect extends the
+/// machine's input-sparsity skipping to the fabric, so UV-predicted
+/// output sparsity also cuts inter-chip traffic.
 ///
 /// # Example
 ///
@@ -210,7 +209,7 @@ impl PartitionedMachine {
 
     /// Like [`new`](Self::new), with an explicit execution schedule —
     /// [`PipelineMode::Wavefront`] overlaps inter-chip communication
-    /// with compute (see the [module docs](self)); outputs, masks and
+    /// with compute (see [`PartitionedMachine`]); outputs, masks and
     /// event sums are bit-identical across modes.
     ///
     /// # Errors
@@ -686,10 +685,7 @@ impl PartitionedMachine {
             };
             self.run_tiled(net, &tiles, input, mode, trace)?
         };
-        Ok(RunRecord {
-            backend: self.name.clone(),
-            layers,
-        })
+        Ok(RunRecord { layers })
     }
 }
 

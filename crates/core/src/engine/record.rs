@@ -47,8 +47,6 @@ impl LayerRecord {
 /// returns: outputs, cycles and events, per layer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunRecord {
-    /// Name of the backend that produced this record.
-    pub backend: String,
     /// Per-layer results, input side first. Non-empty by construction
     /// (backends reject empty networks with
     /// [`SparseNnError::EmptyNetwork`](crate::SparseNnError::EmptyNetwork)).
@@ -60,13 +58,8 @@ impl RunRecord {
     /// machine's clock model ([`MachineConfig::time_us`]).
     ///
     /// [`MachineConfig::time_us`]: sparsenn_sim::MachineConfig::time_us
-    pub fn from_network_run(
-        backend: impl Into<String>,
-        run: NetworkRun,
-        cfg: &sparsenn_sim::MachineConfig,
-    ) -> Self {
+    pub fn from_network_run(run: NetworkRun, cfg: &sparsenn_sim::MachineConfig) -> Self {
         Self {
-            backend: backend.into(),
             layers: run
                 .layers
                 .into_iter()
@@ -202,7 +195,6 @@ mod tests {
 
     fn record(cycles: &[u64]) -> RunRecord {
         RunRecord {
-            backend: "test".into(),
             layers: cycles
                 .iter()
                 .map(|&c| LayerRecord {
@@ -244,10 +236,7 @@ mod tests {
 
     #[test]
     fn empty_record_is_harmless() {
-        let r = RunRecord {
-            backend: "test".into(),
-            layers: Vec::new(),
-        };
+        let r = RunRecord { layers: Vec::new() };
         assert_eq!(r.output(), &[]);
         assert_eq!(r.classify(), 0);
         assert_eq!(r.total_cycles(), 0);

@@ -39,10 +39,8 @@ pub struct ShardView {
     pub backlog_us: f64,
     /// Modelled service time of the request being placed, *on this shard*,
     /// microseconds. The simulator knows it exactly from the shard's clock
-    /// model; the live fleet estimates it online — the shard's observed
-    /// mean by default, or an EWMA under
-    /// [`Fleet::with_service_alpha`](super::Fleet::with_service_alpha)
-    /// (0 before the shard has served anything).
+    /// model; the live fleet estimates it online as the shard's observed
+    /// mean (0 before the shard has served anything).
     pub service_us: f64,
 }
 

@@ -9,7 +9,7 @@
 //! weight upload) before it takes traffic; scale-in only retires an idle
 //! shard, never one holding work.
 
-use sparsenn_core::engine::P2Quantile;
+use sparsenn_obs::P2Quantile;
 
 /// Autoscaling policy parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -9,9 +9,8 @@
 //! control loops that a serving system needs on top of dispatch, all
 //! policy-pluggable and all exercised against seeded adversity:
 //!
-//! * **Admission** — the shared
-//!   [`AdmissionGate`](sparsenn_core::engine::AdmissionGate) trait (the
-//!   live [`Fleet`](sparsenn_core::engine::Fleet) consults the identical
+//! * **Admission** — the shared [`AdmissionGate`] trait (the live
+//!   [`Fleet`](sparsenn_core::engine::Fleet) consults the identical
 //!   object): classify each request ([`Priority`]), then admit, degrade,
 //!   or shed it *before* it queues into a missed deadline.
 //! * **Tail tolerance** — a [`FaultPlan`] injects seeded fail-stops and

@@ -104,12 +104,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutable access to the underlying row-major storage.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// Element accessor.
     ///
     /// # Panics
@@ -141,17 +135,6 @@ impl Matrix {
     pub fn row(&self, i: usize) -> &[f32] {
         assert!(i < self.rows, "row out of bounds");
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Mutable borrow of row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        assert!(i < self.rows, "row out of bounds");
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Copies column `j` into a new vector.
@@ -225,18 +208,6 @@ impl Matrix {
     pub fn scale(&mut self, alpha: f32) {
         for v in &mut self.data {
             *v *= alpha;
-        }
-    }
-
-    /// In-place element-wise addition `A += alpha · B`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_scaled(&mut self, alpha: f32, b: &Matrix) {
-        assert_eq!(self.shape(), b.shape(), "shape mismatch");
-        for (a, &bv) in self.data.iter_mut().zip(&b.data) {
-            *a += alpha * bv;
         }
     }
 

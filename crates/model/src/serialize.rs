@@ -114,6 +114,9 @@ pub fn from_str(text: &str) -> Result<PredictedNetwork, ParseModelError> {
     if dims.len() < 2 {
         return Err(err(n + 1, "need at least two dims"));
     }
+    if dims.contains(&0) {
+        return Err(err(n + 1, "dims must be positive"));
+    }
     let (n, rank_line) = lines.next().ok_or_else(|| err(3, "missing rank"))?;
     let _rank: usize = rank_line
         .strip_prefix("rank ")
@@ -122,7 +125,13 @@ pub fn from_str(text: &str) -> Result<PredictedNetwork, ParseModelError> {
         .parse()
         .map_err(|_| err(n + 1, "bad rank"))?;
 
-    let mut read_matrix = |tag: String| -> Result<Matrix, ParseModelError> {
+    // Each matrix header must name the shape `dims` implies before any
+    // row is read, so a crafted header can neither size an allocation nor
+    // build layers that do not link up. `cols: None` accepts the header's
+    // column count: a predictor's `u` sets its own rank, because the
+    // `rank` line is only the first predictor's (a truncated-SVD
+    // predictor on a narrow layer has a lower one).
+    let mut read_matrix = |tag: String, rows: usize, cols: Option<usize>| {
         let (n, head) = lines
             .next()
             .ok_or_else(|| err(usize::MAX, format!("missing `{tag}` header")))?;
@@ -136,40 +145,39 @@ pub fn from_str(text: &str) -> Result<PredictedNetwork, ParseModelError> {
                     .map_err(|_| err(n + 1, format!("bad shape token `{t}`")))
             })
             .collect::<Result<_, _>>()?;
-        if shape.len() != 2 {
-            return Err(err(n + 1, "matrix header needs rows and cols"));
-        }
-        let (rows, cols) = (shape[0], shape[1]);
-        let mut data = Vec::with_capacity(rows * cols);
+        let cols = match (shape.as_slice(), cols) {
+            (&[r, c], None) if r == rows => c,
+            (&[r, c], Some(want)) if r == rows && c == want => c,
+            _ => return Err(err(n + 1, format!("`{head}` does not fit the network"))),
+        };
+        let mut data = Vec::new();
         for _ in 0..rows {
             let (n, row) = lines
                 .next()
                 .ok_or_else(|| err(usize::MAX, "missing matrix row"))?;
+            let start = data.len();
             for tok in row.split_whitespace() {
                 let bits = u32::from_str_radix(tok, 16)
                     .map_err(|_| err(n + 1, format!("bad hex value `{tok}`")))?;
                 data.push(f32::from_bits(bits));
             }
-            if data.len() % cols != 0 {
+            if data.len() - start != cols {
                 return Err(err(n + 1, "row length mismatch"));
             }
-        }
-        if data.len() != rows * cols {
-            return Err(err(n + 1, "matrix size mismatch"));
         }
         Ok(Matrix::from_vec(rows, cols, data))
     };
 
     let mut layers = Vec::with_capacity(dims.len() - 1);
-    for l in 0..dims.len() - 1 {
-        let m = read_matrix(format!("layer {l} "))?;
+    for (l, d) in dims.windows(2).enumerate() {
+        let m = read_matrix(format!("layer {l} "), d[1], Some(d[0]))?;
         layers.push(DenseLayer::new(m));
     }
     let hidden = dims.len() - 2;
     let mut predictors = Vec::with_capacity(hidden);
-    for l in 0..hidden {
-        let u = read_matrix(format!("predictor {l} u "))?;
-        let v = read_matrix(format!("predictor {l} v "))?;
+    for (l, d) in dims.windows(2).take(hidden).enumerate() {
+        let u = read_matrix(format!("predictor {l} u "), d[1], None)?;
+        let v = read_matrix(format!("predictor {l} v "), u.cols(), Some(d[0]))?;
         predictors.push(Predictor::new(u, v));
     }
     Ok(PredictedNetwork::new(Mlp::new(layers), predictors))
@@ -217,6 +225,82 @@ mod tests {
             .replace(' ', " zz ")
             .replacen(" zz ", " ", 3);
         assert!(from_str(&text).is_err());
+    }
+
+    /// A checkpoint from its `dims`/`rank` lines and matrix blocks, each
+    /// block a header plus `rows` lines of `cols` ones.
+    fn checkpoint(dims: &str, rank: usize, blocks: &[(&str, usize, usize)]) -> String {
+        let mut text = format!("sparsenn-model v1\ndims {dims}\nrank {rank}\n");
+        for &(tag, rows, cols) in blocks {
+            let _ = writeln!(text, "{tag} {rows} {cols}");
+            for _ in 0..rows {
+                let _ = writeln!(text, "{}", vec!["3f800000"; cols].join(" "));
+            }
+        }
+        text
+    }
+
+    #[test]
+    fn zero_width_header_is_an_error() {
+        // `layer 0 1 0` used to divide a row length by zero.
+        assert!(from_str(&checkpoint("2 1", 0, &[("layer 0", 1, 0)])).is_err());
+        assert!(from_str(&checkpoint("0 1", 0, &[("layer 0", 1, 0)])).is_err());
+    }
+
+    #[test]
+    fn huge_header_is_an_error() {
+        // A 4e9 x 4e9 header used to reserve its product up front.
+        let huge = "sparsenn-model v1\ndims 2 1\nrank 0\nlayer 0 4000000000 4000000000\n";
+        assert!(from_str(huge).is_err());
+        let text = huge.replace("dims 2 1", "dims 4000000000 4000000000");
+        assert!(from_str(&format!("{text}3f800000\n")).is_err());
+    }
+
+    #[test]
+    fn layer_shape_must_match_dims() {
+        // A `dims 3 2` file used to load as a 1x1 network.
+        assert!(from_str(&checkpoint("3 2", 0, &[("layer 0", 1, 1)])).is_err());
+    }
+
+    #[test]
+    fn layers_must_link_up() {
+        // Layer 1 takes 4 inputs where layer 0 gives 3.
+        let blocks = [
+            ("layer 0", 3, 2),
+            ("layer 1", 2, 4),
+            ("predictor 0 u", 3, 1),
+            ("predictor 0 v", 1, 2),
+        ];
+        assert!(from_str(&checkpoint("2 3 2", 1, &blocks)).is_err());
+    }
+
+    #[test]
+    fn predictor_factors_must_agree_on_rank() {
+        let blocks = [
+            ("layer 0", 3, 2),
+            ("layer 1", 2, 3),
+            ("predictor 0 u", 3, 1),
+            ("predictor 0 v", 2, 2),
+        ];
+        assert!(from_str(&checkpoint("2 3 2", 1, &blocks)).is_err());
+        // The well-formed neighbour loads.
+        let mut good = blocks;
+        good[3] = ("predictor 0 v", 1, 2);
+        assert!(from_str(&checkpoint("2 3 2", 1, &good)).is_ok());
+    }
+
+    /// The `rank` line records the first predictor's rank only; truncated
+    /// SVD lowers it on narrow layers, and such networks must still load.
+    #[test]
+    fn mixed_rank_predictors_round_trip() {
+        let mut rng = seeded_rng(4);
+        let mlp = Mlp::random(&[5, 4, 3, 2], &mut rng);
+        let predictors = vec![
+            Predictor::random(4, 5, 2, &mut rng),
+            Predictor::random(3, 4, 1, &mut rng),
+        ];
+        let net = PredictedNetwork::new(mlp, predictors);
+        assert_eq!(from_str(&to_string(&net)).unwrap(), net);
     }
 
     #[test]

@@ -1,14 +1,9 @@
-//! The one latency accumulator the whole stack shares.
+//! The one latency accumulator the serving simulators and the front
+//! end share.
 //!
-//! Before this crate existed the repository kept three parallel
-//! implementations of "count, sum, max, plus P² percentile trackers":
-//! the fleet's per-shard service books, the serving simulator's
-//! streaming mode and the front end's per-class stats. [`LatencyStat`]
-//! is that accumulator, written once: exact count/mean/max, three
-//! constant-space P² percentile estimators (p50/p95/p99), and an
-//! optional extra tracked quantile for callers that rank by an arbitrary
-//! percentile (the fleet's `with_service_percentile`). [`LatencyStats`]
-//! is its snapshot — the five summary numbers every report renders.
+//! [`LatencyStat`] keeps exact count/mean/max plus three constant-space
+//! P² percentile estimators (p50/p95/p99); [`LatencyStats`] is its
+//! snapshot — the five summary numbers every report renders.
 
 use crate::quantile::P2Quantile;
 
@@ -52,9 +47,9 @@ impl LatencyStats {
 }
 
 /// Constant-memory latency accounting: exact count/mean/max plus P²
-/// streaming estimates of p50/p95/p99 (and optionally one more tracked
-/// quantile). A handful of floats of state, no samples retained — sized
-/// for sweeps over millions of virtual requests.
+/// streaming estimates of p50/p95/p99. A handful of floats of state, no
+/// samples retained — sized for sweeps over millions of virtual
+/// requests.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LatencyStat {
     count: u64,
@@ -63,9 +58,6 @@ pub struct LatencyStat {
     p50: P2Quantile,
     p95: P2Quantile,
     p99: P2Quantile,
-    /// Extra tracked quantile for callers ranking by an arbitrary
-    /// percentile (e.g. a p-quantile live service estimate).
-    custom: Option<P2Quantile>,
 }
 
 impl Default for LatencyStat {
@@ -84,45 +76,17 @@ impl LatencyStat {
             p50: P2Quantile::new(0.5),
             p95: P2Quantile::new(0.95),
             p99: P2Quantile::new(0.99),
-            custom: None,
-        }
-    }
-
-    /// An empty accumulator that additionally tracks quantile `p`
-    /// (clamped as by [`P2Quantile::new`]), exposed via
-    /// [`quantile_estimate`](Self::quantile_estimate).
-    pub fn with_quantile(p: f64) -> Self {
-        Self {
-            custom: Some(P2Quantile::new(p)),
-            ..Self::new()
         }
     }
 
     /// Folds one latency observation in (O(1) time and space).
     pub fn observe(&mut self, latency_us: f64) {
-        self.observe_weighted(latency_us, 1);
-    }
-
-    /// Folds `weight` identical observations in — what a batch of
-    /// `weight` samples sharing one amortized per-sample latency
-    /// contributes. Equivalent to calling [`observe`](Self::observe)
-    /// `weight` times, in O(weight) quantile updates but one counter
-    /// update.
-    pub fn observe_weighted(&mut self, latency_us: f64, weight: u64) {
-        if weight == 0 {
-            return;
-        }
-        self.count += weight;
-        self.sum_us += latency_us * weight as f64;
+        self.count += 1;
+        self.sum_us += latency_us;
         self.max_us = self.max_us.max(latency_us);
-        for _ in 0..weight {
-            self.p50.observe(latency_us);
-            self.p95.observe(latency_us);
-            self.p99.observe(latency_us);
-            if let Some(q) = &mut self.custom {
-                q.observe(latency_us);
-            }
-        }
+        self.p50.observe(latency_us);
+        self.p95.observe(latency_us);
+        self.p99.observe(latency_us);
     }
 
     /// Observations folded in so far.
@@ -147,53 +111,6 @@ impl LatencyStat {
     /// Exact maximum observation (0 when empty).
     pub fn max_us(&self) -> f64 {
         self.max_us
-    }
-
-    /// The extra tracked quantile, when built with
-    /// [`with_quantile`](Self::with_quantile).
-    pub fn quantile(&self) -> Option<f64> {
-        self.custom.as_ref().map(P2Quantile::quantile)
-    }
-
-    /// Current estimate of the extra tracked quantile (`None` unless
-    /// built with [`with_quantile`](Self::with_quantile); 0 before the
-    /// first observation, as by [`P2Quantile::estimate`]).
-    pub fn quantile_estimate(&self) -> Option<f64> {
-        self.custom.as_ref().map(P2Quantile::estimate)
-    }
-
-    /// Folds another accumulator in, so fleet-level books can aggregate
-    /// per-shard accumulators without re-streaming every observation.
-    ///
-    /// Count, sum (hence mean) and max are **exact**. The p50/p95/p99
-    /// estimates merge by [`P2Quantile::merge`] — exact when either side
-    /// is still in its warm-up buffer, documented-approximate
-    /// (weighted-marker interpolation) once both sides are warmed. The
-    /// extra tracked quantile survives only when both sides track the
-    /// same `p` (or the other side has no observations); merging
-    /// mismatched trackers would silently answer the wrong question, so
-    /// the merged accumulator drops it instead.
-    pub fn merge(&mut self, other: &Self) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        self.count += other.count;
-        self.sum_us += other.sum_us;
-        self.max_us = self.max_us.max(other.max_us);
-        self.p50.merge(&other.p50);
-        self.p95.merge(&other.p95);
-        self.p99.merge(&other.p99);
-        self.custom = match (self.custom.take(), other.custom.as_ref()) {
-            (Some(mut mine), Some(theirs)) if mine.quantile() == theirs.quantile() => {
-                mine.merge(theirs);
-                Some(mine)
-            }
-            _ => None,
-        };
     }
 
     /// The summary snapshot: exact mean and max, P²-estimated
@@ -255,98 +172,5 @@ mod tests {
         assert_eq!(got.max_us, exact.max_us);
         assert!((got.p50_us - exact.p50_us).abs() < 0.05 * exact.p50_us);
         assert!((got.p95_us - exact.p95_us).abs() < 0.05 * exact.p95_us);
-    }
-
-    /// A weighted observation is exactly `weight` plain observations.
-    #[test]
-    fn weighted_observe_equals_repeated_observe() {
-        let mut a = LatencyStat::with_quantile(0.9);
-        let mut b = LatencyStat::with_quantile(0.9);
-        for (x, w) in [(10.0, 3u64), (40.0, 1), (25.0, 4), (5.0, 2)] {
-            a.observe_weighted(x, w);
-            for _ in 0..w {
-                b.observe(x);
-            }
-        }
-        assert_eq!(a, b);
-        a.observe_weighted(99.0, 0);
-        assert_eq!(a, b, "weight 0 is a no-op");
-    }
-
-    /// The merge satellite's regression test: folding per-shard books
-    /// together must agree with one accumulator that saw the whole
-    /// stream — exactly on count/mean/max, closely on the quantiles.
-    #[test]
-    fn merged_shard_books_match_the_single_stream() {
-        let values: Vec<f64> = (0..6000)
-            .map(|i| ((i * 2654435761u64 % 997) as f64) + 1.0)
-            .collect();
-        let mut single = LatencyStat::new();
-        let mut shards = [LatencyStat::new(), LatencyStat::new(), LatencyStat::new()];
-        for (i, &v) in values.iter().enumerate() {
-            single.observe(v);
-            shards[i % 3].observe(v);
-        }
-        let mut merged = LatencyStat::new();
-        for shard in &shards {
-            merged.merge(shard);
-        }
-        assert_eq!(merged.count(), single.count(), "count is exact");
-        assert!(
-            (merged.mean_us() - single.mean_us()).abs() < 1e-9,
-            "mean is exact"
-        );
-        assert_eq!(merged.max_us(), single.max_us(), "max is exact");
-        let (got, want) = (merged.stats(), single.stats());
-        for (g, w, name) in [
-            (got.p50_us, want.p50_us, "p50"),
-            (got.p95_us, want.p95_us, "p95"),
-            (got.p99_us, want.p99_us, "p99"),
-        ] {
-            assert!(
-                (g - w).abs() <= 0.10 * w.max(1.0),
-                "{name}: merged {g} strays from single-stream {w}"
-            );
-        }
-    }
-
-    #[test]
-    fn merge_edge_cases_keep_the_contract() {
-        // Empty other: no-op. Empty self: adopts other wholesale.
-        let mut a = LatencyStat::with_quantile(0.9);
-        for x in [5.0, 9.0, 2.0] {
-            a.observe(x);
-        }
-        let before = a.clone();
-        a.merge(&LatencyStat::new());
-        assert_eq!(a, before);
-        let mut empty = LatencyStat::new();
-        empty.merge(&before);
-        assert_eq!(empty, before, "empty self adopts other, custom included");
-        // Matching custom quantiles merge; mismatched ones drop.
-        let mut b = LatencyStat::with_quantile(0.9);
-        b.observe(100.0);
-        a.merge(&b);
-        assert_eq!(a.quantile(), Some(0.9));
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.max_us(), 100.0);
-        let mut c = LatencyStat::with_quantile(0.5);
-        c.observe(1.0);
-        a.merge(&c);
-        assert_eq!(a.quantile(), None, "mismatched trackers drop, not lie");
-        assert_eq!(a.count(), 5, "counts still fold exactly");
-    }
-
-    #[test]
-    fn custom_quantile_tracks_the_tail() {
-        let mut stat = LatencyStat::with_quantile(0.95);
-        assert_eq!(stat.quantile(), Some(0.95));
-        assert_eq!(stat.quantile_estimate(), Some(0.0), "0 before data");
-        for i in 0..2000 {
-            stat.observe(if i % 20 == 19 { 1000.0 } else { 10.0 });
-        }
-        let p95 = stat.quantile_estimate().expect("tracked");
-        assert!(p95 >= 10.0 && stat.mean_us() < 70.0);
-        assert_eq!(LatencyStat::new().quantile_estimate(), None);
     }
 }

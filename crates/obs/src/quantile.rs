@@ -1,16 +1,15 @@
-//! Online quantile estimation for live service times.
+//! Online quantile estimation for streamed latencies.
 //!
-//! The fleet's schedulers see one number per shard (the live
-//! `ShardView::service_us` estimate); the mean (or EWMA) is a fine
-//! centre estimate but says nothing about the tail — and tail latency is
-//! what serving SLOs are written against. Storing every observation to
-//! compute a real percentile would grow without bound under heavy
-//! traffic, so the serving stack uses the **P² algorithm**
-//! (Jain & Chlamtac, 1985): a constant-space estimator that tracks one
-//! quantile with five *markers* — height/position pairs that are nudged
-//! toward their ideal rank positions with every observation, using a
-//! piecewise-parabolic (hence "P²") interpolation between neighbours.
-//! Five floats of state, O(1) per sample, no samples retained.
+//! A mean is a fine centre estimate but says nothing about the tail —
+//! and tail latency is what serving SLOs are written against. Storing
+//! every observation to compute a real percentile would grow without
+//! bound under heavy traffic, so the serving stack uses the **P²
+//! algorithm** (Jain & Chlamtac, 1985): a constant-space estimator that
+//! tracks one quantile with five *markers* — height/position pairs that
+//! are nudged toward their ideal rank positions with every observation,
+//! using a piecewise-parabolic (hence "P²") interpolation between
+//! neighbours. Five floats of state, O(1) per sample, no samples
+//! retained.
 
 /// A streaming estimate of one quantile of an unbounded observation
 /// sequence (the P² algorithm — constant space, one update per sample).
@@ -121,149 +120,6 @@ impl P2Quantile {
                 self.n[i] += d;
             }
         }
-    }
-
-    /// Folds another tracker's state into this one, as if (approximately)
-    /// this tracker had seen both observation streams.
-    ///
-    /// Exactness contract (the basis of `LatencyStat::merge`
-    /// aggregation, see `crates/obs/src/latency.rs`):
-    ///
-    /// * the merged `count` is exact;
-    /// * the merged extremes are exact — P²'s outer markers are running
-    ///   min/max, so the merged `q[0]`/`q[4]` are the true min/max of
-    ///   the union;
-    /// * when either side is still in its warm-up buffer (< 5 samples),
-    ///   its raw samples are replayed into the other side — no
-    ///   information is lost;
-    /// * when both sides are warmed, the middle markers are rebuilt by
-    ///   **weighted-marker interpolation**: each side's five markers
-    ///   become mass points (marker height, observations it stands for),
-    ///   the ten points are sorted by height, and the merged marker
-    ///   heights are read off the piecewise-linear weighted quantile
-    ///   function at the ideal P² rank positions for the combined count.
-    ///   This is a documented approximation — quantile sketches cannot
-    ///   merge exactly in constant space — but it is deterministic,
-    ///   keeps markers monotone, and converges with the same error
-    ///   profile as the underlying P² estimate.
-    ///
-    /// Both trackers should track the same quantile; merging trackers
-    /// with different `p` keeps `self`'s target and is best-effort.
-    pub fn merge(&mut self, other: &Self) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            // Adopt the other side's markers wholesale (its np targets
-            // are the ideal positions for a same-p tracker).
-            self.q = other.q;
-            self.n = other.n;
-            self.np = other.np;
-            self.count = other.count;
-            return;
-        }
-        if other.count < 5 {
-            // The other side never left warm-up: replay its raw samples.
-            for &x in &other.q[..other.count as usize] {
-                self.observe(x);
-            }
-            return;
-        }
-        if self.count < 5 {
-            // Symmetric case: adopt the warmed side, replay our buffer.
-            let (buf, len) = (self.q, self.count as usize);
-            self.q = other.q;
-            self.n = other.n;
-            self.np = other.np;
-            self.count = other.count;
-            for &x in &buf[..len] {
-                self.observe(x);
-            }
-            return;
-        }
-        // Both warmed: weighted-marker interpolation. Marker i stands
-        // for the observations between the rank midpoints of its
-        // neighbours, so the five weights of one tracker sum to its
-        // count.
-        let mut pts: Vec<(f64, f64)> = Vec::with_capacity(10);
-        let mut push_markers = |q: &[f64; 5], n: &[f64; 5]| {
-            let b = [
-                (n[0] + n[1]) / 2.0,
-                (n[1] + n[2]) / 2.0,
-                (n[2] + n[3]) / 2.0,
-                (n[3] + n[4]) / 2.0,
-            ];
-            let w = [
-                b[0] - (n[0] - 0.5),
-                b[1] - b[0],
-                b[2] - b[1],
-                b[3] - b[2],
-                (n[4] + 0.5) - b[3],
-            ];
-            for i in 0..5 {
-                pts.push((q[i], w[i].max(0.0)));
-            }
-        };
-        push_markers(&self.q, &self.n);
-        push_markers(&other.q, &other.n);
-        pts.sort_by(|a, b| a.0.total_cmp(&b.0));
-        // Cumulative mass centre of each point, for piecewise-linear
-        // interpolation of the weighted quantile function.
-        let mut cum = 0.0;
-        let centers: Vec<(f64, f64)> = pts
-            .iter()
-            .map(|&(h, w)| {
-                let c = cum + w / 2.0;
-                cum += w;
-                (c, h)
-            })
-            .collect();
-        let height_at = |mass: f64| -> f64 {
-            if mass <= centers[0].0 {
-                return centers[0].1;
-            }
-            for pair in centers.windows(2) {
-                let ((c0, h0), (c1, h1)) = (pair[0], pair[1]);
-                if mass <= c1 {
-                    if c1 - c0 <= f64::EPSILON {
-                        return h1;
-                    }
-                    return h0 + (h1 - h0) * (mass - c0) / (c1 - c0);
-                }
-            }
-            centers[centers.len() - 1].1
-        };
-        let total = self.count + other.count;
-        let (m, p) = (total as f64, self.p);
-        // Ideal P² marker rank positions for a count-m stream — exactly
-        // where `observe`'s np increments would have put them.
-        let ideal = [
-            1.0,
-            1.0 + (m - 1.0) * p / 2.0,
-            1.0 + (m - 1.0) * p,
-            1.0 + (m - 1.0) * (1.0 + p) / 2.0,
-            m,
-        ];
-        let mut q = [0.0; 5];
-        for i in 0..5 {
-            q[i] = height_at(ideal[i] - 0.5);
-        }
-        // The outer markers are running extremes — take them exactly.
-        q[0] = self.q[0].min(other.q[0]);
-        q[4] = self.q[4].max(other.q[4]);
-        for i in 1..5 {
-            q[i] = q[i].max(q[i - 1]);
-        }
-        // Strictly increasing integer-valued positions at the ideals
-        // (total >= 10 here, so there is always room).
-        let mut n = [1.0, 0.0, 0.0, 0.0, m];
-        for i in 1..4 {
-            n[i] = ideal[i].round().clamp(n[i - 1] + 1.0, m - (4 - i) as f64);
-        }
-        self.q = q;
-        self.n = n;
-        self.np = ideal;
-        self.count = total;
     }
 
     /// Piecewise-parabolic height prediction for marker `i` moved by `d`.
@@ -454,95 +310,6 @@ mod tests {
             q.observe(7.0);
         }
         assert_eq!(q.estimate(), 7.0);
-    }
-
-    #[test]
-    fn merge_with_empty_sides_is_lossless() {
-        let mut full = P2Quantile::new(0.9);
-        for x in stream(500) {
-            full.observe(x);
-        }
-        let mut a = full;
-        a.merge(&P2Quantile::new(0.9));
-        assert_eq!(a, full, "merging an empty tracker changes nothing");
-        let mut b = P2Quantile::new(0.9);
-        b.merge(&full);
-        assert_eq!(b.count(), full.count());
-        assert_eq!(b.estimate(), full.estimate(), "empty adopts the full side");
-    }
-
-    #[test]
-    fn merge_replays_warmup_buffers_exactly() {
-        // other in warm-up: its raw samples are replayed (the warm-up
-        // buffer is kept sorted, so the replay order is sorted), so the
-        // merge equals observing those samples directly.
-        let mut merged = P2Quantile::new(0.5);
-        let mut direct = P2Quantile::new(0.5);
-        for x in stream(100) {
-            merged.observe(x);
-            direct.observe(x);
-        }
-        let mut small = P2Quantile::new(0.5);
-        for x in [3.0, 1.0, 2.0] {
-            small.observe(x);
-        }
-        for x in [1.0, 2.0, 3.0] {
-            direct.observe(x);
-        }
-        merged.merge(&small);
-        assert_eq!(merged, direct, "warm-up replay is sample-exact");
-        // self in warm-up, other warmed: counts and extremes survive.
-        let mut tiny = P2Quantile::new(0.5);
-        tiny.observe(-50.0);
-        let mut big = P2Quantile::new(0.5);
-        for x in stream(64) {
-            big.observe(x);
-        }
-        tiny.merge(&big);
-        assert_eq!(tiny.count(), 65);
-        assert_eq!(tiny.q[0], -50.0, "replayed minimum lands in q[0]");
-    }
-
-    /// The documented merge contract on warmed trackers: exact count and
-    /// extremes, estimate close to the single-stream estimate.
-    #[test]
-    fn merge_of_two_halves_tracks_the_single_stream() {
-        for p in [0.5, 0.9, 0.99] {
-            let all: Vec<f64> = stream(20_000).collect();
-            let mut single = P2Quantile::new(p);
-            let mut lo = P2Quantile::new(p);
-            let mut hi = P2Quantile::new(p);
-            for (i, &x) in all.iter().enumerate() {
-                single.observe(x);
-                if i % 2 == 0 {
-                    lo.observe(x);
-                } else {
-                    hi.observe(x);
-                }
-            }
-            let mut merged = lo;
-            merged.merge(&hi);
-            assert_eq!(merged.count(), single.count(), "count is exact");
-            assert_eq!(merged.q[0], single.q[0], "min is exact");
-            assert_eq!(merged.q[4], single.q[4], "max is exact");
-            let (est, want) = (merged.estimate(), p * 100.0);
-            assert!(
-                (est - want).abs() < 4.0,
-                "p{}: merged estimate {est} strays from true {want}",
-                p * 100.0
-            );
-            for w in merged.n.windows(2) {
-                assert!(w[0] < w[1], "positions stay strictly increasing");
-            }
-            for w in merged.q.windows(2) {
-                assert!(w[0] <= w[1], "heights stay monotone");
-            }
-            // The merged tracker keeps estimating sanely as a stream.
-            for x in stream(1000) {
-                merged.observe(x);
-            }
-            assert!((merged.estimate() - want).abs() < 5.0);
-        }
     }
 
     #[test]

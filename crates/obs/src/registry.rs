@@ -4,7 +4,7 @@
 //! the registry is where they meet afterwards: named counters
 //! (monotonic integers), gauges (point-in-time reals) and histograms
 //! ([`LatencyStat`] distributions) under dotted names
-//! (`frontend.premium.shed`, `fleet.shard0.service_us`). Storage is
+//! (`frontend.premium.shed`, `serve.batched.idle_wait_us`). Storage is
 //! `BTreeMap`, so every export walks names in sorted order and the text
 //! snapshot is deterministic — diffable across runs and greppable in CI.
 

@@ -1,19 +1,16 @@
-//! Fixed-capacity time-windowed metric rings.
+//! Fixed-capacity time-windowed event counters.
 //!
-//! A [`WindowSeries`] buckets a stream of timestamped observations into
+//! A [`WindowSeries`] buckets a stream of timestamped events into
 //! consecutive virtual-time windows of a fixed width, keeping per-window
-//! counter deltas (events, good events) and a [`LatencyStat`] snapshot
-//! of any latency samples that landed in the window. Capacity is fixed
-//! at construction: when a new window opens beyond it, the oldest
-//! bucket is evicted (counted, like `RingRecorder`'s drop counter, so
-//! truncation is visible). The ring is what the burn-rate monitor
+//! counter deltas (events, good events). Capacity is fixed at
+//! construction: when a new window opens beyond it, the oldest bucket is
+//! evicted (counted, like `RingRecorder`'s drop counter, so truncation
+//! is visible). The ring is what the burn-rate monitor
 //! (`BurnRateMonitor`, in the sibling `slo` module) reads its fast/slow
-//! windows from, and what a dashboard would render as a rate/latency
-//! time series.
+//! windows from, and what a dashboard would render as a rate time
+//! series.
 
-use crate::latency::LatencyStat;
-
-/// One window's worth of accumulated observations.
+/// One window's worth of accumulated events.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WindowBucket {
     /// Window index: the bucket covers
@@ -23,9 +20,6 @@ pub struct WindowBucket {
     pub events: u64,
     /// Events flagged good (e.g. deadline met) in the window.
     pub good: u64,
-    /// Latency samples that carried a measurement (may be fewer than
-    /// `events` — counter-only observations don't feed the stat).
-    pub latency: LatencyStat,
 }
 
 impl WindowBucket {
@@ -34,7 +28,6 @@ impl WindowBucket {
             index,
             events: 0,
             good: 0,
-            latency: LatencyStat::new(),
         }
     }
 
@@ -89,16 +82,7 @@ impl WindowSeries {
         (t_us.max(0.0) / self.window_us) as u64
     }
 
-    /// Folds in one event at `t_us` with a latency measurement.
-    pub fn observe(&mut self, t_us: f64, latency_us: f64, good: bool) {
-        if let Some(bucket) = self.bucket_at(self.index_of(t_us)) {
-            bucket.events += 1;
-            bucket.good += u64::from(good);
-            bucket.latency.observe(latency_us);
-        }
-    }
-
-    /// Folds in one counter-only event at `t_us` (no latency sample).
+    /// Folds in one event at `t_us`.
     pub fn count(&mut self, t_us: f64, good: bool) {
         if let Some(bucket) = self.bucket_at(self.index_of(t_us)) {
             bucket.events += 1;
@@ -185,18 +169,16 @@ mod tests {
     #[test]
     fn observations_land_in_their_windows() {
         let mut s = WindowSeries::new(10.0, 8);
-        s.observe(0.0, 5.0, true);
-        s.observe(9.999, 7.0, false);
-        s.observe(10.0, 3.0, true);
+        s.count(0.0, true);
+        s.count(9.999, false);
+        s.count(10.0, true);
         s.count(25.0, true);
         let b = s.buckets();
         assert_eq!(b.len(), 3);
         assert_eq!((b[0].index, b[0].events, b[0].good), (0, 2, 1));
         assert_eq!(b[0].missed(), 1);
-        assert_eq!(b[0].latency.count(), 2);
         assert_eq!((b[1].index, b[1].events), (1, 1));
         assert_eq!((b[2].index, b[2].events), (2, 1));
-        assert_eq!(b[2].latency.count(), 0, "counter-only event");
         assert_eq!(s.evicted(), 0);
         assert_eq!(s.late(), 0);
     }

@@ -90,15 +90,6 @@ impl SliceTransfer {
     pub fn values(&self) -> usize {
         self.ready_us.len()
     }
-
-    /// The time the last transferable value became final (`decided_us`
-    /// for an all-zero slice).
-    pub fn last_ready_us(&self) -> f64 {
-        self.ready_us
-            .iter()
-            .copied()
-            .fold(self.decided_us, f64::max)
-    }
 }
 
 impl InterChipConfig {

@@ -53,9 +53,9 @@ impl RequestMetric {
 pub use sparsenn_obs::LatencyStats;
 
 /// The streaming accumulator behind the simulator's default metrics
-/// mode — re-exported from `sparsenn-obs`, where the fleet's per-shard
-/// books and the frontend's per-class stats now share it. Exact
-/// count/mean/max plus constant-space P² p50/p95/p99.
+/// mode — re-exported from `sparsenn-obs`, where the frontend's
+/// per-class stats share it. Exact count/mean/max plus constant-space
+/// P² p50/p95/p99.
 pub use sparsenn_obs::LatencyStat as StreamingLatency;
 
 /// One shard's share of the simulated work.

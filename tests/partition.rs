@@ -169,8 +169,7 @@ fn partitioned_backend_composes_with_session_and_fleet() {
     };
     let fleet = Fleet::new(vec![replica(), replica()])
         .unwrap()
-        .with_scheduler(Box::new(FastestCompletion))
-        .with_service_alpha(0.2);
+        .with_scheduler(Box::new(FastestCompletion));
     assert_eq!(
         fleet.name(),
         "fleet(2x partitioned(2 chips x cycle-accurate))"
