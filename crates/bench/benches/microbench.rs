@@ -145,24 +145,32 @@ fn bench_machine(c: &mut Criterion) {
     let (machine, fixed, xq) = machine_fixture();
     g.bench_function("layer_512x256_uv_off", |b| {
         b.iter(|| {
-            black_box(machine.run_layer(
-                black_box(&fixed.layers()[0]),
-                None,
-                black_box(&xq),
-                true,
-                UvMode::Off,
-            ))
+            black_box(
+                machine
+                    .run_layer(
+                        black_box(&fixed.layers()[0]),
+                        None,
+                        black_box(&xq),
+                        true,
+                        UvMode::Off,
+                    )
+                    .expect("the layer fits the machine"),
+            )
         })
     });
     g.bench_function("layer_512x256_uv_on", |b| {
         b.iter(|| {
-            black_box(machine.run_layer(
-                black_box(&fixed.layers()[0]),
-                fixed.predictors().first(),
-                black_box(&xq),
-                true,
-                UvMode::On,
-            ))
+            black_box(
+                machine
+                    .run_layer(
+                        black_box(&fixed.layers()[0]),
+                        fixed.predictors().first(),
+                        black_box(&xq),
+                        true,
+                        UvMode::On,
+                    )
+                    .expect("the layer fits the machine"),
+            )
         })
     });
     g.bench_function("golden_layer_512x256", |b| {

@@ -29,7 +29,9 @@ pub fn noc() -> Report {
             ..MachineConfig::default()
         };
         let machine = Machine::new(cfg);
-        let run = machine.run_layer(&net.layers()[0], None, &xq, false, UvMode::Off);
+        let run = machine
+            .run_layer(&net.layers()[0], None, &xq, false, UvMode::Off)
+            .expect("the layer fits the machine");
         let base = *base_cycles.get_or_insert(run.cycles);
         rows.push(vec![
             depth.to_string(),
@@ -71,7 +73,9 @@ pub fn noc() -> Report {
         let mut cfg = MachineConfig::default();
         cfg.noc.queue_capacity = cap;
         let machine = Machine::new(cfg);
-        let run = machine.run_layer(&net.layers()[0], None, &xq, false, UvMode::Off);
+        let run = machine
+            .run_layer(&net.layers()[0], None, &xq, false, UvMode::Off)
+            .expect("the layer fits the machine");
         router_rows.push(vec![
             cap.to_string(),
             run.cycles.to_string(),
@@ -121,7 +125,9 @@ pub fn sched() -> Report {
             .iter()
             .map(|&f| sparsenn_core::numeric::Q6_10::from_f32(f))
             .collect();
-        let row_run = machine.run_layer(&vq, None, &xq, false, UvMode::Off);
+        let row_run = machine
+            .run_layer(&vq, None, &xq, false, UvMode::Off)
+            .expect("the layer fits the machine");
 
         // Column-based: the machine's real V phase. Isolate it with a
         // predictor whose U phase is negligible (1 output row) and a W
@@ -140,13 +146,15 @@ pub fn sched() -> Report {
             v.clone(),
         );
         let net = FixedNetwork::from_float(&PredictedNetwork::new(mlp2, vec![pred]));
-        let col_run = machine.run_layer(
-            &net.layers()[0],
-            net.predictors().first(),
-            &xq,
-            true,
-            UvMode::On,
-        );
+        let col_run = machine
+            .run_layer(
+                &net.layers()[0],
+                net.predictors().first(),
+                &xq,
+                true,
+                UvMode::On,
+            )
+            .expect("the layer fits the machine");
 
         rows.push(vec![
             r.to_string(),

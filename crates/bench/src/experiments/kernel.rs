@@ -23,11 +23,9 @@
 //!
 //! Around the oracles: a block-size sweep, a synthetic input-sparsity
 //! sweep (speedup vs zeros), native `run_batch` per-sample latency for
-//! B = 1..=8, the SimdBackend modelled-vs-measured cross-check, a
-//! measured [`ShardSpec`] service table, and the cycle-accurate
-//! simulator's own hot-loop before/after (mask-word vs per-element
-//! scanning — same bits, same cycles, less host time). All wall time is
-//! charged to a [`WallProfiler`] and exported as `profile.*` metrics.
+//! B = 1..=8, the SimdBackend modelled-vs-measured cross-check, and a
+//! measured [`ShardSpec`] service table. All wall time is charged to a
+//! [`WallProfiler`] and exported as `profile.*` metrics.
 
 use crate::fmt_f;
 use crate::report::Report;
@@ -35,7 +33,6 @@ use sparsenn_core::engine::{InferenceBackend, KernelBackend, SimdBackend};
 use sparsenn_core::model::fixedpoint::{FixedNetwork, UvMode};
 use sparsenn_core::numeric::Q6_10;
 use sparsenn_core::sim::simd::SimdPlatform;
-use sparsenn_core::sim::{Machine, MachineConfig, ScanMode};
 use sparsenn_core::Profile;
 use sparsenn_kernel::{SparseKernel, Strategy, DEFAULT_BLOCK};
 use sparsenn_obs::{min_wall_us, WallProfiler};
@@ -56,7 +53,6 @@ const ORACLES: &[&str] = &[
     "kernel.bit_exact",
     "kernel.speedup_ok",
     "kernel.engine_overhead_ok",
-    "kernel.sim_hotloop_bit_identical",
 ];
 
 /// Timing reps per measurement (min-of-reps kills scheduler noise).
@@ -409,58 +405,6 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> Report {
         spec.service_us.len(),
     );
     out.metric("kernel.measured_service_us_mean", spec.mean_service_us());
-
-    // — The cycle-accurate simulator's own hot loop: mask-word scanning
-    //   vs the per-element reference — same bits, same cycles, less host
-    //   time —
-    let sim_inputs = &inputs[..4.min(inputs.len())];
-    let mask_word = Machine::new(MachineConfig::default());
-    let per_element = Machine::new(MachineConfig {
-        scan: ScanMode::PerElement,
-        ..MachineConfig::default()
-    });
-    let mut identical = true;
-    for x in sim_inputs {
-        let a = mask_word.try_run_network(net, x, UvMode::On).expect("fits");
-        let b = per_element
-            .try_run_network(net, x, UvMode::On)
-            .expect("fits");
-        identical &= a.output() == b.output()
-            && a.total_cycles() == b.total_cycles()
-            && a.total_events() == b.total_events();
-    }
-    let time_sim = |machine: &Machine| {
-        let [us] = min_wall_us(
-            r,
-            [&mut || {
-                for x in sim_inputs {
-                    std::hint::black_box(
-                        machine.try_run_network(net, x, UvMode::On).expect("fits"),
-                    );
-                }
-            }],
-        );
-        us
-    };
-    let t_mask = prof.time("sim.mask_word", || time_sim(&mask_word));
-    let t_elem = prof.time("sim.per_element", || time_sim(&per_element));
-    let sim_speedup = t_elem / t_mask.max(1e-12);
-    let _ = writeln!(
-        out,
-        "### Simulator hot loop: mask-word vs per-element scanning\n\n\
-         per-element {} µs vs mask-word {} µs over {} samples ({}× host speedup).\n",
-        fmt_f(t_elem, 1),
-        fmt_f(t_mask, 1),
-        sim_inputs.len(),
-        fmt_f(sim_speedup, 2),
-    );
-    out.metric("kernel.sim_hotloop_speedup", sim_speedup);
-    out.oracle(
-        "kernel.sim_hotloop_bit_identical",
-        identical,
-        "simulator results/cycles/events bit-identical across the two scans",
-    );
-    let _ = writeln!(out);
 
     // — Where the host time went —
     let _ = writeln!(out, "### Wall-clock profile\n");

@@ -64,12 +64,14 @@
 //! `kernel.*` metrics — **measured wall-clock**, not modelled time:
 //! dense-vs-prescan per-sample latency and speedup per block size and
 //! input sparsity, native-batch per-sample latency and W-word
-//! amortization per batch size, the modelled-vs-measured cross-check,
-//! the simulator hot-loop speedup, and the `kernel.bit_exact` /
-//! `kernel.sim_hotloop_bit_identical` oracle flags — plus `profile.*`
-//! wall-time phases from the `WallProfiler`. Schema 10 later gained the
+//! amortization per batch size, the modelled-vs-measured cross-check and
+//! the `kernel.bit_exact` oracle flag — plus `profile.*` wall-time phases
+//! from the `WallProfiler`. Schema 10 later gained the
 //! `kernel.speedup_ok` / `kernel.engine_overhead_ok` flags for the
-//! kernel's two numeric gates; no metric was renamed or dropped.
+//! kernel's two numeric gates. It also lost the simulator hot-loop
+//! comparison (its speedup, its oracle flag and its `profile.sim.*`
+//! phases) when the per-element scan it timed was deleted; the
+//! `cycle_golden` snapshot test pins the simulator instead.
 //! The `bench_diff` bin
 //! compares two such files (any schema — metrics diff generically by
 //! name, and metrics present only in the old file get explicit

@@ -162,12 +162,12 @@ impl InferenceBackend for CycleAccurateBackend {
         input: &[Q6_10],
         mode: UvMode,
     ) -> Result<RunRecord, SparseNnError> {
-        let run = self.machine.try_run_network(net, input, mode)?;
+        let run = self.machine.run_network(net, input, mode)?;
         Ok(RunRecord::from_network_run(run, self.machine.config()))
     }
 
     /// The true batched core: one W pass per layer serves the whole
-    /// batch ([`Machine::try_run_network_batch`]), so the batch clock and
+    /// batch ([`Machine::run_network_batch`]), so the batch clock and
     /// W-read book amortize while every per-sample record stays
     /// bit-identical to a serial [`run`](InferenceBackend::run).
     fn run_batch(
@@ -176,7 +176,7 @@ impl InferenceBackend for CycleAccurateBackend {
         inputs: &[Vec<Q6_10>],
         mode: UvMode,
     ) -> Result<BatchRunRecord, SparseNnError> {
-        let run = self.machine.try_run_network_batch(net, inputs, mode)?;
+        let run = self.machine.run_network_batch(net, inputs, mode)?;
         let cfg = self.machine.config();
         let batch_time_us = run.layers.iter().map(|l| cfg.time_us(l.batch.cycles)).sum();
         let (w_reads_serial, w_reads_amortized) = run.w_read_totals();

@@ -398,7 +398,7 @@ impl PartitionedMachine {
                 }
                 let run = self
                     .chip
-                    .try_run_layer(&tile.w, tile.predictor.as_ref(), &acts, is_hidden, mode)
+                    .run_layer(&tile.w, tile.predictor.as_ref(), &acts, is_hidden, mode)
                     .map_err(|e| relabel_layer(e.into(), l))?;
                 if let (Some(ctx), PipelineMode::Serialized) = (trace, self.pipeline) {
                     emit_chip_spans(ctx, cfg, l, c, serial_start_us, &run);

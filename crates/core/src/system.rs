@@ -10,6 +10,12 @@ use sparsenn_model::PredictedNetwork;
 use sparsenn_sim::{Machine, MachineConfig, MachineEvents, NetworkRun};
 use sparsenn_train::{end_to_end, no_uv, svd_baseline, TrainConfig};
 
+/// Largest train or test count a checkpoint's `split` line may name: ten
+/// times the full profile's 10,000 training images and fifty times its
+/// 2,000 test images. Loading regenerates the split, so a larger count is
+/// rejected before it can size an allocation.
+pub const MAX_CHECKPOINT_SAMPLES: usize = 100_000;
+
 /// Which training regime produces the predictor (the three rows of the
 /// paper's Table I).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -498,7 +504,7 @@ impl TrainedSystem {
             });
         }
         let x = self.fixed.quantize_input(self.split.test.image(i));
-        Ok(self.machine.try_run_network(&self.fixed, &x, mode)?)
+        Ok(self.machine.run_network(&self.fixed, &x, mode)?)
     }
 
     /// Simulates the first `samples` test images (clamped to the test-set
@@ -568,7 +574,9 @@ impl TrainedSystem {
     ///
     /// # Errors
     ///
-    /// [`SparseNnError::Checkpoint`] describing the first malformed line.
+    /// [`SparseNnError::Checkpoint`] describing the first malformed line,
+    /// including split counts above [`MAX_CHECKPOINT_SAMPLES`] and a
+    /// machine line that fails [`MachineConfig::validate`].
     pub fn from_checkpoint_str(text: &str) -> Result<Self, SparseNnError> {
         let bad = |message: String| SparseNnError::Checkpoint { message };
         let mut sections = text.splitn(6, '\n');
@@ -612,6 +620,13 @@ impl TrainedSystem {
         let [train, test, seed] = split_fields[..] else {
             return Err(bad("split needs `train test seed`".into()));
         };
+        // The loader regenerates the split, so its counts size an
+        // allocation: bound them before anything is generated.
+        if train.max(test) > MAX_CHECKPOINT_SAMPLES as u64 {
+            return Err(bad(format!(
+                "split counts {train} / {test} exceed {MAX_CHECKPOINT_SAMPLES} images"
+            )));
+        }
         let machine_fields: Vec<&str> = line("machine")?
             .strip_prefix("machine ")
             .ok_or_else(|| bad("expected `machine …`".into()))?
@@ -641,11 +656,10 @@ impl TrainedSystem {
                 u64::from_str_radix(clock, 16)
                     .map_err(|_| bad(format!("bad clock bits `{clock}`")))?,
             ),
-            // The scan mode is a host-side simulation strategy (results and
-            // cycles are identical either way), so checkpoints don't record
-            // it; loading always yields the default.
-            scan: sparsenn_sim::ScanMode::default(),
         };
+        config
+            .validate()
+            .map_err(|e| bad(format!("machine line: {e}")))?;
         let net = sparsenn_model::serialize::from_str(line("model")?)
             .map_err(|e| bad(format!("model section: {e}")))?;
         let spec = DatasetSpec {

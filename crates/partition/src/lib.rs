@@ -58,7 +58,9 @@ mod plan;
 mod schedule;
 
 pub use interchip::InterChipConfig;
-pub use plan::{plan, plan_with_row_costs, LayerPlan, PartitionError, PartitionPlan};
+pub use plan::{
+    plan, plan_with_row_costs, LayerPlan, PartitionError, PartitionPlan, MAX_PLAN_ROWS,
+};
 pub use schedule::{PipelineMode, SliceTransfer};
 
 // Re-exported so downstream code can name the capacity type the planner

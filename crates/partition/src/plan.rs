@@ -122,6 +122,12 @@ impl LayerPlan {
     }
 }
 
+/// Most rows a plan file may give one layer, and most row indices it may
+/// list over all its tiles: a thousand times the 4 K rows one Table II
+/// chip holds per layer. The parser stops at the bound, so a short file
+/// cannot expand into an unbounded allocation.
+pub const MAX_PLAN_ROWS: usize = 1 << 22;
+
 /// A validated row-tiling of every layer of a network across `chips`
 /// identically-configured chips.
 ///
@@ -462,7 +468,8 @@ impl PartitionPlan {
     /// # Errors
     ///
     /// [`PartitionError::Format`] describing the first malformed line,
-    /// including a row index outside its layer's `rows`.
+    /// including a row index outside its layer's `rows` and more rows
+    /// than [`MAX_PLAN_ROWS`].
     pub fn from_plan_str(text: &str) -> Result<Self, PartitionError> {
         let bad = |message: String| PartitionError::Format { message };
         let mut lines = text.lines();
@@ -489,6 +496,7 @@ impl PartitionPlan {
         // Counts read from the text size nothing up front: every layer and
         // tile must be present as a line, so missing lines end the parse.
         let mut layers = Vec::new();
+        let mut listed = 0usize;
         for l in 0..n_layers {
             let fields: Vec<&str> = next("layer")?.split_whitespace().collect();
             let [kw, idx, rkw, rows, ckw, cols] = fields[..] else {
@@ -498,6 +506,11 @@ impl PartitionPlan {
                 return Err(bad(format!("layer {l}: malformed layer line")));
             }
             let (rows, cols) = (num(rows)?, num(cols)?);
+            if rows > MAX_PLAN_ROWS {
+                return Err(bad(format!(
+                    "layer {l}: {rows} rows exceed the {MAX_PLAN_ROWS}-row bound"
+                )));
+            }
             let row = |t: &str| -> Result<usize, PartitionError> {
                 match num(t)? {
                     r if r < rows => Ok(r),
@@ -517,19 +530,23 @@ impl PartitionPlan {
                 }
                 let mut tile = Vec::new();
                 for tok in toks {
-                    match tok.split_once('-') {
-                        Some((a, b)) => {
-                            let (a, b) = (row(a)?, row(b)?);
-                            if a > b {
-                                return Err(bad(format!("layer {l} tile {c}: bad run `{tok}`")));
-                            }
-                            tile.try_reserve(b - a + 1).map_err(|e| {
-                                bad(format!("layer {l} tile {c}: run `{tok}`: {e}"))
-                            })?;
-                            tile.extend(a..=b);
+                    let (a, b) = match tok.split_once('-') {
+                        Some((a, b)) => (row(a)?, row(b)?),
+                        None => {
+                            let r = row(tok)?;
+                            (r, r)
                         }
-                        None => tile.push(row(tok)?),
+                    };
+                    if a > b {
+                        return Err(bad(format!("layer {l} tile {c}: bad run `{tok}`")));
                     }
+                    listed += b - a + 1;
+                    if listed > MAX_PLAN_ROWS {
+                        return Err(bad(format!(
+                            "the plan lists more than {MAX_PLAN_ROWS} rows"
+                        )));
+                    }
+                    tile.extend(a..=b);
                 }
                 tiles.push(tile);
             }
@@ -793,8 +810,9 @@ mod tests {
             format!("{header}chips 1\nlayers {MAX}\n"),
             format!("{header}chips {MAX}\nlayers 1\nlayer 0 rows 4 cols 4\n"),
             format!("{header}chips 1\nlayers 1\nlayer 0 rows 4 cols 4\ntile 0 0-18446744073709551614\n"),
-            // Rows in range, but the run cannot be allocated.
+            // More rows than the bound, with or without a run over them.
             format!("{header}chips 1\nlayers 1\nlayer 0 rows {MAX} cols 4\ntile 0 0-18446744073709551613\n"),
+            format!("{header}chips 1\nlayers 1\nlayer 0 rows {MAX} cols 4\ntile 0\n"),
             format!("{header}chips 1\nlayers 1\nlayer 0 rows 4 cols 4\ntile 0 0-3 4\n"),
         ] {
             assert!(
@@ -805,6 +823,23 @@ mod tests {
                 "should reject {text:?}"
             );
         }
+    }
+
+    /// Runs that repeat rows cannot expand a short file past the bound,
+    /// while a plan at the bound still parses.
+    #[test]
+    fn listed_rows_are_bounded_over_the_whole_plan() {
+        let header = "sparsenn-partition v1\n";
+        let last = MAX_PLAN_ROWS - 1;
+        let at_bound = format!(
+            "{header}chips 1\nlayers 1\nlayer 0 rows {MAX_PLAN_ROWS} cols 4\ntile 0 0-{last}\n"
+        );
+        assert!(PartitionPlan::from_plan_str(&at_bound).is_ok());
+        let repeated = format!("{header}chips 2\nlayers 1\nlayer 0 rows {MAX_PLAN_ROWS} cols 4\ntile 0 0-{last}\ntile 1 0\n");
+        assert!(matches!(
+            PartitionPlan::from_plan_str(&repeated),
+            Err(PartitionError::Format { .. })
+        ));
     }
 
     #[test]

@@ -30,6 +30,8 @@ pub enum LayerFitError {
         /// ([`MachineConfig::w_capacity_words_per_pe`]).
         capacity: usize,
     },
+    /// The machine itself cannot run ([`MachineConfig::validate`]).
+    Config(ConfigError),
 }
 
 impl std::fmt::Display for LayerFitError {
@@ -53,29 +55,75 @@ impl std::fmt::Display for LayerFitError {
                     "layer needs {words} weight words per PE, W memory holds {capacity}"
                 )
             }
+            LayerFitError::Config(e) => write!(f, "invalid machine configuration: {e}"),
         }
     }
 }
 
 impl std::error::Error for LayerFitError {}
 
-/// How a PE's queue consumer enumerates the rows owed MACs for a popped
-/// activation. This is a **host-side simulation strategy**, not a hardware
-/// parameter: both modes simulate the same machine, cycle for cycle and
-/// bit for bit (property-tested); they differ only in how fast the
-/// simulator itself runs. Checkpoints do not record it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum ScanMode {
-    /// Iterate a precomputed active-row list, rebuilt from the predictor
-    /// bank's mask words (trailing-zeros scan) whenever the bank changes —
-    /// no per-pop allocation, no per-pop scan over every local row.
-    #[default]
-    MaskWord,
-    /// The original per-element scan: on every queue pop, filter each
-    /// local row's predictor bit and materialize a fresh MAC list. Kept as
-    /// the reference the measured sim speedup is reported against.
-    PerElement,
+/// Largest PE count [`MachineConfig::validate`] accepts: 64 times the
+/// paper's 64-PE machine.
+pub const MAX_PES: usize = 4096;
+
+/// Largest NoC hop latency and PE pipeline depth, in cycles, that
+/// [`MachineConfig::validate`] accepts: far above the paper's 1-cycle hops
+/// and 5-stage pipeline, and small enough that no cycle count overflows.
+pub const MAX_LATENCY_CYCLES: u64 = 1024;
+
+/// Why a [`MachineConfig`] cannot be simulated — the typed result of
+/// [`MachineConfig::validate`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The H-tree radix is below 2.
+    RadixBelowTwo {
+        /// The configured radix.
+        radix: usize,
+    },
+    /// The PE count is not `radix^L` for some `L ≥ 1` (the tree needs a
+    /// router level), or it exceeds [`MAX_PES`].
+    BadPeCount {
+        /// The configured PE count.
+        num_pes: usize,
+        /// The configured radix.
+        radix: usize,
+    },
+    /// A buffer, queue, register file or memory holds nothing.
+    ZeroCapacity {
+        /// The field, as named in [`MachineConfig`].
+        field: &'static str,
+    },
+    /// A latency exceeds [`MAX_LATENCY_CYCLES`].
+    LatencyTooLong {
+        /// The field, as named in [`MachineConfig`].
+        field: &'static str,
+        /// The configured latency.
+        cycles: u64,
+    },
+    /// The clock period is not a finite, positive number of nanoseconds.
+    BadClock,
 }
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::RadixBelowTwo { radix } => write!(f, "tree radix {radix} is below 2"),
+            ConfigError::BadPeCount { num_pes, radix } => write!(
+                f,
+                "{num_pes} PEs is not a power {radix}^L (L >= 1) of at most {MAX_PES}"
+            ),
+            ConfigError::ZeroCapacity { field } => write!(f, "{field} is 0"),
+            ConfigError::LatencyTooLong { field, cycles } => {
+                write!(f, "{field} of {cycles} cycles exceeds {MAX_LATENCY_CYCLES}")
+            }
+            ConfigError::BadClock => {
+                f.write_str("the clock period is not a finite, positive number of nanoseconds")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Micro-architectural parameters of the simulated accelerator.
 ///
@@ -109,11 +157,6 @@ pub struct MachineConfig {
     /// Clock period in nanoseconds (2 ns: the 128 KB SRAM access alone is
     /// more than 1.7 ns).
     pub clock_ns: f64,
-    /// Host-side row-enumeration strategy for the PE hot loop (see
-    /// [`ScanMode`]). Never affects results, cycles, or events — only how
-    /// fast the simulation itself runs — and is not serialized in
-    /// checkpoints.
-    pub scan: ScanMode,
 }
 
 impl MachineConfig {
@@ -125,7 +168,7 @@ impl MachineConfig {
     /// Maximum supported activations per layer
     /// (`act_regs_per_pe × num_pes`, 4 K for the default machine).
     pub fn max_activations(&self) -> usize {
-        self.act_regs_per_pe * self.num_pes()
+        self.act_regs_per_pe.saturating_mul(self.num_pes())
     }
 
     /// Peak throughput in GOP/s: each PE performs one multiply and one add
@@ -143,7 +186,7 @@ impl MachineConfig {
 
     /// Total on-chip W memory (8 MB for the default machine).
     pub fn total_w_mem_bytes(&self) -> usize {
-        self.w_mem_bytes * self.num_pes()
+        self.w_mem_bytes.saturating_mul(self.num_pes())
     }
 
     /// Largest weight-matrix shape `(rows, cols)` that fits the per-PE W
@@ -152,13 +195,64 @@ impl MachineConfig {
         self.w_mem_bytes / 2
     }
 
-    /// Checks that an `rows × cols` layer fits this machine.
+    /// Checks that the simulator can run this machine at all: a tree of
+    /// radix ≥ 2 over `radix^L` PEs (`1 ≤ L`, at most [`MAX_PES`]), no
+    /// zero-sized buffer, queue, register file or memory, latencies of at
+    /// most [`MAX_LATENCY_CYCLES`], and a finite, positive clock period.
+    ///
+    /// # Errors
+    ///
+    /// The first violation as a typed [`ConfigError`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let noc = &self.noc;
+        if noc.radix < 2 {
+            return Err(ConfigError::RadixBelowTwo { radix: noc.radix });
+        }
+        let mut pes = noc.radix;
+        while pes < noc.num_pes {
+            pes = pes.saturating_mul(noc.radix);
+        }
+        if pes != noc.num_pes || pes > MAX_PES {
+            return Err(ConfigError::BadPeCount {
+                num_pes: noc.num_pes,
+                radix: noc.radix,
+            });
+        }
+        for (field, size) in [
+            ("noc.queue_capacity", noc.queue_capacity),
+            ("act_queue_depth", self.act_queue_depth),
+            ("act_regs_per_pe", self.act_regs_per_pe),
+            ("w_mem_bytes", self.w_mem_bytes),
+            ("u_mem_bytes", self.u_mem_bytes),
+            ("v_mem_bytes", self.v_mem_bytes),
+        ] {
+            if size == 0 {
+                return Err(ConfigError::ZeroCapacity { field });
+            }
+        }
+        for (field, cycles) in [
+            ("noc.hop_latency", noc.hop_latency),
+            ("pe_pipeline_depth", self.pe_pipeline_depth),
+        ] {
+            if cycles > MAX_LATENCY_CYCLES {
+                return Err(ConfigError::LatencyTooLong { field, cycles });
+            }
+        }
+        if !(self.clock_ns.is_finite() && self.clock_ns > 0.0) {
+            return Err(ConfigError::BadClock);
+        }
+        Ok(())
+    }
+
+    /// Checks that an `rows × cols` layer fits this machine, after
+    /// [`validate`](Self::validate) checks the machine itself.
     ///
     /// # Errors
     ///
     /// The violated limit as a typed [`LayerFitError`] (the W-memory case
     /// carries the exact word counts).
     pub fn validate_layer(&self, rows: usize, cols: usize) -> Result<(), LayerFitError> {
+        self.validate().map_err(LayerFitError::Config)?;
         let n = self.num_pes();
         if cols > self.max_activations() {
             return Err(LayerFitError::TooManyInputs {
@@ -195,7 +289,6 @@ impl Default for MachineConfig {
             act_regs_per_pe: 64,
             pe_pipeline_depth: 5,
             clock_ns: 2.0,
-            scan: ScanMode::default(),
         }
     }
 }
@@ -262,6 +355,152 @@ mod tests {
                 capacity: 64 * 1024
             })
         );
+    }
+
+    fn rejected(cfg: MachineConfig) -> ConfigError {
+        let e = cfg.validate().unwrap_err();
+        assert_eq!(
+            cfg.validate_layer(10, 10),
+            Err(LayerFitError::Config(e)),
+            "validate_layer checks the machine first"
+        );
+        e
+    }
+
+    #[test]
+    fn default_machine_validates() {
+        assert_eq!(MachineConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    fn radix_below_two_is_rejected() {
+        for radix in [0, 1] {
+            let cfg = MachineConfig {
+                noc: NocConfig {
+                    radix,
+                    ..NocConfig::default()
+                },
+                ..MachineConfig::default()
+            };
+            assert_eq!(rejected(cfg), ConfigError::RadixBelowTwo { radix });
+        }
+    }
+
+    #[test]
+    fn pe_counts_must_be_a_bounded_power_of_the_radix() {
+        for num_pes in [0, 1, 48, 65, 4 * MAX_PES, usize::MAX] {
+            let cfg = MachineConfig {
+                noc: NocConfig {
+                    num_pes,
+                    ..NocConfig::default()
+                },
+                ..MachineConfig::default()
+            };
+            assert_eq!(
+                rejected(cfg),
+                ConfigError::BadPeCount { num_pes, radix: 4 },
+                "{num_pes} PEs"
+            );
+        }
+        for (num_pes, radix) in [(4, 4), (16, 4), (256, 4), (64, 2), (64, 8), (MAX_PES, 2)] {
+            let cfg = MachineConfig {
+                noc: NocConfig {
+                    num_pes,
+                    radix,
+                    ..NocConfig::default()
+                },
+                ..MachineConfig::default()
+            };
+            assert_eq!(cfg.validate(), Ok(()), "{num_pes} PEs at radix {radix}");
+        }
+    }
+
+    #[test]
+    fn zero_capacities_are_rejected() {
+        let d = MachineConfig::default();
+        let noc = NocConfig {
+            queue_capacity: 0,
+            ..NocConfig::default()
+        };
+        for (field, cfg) in [
+            ("noc.queue_capacity", MachineConfig { noc, ..d }),
+            (
+                "act_queue_depth",
+                MachineConfig {
+                    act_queue_depth: 0,
+                    ..d
+                },
+            ),
+            (
+                "act_regs_per_pe",
+                MachineConfig {
+                    act_regs_per_pe: 0,
+                    ..d
+                },
+            ),
+            (
+                "w_mem_bytes",
+                MachineConfig {
+                    w_mem_bytes: 0,
+                    ..d
+                },
+            ),
+            (
+                "u_mem_bytes",
+                MachineConfig {
+                    u_mem_bytes: 0,
+                    ..d
+                },
+            ),
+            (
+                "v_mem_bytes",
+                MachineConfig {
+                    v_mem_bytes: 0,
+                    ..d
+                },
+            ),
+        ] {
+            assert_eq!(rejected(cfg), ConfigError::ZeroCapacity { field });
+        }
+    }
+
+    #[test]
+    fn latencies_above_the_bound_are_rejected() {
+        let d = MachineConfig::default();
+        let cycles = MAX_LATENCY_CYCLES + 1;
+        let noc = NocConfig {
+            hop_latency: cycles,
+            ..NocConfig::default()
+        };
+        assert_eq!(
+            rejected(MachineConfig { noc, ..d }),
+            ConfigError::LatencyTooLong {
+                field: "noc.hop_latency",
+                cycles
+            }
+        );
+        let cfg = MachineConfig {
+            pe_pipeline_depth: u64::MAX,
+            ..d
+        };
+        assert_eq!(
+            rejected(cfg),
+            ConfigError::LatencyTooLong {
+                field: "pe_pipeline_depth",
+                cycles: u64::MAX
+            }
+        );
+    }
+
+    #[test]
+    fn clocks_must_be_finite_and_positive() {
+        for clock_ns in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+            let cfg = MachineConfig {
+                clock_ns,
+                ..MachineConfig::default()
+            };
+            assert_eq!(rejected(cfg), ConfigError::BadClock, "{clock_ns}");
+        }
     }
 
     #[test]

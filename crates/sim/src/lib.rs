@@ -28,7 +28,7 @@
 //! # Example
 //!
 //! ```
-//! use sparsenn_sim::{Machine, MachineConfig};
+//! use sparsenn_sim::{Machine, MachineConfig, MachineError};
 //! use sparsenn_model::fixedpoint::{FixedNetwork, UvMode};
 //! use sparsenn_model::Mlp;
 //! use sparsenn_linalg::init::seeded_rng;
@@ -37,9 +37,10 @@
 //! let net = FixedNetwork::from_mlp(&mlp);
 //! let machine = Machine::new(MachineConfig::default());
 //! let x = net.quantize_input(&vec![0.25f32; 32]);
-//! let run = machine.run_network(&net, &x, UvMode::Off);
+//! let run = machine.run_network(&net, &x, UvMode::Off)?;
 //! assert_eq!(run.layers.len(), 2);
 //! assert!(run.total_cycles() > 0);
+//! # Ok::<(), MachineError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,9 +52,8 @@ mod machine;
 pub mod pe;
 pub mod simd;
 
-pub use config::{LayerFitError, MachineConfig, ScanMode};
+pub use config::{ConfigError, LayerFitError, MachineConfig, MAX_LATENCY_CYCLES, MAX_PES};
 pub use events::MachineEvents;
 pub use machine::{
-    BatchLayerRun, BatchNetworkRun, BatchTiming, LayerRun, LayerStages, Machine, MachineError,
-    NetworkRun, Phase,
+    BatchLayerRun, BatchNetworkRun, BatchTiming, LayerRun, Machine, MachineError, NetworkRun,
 };

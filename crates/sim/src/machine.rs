@@ -8,12 +8,11 @@ use sparsenn_noc::{ActFlit, BroadcastTree, ReduceTree};
 use sparsenn_numeric::{Accumulator, Q6_10};
 use std::collections::VecDeque;
 
-/// Why a simulation request could not run (the fallible counterpart of the
-/// panics documented on [`Machine::run_layer`]).
+/// Why a simulation request could not run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MachineError {
-    /// The layer's shape exceeds a machine limit
-    /// ([`MachineConfig::validate_layer`]).
+    /// The layer's shape exceeds a machine limit, or the machine itself
+    /// cannot run ([`MachineConfig::validate_layer`]).
     LayerDoesNotFit {
         /// Index of the offending layer within the network (0 for a
         /// stand-alone layer run).
@@ -76,15 +75,6 @@ impl std::fmt::Display for MachineError {
 }
 
 impl std::error::Error for MachineError {}
-
-/// Which phase a cycle belonged to (reporting granularity of Fig. 7).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Phase {
-    /// Predictor phases: V reduction and U consumption (overlapped).
-    Vu,
-    /// Feedforward W phase.
-    W,
-}
 
 /// Result of simulating one layer.
 #[derive(Clone, Debug)]
@@ -359,31 +349,14 @@ impl Machine {
     /// `predictor` is used only when `mode == UvMode::On` and
     /// `is_hidden` — exactly the layers the paper equips with predictors.
     ///
-    /// # Panics
-    ///
-    /// Panics if the layer does not fit the machine
-    /// ([`MachineConfig::validate_layer`]) or `input` width mismatches `w`.
-    pub fn run_layer(
-        &self,
-        w: &FixedMatrix,
-        predictor: Option<&FixedPredictor>,
-        input: &[Q6_10],
-        is_hidden: bool,
-        mode: UvMode,
-    ) -> LayerRun {
-        self.try_run_layer(w, predictor, input, is_hidden, mode)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`run_layer`](Machine::run_layer): shape
-    /// violations surface as [`MachineError`] instead of panicking.
-    ///
     /// # Errors
     ///
-    /// [`MachineError::LayerDoesNotFit`] if the layer exceeds a machine
-    /// limit, [`MachineError::InputWidthMismatch`] if `input.len()` differs
-    /// from the layer's column count.
-    pub fn try_run_layer(
+    /// [`MachineError::LayerDoesNotFit`] if the machine cannot run or the
+    /// layer exceeds one of its limits, [`MachineError::WMemoryOverflow`]
+    /// if the weights exceed the W memory, and
+    /// [`MachineError::InputWidthMismatch`] if `input.len()` differs from
+    /// the layer's column count.
+    pub fn run_layer(
         &self,
         w: &FixedMatrix,
         predictor: Option<&FixedPredictor>,
@@ -400,22 +373,11 @@ impl Machine {
     /// Simulates the whole network, feeding each layer's (already
     /// quantized) outputs to the next — the ping-pong register files.
     ///
-    /// # Panics
-    ///
-    /// Panics on the conditions [`try_run_network`](Machine::try_run_network)
-    /// reports as errors.
-    pub fn run_network(&self, net: &FixedNetwork, input: &[Q6_10], mode: UvMode) -> NetworkRun {
-        self.try_run_network(net, input, mode)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`run_network`](Machine::run_network).
-    ///
     /// # Errors
     ///
     /// [`MachineError::EmptyNetwork`] for a zero-layer network, otherwise
     /// the first per-layer error with its layer index filled in.
-    pub fn try_run_network(
+    pub fn run_network(
         &self,
         net: &FixedNetwork,
         input: &[Q6_10],
@@ -434,7 +396,7 @@ impl Machine {
                 None
             };
             let run = self
-                .try_run_layer(&net.layers()[l], predictor, &acts, is_hidden, mode)
+                .run_layer(&net.layers()[l], predictor, &acts, is_hidden, mode)
                 .map_err(|e| relabel_layer_error(e, l))?;
             acts = run.output.clone();
             layers.push(run);
@@ -443,25 +405,8 @@ impl Machine {
     }
 
     /// Simulates the whole network over a batch of inputs with the
-    /// weight-stationary batched core.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the conditions
-    /// [`try_run_network_batch`](Machine::try_run_network_batch) reports
-    /// as errors.
-    pub fn run_network_batch(
-        &self,
-        net: &FixedNetwork,
-        inputs: &[Vec<Q6_10>],
-        mode: UvMode,
-    ) -> BatchNetworkRun {
-        self.try_run_network_batch(net, inputs, mode)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`run_network_batch`](Machine::run_network_batch):
-    /// runs B samples per layer pass, reading each W row once per *batch*.
+    /// weight-stationary batched core: B samples per layer pass, reading
+    /// each W row once per *batch*.
     ///
     /// Each sample's functional result (outputs, masks, per-sample events)
     /// is produced by the exact serial core, so batched execution is
@@ -474,7 +419,7 @@ impl Machine {
     /// [`MachineError::EmptyBatch`] for zero samples,
     /// [`MachineError::EmptyNetwork`] for a zero-layer network, otherwise
     /// the first per-layer error with its layer index filled in.
-    pub fn try_run_network_batch(
+    pub fn run_network_batch(
         &self,
         net: &FixedNetwork,
         inputs: &[Vec<Q6_10>],
@@ -500,7 +445,7 @@ impl Machine {
             let mut per_sample = Vec::with_capacity(acts.len());
             for sample in &acts {
                 let run = self
-                    .try_run_layer(w, predictor, sample, is_hidden, mode)
+                    .run_layer(w, predictor, sample, is_hidden, mode)
                     .map_err(|e| relabel_layer_error(e, l))?;
                 per_sample.push(run);
             }
@@ -589,39 +534,22 @@ impl Machine {
             amortized,
         })
     }
-
-    /// Stages the layer without running it — the entry point of the
-    /// explicit staged core ([`LayerStages`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`try_run_layer`](Machine::try_run_layer).
-    pub fn stage_layer<'a>(
-        &'a self,
-        w: &'a FixedMatrix,
-        predictor: Option<&'a FixedPredictor>,
-        input: &[Q6_10],
-        is_hidden: bool,
-        mode: UvMode,
-    ) -> Result<LayerStages<'a>, MachineError> {
-        LayerStages::begin(&self.cfg, w, predictor, input, is_hidden, mode)
-    }
 }
 
 /// The staged core of one layer simulation: the machine's three-phase
-/// schedule made explicit, so callers that reason about *time* — not
-/// just totals — can observe each stage boundary.
+/// schedule made explicit.
 ///
 /// [`begin`](Self::begin) validates the shapes and loads the PEs;
 /// [`run_vu`](Self::run_vu) executes the overlapped V/U predictor phases
-/// (a no-op outside predicted layers); [`run_w`](Self::run_w) executes
-/// the feedforward W phase, stamping every row's last MAC cycle; and
-/// [`writeback`](Self::writeback) quantizes the accumulators into the
-/// [`LayerRun`], including the per-row availability profile
-/// ([`LayerRun::row_ready`]) the wavefront multi-chip executor schedules
-/// transfers from. [`Machine::try_run_layer`] is exactly
-/// `begin → run_vu → run_w → writeback`.
-pub struct LayerStages<'a> {
+/// (a no-op outside predicted layers) or
+/// [`force_predictor`](Self::force_predictor) loads a verdict computed
+/// elsewhere; [`run_w`](Self::run_w) executes the feedforward W phase,
+/// stamping every row's last MAC cycle; and [`writeback`](Self::writeback)
+/// quantizes the accumulators into the [`LayerRun`], including the
+/// per-row availability profile ([`LayerRun::row_ready`]) the wavefront
+/// multi-chip executor schedules transfers from. [`Machine::run_layer`]
+/// is exactly `begin → run_vu → run_w → writeback`.
+struct LayerStages<'a> {
     cfg: &'a MachineConfig,
     w: &'a FixedMatrix,
     predictor: Option<&'a FixedPredictor>,
@@ -641,8 +569,8 @@ impl<'a> LayerStages<'a> {
     ///
     /// # Errors
     ///
-    /// As for [`Machine::try_run_layer`].
-    pub fn begin(
+    /// As for [`Machine::run_layer`].
+    fn begin(
         cfg: &'a MachineConfig,
         w: &'a FixedMatrix,
         predictor: Option<&'a FixedPredictor>,
@@ -672,7 +600,7 @@ impl<'a> LayerStages<'a> {
         }
         let n_pes = cfg.num_pes();
         let pes: Vec<Pe> = (0..n_pes)
-            .map(|id| Pe::with_scan(id, n_pes, cfg.act_queue_depth, input, w.rows(), cfg.scan))
+            .map(|id| Pe::new(id, n_pes, cfg.act_queue_depth, input, w.rows()))
             .collect();
         let predicted = mode == UvMode::On && is_hidden && predictor.is_some();
         Ok(Self {
@@ -689,16 +617,10 @@ impl<'a> LayerStages<'a> {
         })
     }
 
-    /// `true` when the layer runs the predictor phases (uv_on, hidden,
-    /// predictor present).
-    pub fn predicted(&self) -> bool {
-        self.predicted
-    }
-
     /// Runs the overlapped V/U predictor phases and returns their cycle
     /// count (0 for unpredicted layers, which instead force every
     /// predictor bit active).
-    pub fn run_vu(&mut self) -> u64 {
+    fn run_vu(&mut self) -> u64 {
         assert!(self.vu_cycles.is_none(), "run_vu called twice");
         let cycles = if self.predicted {
             self.vu_phase()
@@ -723,7 +645,7 @@ impl<'a> LayerStages<'a> {
     ///
     /// Panics if [`run_vu`](Self::run_vu) already ran, or `mask` is
     /// shorter than the layer's output row count.
-    pub fn force_predictor(&mut self, mask: &[bool]) {
+    fn force_predictor(&mut self, mask: &[bool]) {
         assert!(
             self.vu_cycles.is_none(),
             "force_predictor after run_vu (the verdict is already latched)"
@@ -745,7 +667,7 @@ impl<'a> LayerStages<'a> {
     ///
     /// Panics if [`run_vu`](Self::run_vu) has not run first — the phases
     /// are a hardware schedule, not independent kernels.
-    pub fn run_w(&mut self) -> u64 {
+    fn run_w(&mut self) -> u64 {
         assert!(
             self.vu_cycles.is_some(),
             "run_w before run_vu (the W phase consumes the predictor verdict)"
@@ -765,7 +687,7 @@ impl<'a> LayerStages<'a> {
     ///
     /// Panics unless both [`run_vu`](Self::run_vu) and
     /// [`run_w`](Self::run_w) have run.
-    pub fn writeback(mut self) -> LayerRun {
+    fn writeback(mut self) -> LayerRun {
         let vu_cycles = self.vu_cycles.expect("run_vu before writeback");
         let w_cycles = self.w_cycles.expect("run_w before writeback");
         let total = vu_cycles + w_cycles;
@@ -983,7 +905,7 @@ mod tests {
     fn machine_matches_golden_uv_off() {
         let (net, x) = build(1, &[40, 96, 10], 4);
         let machine = Machine::new(MachineConfig::default());
-        let run = machine.run_network(&net, &x, UvMode::Off);
+        let run = machine.run_network(&net, &x, UvMode::Off).unwrap();
         let golden = net.forward(&x, UvMode::Off);
         for (l, (run_l, gold_l)) in run.layers.iter().zip(&golden).enumerate() {
             assert_eq!(run_l.output, gold_l.output, "layer {l} mismatch (uv_off)");
@@ -994,7 +916,7 @@ mod tests {
     fn machine_matches_golden_uv_on() {
         let (net, x) = build(2, &[40, 96, 72, 10], 4);
         let machine = Machine::new(MachineConfig::default());
-        let run = machine.run_network(&net, &x, UvMode::On);
+        let run = machine.run_network(&net, &x, UvMode::On).unwrap();
         let golden = net.forward(&x, UvMode::On);
         for (l, (run_l, gold_l)) in run.layers.iter().zip(&golden).enumerate() {
             assert_eq!(
@@ -1009,7 +931,9 @@ mod tests {
     fn uv_off_w_reads_count_nnz_times_rows() {
         let (net, x) = build(3, &[32, 128, 10], 4);
         let machine = Machine::new(MachineConfig::default());
-        let run = machine.run_layer(&net.layers()[0], None, &x, true, UvMode::Off);
+        let run = machine
+            .run_layer(&net.layers()[0], None, &x, true, UvMode::Off)
+            .unwrap();
         let nnz = x.iter().filter(|v| !v.is_zero()).count() as u64;
         assert_eq!(run.events.w_reads, nnz * 128);
         assert_eq!(run.events.macs, nnz * 128);
@@ -1021,20 +945,24 @@ mod tests {
     fn predicted_layer_reads_less_w_memory() {
         let (net, x) = build(4, &[48, 256, 10], 4);
         let machine = Machine::new(MachineConfig::default());
-        let off = machine.run_layer(
-            &net.layers()[0],
-            net.predictors().first(),
-            &x,
-            true,
-            UvMode::Off,
-        );
-        let on = machine.run_layer(
-            &net.layers()[0],
-            net.predictors().first(),
-            &x,
-            true,
-            UvMode::On,
-        );
+        let off = machine
+            .run_layer(
+                &net.layers()[0],
+                net.predictors().first(),
+                &x,
+                true,
+                UvMode::Off,
+            )
+            .unwrap();
+        let on = machine
+            .run_layer(
+                &net.layers()[0],
+                net.predictors().first(),
+                &x,
+                true,
+                UvMode::On,
+            )
+            .unwrap();
         // A random predictor predicts ~half inactive, so W traffic drops.
         assert!(
             on.events.w_reads < off.events.w_reads,
@@ -1053,7 +981,7 @@ mod tests {
         let x = vec![Q6_10::ZERO; 32];
         let machine = Machine::new(MachineConfig::default());
         for mode in [UvMode::Off, UvMode::On] {
-            let run = machine.run_network(&net, &x, mode);
+            let run = machine.run_network(&net, &x, mode).unwrap();
             assert!(run.output().iter().all(|v| v.is_zero()));
             let golden = net.forward(&x, mode);
             assert_eq!(run.output(), &golden.last().unwrap().output[..]);
@@ -1069,8 +997,8 @@ mod tests {
             act_queue_depth: 4,
             ..MachineConfig::default()
         });
-        let a = fast.run_network(&net, &x, UvMode::Off);
-        let b = tiny.run_network(&net, &x, UvMode::Off);
+        let a = fast.run_network(&net, &x, UvMode::Off).unwrap();
+        let b = tiny.run_network(&net, &x, UvMode::Off).unwrap();
         assert_eq!(
             a.output(),
             b.output(),
@@ -1086,7 +1014,7 @@ mod tests {
     fn classify_matches_golden() {
         let (net, x) = build(7, &[36, 80, 10], 4);
         let machine = Machine::new(MachineConfig::default());
-        let run = machine.run_network(&net, &x, UvMode::On);
+        let run = machine.run_network(&net, &x, UvMode::On).unwrap();
         assert_eq!(run.classify(), net.classify(&x, UvMode::On));
     }
 
@@ -1094,7 +1022,9 @@ mod tests {
     fn pe_work_distribution_is_recorded() {
         let (net, x) = build(9, &[48, 256, 10], 4);
         let machine = Machine::new(MachineConfig::default());
-        let off = machine.run_layer(&net.layers()[0], None, &x, true, UvMode::Off);
+        let off = machine
+            .run_layer(&net.layers()[0], None, &x, true, UvMode::Off)
+            .unwrap();
         assert_eq!(off.pe_busy.len(), 64);
         // uv_off: every PE has 4 rows and does identical work per
         // activation — perfectly balanced.
@@ -1103,13 +1033,15 @@ mod tests {
             "{}",
             off.work_imbalance()
         );
-        let on = machine.run_layer(
-            &net.layers()[0],
-            net.predictors().first(),
-            &x,
-            true,
-            UvMode::On,
-        );
+        let on = machine
+            .run_layer(
+                &net.layers()[0],
+                net.predictors().first(),
+                &x,
+                true,
+                UvMode::On,
+            )
+            .unwrap();
         // uv_on: the random predictor spreads active rows unevenly.
         assert!(on.work_imbalance() > 1.05, "{}", on.work_imbalance());
         // Busy cycles recorded per PE must sum to the global counter.
@@ -1118,33 +1050,13 @@ mod tests {
     }
 
     #[test]
-    fn staged_core_equals_the_monolithic_run() {
-        let (net, x) = build(12, &[40, 96, 10], 4);
-        let machine = Machine::new(MachineConfig::default());
-        for mode in [UvMode::Off, UvMode::On] {
-            let whole =
-                machine.run_layer(&net.layers()[0], net.predictors().first(), &x, true, mode);
-            let mut stages = machine
-                .stage_layer(&net.layers()[0], net.predictors().first(), &x, true, mode)
-                .unwrap();
-            let vu = stages.run_vu();
-            let w = stages.run_w();
-            let staged = stages.writeback();
-            assert_eq!(vu, whole.vu_cycles, "{mode:?}");
-            assert_eq!(w, whole.w_cycles, "{mode:?}");
-            assert_eq!(staged.output, whole.output, "{mode:?}");
-            assert_eq!(staged.mask, whole.mask, "{mode:?}");
-            assert_eq!(staged.events, whole.events, "{mode:?}");
-            assert_eq!(staged.row_ready, whole.row_ready, "{mode:?}");
-        }
-    }
-
-    #[test]
     fn row_availability_is_bounded_and_spread() {
         let (net, x) = build(13, &[48, 256, 10], 4);
         let machine = Machine::new(MachineConfig::default());
         for mode in [UvMode::Off, UvMode::On] {
-            let run = machine.run_layer(&net.layers()[0], net.predictors().first(), &x, true, mode);
+            let run = machine
+                .run_layer(&net.layers()[0], net.predictors().first(), &x, true, mode)
+                .unwrap();
             assert_eq!(run.row_ready.len(), 256);
             assert!(run.row_ready.iter().all(|&t| t > 0 && t <= run.cycles));
             assert_eq!(run.last_ready(), *run.row_ready.iter().max().unwrap());
@@ -1165,9 +1077,15 @@ mod tests {
     fn stage_order_is_enforced() {
         let (net, x) = build(14, &[32, 64, 10], 4);
         let machine = Machine::new(MachineConfig::default());
-        let mut stages = machine
-            .stage_layer(&net.layers()[0], None, &x, true, UvMode::Off)
-            .unwrap();
+        let mut stages = LayerStages::begin(
+            machine.config(),
+            &net.layers()[0],
+            None,
+            &x,
+            true,
+            UvMode::Off,
+        )
+        .unwrap();
         stages.run_w();
     }
 
@@ -1194,10 +1112,10 @@ mod tests {
         let machine = Machine::new(MachineConfig::default());
         let inputs = batch_inputs(&net, 40, 4);
         for mode in [UvMode::Off, UvMode::On] {
-            let batch = machine.run_network_batch(&net, &inputs, mode);
+            let batch = machine.run_network_batch(&net, &inputs, mode).unwrap();
             assert_eq!(batch.batch_size(), 4);
             for (s, x) in inputs.iter().enumerate() {
-                let serial = machine.run_network(&net, x, mode);
+                let serial = machine.run_network(&net, x, mode).unwrap();
                 assert_eq!(batch.output(s), serial.output(), "{mode:?} sample {s}");
                 assert_eq!(batch.classify(s), serial.classify(), "{mode:?} sample {s}");
                 for (l, (bl, sl)) in batch.layers.iter().zip(&serial.layers).enumerate() {
@@ -1219,8 +1137,10 @@ mod tests {
         let (net, x) = build(22, &[40, 96, 10], 4);
         let machine = Machine::new(MachineConfig::default());
         for mode in [UvMode::Off, UvMode::On] {
-            let serial = machine.run_network(&net, &x, mode);
-            let batch = machine.run_network_batch(&net, std::slice::from_ref(&x), mode);
+            let serial = machine.run_network(&net, &x, mode).unwrap();
+            let batch = machine
+                .run_network_batch(&net, std::slice::from_ref(&x), mode)
+                .unwrap();
             assert_eq!(batch.total_cycles(), serial.total_cycles(), "{mode:?}");
             let (serial_reads, batch_reads) = batch.w_read_totals();
             assert_eq!(serial_reads, batch_reads, "{mode:?}: B=1 amortizes nothing");
@@ -1238,7 +1158,9 @@ mod tests {
         let (net, x) = build(23, &[48, 128, 10], 4);
         let machine = Machine::new(MachineConfig::default());
         let inputs = vec![x.clone(); 6];
-        let batch = machine.run_network_batch(&net, &inputs, UvMode::On);
+        let batch = machine
+            .run_network_batch(&net, &inputs, UvMode::On)
+            .unwrap();
         let (serial_reads, batch_reads) = batch.w_read_totals();
         assert_eq!(serial_reads, 6 * batch_reads);
         assert!(batch.total_cycles() < batch.serial_cycles());
@@ -1262,7 +1184,9 @@ mod tests {
         let (net, _) = build(24, &[36, 80, 10], 4);
         let machine = Machine::new(MachineConfig::default());
         let inputs = batch_inputs(&net, 36, 3);
-        let batch = machine.run_network_batch(&net, &inputs, UvMode::On);
+        let batch = machine
+            .run_network_batch(&net, &inputs, UvMode::On)
+            .unwrap();
         for l in &batch.layers {
             let mut summed = MachineEvents::default();
             for r in &l.per_sample {
@@ -1285,40 +1209,17 @@ mod tests {
         let machine = Machine::new(MachineConfig::default());
         assert_eq!(
             machine
-                .try_run_network_batch(&net, &[], UvMode::Off)
+                .run_network_batch(&net, &[], UvMode::Off)
                 .unwrap_err(),
             MachineError::EmptyBatch
         );
     }
 
     #[test]
-    fn scan_mode_never_changes_results_cycles_or_events() {
-        use crate::config::ScanMode;
-        let (net, x) = build(31, &[48, 160, 96, 10], 4);
-        let mask_word = Machine::new(MachineConfig::default());
-        let per_element = Machine::new(MachineConfig {
-            scan: ScanMode::PerElement,
-            ..MachineConfig::default()
-        });
-        for mode in [UvMode::Off, UvMode::On] {
-            let a = mask_word.run_network(&net, &x, mode);
-            let b = per_element.run_network(&net, &x, mode);
-            for (l, (la, lb)) in a.layers.iter().zip(&b.layers).enumerate() {
-                assert_eq!(la.output, lb.output, "{mode:?} L{l} output");
-                assert_eq!(la.mask, lb.mask, "{mode:?} L{l} mask");
-                assert_eq!(la.cycles, lb.cycles, "{mode:?} L{l} cycles");
-                assert_eq!(la.events, lb.events, "{mode:?} L{l} events");
-                assert_eq!(la.pe_busy, lb.pe_busy, "{mode:?} L{l} pe_busy");
-                assert_eq!(la.row_ready, lb.row_ready, "{mode:?} L{l} row_ready");
-            }
-        }
-    }
-
-    #[test]
     fn network_run_accounting_adds_up() {
         let (net, x) = build(8, &[36, 80, 10], 4);
         let machine = Machine::new(MachineConfig::default());
-        let run = machine.run_network(&net, &x, UvMode::On);
+        let run = machine.run_network(&net, &x, UvMode::On).unwrap();
         let per_layer: u64 = run.layers.iter().map(|l| l.cycles).sum();
         assert_eq!(run.total_cycles(), per_layer);
         for l in &run.layers {

@@ -24,7 +24,6 @@ use sparsenn_noc::ActFlit;
 use sparsenn_numeric::{Accumulator, Q6_10};
 use std::collections::VecDeque;
 
-use crate::config::ScanMode;
 use crate::events::MachineEvents;
 
 /// What the datapath accomplished in one cycle (for utilization stats).
@@ -59,28 +58,19 @@ pub struct Pe {
     acc_u: Vec<Accumulator>,
     /// Predictor register bank (`true` = row predicted active).
     pred: Vec<bool>,
-    /// Host-side row-enumeration strategy (see [`ScanMode`]).
-    scan: ScanMode,
-    /// [`ScanMode::MaskWord`]: the predictor bank packed into mask words,
-    /// rebuilt whenever the bank changes.
-    pred_words: Vec<u64>,
-    /// [`ScanMode::MaskWord`]: local indices of predicted-active rows,
-    /// derived from `pred_words` by a trailing-zeros scan.
+    /// Local indices of the predicted-active rows, ascending: what the
+    /// bank's leading-nonzero detector yields. Rebuilt whenever the bank
+    /// changes, never per queue pop.
     active: Vec<u32>,
-    /// [`ScanMode::PerElement`] only: MACs still owed for the activation
-    /// being processed (local row ids).
-    mac_list: VecDeque<usize>,
-    /// [`ScanMode::MaskWord`]: cursor into the current MAC enumeration —
-    /// `true` walks every local row, `false` walks `active`.
+    /// Which rows the current activation walks: `true` every local row,
+    /// `false` the rows in `active`.
     mac_all: bool,
-    /// [`ScanMode::MaskWord`]: next position of the enumeration.
+    /// Next position of the walk.
     mac_pos: usize,
-    /// [`ScanMode::MaskWord`]: MACs still owed for the current activation.
+    /// MACs still owed for the current activation.
     mac_rem: usize,
     /// The activation being processed.
     cur: Option<ActFlit>,
-    /// Whether the current `mac_list` targets the U accumulators.
-    cur_is_u: bool,
     /// V phase: current predictor row (`v_rows` when done).
     v_row: usize,
     /// Total predictor rows.
@@ -106,18 +96,6 @@ impl Pe {
         input: &[Q6_10],
         out_rows: usize,
     ) -> Self {
-        Self::with_scan(id, num_pes, queue_cap, input, out_rows, ScanMode::default())
-    }
-
-    /// [`new`](Self::new) with an explicit row-enumeration strategy.
-    pub fn with_scan(
-        id: usize,
-        num_pes: usize,
-        queue_cap: usize,
-        input: &[Q6_10],
-        out_rows: usize,
-        scan: ScanMode,
-    ) -> Self {
         let src: Vec<(u32, Q6_10)> = input
             .iter()
             .enumerate()
@@ -139,15 +117,11 @@ impl Pe {
             last_w_mac: vec![0; n_rows],
             acc_u: vec![Accumulator::new(); n_rows],
             pred: vec![true; n_rows],
-            scan,
-            pred_words: Vec::new(),
             active: Vec::new(),
-            mac_list: VecDeque::new(),
             mac_all: false,
             mac_pos: 0,
             mac_rem: 0,
             cur: None,
-            cur_is_u: false,
             v_row: 0,
             v_rows: 0,
             v_idx: 0,
@@ -158,38 +132,12 @@ impl Pe {
         pe
     }
 
-    /// Packs the predictor bank into mask words and re-derives the
-    /// active-row list by a trailing-zeros scan over them — the hot-loop
-    /// index [`ScanMode::MaskWord`] consumes. Runs once per predictor
-    /// change (latch / force / external mask), never per queue pop.
+    /// Re-derives the active-row list from the predictor bank. Runs once
+    /// per predictor change (latch / force / external mask).
     fn rebuild_active(&mut self) {
-        if self.scan == ScanMode::PerElement {
-            return;
-        }
-        self.pred_words.clear();
-        self.pred_words.resize(self.pred.len().div_ceil(64), 0);
-        for (i, &p) in self.pred.iter().enumerate() {
-            if p {
-                self.pred_words[i / 64] |= 1u64 << (i % 64);
-            }
-        }
         self.active.clear();
-        for (wi, &word) in self.pred_words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                self.active
-                    .push((wi * 64 + bits.trailing_zeros() as usize) as u32);
-                bits &= bits - 1;
-            }
-        }
-    }
-
-    /// MACs still owed for the activation being processed.
-    fn has_pending_macs(&self) -> bool {
-        match self.scan {
-            ScanMode::PerElement => !self.mac_list.is_empty(),
-            ScanMode::MaskWord => self.mac_rem > 0,
-        }
+        self.active
+            .extend((0..self.pred.len() as u32).filter(|&i| self.pred[i as usize]));
     }
 
     /// PE index.
@@ -280,7 +228,7 @@ impl Pe {
 
     /// `true` when the datapath and queue are fully drained.
     pub fn drained(&self) -> bool {
-        self.queue.is_empty() && !self.has_pending_macs()
+        self.queue.is_empty() && self.mac_rem == 0
     }
 
     /// Advances the datapath one cycle during the combined V/U phase:
@@ -345,55 +293,34 @@ impl Pe {
         pred_filter: bool,
         cycle: u64,
     ) -> StepOutcome {
-        if !self.has_pending_macs() {
+        if self.mac_rem == 0 {
             let Some(flit) = self.queue.pop_front() else {
                 return StepOutcome::Idle;
             };
             ev.queue_pops += 1;
             self.cur = Some(flit);
-            self.cur_is_u = is_u;
-            match self.scan {
-                ScanMode::PerElement => {
-                    let list: Vec<usize> = if pred_filter {
-                        ev.pred_scans += 1;
-                        (0..self.rows.len()).filter(|&i| self.pred[i]).collect()
-                    } else {
-                        (0..self.rows.len()).collect()
-                    };
-                    self.mac_list = list.into();
-                }
-                ScanMode::MaskWord => {
-                    self.mac_pos = 0;
-                    if pred_filter {
-                        ev.pred_scans += 1;
-                        self.mac_all = false;
-                        self.mac_rem = self.active.len();
-                    } else {
-                        self.mac_all = true;
-                        self.mac_rem = self.rows.len();
-                    }
-                }
-            }
-            if !self.has_pending_macs() {
+            self.mac_pos = 0;
+            self.mac_all = !pred_filter;
+            self.mac_rem = if pred_filter {
+                ev.pred_scans += 1;
+                self.active.len()
+            } else {
+                self.rows.len()
+            };
+            if self.mac_rem == 0 {
                 // Nothing mapped / predicted active for this activation:
                 // the pop and LNZD scan consumed the cycle but the datapath
                 // did no useful work — idle for utilization purposes.
                 return StepOutcome::Idle;
             }
         }
-        let local = match self.scan {
-            ScanMode::PerElement => self.mac_list.pop_front().expect("nonempty checked"),
-            ScanMode::MaskWord => {
-                let i = if self.mac_all {
-                    self.mac_pos
-                } else {
-                    self.active[self.mac_pos] as usize
-                };
-                self.mac_pos += 1;
-                self.mac_rem -= 1;
-                i
-            }
+        let local = if self.mac_all {
+            self.mac_pos
+        } else {
+            self.active[self.mac_pos] as usize
         };
+        self.mac_pos += 1;
+        self.mac_rem -= 1;
         let flit = self.cur.expect("current activation set");
         let weight = matrix.get(self.rows[local] as usize, flit.index as usize);
         let act = Q6_10::from_raw(flit.value);
@@ -650,45 +577,6 @@ mod tests {
         assert_eq!(out[1], (64, Q6_10::ZERO, 0)); // bypassed
         let out_linear = pe.writeback(false, &mut ev);
         assert_eq!(out_linear[0].1, q(-2.0)); // no ReLU on classifier
-    }
-
-    #[test]
-    fn scan_modes_step_identically() {
-        // Same PE, same stimulus, both enumeration strategies: every cycle
-        // outcome and every event counter must match exactly.
-        let w = FixedMatrix::from_float(&sparsenn_linalg::Matrix::from_fn(256, 8, |i, j| {
-            ((i * 8 + j) as f32 * 0.07).sin()
-        }));
-        for uv_on in [false, true] {
-            let mut mask = vec![false; 256];
-            for (i, m) in mask.iter_mut().enumerate() {
-                *m = i % 3 != 0;
-            }
-            let mut runs = Vec::new();
-            for scan in [ScanMode::MaskWord, ScanMode::PerElement] {
-                let mut pe = Pe::with_scan(0, 64, 8, &[q(1.0); 8], 256, scan);
-                pe.set_predictor(&mask);
-                let mut ev = MachineEvents::default();
-                for idx in 0..3u32 {
-                    pe.push_act(
-                        ActFlit {
-                            index: idx,
-                            value: q(0.5).raw(),
-                        },
-                        &mut ev,
-                    );
-                }
-                let mut outcomes = Vec::new();
-                for cycle in 1..40 {
-                    outcomes.push(pe.step_w(&w, uv_on, cycle, &mut ev));
-                }
-                assert!(pe.drained());
-                runs.push((outcomes, ev, pe.writeback(true, &mut ev)));
-            }
-            assert_eq!(runs[0].0, runs[1].0, "cycle outcomes (uv_on={uv_on})");
-            assert_eq!(runs[0].1, runs[1].1, "events (uv_on={uv_on})");
-            assert_eq!(runs[0].2, runs[1].2, "writeback (uv_on={uv_on})");
-        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ proptest! {
         let x = net.quantize_input(&build_input(seed, 24, sparsity));
         let mode = if uv_on { UvMode::On } else { UvMode::Off };
         let machine = Machine::new(MachineConfig::default());
-        let run = machine.run_network(&net, &x, mode);
+        let run = machine.run_network(&net, &x, mode).unwrap();
         let golden = net.forward(&x, mode);
         for (l, (r, g)) in run.layers.iter().zip(&golden).enumerate() {
             prop_assert_eq!(&r.output, &g.output, "layer {} output differs", l);
@@ -73,8 +73,8 @@ proptest! {
             ..Default::default()
         };
         let tweaked = Machine::new(cfg);
-        let a = reference.run_network(&net, &x, UvMode::On);
-        let b = tweaked.run_network(&net, &x, UvMode::On);
+        let a = reference.run_network(&net, &x, UvMode::On).unwrap();
+        let b = tweaked.run_network(&net, &x, UvMode::On).unwrap();
         prop_assert_eq!(a.output(), b.output());
     }
 
@@ -85,16 +85,16 @@ proptest! {
         let net = build_net(seed, 40, 3);
         let x = net.quantize_input(&build_input(seed, 24, 30));
         let machine = Machine::new(MachineConfig::default());
-        let a = machine.run_network(&net, &x, UvMode::On);
-        let b = machine.run_network(&net, &x, UvMode::On);
+        let a = machine.run_network(&net, &x, UvMode::On).unwrap();
+        let b = machine.run_network(&net, &x, UvMode::On).unwrap();
         prop_assert_eq!(a.total_cycles(), b.total_cycles());
         prop_assert_eq!(a.total_events(), b.total_events());
     }
 
     /// The row-availability profile is structurally sound for any
     /// network/input: one entry per row, every completion inside the
-    /// layer (`0 < t ≤ cycles`), the histogram covers exactly the rows,
-    /// and the staged core reproduces the monolithic run bit for bit.
+    /// layer (`0 < t ≤ cycles`), and the histogram covers exactly the
+    /// rows.
     #[test]
     fn row_availability_profile_is_sound(
         seed in 0u64..10_000,
@@ -106,7 +106,7 @@ proptest! {
         let x = net.quantize_input(&build_input(seed, 24, sparsity));
         let mode = if uv_on { UvMode::On } else { UvMode::Off };
         let machine = Machine::new(MachineConfig::default());
-        let run = machine.run_network(&net, &x, mode);
+        let run = machine.run_network(&net, &x, mode).unwrap();
         for (l, layer) in run.layers.iter().enumerate() {
             prop_assert_eq!(layer.row_ready.len(), layer.output.len(), "layer {}", l);
             prop_assert!(
@@ -122,22 +122,6 @@ proptest! {
             // Rows the W phase touched become final no earlier than the
             // VU phase handed over.
             prop_assert!(layer.row_ready.iter().all(|&t| t >= layer.vu_cycles));
-        }
-        // Staged execution is the same computation, stage by stage.
-        let mut acts = x.clone();
-        for (l, layer) in run.layers.iter().enumerate() {
-            let is_hidden = l + 1 < net.num_layers();
-            let predictor = if is_hidden { net.predictors().get(l) } else { None };
-            let mut stages = machine
-                .stage_layer(&net.layers()[l], predictor, &acts, is_hidden, mode)
-                .unwrap();
-            stages.run_vu();
-            stages.run_w();
-            let staged = stages.writeback();
-            prop_assert_eq!(&staged.output, &layer.output, "layer {}", l);
-            prop_assert_eq!(&staged.row_ready, &layer.row_ready, "layer {}", l);
-            prop_assert_eq!(&staged.events, &layer.events, "layer {}", l);
-            acts = staged.output;
         }
     }
 
@@ -163,10 +147,10 @@ proptest! {
             .collect();
         let mode = if uv_on { UvMode::On } else { UvMode::Off };
         let machine = Machine::new(MachineConfig::default());
-        let batch = machine.try_run_network_batch(&net, &inputs, mode).unwrap();
+        let batch = machine.run_network_batch(&net, &inputs, mode).unwrap();
         prop_assert_eq!(batch.batch_size(), b);
         for (s, x) in inputs.iter().enumerate() {
-            let serial = machine.run_network(&net, x, mode);
+            let serial = machine.run_network(&net, x, mode).unwrap();
             for (l, (batched, own)) in batch.layers.iter()
                 .map(|layer| &layer.per_sample[s])
                 .zip(&serial.layers)
@@ -214,7 +198,9 @@ proptest! {
         let net = build_net(seed, 64, 4);
         let x = net.quantize_input(&build_input(seed, 24, 20));
         let machine = Machine::new(MachineConfig::default());
-        let run = machine.run_layer(&net.layers()[0], net.predictors().first(), &x, true, UvMode::On);
+        let run = machine
+            .run_layer(&net.layers()[0], net.predictors().first(), &x, true, UvMode::On)
+            .unwrap();
         let nnz = x.iter().filter(|v| !v.is_zero()).count() as u64;
         let active = run.mask.as_ref().unwrap().iter().filter(|&&m| m).count() as u64;
         prop_assert_eq!(run.events.w_reads, nnz * active);

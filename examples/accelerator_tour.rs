@@ -9,9 +9,9 @@
 use sparsenn::linalg::init::seeded_rng;
 use sparsenn::model::fixedpoint::{FixedNetwork, UvMode};
 use sparsenn::model::{Mlp, PredictedNetwork};
-use sparsenn::sim::{Machine, MachineConfig};
+use sparsenn::sim::{Machine, MachineConfig, MachineError};
 
-fn main() {
+fn main() -> Result<(), MachineError> {
     // A paper-shaped layer stack: 784 → 1024 → 1024 → 10, rank-15
     // predictors, random weights (training is not the point here).
     let mut rng = seeded_rng(42);
@@ -44,7 +44,7 @@ fn main() {
 
     for mode in [UvMode::Off, UvMode::On] {
         println!("=== {mode:?} ===");
-        let run = machine.run_network(&net, &xq, mode);
+        let run = machine.run_network(&net, &xq, mode)?;
         for (l, layer) in run.layers.iter().enumerate() {
             let mask_info = match &layer.mask {
                 Some(m) => {
@@ -87,4 +87,5 @@ fn main() {
          phase's memory traffic — and how out-of-order H-tree delivery never affects \
          the outputs (order-independent wide accumulation)."
     );
+    Ok(())
 }

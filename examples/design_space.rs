@@ -11,9 +11,9 @@ use sparsenn::linalg::init::seeded_rng;
 use sparsenn::model::fixedpoint::{FixedNetwork, UvMode};
 use sparsenn::model::{Mlp, PredictedNetwork};
 use sparsenn::noc::NocConfig;
-use sparsenn::sim::{Machine, MachineConfig};
+use sparsenn::sim::{Machine, MachineConfig, MachineError};
 
-fn main() {
+fn main() -> Result<(), MachineError> {
     let mut rng = seeded_rng(7);
     let mlp = Mlp::random(&[784, 1024, 10], &mut rng);
     let net =
@@ -45,14 +45,14 @@ fn main() {
                 ..MachineConfig::default()
             };
             let machine = Machine::new(cfg);
-            let off = machine.run_layer(&net.layers()[0], None, &xq, true, UvMode::Off);
+            let off = machine.run_layer(&net.layers()[0], None, &xq, true, UvMode::Off)?;
             let on = machine.run_layer(
                 &net.layers()[0],
                 net.predictors().first(),
                 &xq,
                 true,
                 UvMode::On,
-            );
+            )?;
             println!(
                 "{:>5} {:>7} {:>14} {:>14} {:>12.1} {:>12.1}",
                 num_pes,
@@ -69,7 +69,7 @@ fn main() {
                 &xq,
                 true,
                 UvMode::Off,
-            );
+            )?;
             assert_eq!(
                 off.output, reference.output,
                 "results must be machine-independent"
@@ -83,4 +83,5 @@ fn main() {
          (Table IV's bandwidth argument). The predictor's advantage persists at \
          every machine size."
     );
+    Ok(())
 }

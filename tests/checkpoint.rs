@@ -128,3 +128,96 @@ fn partition_plan_roundtrips_alongside_the_checkpoint() {
     // quantized weights → same nnz balance → same greedy assignment).
     assert_eq!(sys_back.partition_plan(4).unwrap(), plan_back);
 }
+
+/// The tiny system's checkpoint text, built once for the crafted-line
+/// regression tests below.
+fn good_text() -> &'static str {
+    static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    TEXT.get_or_init(|| tiny_system().to_checkpoint_string())
+}
+
+/// The good checkpoint with token `field` (0-based, after the keyword)
+/// of its `keyword` line replaced by `value`.
+fn edited(keyword: &str, field: usize, value: &str) -> String {
+    let mut lines: Vec<String> = good_text().lines().map(String::from).collect();
+    let line = lines
+        .iter_mut()
+        .find(|l| l.starts_with(&format!("{keyword} ")))
+        .expect("the checkpoint has the line");
+    let mut tokens: Vec<&str> = line.split_whitespace().collect();
+    tokens[field + 1] = value;
+    *line = tokens.join(" ");
+    lines.join("\n") + "\n"
+}
+
+/// Loads a crafted checkpoint, which must fail with a message naming
+/// `what`.
+fn assert_rejected(text: &str, what: &str) {
+    let message = checkpoint_message(TrainedSystem::from_checkpoint_str(text));
+    assert!(message.contains(what), "expected `{what}` in: {message}");
+}
+
+// Machine-line fields, in order: num_pes radix queue_capacity hop_latency
+// act_queue_depth w_mem u_mem v_mem act_regs pipeline_depth clock_bits.
+
+#[test]
+fn machine_line_with_no_pes_or_a_non_power_pe_count_is_rejected() {
+    // 0 PEs used to load without an error.
+    for pes in ["0", "1", "48", "1099511627776"] {
+        assert_rejected(&edited("machine", 0, pes), "PEs");
+    }
+}
+
+#[test]
+fn machine_line_with_radix_one_is_rejected() {
+    // Used to panic with "tree radix must be at least 2".
+    assert_rejected(&edited("machine", 1, "1"), "radix 1");
+}
+
+#[test]
+fn machine_line_with_no_noc_buffer_is_rejected() {
+    assert_rejected(&edited("machine", 2, "0"), "noc.queue_capacity");
+}
+
+#[test]
+fn machine_line_with_no_activation_queue_is_rejected() {
+    // Used to spin until the 50 M-cycle guard declared a V/U deadlock.
+    assert_rejected(&edited("machine", 4, "0"), "act_queue_depth");
+}
+
+#[test]
+fn machine_line_with_no_activation_registers_is_rejected() {
+    assert_rejected(&edited("machine", 8, "0"), "act_regs_per_pe");
+}
+
+#[test]
+fn machine_line_with_a_zero_sized_memory_is_rejected() {
+    for (field, name) in [(5, "w_mem_bytes"), (6, "u_mem_bytes"), (7, "v_mem_bytes")] {
+        assert_rejected(&edited("machine", field, "0"), name);
+    }
+}
+
+#[test]
+fn machine_line_with_an_overlong_latency_is_rejected() {
+    let max = u64::MAX.to_string();
+    assert_rejected(&edited("machine", 3, &max), "noc.hop_latency");
+    assert_rejected(&edited("machine", 9, &max), "pe_pipeline_depth");
+}
+
+#[test]
+fn machine_line_with_a_non_finite_or_non_positive_clock_is_rejected() {
+    for clock in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+        let bits = format!("{:016x}", clock.to_bits());
+        assert_rejected(&edited("machine", 10, &bits), "clock period");
+    }
+}
+
+#[test]
+fn split_line_above_the_sample_bound_is_rejected() {
+    // `split 1000000000000 0 1` used to abort the process: generating the
+    // split tried to allocate 24 TB.
+    let over = (sparsenn::MAX_CHECKPOINT_SAMPLES + 1).to_string();
+    for (field, count) in [(0, "1000000000000"), (0, over.as_str()), (1, over.as_str())] {
+        assert_rejected(&edited("split", field, count), "exceed");
+    }
+}

@@ -52,20 +52,24 @@ fn throughput_gain_lands_in_the_papers_10_to_70_percent_band() {
     // ρ = 0.5: the paper's typical first-hidden-layer operating point.
     let (net, x) = engineered_network(0.5);
     let machine = Machine::new(MachineConfig::default());
-    let off = machine.run_layer(
-        &net.layers()[0],
-        net.predictors().first(),
-        &x,
-        true,
-        UvMode::Off,
-    );
-    let on = machine.run_layer(
-        &net.layers()[0],
-        net.predictors().first(),
-        &x,
-        true,
-        UvMode::On,
-    );
+    let off = machine
+        .run_layer(
+            &net.layers()[0],
+            net.predictors().first(),
+            &x,
+            true,
+            UvMode::Off,
+        )
+        .unwrap();
+    let on = machine
+        .run_layer(
+            &net.layers()[0],
+            net.predictors().first(),
+            &x,
+            true,
+            UvMode::On,
+        )
+        .unwrap();
     let reduction = 1.0 - on.cycles as f64 / off.cycles as f64;
     assert!(
         (0.10..=0.70).contains(&reduction),
@@ -82,20 +86,24 @@ fn deeper_sparsity_gives_deeper_reductions() {
     let mut last_reduction = 0.0f64;
     for rho in [0.5f64, 0.75, 0.95] {
         let (net, x) = engineered_network(1.0 - rho);
-        let off = machine.run_layer(
-            &net.layers()[0],
-            net.predictors().first(),
-            &x,
-            true,
-            UvMode::Off,
-        );
-        let on = machine.run_layer(
-            &net.layers()[0],
-            net.predictors().first(),
-            &x,
-            true,
-            UvMode::On,
-        );
+        let off = machine
+            .run_layer(
+                &net.layers()[0],
+                net.predictors().first(),
+                &x,
+                true,
+                UvMode::Off,
+            )
+            .unwrap();
+        let on = machine
+            .run_layer(
+                &net.layers()[0],
+                net.predictors().first(),
+                &x,
+                true,
+                UvMode::On,
+            )
+            .unwrap();
         let reduction = 1.0 - on.cycles as f64 / off.cycles as f64;
         assert!(
             reduction > last_reduction,
@@ -116,20 +124,24 @@ fn power_reduction_is_substantial() {
     let cfg = MachineConfig::default();
     let machine = Machine::new(cfg);
     let model = PowerModel::new(&cfg);
-    let off = machine.run_layer(
-        &net.layers()[0],
-        net.predictors().first(),
-        &x,
-        true,
-        UvMode::Off,
-    );
-    let on = machine.run_layer(
-        &net.layers()[0],
-        net.predictors().first(),
-        &x,
-        true,
-        UvMode::On,
-    );
+    let off = machine
+        .run_layer(
+            &net.layers()[0],
+            net.predictors().first(),
+            &x,
+            true,
+            UvMode::Off,
+        )
+        .unwrap();
+    let on = machine
+        .run_layer(
+            &net.layers()[0],
+            net.predictors().first(),
+            &x,
+            true,
+            UvMode::On,
+        )
+        .unwrap();
     let p_off = model.estimate(&off.events).total_mw;
     let p_on = model.estimate(&on.events).total_mw;
     let reduction = 1.0 - p_on / p_off;
@@ -149,20 +161,24 @@ fn energy_reduction_exceeds_cycle_reduction() {
     let cfg = MachineConfig::default();
     let machine = Machine::new(cfg);
     let model = PowerModel::new(&cfg);
-    let off = machine.run_layer(
-        &net.layers()[0],
-        net.predictors().first(),
-        &x,
-        true,
-        UvMode::Off,
-    );
-    let on = machine.run_layer(
-        &net.layers()[0],
-        net.predictors().first(),
-        &x,
-        true,
-        UvMode::On,
-    );
+    let off = machine
+        .run_layer(
+            &net.layers()[0],
+            net.predictors().first(),
+            &x,
+            true,
+            UvMode::Off,
+        )
+        .unwrap();
+    let on = machine
+        .run_layer(
+            &net.layers()[0],
+            net.predictors().first(),
+            &x,
+            true,
+            UvMode::On,
+        )
+        .unwrap();
     let e_off = model.estimate(&off.events).energy_uj;
     let e_on = model.estimate(&on.events).energy_uj;
     let cycle_ratio = on.cycles as f64 / off.cycles as f64;
@@ -179,14 +195,18 @@ fn uv_off_is_the_eie_baseline_predictor_agnostic() {
     // whether or not a predictor is even attached — it *is* EIE then.
     let (net, x) = engineered_network(0.5);
     let machine = Machine::new(MachineConfig::default());
-    let with = machine.run_layer(
-        &net.layers()[0],
-        net.predictors().first(),
-        &x,
-        true,
-        UvMode::Off,
-    );
-    let without = machine.run_layer(&net.layers()[0], None, &x, true, UvMode::Off);
+    let with = machine
+        .run_layer(
+            &net.layers()[0],
+            net.predictors().first(),
+            &x,
+            true,
+            UvMode::Off,
+        )
+        .unwrap();
+    let without = machine
+        .run_layer(&net.layers()[0], None, &x, true, UvMode::Off)
+        .unwrap();
     assert_eq!(with.output, without.output);
     assert_eq!(with.cycles, without.cycles);
     assert_eq!(with.events, without.events);
@@ -212,13 +232,15 @@ fn v_phase_keeps_pes_busy_at_rank_16() {
     let nnz = xq.iter().filter(|v| !v.is_zero()).count();
 
     let machine = Machine::new(MachineConfig::default());
-    let run = machine.run_layer(
-        &net.layers()[0],
-        net.predictors().first(),
-        &xq,
-        true,
-        UvMode::On,
-    );
+    let run = machine
+        .run_layer(
+            &net.layers()[0],
+            net.predictors().first(),
+            &xq,
+            true,
+            UvMode::On,
+        )
+        .unwrap();
     // Lower bound: V MACs r×⌈nnz/64⌉ plus U MACs r×(m/64), perfectly
     // overlapped. Allow 2× for reduction/broadcast latency.
     let v_bound = r as u64 * (nnz as u64).div_ceil(64);

@@ -27,7 +27,7 @@ fn trained_system_beats_chance_and_simulates_exactly() {
     for i in 0..5 {
         let x = sys.fixed().quantize_input(sys.split().test.image(i));
         for mode in [UvMode::Off, UvMode::On] {
-            let run = sys.machine().run_network(sys.fixed(), &x, mode);
+            let run = sys.machine().run_network(sys.fixed(), &x, mode).unwrap();
             let golden = sys.fixed().forward(&x, mode);
             for (l, (r, g)) in run.layers.iter().zip(&golden).enumerate() {
                 assert_eq!(r.output, g.output, "sample {i} layer {l} {mode:?}");

@@ -40,9 +40,9 @@ fn workload() -> (FixedNetwork, Vec<sparsenn::numeric::Q6_10>) {
 #[test]
 fn results_are_identical_across_machine_sizes() {
     let (net, x) = workload();
-    let reference = machine_with(64).run_network(&net, &x, UvMode::On);
+    let reference = machine_with(64).run_network(&net, &x, UvMode::On).unwrap();
     for pes in [16usize, 256] {
-        let run = machine_with(pes).run_network(&net, &x, UvMode::On);
+        let run = machine_with(pes).run_network(&net, &x, UvMode::On).unwrap();
         for (l, (r, g)) in run.layers.iter().zip(&reference.layers).enumerate() {
             assert_eq!(r.output, g.output, "{pes} PEs, layer {l}");
             assert_eq!(r.mask, g.mask, "{pes} PEs, layer {l} mask");
@@ -55,12 +55,15 @@ fn throughput_scales_with_pe_count() {
     let (net, x) = workload();
     let c16 = machine_with(16)
         .run_network(&net, &x, UvMode::Off)
+        .unwrap()
         .total_cycles();
     let c64 = machine_with(64)
         .run_network(&net, &x, UvMode::Off)
+        .unwrap()
         .total_cycles();
     let c256 = machine_with(256)
         .run_network(&net, &x, UvMode::Off)
+        .unwrap()
         .total_cycles();
     assert!(
         c16 > c64 && c64 > c256,
@@ -79,8 +82,12 @@ fn throughput_scales_with_pe_count() {
 #[test]
 fn per_pe_memory_traffic_shrinks_with_more_pes() {
     let (net, x) = workload();
-    let small = machine_with(16).run_layer(&net.layers()[0], None, &x, true, UvMode::Off);
-    let large = machine_with(256).run_layer(&net.layers()[0], None, &x, true, UvMode::Off);
+    let small = machine_with(16)
+        .run_layer(&net.layers()[0], None, &x, true, UvMode::Off)
+        .unwrap();
+    let large = machine_with(256)
+        .run_layer(&net.layers()[0], None, &x, true, UvMode::Off)
+        .unwrap();
     // Total W reads are workload-determined and machine-independent…
     assert_eq!(small.events.w_reads, large.events.w_reads);
     // …but the per-PE share (bandwidth per memory) drops 16×: the
