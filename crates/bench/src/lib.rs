@@ -22,7 +22,7 @@
 //! | `… --bin ablation_lambda` | Eq. (4) λ sweep | — |
 //! | `… --bin fleet` | fleet serving: latency & wall time vs shard count | bit-identical to serial |
 //! | `… --bin serve` | virtual-time serving: latency vs offered load per scheduler | closed loop matches the model; latency-aware dispatch wins |
-//! | `… --bin kernel` | native CPU kernel: measured dense-vs-prescan wall-clock | bit-exact; ≥ 2× prescan; ≤ 1.25× engine overhead; sim scans bit-identical |
+//! | `… --bin kernel` | native CPU kernel: measured dense-vs-prescan wall-clock | bit-exact; ≥ 2× prescan; ≤ 1.25× engine overhead |
 //! | `… --bin frontend` | production front end: admission, hedging, autoscaling, SLO sweep | high-priority SLO; low absorbs overload; hedging wins; autoscaler reacts |
 //! | `… --bin batching` | cross-request batching: amortization and the serving knee | bit-identical; throughput monotone; latency cost visible |
 //! | `… --bin partition` | model parallelism: oversized MLP on 2/4/8 chips, comm overhead | one chip rejects; overlap sound; bit-identical |

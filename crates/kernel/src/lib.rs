@@ -15,7 +15,9 @@
 //!    64 rows, each column-block-major: column block `b` of a tile is one
 //!    contiguous `rows × block` panel. Each live activation block is
 //!    broadcast to every predictor-active row of the tile, which
-//!    multiplies it into its own `block` i32 lanes. Dead blocks and
+//!    multiplies it into its own i32 lanes: at block 8, 16 or 32 each
+//!    lane takes the pair sum `w[2j]·a[2j] + w[2j+1]·a[2j+1]`, so each 8
+//!    words of a row are one `pmaddwd` into 4 lanes. Dead blocks and
 //!    bypassed rows are never touched. V runs the same pass, and U's
 //!    verdicts are `r` axpys over the rows. A batch runs row tile →
 //!    sample → live block, so every sample reuses one tile of W while it
@@ -30,14 +32,17 @@
 //! at most `max|w| · 2¹⁵` in magnitude. Packing records the layer's
 //! largest `|w|` and from it `K = ⌊(2³¹ − 1) / (max|w| · 2¹⁵)⌋`: any `K`
 //! such products sum exactly in an `i32` (`K ≥ 1` always, since
-//! `max|w| ≤ 2¹⁵`). A lane takes one product per block and flushes into
-//! the i64 [`Accumulator`](sparsenn_numeric::Accumulator) at most every
-//! `K` blocks, so no lane ever wraps. The lane adds are plain `+=`, never
-//! `wrapping_add`, so a debug build checks the bound on every add. From
-//! there the argument is the golden one: a zero activation (inside a live
-//! block, or in the zero padding) contributes exactly `0`, and integer
-//! addition does not depend on order, so neither block order nor lane
-//! order matters.
+//! `max|w| ≤ 2¹⁵`). A pair lane takes two products per block, so it
+//! flushes into the i64 [`Accumulator`](sparsenn_numeric::Accumulator)
+//! every `⌊K/2⌋` blocks and never holds more than `K` products. `K ≥ 2`
+//! means `max|w| ≤ 32 767`, so even one pair stays below 2³¹. A `K = 1`
+//! layer (a weight of exactly −32.0) and the other block widths keep one
+//! product per lane and flush every `K` blocks. Either way no lane ever
+//! wraps. The lane adds are plain `+`, never `wrapping_add`, so a debug
+//! build checks the bound on every add. From there the argument is the
+//! golden one: a zero activation (inside a live block, or in the zero
+//! padding) contributes exactly `0`, and integer addition does not depend
+//! on order, so neither block order nor lane order matters.
 //!
 //! [`Strategy::Dense`] keeps an honest dense baseline in the same crate
 //! (the same pass over every block and row, same layout, same lanes), so

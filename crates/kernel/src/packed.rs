@@ -66,12 +66,12 @@ fn lane_sum(l: &[i32]) -> i64 {
 }
 
 /// The broadcast pass over one row tile: every block in `live` meets
-/// every row in `rows` (tile row `i − t0`), one exact product into each
-/// of the row's `block` lanes. `tile` holds the tile's panels, `rt` rows
-/// each. Kept out of line so its slice parameters tell the compiler the
-/// lanes alias neither operand: each activation block then stays in
-/// registers across the rows, and an 8-wide block is two `pmaddwd`s per
-/// row.
+/// every row in `rows` (tile row `i − t0`). `tile` holds the tile's
+/// panels, `rt` rows each. With `pairs`, a row has `block / 2` lanes and
+/// each takes the pair sum of two products per block; otherwise a row has
+/// `block` lanes of one product each. Kept out of line so its slice
+/// parameters tell the compiler the lanes alias neither operand: each
+/// activation block then stays in registers across the rows.
 #[inline(never)]
 fn broadcast(
     lane: &mut [i32],
@@ -80,11 +80,12 @@ fn broadcast(
     rows: &[u32],
     live: &[u32],
     (block, rt, t0): (usize, usize, usize),
+    pairs: bool,
 ) {
-    match block {
-        8 => broadcast_fixed::<8>(lane, tile, x, rows, live, rt, t0),
-        16 => broadcast_fixed::<16>(lane, tile, x, rows, live, rt, t0),
-        32 => broadcast_fixed::<32>(lane, tile, x, rows, live, rt, t0),
+    match (block, pairs) {
+        (8, true) => broadcast_pairs::<8, 4>(lane, tile, x, rows, live, rt, t0),
+        (16, true) => broadcast_pairs::<16, 8>(lane, tile, x, rows, live, rt, t0),
+        (32, true) => broadcast_pairs::<32, 16>(lane, tile, x, rows, live, rt, t0),
         _ => {
             for &b in live {
                 let b = b as usize;
@@ -100,9 +101,15 @@ fn broadcast(
     }
 }
 
-/// [`broadcast`] at a block width known to the compiler.
+/// [`broadcast`]'s pair pass at a block width `B = 2H` known to the
+/// compiler: lane `j` of a row takes `w[2j]·a[2j] + w[2j+1]·a[2j+1]`, so
+/// each 8 words of a row are one `pmaddwd`. The shape is what LLVM
+/// matches: both blocks copied into `i16` arrays, the pairs summed odd
+/// product first into a temporary, then added to the lanes. Fusing the
+/// add splits even and odd words into two masked `pmaddwd`s; summing even
+/// first swaps the words of every W load.
 #[inline(always)]
-fn broadcast_fixed<const B: usize>(
+fn broadcast_pairs<const B: usize, const H: usize>(
     lane: &mut [i32],
     tile: &[Q6_10],
     x: &[Q6_10],
@@ -111,16 +118,22 @@ fn broadcast_fixed<const B: usize>(
     rt: usize,
     t0: usize,
 ) {
-    let (lane, _) = lane.as_chunks_mut::<B>();
+    const { assert!(B == 2 * H) };
+    let (lane, _) = lane.as_chunks_mut::<H>();
     let (tile, _) = tile.as_chunks::<B>();
     let (x, _) = x.as_chunks::<B>();
     for &b in live {
         let b = b as usize;
-        let (xb, panel) = (x[b], &tile[b * rt..(b + 1) * rt]);
+        let (xb, panel) = (x[b].map(Q6_10::raw), &tile[b * rt..(b + 1) * rt]);
         for (l, &i) in lane.iter_mut().zip(rows) {
-            let w = &panel[i as usize - t0];
-            for j in 0..B {
-                l[j] += w[j].wide_mul(xb[j]);
+            let w = panel[i as usize - t0].map(Q6_10::raw);
+            let mut pair = [0i32; H];
+            for (j, p) in pair.iter_mut().enumerate() {
+                *p = i32::from(w[2 * j + 1]) * i32::from(xb[2 * j + 1])
+                    + i32::from(w[2 * j]) * i32::from(xb[2 * j]);
+            }
+            for (l, p) in l.iter_mut().zip(pair) {
+                *l += p;
             }
         }
     }
@@ -140,8 +153,8 @@ pub(crate) struct PackedLayer {
     cols: usize,
     block: usize,
     blocks: usize,
-    /// Blocks one lane can take between flushes ([`lane_capacity`] of the
-    /// largest packed `|w|`).
+    /// Products one lane can take between flushes ([`lane_capacity`] of
+    /// the largest packed `|w|`).
     k: usize,
     data: Vec<Q6_10>,
 }
@@ -208,14 +221,23 @@ impl PackedLayer {
         t * TILE_ROWS..((t + 1) * TILE_ROWS).min(self.rows)
     }
 
+    /// Whether the broadcast pass sums pairs: at the widths [`broadcast`]
+    /// has a pair copy for, when a lane can hold two products (`k ≥ 2`).
+    fn pairs(&self) -> bool {
+        self.k >= 2 && matches!(self.block, 8 | 16 | 32)
+    }
+
     /// The broadcast pass over tile `t` for one sample: each block in
-    /// `live` meets every row in `rows` (ascending, all in the tile),
-    /// adding one exact `i32` product to each of the row's `block` lanes,
-    /// and the lanes flush into i64 at most every `k` blocks. Calls
-    /// `emit(row, acc)` with each row's dot product over the live blocks
-    /// of the padded activations `x`. Bit-identical to the golden
-    /// `row_dot`: zeros inside live blocks and dead blocks both contribute
-    /// 0, and integer sums do not depend on order.
+    /// `live` meets every row in `rows` (ascending, all in the tile). With
+    /// [`pairs`](Self::pairs), each of a row's `block / 2` lanes takes two
+    /// exact products per block and the lanes flush into i64 every
+    /// `⌊k / 2⌋` blocks; otherwise each of its `block` lanes takes one
+    /// product per block and they flush every `k` blocks. Either way no
+    /// lane holds more than `k` products. Calls `emit(row, acc)` with each
+    /// row's dot product over the live blocks of the padded activations
+    /// `x`. Bit-identical to the golden `row_dot`: zeros inside live
+    /// blocks and dead blocks both contribute 0, and integer sums do not
+    /// depend on order.
     pub(crate) fn dot_tile(
         &self,
         t: usize,
@@ -225,17 +247,23 @@ impl PackedLayer {
         lanes: &mut Lanes,
         mut emit: impl FnMut(usize, Accumulator),
     ) {
-        let block = self.block;
+        let (block, pairs) = (self.block, self.pairs());
+        let (width, per_flush) = if pairs {
+            (block / 2, self.k / 2)
+        } else {
+            (block, self.k)
+        };
         let span = self.tile_rows(t);
         let tile = &self.data[span.start * self.padded()..span.end * self.padded()];
-        let (lane, wide) = lanes.cleared(rows.len(), block);
-        for (c, live) in live.chunks(self.k).enumerate() {
+        let shape = (block, span.len(), span.start);
+        let (lane, wide) = lanes.cleared(rows.len(), width);
+        for (c, live) in live.chunks(per_flush).enumerate() {
             if c > 0 {
-                flush(lane, wide, block);
+                flush(lane, wide, width);
             }
-            broadcast(lane, tile, x, rows, live, (block, span.len(), span.start));
+            broadcast(lane, tile, x, rows, live, shape, pairs);
         }
-        for ((&i, &w), l) in rows.iter().zip(wide.iter()).zip(lane.chunks_exact(block)) {
+        for ((&i, &w), l) in rows.iter().zip(wide.iter()).zip(lane.chunks_exact(width)) {
             emit(i as usize, Accumulator::from_raw(w + lane_sum(l)));
         }
     }
@@ -299,9 +327,9 @@ impl PackedPredictor {
 }
 
 /// `lane += col · a`, one exact product per lane. `a` arrives as eight
-/// copies so the compiler sees the same 8-wide multiply as [`broadcast`]
-/// (two `pmaddwd`s per eight rows); out of line for the same aliasing
-/// reason.
+/// copies so the compiler sees an 8-wide multiply (two `pmaddwd`s per
+/// eight rows); out of line for the same aliasing reason as
+/// [`broadcast`].
 #[inline(never)]
 fn axpy(lane: &mut [i32], col: &[Q6_10], a: [Q6_10; 8]) {
     let (lanes, lane_tail) = lane.as_chunks_mut::<8>();
@@ -357,6 +385,8 @@ mod tests {
         assert_eq!(lane_capacity(251), 261);
         assert_eq!(lane_capacity(32768), 1);
         assert_eq!(lane_capacity(32767), 2);
+        assert_eq!(lane_capacity(16384), 3);
+        assert_eq!(lane_capacity(10923), 5);
         // An all-zero layer never grows a lane.
         assert_eq!(lane_capacity(0), usize::MAX);
     }
@@ -446,6 +476,38 @@ mod tests {
         let all: Vec<u32> = (0..8).collect();
         for (i, acc) in dots(&p, &all, &x).into_iter().enumerate() {
             assert_eq!(acc.raw(), 64 << 30, "row {i}");
+            assert_eq!(acc, w.row_dot(i, &x), "row {i}");
+        }
+    }
+
+    #[test]
+    fn pair_lanes_hold_two_products_at_the_bound() {
+        // |w| = 32767 gives K = 2: each lane takes one block's pair,
+        // (2³⁰ − 2¹⁵) · 2 = 2³¹ − 2¹⁶, and must flush after every block of
+        // the four. Debug builds overflow-check every lane add.
+        let w = FixedMatrix::from_float(&Matrix::from_fn(3, 32, |_, _| -32767.0 / 1024.0));
+        let x = vec![Q6_10::MIN; 32];
+        let p = PackedLayer::pack(&w, 8);
+        assert_eq!((p.k, p.pairs()), (2, true));
+        let pair = 2 * (-32767 * i32::from(i16::MIN));
+        assert_eq!(i64::from(pair), (1 << 31) - (1 << 16));
+        for (i, acc) in dots(&p, &[0, 1, 2, 3], &x).into_iter().enumerate() {
+            assert_eq!(acc.raw(), 16 * i64::from(pair), "row {i}");
+            assert_eq!(acc, w.row_dot(i, &x), "row {i}");
+        }
+    }
+
+    #[test]
+    fn a_full_scale_weight_takes_the_one_product_pass() {
+        // One −32.0 (i16::MIN) makes K = 1: a pair of 2³⁰ products would
+        // wrap an i32, so the layer keeps one product per lane.
+        let mut m = Matrix::from_fn(5, 24, |i, j| ((i * 24 + j) as f32 * 0.13).sin());
+        m.set(2, 13, -32.0);
+        let w = FixedMatrix::from_float(&m);
+        let x = vec![Q6_10::MIN; 24];
+        let p = PackedLayer::pack(&w, 8);
+        assert_eq!((p.k, p.pairs()), (1, false));
+        for (i, acc) in dots(&p, &[0, 1, 2], &x).into_iter().enumerate() {
             assert_eq!(acc, w.row_dot(i, &x), "row {i}");
         }
     }

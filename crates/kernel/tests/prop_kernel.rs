@@ -1,13 +1,17 @@
 //! Property-based verification of the two-stage kernel against the golden
 //! fixed-point model: prescan coverage is exact, outputs are bit-identical
 //! in both UV modes (also under full-scale operands that make the i32
-//! lanes flush after every block or two), batched runs equal their serial
+//! lanes flush every one to five blocks), batched runs equal their serial
 //! counterparts sample by sample, and the prescan never does more work
 //! than dense.
+//!
+//! The proptest shim seeds each test by its name, so the drawn block
+//! widths are the same on every run. Every case therefore also runs at
+//! [`DEFAULT_BLOCK`], the width the serving paths use.
 
 use proptest::prelude::*;
 use rand::Rng;
-use sparsenn_kernel::{BlockIndex, Scratch, SparseKernel, Strategy};
+use sparsenn_kernel::{BlockIndex, Scratch, SparseKernel, Strategy, DEFAULT_BLOCK};
 use sparsenn_linalg::init::seeded_rng;
 use sparsenn_linalg::Matrix;
 use sparsenn_model::fixedpoint::{FixedNetwork, UvMode};
@@ -34,23 +38,24 @@ fn build_input(seed: u64, len: usize, sparsity_pct: u8) -> Vec<f32> {
         .collect()
 }
 
-/// A network whose every weight (W, U and V) is full scale: +32.0
-/// saturates to `i16::MAX`; the negative extreme is -32.0 (`i16::MIN`,
-/// so the lane capacity K is 1) when `with_min`, else `-i16::MAX`
-/// (K = 2). A quarter of the weights are zero, so the signs, masks and
-/// live blocks still vary.
-fn extreme_net(seed: u64, hidden: usize, rank: usize, with_min: bool) -> FixedNetwork {
+/// The largest raw `|w|` [`extreme_net`] draws, with lane capacities
+/// `K = ⌊(2³¹ − 1) / (|w| · 2¹⁵)⌋` of 1 (one product per lane: the
+/// one-product pass), 2 (one block of pairs per flush), and the odd 3 and
+/// 5, whose pair pass flushes every ⌊K/2⌋ blocks.
+const TOPS: [i32; 4] = [32768, 32767, 16384, 10923];
+
+/// A network whose every weight (W, U and V) is `0` or `±top / 1024`, so
+/// each product is up to `top · 2¹⁵` in magnitude against rail inputs.
+/// `+32.0` saturates to `i16::MAX`; `-32.0` is `i16::MIN`. A quarter of
+/// the weights are zero, so the signs, masks and live blocks still vary.
+fn extreme_net(seed: u64, hidden: usize, rank: usize, top: i32) -> FixedNetwork {
     let mut rng = seeded_rng(seed);
-    let low = if with_min {
-        -32.0
-    } else {
-        -32.0 + 1.0 / 1024.0
-    };
+    let top = top as f32 / 1024.0;
     let mut full = |rows: usize, cols: usize| {
         Matrix::from_fn(rows, cols, |_, _| match rng.gen_range(0u8..4) {
             0 => 0.0,
-            1 => low,
-            _ => 32.0,
+            1 => -top,
+            _ => top,
         })
     };
     let dims = [24, hidden, hidden / 2 + 4, 10];
@@ -83,37 +88,41 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Full-scale operands: every product is up to 2³⁰ in magnitude, so a
-    /// lane holds one or two of them before it must flush. Both
-    /// strategies, both UV modes, `run` and `run_batch` stay bit-identical
-    /// to `FixedNetwork::forward`; in a debug build every lane add is
-    /// overflow-checked as well.
+    /// lane holds one to five of them before it must flush (see
+    /// [`TOPS`]). Both strategies, both UV modes, `run` and `run_batch`
+    /// stay bit-identical to `FixedNetwork::forward`; in a debug build
+    /// every lane add is overflow-checked as well.
     #[test]
     fn full_scale_operands_stay_bit_exact(
         seed in 0u64..10_000,
         hidden in 8usize..72,
         rank in 1usize..6,
-        block in 1usize..40,
-        with_min in any::<bool>(),
+        drawn in 1usize..40,
+        top in 0usize..TOPS.len(),
         b in 1usize..=4,
     ) {
-        let net = extreme_net(seed, hidden, rank, with_min);
+        let net = extreme_net(seed, hidden, rank, TOPS[top]);
         let inputs: Vec<Vec<Q6_10>> = (0..b)
             .map(|s| net.quantize_input(&rail_input(seed ^ ((s as u64) << 20), 24)))
             .collect();
-        let kernel = SparseKernel::pack(&net, block);
-        let mut s = kernel.scratch();
-        for mode in [UvMode::Off, UvMode::On] {
-            for strategy in [Strategy::Prescan, Strategy::Dense] {
-                let batch = kernel.run_batch(&inputs, mode, strategy, &mut s);
-                for (si, x) in inputs.iter().enumerate() {
-                    let golden = net.forward(x, mode);
-                    let run = kernel.run(x, mode, strategy, &mut s);
-                    for (l, g) in golden.iter().enumerate() {
-                        for (what, got) in [("run", &run), ("run_batch", &batch.runs[si])] {
-                            prop_assert_eq!(&got.layers[l].output, &g.output,
-                                "{} layer {} output ({:?}, {:?})", what, l, strategy, mode);
-                            prop_assert_eq!(&got.layers[l].mask, &g.mask,
-                                "{} layer {} mask ({:?}, {:?})", what, l, strategy, mode);
+        for block in [drawn, DEFAULT_BLOCK] {
+            let kernel = SparseKernel::pack(&net, block);
+            let mut s = kernel.scratch();
+            for mode in [UvMode::Off, UvMode::On] {
+                for strategy in [Strategy::Prescan, Strategy::Dense] {
+                    let batch = kernel.run_batch(&inputs, mode, strategy, &mut s);
+                    for (si, x) in inputs.iter().enumerate() {
+                        let golden = net.forward(x, mode);
+                        let run = kernel.run(x, mode, strategy, &mut s);
+                        for (l, g) in golden.iter().enumerate() {
+                            for (what, got) in [("run", &run), ("run_batch", &batch.runs[si])] {
+                                prop_assert_eq!(&got.layers[l].output, &g.output,
+                                    "{} layer {} output ({:?}, {:?}, block {})",
+                                    what, l, strategy, mode, block);
+                                prop_assert_eq!(&got.layers[l].mask, &g.mask,
+                                    "{} layer {} mask ({:?}, {:?}, block {})",
+                                    what, l, strategy, mode, block);
+                            }
                         }
                     }
                 }
@@ -129,34 +138,36 @@ proptest! {
     fn prescan_coverage_is_exact(
         seed in 0u64..10_000,
         len in 1usize..600,
-        block in 1usize..48,
+        drawn in 1usize..48,
         sparsity in 0u8..100,
     ) {
         let x: Vec<Q6_10> = build_input(seed, len, sparsity)
             .iter()
             .map(|&v| Q6_10::from_f32(v))
             .collect();
-        let mut idx = BlockIndex::new();
-        idx.prescan(&x, block);
-        prop_assert_eq!(idx.blocks(), len.div_ceil(block));
-        let mut nnz = 0u64;
-        for (j, v) in x.iter().enumerate() {
-            if !v.is_zero() {
-                nnz += 1;
-                prop_assert!(idx.is_live(j / block), "nonzero at {} missed", j);
+        for block in [drawn, DEFAULT_BLOCK] {
+            let mut idx = BlockIndex::new();
+            idx.prescan(&x, block);
+            prop_assert_eq!(idx.blocks(), len.div_ceil(block));
+            let mut nnz = 0u64;
+            for (j, v) in x.iter().enumerate() {
+                if !v.is_zero() {
+                    nnz += 1;
+                    prop_assert!(idx.is_live(j / block), "nonzero at {} missed", j);
+                }
             }
-        }
-        prop_assert_eq!(idx.nnz(), nnz);
-        for &b in idx.live() {
-            let o = b as usize * block;
-            prop_assert!(
-                x[o..(o + block).min(len)].iter().any(|v| !v.is_zero()),
-                "block {} live but all-zero", b
-            );
-        }
-        // The live list and the mask words agree.
-        for b in 0..idx.blocks() {
-            prop_assert_eq!(idx.is_live(b), idx.live().contains(&(b as u32)));
+            prop_assert_eq!(idx.nnz(), nnz);
+            for &b in idx.live() {
+                let o = b as usize * block;
+                prop_assert!(
+                    x[o..(o + block).min(len)].iter().any(|v| !v.is_zero()),
+                    "block {} live but all-zero", b
+                );
+            }
+            // The live list and the mask words agree.
+            for b in 0..idx.blocks() {
+                prop_assert_eq!(idx.is_live(b), idx.live().contains(&(b as u32)));
+            }
         }
     }
 
@@ -168,37 +179,39 @@ proptest! {
         seed in 0u64..10_000,
         hidden in 8usize..96,
         rank in 1usize..6,
-        block in 1usize..40,
+        drawn in 1usize..40,
         sparsity in 0u8..100,
         uv_on in any::<bool>(),
     ) {
         let net = build_net(seed, hidden, rank);
         let x = net.quantize_input(&build_input(seed, 24, sparsity));
         let mode = if uv_on { UvMode::On } else { UvMode::Off };
-        let kernel = SparseKernel::pack(&net, block);
-        let mut s = kernel.scratch();
-        let golden = net.forward(&x, mode);
-        for strategy in [Strategy::Prescan, Strategy::Dense] {
-            let run = kernel.run(&x, mode, strategy, &mut s);
-            for (l, (r, g)) in run.layers.iter().zip(&golden).enumerate() {
-                prop_assert_eq!(&r.output, &g.output,
-                    "layer {} output differs ({:?})", l, strategy);
-                prop_assert_eq!(&r.mask, &g.mask,
-                    "layer {} mask differs ({:?})", l, strategy);
+        for block in [drawn, DEFAULT_BLOCK] {
+            let kernel = SparseKernel::pack(&net, block);
+            let mut s = kernel.scratch();
+            let golden = net.forward(&x, mode);
+            for strategy in [Strategy::Prescan, Strategy::Dense] {
+                let run = kernel.run(&x, mode, strategy, &mut s);
+                for (l, (r, g)) in run.layers.iter().zip(&golden).enumerate() {
+                    prop_assert_eq!(&r.output, &g.output,
+                        "layer {} output differs ({:?}, block {})", l, strategy, block);
+                    prop_assert_eq!(&r.mask, &g.mask,
+                        "layer {} mask differs ({:?}, block {})", l, strategy, block);
+                }
             }
-        }
-        // Work accounting: prescan touches no more W words than dense,
-        // modulo the padding slack of the final partial block (the panels
-        // really do read whole blocks).
-        let pre = kernel.run(&x, mode, Strategy::Prescan, &mut s);
-        let dense = kernel.run(&x, mode, Strategy::Dense, &mut s);
-        for (l, (p, d)) in pre.layers.iter().zip(&dense.layers).enumerate() {
-            let padded = (p.stats.cols as usize).div_ceil(block) * block;
-            let slack = p.stats.active_rows * (padded as u64 - p.stats.cols);
-            prop_assert!(p.stats.w_words <= d.stats.w_words + slack,
-                "layer {}: {} > {} + {}", l, p.stats.w_words, d.stats.w_words, slack);
-            prop_assert!(p.stats.live_blocks <= p.stats.total_blocks, "layer {}", l);
-            prop_assert_eq!(p.stats.nnz_in, d.stats.nnz_in, "layer {}", l);
+            // Work accounting: prescan touches no more W words than dense,
+            // modulo the padding slack of the final partial block (the panels
+            // really do read whole blocks).
+            let pre = kernel.run(&x, mode, Strategy::Prescan, &mut s);
+            let dense = kernel.run(&x, mode, Strategy::Dense, &mut s);
+            for (l, (p, d)) in pre.layers.iter().zip(&dense.layers).enumerate() {
+                let padded = (p.stats.cols as usize).div_ceil(block) * block;
+                let slack = p.stats.active_rows * (padded as u64 - p.stats.cols);
+                prop_assert!(p.stats.w_words <= d.stats.w_words + slack,
+                    "layer {}: {} > {} + {}", l, p.stats.w_words, d.stats.w_words, slack);
+                prop_assert!(p.stats.live_blocks <= p.stats.total_blocks, "layer {}", l);
+                prop_assert_eq!(p.stats.nnz_in, d.stats.nnz_in, "layer {}", l);
+            }
         }
     }
 
@@ -210,7 +223,7 @@ proptest! {
         seed in 0u64..10_000,
         hidden in 8usize..64,
         b in 1usize..=8,
-        block in 1usize..40,
+        drawn in 1usize..40,
         uv_on in any::<bool>(),
     ) {
         let net = build_net(seed, hidden, 3);
@@ -221,28 +234,31 @@ proptest! {
             })
             .collect();
         let mode = if uv_on { UvMode::On } else { UvMode::Off };
-        let kernel = SparseKernel::pack(&net, block);
-        let mut s = kernel.scratch();
-        for strategy in [Strategy::Prescan, Strategy::Dense] {
-            let batch = kernel.run_batch(&inputs, mode, strategy, &mut s);
-            prop_assert_eq!(batch.runs.len(), b);
-            let mut serial_words = 0u64;
-            for (si, x) in inputs.iter().enumerate() {
-                let own = kernel.run(x, mode, strategy, &mut s);
-                prop_assert_eq!(&batch.runs[si], &own,
-                    "sample {} differs from its serial run ({:?})", si, strategy);
-                serial_words += own.layers.iter().map(|l| l.stats.w_words).sum::<u64>();
-            }
-            prop_assert_eq!(batch.w_words_serial, serial_words, "{:?}", strategy);
-            prop_assert!(batch.w_words_batch <= batch.w_words_serial,
-                "batching never adds W traffic ({:?})", strategy);
-            prop_assert!(batch.w_amortization() >= 1.0);
-            if b == 1 && strategy == Strategy::Prescan {
-                // A batch of one amortizes nothing the serial book counts…
-                // unless a masked-off row left its panel unread serially
-                // while the union pass (built only from active samples)
-                // counts the same zero. Both books agree at B = 1.
-                prop_assert_eq!(batch.w_words_batch, batch.w_words_serial);
+        for block in [drawn, DEFAULT_BLOCK] {
+            let kernel = SparseKernel::pack(&net, block);
+            let mut s = kernel.scratch();
+            for strategy in [Strategy::Prescan, Strategy::Dense] {
+                let batch = kernel.run_batch(&inputs, mode, strategy, &mut s);
+                prop_assert_eq!(batch.runs.len(), b);
+                let mut serial_words = 0u64;
+                for (si, x) in inputs.iter().enumerate() {
+                    let own = kernel.run(x, mode, strategy, &mut s);
+                    prop_assert_eq!(&batch.runs[si], &own,
+                        "sample {} differs from its serial run ({:?}, block {})",
+                        si, strategy, block);
+                    serial_words += own.layers.iter().map(|l| l.stats.w_words).sum::<u64>();
+                }
+                prop_assert_eq!(batch.w_words_serial, serial_words, "{:?}", strategy);
+                prop_assert!(batch.w_words_batch <= batch.w_words_serial,
+                    "batching never adds W traffic ({:?})", strategy);
+                prop_assert!(batch.w_amortization() >= 1.0);
+                if b == 1 && strategy == Strategy::Prescan {
+                    // A batch of one amortizes nothing the serial book counts…
+                    // unless a masked-off row left its panel unread serially
+                    // while the union pass (built only from active samples)
+                    // counts the same zero. Both books agree at B = 1.
+                    prop_assert_eq!(batch.w_words_batch, batch.w_words_serial);
+                }
             }
         }
     }
@@ -260,13 +276,15 @@ proptest! {
         let xs = small.quantize_input(&build_input(seed, 24, 50));
         let xb = big.quantize_input(&build_input(seed ^ 2, 24, 30));
         let mode = if uv_on { UvMode::On } else { UvMode::Off };
-        let ks = SparseKernel::pack(&small, 16);
-        let kb = SparseKernel::pack(&big, 16);
-        let mut shared = Scratch::default();
-        // Warm the shared scratch on the big net, then reuse on the small.
-        let _ = kb.run(&xb, mode, Strategy::Prescan, &mut shared);
-        let reused = ks.run(&xs, mode, Strategy::Prescan, &mut shared);
-        let fresh = ks.run(&xs, mode, Strategy::Prescan, &mut ks.scratch());
-        prop_assert_eq!(reused, fresh);
+        for block in [16, DEFAULT_BLOCK] {
+            let ks = SparseKernel::pack(&small, block);
+            let kb = SparseKernel::pack(&big, block);
+            let mut shared = Scratch::default();
+            // Warm the shared scratch on the big net, then reuse on the small.
+            let _ = kb.run(&xb, mode, Strategy::Prescan, &mut shared);
+            let reused = ks.run(&xs, mode, Strategy::Prescan, &mut shared);
+            let fresh = ks.run(&xs, mode, Strategy::Prescan, &mut ks.scratch());
+            prop_assert_eq!(reused, fresh);
+        }
     }
 }
