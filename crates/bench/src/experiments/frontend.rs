@@ -15,8 +15,8 @@
 //!   window; hedged requests + retries must strictly beat the unhedged
 //!   baseline on goodput.
 //! * **Autoscaling**: a bursty workload on a min-sized fleet; the
-//!   utilization/P²-p99 autoscaler grows into the burst (paying warm-up)
-//!   and retires shards in the quiet phase.
+//!   utilization autoscaler grows into the burst (paying warm-up) and
+//!   retires shards in the quiet phase.
 //! * **Policy sweep**: the scheduler × admission × hedging ×
 //!   degrade-batching cross product scored by
 //!   goodput/shed/SLO-attainment/p99; degrade batching routes the

@@ -8,13 +8,9 @@
 //! an overload into a full outage. An [`AdmissionGate`] makes the choice
 //! explicit, per [`Priority`] class, *before* a request touches a shard.
 //!
-//! The trait is shared the same way [`Scheduler`](super::Scheduler) is:
-//! the live [`Fleet`](super::Fleet) consults it on every
-//! [`run`](super::InferenceBackend::run) (via
-//! [`Fleet::with_admission`](super::Fleet::with_admission)), and the
-//! `sparsenn-frontend` virtual-time simulator consults the identical
-//! trait object when replaying traffic — a gate tuned against simulated
-//! overload sweeps drops into real serving unchanged.
+//! The `sparsenn-frontend` virtual-time simulator consults the gate for
+//! every arriving request, with the fleet's per-shard [`ShardView`]s and
+//! the number of same-class requests already queued.
 
 use crate::engine::scheduler::ShardView;
 
@@ -59,8 +55,7 @@ pub enum AdmissionDecision {
     /// Serve at full fidelity.
     Admit,
     /// Serve a cheaper answer (the caller decides what "cheaper" means —
-    /// the frontend simulator models it as a service-time discount; the
-    /// live fleet serves at full fidelity but records the intent).
+    /// the frontend simulator models it as a service-time discount).
     Degrade,
     /// Reject now, so the caller can fail fast instead of queueing into
     /// a missed deadline.
@@ -69,8 +64,8 @@ pub enum AdmissionDecision {
 
 /// An admission policy over the fleet's instantaneous state.
 ///
-/// Implementations must be `Send + Sync`: the live fleet consults one
-/// gate from every worker thread.
+/// Implementations must be `Send + Sync`, so one gate object can be
+/// shared across threads.
 pub trait AdmissionGate: Send + Sync {
     /// Policy name (shows up in reports and sweep labels).
     fn name(&self) -> &str;

@@ -1,8 +1,6 @@
 //! Sharded serving: one request queue, N simulated accelerators.
 
-use crate::engine::admission::{AdmissionDecision, AdmissionGate, Priority};
 use crate::engine::backends::{CycleAccurateBackend, InferenceBackend};
-use crate::engine::batch::BatchPolicy;
 use crate::engine::record::{BatchRunRecord, RunRecord};
 use crate::engine::scheduler::{FirstIdle, Scheduler, ShardView};
 use crate::error::SparseNnError;
@@ -25,42 +23,6 @@ pub struct ShardStats {
     /// [`ShardView::service_us`]: the observed mean of the per-sample
     /// service times. 0 before the shard has served anything.
     pub service_estimate_us: f64,
-    /// Batched dispatches this shard has executed
-    /// ([`Fleet::run_batch_classified`]; single-sample runs do not
-    /// count).
-    pub batches: u64,
-    /// Samples served inside those batched dispatches (also included in
-    /// [`samples`](Self::samples)).
-    pub batch_samples: u64,
-    /// Largest batch this shard has executed (0 before the first one).
-    pub max_batch: u64,
-}
-
-impl ShardStats {
-    /// Mean size of the batched dispatches this shard executed (0 before
-    /// the first one).
-    pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            return 0.0;
-        }
-        self.batch_samples as f64 / self.batches as f64
-    }
-}
-
-/// Admission-control outcomes accumulated by a [`Fleet`] built with
-/// [`Fleet::with_admission`], split by [`Priority`] class (index by
-/// [`Priority::index`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Requests the gate admitted at full fidelity.
-    pub admitted: [u64; 2],
-    /// Requests the gate asked to degrade. The live fleet serves them at
-    /// full fidelity (there is no cheaper live substrate to switch to
-    /// mid-call) but records the intent so operators see the pressure.
-    pub degraded: [u64; 2],
-    /// Requests shed — each surfaced to its caller as
-    /// [`SparseNnError::Overloaded`].
-    pub shed: [u64; 2],
 }
 
 /// Book-keeping behind the fleet's dispatch lock: which shards are idle,
@@ -73,12 +35,6 @@ struct Dispatch {
     /// the shard's `samples` as its count, this is the book behind
     /// [`ShardStats::service_estimate_us`].
     service_sum_us: Vec<f64>,
-    /// Callers currently blocked waiting for a shard, per priority class
-    /// — the live fleet's "queue depth", which is what the admission gate
-    /// bounds.
-    waiting: [usize; 2],
-    /// Admission outcomes (only advanced when a gate is installed).
-    admission: AdmissionStats,
 }
 
 impl Dispatch {
@@ -150,11 +106,6 @@ pub struct Fleet {
     /// Signalled whenever a shard returns to the idle pool.
     freed: Condvar,
     scheduler: Box<dyn Scheduler>,
-    /// Admission gate consulted before every run; `None` admits all.
-    admission: Option<Box<dyn AdmissionGate>>,
-    /// How [`run_batch_classified`](Self::run_batch_classified) chunks a
-    /// batched call across dispatches.
-    batch_policy: BatchPolicy,
     name: String,
 }
 
@@ -195,13 +146,9 @@ impl Fleet {
                 idle: (0..n).collect(),
                 stats: vec![ShardStats::default(); n],
                 service_sum_us: vec![0.0; n],
-                waiting: [0; 2],
-                admission: AdmissionStats::default(),
             }),
             freed: Condvar::new(),
             scheduler: Box::new(FirstIdle),
-            admission: None,
-            batch_policy: BatchPolicy::Immediate,
             name,
         })
     }
@@ -221,150 +168,6 @@ impl Fleet {
     /// The dispatch policy's name (`first-idle` unless replaced).
     pub fn scheduler_name(&self) -> &str {
         self.scheduler.name()
-    }
-
-    /// Installs an admission gate on the live serving path. Every
-    /// [`run`](InferenceBackend::run) (class [`Priority::High`]) and
-    /// [`run_classified`](Self::run_classified) call consults the gate
-    /// *before* waiting for a shard; a [`AdmissionDecision::Shed`]
-    /// surfaces as [`SparseNnError::Overloaded`] immediately — the
-    /// blocked-caller pool is the live fleet's queue, and the gate is
-    /// what keeps it bounded. The same [`AdmissionGate`] trait drives the
-    /// `sparsenn-frontend` virtual-time simulator, so a gate tuned
-    /// against simulated overload sweeps drops in here unchanged.
-    pub fn with_admission(mut self, gate: Box<dyn AdmissionGate>) -> Self {
-        self.admission = Some(gate);
-        self
-    }
-
-    /// The admission gate's name, when one is installed.
-    pub fn admission_name(&self) -> Option<&str> {
-        self.admission.as_deref().map(AdmissionGate::name)
-    }
-
-    /// Admission outcomes since construction (all zero when no gate is
-    /// installed — ungated requests are not counted as admitted).
-    pub fn admission_stats(&self) -> AdmissionStats {
-        self.dispatch
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .admission
-    }
-
-    /// Runs one request with an explicit [`Priority`] class through the
-    /// admission gate (when installed) and the fleet's scheduler.
-    /// [`InferenceBackend::run`] is exactly
-    /// `run_classified(…, Priority::High)`.
-    ///
-    /// # Errors
-    ///
-    /// [`SparseNnError::Overloaded`] when the gate sheds the request;
-    /// otherwise whatever the serving shard returns.
-    pub fn run_classified(
-        &self,
-        net: &FixedNetwork,
-        input: &[Q6_10],
-        mode: UvMode,
-        class: Priority,
-    ) -> Result<RunRecord, SparseNnError> {
-        if let Some(gate) = &self.admission {
-            let mut d = self.dispatch.lock().unwrap_or_else(|e| e.into_inner());
-            let views = self.shard_views(&d);
-            let decision = gate.decide(class, d.waiting[class.index()], &views);
-            match decision {
-                AdmissionDecision::Admit => d.admission.admitted[class.index()] += 1,
-                // No cheaper live substrate exists to switch to mid-call:
-                // serve at full fidelity, record the intent.
-                AdmissionDecision::Degrade => d.admission.degraded[class.index()] += 1,
-                AdmissionDecision::Shed => {
-                    d.admission.shed[class.index()] += 1;
-                    return Err(SparseNnError::Overloaded { priority: class });
-                }
-            }
-        }
-        let guard = ShardGuard {
-            fleet: self,
-            shard: self.acquire(class),
-        };
-        let record = self.shards[guard.shard].run(net, input, mode)?;
-        self.note_served(guard.shard, &record);
-        Ok(record)
-    }
-
-    /// Caps how many samples one shard dispatch carries when the fleet
-    /// serves batches ([`run_batch_classified`](Self::run_batch_classified)):
-    /// the policy's [`max_batch`](BatchPolicy::max_batch) becomes the
-    /// chunk size. The default ([`BatchPolicy::Immediate`]) sends the
-    /// whole batch to one shard; `SizeOrDeadline { max, .. }` splits it
-    /// into `max`-sample chunks that spread over idle shards. The
-    /// *deadline* half of the policy governs queue-time decisions and is
-    /// exercised by the `sparsenn-serve` virtual-time simulator — the
-    /// live fleet only ever sees batches that have already formed.
-    pub fn with_batch_policy(mut self, policy: BatchPolicy) -> Self {
-        self.batch_policy = policy;
-        self
-    }
-
-    /// The installed batching policy ([`BatchPolicy::Immediate`] unless
-    /// replaced).
-    pub fn batch_policy(&self) -> BatchPolicy {
-        self.batch_policy
-    }
-
-    /// Runs a batch of requests with an explicit [`Priority`] class: the
-    /// batch is split into chunks of at most
-    /// [`BatchPolicy::max_batch`] samples, each chunk passes the
-    /// admission gate (counting every sample it carries), checks out
-    /// *one* shard, and executes there as a true batched dispatch
-    /// ([`InferenceBackend::run_batch`]) — W rows are read once per
-    /// chunk on batch-native substrates. Per-sample records are
-    /// bit-identical to serial [`run`](InferenceBackend::run) calls.
-    ///
-    /// # Errors
-    ///
-    /// [`SparseNnError::EmptyBatch`] for an empty input slice;
-    /// [`SparseNnError::Overloaded`] when the gate sheds a chunk (any
-    /// chunks already served are discarded — the caller sees the batch
-    /// fail as a unit); otherwise whatever the serving shard returns.
-    pub fn run_batch_classified(
-        &self,
-        net: &FixedNetwork,
-        inputs: &[Vec<Q6_10>],
-        mode: UvMode,
-        class: Priority,
-    ) -> Result<BatchRunRecord, SparseNnError> {
-        if inputs.is_empty() {
-            return Err(SparseNnError::EmptyBatch);
-        }
-        let chunk_size = self.batch_policy.max_batch().min(inputs.len()).max(1);
-        let mut folded: Option<BatchRunRecord> = None;
-        for chunk in inputs.chunks(chunk_size) {
-            if let Some(gate) = &self.admission {
-                let mut d = self.dispatch.lock().unwrap_or_else(|e| e.into_inner());
-                let views = self.shard_views(&d);
-                let decision = gate.decide(class, d.waiting[class.index()], &views);
-                let n = chunk.len() as u64;
-                match decision {
-                    AdmissionDecision::Admit => d.admission.admitted[class.index()] += n,
-                    AdmissionDecision::Degrade => d.admission.degraded[class.index()] += n,
-                    AdmissionDecision::Shed => {
-                        d.admission.shed[class.index()] += n;
-                        return Err(SparseNnError::Overloaded { priority: class });
-                    }
-                }
-            }
-            let guard = ShardGuard {
-                fleet: self,
-                shard: self.acquire(class),
-            };
-            let record = self.shards[guard.shard].run_batch(net, chunk, mode)?;
-            self.note_served_batch(guard.shard, &record);
-            match &mut folded {
-                Some(acc) => acc.merge(record),
-                None => folded = Some(record),
-            }
-        }
-        Ok(folded.expect("non-empty input produces at least one chunk"))
     }
 
     /// A homogeneous fleet of `n` cycle-accurate machines, each configured
@@ -399,7 +202,7 @@ impl Fleet {
     }
 
     /// Checks out the shard the scheduler picks, blocking until one is
-    /// usable.
+    /// usable. The returned guard hands the shard back on drop.
     ///
     /// The live fleet has no per-shard queues — blocked callers *are* the
     /// central queue — so only an idle shard can be checked out. A pick of
@@ -410,22 +213,14 @@ impl Fleet {
     /// every shard while *nothing* is running, the lowest-indexed idle
     /// shard is used instead — no release would ever arrive, so waiting
     /// would deadlock the caller.
-    fn acquire(&self, class: Priority) -> usize {
+    fn acquire(&self) -> ShardGuard<'_> {
         let mut d = self.dispatch.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(i) = self.pick_idle(&d) {
-            d.idle.retain(|&j| j != i);
-            return i;
-        }
-        // Blocked callers are the live fleet's queue: count this one in
-        // its class so the admission gate sees the true waiting depth.
-        d.waiting[class.index()] += 1;
         loop {
-            d = self.freed.wait(d).unwrap_or_else(|e| e.into_inner());
-            if let Some(i) = self.pick_idle(&d) {
-                d.idle.retain(|&j| j != i);
-                d.waiting[class.index()] -= 1;
-                return i;
+            if let Some(shard) = self.pick_idle(&d) {
+                d.idle.retain(|&j| j != shard);
+                return ShardGuard { fleet: self, shard };
             }
+            d = self.freed.wait(d).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -500,11 +295,7 @@ impl Fleet {
             return;
         }
         let mut d = self.dispatch.lock().unwrap_or_else(|e| e.into_inner());
-        let s = d.credit(shard, record.mean_time_us(), b);
-        s.busy_us += record.batch_time_us;
-        s.batches += 1;
-        s.batch_samples += b;
-        s.max_batch = s.max_batch.max(b);
+        d.credit(shard, record.mean_time_us(), b).busy_us += record.batch_time_us;
     }
 }
 
@@ -565,20 +356,30 @@ impl InferenceBackend for Fleet {
         input: &[Q6_10],
         mode: UvMode,
     ) -> Result<RunRecord, SparseNnError> {
-        self.run_classified(net, input, mode, Priority::High)
+        let guard = self.acquire();
+        let record = self.shards[guard.shard].run(net, input, mode)?;
+        self.note_served(guard.shard, &record);
+        Ok(record)
     }
 
-    /// Batches route through the fleet's chunking path
-    /// ([`run_batch_classified`](Fleet::run_batch_classified) at
-    /// [`Priority::High`]) instead of the serial default, so each chunk
-    /// reaches a shard as one true batched dispatch.
+    /// The whole batch checks out *one* shard and executes there as a
+    /// true batched dispatch ([`InferenceBackend::run_batch`]) instead of
+    /// the serial default — W rows are read once per batch on
+    /// batch-native substrates, and the per-sample records are
+    /// bit-identical to serial [`run`](InferenceBackend::run) calls.
     fn run_batch(
         &self,
         net: &FixedNetwork,
         inputs: &[Vec<Q6_10>],
         mode: UvMode,
     ) -> Result<BatchRunRecord, SparseNnError> {
-        self.run_batch_classified(net, inputs, mode, Priority::High)
+        if inputs.is_empty() {
+            return Err(SparseNnError::EmptyBatch);
+        }
+        let guard = self.acquire();
+        let record = self.shards[guard.shard].run_batch(net, inputs, mode)?;
+        self.note_served_batch(guard.shard, &record);
+        Ok(record)
     }
 }
 
@@ -729,69 +530,6 @@ mod tests {
         assert_eq!(stats[1], ShardStats::default());
     }
 
-    /// Admission on the live path: a zero-budget gate sheds every call
-    /// as a typed `Overloaded` error; an open gate admits and counts.
-    #[test]
-    fn admission_gate_sheds_on_the_live_path() {
-        use crate::engine::admission::{AdmissionDecision, AdmissionGate, BoundedQueues, Priority};
-
-        let (net, x) = net_and_input();
-        // waiting(0) >= cap(0): every request sheds immediately.
-        struct ShedEverything;
-        impl AdmissionGate for ShedEverything {
-            fn name(&self) -> &str {
-                "shed-everything"
-            }
-            fn decide(&self, _: Priority, _: usize, _: &[ShardView]) -> AdmissionDecision {
-                AdmissionDecision::Shed
-            }
-        }
-        let fleet = Fleet::of_machines(1, MachineConfig::default())
-            .unwrap()
-            .with_admission(Box::new(ShedEverything));
-        assert_eq!(fleet.admission_name(), Some("shed-everything"));
-        assert_eq!(
-            fleet.run(&net, &x, UvMode::On).unwrap_err(),
-            SparseNnError::Overloaded {
-                priority: Priority::High
-            }
-        );
-        assert_eq!(
-            fleet
-                .run_classified(&net, &x, UvMode::On, Priority::Low)
-                .unwrap_err(),
-            SparseNnError::Overloaded {
-                priority: Priority::Low
-            }
-        );
-        let stats = fleet.admission_stats();
-        assert_eq!(stats.shed, [1, 1]);
-        assert_eq!(stats.admitted, [0, 0]);
-        assert_eq!(fleet.shard_stats()[0].samples, 0, "nothing was served");
-
-        // A generous bounded gate admits serial callers (nothing waits).
-        let open = Fleet::of_machines(1, MachineConfig::default())
-            .unwrap()
-            .with_admission(Box::new(BoundedQueues::new(4, 4)));
-        for _ in 0..3 {
-            open.run(&net, &x, UvMode::On).unwrap();
-        }
-        let stats = open.admission_stats();
-        assert_eq!(stats.admitted, [3, 0]);
-        assert_eq!(stats.shed, [0, 0]);
-        assert_eq!(open.shard_stats()[0].samples, 3);
-    }
-
-    /// Without a gate nothing is counted and `run` serves as before.
-    #[test]
-    fn ungated_fleet_reports_zero_admission_stats() {
-        let (net, x) = net_and_input();
-        let fleet = Fleet::of_machines(1, MachineConfig::default()).unwrap();
-        assert_eq!(fleet.admission_name(), None);
-        fleet.run(&net, &x, UvMode::On).unwrap();
-        assert_eq!(fleet.admission_stats(), AdmissionStats::default());
-    }
-
     fn batch_inputs(net: &FixedNetwork, b: usize) -> Vec<Vec<Q6_10>> {
         (0..b)
             .map(|s| {
@@ -810,100 +548,29 @@ mod tests {
     }
 
     /// The fleet's batched path returns per-sample records bit-identical
-    /// to serial runs and accounts for the dispatch in the batch stats.
+    /// to serial runs and credits the dispatch to the serving shard.
     #[test]
     fn batched_fleet_runs_are_bit_identical_and_accounted() {
         let (net, _) = net_and_input();
         let inputs = batch_inputs(&net, 5);
         let fleet = Fleet::of_machines(2, MachineConfig::default()).unwrap();
-        assert_eq!(fleet.batch_policy(), BatchPolicy::Immediate);
         let batch = fleet.run_batch(&net, &inputs, UvMode::On).unwrap();
         assert_eq!(batch.batch_size(), 5);
         let single = CycleAccurateBackend::default();
+        // One dispatch on one shard: the whole record, batch book
+        // included, is that shard's own `run_batch`.
+        assert_eq!(batch, single.run_batch(&net, &inputs, UvMode::On).unwrap());
         for (x, rec) in inputs.iter().zip(&batch.records) {
             assert_eq!(rec, &single.run(&net, x, UvMode::On).unwrap());
         }
         assert!(batch.batch_time_us <= batch.serial_time_us() + 1e-9);
-        // Immediate policy: the whole batch is one dispatch on shard 0.
+        // The whole batch is one dispatch on shard 0.
         let stats = fleet.shard_stats();
-        assert_eq!(stats[0].batches, 1);
-        assert_eq!(stats[0].batch_samples, 5);
-        assert_eq!(stats[0].max_batch, 5);
-        assert!((stats[0].mean_batch() - 5.0).abs() < 1e-12);
         assert_eq!(stats[0].samples, 5);
         assert!((stats[0].busy_us - batch.batch_time_us).abs() < 1e-9);
         assert_eq!(stats[1], ShardStats::default());
         // The service estimate is the amortized per-sample latency.
         assert!((stats[0].service_estimate_us - batch.mean_time_us()).abs() < 1e-9);
-    }
-
-    /// A size-capped policy chunks the batch into dispatches of at most
-    /// `max` samples.
-    #[test]
-    fn batch_policy_caps_the_dispatch_size() {
-        let (net, _) = net_and_input();
-        let inputs = batch_inputs(&net, 7);
-        let fleet = Fleet::of_machines(1, MachineConfig::default())
-            .unwrap()
-            .with_batch_policy(BatchPolicy::SizeOrDeadline {
-                max: 3,
-                deadline_us: 100.0,
-            });
-        let batch = fleet.run_batch(&net, &inputs, UvMode::Off).unwrap();
-        assert_eq!(batch.batch_size(), 7);
-        let s = fleet.shard_stats()[0];
-        assert_eq!(s.batches, 3, "7 samples in chunks of 3: 3+3+1");
-        assert_eq!(s.batch_samples, 7);
-        assert_eq!(s.max_batch, 3);
-        assert!((s.mean_batch() - 7.0 / 3.0).abs() < 1e-12);
-    }
-
-    /// Single-sample runs leave the batch accounting untouched.
-    #[test]
-    fn single_runs_do_not_count_as_batches() {
-        let (net, x) = net_and_input();
-        let fleet = Fleet::of_machines(1, MachineConfig::default()).unwrap();
-        fleet.run(&net, &x, UvMode::On).unwrap();
-        let s = fleet.shard_stats()[0];
-        assert_eq!(s.samples, 1);
-        assert_eq!((s.batches, s.batch_samples, s.max_batch), (0, 0, 0));
-        assert_eq!(s.mean_batch(), 0.0);
-    }
-
-    /// The batched path consults the admission gate per chunk, counting
-    /// every sample the chunk carries.
-    #[test]
-    fn batched_admission_counts_samples() {
-        let (net, _) = net_and_input();
-        let inputs = batch_inputs(&net, 4);
-        let fleet = Fleet::of_machines(1, MachineConfig::default())
-            .unwrap()
-            .with_admission(Box::new(crate::engine::admission::BoundedQueues::new(4, 4)));
-        fleet.run_batch(&net, &inputs, UvMode::Off).unwrap();
-        assert_eq!(fleet.admission_stats().admitted, [4, 0]);
-
-        struct ShedEverything;
-        impl AdmissionGate for ShedEverything {
-            fn name(&self) -> &str {
-                "shed-everything"
-            }
-            fn decide(&self, _: Priority, _: usize, _: &[ShardView]) -> AdmissionDecision {
-                AdmissionDecision::Shed
-            }
-        }
-        let gated = Fleet::of_machines(1, MachineConfig::default())
-            .unwrap()
-            .with_admission(Box::new(ShedEverything));
-        assert_eq!(
-            gated
-                .run_batch_classified(&net, &inputs, UvMode::Off, Priority::Low)
-                .unwrap_err(),
-            SparseNnError::Overloaded {
-                priority: Priority::Low
-            }
-        );
-        assert_eq!(gated.admission_stats().shed, [0, 4]);
-        assert_eq!(gated.shard_stats()[0].samples, 0);
     }
 
     #[test]
@@ -939,8 +606,6 @@ mod tests {
         // Mean of the per-sample service times seen: (10+20+7.5+7.5)/4,
         // exact in f64.
         assert_eq!(s.service_estimate_us, 11.25);
-        assert_eq!(s.batches, 1);
-        assert_eq!(s.max_batch, 2);
     }
 
     #[test]

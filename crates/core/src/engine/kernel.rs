@@ -48,7 +48,6 @@ struct CachedKernel {
 #[derive(Debug)]
 pub struct KernelBackend {
     name: String,
-    block: usize,
     state: Mutex<Option<CachedKernel>>,
 }
 
@@ -59,29 +58,13 @@ impl Default for KernelBackend {
 }
 
 impl KernelBackend {
-    /// A kernel backend with the default column-block size
-    /// ([`DEFAULT_BLOCK`]).
+    /// A kernel backend that packs its panels at the measured default
+    /// column-block size ([`DEFAULT_BLOCK`]).
     pub fn new() -> Self {
-        Self::with_block(DEFAULT_BLOCK)
-    }
-
-    /// A kernel backend with an explicit column-block size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block == 0`.
-    pub fn with_block(block: usize) -> Self {
-        assert!(block > 0, "block size must be positive");
         Self {
-            name: format!("kernel-cpu-b{block}"),
-            block,
+            name: format!("kernel-cpu-b{DEFAULT_BLOCK}"),
             state: Mutex::new(None),
         }
-    }
-
-    /// The column-block size panels are packed with.
-    pub fn block_size(&self) -> usize {
-        self.block
     }
 
     /// Runs `f` with the cached (or freshly packed) kernel for `net`.
@@ -96,7 +79,7 @@ impl KernelBackend {
             None => true,
         };
         if fresh {
-            let kernel = SparseKernel::pack(net, self.block);
+            let kernel = SparseKernel::pack(net, DEFAULT_BLOCK);
             let scratch = kernel.scratch();
             *state = Some(CachedKernel {
                 net: net.clone(),
@@ -226,15 +209,13 @@ mod tests {
     fn kernel_backend_is_bit_exact_vs_golden() {
         let (net, x) = net_and_input(&[36, 72, 48, 10], 4);
         let golden = GoldenBackend::new();
-        for block in [1, 8, 16, 33] {
-            let kb = KernelBackend::with_block(block);
-            for mode in [UvMode::Off, UvMode::On] {
-                let want = golden.run(&net, &x, mode).unwrap();
-                let got = kb.run(&net, &x, mode).unwrap();
-                for (l, (g, w)) in got.layers.iter().zip(&want.layers).enumerate() {
-                    assert_eq!(g.output, w.output, "b{block} layer {l} {mode:?}");
-                    assert_eq!(g.mask, w.mask, "b{block} layer {l} mask {mode:?}");
-                }
+        let kb = KernelBackend::new();
+        for mode in [UvMode::Off, UvMode::On] {
+            let want = golden.run(&net, &x, mode).unwrap();
+            let got = kb.run(&net, &x, mode).unwrap();
+            for (l, (g, w)) in got.layers.iter().zip(&want.layers).enumerate() {
+                assert_eq!(g.output, w.output, "layer {l} {mode:?}");
+                assert_eq!(g.mask, w.mask, "layer {l} mask {mode:?}");
             }
         }
     }

@@ -35,11 +35,9 @@
 //!   against simulated latency-vs-load curves drops into real serving
 //!   unchanged. Plugged into a [`Session`], the session's worker pool
 //!   becomes the shared request queue; a fleet of identical shards keeps
-//!   batch summaries bit-identical to a single machine's. An
-//!   [`AdmissionGate`] ([`Fleet::with_admission`]) bounds that queue:
-//!   under overload it sheds or degrades low-[`Priority`] traffic
-//!   (typed [`Overloaded`](crate::SparseNnError::Overloaded) errors)
-//!   instead of queueing forever — the same gate trait the
+//!   batch summaries bit-identical to a single machine's.
+//! * [`AdmissionGate`] — admit, degrade or shed each [`Priority`] class
+//!   under overload instead of queueing forever; the policy trait the
 //!   `sparsenn-frontend` production-front-end simulator sweeps.
 //! * **Cross-request batching** — every backend serves batches through
 //!   [`InferenceBackend::run_batch`] (a serial loop by default; the
@@ -47,10 +45,9 @@
 //!   reads each W row once per batch). Results come back as a
 //!   [`BatchRunRecord`]: per-sample records bit-identical to serial
 //!   [`run`](InferenceBackend::run) calls, plus the batch-amortized
-//!   clock/energy book. A [`BatchPolicy`]
-//!   ([`Fleet::with_batch_policy`]) decides how the fleet chunks
-//!   batches across shards; the same policy drives the
-//!   `sparsenn-serve` queue-aware batching simulator.
+//!   clock/energy book. A [`Fleet`] sends each batch to one shard as one
+//!   dispatch. A [`BatchPolicy`] decides when a shard of the
+//!   `sparsenn-serve` queue-aware batching simulator dispatches.
 //!
 //! Every backend also stamps its records with a modelled wall-clock
 //! latency ([`RunRecord::time_us`]) from its own clock model — the
@@ -100,7 +97,7 @@ mod session;
 pub use admission::{AdmissionDecision, AdmissionGate, AdmitAll, BoundedQueues, Priority};
 pub use backends::{CycleAccurateBackend, GoldenBackend, InferenceBackend, SimdBackend};
 pub use batch::BatchPolicy;
-pub use fleet::{AdmissionStats, Fleet, ShardStats};
+pub use fleet::{Fleet, ShardStats};
 pub use kernel::KernelBackend;
 pub use partitioned::PartitionedMachine;
 pub use record::{BatchRunRecord, LayerRecord, RunRecord};

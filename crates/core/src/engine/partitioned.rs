@@ -11,7 +11,6 @@ use sparsenn_partition::{
     plan as plan_network, InterChipConfig, PartitionPlan, PipelineMode, SliceTransfer,
 };
 use sparsenn_sim::{LayerRun, Machine, MachineConfig, MachineEvents};
-use std::sync::{Arc, Mutex};
 
 /// Where a traced run's spans go and how they are placed: every span is
 /// stamped with `trace_id` (correlating chip work to the request that
@@ -80,15 +79,6 @@ struct ChipTile {
     rows: Vec<usize>,
     w: FixedMatrix,
     predictor: Option<FixedPredictor>,
-}
-
-/// Tiles cut for a network other than the planned one (same shapes,
-/// different weights) — cached so serving a batch re-cuts once, not
-/// once per sample. Single entry: alternating between several foreign
-/// networks re-cuts on each switch.
-struct ForeignTiles {
-    net: FixedNetwork,
-    tiles: Arc<Vec<Vec<ChipTile>>>,
 }
 
 /// Several cycle-accurate chips serving one (possibly oversized) network
@@ -173,9 +163,6 @@ pub struct PartitionedMachine {
     /// with, a structural compare for any other.
     planned: FixedNetwork,
     tiles: Vec<Vec<ChipTile>>,
-    /// Lazily-cut tiles for a *different* same-shape network being
-    /// served through this backend.
-    foreign: Mutex<Option<ForeignTiles>>,
     name: String,
 }
 
@@ -281,7 +268,6 @@ impl PartitionedMachine {
             plan,
             planned: net.clone(),
             tiles,
-            foreign: Mutex::new(None),
             name,
         })
     }
@@ -644,8 +630,9 @@ impl InferenceBackend for PartitionedMachine {
 
 impl PartitionedMachine {
     /// The shared body of [`run`](InferenceBackend::run) and
-    /// [`run_traced`](Self::run_traced) — tile resolution (planned or
-    /// cached foreign cut) plus the tiled executor.
+    /// [`run_traced`](Self::run_traced) — tile resolution (the planned
+    /// cut, or a fresh one for another same-shape network) plus the tiled
+    /// executor.
     fn run_inner(
         &self,
         net: &FixedNetwork,
@@ -660,30 +647,14 @@ impl PartitionedMachine {
             // A different network than the one planned for: the plan
             // still applies if the shapes agree (capacity depends only
             // on shape), so cut tiles from the network actually being
-            // served — never silently compute with stale weights. The
-            // cut is cached, so a batch over a foreign network pays it
-            // once, not once per sample.
+            // served — never silently compute with stale weights.
             if !self.plan.matches(net) {
                 return Err(SparseNnError::Partition {
                     message: "served network does not match the partition plan's layer shapes"
                         .into(),
                 });
             }
-            let tiles = {
-                let mut cache = self.foreign.lock().unwrap_or_else(|e| e.into_inner());
-                match &*cache {
-                    Some(f) if f.net == *net => Arc::clone(&f.tiles),
-                    _ => {
-                        let tiles = Arc::new(cut_tiles(net, &self.plan));
-                        *cache = Some(ForeignTiles {
-                            net: net.clone(),
-                            tiles: Arc::clone(&tiles),
-                        });
-                        tiles
-                    }
-                }
-            };
-            self.run_tiled(net, &tiles, input, mode, trace)?
+            self.run_tiled(net, &cut_tiles(net, &self.plan), input, mode, trace)?
         };
         Ok(RunRecord { layers })
     }
@@ -793,8 +764,8 @@ mod tests {
         let got = pm.run(&net_b, &x, UvMode::Off).unwrap();
         let want = single.run(&net_b, &x, UvMode::Off).unwrap();
         assert_eq!(got.output(), want.output(), "must serve the passed network");
-        // Repeat runs hit the foreign-tile cache and stay correct, as
-        // does switching back to the planned network and out again.
+        // Repeat runs re-cut the same weights and stay correct, as does
+        // switching back to the planned network and out again.
         assert_eq!(
             pm.run(&net_b, &x, UvMode::Off).unwrap().output(),
             want.output()

@@ -150,18 +150,6 @@ impl BatchRunRecord {
         }
     }
 
-    /// Folds another dispatch's results into this record — how a
-    /// [`Fleet`](super::Fleet) aggregates the chunks of one batched call:
-    /// records concatenate in order, times and read counts sum, events
-    /// merge.
-    pub fn merge(&mut self, other: BatchRunRecord) {
-        self.records.extend(other.records);
-        self.batch_time_us += other.batch_time_us;
-        self.batch_events.merge(&other.batch_events);
-        self.w_reads_serial += other.w_reads_serial;
-        self.w_reads_amortized += other.w_reads_amortized;
-    }
-
     /// Samples in the batch.
     pub fn batch_size(&self) -> usize {
         self.records.len()

@@ -73,15 +73,6 @@ pub enum SparseNnError {
         /// Human-readable description of the failure.
         message: String,
     },
-    /// A request was shed by the fleet's admission gate
-    /// ([`Fleet::with_admission`](crate::engine::Fleet::with_admission))
-    /// because its priority class had no queue budget left. The caller
-    /// should fail fast (or retry elsewhere) instead of queueing into a
-    /// missed deadline.
-    Overloaded {
-        /// Priority class of the shed request.
-        priority: crate::engine::Priority,
-    },
     /// Model-parallel partitioning failed for a reason other than
     /// capacity (capacity overflows surface as
     /// [`WMemoryOverflow`](Self::WMemoryOverflow)): no chips, an invalid
@@ -136,13 +127,6 @@ impl std::fmt::Display for SparseNnError {
             SparseNnError::EmptyFleet => f.write_str("a fleet needs at least one shard"),
             SparseNnError::Checkpoint { message } => {
                 write!(f, "system checkpoint failed: {message}")
-            }
-            SparseNnError::Overloaded { priority } => {
-                write!(
-                    f,
-                    "request shed by admission control: the fleet is overloaded \
-                     and the {priority}-priority queue budget is exhausted"
-                )
             }
             SparseNnError::Partition { message } => {
                 write!(f, "model-parallel partitioning failed: {message}")

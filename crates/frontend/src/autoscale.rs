@@ -1,15 +1,10 @@
 //! Epoch-driven autoscaling: grow the fleet before the queue does.
 //!
-//! Every `epoch_us` of virtual time the [`Autoscaler`] looks at two live
-//! signals — mean shard **utilization** over the epoch and the epoch's
-//! **P²-estimated p99 latency** (a fresh [`P2Quantile`] per epoch via
-//! [`reset`](P2Quantile::reset), so decisions reflect *current* pressure,
-//! not the whole run's history) — and decides to scale out, scale in, or
-//! hold. A scaled-out shard pays `warmup_us` of virtual time (model load,
-//! weight upload) before it takes traffic; scale-in only retires an idle
-//! shard, never one holding work.
-
-use sparsenn_obs::P2Quantile;
+//! Every `epoch_us` of virtual time the front end measures mean shard
+//! **utilization** over the epoch and [`AutoscaleConfig::decide`]s to
+//! scale out, scale in, or hold. A scaled-out shard pays `warmup_us` of
+//! virtual time (model load, weight upload) before it takes traffic;
+//! scale-in only retires an idle shard, never one holding work.
 
 /// Autoscaling policy parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -27,9 +22,6 @@ pub struct AutoscaleConfig {
     pub scale_out_utilization: f64,
     /// Scale in when epoch utilization falls below this (0..=1).
     pub scale_in_utilization: f64,
-    /// Also scale out when the epoch's P²-estimated p99 latency exceeds
-    /// this, regardless of utilization (`None`: utilization only).
-    pub scale_out_p99_us: Option<f64>,
 }
 
 impl AutoscaleConfig {
@@ -43,14 +35,7 @@ impl AutoscaleConfig {
             warmup_us,
             scale_out_utilization: 0.8,
             scale_in_utilization: 0.3,
-            scale_out_p99_us: None,
         }
-    }
-
-    /// Adds a p99-latency scale-out trigger.
-    pub fn scale_out_on_p99(mut self, p99_us: f64) -> Self {
-        self.scale_out_p99_us = Some(p99_us);
-        self
     }
 
     /// Checks the parameters are simulatable.
@@ -94,12 +79,23 @@ impl AutoscaleConfig {
                 self.scale_in_utilization, self.scale_out_utilization
             ));
         }
-        if let Some(p) = self.scale_out_p99_us {
-            if !(p.is_finite() && p > 0.0) {
-                return Err(format!("p99 trigger must be finite and positive, got {p}"));
-            }
-        }
         Ok(())
+    }
+
+    /// Epoch boundary: decides from this epoch's mean `utilization` (0..=1
+    /// over the active shards) given `active` serving shards and
+    /// `warming` shards already on their way.
+    pub fn decide(&self, utilization: f64, active: usize, warming: usize) -> ScaleDecision {
+        if utilization > self.scale_out_utilization && active + warming < self.max_shards {
+            ScaleDecision::Out
+        } else if utilization < self.scale_in_utilization
+            && warming == 0
+            && active > self.min_shards
+        {
+            ScaleDecision::In
+        } else {
+            ScaleDecision::Hold
+        }
     }
 }
 
@@ -114,60 +110,6 @@ pub enum ScaleDecision {
     Hold,
 }
 
-/// The live controller: accumulates one epoch's completion latencies in a
-/// constant-space P² tracker and turns (utilization, p99) into a
-/// [`ScaleDecision`] at each tick.
-#[derive(Clone, Debug)]
-pub struct Autoscaler {
-    config: AutoscaleConfig,
-    epoch_p99: P2Quantile,
-}
-
-impl Autoscaler {
-    /// A scaler with a fresh epoch window.
-    pub fn new(config: AutoscaleConfig) -> Self {
-        Self {
-            config,
-            epoch_p99: P2Quantile::new(0.99),
-        }
-    }
-
-    /// The policy this scaler runs.
-    pub fn config(&self) -> &AutoscaleConfig {
-        &self.config
-    }
-
-    /// Folds one completion latency into the current epoch's window.
-    pub fn observe_latency(&mut self, latency_us: f64) {
-        self.epoch_p99.observe(latency_us);
-    }
-
-    /// The current epoch's P²-estimated p99 latency (0 when the epoch saw
-    /// no completions).
-    pub fn epoch_p99_us(&self) -> f64 {
-        self.epoch_p99.estimate()
-    }
-
-    /// Epoch boundary: decide from this epoch's mean `utilization` (0..=1
-    /// over the active shards) given `active` serving shards and
-    /// `warming` shards already on their way, then reset the latency
-    /// window for the next epoch.
-    pub fn decide(&mut self, utilization: f64, active: usize, warming: usize) -> ScaleDecision {
-        let c = &self.config;
-        let p99_hot = c
-            .scale_out_p99_us
-            .is_some_and(|limit| self.epoch_p99.estimate() > limit);
-        self.epoch_p99.reset();
-        if (utilization > c.scale_out_utilization || p99_hot) && active + warming < c.max_shards {
-            ScaleDecision::Out
-        } else if utilization < c.scale_in_utilization && warming == 0 && active > c.min_shards {
-            ScaleDecision::In
-        } else {
-            ScaleDecision::Hold
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,7 +120,7 @@ mod tests {
 
     #[test]
     fn utilization_thresholds_drive_out_and_in() {
-        let mut a = Autoscaler::new(config());
+        let a = config();
         assert_eq!(a.decide(0.95, 2, 0), ScaleDecision::Out);
         assert_eq!(a.decide(0.5, 2, 0), ScaleDecision::Hold);
         assert_eq!(a.decide(0.1, 2, 0), ScaleDecision::In);
@@ -191,23 +133,6 @@ mod tests {
             ScaleDecision::Hold,
             "no scale-in while warming"
         );
-    }
-
-    #[test]
-    fn p99_trigger_scales_out_at_low_utilization_and_resets_per_epoch() {
-        let mut a = Autoscaler::new(config().scale_out_on_p99(100.0));
-        for _ in 0..50 {
-            a.observe_latency(500.0);
-        }
-        assert!(a.epoch_p99_us() > 100.0);
-        assert_eq!(
-            a.decide(0.5, 2, 0),
-            ScaleDecision::Out,
-            "tail latency alone must trigger growth"
-        );
-        // decide() reset the window: the same mid utilization now holds.
-        assert_eq!(a.epoch_p99_us(), 0.0, "epoch window resets");
-        assert_eq!(a.decide(0.5, 2, 0), ScaleDecision::Hold);
     }
 
     #[test]
@@ -225,6 +150,5 @@ mod tests {
         let mut c = config();
         c.epoch_us = f64::NAN;
         assert!(c.validate().is_err());
-        assert!(config().scale_out_on_p99(-1.0).validate().is_err());
     }
 }

@@ -9,17 +9,17 @@
 //! control loops that a serving system needs on top of dispatch, all
 //! policy-pluggable and all exercised against seeded adversity:
 //!
-//! * **Admission** — the shared [`AdmissionGate`] trait (the live
-//!   [`Fleet`](sparsenn_core::engine::Fleet) consults the identical
-//!   object): classify each request ([`Priority`]), then admit, degrade,
-//!   or shed it *before* it queues into a missed deadline.
+//! * **Admission** — the [`AdmissionGate`] trait from
+//!   `sparsenn_core::engine`: classify each request ([`Priority`]), then
+//!   admit, degrade, or shed it *before* it queues into a missed
+//!   deadline.
 //! * **Tail tolerance** — a [`FaultPlan`] injects seeded fail-stops and
 //!   straggler windows; a [`HedgeConfig`] fights back with hedged
 //!   duplicate attempts (first finisher wins, loser cancelled) and
 //!   fail-stop retries.
-//! * **Autoscaling** — an [`Autoscaler`] watches epoch utilization and
-//!   P²-estimated tail latency and grows/shrinks the active fleet,
-//!   paying a warm-up cost before a new shard takes traffic.
+//! * **Autoscaling** — an [`AutoscaleConfig`] watches epoch utilization
+//!   and grows/shrinks the active fleet, paying a warm-up cost before a
+//!   new shard takes traffic.
 //!
 //! [`simulate_frontend`] runs one configuration; [`sweep_combos`] scores
 //! the scheduler × admission × hedging × autoscaling × degrade-batching
@@ -69,7 +69,7 @@ mod metrics;
 mod sim;
 mod slo;
 
-pub use autoscale::{AutoscaleConfig, Autoscaler, ScaleDecision};
+pub use autoscale::{AutoscaleConfig, ScaleDecision};
 pub use faults::{Fault, FaultPlan};
 pub use hedge::HedgeConfig;
 pub use metrics::{ClassBurnAlert, ClassStats, FrontendSummary};

@@ -10,15 +10,16 @@
 //! against a straggler (first finisher wins, the loser is cancelled and
 //! its shard freed), and a fail-stop may kill an attempt mid-service
 //! (retried on another shard when the [`HedgeConfig`] allows). An
-//! optional [`Autoscaler`] grows and shrinks the active fleet at epoch
-//! boundaries, paying a warm-up delay before a new shard takes traffic.
+//! optional [`AutoscaleConfig`] grows and shrinks the active fleet at
+//! epoch boundaries, paying a warm-up delay before a new shard takes
+//! traffic.
 //!
 //! Ties on the timeline break by push order, the class stream and fault
 //! plan are seeded, and no hash-ordered container is iterated — a run is
 //! a pure function of its arguments, so any two policy combinations can
 //! be compared knowing every microsecond of difference is policy.
 
-use crate::autoscale::{AutoscaleConfig, Autoscaler, ScaleDecision};
+use crate::autoscale::{AutoscaleConfig, ScaleDecision};
 use crate::faults::{Fault, FaultPlan};
 use crate::hedge::HedgeConfig;
 use crate::metrics::{ClassBurnAlert, ClassStats, FrontendSummary};
@@ -66,12 +67,10 @@ pub struct FrontendConfig {
     pub hedge: HedgeConfig,
     /// Injected faults.
     pub faults: FaultPlan,
-    /// Autoscaling policy (`None`: the active fleet is fixed).
+    /// Autoscaling policy (`None`: the active fleet is fixed). An
+    /// autoscaled run starts with `min_shards` active and keeps the rest
+    /// as its scale-out reserve; any other run serves on every shard.
     pub autoscale: Option<AutoscaleConfig>,
-    /// Shards active at t = 0. `0` means: the autoscaler's `min_shards`
-    /// when autoscaling, else the whole fleet. Inactive shards are the
-    /// scale-out reserve.
-    pub initial_active: usize,
     /// Degrade-tier batching (`None`: degraded requests dispatch
     /// immediately at [`degrade_factor`](Self::degrade_factor) cost).
     /// When set, degraded traffic is *held* in a central buffer and
@@ -161,7 +160,6 @@ impl FrontendConfig {
             hedge: HedgeConfig::disabled(),
             faults: FaultPlan::none(),
             autoscale: None,
-            initial_active: 0,
             degrade_batching: None,
             burn: None,
         }
@@ -188,12 +186,6 @@ impl FrontendConfig {
     /// Enables autoscaling.
     pub fn autoscale(mut self, autoscale: AutoscaleConfig) -> Self {
         self.autoscale = Some(autoscale);
-        self
-    }
-
-    /// Sets the number of shards active at t = 0.
-    pub fn initial_active(mut self, shards: usize) -> Self {
-        self.initial_active = shards;
         self
     }
 
@@ -407,7 +399,6 @@ struct Engine<'a> {
     next_attempt: u64,
     resolved: usize,
     class_rng: StdRng,
-    scaler: Option<Autoscaler>,
     // Accumulators.
     classes: [ClassStats; 2],
     latency: [StreamingLatency; 2],
@@ -717,9 +708,6 @@ impl<'a> Engine<'a> {
             m.observe(now, met);
         }
         self.latency[class.index()].observe(latency);
-        if let Some(scaler) = &mut self.scaler {
-            scaler.observe_latency(latency);
-        }
         if self.requests[request].hedges_used > 0 {
             self.hedge_wins += 1;
         }
@@ -766,9 +754,8 @@ impl<'a> Engine<'a> {
     }
 
     fn on_scale_tick(&mut self, now: f64) {
-        let epoch_us = match &self.cfg.autoscale {
-            Some(a) => a.epoch_us,
-            None => return,
+        let Some(scale) = self.cfg.autoscale else {
+            return;
         };
         // Busy time this epoch, including in-flight partial work.
         let total_busy: f64 = self
@@ -782,21 +769,19 @@ impl<'a> Engine<'a> {
         let active = self.serving();
         let warming = self.health.iter().filter(|h| h.warming).count();
         let utilization = if active > 0 {
-            (epoch_busy / (active as f64 * epoch_us)).clamp(0.0, 1.0)
+            (epoch_busy / (active as f64 * scale.epoch_us)).clamp(0.0, 1.0)
         } else {
             1.0 // nothing serving: maximal pressure
         };
-        let scaler = self.scaler.as_mut().expect("autoscale config has a scaler");
-        match scaler.decide(utilization, active, warming) {
+        match scale.decide(utilization, active, warming) {
             ScaleDecision::Out => {
                 if let Some(i) = (0..self.health.len()).find(|&i| !self.health[i].active) {
                     self.health[i].active = true;
                     self.health[i].warming = true;
                     self.scale_outs += 1;
-                    let warmup = self.cfg.autoscale.as_ref().expect("checked").warmup_us;
                     self.core
                         .events
-                        .push(now + warmup, FleetEvent::ShardReady { shard: i });
+                        .push(now + scale.warmup_us, FleetEvent::ShardReady { shard: i });
                 }
             }
             ScaleDecision::In => {
@@ -814,7 +799,9 @@ impl<'a> Engine<'a> {
         }
         self.peak_active = self.peak_active.max(self.serving());
         if self.resolved < self.cfg.workload.requests() {
-            self.core.events.push(now + epoch_us, FleetEvent::ScaleTick);
+            self.core
+                .events
+                .push(now + scale.epoch_us, FleetEvent::ScaleTick);
         }
     }
 
@@ -1054,20 +1041,7 @@ fn run(
         }
     }
 
-    let initial_active = match (&cfg.autoscale, cfg.initial_active) {
-        (_, n) if n > 0 => n.min(fleet.len()),
-        (Some(a), 0) => a.min_shards,
-        (None, 0) => fleet.len(),
-        _ => unreachable!(),
-    };
-    if let Some(a) = &cfg.autoscale {
-        if !(a.min_shards..=a.max_shards).contains(&initial_active) {
-            return Err(FrontendError::BadConfig(format!(
-                "initial_active {initial_active} outside the autoscaler's [{}, {}] band",
-                a.min_shards, a.max_shards
-            )));
-        }
-    }
+    let initial_active = cfg.autoscale.map_or(fleet.len(), |a| a.min_shards);
 
     let total_requests = cfg.workload.requests();
     let mut engine = Engine {
@@ -1091,7 +1065,6 @@ fn run(
         next_attempt: 0,
         resolved: 0,
         class_rng: StdRng::seed_from_u64(cfg.class_seed),
-        scaler: cfg.autoscale.map(Autoscaler::new),
         classes: [ClassStats::default(), ClassStats::default()],
         latency: [StreamingLatency::new(), StreamingLatency::new()],
         hedges_issued: 0,

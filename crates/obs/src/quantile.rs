@@ -58,15 +58,6 @@ impl P2Quantile {
         self.p
     }
 
-    /// Forgets every observation, keeping the tracked quantile — the
-    /// tracker behaves exactly like a fresh [`P2Quantile::new`] with the
-    /// same `p`. The autoscaler resets its latency tracker at every epoch
-    /// boundary so each scale decision sees only the epoch it judges,
-    /// not the whole run's history.
-    pub fn reset(&mut self) {
-        *self = Self::new(self.p);
-    }
-
     /// Observations folded in so far.
     pub fn count(&self) -> u64 {
         self.count
@@ -289,27 +280,6 @@ mod tests {
             q.observe(1e9);
             assert!(q.estimate().is_finite());
         }
-    }
-
-    /// `reset` returns the tracker to its pristine state (the autoscaler
-    /// reuses one allocation across epochs).
-    #[test]
-    fn reset_restores_a_pristine_tracker() {
-        let mut q = P2Quantile::new(0.95);
-        for x in stream(1000) {
-            q.observe(x);
-        }
-        assert!(q.count() == 1000 && q.estimate() > 0.0);
-        q.reset();
-        assert_eq!(q, P2Quantile::new(0.95), "reset == fresh tracker");
-        assert_eq!(q.count(), 0);
-        assert_eq!(q.estimate(), 0.0);
-        assert_eq!(q.quantile(), 0.95, "the tracked quantile survives");
-        // The reused tracker estimates the new epoch, not the old one.
-        for _ in 0..100 {
-            q.observe(7.0);
-        }
-        assert_eq!(q.estimate(), 7.0);
     }
 
     #[test]

@@ -31,10 +31,10 @@ pub use sparsenn_core::*;
 /// policies the live [`engine::Fleet`] dispatches with.
 pub use sparsenn_serve as serve;
 
-/// Production front end (re-export of `sparsenn-frontend`): admission
-/// control and load shedding behind the same [`engine::AdmissionGate`]
-/// the live [`engine::Fleet`] consults, plus fault injection, hedged
-/// requests, autoscaling, and the SLO policy sweep.
+/// Production front end (re-export of `sparsenn-frontend`), simulated in
+/// virtual time: admission control and load shedding through
+/// [`engine::AdmissionGate`], plus fault injection, hedged requests,
+/// autoscaling, and the SLO policy sweep.
 pub use sparsenn_frontend as frontend;
 
 /// Observability plane (re-export of `sparsenn-obs`): trace sinks and
@@ -48,3 +48,9 @@ pub use sparsenn_obs as obs;
 /// [`engine::KernelBackend`] — bit-exact vs the golden model, engineered
 /// for measured wall-clock speed rather than modelled cycles.
 pub use sparsenn_kernel as kernel;
+
+/// Compiles the README's Rust blocks as doctests, so README code that
+/// names a deleted item fails `cargo test`.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -1,17 +1,17 @@
 //! Cross-request batching contract, end to end through the facade:
 //! batched execution is bit-identical to serial runs on every backend,
-//! batch timing never loses to the serial loop, the fleet's batch policy
-//! chunks and accounts dispatches, and the queue-aware batching simulator
-//! turns an amortized service table into a throughput win.
+//! batch timing never loses to the serial loop, and the queue-aware
+//! batching simulator turns an amortized service table into a throughput
+//! win.
 
 use sparsenn::datasets::DatasetKind;
 use sparsenn::engine::{
-    BatchPolicy, CycleAccurateBackend, FirstIdle, Fleet, GoldenBackend, InferenceBackend, Priority,
+    BatchPolicy, CycleAccurateBackend, FirstIdle, GoldenBackend, InferenceBackend,
 };
 use sparsenn::model::fixedpoint::UvMode;
 use sparsenn::numeric::Q6_10;
 use sparsenn::serve::{simulate_batched, BatchShardSpec, MetricsMode, Workload};
-use sparsenn::{SparseNnError, SystemBuilder, TrainedSystem, TrainingAlgorithm};
+use sparsenn::{SystemBuilder, TrainedSystem, TrainingAlgorithm};
 
 fn small_system() -> TrainedSystem {
     SystemBuilder::new(DatasetKind::Basic)
@@ -80,47 +80,6 @@ fn default_batch_path_is_the_serial_loop() {
     }
     assert!((rec.batch_time_us - rec.serial_time_us()).abs() < 1e-9);
     assert_eq!(rec.w_reads_serial, rec.w_reads_amortized);
-}
-
-/// The fleet's batch policy chunks a batch across shards and the shard
-/// stats account for every dispatched chunk and sample.
-#[test]
-fn fleet_batch_policy_chunks_and_accounts() {
-    let sys = small_system();
-    let fleet = Fleet::of_machines(2, *sys.machine().config())
-        .unwrap()
-        .with_batch_policy(BatchPolicy::SizeOrDeadline {
-            max: 3,
-            deadline_us: 50.0,
-        });
-    let inputs = test_inputs(&sys, 7);
-    let rec = fleet
-        .run_batch_classified(sys.fixed(), &inputs, UvMode::On, Priority::High)
-        .unwrap();
-    assert_eq!(
-        rec.records.len(),
-        7,
-        "the folded record carries every sample"
-    );
-
-    // Per-sample results are still bit-identical to serial runs.
-    let oracle = CycleAccurateBackend::new(sys.machine().clone());
-    for (s, (batched, x)) in rec.records.iter().zip(&inputs).enumerate() {
-        let own = oracle.run(sys.fixed(), x, UvMode::On).unwrap();
-        assert_eq!(batched, &own, "sample {s}");
-    }
-
-    // 7 samples in chunks of ≤ 3: 3 dispatches, none bigger than the cap.
-    let stats = fleet.shard_stats();
-    assert_eq!(stats.iter().map(|s| s.batches).sum::<u64>(), 3);
-    assert_eq!(stats.iter().map(|s| s.batch_samples).sum::<u64>(), 7);
-    assert!(stats.iter().all(|s| s.max_batch <= 3));
-    assert_eq!(stats.iter().map(|s| s.samples).sum::<u64>(), 7);
-
-    assert!(matches!(
-        fleet.run_batch_classified(sys.fixed(), &[], UvMode::On, Priority::High),
-        Err(SparseNnError::EmptyBatch)
-    ));
 }
 
 /// The queue-aware simulator turns an amortized batch-service table into
