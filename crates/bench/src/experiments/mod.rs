@@ -1,5 +1,5 @@
 //! One module per paper table/figure, plus the ablations of DESIGN.md §6
-//! and the serving studies (beyond the paper): fleet scaling, the
+//! and the serving studies (beyond the paper): worker scaling, the
 //! virtual-time latency-vs-load simulation, and model-parallel
 //! partitioning of oversized networks.
 

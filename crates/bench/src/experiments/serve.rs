@@ -7,8 +7,7 @@
 //! the win from latency-aware dispatch. This experiment feeds each
 //! backend's *measured* per-sample `time_us` table into the
 //! `sparsenn-serve` discrete-event simulator and sweeps offered load per
-//! [`Scheduler`] — the same trait the live `engine::Fleet` dispatches
-//! with — over:
+//! [`Scheduler`] policy over:
 //!
 //! * a **homogeneous** fleet of cycle-accurate machines, where the
 //!   closed-loop concurrency = shards run validates the simulator (mean
@@ -141,7 +140,7 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> Report {
          (3-layer [{}, {}, {}] network); mean modelled service: machine \
          {:.1} µs, DNN-Engine {:.1} µs, LRADNN {:.1} µs. Virtual-time \
          discrete-event simulation; the `Scheduler` policies are the same \
-         trait objects the live `engine::Fleet` dispatches with.\n",
+         trait objects the `frontend` study's simulator dispatches with.\n",
         dims[0],
         dims[1],
         dims[2],

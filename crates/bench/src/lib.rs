@@ -20,7 +20,7 @@
 //! | `… --bin ablation_noc` | §V.B buffered-flow-control ablation | — |
 //! | `… --bin ablation_sched` | §V.C column- vs row-based V scheduling | — |
 //! | `… --bin ablation_lambda` | Eq. (4) λ sweep | — |
-//! | `… --bin fleet` | fleet serving: latency & wall time vs shard count | bit-identical to serial |
+//! | `… --bin fleet` | worker scaling: latency & wall time vs session workers | bit-identical to serial |
 //! | `… --bin serve` | virtual-time serving: latency vs offered load per scheduler | closed loop matches the model; latency-aware dispatch wins |
 //! | `… --bin kernel` | native CPU kernel: measured dense-vs-prescan wall-clock | bit-exact; ≥ 2× prescan; ≤ 1.25× engine overhead |
 //! | `… --bin frontend` | production front end: admission, hedging, autoscaling, SLO sweep | high-priority SLO; low absorbs overload; hedging wins; autoscaler reacts |

@@ -63,10 +63,7 @@ pub enum AdmissionDecision {
 }
 
 /// An admission policy over the fleet's instantaneous state.
-///
-/// Implementations must be `Send + Sync`, so one gate object can be
-/// shared across threads.
-pub trait AdmissionGate: Send + Sync {
+pub trait AdmissionGate {
     /// Policy name (shows up in reports and sweep labels).
     fn name(&self) -> &str;
 

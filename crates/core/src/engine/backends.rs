@@ -471,6 +471,26 @@ mod tests {
         }
     }
 
+    /// Batch workers share one machine backend by `&self`: runs made from
+    /// several threads at once match a lone machine's runs bit for bit.
+    #[test]
+    fn shared_machine_matches_a_single_machine_bit_for_bit() {
+        let (net, x) = net_and_input(&[36, 72, 48, 10], 4);
+        let single = CycleAccurateBackend::default();
+        let shared = CycleAccurateBackend::default();
+        for mode in [UvMode::Off, UvMode::On] {
+            let want = single.run(&net, &x, mode).unwrap();
+            std::thread::scope(|s| {
+                let runs: Vec<_> = (0..3)
+                    .map(|_| s.spawn(|| shared.run(&net, &x, mode).unwrap()))
+                    .collect();
+                for run in runs {
+                    assert_eq!(run.join().unwrap().layers, want.layers, "{mode:?}");
+                }
+            });
+        }
+    }
+
     #[test]
     fn machine_run_batch_amortizes_w_reads() {
         let (net, x) = net_and_input(&[48, 128, 10], 4);

@@ -21,21 +21,18 @@
 //!   `std::thread::scope` worker pool sized by
 //!   `std::thread::available_parallelism`. Batch results fold into the
 //!   same [`SimulationSummary`](crate::SimulationSummary) the serial path
-//!   produces — bit for bit.
+//!   produces — bit for bit. Backends run through `&self`, so one
+//!   cycle-accurate backend serves n workers as n identical machines,
+//!   with no lock between them.
 //! * [`PartitionedMachine`] — model parallelism: one network tiled row-wise
 //!   across several chips under a `sparsenn_partition::PartitionPlan`,
 //!   with input broadcast / output gather costed by a chip-level
 //!   interconnect. Serves networks bigger than one chip's W memory;
 //!   bit-identical to a single chip whenever the network fits one.
-//! * [`Fleet`] — sharded serving: N independent accelerator instances
-//!   (each an [`InferenceBackend`]) behind one backend. Dispatch is a
-//!   pluggable [`Scheduler`] ([`FirstIdle`] by default; [`LeastQueued`]
-//!   and [`FastestCompletion`] ship too) — the same trait the
-//!   `sparsenn-serve` virtual-time simulator drives, so a policy tuned
-//!   against simulated latency-vs-load curves drops into real serving
-//!   unchanged. Plugged into a [`Session`], the session's worker pool
-//!   becomes the shared request queue; a fleet of identical shards keeps
-//!   batch summaries bit-identical to a single machine's.
+//! * [`Scheduler`] — which shard of a simulated fleet takes the next
+//!   request ([`FirstIdle`], [`LeastQueued`], [`FastestCompletion`]).
+//!   The `sparsenn-serve` and `sparsenn-frontend` virtual-time
+//!   simulators drive it.
 //! * [`AdmissionGate`] — admit, degrade or shed each [`Priority`] class
 //!   under overload instead of queueing forever; the policy trait the
 //!   `sparsenn-frontend` production-front-end simulator sweeps.
@@ -45,8 +42,7 @@
 //!   reads each W row once per batch). Results come back as a
 //!   [`BatchRunRecord`]: per-sample records bit-identical to serial
 //!   [`run`](InferenceBackend::run) calls, plus the batch-amortized
-//!   clock/energy book. A [`Fleet`] sends each batch to one shard as one
-//!   dispatch. A [`BatchPolicy`] decides when a shard of the
+//!   clock/energy book. A [`BatchPolicy`] decides when a shard of the
 //!   `sparsenn-serve` queue-aware batching simulator dispatches.
 //!
 //! Every backend also stamps its records with a modelled wall-clock
@@ -87,7 +83,6 @@
 mod admission;
 mod backends;
 mod batch;
-mod fleet;
 mod kernel;
 mod partitioned;
 mod record;
@@ -97,7 +92,6 @@ mod session;
 pub use admission::{AdmissionDecision, AdmissionGate, AdmitAll, BoundedQueues, Priority};
 pub use backends::{CycleAccurateBackend, GoldenBackend, InferenceBackend, SimdBackend};
 pub use batch::BatchPolicy;
-pub use fleet::{Fleet, ShardStats};
 pub use kernel::KernelBackend;
 pub use partitioned::PartitionedMachine;
 pub use record::{BatchRunRecord, LayerRecord, RunRecord};

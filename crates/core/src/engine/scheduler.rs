@@ -1,21 +1,11 @@
-//! Dispatch policies shared by the live [`Fleet`](super::Fleet) and the
-//! virtual-time serving simulator (`sparsenn-serve`).
+//! Dispatch policies for the virtual-time serving simulators
+//! (`sparsenn-serve` and `sparsenn-frontend`).
 //!
 //! A [`Scheduler`] decides which shard a newly-arrived request should be
 //! placed on, given a snapshot of every shard's instantaneous serving
-//! state ([`ShardView`]). The same trait object drives both worlds:
-//!
-//! * the **live** [`Fleet`](super::Fleet) consults the scheduler whenever
-//!   a caller needs a shard (it can only *use* idle shards — it has no
-//!   per-shard queues — so a pick of a busy shard, or [`None`], makes the
-//!   caller wait until a shard frees and re-ask);
-//! * the **simulators** (`sparsenn-serve` and `sparsenn-frontend`) honour
-//!   a usable pick literally: a busy shard's pick joins that shard's FIFO
-//!   queue. What each does with a pick it cannot use is its own rule
-//!   (see [`Scheduler::pick`]).
-//!
-//! Because the policy is shared, a scheduler tuned against simulated
-//! latency-vs-load curves drops into real serving unchanged.
+//! state ([`ShardView`]). A simulator honours a usable pick literally: a
+//! busy shard's pick joins that shard's FIFO queue. What each does with a
+//! pick it cannot use is its own rule (see [`Scheduler::pick`]).
 
 /// Snapshot of one shard's instantaneous serving state, as seen by a
 /// [`Scheduler`] placing one request.
@@ -23,9 +13,9 @@
 pub struct ShardView {
     /// `false` when the shard is failed, slowed past usefulness, or still
     /// warming up after a scale-out — schedulers must not place work on
-    /// it. The live fleet's shards are always healthy today; the
-    /// `sparsenn-frontend` simulator drives this from its fault and
-    /// autoscaling timelines.
+    /// it. The `sparsenn-frontend` simulator drives this from its fault
+    /// and autoscaling timelines; `sparsenn-serve`'s shards are always
+    /// healthy.
     pub healthy: bool,
     /// `true` when the shard is neither serving nor holding queued work.
     pub idle: bool,
@@ -34,13 +24,12 @@ pub struct ShardView {
     pub depth: usize,
     /// Modelled time until the shard could *start* a new request,
     /// microseconds: remaining service of the in-flight request plus the
-    /// service demand of everything queued behind it. 0 when idle; an
-    /// estimate (mean observed service) where exact values are unknown.
+    /// service demand of everything queued behind it. 0 when idle; the
+    /// batching simulator estimates each queued request at its shard's
+    /// batch-of-1 time.
     pub backlog_us: f64,
     /// Modelled service time of the request being placed, *on this shard*,
-    /// microseconds. The simulator knows it exactly from the shard's clock
-    /// model; the live fleet estimates it online as the shard's observed
-    /// mean (0 before the shard has served anything).
+    /// microseconds.
     pub service_us: f64,
 }
 
@@ -53,24 +42,20 @@ impl ShardView {
 }
 
 /// A dispatch policy over a fleet of shards.
-///
-/// Implementations must be `Send + Sync`: the live fleet consults one
-/// scheduler from every worker thread.
-pub trait Scheduler: Send + Sync {
-    /// Policy name (shows up in reports and fleet names).
+pub trait Scheduler {
+    /// Policy name (shows up in reports and simulation summaries).
     fn name(&self) -> &str;
 
     /// Picks the shard the arriving request should be placed on, or
     /// `None` to place it nowhere.
     ///
-    /// Returning the index of a busy shard means "queue behind it" where
-    /// queues exist (the simulators); the live fleet treats it as "wait".
-    /// An out-of-range index is treated as `None` by every consumer.
+    /// Returning the index of a busy shard means "queue behind it". An
+    /// out-of-range index is treated as `None` by every simulator.
     ///
-    /// The live fleet makes a caller with no usable pick wait for a shard
-    /// to free. Each simulator applies its own rule, documented on its
-    /// entry point: `sparsenn_serve::simulate_with` holds the request in
-    /// a central queue (unless every shard is idle),
+    /// Each simulator applies its own rule to a request with no usable
+    /// pick, documented on its entry point:
+    /// `sparsenn_serve::simulate_with` holds the request in a central
+    /// queue (unless every shard is idle),
     /// `sparsenn_serve::simulate_batched` places it on the shallowest
     /// queue, and `sparsenn_frontend::simulate_frontend` — for which an
     /// unhealthy shard is unusable too — takes the first healthy idle

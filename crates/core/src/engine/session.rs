@@ -59,7 +59,9 @@ impl<'a> Session<'a> {
     /// Pins the batch worker-pool size (at least 1), overriding both the
     /// `SPARSENN_WORKERS` environment variable and the
     /// `available_parallelism` default. Useful for reproducible scheduling
-    /// and for exercising the parallel path on single-core machines.
+    /// and for exercising the parallel path on single-core machines. On
+    /// the cycle-accurate backend, `n` workers serve a batch as `n`
+    /// identical machines behind one queue.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self

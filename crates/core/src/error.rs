@@ -65,8 +65,6 @@ pub enum SparseNnError {
         /// Layers the backend's record carried.
         got: usize,
     },
-    /// A [`Fleet`](crate::engine::Fleet) was constructed with no shards.
-    EmptyFleet,
     /// Saving or loading a [`TrainedSystem`](crate::TrainedSystem)
     /// checkpoint failed (I/O error or malformed checkpoint text).
     Checkpoint {
@@ -124,7 +122,6 @@ impl std::fmt::Display for SparseNnError {
                     "backend returned {got} layer records for a {expected}-layer network"
                 )
             }
-            SparseNnError::EmptyFleet => f.write_str("a fleet needs at least one shard"),
             SparseNnError::Checkpoint { message } => {
                 write!(f, "system checkpoint failed: {message}")
             }
@@ -222,7 +219,6 @@ mod tests {
             got: 3,
         };
         assert!(e.to_string().contains("3") && e.to_string().contains("2"));
-        assert!(SparseNnError::EmptyFleet.to_string().contains("shard"));
         let e = SparseNnError::Checkpoint {
             message: "bad header".into(),
         };

@@ -324,21 +324,6 @@ impl TrainedSystem {
         self.session_with(Box::new(crate::engine::KernelBackend::new()))
     }
 
-    /// Opens a serving [`Session`] over a [`Fleet`](crate::engine::Fleet)
-    /// of `shards` identically-configured cycle-accurate machines, with
-    /// one batch worker per shard — the sharded-datacenter setup. Batch
-    /// summaries are bit-identical to a single machine's (and to the
-    /// serial path's): every shard produces the same deterministic record
-    /// for a given sample.
-    ///
-    /// # Errors
-    ///
-    /// [`SparseNnError::EmptyFleet`] when `shards == 0`.
-    pub fn fleet_session(&self, shards: usize) -> Result<Session<'_>, SparseNnError> {
-        let fleet = crate::engine::Fleet::of_machines(shards, *self.machine.config())?;
-        Ok(self.session_with(Box::new(fleet)).with_workers(shards))
-    }
-
     /// Opens a serving [`Session`] over a
     /// [`PartitionedMachine`](crate::engine::PartitionedMachine) of
     /// `chips` cycle-accurate chips (each configured like this system's

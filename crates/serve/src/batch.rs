@@ -4,12 +4,11 @@
 //! models what the batch-native machine core actually offers — a shard
 //! that serves `b` queued requests in `batch_service_us[b-1]` µs, less
 //! than `b` serial services because W rows are read once per batch. The
-//! [`BatchPolicy`] (the same type the live
-//! [`Fleet`](sparsenn_core::engine::Fleet) chunks with) decides *when* a
-//! shard fires: [`BatchPolicy::Immediate`] dispatches whatever has queued
-//! the moment the shard frees (batch-of-1 under light load, deep batches
-//! under backlog), [`BatchPolicy::SizeOrDeadline`] holds requests until
-//! the batch fills or the oldest has waited out its deadline.
+//! [`BatchPolicy`] decides *when* a shard fires:
+//! [`BatchPolicy::Immediate`] dispatches whatever has queued the moment
+//! the shard frees (batch-of-1 under light load, deep batches under
+//! backlog), [`BatchPolicy::SizeOrDeadline`] holds requests until the
+//! batch fills or the oldest has waited out its deadline.
 //!
 //! The resulting [`BatchedSummary`] exposes the knee the serve layer is
 //! parameterized on: throughput per shard rises with batch size while

@@ -1,11 +1,9 @@
 //! Virtual-time serving simulator for SparseNN fleets.
 //!
-//! The live [`Fleet`](sparsenn_core::engine::Fleet) serves real requests
-//! on host threads; this crate answers the questions a load test cannot:
-//! what do latency percentiles, queueing delay and shard utilization look
-//! like at offered loads, burst patterns and fleet mixes you choose —
-//! on a single global virtual timeline, in milliseconds of host time,
-//! deterministically.
+//! This crate answers the questions a load test cannot: what do latency
+//! percentiles, queueing delay and shard utilization look like at offered
+//! loads, burst patterns and fleet mixes you choose — on a single global
+//! virtual timeline, in milliseconds of host time, deterministically.
 //!
 //! * [`Core`] — the one discrete-event core under every simulator here
 //!   and in `sparsenn-frontend`: the [`EventQueue`] timeline (FIFO among
@@ -13,9 +11,10 @@
 //!   serving state, arrivals, validation and scheduler views;
 //! * [`Workload`] — open-loop Poisson, bursty on/off, and closed-loop
 //!   fixed-concurrency arrival generators (seeded, deterministic);
-//! * [`Scheduler`] — **the same trait the live fleet dispatches with**
-//!   (re-exported from `sparsenn_core::engine`), with the same policies:
-//!   [`FirstIdle`], [`LeastQueued`], [`FastestCompletion`];
+//! * [`Scheduler`] — the dispatch policy (re-exported from
+//!   `sparsenn_core::engine`, with its policies [`FirstIdle`],
+//!   [`LeastQueued`] and [`FastestCompletion`]), shared with the
+//!   `sparsenn-frontend` simulator;
 //! * [`simulate`] — drives a [`ShardSpec`] fleet (each shard's modelled
 //!   per-request `time_us` table) on the core, one request at a time,
 //!   and folds a [`ServeSummary`]: latency p50/p95/p99, time-in-queue vs
@@ -28,9 +27,9 @@
 //! * [`simulate_batched`] — the queue-aware **cross-request batching**
 //!   model on the same core: shards serve whole batches
 //!   ([`BatchShardSpec`] carries the per-batch-size service table, fed
-//!   from the real batched machine) under a [`BatchPolicy`] (the same
-//!   type the live fleet chunks with), exposing the throughput/latency
-//!   knee batching buys.
+//!   from the real batched machine) under a [`BatchPolicy`] (re-exported
+//!   from `sparsenn_core::engine`), exposing the throughput/latency knee
+//!   batching buys.
 //!
 //! The `sparsenn-frontend` crate's production front end drives a
 //! [`Core`] too, with the extended [`FleetEvent`] vocabulary (failures,

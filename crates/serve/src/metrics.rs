@@ -72,7 +72,8 @@ pub struct ShardUsage {
     pub utilization: f64,
 }
 
-/// Fleet-wide queue-depth statistics (requests waiting, not in service).
+/// Queue-depth statistics across the fleet (requests waiting, not in
+/// service).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueueStats {
     /// Largest number of simultaneously waiting requests.

@@ -1,9 +1,8 @@
 //! The per-request fleet simulator: [`simulate`] and [`simulate_with`].
 //!
 //! One global virtual timeline, N shards, a pluggable
-//! [`Scheduler`](sparsenn_core::engine::Scheduler) — the same trait the
-//! live [`Fleet`](sparsenn_core::engine::Fleet) dispatches with — driven
-//! on the shared [`Core`]. Two event kinds drive the run:
+//! [`Scheduler`](sparsenn_core::engine::Scheduler) driven on the shared
+//! [`Core`]. Two event kinds drive the run:
 //!
 //! * **Arrival** — a request is issued (by the open-loop generator, or by
 //!   a closed-loop client finishing its previous request). The scheduler
@@ -11,8 +10,7 @@
 //!   shard and places the request: on an idle shard (service starts
 //!   immediately), behind a busy shard (it joins that shard's FIFO
 //!   queue), or — returning `None` — in the central queue, to be claimed
-//!   by the first shard that frees up (exactly the live fleet's
-//!   blocked-caller semantics).
+//!   by the first shard that frees up.
 //! * **Completion** — a shard finishes its request, records the metric,
 //!   and pulls its next request from its own queue first, then from the
 //!   central queue.
@@ -156,10 +154,10 @@ pub fn simulate(
 ///
 /// A pick the run cannot use — `None` or an out-of-range index — holds
 /// the request in the central queue, claimed by the first shard that
-/// frees up: the live fleet's blocked-caller semantics. When *every*
-/// shard is idle no completion would ever drain that queue, so the
-/// request starts on shard 0 instead, mirroring the live fleet's
-/// progress guarantee.
+/// frees up, so a policy can decline a shard and wait for a better one.
+/// When *every* shard is idle no completion would ever drain that queue,
+/// so the request starts on shard 0 instead: every request completes,
+/// whatever the policy.
 ///
 /// # Errors
 ///
@@ -492,11 +490,10 @@ mod tests {
         assert!((n - 12.0).abs() < 0.5, "Little's law: N ≈ {n}, want 12");
     }
 
-    /// A policy that never places a request mirrors the live fleet's
-    /// blocked-caller semantics: requests hold centrally while anything
-    /// runs, and the all-idle fallback (shard 0, like the live fleet's
-    /// lowest-index idle pick) keeps the system live — so every request
-    /// funnels through shard 0 and still completes.
+    /// A policy that never places a request: requests hold centrally
+    /// while anything runs, and the all-idle fallback to shard 0 keeps
+    /// the run live, so every request funnels through shard 0 and still
+    /// completes.
     #[test]
     fn none_picks_match_the_live_fleets_blocked_caller_semantics() {
         struct AlwaysWait;

@@ -27,8 +27,8 @@
 pub use sparsenn_core::*;
 
 /// Virtual-time serving simulator (re-export of `sparsenn-serve`):
-/// workload generators, queueing metrics, and the same [`engine::Scheduler`]
-/// policies the live [`engine::Fleet`] dispatches with.
+/// workload generators, queueing metrics, and the [`engine::Scheduler`]
+/// policies its shards are dispatched by.
 pub use sparsenn_serve as serve;
 
 /// Production front end (re-export of `sparsenn-frontend`), simulated in

@@ -83,24 +83,73 @@ fn empty_batch_yields_well_defined_summary() {
     }
 }
 
+/// n workers on one cycle-accurate backend serve a batch as n identical
+/// machines behind one queue: every worker count folds the serial summary
+/// bit for bit.
 #[test]
 fn parallel_batch_matches_serial_batch_exactly() {
     let sys = small_system();
-    // Pin 4 workers so the multi-threaded path runs even on a 1-core host.
-    let session = sys.session().with_workers(4);
     for mode in [UvMode::Off, UvMode::On] {
-        let serial = session.simulate_batch_serial(24, mode).unwrap();
-        let parallel = session.simulate_batch(24, mode).unwrap();
-        assert_eq!(
-            serial, parallel,
-            "{mode:?}: parallel summary must be bit-identical"
-        );
+        let serial = sys.session().simulate_batch_serial(24, mode).unwrap();
+        // Pinned counts run the multi-threaded path even on a 1-core host.
+        for workers in [1, 2, 3, 4, 8] {
+            let parallel = sys
+                .session()
+                .with_workers(workers)
+                .simulate_batch(24, mode)
+                .unwrap();
+            assert_eq!(
+                serial, parallel,
+                "{workers} workers, {mode:?}: summary must be bit-identical"
+            );
+        }
     }
     // Oversized requests clamp identically too.
+    let session = sys.session().with_workers(4);
     let serial = session.simulate_batch_serial(10_000, UvMode::On).unwrap();
     let parallel = session.simulate_batch(10_000, UvMode::On).unwrap();
     assert_eq!(serial.samples, 40);
     assert_eq!(serial, parallel);
+}
+
+/// More workers than samples clamp to one worker per sample and still
+/// fold the serial summary bit for bit.
+#[test]
+fn more_workers_than_samples_folds_the_serial_summary() {
+    let sys = small_system();
+    for mode in [UvMode::Off, UvMode::On] {
+        let serial = sys.session().simulate_batch_serial(24, mode).unwrap();
+        let parallel = sys
+            .session()
+            .with_workers(64)
+            .simulate_batch(24, mode)
+            .unwrap();
+        assert_eq!(serial, parallel, "64 workers, {mode:?}");
+    }
+}
+
+/// A worker session's per-layer latency is the machine clock model applied
+/// to the per-sample mean cycles (both are means over the same records).
+#[test]
+fn worker_session_latency_flows_into_the_summary() {
+    let sys = small_system();
+    let summary = sys
+        .session()
+        .with_workers(3)
+        .simulate_batch(12, UvMode::On)
+        .unwrap();
+    let cfg = sys.machine().config();
+    for layer in &summary.layers {
+        assert!(layer.time_us > 0.0);
+        assert!(
+            (layer.time_us - cfg.time_us(1) * layer.cycles).abs() < 1e-9,
+            "layer latency {} vs clock model {}",
+            layer.time_us,
+            cfg.time_us(1) * layer.cycles
+        );
+    }
+    assert!(summary.time_us() > 0.0);
+    assert!(summary.energy_uj() > 0.0);
 }
 
 #[test]

@@ -5,13 +5,13 @@
 //! 2. an oversized MLP — rejected by the machine with the typed
 //!    `WMemoryOverflow` — runs to completion on ≥2 chips with
 //!    comm-inclusive `time_us`/`energy_uj`;
-//! 3. the backend composes unchanged with `Session`, `Fleet`, every
-//!    `Scheduler`, and the `sparsenn-serve` virtual-time simulator.
+//! 3. the backend composes unchanged with `Session` and its worker pool,
+//!    every `Scheduler`, and the `sparsenn-serve` virtual-time simulator.
 //!
 //! The CI `partition-smoke` step runs this file in release mode.
 
 use sparsenn::datasets::DatasetKind;
-use sparsenn::engine::{FastestCompletion, Fleet, InferenceBackend, PartitionedMachine};
+use sparsenn::engine::{FastestCompletion, InferenceBackend, PartitionedMachine};
 use sparsenn::model::fixedpoint::UvMode;
 use sparsenn::partition::{InterChipConfig, PartitionPlan};
 use sparsenn::serve::{simulate, FirstIdle, LeastQueued, ShardSpec, Workload};
@@ -140,12 +140,11 @@ fn oversized_mlp_is_served_by_two_chips_with_comm_in_the_accounting() {
 
 /// Composition: the partitioned backend is an ordinary
 /// `InferenceBackend`, so parallel `Session` batches fold bit-identically
-/// to the serial path, and a `Fleet` of partitioned multi-chip replicas
-/// (with any scheduler) behaves like one.
+/// to the serial path, and two workers on one backend serve as a fleet of
+/// two 2-chip replicas with the same bits.
 #[test]
 fn partitioned_backend_composes_with_session_and_fleet() {
     let sys = oversized_system();
-    let chip = *sys.machine().config();
 
     let serial = sys
         .partitioned_session(2)
@@ -162,27 +161,13 @@ fn partitioned_backend_composes_with_session_and_fleet() {
         "parallel fold must match the serial oracle"
     );
 
-    // A fleet of two 2-chip replicas behind one queue, latency-aware
-    // dispatch: same bits, every sample accounted.
-    let replica = || -> Box<dyn InferenceBackend> {
-        Box::new(PartitionedMachine::new(sys.fixed(), chip, 2, InterChipConfig::default()).unwrap())
-    };
-    let fleet = Fleet::new(vec![replica(), replica()])
+    let replicas = sys
+        .partitioned_session(2)
         .unwrap()
-        .with_scheduler(Box::new(FastestCompletion));
-    assert_eq!(
-        fleet.name(),
-        "fleet(2x partitioned(2 chips x cycle-accurate))"
-    );
-    let fleet_summary = sys
-        .session_with(Box::new(fleet))
         .with_workers(2)
         .simulate_batch(12, UvMode::On)
         .unwrap();
-    assert_eq!(
-        serial, fleet_summary,
-        "fleet of replicas stays bit-identical"
-    );
+    assert_eq!(serial, replicas, "two replicas stay bit-identical");
 }
 
 /// Composition with the virtual-time simulator: the partitioned

@@ -1,5 +1,5 @@
-//! Acceptance tests for the virtual-time serving simulator: the simulator
-//! and the live `engine::Fleet` share one `Scheduler` trait; a homogeneous
+//! Acceptance tests for the virtual-time serving simulator, fed with the
+//! engine backends' modelled per-sample `time_us` tables: a homogeneous
 //! fleet under closed-loop load at fleet concurrency shows no queueing
 //! (simulated mean latency == the backend's modelled per-sample time_us);
 //! and fastest-expected-completion beats first-idle on p95 latency over a
@@ -7,8 +7,7 @@
 
 use sparsenn::datasets::DatasetKind;
 use sparsenn::engine::{
-    CycleAccurateBackend, FastestCompletion, FirstIdle, Fleet, InferenceBackend, Scheduler,
-    SimdBackend,
+    CycleAccurateBackend, FastestCompletion, FirstIdle, InferenceBackend, Scheduler, SimdBackend,
 };
 use sparsenn::model::fixedpoint::UvMode;
 use sparsenn::serve::{fleet_capacity_rps, simulate, ShardSpec, Workload};
@@ -108,38 +107,22 @@ fn fastest_completion_beats_first_idle_on_heterogeneous_p95() {
     );
 }
 
-/// The same `Scheduler` trait object drives both the simulator and the
-/// live fleet — and the live fleet still folds bit-identical summaries
-/// whatever the policy, because outputs are bit-exact on every shard.
+/// The summary names the scheduler that placed its requests, and a
+/// closed loop serves exactly the requests it was asked for.
 #[test]
-fn one_scheduler_drives_simulator_and_live_fleet() {
-    let policy: &'static dyn Scheduler = &FastestCompletion;
-
-    // Simulator side.
-    let sim = simulate(
-        &[ShardSpec::uniform("a", 5.0), ShardSpec::uniform("b", 50.0)],
-        policy,
-        &Workload::ClosedLoop {
-            concurrency: 2,
-            requests: 40,
-            think_us: 0.0,
-        },
-    )
-    .unwrap();
-    assert_eq!(sim.scheduler, "fastest-completion");
-    assert_eq!(sim.requests, 40);
-
-    // Live side: the same policy dispatches a real batch.
-    let sys = small_system();
-    let fleet = Fleet::of_machines(3, *sys.machine().config())
-        .unwrap()
-        .with_scheduler(Box::new(FastestCompletion));
-    assert_eq!(fleet.scheduler_name(), sim.scheduler);
-    let serial = sys.session().simulate_batch_serial(24, UvMode::On).unwrap();
-    let live = sys
-        .session_with(Box::new(fleet))
-        .with_workers(3)
-        .simulate_batch(24, UvMode::On)
-        .unwrap();
-    assert_eq!(serial, live, "policy changes placement, never results");
+fn simulator_summary_names_its_scheduler() {
+    let shards = [ShardSpec::uniform("a", 5.0), ShardSpec::uniform("b", 50.0)];
+    let workload = Workload::ClosedLoop {
+        concurrency: 2,
+        requests: 40,
+        think_us: 0.0,
+    };
+    for (policy, name) in [
+        (&FirstIdle as &dyn Scheduler, "first-idle"),
+        (&FastestCompletion, "fastest-completion"),
+    ] {
+        let summary = simulate(&shards, policy, &workload).unwrap();
+        assert_eq!(summary.scheduler, name);
+        assert_eq!(summary.requests, 40, "{name}");
+    }
 }
