@@ -13,7 +13,10 @@
 //! dashboards that track the perf trajectory without parsing tables.
 //!
 //! Exits non-zero when any experiment's wall time grew past the threshold
-//! (default 25%); directional metric moves are flagged `WORSE` in the
+//! (default 25%). Experiments whose old wall time is under
+//! `MIN_JUDGED_SECONDS` (1 s) show their delta but are not judged: one
+//! reading per side cannot tell a short run's change from its noise.
+//! Directional metric moves are flagged `WORSE` in the
 //! table but do not affect the exit code (modelled metrics shift
 //! legitimately when the study network changes). Wire it into CI as a
 //! non-blocking step to make perf trends visible without gating merges

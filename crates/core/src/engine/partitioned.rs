@@ -84,13 +84,16 @@ struct ChipTile {
 /// Several cycle-accurate chips serving one (possibly oversized) network
 /// under a [`PartitionPlan`].
 ///
-/// This is the execution side of [`sparsenn_partition`]: given a
-/// [`PartitionPlan`] that tiles each layer's output rows across chips,
-/// it runs every tile on an unmodified cycle-accurate [`Machine`],
-/// broadcasts the (sparse) input activations to all chips and gathers
-/// the per-chip output slices over a chip-level interconnect costed by
-/// [`InterChipConfig`]. This is how the serving stack holds networks
-/// bigger than one chip's 8 MB W memory.
+/// This is the execution side of [`sparsenn_partition`]: construction
+/// plans the network once ([`sparsenn_partition::plan`]) and cuts each
+/// layer's output rows into per-chip tiles. A run executes every tile on
+/// an unmodified cycle-accurate [`Machine`], broadcasts the (sparse)
+/// input activations to all chips and gathers the per-chip output
+/// slices over a chip-level interconnect costed by [`InterChipConfig`].
+/// This is how the serving stack holds networks bigger than one chip's
+/// 8 MB W memory. The machine is bound to the network it was planned
+/// for: a run with any other network returns
+/// [`SparseNnError::Partition`].
 ///
 /// **Determinism and bit-exactness.** Row arithmetic is row-local: a
 /// chip computing row `r` of a layer performs exactly the operand-level
@@ -157,10 +160,9 @@ pub struct PartitionedMachine {
     interchip: InterChipConfig,
     pipeline: PipelineMode,
     plan: PartitionPlan,
-    /// A handle to the network the tiles were cut from; `run` uses the
-    /// precomputed tiles only when the served network equals it — one
-    /// pointer compare for the shared network the backend was built
-    /// with, a structural compare for any other.
+    /// A handle to the network the tiles were cut from, the only one
+    /// `run` serves: one pointer compare for the shared network the
+    /// backend was built with, a structural compare for any other.
     planned: FixedNetwork,
     tiles: Vec<Vec<ChipTile>>,
     name: String,
@@ -177,7 +179,8 @@ impl std::fmt::Debug for PartitionedMachine {
 
 impl PartitionedMachine {
     /// Plans `net` over `chips` chips of configuration `chip` and builds
-    /// the backend.
+    /// the backend, which then serves `net` only (see
+    /// [`run`](InferenceBackend::run)).
     ///
     /// # Errors
     ///
@@ -210,56 +213,12 @@ impl PartitionedMachine {
         pipeline: PipelineMode,
     ) -> Result<Self, SparseNnError> {
         let plan = plan_network(net, &chip, chips)?;
-        Self::from_plan_pipelined(net, chip, plan, interchip, pipeline)
-    }
-
-    /// Builds the backend from an existing plan (e.g. one reloaded from
-    /// a plan file next to a checkpoint), on the serialized schedule.
-    /// The plan is re-validated against the chip configuration and
-    /// matched against the network.
-    ///
-    /// # Errors
-    ///
-    /// The plan's validation errors (see
-    /// [`PartitionPlan::validate`]), or [`SparseNnError::Partition`]
-    /// when the plan's layer shapes do not match `net`.
-    pub fn from_plan(
-        net: &FixedNetwork,
-        chip: MachineConfig,
-        plan: PartitionPlan,
-        interchip: InterChipConfig,
-    ) -> Result<Self, SparseNnError> {
-        Self::from_plan_pipelined(net, chip, plan, interchip, PipelineMode::Serialized)
-    }
-
-    /// [`from_plan`](Self::from_plan) with an explicit execution
-    /// schedule.
-    ///
-    /// # Errors
-    ///
-    /// As for [`from_plan`](Self::from_plan).
-    pub fn from_plan_pipelined(
-        net: &FixedNetwork,
-        chip: MachineConfig,
-        plan: PartitionPlan,
-        interchip: InterChipConfig,
-        pipeline: PipelineMode,
-    ) -> Result<Self, SparseNnError> {
-        plan.validate(&chip)?;
-        if !plan.matches(net) {
-            return Err(SparseNnError::Partition {
-                message: "partition plan layer shapes do not match the network".into(),
-            });
-        }
         let tiles = cut_tiles(net, &plan);
         let name = match pipeline {
-            PipelineMode::Serialized => {
-                format!("partitioned({} chips x cycle-accurate)", plan.chips())
+            PipelineMode::Serialized => format!("partitioned({chips} chips x cycle-accurate)"),
+            PipelineMode::Wavefront => {
+                format!("partitioned({chips} chips x cycle-accurate, wavefront)")
             }
-            PipelineMode::Wavefront => format!(
-                "partitioned({} chips x cycle-accurate, wavefront)",
-                plan.chips()
-            ),
         };
         Ok(Self {
             chip: Machine::new(chip),
@@ -319,19 +278,26 @@ impl PartitionedMachine {
         self.run_inner(net, input, mode, Some(&ctx))
     }
 
-    /// Runs the layers of `net` over `tiles`, folding per-chip runs into
-    /// per-layer records (summed events; latency per the configured
-    /// [`PipelineMode`]). Arithmetic is identical in both modes — the
-    /// schedule only decides how the per-chip runs and their transfers
-    /// are placed on the virtual clock.
-    fn run_tiled(
+    /// The shared body of [`run`](InferenceBackend::run) and
+    /// [`run_traced`](Self::run_traced): runs the planned network's
+    /// tiles, folding per-chip runs into per-layer records (summed
+    /// events; latency per the configured [`PipelineMode`]). Arithmetic
+    /// is identical in both modes — the schedule only decides how the
+    /// per-chip runs and their transfers are placed on the virtual
+    /// clock.
+    fn run_inner(
         &self,
         net: &FixedNetwork,
-        tiles: &[Vec<ChipTile>],
         input: &[Q6_10],
         mode: UvMode,
         trace: Option<&TraceCtx<'_>>,
-    ) -> Result<Vec<LayerRecord>, SparseNnError> {
+    ) -> Result<RunRecord, SparseNnError> {
+        if *net != self.planned {
+            return Err(SparseNnError::Partition {
+                message: "the machine serves only the network it was planned for".into(),
+            });
+        }
+        validate_shapes(net, input)?;
         let chips = self.plan.chips();
         let cfg = self.chip.config();
         let icc = &self.interchip;
@@ -349,7 +315,7 @@ impl PartitionedMachine {
         let mut chip_free_us = vec![0.0f64; chips];
         let mut input_ready_us = 0.0f64;
         let mut prev_end_us = 0.0f64;
-        for (l, layer_tiles) in tiles.iter().enumerate() {
+        for (l, layer_tiles) in self.tiles.iter().enumerate() {
             let is_hidden = l + 1 < net.num_layers();
             let rows = net.layers()[l].rows();
             let nnz_in = acts.iter().filter(|v| !v.is_zero()).count();
@@ -555,7 +521,7 @@ impl PartitionedMachine {
             });
             acts = output;
         }
-        Ok(layers)
+        Ok(RunRecord { layers })
     }
 }
 
@@ -618,6 +584,8 @@ impl InferenceBackend for PartitionedMachine {
         Some(self.chip.config())
     }
 
+    /// Runs `net`, which must equal the network this machine was
+    /// planned for; any other network is a [`SparseNnError::Partition`].
     fn run(
         &self,
         net: &FixedNetwork,
@@ -625,38 +593,6 @@ impl InferenceBackend for PartitionedMachine {
         mode: UvMode,
     ) -> Result<RunRecord, SparseNnError> {
         self.run_inner(net, input, mode, None)
-    }
-}
-
-impl PartitionedMachine {
-    /// The shared body of [`run`](InferenceBackend::run) and
-    /// [`run_traced`](Self::run_traced) — tile resolution (the planned
-    /// cut, or a fresh one for another same-shape network) plus the tiled
-    /// executor.
-    fn run_inner(
-        &self,
-        net: &FixedNetwork,
-        input: &[Q6_10],
-        mode: UvMode,
-        trace: Option<&TraceCtx<'_>>,
-    ) -> Result<RunRecord, SparseNnError> {
-        validate_shapes(net, input)?;
-        let layers = if *net == self.planned {
-            self.run_tiled(net, &self.tiles, input, mode, trace)?
-        } else {
-            // A different network than the one planned for: the plan
-            // still applies if the shapes agree (capacity depends only
-            // on shape), so cut tiles from the network actually being
-            // served — never silently compute with stale weights.
-            if !self.plan.matches(net) {
-                return Err(SparseNnError::Partition {
-                    message: "served network does not match the partition plan's layer shapes"
-                        .into(),
-                });
-            }
-            self.run_tiled(net, &cut_tiles(net, &self.plan), input, mode, trace)?
-        };
-        Ok(RunRecord { layers })
     }
 }
 
@@ -755,35 +691,38 @@ mod tests {
     }
 
     #[test]
-    fn serving_a_different_same_shape_network_uses_its_weights() {
-        let (net_a, x) = net_and_input(&[24, 48, 10], 3, 1);
-        let (net_b, _) = net_and_input(&[24, 48, 10], 3, 2);
+    fn serves_only_the_network_it_was_planned_for() {
+        let (net, x) = net_and_input(&[24, 48, 10], 3, 1);
         let cfg = MachineConfig::default();
-        let pm = PartitionedMachine::new(&net_a, cfg, 2, InterChipConfig::default()).unwrap();
+        let pm = PartitionedMachine::new(&net, cfg, 2, InterChipConfig::default()).unwrap();
+        // Same shape, other weights: refused, never re-cut.
+        let (other_seed, _) = net_and_input(&[24, 48, 10], 3, 2);
+        // Other shape: refused too.
+        let (other_shape, _) = net_and_input(&[24, 32, 10], 3, 3);
+        for other in [&other_seed, &other_shape] {
+            for mode in [UvMode::Off, UvMode::On] {
+                assert!(matches!(
+                    pm.run(other, &x, mode),
+                    Err(SparseNnError::Partition { .. })
+                ));
+            }
+        }
+        // A clone shares the planned network; an equal rebuild is a
+        // separate allocation with the same weights. Both serve the
+        // single machine's bits.
+        let (rebuilt, _) = net_and_input(&[24, 48, 10], 3, 1);
         let single = CycleAccurateBackend::with_config(cfg);
-        let got = pm.run(&net_b, &x, UvMode::Off).unwrap();
-        let want = single.run(&net_b, &x, UvMode::Off).unwrap();
-        assert_eq!(got.output(), want.output(), "must serve the passed network");
-        // Repeat runs re-cut the same weights and stay correct, as does
-        // switching back to the planned network and out again.
-        assert_eq!(
-            pm.run(&net_b, &x, UvMode::Off).unwrap().output(),
-            want.output()
-        );
-        assert_eq!(
-            pm.run(&net_a, &x, UvMode::Off).unwrap().output(),
-            single.run(&net_a, &x, UvMode::Off).unwrap().output()
-        );
-        assert_eq!(
-            pm.run(&net_b, &x, UvMode::Off).unwrap().output(),
-            want.output()
-        );
-        // A different *shape* is rejected, not mis-served.
-        let (net_c, _) = net_and_input(&[24, 32, 10], 3, 3);
-        assert!(matches!(
-            pm.run(&net_c, &x, UvMode::Off),
-            Err(SparseNnError::Partition { .. })
-        ));
+        for served in [net.clone(), rebuilt] {
+            for mode in [UvMode::Off, UvMode::On] {
+                let got = pm.run(&served, &x, mode).unwrap();
+                let want = single.run(&net, &x, mode).unwrap();
+                assert_eq!(got.layers.len(), want.layers.len());
+                for (g, w) in got.layers.iter().zip(&want.layers) {
+                    assert_eq!(g.output, w.output, "{mode:?}");
+                    assert_eq!(g.mask, w.mask, "{mode:?}");
+                }
+            }
+        }
     }
 
     #[test]

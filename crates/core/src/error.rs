@@ -74,8 +74,9 @@ pub enum SparseNnError {
     /// Model-parallel partitioning failed for a reason other than
     /// capacity (capacity overflows surface as
     /// [`WMemoryOverflow`](Self::WMemoryOverflow)): no chips, an invalid
-    /// or mismatched [`PartitionPlan`](sparsenn_partition::PartitionPlan),
-    /// or a malformed plan file.
+    /// [`PartitionPlan`](sparsenn_partition::PartitionPlan), or a
+    /// [`PartitionedMachine`](crate::engine::PartitionedMachine) asked to
+    /// serve a network other than the one it was planned for.
     Partition {
         /// Human-readable description of the failure.
         message: String,

@@ -376,102 +376,6 @@ impl TrainedSystem {
         Ok(self.session_with(Box::new(backend)))
     }
 
-    /// Measures, on the first `samples` test images (clamped to the
-    /// test-set size), the fraction of samples each output row is
-    /// actually computed under `uv_on` — per layer, the predictor mask's
-    /// per-row set frequency on the golden model (rows of unpredicted
-    /// layers, e.g. the classifier, are always computed: activity 1.0).
-    /// With `samples == 0` every activity is 1.0 (no calibration
-    /// evidence — uniform).
-    ///
-    /// This is the calibration input of
-    /// [`sparsenn_partition::plan_with_row_costs`]: balancing *expected*
-    /// row activity instead of static structure evens out per-chip
-    /// W-phase time under uv_on's skewed masks.
-    pub fn row_activity(&self, samples: usize) -> Vec<Vec<f64>> {
-        let n = samples.min(self.split.test.len());
-        let mut counts: Vec<Vec<u64>> = self
-            .fixed
-            .layers()
-            .iter()
-            .map(|w| vec![0u64; w.rows()])
-            .collect();
-        for i in 0..n {
-            let x = self.fixed.quantize_input(self.split.test.image(i));
-            for (layer, gold) in self.fixed.forward(&x, UvMode::On).iter().enumerate() {
-                if let Some(mask) = &gold.mask {
-                    for (c, &bit) in counts[layer].iter_mut().zip(mask) {
-                        *c += u64::from(bit);
-                    }
-                }
-            }
-        }
-        self.fixed
-            .layers()
-            .iter()
-            .enumerate()
-            .map(|(l, w)| {
-                let predicted = n > 0 && l < self.fixed.predictors().len();
-                (0..w.rows())
-                    .map(|r| {
-                        if predicted {
-                            counts[l][r] as f64 / n as f64
-                        } else {
-                            1.0
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Plans an **activity-balanced** model-parallel partition: like
-    /// [`partition_plan`](Self::partition_plan), but rows are spread by
-    /// their expected uv_on activity measured on a calibration batch of
-    /// `calibration_samples` test images
-    /// ([`row_activity`](Self::row_activity)), so the per-chip expected
-    /// W-phase work — not just static weight structure — is balanced.
-    /// Execute it with
-    /// [`PartitionedMachine::from_plan_pipelined`](crate::engine::PartitionedMachine::from_plan_pipelined).
-    ///
-    /// # Errors
-    ///
-    /// As for [`partition_plan`](Self::partition_plan).
-    pub fn partition_plan_balanced(
-        &self,
-        chips: usize,
-        calibration_samples: usize,
-    ) -> Result<sparsenn_partition::PartitionPlan, SparseNnError> {
-        let activity = self.row_activity(calibration_samples);
-        Ok(sparsenn_partition::plan_with_row_costs(
-            &self.fixed,
-            self.machine.config(),
-            chips,
-            &activity,
-        )?)
-    }
-
-    /// Plans the model-parallel partition this system's network needs on
-    /// `chips` copies of its machine — the
-    /// [`PartitionPlan`](sparsenn_partition::PartitionPlan) that
-    /// [`partitioned_session`](Self::partitioned_session) executes. Save
-    /// it (`PartitionPlan::save`) next to the system checkpoint so a
-    /// reload can rebuild the identical multi-chip deployment.
-    ///
-    /// # Errors
-    ///
-    /// As for [`partitioned_session`](Self::partitioned_session).
-    pub fn partition_plan(
-        &self,
-        chips: usize,
-    ) -> Result<sparsenn_partition::PartitionPlan, SparseNnError> {
-        Ok(sparsenn_partition::plan(
-            &self.fixed,
-            self.machine.config(),
-            chips,
-        )?)
-    }
-
     /// Simulates test sample `i` through the cycle-accurate accelerator,
     /// returning the full machine-level run (per-PE work distribution
     /// included). For backend-agnostic records use
@@ -841,48 +745,6 @@ mod tests {
         }
         // Round trip still works for the untouched text.
         assert!(TrainedSystem::from_checkpoint_str(&good).is_ok());
-    }
-
-    #[test]
-    fn row_activity_reflects_the_predictor_masks() {
-        let sys = tiny(TrainingAlgorithm::EndToEnd);
-        let activity = sys.row_activity(8);
-        assert_eq!(activity.len(), 2);
-        assert_eq!(activity[0].len(), 24);
-        assert!(activity[0].iter().all(|&a| (0.0..=1.0).contains(&a)));
-        // A trained predictor gates *some* rows off on some samples.
-        assert!(activity[0].iter().any(|&a| a < 1.0));
-        // The classifier has no predictor: always computed.
-        assert!(activity[1].iter().all(|&a| a == 1.0));
-        // No calibration evidence → uniform.
-        assert!(sys.row_activity(0).iter().flatten().all(|&a| a == 1.0));
-    }
-
-    #[test]
-    fn balanced_plan_validates_and_serves_identically() {
-        let sys = tiny(TrainingAlgorithm::EndToEnd);
-        let chip = *sys.machine().config();
-        let plan = sys.partition_plan_balanced(2, 8).expect("plannable");
-        plan.validate(&chip).expect("valid");
-        assert!(plan.matches(sys.fixed()));
-        // Placement never changes arithmetic: the balanced plan's
-        // outputs match the uniform plan's bit for bit.
-        let balanced = crate::engine::PartitionedMachine::from_plan(
-            sys.fixed(),
-            chip,
-            plan,
-            Default::default(),
-        )
-        .unwrap();
-        let x = sys.fixed().quantize_input(sys.split().test.image(0));
-        let a =
-            crate::engine::InferenceBackend::run(&balanced, sys.fixed(), &x, UvMode::On).unwrap();
-        let b = sys
-            .partitioned_session(2)
-            .unwrap()
-            .run_sample(0, UvMode::On)
-            .unwrap();
-        assert_eq!(a.output(), b.output());
     }
 
     #[test]

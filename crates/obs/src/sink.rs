@@ -4,13 +4,12 @@
 //! construction behind [`TraceSink::enabled`], so the disabled path is
 //! one virtual call returning a constant `false` — no span is built,
 //! nothing is allocated. Hot loops record through a [`SpanBuffer`],
-//! which stages spans in a plain `Vec` and hands the sink whole owned
-//! chunks ([`TraceSink::record_chunk`]) — one lock and zero per-span
-//! copies per ~256 spans. The obs bench enforces both paths as
-//! overhead oracles (≤ 1% disabled, ≤ 10% recording).
+//! which stages spans in a plain `Vec` it reuses and hands the sink
+//! whole runs ([`TraceSink::record_many`]) — one sink call, so one lock
+//! for a locking sink, per ~256 spans. The obs bench enforces both
+//! paths as overhead oracles (≤ 1% disabled, ≤ 10% recording).
 
 use std::collections::VecDeque;
-use std::mem;
 use std::sync::Mutex;
 
 use crate::registry::MetricsRegistry;
@@ -21,9 +20,10 @@ const SPAN_BUFFER_CHUNK: usize = 256;
 
 /// Receives spans from instrumented code.
 ///
-/// `record` takes `&self` because emitters (the fleet, the partitioned
-/// machine) run under shared references from worker threads; sinks that
-/// buffer must manage their own interior mutability.
+/// `record` takes `&self` because emitters (session workers, the
+/// partitioned machine) run under shared references, possibly from
+/// several threads; sinks that buffer must manage their own interior
+/// mutability.
 pub trait TraceSink: Sync {
     /// Whether spans should be built at all. Emitters check this before
     /// constructing a [`Span`], so a disabled sink costs one virtual
@@ -41,14 +41,6 @@ pub trait TraceSink: Sync {
         for span in spans {
             self.record(*span);
         }
-    }
-
-    /// Accepts an owned chunk of spans in order — equivalent to
-    /// recording each in sequence, but the sink may keep the `Vec`
-    /// itself, so a [`SpanBuffer`] flush moves a pointer instead of
-    /// copying every span.
-    fn record_chunk(&self, spans: Vec<Span>) {
-        self.record_many(&spans);
     }
 }
 
@@ -68,12 +60,12 @@ impl TraceSink for NullSink {
 /// An emitter-side staging buffer for recording hot loops.
 ///
 /// Spans accumulate in a plain `Vec` — no lock, no virtual call — and
-/// move to the sink a whole chunk at a time via
-/// [`TraceSink::record_chunk`], an owned-`Vec` handoff. A loop
-/// recording through one of these pays one sink interaction per ~256
-/// spans and never copies a span twice. The sink's `enabled` flag is
-/// cached at construction (sinks do not toggle mid-run), so the
-/// disabled check is a plain bool load.
+/// go to the sink a whole chunk at a time via
+/// [`TraceSink::record_many`]. A loop recording through one of these
+/// pays one sink interaction per ~256 spans, and the `Vec` keeps its
+/// capacity across flushes, so a buffer allocates once, at its first
+/// span. The sink's `enabled` flag is cached at construction (sinks do
+/// not toggle mid-run), so the disabled check is a plain bool load.
 ///
 /// Flushes on drop; call [`flush`](Self::flush) earlier if the sink
 /// must be complete at a known point (e.g. before exporting).
@@ -116,10 +108,12 @@ impl<'a> SpanBuffer<'a> {
         }
     }
 
-    /// Moves any staged spans to the sink now.
+    /// Hands any staged spans to the sink now, keeping the buffer's
+    /// capacity for the next chunk.
     pub fn flush(&mut self) {
         if !self.buf.is_empty() {
-            self.sink.record_chunk(mem::take(&mut self.buf));
+            self.sink.record_many(&self.buf);
+            self.buf.clear();
         }
     }
 }
@@ -264,10 +258,6 @@ impl TraceSink for RingRecorder {
             ring.spans.extend(spans.iter().copied());
         }
     }
-
-    fn record_chunk(&self, spans: Vec<Span>) {
-        self.record_many(&spans);
-    }
 }
 
 /// Fans one span stream out to two sinks — e.g. a [`RingRecorder`] for
@@ -309,15 +299,6 @@ impl TraceSink for Tee<'_> {
         }
         if self.second.enabled() {
             self.second.record_many(spans);
-        }
-    }
-
-    fn record_chunk(&self, spans: Vec<Span>) {
-        if self.first.enabled() {
-            self.first.record_many(&spans);
-        }
-        if self.second.enabled() {
-            self.second.record_chunk(spans);
         }
     }
 }
@@ -391,10 +372,10 @@ mod tests {
     fn chunks_and_singles_interleave_in_order() {
         let rec = RingRecorder::new(100);
         rec.record(span(0));
-        rec.record_chunk(vec![span(1), span(2)]);
+        rec.record_many(&[span(1), span(2)]);
         rec.record(span(3));
-        rec.record_chunk(vec![span(4)]);
-        rec.record_chunk(Vec::new()); // ignored
+        rec.record_many(&[span(4)]);
+        rec.record_many(&[]); // ignored
         let got: Vec<u64> = rec.spans().iter().map(|s| s.trace_id).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
         assert_eq!(rec.len(), 5);
@@ -404,8 +385,8 @@ mod tests {
     #[test]
     fn chunk_eviction_matches_per_span_semantics() {
         let rec = RingRecorder::new(4);
-        rec.record_chunk(vec![span(0), span(1), span(2)]);
-        rec.record_chunk(vec![span(3), span(4)]);
+        rec.record_many(&[span(0), span(1), span(2)]);
+        rec.record_many(&[span(3), span(4)]);
         // 5 > 4: exactly the oldest span goes, same as singles would.
         let got: Vec<u64> = rec.spans().iter().map(|s| s.trace_id).collect();
         assert_eq!(got, vec![1, 2, 3, 4]);
@@ -416,7 +397,7 @@ mod tests {
     #[test]
     fn oversized_single_chunk_keeps_the_newest_spans() {
         let rec = RingRecorder::new(3);
-        rec.record_chunk((0..8).map(span).collect());
+        rec.record_many(&(0..8).map(span).collect::<Vec<_>>());
         let got: Vec<u64> = rec.spans().iter().map(|s| s.trace_id).collect();
         assert_eq!(got, vec![5, 6, 7], "newest `capacity` spans survive");
         assert_eq!(rec.dropped(), 5);
@@ -440,10 +421,27 @@ mod tests {
         assert_eq!(got, want, "order survives chunking");
     }
 
+    /// A flush hands the sink its spans but keeps the staging `Vec`'s
+    /// allocation: the next chunk reuses it.
+    #[test]
+    fn span_buffer_keeps_its_capacity_across_a_flush() {
+        let rec = RingRecorder::new(1 << 12);
+        let mut buf = SpanBuffer::new(&rec);
+        for i in 0..SPAN_BUFFER_CHUNK as u64 {
+            buf.record(span(i));
+        }
+        assert_eq!(rec.len(), SPAN_BUFFER_CHUNK, "a full chunk flushed");
+        assert!(buf.buf.capacity() >= SPAN_BUFFER_CHUNK);
+        buf.record(span(9));
+        buf.flush();
+        assert!(buf.buf.capacity() >= SPAN_BUFFER_CHUNK);
+        assert_eq!(rec.len(), SPAN_BUFFER_CHUNK + 1);
+    }
+
     #[test]
     fn clear_resets_spans_and_drop_counter() {
         let rec = RingRecorder::new(2);
-        rec.record_chunk(vec![span(0), span(1), span(2)]);
+        rec.record_many(&[span(0), span(1), span(2)]);
         assert!(rec.dropped() > 0);
         rec.clear();
         assert!(rec.is_empty());
@@ -455,7 +453,7 @@ mod tests {
     #[test]
     fn capacity_and_drop_counter_export_as_gauges() {
         let rec = RingRecorder::new(2);
-        rec.record_chunk(vec![span(0), span(1), span(2)]);
+        rec.record_many(&[span(0), span(1), span(2)]);
         assert_eq!(rec.capacity(), 2);
         let mut reg = MetricsRegistry::new();
         rec.export_metrics(&mut reg);
@@ -471,10 +469,9 @@ mod tests {
         assert!(tee.enabled());
         tee.record(span(0));
         tee.record_many(&[span(1), span(2)]);
-        tee.record_chunk(vec![span(3)]);
         for rec in [&a, &b] {
             let got: Vec<u64> = rec.spans().iter().map(|s| s.trace_id).collect();
-            assert_eq!(got, vec![0, 1, 2, 3]);
+            assert_eq!(got, vec![0, 1, 2]);
         }
     }
 

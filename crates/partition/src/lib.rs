@@ -16,16 +16,18 @@
 //!
 //! * [`plan`] / [`PartitionPlan`] — the planner: a greedy,
 //!   nnz-weight-balanced assignment of rows to chips under each chip's
-//!   W-memory capacity, validated (tiles disjoint, exhaustive, each
-//!   fits) and serializable in a diff-able text format so a plan can be
-//!   stored alongside a `TrainedSystem` checkpoint;
+//!   W-memory capacity (tiles disjoint, exhaustive, each fits — the
+//!   invariants [`PartitionPlan::validate`] checks). The plan is a pure
+//!   function of the network, the chip configuration and the chip
+//!   count, so it is recomputed from a reloaded checkpoint, never stored;
 //! * [`InterChipConfig`] — the communication cost model: the same
 //!   radix-R tree/flit vocabulary as the PE-level H-tree of
 //!   `sparsenn-noc` ([`sparsenn_noc::tree_levels`]), lifted one level up
 //!   to chip-to-chip links with their own (slower) hop latency and link
 //!   clock;
 //! * the execution model lives in `sparsenn-core`
-//!   (`engine::PartitionedMachine`), which runs each tile on the
+//!   (`engine::PartitionedMachine`), which plans one network at
+//!   construction, serves only that network, runs each tile on the
 //!   cycle-accurate `Machine` and stamps records with
 //!   `max(chip tiles) + gather` critical paths.
 //!
@@ -58,9 +60,7 @@ mod plan;
 mod schedule;
 
 pub use interchip::InterChipConfig;
-pub use plan::{
-    plan, plan_with_row_costs, LayerPlan, PartitionError, PartitionPlan, MAX_PLAN_ROWS,
-};
+pub use plan::{plan, LayerPlan, PartitionError, PartitionPlan};
 pub use schedule::{PipelineMode, SliceTransfer};
 
 // Re-exported so downstream code can name the capacity type the planner

@@ -1,8 +1,7 @@
-//! The partition planner and its validated, serializable plan.
+//! The partition planner and the plan it computes.
 
 use sparsenn_model::fixedpoint::FixedNetwork;
 use sparsenn_sim::MachineConfig;
-use std::fmt::Write as _;
 
 /// Why a network could not be partitioned, or why a plan is invalid.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,11 +55,6 @@ pub enum PartitionError {
         /// What is wrong with the plan.
         message: String,
     },
-    /// Plan (de)serialization failed: I/O error or malformed text.
-    Format {
-        /// Human-readable description of the failure.
-        message: String,
-    },
 }
 
 impl std::fmt::Display for PartitionError {
@@ -94,9 +88,6 @@ impl std::fmt::Display for PartitionError {
                  words per PE against a capacity of {capacity}"
             ),
             PartitionError::Invalid { message } => write!(f, "invalid partition plan: {message}"),
-            PartitionError::Format { message } => {
-                write!(f, "partition plan format: {message}")
-            }
         }
     }
 }
@@ -122,21 +113,15 @@ impl LayerPlan {
     }
 }
 
-/// Most rows a plan file may give one layer, and most row indices it may
-/// list over all its tiles: a thousand times the 4 K rows one Table II
-/// chip holds per layer. The parser stops at the bound, so a short file
-/// cannot expand into an unbounded allocation.
-pub const MAX_PLAN_ROWS: usize = 1 << 22;
-
-/// A validated row-tiling of every layer of a network across `chips`
+/// A row-tiling of every layer of a network across `chips`
 /// identically-configured chips.
 ///
-/// Produced by [`plan`]; structural invariants ([`validate`](Self::validate))
-/// are: per layer, the tiles are **disjoint**, **exhaustive** (their
-/// union is exactly `0..rows`) and **each fits its chip's W memory and
-/// register files**. The text serialization
-/// ([`to_plan_string`](Self::to_plan_string)) round-trips bit-identically
-/// and is meant to be stored alongside a `TrainedSystem` checkpoint.
+/// Produced by [`plan`], whose output is a pure function of the
+/// network, the chip configuration and the chip count: a plan is
+/// recomputed wherever it is needed, never stored. Its structural
+/// invariants ([`validate`](Self::validate)) are: per layer, the tiles
+/// are **disjoint**, **exhaustive** (their union is exactly `0..rows`)
+/// and **each fits its chip's W memory and register files**.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartitionPlan {
     chips: usize,
@@ -151,11 +136,7 @@ pub struct PartitionPlan {
 /// nonzero quantized weights (+1, so all-zero rows still spread by
 /// count). This balances the *static* work each chip does in the W
 /// phase, while the capacity check guarantees each tile fits
-/// [`MachineConfig::w_capacity_words_per_pe`]. `plan` is exactly
-/// [`plan_with_row_costs`] with a uniform cost of 1.0 per row — use
-/// that variant when per-row expected activity (e.g. predictor mask
-/// frequencies from a calibration batch) is available, so uv_on's
-/// skewed row activity stops making the slowest chip the critical path.
+/// [`MachineConfig::w_capacity_words_per_pe`].
 ///
 /// A plan over one chip admits exactly the networks the single
 /// `Machine` admits — same register-file and W-memory checks.
@@ -175,78 +156,6 @@ pub fn plan(
     chip: &MachineConfig,
     chips: usize,
 ) -> Result<PartitionPlan, PartitionError> {
-    plan_impl(net, chip, chips, None)
-}
-
-/// Plans a row tiling of `net` balancing *expected* per-row activity
-/// instead of static structure alone.
-///
-/// `row_costs` holds, per layer, one weight per output row — the
-/// expected fraction of samples the row is actually computed (a
-/// predictor mask frequency measured on a calibration batch; values are
-/// clamped to `[0, 1]`). A row's greedy weight becomes
-/// `activity × (1 + nnz)`, so a row the predictor almost always
-/// bypasses contributes almost nothing to its chip's expected W-phase
-/// load — this is what evens out per-chip compute time under `uv_on`,
-/// where random mask skew otherwise makes the most-active chip the
-/// critical path of every layer. Capacity checks are unchanged: costs
-/// steer *placement*, never feasibility.
-///
-/// With every cost 1.0 the plan is bit-identical to [`plan`]'s (the
-/// uniform-cost wrapper).
-///
-/// # Errors
-///
-/// As for [`plan`], plus [`PartitionError::Invalid`] when `row_costs`
-/// does not have exactly one finite, non-negative entry per row per
-/// layer.
-pub fn plan_with_row_costs(
-    net: &FixedNetwork,
-    chip: &MachineConfig,
-    chips: usize,
-    row_costs: &[Vec<f64>],
-) -> Result<PartitionPlan, PartitionError> {
-    if row_costs.len() != net.num_layers() {
-        return Err(PartitionError::Invalid {
-            message: format!(
-                "row-cost table has {} layers for a {}-layer network",
-                row_costs.len(),
-                net.num_layers()
-            ),
-        });
-    }
-    for (l, (costs, w)) in row_costs.iter().zip(net.layers()).enumerate() {
-        if costs.len() != w.rows() {
-            return Err(PartitionError::Invalid {
-                message: format!(
-                    "row-cost table layer {l} has {} entries for {} rows",
-                    costs.len(),
-                    w.rows()
-                ),
-            });
-        }
-        if let Some(bad) = costs.iter().find(|c| !c.is_finite() || **c < 0.0) {
-            return Err(PartitionError::Invalid {
-                message: format!(
-                    "row-cost table layer {l} has a non-finite or negative cost {bad}"
-                ),
-            });
-        }
-    }
-    plan_impl(net, chip, chips, Some(row_costs))
-}
-
-/// Fixed-point scale for greedy row weights: activity is resolved to
-/// ~1/1024 before integer load balancing, keeping the assignment fully
-/// deterministic across platforms (no float accumulation).
-const COST_SCALE: f64 = 1024.0;
-
-fn plan_impl(
-    net: &FixedNetwork,
-    chip: &MachineConfig,
-    chips: usize,
-    row_costs: Option<&[Vec<f64>]>,
-) -> Result<PartitionPlan, PartitionError> {
     if chips == 0 {
         return Err(PartitionError::NoChips);
     }
@@ -265,7 +174,7 @@ fn plan_impl(
                 max: max_act,
             });
         }
-        let layer = LayerPlan {
+        let mut layer = LayerPlan {
             rows,
             cols,
             tiles: vec![Vec::new(); chips],
@@ -275,7 +184,6 @@ fn plan_impl(
         // files when even an unlimited W memory could not take the
         // rows, else W capacity with the even split's requirement (for
         // one chip exactly the machine's own W-overflow check).
-        let words_per_row_group = |t: usize| layer.tile_words(chip, t);
         // ceil(t / n_pes) × cols ≤ capacity  ⇔  t ≤ (capacity/cols) × n_pes
         // (a zero-column layer needs no W memory at all).
         let t_cap = capacity.checked_div(cols).map_or(rows, |groups| {
@@ -293,43 +201,32 @@ fn plan_impl(
             }
             return Err(PartitionError::ChipCapacity {
                 layer: l,
-                words: words_per_row_group(rows.div_ceil(chips)),
+                words: layer.tile_words(chip, rows.div_ceil(chips)),
                 capacity,
                 chips,
             });
         }
         // Heaviest rows first; ties keep ascending row order (stable).
-        // Uniform costs scale every weight by the same constant, so the
-        // greedy assignment (and thus `plan`) is unchanged by the
-        // fixed-point resolution.
         let weights: Vec<u64> = (0..rows)
-            .map(|r| {
-                let base = (1 + w.row(r).iter().filter(|v| !v.is_zero()).count() as u64) as f64;
-                let cost = match row_costs {
-                    None => base,
-                    Some(costs) => costs[l][r].clamp(0.0, 1.0) * base,
-                };
-                ((cost * COST_SCALE).round() as u64).max(1)
-            })
+            .map(|r| 1 + w.row(r).iter().filter(|v| !v.is_zero()).count() as u64)
             .collect();
         let mut order: Vec<usize> = (0..rows).collect();
         order.sort_by_key(|&r| std::cmp::Reverse(weights[r]));
-        let mut tiles = layer.tiles.clone();
         let mut loads = vec![0u64; chips];
         for r in order {
             // The least-loaded chip with room for one more row (always
             // exists: rows <= chips × t_max).
             let c = (0..chips)
-                .filter(|&c| tiles[c].len() < t_max)
+                .filter(|&c| layer.tiles[c].len() < t_max)
                 .min_by_key(|&c| (loads[c], c))
                 .expect("feasibility checked above");
-            tiles[c].push(r);
+            layer.tiles[c].push(r);
             loads[c] += weights[r];
         }
-        for tile in &mut tiles {
+        for tile in &mut layer.tiles {
             tile.sort_unstable();
         }
-        layers.push(LayerPlan { tiles, ..layer });
+        layers.push(layer);
     }
     Ok(PartitionPlan { chips, layers })
 }
@@ -343,18 +240,6 @@ impl PartitionPlan {
     /// Per-layer tilings, input side first.
     pub fn layers(&self) -> &[LayerPlan] {
         &self.layers
-    }
-
-    /// `true` when the plan's layer shapes match `net` (same layer
-    /// count, rows and cols) — the precondition for executing `net`
-    /// under this plan.
-    pub fn matches(&self, net: &FixedNetwork) -> bool {
-        self.layers.len() == net.num_layers()
-            && self
-                .layers
-                .iter()
-                .zip(net.layers())
-                .all(|(p, w)| p.rows == w.rows() && p.cols == w.cols())
     }
 
     /// Checks the structural invariants against a chip configuration:
@@ -427,156 +312,6 @@ impl PartitionPlan {
             }
         }
         Ok(())
-    }
-
-    /// Renders the plan in the workspace's line-oriented text style
-    /// (diff-able, dependency-free), with consecutive rows compressed to
-    /// `a-b` runs. [`from_plan_str`](Self::from_plan_str) round-trips it
-    /// bit-identically.
-    pub fn to_plan_string(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "sparsenn-partition v1");
-        let _ = writeln!(out, "chips {}", self.chips);
-        let _ = writeln!(out, "layers {}", self.layers.len());
-        for (l, layer) in self.layers.iter().enumerate() {
-            let _ = writeln!(out, "layer {l} rows {} cols {}", layer.rows, layer.cols);
-            for (c, tile) in layer.tiles.iter().enumerate() {
-                let _ = write!(out, "tile {c}");
-                let mut i = 0;
-                while i < tile.len() {
-                    let start = tile[i];
-                    let mut end = start;
-                    while i + 1 < tile.len() && tile[i + 1] == end + 1 {
-                        i += 1;
-                        end = tile[i];
-                    }
-                    if start == end {
-                        let _ = write!(out, " {start}");
-                    } else {
-                        let _ = write!(out, " {start}-{end}");
-                    }
-                    i += 1;
-                }
-                out.push('\n');
-            }
-        }
-        out
-    }
-
-    /// Parses text produced by [`to_plan_string`](Self::to_plan_string).
-    ///
-    /// # Errors
-    ///
-    /// [`PartitionError::Format`] describing the first malformed line,
-    /// including a row index outside its layer's `rows` and more rows
-    /// than [`MAX_PLAN_ROWS`].
-    pub fn from_plan_str(text: &str) -> Result<Self, PartitionError> {
-        let bad = |message: String| PartitionError::Format { message };
-        let mut lines = text.lines();
-        let mut next = |what: &str| -> Result<&str, PartitionError> {
-            lines
-                .next()
-                .ok_or_else(|| bad(format!("missing {what} line")))
-        };
-        let header = next("header")?;
-        if header.trim() != "sparsenn-partition v1" {
-            return Err(bad(format!(
-                "bad header `{header}` (expected `sparsenn-partition v1`)"
-            )));
-        }
-        let num = |t: &str| -> Result<usize, PartitionError> {
-            t.parse().map_err(|_| bad(format!("bad number `{t}`")))
-        };
-        let chips = num(next("chips")?
-            .strip_prefix("chips ")
-            .ok_or_else(|| bad("expected `chips N`".into()))?)?;
-        let n_layers = num(next("layers")?
-            .strip_prefix("layers ")
-            .ok_or_else(|| bad("expected `layers N`".into()))?)?;
-        // Counts read from the text size nothing up front: every layer and
-        // tile must be present as a line, so missing lines end the parse.
-        let mut layers = Vec::new();
-        let mut listed = 0usize;
-        for l in 0..n_layers {
-            let fields: Vec<&str> = next("layer")?.split_whitespace().collect();
-            let [kw, idx, rkw, rows, ckw, cols] = fields[..] else {
-                return Err(bad(format!("layer {l}: expected `layer L rows R cols C`")));
-            };
-            if kw != "layer" || rkw != "rows" || ckw != "cols" || num(idx)? != l {
-                return Err(bad(format!("layer {l}: malformed layer line")));
-            }
-            let (rows, cols) = (num(rows)?, num(cols)?);
-            if rows > MAX_PLAN_ROWS {
-                return Err(bad(format!(
-                    "layer {l}: {rows} rows exceed the {MAX_PLAN_ROWS}-row bound"
-                )));
-            }
-            let row = |t: &str| -> Result<usize, PartitionError> {
-                match num(t)? {
-                    r if r < rows => Ok(r),
-                    r => Err(bad(format!("layer {l}: row {r} out of range 0..{rows}"))),
-                }
-            };
-            let mut tiles = Vec::new();
-            for c in 0..chips {
-                let line = next("tile")?;
-                let mut toks = line.split_whitespace();
-                if toks.next() != Some("tile")
-                    || toks.next().and_then(|t| t.parse().ok()) != Some(c)
-                {
-                    return Err(bad(format!(
-                        "layer {l}: expected `tile {c} …`, got `{line}`"
-                    )));
-                }
-                let mut tile = Vec::new();
-                for tok in toks {
-                    let (a, b) = match tok.split_once('-') {
-                        Some((a, b)) => (row(a)?, row(b)?),
-                        None => {
-                            let r = row(tok)?;
-                            (r, r)
-                        }
-                    };
-                    if a > b {
-                        return Err(bad(format!("layer {l} tile {c}: bad run `{tok}`")));
-                    }
-                    listed += b - a + 1;
-                    if listed > MAX_PLAN_ROWS {
-                        return Err(bad(format!(
-                            "the plan lists more than {MAX_PLAN_ROWS} rows"
-                        )));
-                    }
-                    tile.extend(a..=b);
-                }
-                tiles.push(tile);
-            }
-            layers.push(LayerPlan { rows, cols, tiles });
-        }
-        Ok(PartitionPlan { chips, layers })
-    }
-
-    /// Saves the plan as a text file (store it next to the
-    /// `TrainedSystem` checkpoint it was planned for).
-    ///
-    /// # Errors
-    ///
-    /// [`PartitionError::Format`] wrapping the underlying I/O error.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), PartitionError> {
-        std::fs::write(path.as_ref(), self.to_plan_string()).map_err(|e| PartitionError::Format {
-            message: format!("writing {}: {e}", path.as_ref().display()),
-        })
-    }
-
-    /// Loads a plan saved by [`save`](Self::save).
-    ///
-    /// # Errors
-    ///
-    /// [`PartitionError::Format`] for I/O errors or malformed text.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, PartitionError> {
-        let text = std::fs::read_to_string(path.as_ref()).map_err(|e| PartitionError::Format {
-            message: format!("reading {}: {e}", path.as_ref().display()),
-        })?;
-        Self::from_plan_str(&text)
     }
 }
 
@@ -693,153 +428,26 @@ mod tests {
         );
     }
 
+    /// The greedy order, pinned on hand-built rows: heaviest row first
+    /// (ties in row order), each to the least-loaded chip with room
+    /// (ties to the lower chip index).
     #[test]
-    fn uniform_row_costs_reproduce_the_plain_plan() {
-        let chip = MachineConfig::default();
-        let net = fixed(&[784, 512, 10], 21);
-        let uniform: Vec<Vec<f64>> = net.layers().iter().map(|w| vec![1.0; w.rows()]).collect();
-        for chips in [1usize, 2, 4] {
-            assert_eq!(
-                plan_with_row_costs(&net, &chip, chips, &uniform).unwrap(),
-                plan(&net, &chip, chips).unwrap(),
-                "{chips} chips"
-            );
-        }
-    }
-
-    #[test]
-    fn skewed_activity_balances_expected_work_not_row_count() {
-        let chip = MachineConfig::default();
-        let net = fixed(&[64, 128, 10], 22);
-        // Rows 0..64 almost always computed, rows 64..128 almost never.
-        let activity: Vec<Vec<f64>> = net
-            .layers()
-            .iter()
-            .map(|w| {
-                (0..w.rows())
-                    .map(|r| if r < 64 { 1.0 } else { 0.01 })
-                    .collect()
-            })
-            .collect();
-        let p = plan_with_row_costs(&net, &chip, 2, &activity).unwrap();
-        p.validate(&chip).unwrap();
-        // Expected load per chip (sum of activity over its tile) must be
-        // near-even: each chip takes ~half the *hot* rows, instead of
-        // one chip inheriting all of them by static-nnz balance.
-        let hot_per_chip: Vec<usize> = p.layers()[0]
-            .tiles
-            .iter()
-            .map(|tile| tile.iter().filter(|&&r| r < 64).count())
-            .collect();
-        assert_eq!(hot_per_chip.iter().sum::<usize>(), 64);
-        assert!(
-            hot_per_chip.iter().all(|&h| (28..=36).contains(&h)),
-            "hot rows must split near-evenly: {hot_per_chip:?}"
-        );
-    }
-
-    #[test]
-    fn malformed_row_costs_are_rejected() {
-        let chip = MachineConfig::default();
-        let net = fixed(&[16, 32, 10], 23);
-        let good: Vec<Vec<f64>> = net.layers().iter().map(|w| vec![0.5; w.rows()]).collect();
-        assert!(plan_with_row_costs(&net, &chip, 2, &good).is_ok());
-        for bad in [
-            good[..1].to_vec(),                        // missing a layer
-            vec![vec![0.5; 31], good[1].clone()],      // short row
-            vec![vec![f64::NAN; 32], good[1].clone()], // non-finite
-            vec![
-                {
-                    let mut v = good[0].clone();
-                    v[0] = -1.0;
-                    v
-                },
-                good[1].clone(),
-            ],
-        ] {
-            assert!(matches!(
-                plan_with_row_costs(&net, &chip, 2, &bad),
-                Err(PartitionError::Invalid { .. })
-            ));
-        }
-    }
-
-    #[test]
-    fn plan_text_roundtrips_bit_identically() {
-        let chip = chip_with_words(4096);
-        let net = fixed(&[784, 512, 10], 6);
-        let p = plan(&net, &chip, 4).unwrap();
-        let text = p.to_plan_string();
-        let back = PartitionPlan::from_plan_str(&text).unwrap();
-        assert_eq!(p, back);
-        assert_eq!(text, back.to_plan_string());
-        assert!(back.matches(&net));
-    }
-
-    #[test]
-    fn malformed_plan_text_is_rejected() {
-        let chip = chip_with_words(4096);
-        let good = plan(&fixed(&[32, 64, 10], 7), &chip, 2)
-            .unwrap()
-            .to_plan_string();
-        for broken in [
-            String::from("not a plan"),
-            good.replace("sparsenn-partition v1", "sparsenn-partition v9"),
-            good.replace("chips 2", "chips x"),
-            good.replace("tile 0", "tile 9"),
-            good.lines().take(3).collect::<Vec<_>>().join("\n"),
-        ] {
-            assert!(
-                matches!(
-                    PartitionPlan::from_plan_str(&broken),
-                    Err(PartitionError::Format { .. })
-                ),
-                "should reject {broken:?}"
-            );
-        }
-        assert!(PartitionPlan::from_plan_str(&good).is_ok());
-    }
-
-    /// Counts and row indices read from the text never size an allocation
-    /// unchecked, and a row outside its layer is a format error.
-    #[test]
-    fn huge_counts_in_plan_text_are_errors_not_panics() {
-        const MAX: &str = "18446744073709551615";
-        let header = "sparsenn-partition v1\n";
-        for text in [
-            format!("{header}chips 1\nlayers {MAX}\n"),
-            format!("{header}chips {MAX}\nlayers 1\nlayer 0 rows 4 cols 4\n"),
-            format!("{header}chips 1\nlayers 1\nlayer 0 rows 4 cols 4\ntile 0 0-18446744073709551614\n"),
-            // More rows than the bound, with or without a run over them.
-            format!("{header}chips 1\nlayers 1\nlayer 0 rows {MAX} cols 4\ntile 0 0-18446744073709551613\n"),
-            format!("{header}chips 1\nlayers 1\nlayer 0 rows {MAX} cols 4\ntile 0\n"),
-            format!("{header}chips 1\nlayers 1\nlayer 0 rows 4 cols 4\ntile 0 0-3 4\n"),
-        ] {
-            assert!(
-                matches!(
-                    PartitionPlan::from_plan_str(&text),
-                    Err(PartitionError::Format { .. })
-                ),
-                "should reject {text:?}"
-            );
-        }
-    }
-
-    /// Runs that repeat rows cannot expand a short file past the bound,
-    /// while a plan at the bound still parses.
-    #[test]
-    fn listed_rows_are_bounded_over_the_whole_plan() {
-        let header = "sparsenn-partition v1\n";
-        let last = MAX_PLAN_ROWS - 1;
-        let at_bound = format!(
-            "{header}chips 1\nlayers 1\nlayer 0 rows {MAX_PLAN_ROWS} cols 4\ntile 0 0-{last}\n"
-        );
-        assert!(PartitionPlan::from_plan_str(&at_bound).is_ok());
-        let repeated = format!("{header}chips 2\nlayers 1\nlayer 0 rows {MAX_PLAN_ROWS} cols 4\ntile 0 0-{last}\ntile 1 0\n");
-        assert!(matches!(
-            PartitionPlan::from_plan_str(&repeated),
-            Err(PartitionError::Format { .. })
-        ));
+    fn rows_go_heaviest_first_to_the_least_loaded_chip() {
+        use sparsenn_linalg::Matrix;
+        use sparsenn_model::DenseLayer;
+        // Nonzeros per row: 3, 0, 2, 3, 1 → weights 4, 1, 3, 4, 2.
+        let w = Matrix::from_rows(&[
+            vec![0.5, 0.5, 0.5],
+            vec![0.0, 0.0, 0.0],
+            vec![0.5, 0.0, 0.5],
+            vec![0.5, 0.5, 0.5],
+            vec![0.0, 0.5, 0.0],
+        ]);
+        let net = FixedNetwork::from_mlp(&Mlp::new(vec![DenseLayer::new(w)]));
+        let p = plan(&net, &MachineConfig::default(), 2).unwrap();
+        // Order 0, 3, 2, 4, 1: 0 → chip 0 (4), 3 → chip 1 (4), 2 → chip 0
+        // (7), 4 → chip 1 (6), 1 → chip 1 (7).
+        assert_eq!(p.layers()[0].tiles, vec![vec![0, 2], vec![1, 3, 4]]);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Checkpoint robustness: every way a `TrainedSystem` checkpoint file
 //! can be damaged — truncation, corrupted magic, a version from another
 //! build — produces a *distinct* `SparseNnError::Checkpoint` message
-//! (never a panic), and a saved `PartitionPlan` reloads bit-identically
-//! next to its checkpoint.
+//! (never a panic), and a reloaded checkpoint re-plans to the partition
+//! its original system served, with no plan file.
 
 use sparsenn::datasets::DatasetKind;
-use sparsenn::partition::PartitionPlan;
+use sparsenn::engine::PartitionedMachine;
+use sparsenn::partition::{plan, InterChipConfig};
 use sparsenn::{SparseNnError, SystemBuilder, TrainedSystem, TrainingAlgorithm};
 
 fn tiny_system() -> TrainedSystem {
@@ -104,29 +105,24 @@ fn damaged_checkpoint_files_load_as_errors() {
     ));
 }
 
-/// A saved `PartitionPlan` reloads bit-identically alongside its
-/// checkpoint — the pair (checkpoint, plan) reproduces the deployment.
+/// The partition plan round-trips with its checkpoint without a file of
+/// its own: a reloaded system re-plans to exactly the tiling the
+/// original system's partitioned machine executes (same quantized
+/// weights → same nnz balance → same greedy assignment).
 #[test]
 fn partition_plan_roundtrips_alongside_the_checkpoint() {
     let sys = tiny_system();
-    let plan = sys.partition_plan(4).expect("plannable");
+    let chip = *sys.machine().config();
+    let served = PartitionedMachine::new(sys.fixed(), chip, 4, InterChipConfig::default())
+        .expect("plannable");
 
-    let ckpt_path = temp_path("system");
-    let plan_path = temp_path("plan");
-    sys.save(&ckpt_path).unwrap();
-    plan.save(&plan_path).unwrap();
+    let path = temp_path("system");
+    sys.save(&path).unwrap();
+    let back = TrainedSystem::load(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
 
-    let sys_back = TrainedSystem::load(&ckpt_path).unwrap();
-    let plan_back = PartitionPlan::load(&plan_path).unwrap();
-    let _ = std::fs::remove_file(&ckpt_path);
-    let _ = std::fs::remove_file(&plan_path);
-
-    assert_eq!(plan, plan_back, "plan text round-trips bit-identically");
-    assert!(plan_back.matches(sys_back.fixed()));
-    plan_back.validate(sys_back.machine().config()).unwrap();
-    // The reloaded pair re-plans to the identical partition (same
-    // quantized weights → same nnz balance → same greedy assignment).
-    assert_eq!(sys_back.partition_plan(4).unwrap(), plan_back);
+    let replanned = plan(back.fixed(), back.machine().config(), 4).unwrap();
+    assert_eq!(&replanned, served.plan());
 }
 
 /// The tiny system's checkpoint text, built once for the crafted-line

@@ -13,7 +13,7 @@
 use sparsenn::datasets::DatasetKind;
 use sparsenn::engine::{FastestCompletion, InferenceBackend, PartitionedMachine};
 use sparsenn::model::fixedpoint::UvMode;
-use sparsenn::partition::{InterChipConfig, PartitionPlan};
+use sparsenn::partition::{plan, InterChipConfig};
 use sparsenn::serve::{simulate, FirstIdle, LeastQueued, ShardSpec, Workload};
 use sparsenn::sim::MachineConfig;
 use sparsenn::{SparseNnError, SystemBuilder, TrainedSystem, TrainingAlgorithm};
@@ -204,35 +204,14 @@ fn partitioned_time_tables_drive_the_serving_simulator() {
     }
 }
 
-/// The plan itself: `TrainedSystem::partition_plan` matches what the
-/// partitioned session executes, validates, and round-trips through its
-/// file format bit-identically.
+/// The plan itself: a partitioned machine executes exactly what
+/// `partition::plan` computes for its network, and that plan validates.
 #[test]
-fn partition_plan_is_exposed_validated_and_persistable() {
+fn partition_plan_is_exposed_and_validated() {
     let sys = oversized_system();
     let chip = *sys.machine().config();
-    let plan = sys.partition_plan(2).expect("plannable");
-    plan.validate(&chip).expect("planner output validates");
-    assert!(plan.matches(sys.fixed()));
-
-    let path = std::env::temp_dir().join(format!(
-        "sparsenn-partition-plan-test-{}.txt",
-        std::process::id()
-    ));
-    plan.save(&path).expect("save");
-    let reloaded = PartitionPlan::load(&path).expect("load");
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(plan, reloaded, "plan file round-trips bit-identically");
-
-    // A reloaded plan rebuilds the same deployment.
-    let pm = PartitionedMachine::from_plan(sys.fixed(), chip, reloaded, InterChipConfig::default())
-        .expect("reloaded plan executes");
-    let x = sys.fixed().quantize_input(sys.split().test.image(1));
-    let a = pm.run(sys.fixed(), &x, UvMode::On).unwrap();
-    let b = sys
-        .partitioned_session(2)
-        .unwrap()
-        .run_sample(1, UvMode::On)
-        .unwrap();
-    assert_eq!(a.layers, b.layers);
+    let pm = PartitionedMachine::new(sys.fixed(), chip, 2, InterChipConfig::default())
+        .expect("plannable");
+    assert_eq!(pm.plan(), &plan(sys.fixed(), &chip, 2).unwrap());
+    pm.plan().validate(&chip).expect("planner output validates");
 }

@@ -1,48 +1,31 @@
-//! Property tests for the two loaders of outside text: system checkpoints
-//! (`TrainedSystem::from_checkpoint_str`) and partition plans
-//! (`PartitionPlan::from_plan_str`).
+//! Property tests for the loader of outside text: system checkpoints
+//! (`TrainedSystem::from_checkpoint_str`).
 //!
 //! The inputs are random bytes and damaged copies of a tiny system's own
-//! checkpoint and plan: truncated, byte-flipped and field-edited. Neither
-//! parser may panic. A checkpoint that loads must simulate its first test
-//! image to `Ok` or `Err`; a plan that parses must go through `validate`
-//! and `PartitionedMachine::from_plan` to `Ok` or `Err`. A panic anywhere
-//! fails the property.
+//! checkpoint: truncated, byte-flipped and field-edited. The parser may
+//! not panic, and a checkpoint that loads must simulate its first test
+//! image to `Ok` or `Err`. A panic anywhere fails the property.
 
 use proptest::prelude::*;
 use sparsenn::datasets::DatasetKind;
-use sparsenn::engine::PartitionedMachine;
 use sparsenn::model::fixedpoint::UvMode;
-use sparsenn::partition::PartitionPlan;
 use sparsenn::{SystemBuilder, TrainedSystem, TrainingAlgorithm};
 use std::sync::OnceLock;
 
-/// A 784-8-10 system on 4 training and 2 test images, with its checkpoint
-/// and its 2-chip plan as text.
-struct Fixture {
-    sys: TrainedSystem,
-    checkpoint: String,
-    plan: String,
-}
-
-fn fixture() -> &'static Fixture {
-    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let sys = SystemBuilder::new(DatasetKind::Basic)
+/// The checkpoint text of a 784-8-10 system on 4 training and 2 test
+/// images.
+fn checkpoint() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        SystemBuilder::new(DatasetKind::Basic)
             .dims(&[784, 8, 10])
             .rank(2)
             .algorithm(TrainingAlgorithm::Svd)
             .train_samples(4)
             .test_samples(2)
             .epochs(1)
-            .build();
-        let checkpoint = sys.to_checkpoint_string();
-        let plan = sys.partition_plan(2).unwrap().to_plan_string();
-        Fixture {
-            sys,
-            checkpoint,
-            plan,
-        }
+            .build()
+            .to_checkpoint_string()
     })
 }
 
@@ -51,22 +34,6 @@ fn load_checkpoint(text: &str) {
     if let Ok(sys) = TrainedSystem::from_checkpoint_str(text) {
         let _ = sys.simulate_sample(0, UvMode::On);
     }
-}
-
-/// Parses `text` as a plan and, if it parses, validates it against the
-/// fixture's chip and builds a partitioned machine from it.
-fn load_plan(text: &str) {
-    if let Ok(plan) = PartitionPlan::from_plan_str(text) {
-        let f = fixture();
-        let chip = *f.sys.machine().config();
-        let _ = plan.validate(&chip);
-        let _ = PartitionedMachine::from_plan(f.sys.fixed(), chip, plan, Default::default());
-    }
-}
-
-fn load_both(checkpoint: &str, plan: &str) {
-    load_checkpoint(checkpoint);
-    load_plan(plan);
 }
 
 /// A replacement token: most often a small count, else the extremes of
@@ -132,38 +99,31 @@ fn truncate(text: &str, pos: u64) -> &str {
 
 #[test]
 fn undamaged_texts_load_and_run() {
-    let f = fixture();
-    let sys = TrainedSystem::from_checkpoint_str(&f.checkpoint).unwrap();
+    let sys = TrainedSystem::from_checkpoint_str(checkpoint()).unwrap();
     assert!(sys.simulate_sample(0, UvMode::On).is_ok());
-    let plan = PartitionPlan::from_plan_str(&f.plan).unwrap();
-    let chip = *f.sys.machine().config();
-    plan.validate(&chip).unwrap();
-    assert!(PartitionedMachine::from_plan(f.sys.fixed(), chip, plan, Default::default()).is_ok());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random bytes, alone or after each format's own header line.
+    /// Random bytes, alone or after the checkpoint's header line.
     #[test]
     fn random_text_is_rejected_without_panicking(
         bytes in prop::collection::vec(any::<u8>(), 0..200),
         with_header in any::<bool>(),
     ) {
         let noise = String::from_utf8_lossy(&bytes);
-        let (checkpoint, plan) = if with_header {
-            (format!("sparsenn-system v1\n{noise}"), format!("sparsenn-partition v1\n{noise}"))
+        if with_header {
+            load_checkpoint(&format!("sparsenn-system v1\n{noise}"));
         } else {
-            (noise.to_string(), noise.to_string())
-        };
-        load_both(&checkpoint, &plan);
+            load_checkpoint(&noise);
+        }
     }
 
-    /// Prefixes of the two texts, cut at any byte.
+    /// Prefixes of the checkpoint, cut at any byte.
     #[test]
     fn truncated_texts_load_or_fail_cleanly(pos in any::<u64>()) {
-        let f = fixture();
-        load_both(truncate(&f.checkpoint, pos), truncate(&f.plan, pos));
+        load_checkpoint(truncate(checkpoint(), pos));
     }
 
     /// One to four bytes XOR-ed with random masks.
@@ -171,8 +131,7 @@ proptest! {
     fn byte_flipped_texts_load_or_fail_cleanly(
         flips in prop::collection::vec((any::<u64>(), any::<u8>()), 1..5),
     ) {
-        let f = fixture();
-        load_both(&flip_bytes(&f.checkpoint, &flips), &flip_bytes(&f.plan, &flips));
+        load_checkpoint(&flip_bytes(checkpoint(), &flips));
     }
 
     /// One field replaced by another token.
@@ -182,10 +141,6 @@ proptest! {
         kind in any::<u8>(),
         n in any::<u64>(),
     ) {
-        let f = fixture();
-        load_both(
-            &edit_field(&f.checkpoint, pick, kind, n),
-            &edit_field(&f.plan, pick, kind, n),
-        );
+        load_checkpoint(&edit_field(checkpoint(), pick, kind, n));
     }
 }

@@ -8,8 +8,7 @@
 //! 2. wavefront latency never beats the `InterChipConfig::free()`
 //!    no-comm lower bound;
 //! 3. the pipelined backend composes unchanged with the `Session` front
-//!    end (`TrainedSystem::partitioned_session_pipelined`), and the
-//!    activity-balanced planner serves the same bits.
+//!    end (`TrainedSystem::partitioned_session_pipelined`).
 //!
 //! The CI `partition-smoke` step runs this file in release mode.
 
@@ -136,52 +135,4 @@ fn pipelined_session_composes_with_the_serving_stack() {
         serial.time_us() < unpipelined.time_us(),
         "end-to-end: pipelining must hide some comm latency"
     );
-}
-
-/// Activity-balanced tiling (the ROADMAP follow-up): the plan from a
-/// calibration batch validates, and under uv_on its expected per-chip
-/// activity spread is no worse than the static plan's.
-#[test]
-fn activity_balanced_plan_serves_identical_bits() {
-    let sys = oversized_system();
-    let chip = *sys.machine().config();
-    let balanced = sys.partition_plan_balanced(4, 16).expect("plannable");
-    balanced.validate(&chip).expect("valid");
-
-    let activity = sys.row_activity(16);
-    let spread = |plan: &sparsenn::partition::PartitionPlan| -> f64 {
-        let tiles = &plan.layers()[0].tiles;
-        let loads: Vec<f64> = tiles
-            .iter()
-            .map(|t| t.iter().map(|&r| activity[0][r]).sum())
-            .collect();
-        loads.iter().cloned().fold(0.0f64, f64::max)
-            - loads.iter().cloned().fold(f64::INFINITY, f64::min)
-    };
-    let uniform = sys.partition_plan(4).unwrap();
-    assert!(
-        spread(&balanced) <= spread(&uniform) + 1e-9,
-        "activity balancing must not widen the expected-load spread: {} vs {}",
-        spread(&balanced),
-        spread(&uniform)
-    );
-
-    // Same bits through the wavefront executor.
-    let pm = PartitionedMachine::from_plan_pipelined(
-        sys.fixed(),
-        chip,
-        balanced,
-        InterChipConfig::default(),
-        PipelineMode::Wavefront,
-    )
-    .unwrap();
-    let x = sys.fixed().quantize_input(sys.split().test.image(0));
-    let a = pm.run(sys.fixed(), &x, UvMode::On).unwrap();
-    let b = sys
-        .partitioned_session(4)
-        .unwrap()
-        .run_sample(0, UvMode::On)
-        .unwrap();
-    assert_eq!(a.output(), b.output());
-    assert_eq!(a.layers.last().unwrap().mask, b.layers.last().unwrap().mask);
 }
