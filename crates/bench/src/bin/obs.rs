@@ -1,6 +1,5 @@
 //! Standalone runner for the observability study: end-to-end trace
-//! export, the unified telemetry registry, and the tracing-overhead
-//! oracles.
+//! export and the tracing-overhead oracles.
 fn main() -> std::process::ExitCode {
     let p = sparsenn_core::Profile::from_env();
     sparsenn_bench::report::finish(sparsenn_bench::experiments::obs::run(p))

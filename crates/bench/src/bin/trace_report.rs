@@ -5,7 +5,7 @@
 //! ```text
 //! trace_report                   # re-run the seeded overload scenario
 //! trace_report --input FILE     # analyze a recorded Chrome-trace JSON
-//! trace_report --top N --k N    # slowest requests to print / keep
+//! trace_report --top N --k N    # slowest requests to print / exemplars to list
 //! ```
 //!
 //! Output is byte-deterministic for a given input (or for the fixed
@@ -38,22 +38,22 @@ fn main() {
         }
     }
 
-    let report = match input {
+    let (spans, alerts) = match input {
         Some(path) => {
-            // A recorded trace carries no live monitor state: exemplars
-            // come from the offline oracle, burn alerts are absent.
+            // A recorded trace carries no live monitor state: burn
+            // alerts are absent.
             let src = std::fs::read_to_string(&path)
                 .unwrap_or_else(|err| die(&format!("cannot read {path}: {err}")));
             let spans = parse_chrome_trace(&src)
                 .unwrap_or_else(|err| die(&format!("cannot parse {path}: {err}")));
-            render_report(&analyze(&spans), &offline_top_k(&spans, k), &[], top)
+            (spans, Vec::new())
         }
         None => {
-            let (summary, spans, live) = capture(true);
-            let kept: Vec<_> = live.into_iter().take(k).collect();
-            render_report(&analyze(&spans), &kept, &summary.burn_alerts, top)
+            let (summary, spans) = capture(true);
+            (spans, summary.burn_alerts)
         }
     };
+    let report = render_report(&analyze(&spans), &offline_top_k(&spans, k), &alerts, top);
     print!("{report}");
 }
 

@@ -24,8 +24,7 @@
 //! Around the oracles: a block-size sweep, a synthetic input-sparsity
 //! sweep (speedup vs zeros), native `run_batch` per-sample latency for
 //! B = 1..=8, the SimdBackend modelled-vs-measured cross-check, and a
-//! measured [`ShardSpec`] service table. All wall time is charged to a
-//! [`WallProfiler`] and exported as `profile.*` metrics.
+//! measured [`ShardSpec`] service table.
 
 use crate::fmt_f;
 use crate::report::Report;
@@ -35,7 +34,7 @@ use sparsenn_core::numeric::Q6_10;
 use sparsenn_core::sim::simd::SimdPlatform;
 use sparsenn_core::Profile;
 use sparsenn_kernel::{SparseKernel, Strategy, DEFAULT_BLOCK};
-use sparsenn_obs::{min_wall_us, WallProfiler};
+use sparsenn_obs::min_wall_us;
 use sparsenn_serve::ShardSpec;
 use std::fmt::Write as _;
 
@@ -131,7 +130,6 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> Report {
         .collect();
 
     let mut out = Report::new(ORACLES);
-    let mut prof = WallProfiler::new();
     let _ = writeln!(
         out,
         "## Native CPU kernel: measured wall-clock (profile: {p})\n"
@@ -139,7 +137,7 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> Report {
 
     // — Bit-exactness oracle first: the speed numbers mean nothing if the
     //   bits are wrong —
-    let bit_exact = prof.time("kernel.oracle", || bit_exact_vs_golden(net, &inputs));
+    let bit_exact = bit_exact_vs_golden(net, &inputs);
     out.oracle(
         "kernel.bit_exact",
         bit_exact,
@@ -150,17 +148,15 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> Report {
 
     // — Dense vs prescan on the study system, across block sizes, each
     //   block's prescan arm timed alternately with the dense arm —
-    let kernel_def = prof.time("kernel.pack", || SparseKernel::pack(net, DEFAULT_BLOCK));
+    let kernel_def = SparseKernel::pack(net, DEFAULT_BLOCK);
     let mut pairs = Vec::new();
     for block in [8usize, 16, 32] {
         let k = if block == DEFAULT_BLOCK {
             kernel_def.clone()
         } else {
-            prof.time("kernel.pack", || SparseKernel::pack(net, block))
+            SparseKernel::pack(net, block)
         };
-        let (d, pre) = prof.time("kernel.prescan", || {
-            dense_and_prescan_us(&kernel_def, &k, &inputs, r)
-        });
+        let (d, pre) = dense_and_prescan_us(&kernel_def, &k, &inputs, r);
         pairs.push((block, d, pre, d / pre.max(1e-12)));
     }
     let dense_us = pairs.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
@@ -256,9 +252,7 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> Report {
                 net.quantize_input(&x)
             })
             .collect();
-        let (d, pre) = prof.time("kernel.prescan", || {
-            dense_and_prescan_us(&kernel_def, &kernel_def, &synth, r)
-        });
+        let (d, pre) = dense_and_prescan_us(&kernel_def, &kernel_def, &synth, r);
         rows.push(vec![
             format!("{sparsity}%"),
             fmt_f(d, 2),
@@ -279,19 +273,17 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> Report {
     for b in 1..=MAX_BATCH {
         let batch: Vec<Vec<Q6_10>> = (0..b).map(|i| inputs[i % inputs.len()].clone()).collect();
         let _ = kernel_def.run_batch(&batch, UvMode::On, Strategy::Prescan, &mut scratch);
-        let [batch_us] = prof.time("kernel.batch", || {
-            min_wall_us(
-                r,
-                [&mut || {
-                    std::hint::black_box(kernel_def.run_batch(
-                        &batch,
-                        UvMode::On,
-                        Strategy::Prescan,
-                        &mut scratch,
-                    ));
-                }],
-            )
-        });
+        let [batch_us] = min_wall_us(
+            r,
+            [&mut || {
+                std::hint::black_box(kernel_def.run_batch(
+                    &batch,
+                    UvMode::On,
+                    Strategy::Prescan,
+                    &mut scratch,
+                ));
+            }],
+        );
         let rec = kernel_def.run_batch(&batch, UvMode::On, Strategy::Prescan, &mut scratch);
         rows.push(vec![
             b.to_string(),
@@ -316,30 +308,26 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> Report {
     //   network (a weight-comparing guard, a repack) shows up here —
     let measured_backend = KernelBackend::new();
     let _ = measured_backend.run(net, &inputs[0], UvMode::On); // pack
-    let [backend_us, raw_us] = prof.time("kernel.backend", || {
-        min_wall_us(
-            ENGINE_OVERHEAD_REPS,
-            [
-                &mut || {
-                    for x in &inputs {
-                        std::hint::black_box(
-                            measured_backend.run(net, x, UvMode::On).expect("fits"),
-                        );
-                    }
-                },
-                &mut || {
-                    for x in &inputs {
-                        std::hint::black_box(kernel_def.run(
-                            x,
-                            UvMode::On,
-                            Strategy::Prescan,
-                            &mut scratch,
-                        ));
-                    }
-                },
-            ],
-        )
-    });
+    let [backend_us, raw_us] = min_wall_us(
+        ENGINE_OVERHEAD_REPS,
+        [
+            &mut || {
+                for x in &inputs {
+                    std::hint::black_box(measured_backend.run(net, x, UvMode::On).expect("fits"));
+                }
+            },
+            &mut || {
+                for x in &inputs {
+                    std::hint::black_box(kernel_def.run(
+                        x,
+                        UvMode::On,
+                        Strategy::Prescan,
+                        &mut scratch,
+                    ));
+                }
+            },
+        ],
+    );
     let (measured_us, raw_us) = (
         backend_us / inputs.len() as f64,
         raw_us / inputs.len() as f64,
@@ -405,20 +393,6 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> Report {
         spec.service_us.len(),
     );
     out.metric("kernel.measured_service_us_mean", spec.mean_service_us());
-
-    // — Where the host time went —
-    let _ = writeln!(out, "### Wall-clock profile\n");
-    let mut rows = Vec::new();
-    for (name, stat) in prof.phases() {
-        rows.push(vec![
-            (*name).to_string(),
-            stat.calls.to_string(),
-            fmt_f(stat.total_us, 0),
-            fmt_f(stat.max_us, 0),
-        ]);
-        out.metric(format!("profile.{name}.total_us"), stat.total_us);
-    }
-    out.table(&["phase", "calls", "total (µs)", "max (µs)"], &rows);
     out
 }
 

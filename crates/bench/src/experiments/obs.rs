@@ -1,8 +1,7 @@
-//! Observability study (beyond the paper — ROADMAP tracing/metrics
-//! plane): the end-to-end trace, the unified telemetry registry, and
-//! the cost of carrying both.
+//! Observability study (beyond the paper — ROADMAP tracing plane): the
+//! end-to-end trace and the cost of carrying it.
 //!
-//! Three measurements:
+//! Two measurements:
 //!
 //! 1. **The trace** — one traced front-end run (admission verdicts,
 //!    degrade-batch holds, queue waits, per-shard attempts, hedges and
@@ -11,18 +10,12 @@
 //!    request ids, exported as Chrome-trace JSON (Perfetto-loadable).
 //!    Oracles: byte-identical across reruns for the fixed seed, span
 //!    nesting invariants hold, and every attempt/chip span's request id
-//!    appears among the request spans.
-//! 2. **The registry** — the front-end summary and the wall-clock
-//!    profiler drain into one [`MetricsRegistry`]; its sorted text
-//!    snapshot is embedded in the report.
-//! 3. **The overhead oracle** — the batched serving simulator timed
+//!    appears among the request spans. The ring's drop count is
+//!    recorded as `obs.spans_dropped`, so a truncated trace shows.
+//! 2. **The overhead oracle** — the batched serving simulator timed
 //!    three ways (plain, traced with a disabled [`NullSink`], traced
 //!    into a [`RingRecorder`]), interleaved min-of-N: a disabled sink
 //!    must cost ≤ 1 %, an enabled recorder ≤ 10 %.
-//!
-//! Wall-clock profiling hooks wrap the machine's hot loops
-//! (`run` / `run_batch` on the cycle-accurate backend) via
-//! [`WallProfiler`] and surface as `profile.*` registry entries.
 
 use crate::fmt_f;
 use crate::report::Report;
@@ -35,12 +28,9 @@ use sparsenn_core::partition::InterChipConfig;
 use sparsenn_core::{Profile, TrainedSystem};
 use sparsenn_frontend::{
     simulate_frontend_traced, BoundedQueues, DegradeBatching, Fault, FaultPlan, FrontendConfig,
-    FrontendSummary, HedgeConfig, SloPolicy,
+    HedgeConfig, SloPolicy,
 };
-use sparsenn_obs::{
-    check_nesting, chrome_trace, min_wall_us, MetricsRegistry, NullSink, RingRecorder, SpanKind,
-    WallProfiler,
-};
+use sparsenn_obs::{check_nesting, chrome_trace, min_wall_us, NullSink, RingRecorder, SpanKind};
 use sparsenn_serve::{
     simulate_batched, simulate_batched_traced, BatchShardSpec, MetricsMode, ShardSpec, Workload,
 };
@@ -74,8 +64,8 @@ pub fn run(p: Profile) -> Report {
 }
 
 /// One traced front-end run plus composed chip spans for a sample of
-/// its request ids. Everything is a pure function of the inputs, so two
-/// calls must produce byte-identical traces.
+/// its request ids, in one recorder. Everything is a pure function of
+/// the inputs, so two calls must produce byte-identical traces.
 fn capture_trace(
     fleet: &[ShardSpec],
     gate: &BoundedQueues,
@@ -83,9 +73,9 @@ fn capture_trace(
     machine: &PartitionedMachine,
     net: &sparsenn_core::model::fixedpoint::FixedNetwork,
     input: &[Q6_10],
-) -> (FrontendSummary, RingRecorder) {
+) -> RingRecorder {
     let recorder = RingRecorder::new(1 << 17);
-    let summary = simulate_frontend_traced(fleet, &LeastQueued, gate, cfg, &recorder)
+    simulate_frontend_traced(fleet, &LeastQueued, gate, cfg, &recorder)
         .expect("the traced study config is valid");
     // Per-chip spans for the first few attempts: re-run the request on
     // the partitioned machine, anchored at the attempt's service start,
@@ -104,7 +94,7 @@ fn capture_trace(
             .run_traced(net, input, UvMode::On, request_id, start_us, &recorder)
             .expect("the study network fits the 2-chip plan");
     }
-    (summary, recorder)
+    recorder
 }
 
 /// Runs the observability study on an already-trained system (shared
@@ -118,26 +108,21 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> Report {
     let mut out = Report::new(ORACLES);
     let _ = writeln!(out, "## Observability plane (profile: {p})\n");
 
-    // — Wall-clock profiling hooks around the machine's hot loops —
-    let mut prof = WallProfiler::new();
-    let serial = prof
-        .time("machine.run_network", || {
-            backend.run(net, &input, UvMode::On)
-        })
-        .expect("the study network fits the machine");
-    let service_us = serial.time_us();
+    let service_us = backend
+        .run(net, &input, UvMode::On)
+        .expect("the study network fits the machine")
+        .time_us();
     let batch_inputs: Vec<Vec<Q6_10>> = (0..4)
         .map(|i| net.quantize_input(test.image(i % test.len())))
         .collect();
-    let mut batch_service_us = Vec::with_capacity(4);
-    for b in 1..=4 {
-        let rec = prof
-            .time("machine.run_network_batch", || {
-                backend.run_batch(net, &batch_inputs[..b], UvMode::On)
-            })
-            .expect("the study network fits the machine");
-        batch_service_us.push(rec.batch_time_us);
-    }
+    let batch_service_us: Vec<f64> = (1..=4)
+        .map(|b| {
+            backend
+                .run_batch(net, &batch_inputs[..b], UvMode::On)
+                .expect("the study network fits the machine")
+                .batch_time_us
+        })
+        .collect();
 
     // — 1. The end-to-end trace —
     let fleet: Vec<ShardSpec> = (0..3)
@@ -170,10 +155,10 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> Report {
         PartitionedMachine::new(net, *sys.machine().config(), 2, InterChipConfig::default())
             .expect("the study network splits across 2 chips");
 
-    let (summary, recorder) = capture_trace(&fleet, &gate, &cfg, &machine, net, &input);
+    let recorder = capture_trace(&fleet, &gate, &cfg, &machine, net, &input);
     let spans = recorder.spans();
     let trace = chrome_trace(&spans);
-    let (_, recorder_again) = capture_trace(&fleet, &gate, &cfg, &machine, net, &input);
+    let recorder_again = capture_trace(&fleet, &gate, &cfg, &machine, net, &input);
     let deterministic = trace == chrome_trace(&recorder_again.spans());
     let nesting = check_nesting(&spans);
 
@@ -238,8 +223,10 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> Report {
     );
     let _ = writeln!(
         out,
-        "\n{} spans, {} bytes of Chrome-trace JSON{} — load in Perfetto / chrome://tracing.\n",
+        "\n{} spans ({} dropped), {} bytes of Chrome-trace JSON{} — load in Perfetto / \
+         chrome://tracing.\n",
         spans.len(),
+        recorder.dropped(),
         trace.len(),
         if written {
             format!(", written to `{trace_path}`")
@@ -249,6 +236,7 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> Report {
     );
     out.metric("obs.trace_spans", spans.len() as f64);
     out.metric("obs.trace_bytes", trace.len() as f64);
+    out.metric("obs.spans_dropped", recorder.dropped() as f64);
     out.oracle(
         "obs.trace_deterministic",
         deterministic,
@@ -271,21 +259,7 @@ pub fn measure_with(p: Profile, sys: &TrainedSystem) -> Report {
     );
     let _ = writeln!(out);
 
-    // — 2. The unified registry —
-    let mut registry = MetricsRegistry::new();
-    summary.export_metrics(&mut registry);
-    prof.export_metrics(&mut registry);
-    recorder.export_metrics(&mut registry);
-    registry.inc("obs.trace_spans", spans.len() as u64);
-    registry.set_gauge("obs.trace_bytes", trace.len() as f64);
-    let _ = writeln!(
-        out,
-        "### Unified registry: {} metrics from front end + profiler\n\n```\n{}```\n",
-        registry.len(),
-        registry.snapshot_text()
-    );
-
-    // — 3. The overhead oracle on the batched serving bench —
+    // — 2. The overhead oracle on the batched serving bench —
     // A 4-shard batched fleet at 0.9x aggregate capacity, the shape the
     // serving experiments sweep; spans are per request and per batch, so
     // the traced cost is independent of fleet width while the baseline

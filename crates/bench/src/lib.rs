@@ -26,8 +26,8 @@
 //! | `… --bin frontend` | production front end: admission, hedging, autoscaling, SLO sweep | high-priority SLO; low absorbs overload; hedging wins; autoscaler reacts |
 //! | `… --bin batching` | cross-request batching: amortization and the serving knee | bit-identical; throughput monotone; latency cost visible |
 //! | `… --bin partition` | model parallelism: oversized MLP on 2/4/8 chips, comm overhead | one chip rejects; overlap sound; bit-identical |
-//! | `… --bin obs` | observability: Perfetto trace export, telemetry registry | trace deterministic, nested, covered; tracing overhead ≤ 1 % / ≤ 10 % |
-//! | `… --bin analyze` | trace analytics: critical-path attribution, tail exemplars, burn rates | breakdowns sum; critical path bounded; exemplars exact; burn rate discriminates; report deterministic |
+//! | `… --bin obs` | observability: Perfetto trace export, span and drop counts | trace deterministic, nested, covered; tracing overhead ≤ 1 % / ≤ 10 % |
+//! | `… --bin analyze` | trace analytics: critical-path attribution, tail exemplars, burn rates | breakdowns sum; critical path bounded; burn rate discriminates; report deterministic |
 //! | `… --bin trace_report` | text analytics report from a fresh run or a recorded trace (`--input FILE`) | — |
 //! | `… --bin run_all` | everything above, in order, plus `BENCH_results.json` (always exits 0) | — |
 //! | `… --bin bench_diff` | compare two `BENCH_results.json` files (`--json` for machine output) | exits non-zero on a wall-time regression |

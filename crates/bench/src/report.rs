@@ -66,12 +66,17 @@
 //! input sparsity, native-batch per-sample latency and W-word
 //! amortization per batch size, the modelled-vs-measured cross-check and
 //! the `kernel.bit_exact` oracle flag — plus `profile.*` wall-time phases
-//! from the `WallProfiler`. Schema 10 later gained the
+//! from a phase profiler. Schema 10 later gained the
 //! `kernel.speedup_ok` / `kernel.engine_overhead_ok` flags for the
 //! kernel's two numeric gates. It also lost the simulator hot-loop
 //! comparison (its speedup, its oracle flag and its `profile.sim.*`
 //! phases) when the per-element scan it timed was deleted; the
-//! `cycle_golden` snapshot test pins the simulator instead.
+//! `cycle_golden` snapshot test pins the simulator instead. It then
+//! lost the kernel study's remaining `profile.*` phases, when the
+//! phase profiler was deleted in favour of `min_wall_us`, and
+//! `analyze.exemplar_exact`, when the tail exemplars became one
+//! offline read of the recording; the obs study gained
+//! `obs.spans_dropped`, the recorder's drop count.
 //! The `bench_diff` bin
 //! compares two such files (any schema — metrics diff generically by
 //! name, and metrics present only in the old file get explicit

@@ -236,21 +236,6 @@ impl PartitionedMachine {
         &self.plan
     }
 
-    /// The chip-level interconnect cost model.
-    pub fn interchip(&self) -> &InterChipConfig {
-        &self.interchip
-    }
-
-    /// The execution schedule this backend times layers with.
-    pub fn pipeline(&self) -> PipelineMode {
-        self.pipeline
-    }
-
-    /// Number of chips.
-    pub fn chips(&self) -> usize {
-        self.plan.chips()
-    }
-
     /// Runs `net` exactly like [`run`](InferenceBackend::run) while
     /// emitting per-layer, per-chip trace spans to `sink`: the input
     /// broadcast, each chip's VU and W passes (with cycle and activity
@@ -811,13 +796,11 @@ mod tests {
             PipelineMode::Wavefront,
         )
         .unwrap();
-        assert_eq!(wf.pipeline(), PipelineMode::Wavefront);
         assert_eq!(
             wf.name(),
             "partitioned(2 chips x cycle-accurate, wavefront)"
         );
         let serialized = PartitionedMachine::new(&net, cfg, 2, InterChipConfig::default()).unwrap();
-        assert_eq!(serialized.pipeline(), PipelineMode::Serialized);
         assert_eq!(serialized.name(), "partitioned(2 chips x cycle-accurate)");
     }
 
@@ -831,9 +814,8 @@ mod tests {
             InterChipConfig::default(),
         )
         .unwrap();
-        assert_eq!(pm.chips(), 4);
+        assert_eq!(pm.plan().chips(), 4);
         assert_eq!(pm.plan().layers().len(), 2);
-        assert_eq!(pm.interchip().radix, 2);
         assert!(pm.name().starts_with("partitioned(4 chips"));
         assert!(pm.machine_config().is_some());
     }

@@ -8,7 +8,7 @@
 //! `sparsenn-serve`'s streaming mode.
 
 use sparsenn_core::engine::Priority;
-use sparsenn_obs::{AlertKind, BurnAlert};
+use sparsenn_obs::BurnAlert;
 use sparsenn_serve::LatencyStats;
 
 /// One burn-rate alert edge, tagged with the priority class whose SLO
@@ -134,58 +134,6 @@ impl FrontendSummary {
     /// The stats for `class`.
     pub fn class(&self, class: Priority) -> &ClassStats {
         &self.classes[class.index()]
-    }
-
-    /// Exports the summary into a [`MetricsRegistry`] under `frontend.*`
-    /// names: run-level gauges, control-plane counters, and per-class
-    /// outcome counters and latency distributions.
-    ///
-    /// [`MetricsRegistry`]: sparsenn_obs::MetricsRegistry
-    pub fn export_metrics(&self, registry: &mut sparsenn_obs::MetricsRegistry) {
-        registry.inc("frontend.requests", self.requests as u64);
-        registry.set_gauge("frontend.makespan_us", self.makespan_us);
-        registry.set_gauge("frontend.throughput_rps", self.throughput_rps);
-        registry.set_gauge("frontend.goodput_rps", self.goodput_rps);
-        registry.set_gauge("frontend.shed_rate", self.shed_rate);
-        registry.set_gauge("frontend.slo_attainment", self.slo_attainment);
-        let counters = [
-            ("hedges_issued", self.hedges_issued),
-            ("hedge_wins", self.hedge_wins),
-            ("cancelled_attempts", self.cancelled_attempts),
-            ("hedges_cancelled", self.hedges_cancelled),
-            ("retries", self.retries),
-            ("retry_wins", self.retry_wins),
-            ("failures_injected", self.failures_injected),
-            ("slowdowns_injected", self.slowdowns_injected),
-            ("scale_outs", self.scale_outs),
-            ("scale_ins", self.scale_ins),
-            ("degrade_batches", self.degrade_batches),
-            ("peak_active_shards", self.peak_active_shards),
-            ("final_active_shards", self.final_active_shards),
-        ];
-        for (name, value) in counters {
-            registry.inc(&format!("frontend.{name}"), value as u64);
-        }
-        for (name, class) in [("high", &self.classes[0]), ("low", &self.classes[1])] {
-            let p = format!("frontend.class.{name}");
-            registry.inc(&format!("{p}.offered"), class.offered as u64);
-            registry.inc(&format!("{p}.admitted"), class.admitted as u64);
-            registry.inc(&format!("{p}.degraded"), class.degraded as u64);
-            registry.inc(&format!("{p}.shed"), class.shed as u64);
-            registry.inc(&format!("{p}.completed"), class.completed as u64);
-            registry.inc(&format!("{p}.failed"), class.failed as u64);
-            registry.inc(&format!("{p}.slo_met"), class.slo_met as u64);
-            registry.record_latency(&format!("{p}.latency"), &class.latency);
-        }
-        let fired = |class: Priority| {
-            self.burn_alerts
-                .iter()
-                .filter(|a| a.class == class && a.alert.kind == AlertKind::Fire)
-                .count() as u64
-        };
-        registry.inc("frontend.burn.alerts", self.burn_alerts.len() as u64);
-        registry.inc("frontend.class.high.burn_fired", fired(Priority::High));
-        registry.inc("frontend.class.low.burn_fired", fired(Priority::Low));
     }
 }
 

@@ -47,6 +47,11 @@ fn class_name(class: Priority) -> &'static str {
     }
 }
 
+/// Service-time multiplier of a degraded request outside degrade
+/// batching: the cheaper answer a
+/// [`Degrade`](AdmissionDecision::Degrade) buys costs half a full one.
+const DEGRADE_FACTOR: f64 = 0.5;
+
 /// Everything one front-end run is configured by, minus the two policy
 /// trait objects ([`Scheduler`], [`AdmissionGate`]) passed alongside.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,9 +63,6 @@ pub struct FrontendConfig {
     pub low_fraction: f64,
     /// Seed of the class-assignment stream.
     pub class_seed: u64,
-    /// Service-time multiplier for degraded requests (0 < f ≤ 1): the
-    /// cheaper answer a [`Degrade`](AdmissionDecision::Degrade) buys.
-    pub degrade_factor: f64,
     /// Per-class latency SLOs.
     pub slo: SloPolicy,
     /// Hedging and retry policy.
@@ -72,7 +74,7 @@ pub struct FrontendConfig {
     /// as its scale-out reserve; any other run serves on every shard.
     pub autoscale: Option<AutoscaleConfig>,
     /// Degrade-tier batching (`None`: degraded requests dispatch
-    /// immediately at [`degrade_factor`](Self::degrade_factor) cost).
+    /// immediately at half their full service time).
     /// When set, degraded traffic is *held* in a central buffer and
     /// released as a batch — larger and slower for the degraded request,
     /// cheaper per sample for the fleet. See [`DegradeBatching`].
@@ -155,7 +157,6 @@ impl FrontendConfig {
             workload,
             low_fraction: 0.0,
             class_seed: 0xC1A55,
-            degrade_factor: 0.5,
             slo,
             hedge: HedgeConfig::disabled(),
             faults: FaultPlan::none(),
@@ -190,7 +191,7 @@ impl FrontendConfig {
     }
 
     /// Routes the degrade tier through cross-request batching instead of
-    /// the flat [`degrade_factor`](Self::degrade_factor) discount.
+    /// the flat half-cost discount.
     pub fn degrade_batching(mut self, batching: DegradeBatching) -> Self {
         self.degrade_batching = Some(batching);
         self
@@ -305,9 +306,9 @@ struct RequestState {
     arrival_us: f64,
     degraded: bool,
     /// Service-time multiplier this request earned at admission: 1 for a
-    /// full-fidelity answer, [`FrontendConfig::degrade_factor`] for a
-    /// plain degrade, the amortized [`DegradeBatching::factor`] of its
-    /// batch for a batched degrade (set at flush time).
+    /// full-fidelity answer, [`DEGRADE_FACTOR`] for a plain degrade, the
+    /// amortized [`DegradeBatching::factor`] of its batch for a batched
+    /// degrade (set at flush time).
     service_factor: f64,
     /// Held in the central degrade buffer, not yet dispatched.
     buffered: bool,
@@ -851,7 +852,7 @@ impl<'a> Engine<'a> {
                     }
                     return;
                 }
-                self.requests[request].service_factor = self.cfg.degrade_factor;
+                self.requests[request].service_factor = DEGRADE_FACTOR;
             }
             AdmissionDecision::Shed => {
                 self.classes[class.index()].shed += 1;
@@ -1016,12 +1017,6 @@ fn run(
         return Err(FrontendError::BadConfig(format!(
             "low-priority fraction must be in [0, 1], got {}",
             cfg.low_fraction
-        )));
-    }
-    if !(cfg.degrade_factor.is_finite() && cfg.degrade_factor > 0.0 && cfg.degrade_factor <= 1.0) {
-        return Err(FrontendError::BadConfig(format!(
-            "degrade factor must be in (0, 1], got {}",
-            cfg.degrade_factor
         )));
     }
     if let Some(b) = &cfg.degrade_batching {
@@ -1550,12 +1545,6 @@ mod tests {
             .autoscale(AutoscaleConfig::new(1, 8, 1000.0, 100.0));
         assert!(matches!(
             simulate_frontend(&fleet(2, 10.0), &FirstIdle, &AdmitAll, &bad_scale).unwrap_err(),
-            FrontendError::BadConfig(_)
-        ));
-        let mut bad_degrade = base.clone();
-        bad_degrade.degrade_factor = 0.0;
-        assert!(matches!(
-            simulate_frontend(&fleet(1, 10.0), &FirstIdle, &AdmitAll, &bad_degrade).unwrap_err(),
             FrontendError::BadConfig(_)
         ));
         for bad in [

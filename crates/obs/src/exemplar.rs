@@ -1,29 +1,14 @@
-//! Tail exemplars: the K slowest requests' full span sets, online.
+//! Tail exemplars: the K slowest requests' full span sets.
 //!
 //! A p99 number says the tail is slow; an **exemplar** explains it with
-//! a concrete trace. [`TailExemplars`] is a `TraceSink` that watches a
-//! span stream live and keeps, in bounded memory, the complete span
-//! sets of the K slowest requests seen so far — exact, not sampled:
-//! the kept set always equals what an offline sort of every request by
-//! latency would keep ([`offline_top_k`] is that oracle, and the bench
-//! asserts the two match span for span).
-//!
-//! Mechanics: spans for an in-flight request accumulate in a pending
-//! table until its `Request` span arrives (request spans are emitted at
-//! the terminal outcome, so the request's duration — its latency — is
-//! known at that moment). The finished set then competes for a
-//! reservoir slot ordered by (latency desc, trace id asc); outside the
-//! top K it is discarded on the spot. Spans arriving *after* their
-//! request closed (the machine re-run traces chip detail post hoc)
-//! append to the kept exemplar if the request survived. The pending
-//! table is itself bounded, evicting oldest-first with a drop counter —
-//! the same discipline as `RingRecorder` — so batch-keyed spans that
-//! never see a `Request` span cannot grow it without bound.
+//! a concrete trace. [`offline_top_k`] reads a recording (any
+//! `TraceSink` capture), ranks every finished request — a trace id
+//! with a `Request` span — by that span's duration, and keeps the K
+//! slowest with every span recorded under their ids: exact, not
+//! sampled.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
 
-use crate::sink::TraceSink;
 use crate::span::{Span, SpanKind};
 
 /// One kept exemplar: a finished request's latency and full span set.
@@ -33,178 +18,17 @@ pub struct Exemplar {
     pub trace_id: u64,
     /// The request span's duration, µs — the latency it is ranked by.
     pub latency_us: f64,
-    /// Every span recorded for the trace id, in arrival order (the
-    /// `Request` span sits where it arrived — last, for live streams).
+    /// Every span recorded for the trace id, in recording order —
+    /// including spans recorded after the request closed (the machine
+    /// re-run traces chip detail post hoc).
     pub spans: Vec<Span>,
 }
 
-/// Reservoir ordering: slowest first, ties broken by trace id so the
-/// kept set is a total order independent of arrival order.
-fn rank(latency_us: f64, trace_id: u64, e: &Exemplar) -> std::cmp::Ordering {
-    // Ordering of element `e` against the candidate in the reservoir's
-    // sort order (latency desc, id asc): a slower element sorts first.
-    latency_us
-        .total_cmp(&e.latency_us)
-        .then(e.trace_id.cmp(&trace_id))
-}
-
-/// The online top-K reservoir (see module docs). Interior-mutable, so
-/// it records through `&self` like every other sink.
-#[derive(Debug)]
-pub struct TailExemplars {
-    inner: Mutex<State>,
-}
-
-#[derive(Debug)]
-struct State {
-    k: usize,
-    max_pending: usize,
-    /// In-flight span sets, keyed by trace id.
-    pending: BTreeMap<u64, Vec<Span>>,
-    /// Pending insertion order, for oldest-first eviction. May hold
-    /// stale ids (finished requests); eviction skips them.
-    order: VecDeque<u64>,
-    /// The reservoir, sorted slowest-first (ties: trace id asc).
-    kept: Vec<Exemplar>,
-    dropped_pending: u64,
-}
-
-impl TailExemplars {
-    /// A reservoir keeping the `k` slowest requests (minimum 1). The
-    /// pending table defaults to `max(4096, 4k)` in-flight requests;
-    /// tune with [`with_pending_capacity`](Self::with_pending_capacity).
-    pub fn new(k: usize) -> Self {
-        let k = k.max(1);
-        Self {
-            inner: Mutex::new(State {
-                k,
-                max_pending: 4096.max(4 * k),
-                pending: BTreeMap::new(),
-                order: VecDeque::new(),
-                kept: Vec::with_capacity(k + 1),
-                dropped_pending: 0,
-            }),
-        }
-    }
-
-    /// Bounds the pending table at `cap` in-flight requests (minimum 1).
-    #[must_use]
-    pub fn with_pending_capacity(self, cap: usize) -> Self {
-        self.inner.lock().expect("exemplars poisoned").max_pending = cap.max(1);
-        self
-    }
-
-    /// The reservoir size K.
-    pub fn k(&self) -> usize {
-        self.inner.lock().expect("exemplars poisoned").k
-    }
-
-    /// Exemplars kept so far, slowest first (ties: trace id asc). A
-    /// snapshot — recording can continue afterwards.
-    pub fn exemplars(&self) -> Vec<Exemplar> {
-        self.inner.lock().expect("exemplars poisoned").kept.clone()
-    }
-
-    /// Finished requests currently kept (≤ K).
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("exemplars poisoned").kept.len()
-    }
-
-    /// Whether no request has finished yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The latency a new request must beat to enter a full reservoir
-    /// (0 while it still has room).
-    pub fn threshold_us(&self) -> f64 {
-        let state = self.inner.lock().expect("exemplars poisoned");
-        if state.kept.len() < state.k {
-            0.0
-        } else {
-            state.kept.last().map_or(0.0, |e| e.latency_us)
-        }
-    }
-
-    /// In-flight span sets evicted because the pending table was full
-    /// (spans lost before their request finished).
-    pub fn dropped_pending(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("exemplars poisoned")
-            .dropped_pending
-    }
-}
-
-impl State {
-    fn handle(&mut self, span: Span) {
-        if span.kind == SpanKind::Request {
-            let mut spans = self.pending.remove(&span.trace_id).unwrap_or_default();
-            let (trace_id, latency_us) = (span.trace_id, span.duration_us());
-            spans.push(span);
-            let exemplar = Exemplar {
-                trace_id,
-                latency_us,
-                spans,
-            };
-            let pos = self
-                .kept
-                .binary_search_by(|e| rank(latency_us, trace_id, e))
-                .unwrap_or_else(|p| p);
-            if pos < self.k {
-                self.kept.insert(pos, exemplar);
-                self.kept.truncate(self.k);
-            }
-            return;
-        }
-        if let Some(spans) = self.pending.get_mut(&span.trace_id) {
-            spans.push(span);
-            return;
-        }
-        if let Some(kept) = self.kept.iter_mut().find(|e| e.trace_id == span.trace_id) {
-            // Post-completion detail (machine re-run) for a survivor.
-            kept.spans.push(span);
-            return;
-        }
-        // A new in-flight request (or a batch-keyed infrastructure span
-        // that will never finish): open a pending entry, bounded.
-        self.pending.insert(span.trace_id, vec![span]);
-        self.order.push_back(span.trace_id);
-        while self.pending.len() > self.max_pending {
-            match self.order.pop_front() {
-                Some(old) => {
-                    if self.pending.remove(&old).is_some() {
-                        self.dropped_pending += 1;
-                    }
-                }
-                None => break,
-            }
-        }
-    }
-}
-
-impl TraceSink for TailExemplars {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&self, span: Span) {
-        self.inner.lock().expect("exemplars poisoned").handle(span);
-    }
-
-    fn record_many(&self, spans: &[Span]) {
-        let mut state = self.inner.lock().expect("exemplars poisoned");
-        for span in spans {
-            state.handle(*span);
-        }
-    }
-}
-
-/// The offline oracle: group `spans` by trace id, rank every finished
-/// request by its request-span duration, and keep the top `k` —
-/// exactly the set (and order) a correct [`TailExemplars`] holds after
-/// recording the same stream, provided its pending table never
-/// overflowed.
+/// The `k` slowest finished requests in `spans` (minimum 1), slowest
+/// first, ties broken by ascending trace id so the result does not
+/// depend on the order spans were recorded in. Trace ids without a
+/// `Request` span (unfinished requests, batch-keyed infrastructure
+/// spans) are never exemplars.
 pub fn offline_top_k(spans: &[Span], k: usize) -> Vec<Exemplar> {
     let mut by_id: BTreeMap<u64, Vec<Span>> = BTreeMap::new();
     for s in spans {
@@ -260,15 +84,13 @@ mod tests {
 
     #[test]
     fn keeps_the_k_slowest_with_full_span_sets() {
-        let sink = TailExemplars::new(2);
         let latencies = [5.0, 30.0, 10.0, 20.0, 1.0];
-        let mut all = Vec::new();
-        for (i, &l) in latencies.iter().enumerate() {
-            let spans = request(i as u64, i as f64 * 100.0, l);
-            sink.record_many(&spans);
-            all.extend(spans);
-        }
-        let kept = sink.exemplars();
+        let all: Vec<Span> = latencies
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &l)| request(i as u64, i as f64 * 100.0, l))
+            .collect();
+        let kept = offline_top_k(&all, 2);
         assert_eq!(kept.len(), 2);
         assert_eq!(
             (kept[0].trace_id, kept[0].latency_us),
@@ -276,85 +98,62 @@ mod tests {
             "slowest first"
         );
         assert_eq!((kept[1].trace_id, kept[1].latency_us), (3, 20.0));
-        assert_eq!(kept[0].spans.len(), 3, "full span set survives");
-        assert_eq!(
-            kept[0].spans.last().map(|s| s.kind),
-            Some(SpanKind::Request)
-        );
-        assert_eq!(sink.threshold_us(), 20.0);
-        assert_eq!(kept, offline_top_k(&all, 2), "online == offline oracle");
-        assert_eq!(sink.dropped_pending(), 0);
+        assert_eq!(kept[0].spans, request(1, 100.0, 30.0), "full span set");
     }
 
     #[test]
     fn ties_break_on_trace_id_regardless_of_arrival_order() {
-        let forward = TailExemplars::new(3);
-        let backward = TailExemplars::new(3);
         let ids = [4u64, 1, 9, 2];
-        for &id in &ids {
-            forward.record_many(&request(id, 0.0, 10.0));
-        }
-        for &id in ids.iter().rev() {
-            backward.record_many(&request(id, 0.0, 10.0));
-        }
-        let f: Vec<u64> = forward.exemplars().iter().map(|e| e.trace_id).collect();
-        let b: Vec<u64> = backward.exemplars().iter().map(|e| e.trace_id).collect();
+        let forward: Vec<Span> = ids.iter().flat_map(|&id| request(id, 0.0, 10.0)).collect();
+        let mut backward = forward.clone();
+        backward.reverse();
+        let f: Vec<u64> = offline_top_k(&forward, 3)
+            .iter()
+            .map(|e| e.trace_id)
+            .collect();
+        let b: Vec<u64> = offline_top_k(&backward, 3)
+            .iter()
+            .map(|e| e.trace_id)
+            .collect();
         assert_eq!(f, vec![1, 2, 4], "lowest ids win equal latencies");
         assert_eq!(f, b, "arrival order is irrelevant");
     }
 
     #[test]
     fn post_completion_spans_append_to_survivors_only() {
-        let sink = TailExemplars::new(1);
-        sink.record_many(&request(1, 0.0, 50.0));
-        sink.record_many(&request(2, 0.0, 5.0)); // discarded: too fast
-                                                 // Chip detail arrives after the requests closed.
-        sink.record(Span::new(1, SpanKind::Vu, track::MACHINE, 1, 1.0, 2.0));
-        sink.record(Span::new(2, SpanKind::Vu, track::MACHINE, 1, 1.0, 2.0));
-        let kept = sink.exemplars();
+        // Request 2 is too fast to keep; chip detail for both is
+        // recorded after the requests closed.
+        let mut all = request(1, 0.0, 50.0);
+        all.extend(request(2, 0.0, 5.0));
+        let late = |id| Span::new(id, SpanKind::Vu, track::MACHINE, 1, 1.0, 2.0);
+        all.extend([late(1), late(2)]);
+        let kept = offline_top_k(&all, 1);
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].trace_id, 1);
-        assert_eq!(kept[0].spans.len(), 4, "late chip span appended");
-        // The id-2 chip span opened a pending entry that will never
-        // finish — bounded, so that is safe, not a leak.
-        assert_eq!(sink.len(), 1);
+        assert_eq!(kept[0].spans.len(), 4, "late chip span kept");
+        assert_eq!(kept[0].spans[3], late(1), "in recording order");
     }
 
     #[test]
-    fn pending_table_is_bounded_with_a_drop_counter() {
-        let sink = TailExemplars::new(1).with_pending_capacity(2);
-        for id in 0..5u64 {
-            sink.record(Span::new(
-                id,
-                SpanKind::Queued,
-                track::FRONTEND,
-                1,
-                0.0,
-                1.0,
-            ));
-        }
-        assert_eq!(sink.dropped_pending(), 3, "oldest in-flight sets evicted");
-        // The survivors (3, 4) can still finish.
-        sink.record(Span::new(
-            4,
-            SpanKind::Request,
-            track::FRONTEND,
-            track::CONTROL,
-            0.0,
-            9.0,
-        ));
-        let kept = sink.exemplars();
+    fn trace_ids_without_a_request_span_are_never_exemplars() {
+        // In-flight requests and batch-keyed infrastructure spans carry
+        // no `Request` span, however long they run.
+        let mut all: Vec<Span> = (10..13u64)
+            .map(|id| Span::new(id, SpanKind::Queued, track::FRONTEND, 1, 0.0, 1e6))
+            .collect();
+        all.extend(request(4, 0.0, 9.0));
+        let kept = offline_top_k(&all, 5);
+        assert_eq!(kept.len(), 1, "only the finished request");
+        assert_eq!((kept[0].trace_id, kept[0].spans.len()), (4, 3));
+        assert!(offline_top_k(&all[..3], 5).is_empty());
+    }
+
+    #[test]
+    fn k_of_zero_is_clamped_to_one() {
+        let mut all = request(7, 0.0, 3.0);
+        all.extend(request(8, 0.0, 4.0));
+        let kept = offline_top_k(&all, 0);
         assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].spans.len(), 2, "queued + request");
-    }
-
-    #[test]
-    fn reservoir_of_k_zero_is_clamped_to_one() {
-        let sink = TailExemplars::new(0);
-        assert_eq!(sink.k(), 1);
-        assert!(sink.is_empty());
-        sink.record_many(&request(7, 0.0, 3.0));
-        assert_eq!(sink.len(), 1);
-        assert_eq!(offline_top_k(&request(7, 0.0, 3.0), 0).len(), 1);
+        assert_eq!(kept[0].trace_id, 8);
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! Every other crate in this workspace *simulates*; this one *watches*.
 //! It is the common vocabulary for what a run did — typed trace spans
-//! on the virtual clock, unified latency statistics, a named metrics
-//! registry, wall-clock profiling — and the exporters that turn a run
-//! into artifacts (a Perfetto-loadable Chrome trace, a flat metrics
-//! snapshot) a person or a CI job can read.
+//! on the virtual clock, unified latency statistics, the min-of-reps
+//! wall-clock timer — and the readers that turn a recording into
+//! artifacts a person or a CI job can read: a Perfetto-loadable Chrome
+//! trace ([`chrome_trace`]), per-request critical paths ([`analyze`])
+//! and tail exemplars ([`offline_top_k`]).
 //!
 //! The crate depends on nothing in the workspace, so every layer can
 //! emit into it: the front end traces admission → hedge → completion,
@@ -42,7 +43,6 @@ mod exemplar;
 mod export;
 mod latency;
 mod quantile;
-mod registry;
 mod series;
 mod sink;
 mod slo;
@@ -53,13 +53,12 @@ pub use analyze::{
     analyze, breakdown_report, ChipDetail, LatencyBreakdown, PathStep, Phase, RequestBreakdown,
     TraceAnalysis, PHASES,
 };
-pub use exemplar::{offline_top_k, Exemplar, TailExemplars};
+pub use exemplar::{offline_top_k, Exemplar};
 pub use export::{check_nesting, chrome_trace};
 pub use latency::{LatencyStat, LatencyStats};
 pub use quantile::P2Quantile;
-pub use registry::MetricsRegistry;
 pub use series::{WindowBucket, WindowSeries};
-pub use sink::{NullSink, RingRecorder, SpanBuffer, Tee, TraceSink};
+pub use sink::{NullSink, RingRecorder, SpanBuffer, TraceSink};
 pub use slo::{AlertKind, BurnAlert, BurnConfig, BurnRateMonitor};
 pub use span::{track, AttrKey, AttrValue, Attrs, Span, SpanKind, MAX_ATTRS};
-pub use timer::{min_wall_us, PhaseStat, WallProfiler};
+pub use timer::min_wall_us;

@@ -12,7 +12,6 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use crate::registry::MetricsRegistry;
 use crate::span::Span;
 
 /// Spans staged in a [`SpanBuffer`] before it hands the sink a chunk.
@@ -200,20 +199,6 @@ impl RingRecorder {
         self.inner.lock().expect("recorder poisoned").dropped
     }
 
-    /// The fixed capacity the ring was built with.
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().expect("recorder poisoned").capacity
-    }
-
-    /// Publishes the ring's capacity and drop counter as gauges
-    /// (`obs.ring_capacity`, `obs.spans_dropped`) so silent trace loss
-    /// shows up in any metrics export alongside the run it truncated.
-    pub fn export_metrics(&self, registry: &mut MetricsRegistry) {
-        let ring = self.inner.lock().expect("recorder poisoned");
-        registry.set_gauge("obs.ring_capacity", ring.capacity as f64);
-        registry.set_gauge("obs.spans_dropped", ring.dropped as f64);
-    }
-
     /// Discards everything recorded so far (spans and the drop
     /// counter), keeping the backing store. Lets one long-lived
     /// recorder — its pages already faulted in — serve many runs,
@@ -257,58 +242,6 @@ impl TraceSink for RingRecorder {
             }
             ring.spans.extend(spans.iter().copied());
         }
-    }
-}
-
-/// Fans one span stream out to two sinks — e.g. a [`RingRecorder`] for
-/// offline export plus a live tail-exemplar reservoir in the same run.
-/// Enabled when either side is; a disabled side still sees nothing
-/// (its `record` is skipped), so a `Tee` over a recorder and a
-/// `NullSink` behaves exactly like the recorder alone.
-#[derive(Clone, Copy)]
-pub struct Tee<'a> {
-    first: &'a dyn TraceSink,
-    second: &'a dyn TraceSink,
-}
-
-impl<'a> Tee<'a> {
-    /// A sink duplicating every span to `first` and `second`, in that
-    /// order.
-    pub fn new(first: &'a dyn TraceSink, second: &'a dyn TraceSink) -> Self {
-        Self { first, second }
-    }
-}
-
-impl TraceSink for Tee<'_> {
-    fn enabled(&self) -> bool {
-        self.first.enabled() || self.second.enabled()
-    }
-
-    fn record(&self, span: Span) {
-        if self.first.enabled() {
-            self.first.record(span);
-        }
-        if self.second.enabled() {
-            self.second.record(span);
-        }
-    }
-
-    fn record_many(&self, spans: &[Span]) {
-        if self.first.enabled() {
-            self.first.record_many(spans);
-        }
-        if self.second.enabled() {
-            self.second.record_many(spans);
-        }
-    }
-}
-
-impl std::fmt::Debug for Tee<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tee")
-            .field("first_enabled", &self.first.enabled())
-            .field("second_enabled", &self.second.enabled())
-            .finish()
     }
 }
 
@@ -448,42 +381,6 @@ mod tests {
         assert_eq!(rec.dropped(), 0);
         rec.record(span(9));
         assert_eq!(rec.len(), 1, "recorder keeps working after clear");
-    }
-
-    #[test]
-    fn capacity_and_drop_counter_export_as_gauges() {
-        let rec = RingRecorder::new(2);
-        rec.record_many(&[span(0), span(1), span(2)]);
-        assert_eq!(rec.capacity(), 2);
-        let mut reg = MetricsRegistry::new();
-        rec.export_metrics(&mut reg);
-        assert_eq!(reg.gauge("obs.ring_capacity"), Some(2.0));
-        assert_eq!(reg.gauge("obs.spans_dropped"), Some(1.0));
-    }
-
-    #[test]
-    fn tee_duplicates_to_both_sinks_in_order() {
-        let a = RingRecorder::new(16);
-        let b = RingRecorder::new(16);
-        let tee = Tee::new(&a, &b);
-        assert!(tee.enabled());
-        tee.record(span(0));
-        tee.record_many(&[span(1), span(2)]);
-        for rec in [&a, &b] {
-            let got: Vec<u64> = rec.spans().iter().map(|s| s.trace_id).collect();
-            assert_eq!(got, vec![0, 1, 2]);
-        }
-    }
-
-    #[test]
-    fn tee_over_disabled_sinks_is_disabled() {
-        let tee = Tee::new(&NullSink, &NullSink);
-        assert!(!tee.enabled());
-        let rec = RingRecorder::new(4);
-        let half = Tee::new(&NullSink, &rec);
-        assert!(half.enabled());
-        half.record(span(7));
-        assert_eq!(rec.len(), 1, "enabled side still records");
     }
 
     #[test]

@@ -70,10 +70,13 @@ proptest! {
         }
     }
 
-    /// Balance: with equal-cost rows the largest and smallest tiles
-    /// differ by at most one row.
+    /// Balance: the planner gives each row a weight (1 + its nonzero
+    /// count) and hands the heaviest remaining row to the lightest
+    /// tile. While no tile reaches its row cap, as on the default chip
+    /// here, that greedy keeps the heaviest and lightest tiles' summed
+    /// weights within the heaviest row's weight of each other.
     #[test]
-    fn tiles_are_balanced_to_within_one_row(
+    fn tile_loads_differ_by_at_most_the_heaviest_row(
         hidden in 32usize..256,
         chips in 1usize..9,
     ) {
@@ -81,18 +84,22 @@ proptest! {
             &Mlp::random(&[16, hidden, 10], &mut seeded_rng(9)));
         let chip = MachineConfig::default();
         let p = plan(&net, &chip, chips).unwrap();
-        for layer in p.layers() {
-            let sizes: Vec<usize> = layer.tiles.iter().map(Vec::len).collect();
+        for (l, (layer, w)) in p.layers().iter().zip(net.layers()).enumerate() {
+            let weight = |r: usize| 1 + w.row(r).iter().filter(|v| !v.is_zero()).count();
+            let heaviest_row = (0..layer.rows).map(weight).max().unwrap();
+            let loads: Vec<usize> = layer
+                .tiles
+                .iter()
+                .map(|tile| tile.iter().map(|&r| weight(r)).sum())
+                .collect();
             let (min, max) = (
-                sizes.iter().min().copied().unwrap(),
-                sizes.iter().max().copied().unwrap(),
+                loads.iter().min().copied().unwrap(),
+                loads.iter().max().copied().unwrap(),
             );
-            // Row weights vary, but every row weighs at least 1 and at
-            // most cols+1, and the greedy assigns to the lightest chip:
-            // counts can skew, yet never leave a chip starved while
-            // another holds the excess beyond the weight imbalance. The
-            // conservative structural bound: max ≤ 2·min + cols.
-            prop_assert!(max <= 2 * min + layer.cols + 1, "{:?}", sizes);
+            prop_assert!(
+                max - min <= heaviest_row,
+                "layer {}: loads {:?}, heaviest row {}", l, loads, heaviest_row
+            );
         }
     }
 }

@@ -171,30 +171,6 @@ pub struct BatchedSummary {
     pub batch_records: Vec<BatchRecord>,
 }
 
-impl BatchedSummary {
-    /// Exports the summary into a [`MetricsRegistry`] under
-    /// `serve.batched.*` names: run-level counters and gauges, the
-    /// end-to-end latency distribution, and — when per-batch records
-    /// were kept ([`MetricsMode::Exact`]) — an `idle_wait_us` histogram
-    /// over the dispatched batches' policy-chosen hold times.
-    ///
-    /// [`MetricsRegistry`]: sparsenn_obs::MetricsRegistry
-    pub fn export_metrics(&self, registry: &mut sparsenn_obs::MetricsRegistry) {
-        registry.inc("serve.batched.requests", self.requests as u64);
-        registry.inc("serve.batched.batches", self.batches as u64);
-        registry.inc("serve.batched.max_batch", self.max_batch as u64);
-        registry.set_gauge("serve.batched.mean_batch", self.mean_batch);
-        registry.set_gauge("serve.batched.makespan_us", self.makespan_us);
-        registry.set_gauge("serve.batched.throughput_rps", self.throughput_rps);
-        registry.set_gauge("serve.batched.queue_us_mean", self.queue_us_mean);
-        registry.set_gauge("serve.batched.service_us_mean", self.service_us_mean);
-        registry.record_latency("serve.batched.latency", &self.latency);
-        for record in &self.batch_records {
-            registry.observe("serve.batched.idle_wait_us", record.idle_wait_us);
-        }
-    }
-}
-
 #[derive(Clone, Copy, Debug)]
 enum Event {
     Arrival,
@@ -546,43 +522,6 @@ mod tests {
         );
         // Immediate never holds a batch open while idle.
         assert!(s.batch_records.iter().all(|b| b.idle_wait_us < 1e-9));
-    }
-
-    #[test]
-    fn batched_summary_exports_metrics() {
-        let shards = vec![BatchShardSpec::with_table("m", amortized(8, 10.0))];
-        let s = simulate_batched(
-            &shards,
-            &FirstIdle,
-            BatchPolicy::SizeOrDeadline {
-                max: 4,
-                deadline_us: 40.0,
-            },
-            &Workload::Poisson {
-                rate_rps: 60_000.0,
-                requests: 500,
-                seed: 7,
-            },
-            MetricsMode::Exact,
-        )
-        .unwrap();
-        let mut registry = sparsenn_obs::MetricsRegistry::new();
-        s.export_metrics(&mut registry);
-        assert_eq!(registry.counter("serve.batched.requests"), 500);
-        assert_eq!(registry.counter("serve.batched.batches"), s.batches as u64);
-        assert_eq!(
-            registry.gauge("serve.batched.mean_batch"),
-            Some(s.mean_batch)
-        );
-        assert_eq!(
-            registry.gauge("serve.batched.latency.p99_us"),
-            Some(s.latency.p99_us)
-        );
-        let idle = registry
-            .histogram("serve.batched.idle_wait_us")
-            .expect("exact mode keeps batch records");
-        assert_eq!(idle.count(), s.batches as u64);
-        assert!(idle.max_us() <= 40.0 + 1e-9, "no-starvation bound holds");
     }
 
     #[test]

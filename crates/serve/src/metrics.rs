@@ -123,30 +123,6 @@ pub struct ServeSummary {
     pub per_request: Vec<RequestMetric>,
 }
 
-impl ServeSummary {
-    /// Exports the summary into a [`MetricsRegistry`] under `serve.*`
-    /// names: run-level counters and gauges, the end-to-end latency
-    /// distribution, queue statistics and per-shard usage.
-    ///
-    /// [`MetricsRegistry`]: sparsenn_obs::MetricsRegistry
-    pub fn export_metrics(&self, registry: &mut sparsenn_obs::MetricsRegistry) {
-        registry.inc("serve.requests", self.requests as u64);
-        registry.set_gauge("serve.makespan_us", self.makespan_us);
-        registry.set_gauge("serve.throughput_rps", self.throughput_rps);
-        registry.set_gauge("serve.queue_us_mean", self.queue_us_mean);
-        registry.set_gauge("serve.service_us_mean", self.service_us_mean);
-        registry.record_latency("serve.latency", &self.latency);
-        registry.set_gauge("serve.queue.max_depth", self.queue.max_depth as f64);
-        registry.set_gauge("serve.queue.mean_depth", self.queue.mean_depth);
-        for (i, shard) in self.shards.iter().enumerate() {
-            let p = format!("serve.shard{i}");
-            registry.inc(&format!("{p}.served"), shard.served as u64);
-            registry.set_gauge(&format!("{p}.busy_us"), shard.busy_us);
-            registry.set_gauge(&format!("{p}.utilization"), shard.utilization);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -140,7 +140,7 @@ proptest! {
     /// `SizeOrDeadline` never starves: for any shard tables, batch cap,
     /// deadline and Poisson load, no dispatched batch sat *idle* (shard
     /// free, policy holding the batch open) longer than the deadline —
-    /// and every request completes.
+    /// and every request completes, with one record per batch.
     #[test]
     fn size_or_deadline_never_starves(
         which_scheduler in 0usize..3,
@@ -174,6 +174,11 @@ proptest! {
         )
         .unwrap();
         prop_assert_eq!(summary.requests, requests, "every request completes");
+        prop_assert_eq!(
+            summary.batch_records.len(),
+            summary.batches,
+            "one batch record per dispatched batch"
+        );
         for b in &summary.batch_records {
             prop_assert!(
                 b.idle_wait_us <= deadline_us + 1e-6,

@@ -39,8 +39,10 @@ pub use sparsenn_frontend as frontend;
 
 /// Observability plane (re-export of `sparsenn-obs`): trace sinks and
 /// typed spans on the virtual clock, Chrome trace-event (Perfetto)
-/// export, the unified [`obs::LatencyStat`] accumulator, the
-/// [`obs::MetricsRegistry`], and wall-clock profiling hooks.
+/// export, critical-path analysis ([`obs::analyze`]) and tail exemplars
+/// ([`obs::offline_top_k`]) read back from a recording, the unified
+/// [`obs::LatencyStat`] accumulator, and the [`obs::min_wall_us`]
+/// wall-clock timer.
 pub use sparsenn_obs as obs;
 
 /// Native CPU kernels (re-export of `sparsenn-kernel`): the two-stage

@@ -1,8 +1,8 @@
 //! Property tests for the trace-analytics invariants under random
 //! seeds and loads: whatever the workload does, every request's
 //! critical path stays within [longest phase, request span], the
-//! four-phase attribution sums to the request latency, and the live
-//! tail-exemplar reservoir equals the offline sort-and-take-K oracle.
+//! four-phase attribution sums to the request latency, and the tail
+//! exemplars are exactly the K slowest analysed requests.
 
 use proptest::prelude::*;
 use sparsenn::engine::LeastQueued;
@@ -10,21 +10,15 @@ use sparsenn::frontend::{
     simulate_frontend_traced, BoundedQueues, DegradeBatching, FrontendConfig, HedgeConfig,
     SloPolicy,
 };
-use sparsenn::obs::{analyze, offline_top_k, RingRecorder, TailExemplars, Tee};
+use sparsenn::obs::{analyze, offline_top_k, RingRecorder, Span};
 use sparsenn::serve::{ShardSpec, Workload};
 
 const SERVICE_US: f64 = 10.0;
 const REQUESTS: usize = 300;
 
 /// A 3-shard run at `rate_tenths`/10 × capacity with random class mix
-/// and optional hedging, traced into a recorder teed with a reservoir.
-fn traced_run(
-    seed: u64,
-    rate_tenths: u32,
-    low_tenths: u32,
-    hedged: bool,
-    k: usize,
-) -> (Vec<sparsenn::obs::Span>, Vec<sparsenn::obs::Exemplar>) {
+/// and optional hedging, traced into a recorder.
+fn traced_run(seed: u64, rate_tenths: u32, low_tenths: u32, hedged: bool) -> Vec<Span> {
     let fleet: Vec<ShardSpec> = (0..3)
         .map(|i| ShardSpec::uniform(format!("s{i}"), SERVICE_US))
         .collect();
@@ -48,11 +42,9 @@ fn traced_run(
     }
     let gate = BoundedQueues::new(12, 4).degrade_low_beyond(2);
     let recorder = RingRecorder::new(1 << 16);
-    let exemplars = TailExemplars::new(k);
-    let sink = Tee::new(&recorder, &exemplars);
-    simulate_frontend_traced(&fleet, &LeastQueued, &gate, &cfg, &sink)
+    simulate_frontend_traced(&fleet, &LeastQueued, &gate, &cfg, &recorder)
         .expect("random scenario configs are valid");
-    (recorder.spans(), exemplars.exemplars())
+    recorder.spans()
 }
 
 proptest! {
@@ -68,7 +60,7 @@ proptest! {
         low_tenths in 0u32..10,
         hedged in any::<bool>(),
     ) {
-        let (spans, _) = traced_run(seed, rate_tenths, low_tenths, hedged, 5);
+        let spans = traced_run(seed, rate_tenths, low_tenths, hedged);
         let analysis = analyze(&spans);
         prop_assert_eq!(analysis.requests.len(), REQUESTS);
         for r in &analysis.requests {
@@ -88,15 +80,29 @@ proptest! {
         }
     }
 
-    /// The reservoir is exact whatever the stream does: the kept set
-    /// equals an offline sort of every request by latency.
+    /// Whatever the stream does, the exemplars are the K slowest of the
+    /// requests `analyze` reconstructs (ties: lower id first), each with
+    /// every span recorded under its id, in recording order.
     #[test]
-    fn exemplar_reservoir_matches_offline_top_k(
+    fn offline_top_k_keeps_the_slowest_analysed_requests(
         seed in 0u64..1_000,
         rate_tenths in 3u32..30,
         k in 1usize..12,
     ) {
-        let (spans, live) = traced_run(seed, rate_tenths, 4, false, k);
-        prop_assert_eq!(live, offline_top_k(&spans, k));
+        let spans = traced_run(seed, rate_tenths, 4, false);
+        let mut ranked: Vec<(u64, f64)> = analyze(&spans)
+            .requests
+            .iter()
+            .map(|r| (r.trace_id, r.total_us))
+            .collect();
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        ranked.truncate(k);
+        let exemplars = offline_top_k(&spans, k);
+        let kept: Vec<(u64, f64)> = exemplars.iter().map(|e| (e.trace_id, e.latency_us)).collect();
+        prop_assert_eq!(kept, ranked);
+        for e in &exemplars {
+            let own: Vec<Span> = spans.iter().filter(|s| s.trace_id == e.trace_id).copied().collect();
+            prop_assert_eq!(&e.spans, &own);
+        }
     }
 }
