@@ -14,7 +14,7 @@
 //!
 //! ```json
 //! {
-//!   "schema": 5,
+//!   "schema": 10,
 //!   "profile": "fast",
 //!   "workers": 8,
 //!   "total_seconds": 123.4,

@@ -65,12 +65,6 @@ pub enum SparseNnError {
         /// Layers the backend's record carried.
         got: usize,
     },
-    /// Saving or loading a [`TrainedSystem`](crate::TrainedSystem)
-    /// checkpoint failed (I/O error or malformed checkpoint text).
-    Checkpoint {
-        /// Human-readable description of the failure.
-        message: String,
-    },
     /// Model-parallel partitioning failed for a reason other than
     /// capacity (capacity overflows surface as
     /// [`WMemoryOverflow`](Self::WMemoryOverflow)): no chips, an invalid
@@ -122,9 +116,6 @@ impl std::fmt::Display for SparseNnError {
                     f,
                     "backend returned {got} layer records for a {expected}-layer network"
                 )
-            }
-            SparseNnError::Checkpoint { message } => {
-                write!(f, "system checkpoint failed: {message}")
             }
             SparseNnError::Partition { message } => {
                 write!(f, "model-parallel partitioning failed: {message}")
@@ -220,10 +211,6 @@ mod tests {
             got: 3,
         };
         assert!(e.to_string().contains("3") && e.to_string().contains("2"));
-        let e = SparseNnError::Checkpoint {
-            message: "bad header".into(),
-        };
-        assert!(e.to_string().contains("bad header"));
     }
 
     #[test]

@@ -82,5 +82,4 @@ pub use error::SparseNnError;
 pub use profile::Profile;
 pub use system::{
     LayerSummary, SimulationSummary, SystemBuilder, TrainedSystem, TrainingAlgorithm,
-    MAX_CHECKPOINT_SAMPLES,
 };

@@ -10,12 +10,6 @@ use sparsenn_model::PredictedNetwork;
 use sparsenn_sim::{Machine, MachineConfig, MachineEvents, NetworkRun};
 use sparsenn_train::{end_to_end, no_uv, svd_baseline, TrainConfig};
 
-/// Largest train or test count a checkpoint's `split` line may name: ten
-/// times the full profile's 10,000 training images and fifty times its
-/// 2,000 test images. Loading regenerates the split, so a larger count is
-/// rejected before it can size an allocation.
-pub const MAX_CHECKPOINT_SAMPLES: usize = 100_000;
-
 /// Which training regime produces the predictor (the three rows of the
 /// paper's Table I).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -28,27 +22,6 @@ pub enum TrainingAlgorithm {
     /// No predictor at all ("NO UV"); the network still *carries* random
     /// predictors so it can be simulated, but evaluation ignores them.
     NoUv,
-}
-
-impl TrainingAlgorithm {
-    /// Stable single-token identifier (used by checkpoint files).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            TrainingAlgorithm::EndToEnd => "end-to-end",
-            TrainingAlgorithm::Svd => "svd",
-            TrainingAlgorithm::NoUv => "no-uv",
-        }
-    }
-
-    /// Parses a [`tag`](Self::tag) back into the algorithm.
-    pub fn from_tag(tag: &str) -> Option<Self> {
-        match tag {
-            "end-to-end" => Some(TrainingAlgorithm::EndToEnd),
-            "svd" => Some(TrainingAlgorithm::Svd),
-            "no-uv" => Some(TrainingAlgorithm::NoUv),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for TrainingAlgorithm {
@@ -157,13 +130,13 @@ impl SystemBuilder {
 
     /// Generates the data, trains the network and quantizes it.
     pub fn build(self) -> TrainedSystem {
-        let spec = DatasetSpec {
+        let split = DatasetSpec {
             kind: self.kind,
             train: self.train_samples,
             test: self.test_samples,
             seed: self.config.seed,
-        };
-        let split = spec.generate();
+        }
+        .generate();
         let machine_config = self.machine;
         let net = match self.algorithm {
             TrainingAlgorithm::EndToEnd => {
@@ -184,7 +157,7 @@ impl SystemBuilder {
         };
         let fixed = FixedNetwork::from_float(&net);
         TrainedSystem {
-            spec,
+            kind: self.kind,
             algorithm: self.algorithm,
             split,
             net,
@@ -197,9 +170,7 @@ impl SystemBuilder {
 /// A trained, quantized, simulatable SparseNN system.
 #[derive(Clone, Debug)]
 pub struct TrainedSystem {
-    /// The generating spec of `split` — regenerating from it is how a
-    /// checkpoint reload reproduces the identical test set.
-    spec: DatasetSpec,
+    kind: DatasetKind,
     algorithm: TrainingAlgorithm,
     split: SplitDataset,
     net: PredictedNetwork,
@@ -262,7 +233,7 @@ impl SimulationSummary {
 impl TrainedSystem {
     /// The dataset variant the system was trained on.
     pub fn kind(&self) -> DatasetKind {
-        self.spec.kind
+        self.kind
     }
 
     /// The training algorithm used.
@@ -412,189 +383,6 @@ impl TrainedSystem {
     ) -> Result<SimulationSummary, SparseNnError> {
         self.session().simulate_batch(samples, mode)
     }
-
-    /// Renders the system as checkpoint text: a header (dataset kind,
-    /// split spec, training algorithm, machine configuration) followed by
-    /// the bit-lossless `sparsenn_model::serialize` network format.
-    ///
-    /// Training at paper scale takes minutes of SGD;
-    /// [`from_checkpoint_str`](Self::from_checkpoint_str) rebuilds an
-    /// *identical* system — the synthetic split is regenerated from its
-    /// recorded spec and the weights round-trip bit-exactly, so every
-    /// simulation result (including a full [`SimulationSummary`]) is
-    /// reproduced exactly.
-    pub fn to_checkpoint_string(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "sparsenn-system v1");
-        let _ = writeln!(out, "dataset {}", self.spec.kind);
-        let _ = writeln!(out, "algorithm {}", self.algorithm.tag());
-        let _ = writeln!(
-            out,
-            "split {} {} {}",
-            self.spec.train, self.spec.test, self.spec.seed
-        );
-        let c = self.machine.config();
-        // clock_ns is stored as its exact f64 bit pattern, like the model
-        // weights: a checkpoint must not round the clock model.
-        let _ = writeln!(
-            out,
-            "machine {} {} {} {} {} {} {} {} {} {} {:016x}",
-            c.noc.num_pes,
-            c.noc.radix,
-            c.noc.queue_capacity,
-            c.noc.hop_latency,
-            c.act_queue_depth,
-            c.w_mem_bytes,
-            c.u_mem_bytes,
-            c.v_mem_bytes,
-            c.act_regs_per_pe,
-            c.pe_pipeline_depth,
-            c.clock_ns.to_bits()
-        );
-        out.push_str(&sparsenn_model::serialize::to_string(&self.net));
-        out
-    }
-
-    /// Parses checkpoint text produced by
-    /// [`to_checkpoint_string`](Self::to_checkpoint_string) and rebuilds
-    /// the full system (split regenerated from its spec, network
-    /// re-quantized from the bit-exact weights).
-    ///
-    /// # Errors
-    ///
-    /// [`SparseNnError::Checkpoint`] describing the first malformed line,
-    /// including split counts above [`MAX_CHECKPOINT_SAMPLES`] and a
-    /// machine line that fails [`MachineConfig::validate`].
-    pub fn from_checkpoint_str(text: &str) -> Result<Self, SparseNnError> {
-        let bad = |message: String| SparseNnError::Checkpoint { message };
-        let mut sections = text.splitn(6, '\n');
-        let mut line = |what: &str| -> Result<&str, SparseNnError> {
-            sections
-                .next()
-                .ok_or_else(|| bad(format!("missing {what} line")))
-        };
-        let header = line("header")?;
-        if header.trim() != "sparsenn-system v1" {
-            // Distinguish "right file, wrong version" (a version we may
-            // gain migration support for) from corrupted/foreign magic.
-            return Err(match header.trim().strip_prefix("sparsenn-system ") {
-                Some(version) => bad(format!(
-                    "unsupported checkpoint version `{version}` (this build reads v1)"
-                )),
-                None => bad(format!(
-                    "bad checkpoint magic `{header}` (expected `sparsenn-system v1`)"
-                )),
-            });
-        }
-        let kind: DatasetKind = line("dataset")?
-            .strip_prefix("dataset ")
-            .ok_or_else(|| bad("expected `dataset …`".into()))?
-            .trim()
-            .parse()
-            .map_err(|e| bad(format!("bad dataset kind: {e:?}")))?;
-        let algorithm = TrainingAlgorithm::from_tag(
-            line("algorithm")?
-                .strip_prefix("algorithm ")
-                .ok_or_else(|| bad("expected `algorithm …`".into()))?
-                .trim(),
-        )
-        .ok_or_else(|| bad("unknown training algorithm".into()))?;
-        let split_fields: Vec<u64> = line("split")?
-            .strip_prefix("split ")
-            .ok_or_else(|| bad("expected `split …`".into()))?
-            .split_whitespace()
-            .map(|t| t.parse().map_err(|_| bad(format!("bad split field `{t}`"))))
-            .collect::<Result<_, _>>()?;
-        let [train, test, seed] = split_fields[..] else {
-            return Err(bad("split needs `train test seed`".into()));
-        };
-        // The loader regenerates the split, so its counts size an
-        // allocation: bound them before anything is generated.
-        if train.max(test) > MAX_CHECKPOINT_SAMPLES as u64 {
-            return Err(bad(format!(
-                "split counts {train} / {test} exceed {MAX_CHECKPOINT_SAMPLES} images"
-            )));
-        }
-        let machine_fields: Vec<&str> = line("machine")?
-            .strip_prefix("machine ")
-            .ok_or_else(|| bad("expected `machine …`".into()))?
-            .split_whitespace()
-            .collect();
-        let [pes, radix, qcap, hop, aq, w, u, v, regs, pipe, clock] = machine_fields[..] else {
-            return Err(bad("machine line needs 11 fields".into()));
-        };
-        let num = |t: &str| -> Result<usize, SparseNnError> {
-            t.parse()
-                .map_err(|_| bad(format!("bad machine field `{t}`")))
-        };
-        let config = MachineConfig {
-            noc: sparsenn_noc::NocConfig {
-                num_pes: num(pes)?,
-                radix: num(radix)?,
-                queue_capacity: num(qcap)?,
-                hop_latency: num(hop)? as u64,
-            },
-            act_queue_depth: num(aq)?,
-            w_mem_bytes: num(w)?,
-            u_mem_bytes: num(u)?,
-            v_mem_bytes: num(v)?,
-            act_regs_per_pe: num(regs)?,
-            pe_pipeline_depth: num(pipe)? as u64,
-            clock_ns: f64::from_bits(
-                u64::from_str_radix(clock, 16)
-                    .map_err(|_| bad(format!("bad clock bits `{clock}`")))?,
-            ),
-        };
-        config
-            .validate()
-            .map_err(|e| bad(format!("machine line: {e}")))?;
-        let net = sparsenn_model::serialize::from_str(line("model")?)
-            .map_err(|e| bad(format!("model section: {e}")))?;
-        let spec = DatasetSpec {
-            kind,
-            train: train as usize,
-            test: test as usize,
-            seed,
-        };
-        let split = spec.generate();
-        let fixed = FixedNetwork::from_float(&net);
-        Ok(TrainedSystem {
-            spec,
-            algorithm,
-            split,
-            net,
-            fixed,
-            machine: Machine::new(config),
-        })
-    }
-
-    /// Saves the system as a checkpoint file — closes the ROADMAP gap of
-    /// the trained-system facade having no persistence.
-    ///
-    /// # Errors
-    ///
-    /// [`SparseNnError::Checkpoint`] wrapping the underlying I/O error.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), SparseNnError> {
-        std::fs::write(path.as_ref(), self.to_checkpoint_string()).map_err(|e| {
-            SparseNnError::Checkpoint {
-                message: format!("writing {}: {e}", path.as_ref().display()),
-            }
-        })
-    }
-
-    /// Loads a system saved by [`save`](Self::save).
-    ///
-    /// # Errors
-    ///
-    /// [`SparseNnError::Checkpoint`] for I/O errors or malformed text.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, SparseNnError> {
-        let text =
-            std::fs::read_to_string(path.as_ref()).map_err(|e| SparseNnError::Checkpoint {
-                message: format!("reading {}: {e}", path.as_ref().display()),
-            })?;
-        Self::from_checkpoint_str(&text)
-    }
 }
 
 #[cfg(test)]
@@ -669,85 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_roundtrip_reproduces_the_identical_summary() {
-        let custom_machine = MachineConfig {
-            clock_ns: 2.5,
-            ..MachineConfig::default()
-        };
-        let sys = SystemBuilder::new(DatasetKind::Rot)
-            .dims(&[784, 24, 10])
-            .rank(4)
-            .algorithm(TrainingAlgorithm::Svd)
-            .train_samples(60)
-            .test_samples(20)
-            .epochs(1)
-            .machine(custom_machine)
-            .build();
-        let text = sys.to_checkpoint_string();
-        let back = TrainedSystem::from_checkpoint_str(&text).expect("parse");
-        assert_eq!(back.kind(), DatasetKind::Rot);
-        assert_eq!(back.algorithm(), TrainingAlgorithm::Svd);
-        assert_eq!(back.network(), sys.network(), "weights are bit-exact");
-        assert_eq!(back.machine().config(), sys.machine().config());
-        assert_eq!(back.test_error_rate(), sys.test_error_rate());
-        // The acceptance bar: an identical SimulationSummary after reload
-        // (same regenerated split, same quantized net, same machine).
-        let a = sys.simulate_batch(8, UvMode::On).unwrap();
-        let b = back.simulate_batch(8, UvMode::On).unwrap();
-        assert_eq!(a, b);
-        // And the text form is stable across a save/load cycle.
-        assert_eq!(text, back.to_checkpoint_string());
-    }
-
-    #[test]
-    fn checkpoint_save_load_through_files() {
-        let sys = tiny(TrainingAlgorithm::EndToEnd);
-        let path = std::env::temp_dir().join(format!(
-            "sparsenn-checkpoint-test-{}.txt",
-            std::process::id()
-        ));
-        sys.save(&path).expect("save");
-        let back = TrainedSystem::load(&path).expect("load");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(back.network(), sys.network());
-        assert_eq!(
-            back.simulate_batch(4, UvMode::On).unwrap(),
-            sys.simulate_batch(4, UvMode::On).unwrap()
-        );
-        // Missing file surfaces as a Checkpoint error, not a panic.
-        assert!(matches!(
-            TrainedSystem::load(&path),
-            Err(SparseNnError::Checkpoint { .. })
-        ));
-    }
-
-    #[test]
-    fn malformed_checkpoints_are_rejected() {
-        let sys = tiny(TrainingAlgorithm::NoUv);
-        let good = sys.to_checkpoint_string();
-        for broken in [
-            String::from("not a checkpoint"),
-            good.replace("sparsenn-system v1", "sparsenn-system v9"),
-            good.replace("dataset basic", "dataset lunar"),
-            good.replace("algorithm no-uv", "algorithm magic"),
-            good.replace("split ", "split x "),
-            good.replace("machine ", "machine x "),
-            good.lines().take(5).collect::<Vec<_>>().join("\n"), // no model
-        ] {
-            assert!(
-                matches!(
-                    TrainedSystem::from_checkpoint_str(&broken),
-                    Err(SparseNnError::Checkpoint { .. })
-                ),
-                "should reject: {}",
-                broken.lines().next().unwrap_or("")
-            );
-        }
-        // Round trip still works for the untouched text.
-        assert!(TrainedSystem::from_checkpoint_str(&good).is_ok());
-    }
-
-    #[test]
     fn pipelined_session_matches_bits_and_never_adds_latency() {
         let sys = tiny(TrainingAlgorithm::EndToEnd);
         let serialized = sys.partitioned_session(2).unwrap();
@@ -759,18 +468,6 @@ mod tests {
             assert_eq!(a.total_events(), b.total_events(), "sample {i}");
             assert!(b.time_us() <= a.time_us() + 1e-9, "sample {i}");
         }
-    }
-
-    #[test]
-    fn algorithm_tags_roundtrip() {
-        for alg in [
-            TrainingAlgorithm::EndToEnd,
-            TrainingAlgorithm::Svd,
-            TrainingAlgorithm::NoUv,
-        ] {
-            assert_eq!(TrainingAlgorithm::from_tag(alg.tag()), Some(alg));
-        }
-        assert_eq!(TrainingAlgorithm::from_tag("nonsense"), None);
     }
 
     #[test]

@@ -6,7 +6,6 @@ use crate::transform::Affine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
-use std::str::FromStr;
 
 /// Which MNIST variant to synthesize (Larochelle et al. 2007 naming).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,35 +32,6 @@ impl fmt::Display for DatasetKind {
             DatasetKind::BgRand => "bg_rand",
         };
         f.write_str(name)
-    }
-}
-
-/// Error returned when parsing a [`DatasetKind`] from a string fails.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseDatasetKindError(String);
-
-impl fmt::Display for ParseDatasetKindError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown dataset kind `{}` (expected basic, rot or bg_rand)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseDatasetKindError {}
-
-impl FromStr for DatasetKind {
-    type Err = ParseDatasetKindError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "basic" | "mnist-basic" => Ok(DatasetKind::Basic),
-            "rot" | "mnist-rot" => Ok(DatasetKind::Rot),
-            "bg_rand" | "bg-rand" | "bgrand" | "mnist-back-rand" => Ok(DatasetKind::BgRand),
-            other => Err(ParseDatasetKindError(other.to_owned())),
-        }
     }
 }
 
@@ -223,14 +193,5 @@ mod tests {
                 assert!(img.iter().all(|&p| (0.0..=1.0).contains(&p)));
             }
         }
-    }
-
-    #[test]
-    fn kind_roundtrips_through_strings() {
-        for kind in DatasetKind::ALL {
-            let s = kind.to_string();
-            assert_eq!(s.parse::<DatasetKind>().unwrap(), kind);
-        }
-        assert!("nope".parse::<DatasetKind>().is_err());
     }
 }

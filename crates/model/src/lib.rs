@@ -19,8 +19,8 @@
 //!
 //! * [`Mlp`], [`DenseLayer`] — the float network.
 //! * [`Predictor`] — one `U·V` factor pair.
-//! * [`PredictedNetwork`] — network + predictors, with plain / predicted /
-//!   training-faithful forward passes.
+//! * [`PredictedNetwork`] — network + predictors, with plain and
+//!   predicted forward passes.
 //! * [`fixedpoint`] — the quantized golden model the cycle-level simulator
 //!   is verified against, bit for bit.
 //! * [`stats`] — TER and sparsity measurement.
@@ -45,12 +45,7 @@
 pub mod fixedpoint;
 mod mlp;
 mod predictor;
-pub mod serialize;
 pub mod stats;
 
 pub use mlp::{DenseLayer, Mlp};
 pub use predictor::{PredictedForward, PredictedNetwork, Predictor};
-
-/// Number of classes of the digit benchmarks (kept crate-local so `model`
-/// does not depend on the datasets crate's constant).
-pub(crate) const NUM_CLASSES_INTERNAL: usize = 10;

@@ -204,29 +204,6 @@ impl PredictedNetwork {
         }
         PredictedForward { post, masks }
     }
-
-    /// The paper-faithful *training* forward pass of Algorithm 1:
-    /// `a = p ∘ ReLU(W·a)` with `p = sign(U·V·a) ∈ {−1, 0, +1}`.
-    ///
-    /// Unlike [`forward_predicted`](Self::forward_predicted), a false
-    /// negative (`p = −1` while `ReLU > 0`) produces a *negated* activation
-    /// rather than zero; this is what the straight-through gradients are
-    /// computed against during training.
-    pub fn forward_training(&self, x: &[f32]) -> Vec<Vec<f32>> {
-        let mut post = vec![x.to_vec()];
-        for (l, layer) in self.mlp.layers().iter().enumerate() {
-            let a = post.last().expect("never empty");
-            let z = layer.preact(a);
-            if l < self.predictors.len() {
-                let p = vector::sign(&self.predictors[l].scores(a));
-                let gated = vector::hadamard(&p, &vector::relu(&z));
-                post.push(gated);
-            } else {
-                post.push(z);
-            }
-        }
-        post
-    }
 }
 
 #[cfg(test)]
@@ -296,20 +273,6 @@ mod tests {
             masks: vec![vec![true, false, false, true]],
         };
         assert_eq!(pf.predicted_sparsity(0), 0.5);
-    }
-
-    #[test]
-    fn training_forward_matches_sign_times_relu() {
-        let net = small_net(5);
-        let x: Vec<f32> = (0..6).map(|i| (i as f32 * 1.3).sin()).collect();
-        let tr = net.forward_training(&x);
-        // Recompute layer 0 by hand.
-        let z = net.mlp().layers()[0].preact(&x);
-        let p = vector::sign(&net.predictors()[0].scores(&x));
-        for i in 0..z.len() {
-            let expect = p[i] * z[i].max(0.0);
-            assert!((tr[1][i] - expect).abs() < 1e-6);
-        }
     }
 
     #[test]

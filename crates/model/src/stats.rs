@@ -70,98 +70,6 @@ pub fn predicted_sparsity(net: &PredictedNetwork, data: &Dataset) -> Vec<f32> {
         .collect()
 }
 
-/// Mean *natural* output sparsity per hidden layer (fraction of exact
-/// zeros after ReLU, no predictor), in percent. This is the sparsity the
-/// EIE baseline (`uv_off`) exploits on the next layer's input.
-pub fn natural_sparsity(mlp: &Mlp, data: &Dataset) -> Vec<f32> {
-    let hidden = mlp.num_hidden();
-    let mut sums = vec![0.0f64; hidden];
-    if data.is_empty() {
-        return vec![0.0; hidden];
-    }
-    for (img, _) in data.iter() {
-        let acts = mlp.forward(img);
-        for (l, s) in sums.iter_mut().enumerate() {
-            *s += f64::from(vector::sparsity(&acts.post[l + 1]));
-        }
-    }
-    sums.iter()
-        .map(|&s| (100.0 * s / data.len() as f64) as f32)
-        .collect()
-}
-
-/// A 10×10 confusion matrix (`rows` = true label, `cols` = prediction).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    counts: [[usize; crate::NUM_CLASSES_INTERNAL]; crate::NUM_CLASSES_INTERNAL],
-    total: usize,
-}
-
-impl ConfusionMatrix {
-    /// Number of samples with true label `t` predicted as `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is ≥ 10.
-    pub fn count(&self, t: usize, p: usize) -> usize {
-        self.counts[t][p]
-    }
-
-    /// Overall accuracy in `[0, 1]`.
-    pub fn accuracy(&self) -> f32 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let correct: usize = (0..crate::NUM_CLASSES_INTERNAL)
-            .map(|c| self.counts[c][c])
-            .sum();
-        correct as f32 / self.total as f32
-    }
-
-    /// Per-class recall (`None` when the class has no samples).
-    pub fn recall(&self, class: usize) -> Option<f32> {
-        let row: usize = self.counts[class].iter().sum();
-        if row == 0 {
-            return None;
-        }
-        Some(self.counts[class][class] as f32 / row as f32)
-    }
-
-    /// The most confused (true, predicted) off-diagonal pair, if any
-    /// misclassification happened.
-    pub fn worst_confusion(&self) -> Option<(usize, usize, usize)> {
-        let mut best: Option<(usize, usize, usize)> = None;
-        for t in 0..crate::NUM_CLASSES_INTERNAL {
-            for p in 0..crate::NUM_CLASSES_INTERNAL {
-                if t != p
-                    && self.counts[t][p] > 0
-                    && best.is_none_or(|(_, _, c)| self.counts[t][p] > c)
-                {
-                    best = Some((t, p, self.counts[t][p]));
-                }
-            }
-        }
-        best
-    }
-}
-
-/// Builds the confusion matrix of a network over a dataset.
-pub fn confusion_matrix(net: &PredictedNetwork, data: &Dataset, mode: EvalMode) -> ConfusionMatrix {
-    let mut counts = [[0usize; crate::NUM_CLASSES_INTERNAL]; crate::NUM_CLASSES_INTERNAL];
-    for (img, label) in data.iter() {
-        let pred = match mode {
-            EvalMode::Plain => vector::argmax(&net.forward_plain(img)),
-            EvalMode::Predicted => vector::argmax(net.forward_predicted(img).logits()),
-        }
-        .expect("nonempty logits");
-        counts[label as usize][pred.min(crate::NUM_CLASSES_INTERNAL - 1)] += 1;
-    }
-    ConfusionMatrix {
-        counts,
-        total: data.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,43 +123,6 @@ mod tests {
         for s in predicted_sparsity(&net, &data) {
             assert!((0.0..=100.0).contains(&s));
         }
-        for s in natural_sparsity(net.mlp(), &data) {
-            assert!((0.0..=100.0).contains(&s));
-        }
-    }
-
-    #[test]
-    fn confusion_matrix_sums_and_accuracy_agree_with_ter() {
-        let mut rng = seeded_rng(6);
-        let mlp = Mlp::random(&[784, 16, 10], &mut rng);
-        let net = PredictedNetwork::with_random_predictors(mlp, 3, &mut rng);
-        let data = tiny_data();
-        let cm = confusion_matrix(&net, &data, EvalMode::Predicted);
-        let total: usize = (0..10)
-            .map(|t| (0..10).map(|p| cm.count(t, p)).sum::<usize>())
-            .sum();
-        assert_eq!(total, data.len());
-        let ter = test_error_rate(&net, &data, EvalMode::Predicted);
-        assert!((cm.accuracy() * 100.0 - (100.0 - ter)).abs() < 1e-4);
-    }
-
-    #[test]
-    fn recall_is_none_for_absent_classes() {
-        let mut rng = seeded_rng(7);
-        let mlp = Mlp::random(&[784, 8, 10], &mut rng);
-        let net = PredictedNetwork::with_random_predictors(mlp, 2, &mut rng);
-        let empty = DatasetSpec {
-            kind: DatasetKind::Basic,
-            train: 0,
-            test: 0,
-            seed: 1,
-        }
-        .generate()
-        .test;
-        let cm = confusion_matrix(&net, &empty, EvalMode::Plain);
-        assert_eq!(cm.recall(3), None);
-        assert_eq!(cm.accuracy(), 0.0);
-        assert_eq!(cm.worst_confusion(), None);
     }
 
     #[test]

@@ -89,14 +89,4 @@ proptest! {
             prop_assert!((a * alpha - b).abs() < 1e-3 * (1.0 + b.abs()), "{a} {b} {alpha}");
         }
     }
-
-    /// Serialization round trip preserves the network bit for bit, for any
-    /// architecture.
-    #[test]
-    fn serialize_roundtrip(seed in 0u64..10_000, hidden in 2usize..20, rank in 1usize..4) {
-        let net = network(seed, hidden, rank);
-        let text = sparsenn_model::serialize::to_string(&net);
-        let back = sparsenn_model::serialize::from_str(&text).expect("parse");
-        prop_assert_eq!(net, back);
-    }
 }

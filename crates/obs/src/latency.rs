@@ -94,11 +94,6 @@ impl LatencyStat {
         self.count
     }
 
-    /// Sum of the observations, µs.
-    pub fn sum_us(&self) -> f64 {
-        self.sum_us
-    }
-
     /// Exact arithmetic mean of the observations (0 when empty).
     pub fn mean_us(&self) -> f64 {
         if self.count == 0 {
@@ -106,11 +101,6 @@ impl LatencyStat {
         } else {
             self.sum_us / self.count as f64
         }
-    }
-
-    /// Exact maximum observation (0 when empty).
-    pub fn max_us(&self) -> f64 {
-        self.max_us
     }
 
     /// The summary snapshot: exact mean and max, P²-estimated

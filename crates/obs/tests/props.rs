@@ -105,9 +105,9 @@ proptest! {
         let exact = LatencyStats::of(&values);
         prop_assert_eq!(stat.count(), values.len() as u64);
         prop_assert!((stat.mean_us() - exact.mean_us).abs() <= 1e-6 * exact.mean_us.max(1.0));
-        prop_assert_eq!(stat.max_us(), exact.max_us);
-        // Percentile estimates stay within the observed range.
         let s = stat.stats();
+        prop_assert_eq!(s.max_us, exact.max_us);
+        // Percentile estimates stay within the observed range.
         let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
         prop_assert!(s.p50_us >= lo - 1e-9 && s.p50_us <= exact.max_us + 1e-9);
         prop_assert!(s.p99_us >= lo - 1e-9 && s.p99_us <= exact.max_us + 1e-9);

@@ -19,7 +19,7 @@
 //!   W-memory capacity (tiles disjoint, exhaustive, each fits — the
 //!   invariants [`PartitionPlan::validate`] checks). The plan is a pure
 //!   function of the network, the chip configuration and the chip
-//!   count, so it is recomputed from a reloaded checkpoint, never stored;
+//!   count, so it is recomputed, never stored;
 //! * [`InterChipConfig`] — the communication cost model: the same
 //!   radix-R tree/flit vocabulary as the PE-level H-tree of
 //!   `sparsenn-noc` ([`sparsenn_noc::tree_levels`]), lifted one level up

@@ -5,7 +5,13 @@ use sparsenn::datasets::DatasetKind;
 use sparsenn::model::fixedpoint::UvMode;
 use sparsenn::{SystemBuilder, TrainingAlgorithm};
 
-fn small_system(alg: TrainingAlgorithm) -> sparsenn::TrainedSystem {
+const ALGORITHMS: [TrainingAlgorithm; 3] = [
+    TrainingAlgorithm::EndToEnd,
+    TrainingAlgorithm::Svd,
+    TrainingAlgorithm::NoUv,
+];
+
+fn small_builder(alg: TrainingAlgorithm) -> SystemBuilder {
     SystemBuilder::new(DatasetKind::Basic)
         .dims(&[784, 64, 10])
         .rank(6)
@@ -13,7 +19,10 @@ fn small_system(alg: TrainingAlgorithm) -> sparsenn::TrainedSystem {
         .train_samples(150)
         .test_samples(50)
         .epochs(3)
-        .build()
+}
+
+fn small_system(alg: TrainingAlgorithm) -> sparsenn::TrainedSystem {
+    small_builder(alg).build()
 }
 
 #[test]
@@ -37,28 +46,32 @@ fn trained_system_beats_chance_and_simulates_exactly() {
     }
 }
 
+/// A trained system is rebuilt from its seeded builder, never saved: two
+/// builds of one `SystemBuilder` quantize to the same network and
+/// simulate to the identical summary, for every training algorithm.
 #[test]
 fn pipeline_is_deterministic_end_to_end() {
-    let a = small_system(TrainingAlgorithm::EndToEnd);
-    let b = small_system(TrainingAlgorithm::EndToEnd);
-    assert_eq!(
-        a.network(),
-        b.network(),
-        "training must be bit-reproducible"
-    );
-    let run_a = a.simulate_sample(0, UvMode::On).unwrap();
-    let run_b = b.simulate_sample(0, UvMode::On).unwrap();
-    assert_eq!(run_a.total_cycles(), run_b.total_cycles());
-    assert_eq!(run_a.total_events(), run_b.total_events());
+    for alg in ALGORITHMS {
+        let builder = small_builder(alg);
+        let a = builder.clone().build();
+        let b = builder.build();
+        assert_eq!(
+            a.network(),
+            b.network(),
+            "{alg}: training must be bit-reproducible"
+        );
+        assert_eq!(a.fixed(), b.fixed(), "{alg}");
+        assert_eq!(
+            a.simulate_batch(8, UvMode::On).unwrap(),
+            b.simulate_batch(8, UvMode::On).unwrap(),
+            "{alg}"
+        );
+    }
 }
 
 #[test]
 fn all_three_algorithms_flow_through_the_whole_stack() {
-    for alg in [
-        TrainingAlgorithm::EndToEnd,
-        TrainingAlgorithm::Svd,
-        TrainingAlgorithm::NoUv,
-    ] {
+    for alg in ALGORITHMS {
         let sys = small_system(alg);
         let run = sys.simulate_sample(0, UvMode::On).unwrap();
         assert_eq!(run.layers.len(), 2, "{alg}: two weight layers");
