@@ -395,6 +395,82 @@ mod tests {
         (fixed, xq)
     }
 
+    #[test]
+    fn all_backends_agree_on_outputs_and_masks() {
+        let (net, x) = net_and_input(&[36, 72, 48, 10], 4);
+        let backends: Vec<Box<dyn InferenceBackend>> = vec![
+            Box::new(CycleAccurateBackend::default()),
+            Box::new(GoldenBackend::new()),
+            Box::new(SimdBackend::new(SimdPlatform::dnn_engine())),
+            Box::new(SimdBackend::new(SimdPlatform::lradnn(4))),
+            Box::new(crate::engine::KernelBackend::new()),
+        ];
+        for mode in [UvMode::Off, UvMode::On] {
+            let reference = backends[0].run(&net, &x, mode).unwrap();
+            for b in &backends[1..] {
+                let r = b.run(&net, &x, mode).unwrap();
+                for (l, (got, want)) in r.layers.iter().zip(&reference.layers).enumerate() {
+                    assert_eq!(got.output, want.output, "{}: layer {l} {mode:?}", b.name());
+                    assert_eq!(got.mask, want.mask, "{}: layer {l} mask {mode:?}", b.name());
+                }
+            }
+        }
+    }
+
+    fn batch_of(net: &FixedNetwork, dims0: usize, b: usize) -> Vec<Vec<Q6_10>> {
+        (0..b)
+            .map(|s| {
+                let x: Vec<f32> = (0..dims0)
+                    .map(|i| {
+                        if (i + s) % 4 == 0 {
+                            0.0
+                        } else {
+                            ((i as f32 + s as f32) * 0.31).sin().abs()
+                        }
+                    })
+                    .collect();
+                net.quantize_input(&x)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_batch_is_bit_identical_to_serial_on_every_backend() {
+        let (net, _) = net_and_input(&[36, 72, 48, 10], 4);
+        let inputs = batch_of(&net, 36, 3);
+        let backends: Vec<Box<dyn InferenceBackend>> = vec![
+            Box::new(CycleAccurateBackend::default()),
+            Box::new(GoldenBackend::new()),
+            Box::new(SimdBackend::new(SimdPlatform::dnn_engine())),
+            Box::new(crate::engine::KernelBackend::new()),
+        ];
+        for b in &backends {
+            for mode in [UvMode::Off, UvMode::On] {
+                let batch = b.run_batch(&net, &inputs, mode).unwrap();
+                assert_eq!(batch.batch_size(), 3, "{}", b.name());
+                for (s, x) in inputs.iter().enumerate() {
+                    let serial = b.run(&net, x, mode).unwrap();
+                    assert_eq!(
+                        batch.records[s],
+                        serial,
+                        "{} sample {s} {mode:?}: batching must not change records",
+                        b.name()
+                    );
+                }
+                assert!(
+                    batch.batch_time_us <= batch.serial_time_us() + 1e-9,
+                    "{}: batch never slower than serial",
+                    b.name()
+                );
+                assert!(
+                    batch.w_reads_amortized <= batch.w_reads_serial,
+                    "{}",
+                    b.name()
+                );
+            }
+        }
+    }
+
     /// Batch workers share one machine backend by `&self`: runs made from
     /// several threads at once match a lone machine's runs bit for bit.
     #[test]
