@@ -1,4 +1,6 @@
-//! Ablations of the design choices DESIGN.md §6 calls out.
+//! Ablations of the paper's design choices: buffered NoC flow control
+//! (§V.B), column- vs row-based V scheduling (§V.C) and the λ sweep of
+//! Eq. (4).
 
 use crate::fmt_f;
 use crate::report::Report;

@@ -23,8 +23,7 @@
 //!
 //! Around the oracles: a block-size sweep, a synthetic input-sparsity
 //! sweep (speedup vs zeros), native `run_batch` per-sample latency for
-//! B = 1..=8, the SimdBackend modelled-vs-measured cross-check, and a
-//! measured [`ShardSpec`] service table.
+//! B = 1..=8, and the SimdBackend modelled-vs-measured cross-check.
 
 use crate::fmt_f;
 use crate::report::Report;
@@ -35,7 +34,6 @@ use sparsenn_core::sim::simd::SimdPlatform;
 use sparsenn_core::Profile;
 use sparsenn_kernel::{SparseKernel, Strategy, DEFAULT_BLOCK};
 use sparsenn_obs::min_wall_us;
-use sparsenn_serve::ShardSpec;
 use std::fmt::Write as _;
 
 /// Largest batch the study measures.
@@ -374,25 +372,6 @@ pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> Report {
     );
     out.metric("kernel.model_vs_measured", ratio);
     out.metric("kernel.backend_us", measured_us);
-
-    // — A measured service table for the serving simulators —
-    let spec = ShardSpec::from_measured(
-        measured_backend.name(),
-        &measured_backend,
-        net,
-        &inputs[..4.min(inputs.len())],
-        UvMode::On,
-        r,
-    )
-    .expect("study network fits the kernel backend");
-    let _ = writeln!(
-        out,
-        "measured `ShardSpec` service table (feeds the virtual-time \
-         serving simulator): mean {} µs over {} samples\n",
-        fmt_f(spec.mean_service_us(), 2),
-        spec.service_us.len(),
-    );
-    out.metric("kernel.measured_service_us_mean", spec.mean_service_us());
     out
 }
 

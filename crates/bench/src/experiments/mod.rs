@@ -1,4 +1,4 @@
-//! One module per paper table/figure, plus the ablations of DESIGN.md §6
+//! One module per paper table/figure, plus the design-choice ablations
 //! and the serving studies (beyond the paper): worker scaling, the
 //! virtual-time latency-vs-load simulation, and model-parallel
 //! partitioning of oversized networks.

@@ -30,7 +30,6 @@
 //! | `… --bin analyze` | trace analytics: critical-path attribution, tail exemplars, burn rates | breakdowns sum; critical path bounded; burn rate discriminates; report deterministic |
 //! | `… --bin trace_report` | text analytics report from a fresh run or a recorded trace (`--input FILE`) | — |
 //! | `… --bin run_all` | everything above, in order, plus `BENCH_results.json` (always exits 0) | — |
-//! | `… --bin bench_diff` | compare two `BENCH_results.json` files (`--json` for machine output) | exits non-zero on a wall-time regression |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

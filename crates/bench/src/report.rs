@@ -6,11 +6,10 @@
 //! declared oracle is false or was never recorded, so CI gates on the
 //! bins' exit status rather than on the wording of their reports.
 //!
-//! `run_all` writes a `BENCH_results.json` next to its markdown output so
-//! the perf trajectory (wall time per experiment, profile, parallelism,
-//! modelled serving metrics) can be tracked across PRs without parsing
-//! markdown. The JSON is hand-emitted and re-parsed by [`BenchSnapshot`]
-//! (the workspace has no serde) and deliberately flat:
+//! `run_all` writes a `BENCH_results.json` next to its markdown output,
+//! so a run's wall time per experiment and its named metrics can be read
+//! without parsing markdown. The JSON is hand-emitted (the workspace has
+//! no serde), read back with [`json::parse`], and deliberately flat:
 //!
 //! ```json
 //! {
@@ -27,66 +26,15 @@
 //! }
 //! ```
 //!
-//! Schema 2 added `metrics` — named modelled quantities alongside host
-//! wall times. Schema 3 replaces the fleet study's degenerate
-//! `shards / latency` throughput metrics with the `serve` experiment's
-//! virtual-time serving metrics (capacity, latency percentiles per
-//! scheduler and offered load, closed-loop validation). Schema 4 adds
-//! the `partition` experiment's model-parallel metrics
-//! (`partition.latency_us.*` / `partition.energy_uj.*` /
-//! `partition.comm_overhead_pct.*` per chip count, plus the
-//! `partition.bit_identical` and `partition.single_chip_rejected`
-//! oracle flags). Schema 5 adds the wavefront-pipelining metrics
-//! (`partition.pipeline.wavefront_latency_us.*` /
-//! `partition.pipeline.free_latency_us.*` /
-//! `partition.pipeline.speedup.*` /
-//! `partition.pipeline.comm_hidden_pct.*` per chip count, plus the
-//! `partition.pipeline.overlap_sound` flag), so `bench-trend` tracks
-//! the comm/compute-overlap win of the wavefront schedule. Schema 6
-//! adds the production front end's `frontend.*` metrics (overload
-//! goodput/shed-rate/high-p99 per admission policy, hedged-vs-unhedged
-//! fault goodput, autoscaler activity, and the policy-sweep winner,
-//! plus the `frontend.high_p99_within_slo`,
-//! `frontend.low_absorbs_overload` and `frontend.hedged_beats_unhedged`
-//! oracle flags). Schema 7 adds the cross-request batching study's
-//! `batching.*` metrics (per-sample time and W-read amortization per
-//! batch size from the real batched machine, saturated throughput and
-//! light-load p99 per batch cap from the queue-aware simulator, plus
-//! the `batching.bit_identical`, `batching.throughput_monotone` and
-//! `batching.latency_cost_visible` oracle flags). Schema 8 adds the
-//! observability plane's `obs.*` metrics (trace span/byte counts, the
-//! `obs.trace_deterministic` / `obs.nesting_ok` / `obs.spans_covered`
-//! oracle flags, and the tracing-overhead percentages with their
-//! `obs.overhead_disabled_ok` / `obs.overhead_enabled_ok` oracles).
-//! Schema 9 adds the trace-analytics `analyze.*` metrics
-//! (critical-path attribution shares, tail-exemplar gaps, burn rates
-//! and their oracle flags). Schema 10 adds the native-kernel study's
-//! `kernel.*` metrics — **measured wall-clock**, not modelled time:
-//! dense-vs-prescan per-sample latency and speedup per block size and
-//! input sparsity, native-batch per-sample latency and W-word
-//! amortization per batch size, the modelled-vs-measured cross-check and
-//! the `kernel.bit_exact` oracle flag — plus `profile.*` wall-time phases
-//! from a phase profiler. Schema 10 later gained the
-//! `kernel.speedup_ok` / `kernel.engine_overhead_ok` flags for the
-//! kernel's two numeric gates. It also lost the simulator hot-loop
-//! comparison (its speedup, its oracle flag and its `profile.sim.*`
-//! phases) when the per-element scan it timed was deleted; the
-//! `cycle_golden` snapshot test pins the simulator instead. It then
-//! lost the kernel study's remaining `profile.*` phases, when the
-//! phase profiler was deleted in favour of `min_wall_us`, and
-//! `analyze.exemplar_exact`, when the tail exemplars became one
-//! offline read of the recording; the obs study gained
-//! `obs.spans_dropped`, the recorder's drop count.
-//! The `bench_diff` bin
-//! compares two such files (any schema — metrics diff generically by
-//! name, and metrics present only in the old file get explicit
-//! `removed` rows), flags wall-time regressions past a threshold on
-//! experiments of at least [`MIN_JUDGED_SECONDS`], and
-//! flags *directional* metric regressions: quantities named like
-//! goodput/throughput/attainment/speedup must not fall, and latencies
-//! (`*_us`), shed rates and error rates must not grow, each past the
-//! same threshold. `bench_diff --json PATH` additionally writes the
-//! diff itself as a machine-readable document ([`BenchDiff::to_json`]).
+//! `workers` is the batch worker-pool size the experiments ran on, and
+//! `seconds` each experiment's wall time in one run. `metrics` holds
+//! every experiment's [`Report`] metrics in run order, each named after
+//! its experiment (`fleet.*`, `serve.*`, `partition.*`, `frontend.*`,
+//! `batching.*`, `kernel.*`, `obs.*`, `analyze.*`): modelled quantities
+//! (virtual-time latency and goodput, cycles, energy) for the paper and
+//! serving studies, measured host wall-clock for the `fleet`, `kernel`
+//! and `obs` studies, and every declared oracle as a 0/1 flag
+//! (`kernel.bit_exact`, `partition.bit_identical`, …).
 
 use sparsenn_obs::Span;
 use std::fmt::Write as _;
@@ -211,11 +159,6 @@ impl BenchResults {
         }
     }
 
-    /// Records a named modelled metric for the JSON output.
-    pub fn add_metric(&mut self, name: impl Into<String>, value: f64) {
-        self.metrics.push((name.into(), value));
-    }
-
     /// Runs one experiment, recording its wall time and the size of its
     /// markdown report. Returns the report so callers can post-process it.
     pub fn run<R: AsRef<str>>(&mut self, name: &str, experiment: impl FnOnce() -> R) -> R {
@@ -282,273 +225,10 @@ impl BenchResults {
     }
 }
 
-/// A parsed `BENCH_results.json` — the read side of [`BenchResults`],
-/// consumed by the `bench_diff` bin to compare two runs.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct BenchSnapshot {
-    /// Profile the run used.
-    pub profile: String,
-    /// Worker-pool size recorded by the run.
-    pub workers: f64,
-    /// Total wall-clock seconds.
-    pub total_seconds: f64,
-    /// `(name, seconds)` per experiment, in file order.
-    pub experiments: Vec<(String, f64)>,
-    /// `(name, value)` modelled metrics (empty for schema-1 files).
-    pub metrics: Vec<(String, f64)>,
-}
-
-impl BenchSnapshot {
-    /// Parses a `BENCH_results.json` document (schema 1 through 10).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first syntax or shape problem.
-    pub fn parse(json: &str) -> Result<Self, String> {
-        let value = json::parse(json)?;
-        let root = value.as_object().ok_or("top level must be an object")?;
-        let get = |key: &str| json::lookup(root, key);
-        let mut snap = BenchSnapshot {
-            profile: get("profile")
-                .and_then(json::JsonValue::as_str)
-                .unwrap_or("")
-                .to_string(),
-            workers: get("workers")
-                .and_then(json::JsonValue::as_f64)
-                .unwrap_or(0.0),
-            total_seconds: get("total_seconds")
-                .and_then(json::JsonValue::as_f64)
-                .unwrap_or(0.0),
-            ..BenchSnapshot::default()
-        };
-        let named = |entry: &json::JsonValue, value_key: &str| -> Option<(String, f64)> {
-            let obj = entry.as_object()?;
-            Some((
-                json::lookup(obj, "name")?.as_str()?.to_string(),
-                json::lookup(obj, value_key)?.as_f64()?,
-            ))
-        };
-        if let Some(json::JsonValue::Arr(entries)) = get("experiments") {
-            snap.experiments = entries.iter().filter_map(|e| named(e, "seconds")).collect();
-        }
-        if let Some(json::JsonValue::Arr(entries)) = get("metrics") {
-            snap.metrics = entries.iter().filter_map(|e| named(e, "value")).collect();
-        }
-        if snap.experiments.is_empty() {
-            return Err("no experiments in file".into());
-        }
-        Ok(snap)
-    }
-}
-
-/// Result of diffing two benchmark snapshots.
-#[derive(Clone, Debug)]
-pub struct BenchDiff {
-    /// Rendered markdown comparison.
-    pub markdown: String,
-    /// Experiments whose wall time grew past the threshold.
-    pub regressions: Vec<String>,
-    /// Metrics that moved in their bad direction past the threshold.
-    pub metric_regressions: Vec<String>,
-}
-
-impl BenchDiff {
-    /// Renders the diff as a JSON document: the regression lists plus
-    /// the rendered markdown, for dashboards that post-process
-    /// `bench_diff --json` output.
-    pub fn to_json(&self) -> String {
-        let list = |items: &[String]| {
-            items
-                .iter()
-                .map(|name| format!("\"{}\"", escape(name)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"regressions\": [{}],", list(&self.regressions));
-        let _ = writeln!(
-            out,
-            "  \"metric_regressions\": [{}],",
-            list(&self.metric_regressions)
-        );
-        let _ = writeln!(out, "  \"markdown\": \"{}\"", escape(&self.markdown));
-        out.push_str("}\n");
-        out
-    }
-}
-
-/// Which way a modelled metric is allowed to move, inferred from its
-/// name. Oracle flags (0/1) and counts with no inherent direction return
-/// `None` and are reported without a regression check.
-fn metric_direction(name: &str) -> Option<MetricDirection> {
-    // Higher-better first: "goodput_rps" etc. would otherwise match the
-    // lower-better "rate" family on nothing, but keep the precedence
-    // explicit anyway.
-    const HIGHER: [&str; 6] = [
-        "goodput",
-        "throughput",
-        "attainment",
-        "capacity",
-        "speedup",
-        "comm_hidden",
-    ];
-    const LOWER: [&str; 5] = ["_us", "shed_rate", "error", "overhead", "latency"];
-    if HIGHER.iter().any(|k| name.contains(k)) {
-        Some(MetricDirection::HigherBetter)
-    } else if LOWER.iter().any(|k| name.contains(k)) {
-        Some(MetricDirection::LowerBetter)
-    } else {
-        None
-    }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum MetricDirection {
-    HigherBetter,
-    LowerBetter,
-}
-
-/// Shortest old wall time, in seconds, that [`diff_snapshots`] judges.
-/// Each side of a diff is one reading, and a shorter experiment's run
-/// to run spread alone can pass any threshold (`serve` once read
-/// 0.055 s then 0.089 s, +62 %, after a docs-only change).
-pub const MIN_JUDGED_SECONDS: f64 = 1.0;
-
-/// Compares two snapshots: per-experiment wall-time delta plus metric
-/// deltas, flagging experiments slower than `threshold_pct` percent and
-/// metrics that moved in their bad direction past the same threshold.
-/// Experiments whose old wall time is under [`MIN_JUDGED_SECONDS`] keep
-/// their delta but are never flagged.
-pub fn diff_snapshots(old: &BenchSnapshot, new: &BenchSnapshot, threshold_pct: f64) -> BenchDiff {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "## bench-diff — old: profile {}, {:.1}s | new: profile {}, {:.1}s\n",
-        old.profile, old.total_seconds, new.profile, new.total_seconds
-    );
-    if old.profile != new.profile {
-        let _ = writeln!(
-            out,
-            "**Warning:** profiles differ; wall-time deltas are not comparable.\n"
-        );
-    }
-    let mut regressions = Vec::new();
-    let mut rows = Vec::new();
-    for (name, new_s) in &new.experiments {
-        let old_s = old
-            .experiments
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, s)| s);
-        let (old_col, delta_col, flag) = match old_s {
-            Some(o) => {
-                let delta = crate::pct_change(o, *new_s);
-                let regressed = o >= MIN_JUDGED_SECONDS && delta > threshold_pct;
-                if regressed {
-                    regressions.push(name.clone());
-                }
-                (
-                    crate::fmt_f(o, 3),
-                    format!("{delta:+.1}%"),
-                    if regressed { "REGRESSED" } else { "" }.to_string(),
-                )
-            }
-            None => ("-".into(), "new".into(), String::new()),
-        };
-        rows.push(vec![
-            name.clone(),
-            old_col,
-            crate::fmt_f(*new_s, 3),
-            delta_col,
-            flag,
-        ]);
-    }
-    for (name, _) in &old.experiments {
-        if !new.experiments.iter().any(|(n, _)| n == name) {
-            rows.push(vec![
-                name.clone(),
-                "-".into(),
-                "-".into(),
-                "removed".into(),
-                String::new(),
-            ]);
-        }
-    }
-    out.push_str(&crate::markdown_table(
-        &["experiment", "old (s)", "new (s)", "delta", ""],
-        &rows,
-    ));
-    let mut metric_regressions = Vec::new();
-    if !new.metrics.is_empty() || !old.metrics.is_empty() {
-        let _ = writeln!(out, "\n### Modelled metrics\n");
-        let mut rows = Vec::new();
-        for (name, new_v) in &new.metrics {
-            let old_v = old.metrics.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
-            let flag = match old_v {
-                Some(o) => {
-                    let delta = crate::pct_change(o, *new_v);
-                    let worse = match metric_direction(name) {
-                        Some(MetricDirection::HigherBetter) => -delta > threshold_pct,
-                        Some(MetricDirection::LowerBetter) => delta > threshold_pct,
-                        None => false,
-                    };
-                    if worse {
-                        metric_regressions.push(name.clone());
-                        "WORSE"
-                    } else {
-                        ""
-                    }
-                }
-                None => "",
-            };
-            rows.push(vec![
-                name.clone(),
-                old_v.map_or("-".into(), |v| crate::fmt_f(v, 3)),
-                crate::fmt_f(*new_v, 3),
-                old_v.map_or("new".into(), |v| {
-                    format!("{:+.1}%", crate::pct_change(v, *new_v))
-                }),
-                flag.to_string(),
-            ]);
-        }
-        // Metrics only the old run had: a renamed or dropped metric must
-        // show up as "removed", not silently vanish from the diff (the
-        // same courtesy the experiments table pays above).
-        for (name, old_v) in &old.metrics {
-            if !new.metrics.iter().any(|(n, _)| n == name) {
-                rows.push(vec![
-                    name.clone(),
-                    crate::fmt_f(*old_v, 3),
-                    "-".into(),
-                    "removed".into(),
-                    String::new(),
-                ]);
-            }
-        }
-        out.push_str(&crate::markdown_table(
-            &["metric", "old", "new", "delta", ""],
-            &rows,
-        ));
-    }
-    let _ = writeln!(
-        out,
-        "\n{} regression(s) past the {threshold_pct:.0}% wall-time threshold \
-         (experiments under {MIN_JUDGED_SECONDS} s are not judged); \
-         {} metric(s) moved the wrong way past the same threshold.",
-        regressions.len(),
-        metric_regressions.len()
-    );
-    BenchDiff {
-        markdown: out,
-        regressions,
-        metric_regressions,
-    }
-}
-
 /// A minimal JSON reader — just enough to re-read the documents this
 /// workspace emits (objects, arrays, strings, numbers, booleans, null;
-/// no serde in the offline workspace). Public so the trace-export tests
-/// can validate the Chrome-trace JSON the obs exporter writes.
+/// no serde in the offline workspace). Public so tests can re-read
+/// `BENCH_results.json` and the Chrome-trace JSON the obs exporter writes.
 pub mod json {
     /// A parsed JSON value.
     #[derive(Clone, Debug, PartialEq)]
@@ -969,7 +649,7 @@ mod tests {
         let report = r.run("table2", || "## Table II\n".to_string());
         assert!(report.starts_with("## Table II"));
         r.run("fig6", || "x".repeat(100));
-        r.add_metric("fleet.latency_us_per_sample", 12.5);
+        r.metrics.push(("fleet.latency_us_per_sample".into(), 12.5));
         let json = r.to_json();
         assert!(json.contains("\"profile\": \"fast\""));
         assert!(json.contains("\"name\": \"table2\""));
@@ -1025,6 +705,29 @@ mod tests {
         assert!(parse_chrome_trace("not json").is_err());
     }
 
+    /// The `(name, value_key)` pairs of the `list` array of a parsed
+    /// `BENCH_results.json`, in file order.
+    fn named(
+        root: &[(String, json::JsonValue)],
+        list: &str,
+        value_key: &str,
+    ) -> Vec<(String, f64)> {
+        let Some(json::JsonValue::Arr(entries)) = json::lookup(root, list) else {
+            panic!("no `{list}` array");
+        };
+        entries
+            .iter()
+            .map(|entry| {
+                let entry = entry.as_object().expect("entries are objects");
+                let field = |key: &str| json::lookup(entry, key).expect("field present");
+                (
+                    field("name").as_str().expect("string name").to_string(),
+                    field(value_key).as_f64().expect("numeric value"),
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn snapshot_roundtrips_the_emitted_json() {
         let mut r = BenchResults::new("fast");
@@ -1038,178 +741,30 @@ mod tests {
             seconds: 1.5,
             report_chars: 20,
         });
-        r.add_metric("fleet.throughput_sps_4shards", 1234.5);
-        let snap = BenchSnapshot::parse(&r.to_json()).unwrap();
-        assert_eq!(snap.profile, "fast");
-        assert_eq!(snap.experiments.len(), 2);
-        assert_eq!(snap.experiments[0], ("table2".to_string(), 0.25));
-        assert_eq!(snap.experiments[1].0, "fig\"6\\");
-        assert_eq!(snap.metrics.len(), 1);
-        assert!((snap.metrics[0].1 - 1234.5).abs() < 1e-9);
-        assert!((snap.total_seconds - 1.75).abs() < 1e-9);
+        r.metrics
+            .push(("fleet.throughput_sps_4shards".into(), 1234.5));
+        let doc = json::parse(&r.to_json()).unwrap();
+        let root = doc.as_object().expect("top level is an object");
+        let field = |key: &str| json::lookup(root, key).expect("field present");
+        assert_eq!(field("schema").as_f64(), Some(10.0));
+        assert_eq!(field("profile").as_str(), Some("fast"));
+        assert_eq!(
+            named(root, "experiments", "seconds"),
+            [("table2".to_string(), 0.25), ("fig\"6\\".to_string(), 1.5)]
+        );
+        assert_eq!(
+            named(root, "metrics", "value"),
+            [("fleet.throughput_sps_4shards".to_string(), 1234.5)]
+        );
+        assert_eq!(field("total_seconds").as_f64(), Some(1.75));
     }
 
     #[test]
     fn snapshot_rejects_garbage() {
-        assert!(BenchSnapshot::parse("not json").is_err());
-        assert!(BenchSnapshot::parse("[1, 2]").is_err());
-        assert!(
-            BenchSnapshot::parse("{\"schema\": 2}").is_err(),
-            "no experiments"
-        );
-        assert!(BenchSnapshot::parse("{} trailing").is_err());
-    }
-
-    fn snap(pairs: &[(&str, f64)]) -> BenchSnapshot {
-        BenchSnapshot {
-            profile: "fast".into(),
-            experiments: pairs.iter().map(|&(n, s)| (n.to_string(), s)).collect(),
-            total_seconds: pairs.iter().map(|&(_, s)| s).sum(),
-            ..BenchSnapshot::default()
+        let doc = BenchResults::new("fast").to_json();
+        for garbage in ["not json", "{} trailing", "", &doc[..doc.len() / 2]] {
+            assert!(json::parse(garbage).is_err(), "{garbage:?} parsed");
         }
-    }
-
-    #[test]
-    fn diff_flags_only_real_regressions() {
-        let old = snap(&[
-            ("fig6", 1.0),
-            ("table2", 0.001),
-            ("serve", 0.055),
-            ("gone", 1.0),
-        ]);
-        let new = snap(&[
-            ("fig6", 1.5),
-            ("table2", 0.01),
-            ("serve", 0.089),
-            ("fresh", 2.0),
-        ]);
-        let diff = diff_snapshots(&old, &new, 20.0);
-        // fig6 +50% regressed; table2 (10× slower) and serve (+62%, seen
-        // after a docs-only change) are under the 1 s floor; "fresh" and
-        // "gone" are informational.
-        assert_eq!(diff.regressions, vec!["fig6".to_string()]);
-        assert!(
-            diff.markdown.contains("+61.8%"),
-            "short rows keep their delta"
-        );
-        assert!(diff.markdown.contains("REGRESSED"));
-        assert!(diff.markdown.contains("new"));
-        assert!(diff.markdown.contains("removed"));
-        // Within threshold: no flags.
-        let calm = diff_snapshots(&old, &old, 20.0);
-        assert!(calm.regressions.is_empty());
-        assert!(calm.metric_regressions.is_empty());
-    }
-
-    #[test]
-    fn diff_flags_directional_metric_regressions() {
-        let mut old = snap(&[("frontend", 1.0)]);
-        old.metrics = vec![
-            ("frontend.overload.goodput_rps.bounded".into(), 1000.0),
-            ("frontend.overload.high_p99_us.bounded".into(), 100.0),
-            ("serve.hetero.p95_us.first-idle@75pct".into(), 50.0),
-            ("frontend.hedged_beats_unhedged".into(), 1.0),
-        ];
-        let mut new = old.clone();
-        new.metrics = vec![
-            // Goodput fell 50%: higher-better, regressed.
-            ("frontend.overload.goodput_rps.bounded".into(), 500.0),
-            // p99 grew 50%: lower-better, regressed.
-            ("frontend.overload.high_p99_us.bounded".into(), 150.0),
-            // p95 *improved*: no flag.
-            ("serve.hetero.p95_us.first-idle@75pct".into(), 25.0),
-            // Oracle flag has no direction keyword: never flagged here.
-            ("frontend.hedged_beats_unhedged".into(), 0.0),
-        ];
-        let diff = diff_snapshots(&old, &new, 20.0);
-        assert_eq!(
-            diff.metric_regressions,
-            vec![
-                "frontend.overload.goodput_rps.bounded".to_string(),
-                "frontend.overload.high_p99_us.bounded".to_string(),
-            ]
-        );
-        assert!(diff.markdown.contains("WORSE"));
-        assert!(diff.regressions.is_empty(), "wall time was unchanged");
-    }
-
-    #[test]
-    fn diff_reports_removed_metrics() {
-        let mut old = snap(&[("bench", 1.0)]);
-        old.metrics = vec![
-            ("batching.throughput_rps.B4@sat".into(), 200_000.0),
-            ("frontend.legacy_metric".into(), 7.0),
-        ];
-        let mut new = old.clone();
-        new.metrics = vec![("batching.throughput_rps.B4@sat".into(), 210_000.0)];
-        let diff = diff_snapshots(&old, &new, 20.0);
-        // The dropped metric gets an explicit row instead of vanishing.
-        assert!(diff.markdown.contains("frontend.legacy_metric"));
-        assert!(diff.markdown.contains("removed"));
-        // A removed metric is informational, never a regression.
-        assert!(diff.metric_regressions.is_empty());
-
-        // And a metrics-only-in-old file still renders the section.
-        new.metrics.clear();
-        let diff = diff_snapshots(&old, &new, 20.0);
-        assert!(diff.markdown.contains("### Modelled metrics"));
-        assert!(diff.markdown.contains("batching.throughput_rps.B4@sat"));
-    }
-
-    #[test]
-    fn metric_direction_classifies_by_name() {
-        assert_eq!(
-            metric_direction("frontend.sweep.best_goodput_rps"),
-            Some(MetricDirection::HigherBetter)
-        );
-        assert_eq!(
-            metric_direction("partition.pipeline.speedup.4chips"),
-            Some(MetricDirection::HigherBetter)
-        );
-        assert_eq!(
-            metric_direction("serve.bursty.p99_us.least-queued"),
-            Some(MetricDirection::LowerBetter)
-        );
-        assert_eq!(
-            metric_direction("frontend.overload.shed_rate.bounded"),
-            Some(MetricDirection::LowerBetter)
-        );
-        assert_eq!(metric_direction("frontend.autoscale.scale_outs"), None);
-        assert_eq!(metric_direction("serve.closed_loop_matches_model"), None);
-        // Schema 10: the kernel's measured wall-clock metrics diff
-        // directionally too — latencies must not grow, speedups not fall.
-        assert_eq!(
-            metric_direction("kernel.prescan_us.bs16"),
-            Some(MetricDirection::LowerBetter)
-        );
-        assert_eq!(
-            metric_direction("kernel.batch_per_sample_us.B4"),
-            Some(MetricDirection::LowerBetter)
-        );
-        assert_eq!(
-            metric_direction("kernel.speedup_at_paper_sparsity"),
-            Some(MetricDirection::HigherBetter)
-        );
-        assert_eq!(metric_direction("kernel.bit_exact"), None);
-    }
-
-    #[test]
-    fn diff_json_roundtrips_through_the_parser() {
-        let old = snap(&[("fig6", 1.0)]);
-        let new = snap(&[("fig6", 2.0)]);
-        let diff = diff_snapshots(&old, &new, 20.0);
-        let value = json::parse(&diff.to_json()).expect("diff JSON parses");
-        let root = value.as_object().expect("object");
-        let regs = match json::lookup(root, "regressions") {
-            Some(json::JsonValue::Arr(items)) => items.clone(),
-            other => panic!("regressions must be an array, got {other:?}"),
-        };
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].as_str(), Some("fig6"));
-        assert!(json::lookup(root, "markdown")
-            .and_then(json::JsonValue::as_str)
-            .expect("markdown string")
-            .contains("REGRESSED"));
     }
 
     #[test]
@@ -1278,9 +833,10 @@ mod tests {
             results.experiments[0].report_chars,
             r.markdown.chars().count()
         );
-        let snap = BenchSnapshot::parse(&results.to_json()).unwrap();
+        let doc = json::parse(&results.to_json()).unwrap();
+        let root = doc.as_object().expect("top level is an object");
         assert_eq!(
-            snap.metrics,
+            named(root, "metrics", "value"),
             [
                 ("demo.first".to_string(), 1.0),
                 ("demo.second".to_string(), 0.0)

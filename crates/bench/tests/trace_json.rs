@@ -2,15 +2,15 @@
 //! valid JSON (re-read with the workspace's own reader), structurally a
 //! Perfetto trace-event document, byte-identical for a fixed seed, and
 //! its span lists satisfy the nesting invariants under randomized
-//! workloads (property-tested). The readers of outside bytes — the JSON
-//! reader, `BenchSnapshot::parse` and `parse_chrome_trace` — are total:
-//! random, truncated, corrupted or absurdly nested input is an `Err`,
-//! never a panic or a stack overflow.
+//! workloads (property-tested). The two readers of outside bytes, the
+//! JSON reader and `parse_chrome_trace`, are total: random, truncated,
+//! corrupted or absurdly nested input is an `Err`, never a panic or a
+//! stack overflow.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use sparsenn_bench::report::json::{lookup, parse, JsonValue, MAX_DEPTH};
-use sparsenn_bench::report::{parse_chrome_trace, BenchResults, BenchSnapshot, ExperimentResult};
+use sparsenn_bench::report::{parse_chrome_trace, BenchResults, ExperimentResult};
 use sparsenn_core::engine::{BatchPolicy, FirstIdle, LeastQueued};
 use sparsenn_frontend::{
     simulate_frontend_traced, BoundedQueues, DegradeBatching, FrontendConfig, HedgeConfig,
@@ -205,7 +205,6 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
         format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth)),
     ] {
         assert!(parse(&doc).is_err());
-        assert!(BenchSnapshot::parse(&doc).is_err());
         assert!(parse_chrome_trace(&doc).is_err());
     }
     let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
@@ -224,8 +223,10 @@ fn documents() -> [String; 2] {
             report_chars: 100,
         });
     }
-    results.add_metric("kernel.bit_exact", 1.0);
-    results.add_metric("serve.hetero.p95_us.first-idle@75pct", 12.5);
+    results.metrics.extend([
+        ("kernel.bit_exact".into(), 1.0),
+        ("serve.hetero.p95_us.first-idle@75pct".into(), 12.5),
+    ]);
     let spans = frontend_spans(5, 1.2);
     [
         results.to_json(),
@@ -261,7 +262,6 @@ proptest! {
         };
         let text = String::from_utf8_lossy(&bytes);
         let _ = parse(&text);
-        let _ = BenchSnapshot::parse(&text);
         let _ = parse_chrome_trace(&text);
     }
 }

@@ -31,8 +31,8 @@ struct CachedKernel {
 /// speed — its wall-clock is real, not modelled. Records are therefore
 /// timing-free (cycles and `time_us` are 0, like the golden backend's) so
 /// batch-vs-serial record bit-identity holds: measure latency around the
-/// call with `std::time::Instant`, as the bench plane's `kernel`
-/// experiment and `sparsenn_serve::ShardSpec::from_measured` do.
+/// call with a host clock, as the bench plane's `kernel` experiment and
+/// the `hostbench` benchmark do.
 ///
 /// Events carry block-level functional counts — the 16-bit words the
 /// compute stage actually streams (`w_reads` = active rows × live-block

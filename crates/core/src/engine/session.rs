@@ -11,20 +11,13 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-/// Default worker-pool size for batch runs: `SPARSENN_WORKERS` when set to
-/// a positive integer, else `std::thread::available_parallelism`. The
+/// Default worker-pool size for batch runs:
+/// `std::thread::available_parallelism`, or 1 when it is unknown. The
 /// single source of truth for both [`Session`] pools and the bench
-/// harness's recorded configuration.
+/// harness's recorded configuration; [`Session::with_workers`] pins a
+/// session's pool instead.
 pub fn default_worker_count() -> usize {
-    std::env::var("SPARSENN_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// A serving session: one trained system, one execution substrate, a
@@ -36,8 +29,8 @@ pub fn default_worker_count() -> usize {
 /// owns the backend.
 ///
 /// Batch runs fan samples out over `std::thread::scope` workers — one per
-/// available core, capped by the batch size (override with the
-/// `SPARSENN_WORKERS` environment variable) — and fold per-sample
+/// available core unless [`with_workers`](Session::with_workers) pins the
+/// count, capped by the batch size — and fold per-sample
 /// [`RunRecord`]s into a [`SimulationSummary`] in sample order, so the
 /// parallel summary is bit-identical to the serial one.
 pub struct Session<'a> {
@@ -56,8 +49,7 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Pins the batch worker-pool size (at least 1), overriding both the
-    /// `SPARSENN_WORKERS` environment variable and the
+    /// Pins the batch worker-pool size (at least 1), overriding the
     /// `available_parallelism` default. Useful for reproducible scheduling
     /// and for exercising the parallel path on single-core machines. On
     /// the cycle-accurate backend, `n` workers serve a batch as `n`

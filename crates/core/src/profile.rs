@@ -4,8 +4,7 @@
 //! datasets — minutes of CPU per configuration. The bench binaries default
 //! to a `fast` profile that keeps the same structure at reduced scale so
 //! the entire harness reruns in a few minutes; `SPARSENN_PROFILE=full`
-//! switches to paper-scale runs. `EXPERIMENTS.md` records which profile
-//! produced the published numbers.
+//! switches to paper-scale runs.
 
 use std::fmt;
 

@@ -9,7 +9,7 @@
 //! random affine jitter, then transformed per variant.
 //!
 //! What the substitution preserves (and why it is sufficient for the
-//! paper's experiments — see `DESIGN.md` §2):
+//! paper's experiments):
 //!
 //! * class-conditional structure — a classifier must learn real shape
 //!   features, and harder variants yield higher test error;

@@ -107,15 +107,6 @@ pub fn norm2(x: &[f32]) -> f32 {
         .sqrt() as f32
 }
 
-/// Fraction of exactly-zero entries — the *activation sparsity* the whole
-/// paper is about.
-pub fn sparsity(x: &[f32]) -> f32 {
-    if x.is_empty() {
-        return 0.0;
-    }
-    x.iter().filter(|v| **v == 0.0).count() as f32 / x.len() as f32
-}
-
 /// Indices and values of the nonzero entries, in index order — the software
 /// analogue of what the leading-nonzero detector (LNZD) scans out of the
 /// activation register file.
@@ -181,12 +172,6 @@ mod tests {
     fn argmax_ties_to_first() {
         assert_eq!(argmax(&[1.0, 3.0, 3.0]), Some(1));
         assert_eq!(argmax(&[]), None);
-    }
-
-    #[test]
-    fn sparsity_counts() {
-        assert_eq!(sparsity(&[0.0, 1.0, 0.0, 2.0]), 0.5);
-        assert_eq!(sparsity(&[]), 0.0);
     }
 
     #[test]

@@ -214,7 +214,8 @@ mod tests {
         let mlp = Mlp::random(&[50, 200, 10], &mut seeded_rng(2));
         let x: Vec<f32> = (0..50).map(|i| ((i as f32) * 0.37).sin()).collect();
         let acts = mlp.forward(&x);
-        let s = sparsenn_linalg::vector::sparsity(&acts.post[1]);
+        let hidden = &acts.post[1];
+        let s = hidden.iter().filter(|&&v| v == 0.0).count() as f32 / hidden.len() as f32;
         assert!(s > 0.25 && s < 0.75, "hidden sparsity {s}");
     }
 }

@@ -3,17 +3,17 @@
 use crate::config::NocConfig;
 use crate::link::Port;
 use crate::stats::NocStats;
-use crate::Keyed;
+use crate::ActFlit;
 use std::collections::VecDeque;
 
-/// One radix-`k` concentrator router: `k` buffered input ports, smallest-key
-/// arbitration.
+/// One radix-`k` concentrator router: `k` buffered input ports,
+/// smallest-index arbitration.
 #[derive(Clone, Debug)]
-struct Router<T> {
-    ports: Vec<Port<T>>,
+struct Router {
+    ports: Vec<Port<ActFlit>>,
 }
 
-impl<T: Keyed + Copy> Router<T> {
+impl Router {
     fn new(cfg: &NocConfig) -> Self {
         Self {
             ports: (0..cfg.radix)
@@ -22,14 +22,13 @@ impl<T: Keyed + Copy> Router<T> {
         }
     }
 
-    /// Index of the port whose head flit has the smallest key.
+    /// Index of the port whose head flit has the smallest activation index.
     fn winner(&self) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
+        let mut best: Option<(u32, usize)> = None;
         for (i, port) in self.ports.iter().enumerate() {
             if let Some(f) = port.head() {
-                let k = f.key();
-                if best.is_none_or(|(bk, _)| k < bk) {
-                    best = Some((k, i));
+                if best.is_none_or(|(bk, _)| f.index < bk) {
+                    best = Some((f.index, i));
                 }
             }
         }
@@ -55,25 +54,26 @@ impl<T: Keyed + Copy> Router<T> {
 /// H-tree (paper Fig. 3(b)).
 ///
 /// Per cycle, each router grants **one** flit — the one with the smallest
-/// key among its input-buffer heads — to the next level if the parent
-/// buffer has a credit. The root consumes one winner per cycle (when the
-/// sink is ready) and pushes it into the fully-pipelined downward broadcast,
-/// which delivers it to *every* PE [`broadcast_latency`] cycles later.
+/// activation index among its input-buffer heads — to the next level if
+/// the parent buffer has a credit. The root consumes one winner per cycle
+/// (when the sink is ready) and pushes it into the fully-pipelined
+/// downward broadcast, which delivers it to *every* PE
+/// [`broadcast_latency`] cycles later.
 ///
 /// [`broadcast_latency`]: NocConfig::broadcast_latency
 #[derive(Clone, Debug)]
-pub struct BroadcastTree<T> {
+pub struct BroadcastTree {
     cfg: NocConfig,
     levels: usize,
     /// `routers[0]` = leaf level … `routers[levels-1]` = `[root]`.
-    routers: Vec<Vec<Router<T>>>,
+    routers: Vec<Vec<Router>>,
     /// Downward broadcast pipeline: `(delivery_cycle, flit)`.
-    down: VecDeque<(u64, T)>,
+    down: VecDeque<(u64, ActFlit)>,
     cycle: u64,
     stats: NocStats,
 }
 
-impl<T: Keyed + Copy> BroadcastTree<T> {
+impl BroadcastTree {
     /// Builds an idle tree for the given configuration.
     pub fn new(cfg: &NocConfig) -> Self {
         let levels = cfg.levels();
@@ -101,7 +101,7 @@ impl<T: Keyed + Copy> BroadcastTree<T> {
     /// # Panics
     ///
     /// Panics if `pe` is out of range.
-    pub fn try_inject(&mut self, pe: usize, flit: T) -> bool {
+    pub fn try_inject(&mut self, pe: usize, flit: ActFlit) -> bool {
         assert!(pe < self.cfg.num_pes, "PE index out of range");
         let port = &mut self.routers[0][pe / self.cfg.radix].ports[pe % self.cfg.radix];
         if port.has_credit() {
@@ -117,7 +117,7 @@ impl<T: Keyed + Copy> BroadcastTree<T> {
     /// `sink_ready` gates the root: when `false` (some PE activation queue
     /// is full), the root holds its winner — backpressure instead of drops.
     /// Returns the flit delivered to **all** PEs this cycle, if any.
-    pub fn tick(&mut self, sink_ready: bool) -> Option<T> {
+    pub fn tick(&mut self, sink_ready: bool) -> Option<ActFlit> {
         self.cycle += 1;
         self.stats.cycles += 1;
         let cycle = self.cycle;
@@ -208,7 +208,6 @@ impl<T: Keyed + Copy> BroadcastTree<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ActFlit;
 
     fn flit(i: u32) -> ActFlit {
         ActFlit {
@@ -217,7 +216,7 @@ mod tests {
         }
     }
 
-    fn drain(tree: &mut BroadcastTree<ActFlit>, max_cycles: usize) -> Vec<u32> {
+    fn drain(tree: &mut BroadcastTree, max_cycles: usize) -> Vec<u32> {
         let mut out = Vec::new();
         for _ in 0..max_cycles {
             if let Some(f) = tree.tick(true) {

@@ -62,16 +62,3 @@ pub struct ActFlit {
     /// Raw 16-bit fixed-point activation value.
     pub value: i16,
 }
-
-impl Keyed for ActFlit {
-    fn key(&self) -> u64 {
-        u64::from(self.index)
-    }
-}
-
-/// Items routed by the [`BroadcastTree`] must expose an arbitration key;
-/// the smallest key at each router wins.
-pub trait Keyed {
-    /// The arbitration key (lower wins).
-    fn key(&self) -> u64;
-}

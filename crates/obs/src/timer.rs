@@ -3,7 +3,7 @@
 //! Everything else in this crate measures *virtual* time — the clock
 //! the simulators advance. [`min_wall_us`] measures *wall* time: how
 //! long the host CPU actually spends in a piece of code. It is the one
-//! timer the measured benches and the measured service tables share.
+//! timer the bench studies that measure host speed share.
 
 use std::time::Instant;
 

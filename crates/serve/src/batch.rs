@@ -26,7 +26,7 @@ use crate::core::{
 use crate::metrics::{LatencyStats, RequestMetric, ShardUsage};
 use crate::workload::Workload;
 use sparsenn_core::engine::{BatchPolicy, Scheduler};
-use sparsenn_obs::{min_wall_us, track, AttrKey, NullSink, Span, SpanBuffer, SpanKind, TraceSink};
+use sparsenn_obs::{track, AttrKey, NullSink, Span, SpanBuffer, SpanKind, TraceSink};
 
 /// One simulated batch-capable shard: a name and its modelled batch
 /// service times.
@@ -60,47 +60,6 @@ impl BatchShardSpec {
                 .map(|b| b as f64 * service_us)
                 .collect(),
         }
-    }
-
-    /// A batch table **measured wall-clock** on a real backend: for each
-    /// `b` in `1..=max_batch`, a batch of `b` inputs (cycling through
-    /// `inputs`) is dispatched `reps` times through
-    /// [`run_batch`](sparsenn_core::engine::InferenceBackend::run_batch)
-    /// (after one untimed warm-up) and the minimum latency becomes the
-    /// table entry — so the batching simulator's knee is the hardware's
-    /// own, not an assumed curve.
-    ///
-    /// # Errors
-    ///
-    /// [`SparseNnError::EmptyBatch`](sparsenn_core::SparseNnError::EmptyBatch)
-    /// when `inputs` is empty or `max_batch == 0`; otherwise whatever the
-    /// backend's `run_batch` returns.
-    pub fn from_measured(
-        name: impl Into<String>,
-        backend: &dyn sparsenn_core::engine::InferenceBackend,
-        net: &sparsenn_core::model::fixedpoint::FixedNetwork,
-        inputs: &[Vec<sparsenn_core::numeric::Q6_10>],
-        mode: sparsenn_core::model::fixedpoint::UvMode,
-        max_batch: usize,
-        reps: usize,
-    ) -> Result<Self, sparsenn_core::SparseNnError> {
-        if inputs.is_empty() || max_batch == 0 {
-            return Err(sparsenn_core::SparseNnError::EmptyBatch);
-        }
-        let reps = reps.max(1);
-        backend.run_batch(net, &inputs[..1], mode)?; // warm-up (pack, caches)
-        let mut batch_service_us = Vec::with_capacity(max_batch);
-        for b in 1..=max_batch {
-            let batch: Vec<_> = (0..b).map(|i| inputs[i % inputs.len()].clone()).collect();
-            let mut outcome = Ok(());
-            let [best] = min_wall_us(
-                reps,
-                [&mut || outcome = backend.run_batch(net, &batch, mode).map(drop)],
-            );
-            outcome?;
-            batch_service_us.push(best);
-        }
-        Ok(Self::with_table(name, batch_service_us))
     }
 
     /// Service time of a batch of `b` requests (clamped to the table).
@@ -431,72 +390,6 @@ mod tests {
         (1..=max_batch)
             .map(|b| t1 * (1.0 + 0.3 * (b as f64 - 1.0)))
             .collect()
-    }
-
-    /// A measured batch table is real wall-clock per batch size, one
-    /// entry per `b` up to `max_batch`, and drives the batching
-    /// simulator unchanged.
-    #[test]
-    fn from_measured_builds_a_usable_batch_table() {
-        use sparsenn_core::engine::KernelBackend;
-        use sparsenn_core::linalg::init::seeded_rng;
-        use sparsenn_core::model::fixedpoint::{FixedNetwork, UvMode};
-        use sparsenn_core::model::{Mlp, PredictedNetwork};
-        let mut rng = seeded_rng(7);
-        let mlp = Mlp::random(&[24, 32, 10], &mut rng);
-        let net =
-            FixedNetwork::from_float(&PredictedNetwork::with_random_predictors(mlp, 3, &mut rng));
-        let inputs: Vec<_> = (0..2)
-            .map(|s| {
-                let x: Vec<f32> = (0..24)
-                    .map(|i| if (i + s) % 2 == 0 { 0.0 } else { 0.5 })
-                    .collect();
-                net.quantize_input(&x)
-            })
-            .collect();
-        let backend = KernelBackend::new();
-        let spec =
-            BatchShardSpec::from_measured("kernel", &backend, &net, &inputs, UvMode::On, 4, 3)
-                .unwrap();
-        assert_eq!(spec.max_batch(), 4);
-        assert!(spec
-            .batch_service_us
-            .iter()
-            .all(|&t| t.is_finite() && t > 0.0));
-        let s = simulate_batched(
-            std::slice::from_ref(&spec),
-            &FirstIdle,
-            BatchPolicy::Immediate,
-            &Workload::ClosedLoop {
-                concurrency: 1,
-                requests: 8,
-                think_us: 0.0,
-            },
-            MetricsMode::Exact,
-        )
-        .unwrap();
-        assert_eq!(s.requests, 8);
-        assert!(s.latency.mean_us > 0.0);
-    }
-
-    #[test]
-    fn from_measured_rejects_empty_inputs_and_a_zero_batch_cap() {
-        use sparsenn_core::engine::KernelBackend;
-        use sparsenn_core::linalg::init::seeded_rng;
-        use sparsenn_core::model::fixedpoint::{FixedNetwork, UvMode};
-        use sparsenn_core::model::{Mlp, PredictedNetwork};
-        use sparsenn_core::SparseNnError;
-        let mut rng = seeded_rng(7);
-        let mlp = Mlp::random(&[4, 3], &mut rng);
-        let net =
-            FixedNetwork::from_float(&PredictedNetwork::with_random_predictors(mlp, 2, &mut rng));
-        let input = vec![net.quantize_input(&[0.5; 4])];
-        let backend = KernelBackend::new();
-        let measure = |inputs: &[_], max_batch| {
-            BatchShardSpec::from_measured("k", &backend, &net, inputs, UvMode::On, max_batch, 1)
-        };
-        assert_eq!(measure(&[], 4), Err(SparseNnError::EmptyBatch));
-        assert_eq!(measure(&input, 0), Err(SparseNnError::EmptyBatch));
     }
 
     #[test]

@@ -24,7 +24,6 @@ use crate::core::{rate_per_s, Core, LatencyBook, MetricsMode, Request, ServeErro
 use crate::metrics::{QueueStats, RequestMetric, ServeSummary};
 use crate::workload::Workload;
 use sparsenn_core::engine::Scheduler;
-use sparsenn_obs::min_wall_us;
 
 /// One simulated shard: a name and its modelled per-request service times.
 #[derive(Clone, Debug, PartialEq)]
@@ -53,45 +52,6 @@ impl ShardSpec {
             name: name.into(),
             service_us,
         }
-    }
-
-    /// A shard whose service-time table is **measured wall-clock**, not a
-    /// model: each input is run `reps` times through the backend (after
-    /// one untimed warm-up pass, so one-time costs like the kernel
-    /// backend's weight repack don't pollute the table) and the minimum
-    /// per-input latency becomes that request's service time. Feed a
-    /// [`KernelBackend`](sparsenn_core::engine::KernelBackend) to drive
-    /// the virtual-time simulator with real CPU numbers.
-    ///
-    /// # Errors
-    ///
-    /// [`SparseNnError::EmptyBatch`](sparsenn_core::SparseNnError::EmptyBatch)
-    /// when `inputs` is empty; otherwise whatever the backend's `run`
-    /// returns for the first failing input.
-    pub fn from_measured(
-        name: impl Into<String>,
-        backend: &dyn sparsenn_core::engine::InferenceBackend,
-        net: &sparsenn_core::model::fixedpoint::FixedNetwork,
-        inputs: &[Vec<sparsenn_core::numeric::Q6_10>],
-        mode: sparsenn_core::model::fixedpoint::UvMode,
-        reps: usize,
-    ) -> Result<Self, sparsenn_core::SparseNnError> {
-        let first = inputs
-            .first()
-            .ok_or(sparsenn_core::SparseNnError::EmptyBatch)?;
-        let reps = reps.max(1);
-        backend.run(net, first, mode)?; // warm-up (pack, caches)
-        let mut service_us = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            let mut outcome = Ok(());
-            let [best] = min_wall_us(
-                reps,
-                [&mut || outcome = backend.run(net, input, mode).map(drop)],
-            );
-            outcome?;
-            service_us.push(best);
-        }
-        Ok(Self::with_table(name, service_us))
     }
 
     /// Modelled service time of request `request` on this shard, µs.
@@ -278,55 +238,6 @@ mod tests {
         (0..n)
             .map(|i| ShardSpec::uniform(format!("machine-{i}"), service_us))
             .collect()
-    }
-
-    /// A measured table is real wall-clock: positive, finite, one entry
-    /// per input — and it drives the simulator like any modelled table.
-    #[test]
-    fn from_measured_builds_a_usable_table() {
-        use sparsenn_core::engine::KernelBackend;
-        use sparsenn_core::linalg::init::seeded_rng;
-        use sparsenn_core::model::fixedpoint::{FixedNetwork, UvMode};
-        use sparsenn_core::model::{Mlp, PredictedNetwork};
-        let mut rng = seeded_rng(7);
-        let mlp = Mlp::random(&[24, 32, 10], &mut rng);
-        let net =
-            FixedNetwork::from_float(&PredictedNetwork::with_random_predictors(mlp, 3, &mut rng));
-        let inputs: Vec<_> = (0..3)
-            .map(|s| {
-                let x: Vec<f32> = (0..24)
-                    .map(|i| if (i + s) % 2 == 0 { 0.0 } else { 0.5 })
-                    .collect();
-                net.quantize_input(&x)
-            })
-            .collect();
-        let backend = KernelBackend::new();
-        let spec =
-            ShardSpec::from_measured("kernel", &backend, &net, &inputs, UvMode::On, 3).unwrap();
-        assert_eq!(spec.service_us.len(), 3);
-        assert!(spec.service_us.iter().all(|&t| t.is_finite() && t > 0.0));
-        let workload = Workload::ClosedLoop {
-            concurrency: 1,
-            requests: 9,
-            think_us: 0.0,
-        };
-        let s = simulate(std::slice::from_ref(&spec), &FirstIdle, &workload).unwrap();
-        assert_eq!(s.requests, 9);
-        assert!(s.latency.mean_us > 0.0);
-    }
-
-    #[test]
-    fn from_measured_rejects_empty_inputs() {
-        use sparsenn_core::engine::KernelBackend;
-        use sparsenn_core::linalg::init::seeded_rng;
-        use sparsenn_core::model::fixedpoint::{FixedNetwork, UvMode};
-        use sparsenn_core::model::{Mlp, PredictedNetwork};
-        let mut rng = seeded_rng(7);
-        let mlp = Mlp::random(&[4, 3], &mut rng);
-        let net =
-            FixedNetwork::from_float(&PredictedNetwork::with_random_predictors(mlp, 2, &mut rng));
-        let err = ShardSpec::from_measured("k", &KernelBackend::new(), &net, &[], UvMode::On, 1);
-        assert_eq!(err, Err(sparsenn_core::SparseNnError::EmptyBatch));
     }
 
     /// The acceptance criterion: closed-loop with concurrency == shards on

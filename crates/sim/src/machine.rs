@@ -833,7 +833,7 @@ impl<'a> LayerStages<'a> {
         for pe in pes.iter_mut() {
             pe.rewind_src();
         }
-        let mut tree: BroadcastTree<ActFlit> = BroadcastTree::new(&self.cfg.noc);
+        let mut tree = BroadcastTree::new(&self.cfg.noc);
         let mut cycle: u64 = 0;
         loop {
             cycle += 1;

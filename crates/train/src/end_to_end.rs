@@ -33,9 +33,7 @@
 //! flag), `‖p‖₁` is the **number of active rows** and its STE gradient
 //! `λ·1_{p>0}` pushes only *active* scores down — which is the behaviour
 //! the paper reports (larger λ ⇒ larger predicted sparsity, slight TER
-//! cost). This implementation uses the indicator reading; the paper-vs-
-//! measured notes in `EXPERIMENTS.md` and `DESIGN.md` §7 record the
-//! interpretation.
+//! cost). This implementation uses the indicator reading.
 
 use crate::loss::{cross_entropy, cross_entropy_grad};
 use crate::trainer::{run_epochs, History, TrainConfig};
@@ -51,8 +49,8 @@ use sparsenn_model::{Mlp, PredictedNetwork};
 /// (compute-or-zero). The paper's literal `p = sign(x) ∈ {−1, +1}`
 /// ([`Sign`](PredictorActivation::Sign)) *negates* the activation of every
 /// false-negative prediction during training, which we measured to derail
-/// learning on dense inputs and deep stacks (see DESIGN.md §7); it is kept
-/// for fidelity experiments. The continuous
+/// learning on dense inputs and deep stacks; it is kept for fidelity
+/// experiments. The continuous
 /// [`HardTanh`](PredictorActivation::HardTanh) surrogate makes the
 /// straight-through gradients *exact*, which the gradient-check tests
 /// exploit. All three share the same backward formulas.

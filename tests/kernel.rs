@@ -1,7 +1,6 @@
 //! Acceptance tests for the native CPU kernel backend: through the public
 //! facade, the prescan + block-skip kernel is interchangeable with every
-//! other substrate — bit-exact outputs, bit-identical batches, and a
-//! measured service table the serving plane can consume.
+//! other substrate — bit-exact outputs and bit-identical batches.
 
 use sparsenn::datasets::DatasetKind;
 use sparsenn::engine::{GoldenBackend, InferenceBackend, KernelBackend};
@@ -116,38 +115,4 @@ fn dense_and_prescan_strategies_agree_on_trained_weights() {
             }
         }
     }
-}
-
-/// `ShardSpec::from_measured` against the kernel backend yields a table
-/// the virtual-time serving simulator can drive.
-#[test]
-fn measured_shard_spec_feeds_the_serving_simulator() {
-    use sparsenn::serve::{simulate, FirstIdle, ShardSpec, Workload};
-
-    let sys = shared_system();
-    let inputs: Vec<Vec<sparsenn::numeric::Q6_10>> = (0..4)
-        .map(|i| sys.fixed().quantize_input(sys.split().test.image(i)))
-        .collect();
-    let spec = ShardSpec::from_measured(
-        "kernel-measured",
-        &KernelBackend::new(),
-        sys.fixed(),
-        &inputs,
-        UvMode::On,
-        2,
-    )
-    .unwrap();
-    assert_eq!(spec.service_us.len(), 4);
-    assert!(spec.service_us.iter().all(|&t| t.is_finite() && t > 0.0));
-    let workload = Workload::ClosedLoop {
-        concurrency: 2,
-        requests: 16,
-        think_us: 0.0,
-    };
-    let s = simulate(std::slice::from_ref(&spec), &FirstIdle, &workload).unwrap();
-    assert_eq!(s.requests, 16);
-    assert!(
-        s.latency.mean_us > 0.0,
-        "measured service times drive latency"
-    );
 }

@@ -1,5 +1,5 @@
 //! The paper's quantitative claims, checked against the simulator on
-//! controlled workloads (DESIGN.md §5 "sanity claims").
+//! controlled workloads.
 
 use sparsenn::energy::PowerModel;
 use sparsenn::linalg::Matrix;
