@@ -9,14 +9,23 @@
 //! event or one output bit shows up here. The scenarios are the three
 //! `simulate_batch_serial` arms of the benchmark's `cycle_sim` workload,
 //! single-sample runs in both UV modes, and one batched run whose union
-//! W pass goes through an externally forced predictor verdict. The files
+//! W pass goes through an externally forced predictor verdict. Besides the
+//! paper's default machine, they pin non-default machines where flow
+//! control binds hardest: the `ablation_noc` study's fat layer over its
+//! activation-queue and router-buffer sweeps, and the system's network on
+//! multi-cycle hops, a 16-PE radix-2 tree and shallow queues. The files
 //! pin the machine's behaviour; they are never rewritten by the test.
 
 use sparsenn::datasets::DatasetKind;
 use sparsenn::engine::{CycleAccurateBackend, InferenceBackend};
-use sparsenn::model::fixedpoint::UvMode;
+use sparsenn::linalg::init::seeded_rng;
+use sparsenn::model::fixedpoint::{FixedNetwork, UvMode};
+use sparsenn::model::Mlp;
+use sparsenn::noc::NocConfig;
+use sparsenn::sim::{Machine, MachineConfig};
 use sparsenn::train::TrainConfig;
 use sparsenn::{SystemBuilder, TrainedSystem, TrainingAlgorithm};
+use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 /// Test images behind each summary (the `cycle_sim` workload's reference
@@ -118,4 +127,96 @@ fn batch_of_four_with_a_union_w_pass() {
     let backend = CycleAccurateBackend::new(sys.machine().clone());
     let batch = backend.run_batch(sys.fixed(), &inputs, UvMode::On).unwrap();
     check("cycle_batch4_uv_on.txt", &format!("{batch:#?}\n"));
+}
+
+/// The `ablation_noc` study's fat 16×784 layer (one output row per four
+/// PEs, so delivery bounds throughput) on its fixed input, run alone in
+/// `uv_off` on each machine of its two sweeps: activation-queue depths
+/// 1, 2, 4 and 16, then router-buffer capacities 1, 2 and 8.
+#[test]
+fn fat_layer_over_the_flow_control_sweeps() {
+    let mlp = Mlp::random(&[784, 16], &mut seeded_rng(0xB0FFE2));
+    let net = FixedNetwork::from_mlp(&mlp);
+    let x: Vec<f32> = (0..784).map(|i| ((i * 37) % 97) as f32 / 97.0).collect();
+    let xq = net.quantize_input(&x);
+    let d = MachineConfig::default();
+    let depths = [1usize, 2, 4, 16].map(|act_queue_depth| MachineConfig {
+        act_queue_depth,
+        ..d
+    });
+    let capacities = [1usize, 2, 8].map(|queue_capacity| MachineConfig {
+        noc: NocConfig {
+            queue_capacity,
+            ..d.noc
+        },
+        ..d
+    });
+    let mut out = String::new();
+    for cfg in depths.iter().chain(&capacities) {
+        let run = Machine::new(*cfg)
+            .run_layer(&net.layers()[0], None, &xq, false, UvMode::Off)
+            .unwrap();
+        let _ = writeln!(
+            out,
+            "act_queue_depth {} queue_capacity {}\n{run:#?}",
+            cfg.act_queue_depth, cfg.noc.queue_capacity
+        );
+    }
+    check("cycle_fat_flow_control.txt", &out);
+}
+
+/// The system's first two test images in both UV modes on one machine.
+fn two_images_on(cfg: MachineConfig) -> String {
+    let sys = system();
+    let machine = Machine::new(cfg);
+    let mut out = String::new();
+    for mode in [UvMode::On, UvMode::Off] {
+        for i in 0..2 {
+            let x = sys.fixed().quantize_input(sys.split().test.image(i));
+            let run = machine.run_network(sys.fixed(), &x, mode).unwrap();
+            let _ = writeln!(out, "{mode:?} image {i}\n{run:#?}");
+        }
+    }
+    out
+}
+
+#[test]
+fn three_cycle_hops() {
+    let d = *system().machine().config();
+    let cfg = MachineConfig {
+        noc: NocConfig {
+            hop_latency: 3,
+            ..d.noc
+        },
+        ..d
+    };
+    check("cycle_hop3.txt", &two_images_on(cfg));
+}
+
+#[test]
+fn sixteen_pes_on_a_radix_two_tree() {
+    let d = *system().machine().config();
+    let cfg = MachineConfig {
+        noc: NocConfig {
+            num_pes: 16,
+            radix: 2,
+            ..d.noc
+        },
+        ..d
+    };
+    check("cycle_radix2_16pe.txt", &two_images_on(cfg));
+}
+
+#[test]
+fn shallow_activation_queues_and_router_buffers() {
+    let d = *system().machine().config();
+    let cfg = MachineConfig {
+        act_queue_depth: 2,
+        noc: NocConfig {
+            queue_capacity: 1,
+            ..d.noc
+        },
+        ..d
+    };
+    check("cycle_shallow_queues.txt", &two_images_on(cfg));
 }
