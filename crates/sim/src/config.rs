@@ -250,7 +250,7 @@ impl MachineConfig {
     /// # Errors
     ///
     /// The violated limit as a typed [`LayerFitError`] (the W-memory case
-    /// carries the exact word counts).
+    /// carries the exact word counts, saturated at `usize::MAX`).
     pub fn validate_layer(&self, rows: usize, cols: usize) -> Result<(), LayerFitError> {
         self.validate().map_err(LayerFitError::Config)?;
         let n = self.num_pes();
@@ -266,8 +266,8 @@ impl MachineConfig {
                 max: self.max_activations(),
             });
         }
-        let rows_per_pe = rows.div_ceil(n);
-        let words = rows_per_pe * cols;
+        // A product past `usize::MAX` overflows any memory: saturate it.
+        let words = rows.div_ceil(n).checked_mul(cols).unwrap_or(usize::MAX);
         if words > self.w_capacity_words_per_pe() {
             return Err(LayerFitError::WMemoryOverflow {
                 words,
@@ -328,6 +328,22 @@ mod tests {
         assert!(c.validate_layer(1000, 784).is_ok());
         assert!(c.validate_layer(1000, 1000).is_ok());
         assert!(c.validate_layer(10, 1000).is_ok());
+    }
+
+    #[test]
+    fn w_words_past_usize_saturate_instead_of_overflowing() {
+        let c = MachineConfig {
+            act_regs_per_pe: usize::MAX,
+            ..MachineConfig::default()
+        };
+        // 2^34 rows per PE × 2^40 columns overflows usize.
+        assert_eq!(
+            c.validate_layer(1 << 40, 1 << 40),
+            Err(LayerFitError::WMemoryOverflow {
+                words: usize::MAX,
+                capacity: 64 * 1024
+            })
+        );
     }
 
     #[test]

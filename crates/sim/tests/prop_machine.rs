@@ -206,3 +206,61 @@ proptest! {
         prop_assert_eq!(run.events.w_reads, nnz * active);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The activity books balance on any machine the simulator accepts:
+    /// random radix-2 and radix-4 trees, queue depths, router buffers and
+    /// hop latencies, in both UV modes. Every datapath-busy cycle is one
+    /// MAC, every MAC reads exactly one W, U or V word, every broadcast
+    /// flit is pushed into and popped from each PE's queue once, the
+    /// per-PE busy cycles sum to the global count, and each simulated
+    /// phase cycle (the layer total less one PE pipeline drain per phase)
+    /// is booked busy or idle once per PE.
+    #[test]
+    fn activity_books_balance_on_random_machines(
+        seed in 0u64..10_000,
+        radix_four in any::<bool>(),
+        levels in 1u32..=6,
+        act_queue_depth in 1usize..=32,
+        queue_capacity in 1usize..=8,
+        hop_latency in 1u64..=4,
+        hidden in 8usize..96,
+        sparsity in 0u8..100,
+    ) {
+        let (radix, levels) = if radix_four { (4usize, levels.div_ceil(2)) } else { (2, levels) };
+        let d = MachineConfig::default();
+        let cfg = MachineConfig {
+            act_queue_depth,
+            noc: sparsenn_noc::NocConfig {
+                num_pes: radix.pow(levels),
+                radix,
+                queue_capacity,
+                hop_latency,
+            },
+            ..d
+        };
+        let n = cfg.num_pes() as u64;
+        let net = build_net(seed, hidden, 4);
+        let x = net.quantize_input(&build_input(seed, 24, sparsity));
+        let machine = Machine::new(cfg);
+        for mode in [UvMode::On, UvMode::Off] {
+            let run = machine.run_network(&net, &x, mode).unwrap();
+            for (l, layer) in run.layers.iter().enumerate() {
+                let ev = &layer.events;
+                prop_assert_eq!(ev.pe_busy_cycles, ev.macs, "{:?} layer {}", mode, l);
+                prop_assert_eq!(ev.macs, ev.w_reads + ev.u_reads + ev.v_reads, "{:?} layer {}", mode, l);
+                prop_assert_eq!(ev.queue_pops, ev.queue_pushes, "{:?} layer {}", mode, l);
+                prop_assert_eq!(ev.queue_pushes % n, 0, "{:?} layer {}", mode, l);
+                prop_assert_eq!(layer.pe_busy.iter().sum::<u64>(), ev.pe_busy_cycles, "{:?} layer {}", mode, l);
+                let phases = if layer.vu_cycles > 0 { 2 } else { 1 };
+                prop_assert_eq!(
+                    ev.pe_busy_cycles + ev.pe_idle_cycles,
+                    n * (layer.cycles - cfg.pe_pipeline_depth * phases),
+                    "{:?} layer {}", mode, l
+                );
+            }
+        }
+    }
+}
