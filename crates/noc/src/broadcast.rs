@@ -1,97 +1,78 @@
 //! The activation broadcast tree (W and U phases).
 
 use crate::config::NocConfig;
-use crate::link::Port;
+use crate::link::{Keyed, Ports};
 use crate::stats::NocStats;
 use crate::ActFlit;
 use std::collections::VecDeque;
 
-/// One radix-`k` concentrator router: `k` buffered input ports,
-/// smallest-index arbitration.
-#[derive(Clone, Debug)]
-struct Router {
-    ports: Vec<Port<ActFlit>>,
-}
-
-impl Router {
-    fn new(cfg: &NocConfig) -> Self {
-        Self {
-            ports: (0..cfg.radix)
-                .map(|_| Port::new(cfg.queue_capacity, cfg.hop_latency))
-                .collect(),
-        }
-    }
-
-    /// Index of the port whose head flit has the smallest activation index.
-    fn winner(&self) -> Option<usize> {
-        let mut best: Option<(u32, usize)> = None;
-        for (i, port) in self.ports.iter().enumerate() {
-            if let Some(f) = port.head() {
-                if best.is_none_or(|(bk, _)| f.index < bk) {
-                    best = Some((f.index, i));
-                }
-            }
-        }
-        best.map(|(_, i)| i)
-    }
-
-    fn advance(&mut self, cycle: u64) {
-        for p in &mut self.ports {
-            p.advance(cycle);
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.ports.iter().all(Port::is_empty)
-    }
-
-    fn peak_occupancy(&self) -> usize {
-        self.ports.iter().map(Port::occupancy).max().unwrap_or(0)
+impl Keyed for ActFlit {
+    fn key(&self) -> u32 {
+        self.index
     }
 }
 
 /// Cycle-level model of the upward concentration + downward broadcast
 /// H-tree (paper Fig. 3(b)).
 ///
-/// Per cycle, each router grants **one** flit — the one with the smallest
-/// activation index among its input-buffer heads — to the next level if
-/// the parent buffer has a credit. The root consumes one winner per cycle
-/// (when the sink is ready) and pushes it into the fully-pipelined
-/// downward broadcast, which delivers it to *every* PE
+/// Per cycle, each radix-`k` router grants **one** flit — the one with the
+/// smallest activation index among its input-buffer heads — to the next
+/// level if the parent buffer has a credit. The root consumes one winner
+/// per cycle (when the sink is ready) and pushes it into the
+/// fully-pipelined downward broadcast, which delivers it to *every* PE
 /// [`broadcast_latency`] cycles later.
+///
+/// When every flit has landed, none is in the downward pipeline and no
+/// router below the root holds a credit for its winner, the tree is
+/// [quiet](Self::is_quiet): until the sink opens or a PE injects, every
+/// tick only repeats the same stall counts, so
+/// [`skip_quiet`](Self::skip_quiet) books a run of them at once.
 ///
 /// [`broadcast_latency`]: NocConfig::broadcast_latency
 #[derive(Clone, Debug)]
 pub struct BroadcastTree {
     cfg: NocConfig,
-    levels: usize,
-    /// `routers[0]` = leaf level … `routers[levels-1]` = `[root]`.
-    routers: Vec<Vec<Router>>,
+    /// First router of each level, leaves first, plus the router count:
+    /// level `l` is routers `level_start[l]..level_start[l + 1]`, and the
+    /// root is the last router.
+    level_start: Vec<usize>,
+    ports: Ports<ActFlit>,
     /// Downward broadcast pipeline: `(delivery_cycle, flit)`.
     down: VecDeque<(u64, ActFlit)>,
     cycle: u64,
     stats: NocStats,
+    /// PEs whose leaf port returned a credit in the last tick.
+    credited: Vec<usize>,
+    /// Ports a flit landed in this tick.
+    landed: Vec<usize>,
 }
 
 impl BroadcastTree {
     /// Builds an idle tree for the given configuration.
     pub fn new(cfg: &NocConfig) -> Self {
-        let levels = cfg.levels();
-        let routers = (0..levels)
-            .map(|l| {
-                (0..cfg.routers_at_level(l))
-                    .map(|_| Router::new(cfg))
-                    .collect()
-            })
-            .collect();
+        let level_start = level_starts(cfg);
+        let routers = *level_start.last().expect("at least one level");
         Self {
             cfg: *cfg,
-            levels,
-            routers,
+            ports: Ports::new(routers, cfg.radix, cfg.queue_capacity, cfg.hop_latency),
+            level_start,
             down: VecDeque::new(),
             cycle: 0,
             stats: NocStats::default(),
+            credited: Vec::new(),
+            landed: Vec::new(),
         }
+    }
+
+    /// `true` when PE `pe`'s leaf port has a credit, so
+    /// [`try_inject`](Self::try_inject) would accept a flit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pe` is out of range.
+    pub fn can_inject(&self, pe: usize) -> bool {
+        assert!(pe < self.cfg.num_pes, "PE index out of range");
+        self.ports.has_credit(pe)
     }
 
     /// Attempts to inject a flit from PE `pe`'s network interface into its
@@ -102,14 +83,11 @@ impl BroadcastTree {
     ///
     /// Panics if `pe` is out of range.
     pub fn try_inject(&mut self, pe: usize, flit: ActFlit) -> bool {
-        assert!(pe < self.cfg.num_pes, "PE index out of range");
-        let port = &mut self.routers[0][pe / self.cfg.radix].ports[pe % self.cfg.radix];
-        if port.has_credit() {
-            port.send(self.cycle, flit);
-            true
-        } else {
-            false
+        if !self.can_inject(pe) {
+            return false;
         }
+        self.ports.send(self.cycle, pe, flit);
+        true
     }
 
     /// Advances one clock cycle.
@@ -121,13 +99,11 @@ impl BroadcastTree {
         self.cycle += 1;
         self.stats.cycles += 1;
         let cycle = self.cycle;
+        let levels = self.level_start.len() - 1;
+        self.credited.clear();
 
         // 1. Link arrivals.
-        for level in &mut self.routers {
-            for r in level.iter_mut() {
-                r.advance(cycle);
-            }
-        }
+        self.ports.land(cycle, &mut self.landed);
 
         // 2. Deliver the head of the downward pipeline if due.
         let delivered = match self.down.front() {
@@ -136,49 +112,99 @@ impl BroadcastTree {
         };
 
         // 3. Root arbitration (gated by the sink).
-        let root = &mut self.routers[self.levels - 1][0];
-        if let Some(port) = root.winner() {
+        if let Some(port) = self.ports.winner(self.level_start[levels - 1]) {
             if sink_ready {
-                let flit = root.ports[port].pop().expect("winner has a head");
+                let flit = self.ports.pop(port);
                 self.down
                     .push_back((cycle + self.cfg.broadcast_latency(), flit));
                 self.stats.root_emissions += 1;
                 self.stats.hops += 1;
+                if levels == 1 {
+                    self.credited.push(port);
+                }
             } else {
                 self.stats.sink_stalls += 1;
             }
         }
 
         // 4. Lower levels, root side first so freed credits propagate.
-        for l in (0..self.levels - 1).rev() {
-            let (lower, upper) = self.routers.split_at_mut(l + 1);
-            let this_level = &mut lower[l];
-            let parent_level = &mut upper[0];
-            for r in 0..this_level.len() {
-                if let Some(port) = this_level[r].winner() {
-                    let parent = &mut parent_level[r / self.cfg.radix].ports[r % self.cfg.radix];
-                    if parent.has_credit() {
-                        let flit = this_level[r].ports[port].pop().expect("winner has a head");
-                        parent.send(cycle, flit);
-                        self.stats.hops += 1;
-                    } else {
-                        self.stats.credit_stalls += 1;
+        for l in (0..levels - 1).rev() {
+            for router in self.level_start[l]..self.level_start[l + 1] {
+                let Some(port) = self.ports.winner(router) else {
+                    continue;
+                };
+                let parent = self.parent_port(l, router);
+                if self.ports.has_credit(parent) {
+                    let flit = self.ports.pop(port);
+                    self.ports.send(cycle, parent, flit);
+                    self.stats.hops += 1;
+                    if l == 0 {
+                        self.credited.push(port);
                     }
+                } else {
+                    self.stats.credit_stalls += 1;
                 }
             }
         }
 
-        // 5. Occupancy statistics.
-        let peak = self
-            .routers
-            .iter()
-            .flat_map(|lvl| lvl.iter())
-            .map(Router::peak_occupancy)
-            .max()
-            .unwrap_or(0);
-        self.stats.peak_occupancy = self.stats.peak_occupancy.max(peak);
+        // 5. Occupancy statistics: only a landing can raise a buffer.
+        for &port in &self.landed {
+            self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.ports.occupancy(port));
+        }
 
         delivered
+    }
+
+    /// The input port of `router`'s parent that `router` (on level `l`,
+    /// below the root) feeds.
+    fn parent_port(&self, l: usize, router: usize) -> usize {
+        self.level_start[l + 1] * self.cfg.radix + (router - self.level_start[l])
+    }
+
+    /// Routers below the root holding a winner, each with whether its
+    /// parent port has a credit.
+    fn lower_winners(&self) -> impl Iterator<Item = bool> + '_ {
+        let levels = self.level_start.len() - 1;
+        (0..levels - 1).flat_map(move |l| {
+            (self.level_start[l]..self.level_start[l + 1])
+                .filter(|&r| self.ports.winner(r).is_some())
+                .map(move |r| self.ports.has_credit(self.parent_port(l, r)))
+        })
+    }
+
+    /// `true` when every flit has landed, none is in the downward
+    /// pipeline, and no router below the root has a credit for its
+    /// winner. Another tick with the sink closed and no injection then
+    /// changes nothing but the counters: one cycle, a sink stall if the
+    /// root holds a winner, and a credit stall per router below it that
+    /// holds one.
+    pub fn is_quiet(&self) -> bool {
+        self.ports.links_empty() && self.down.is_empty() && !self.lower_winners().any(|c| c)
+    }
+
+    /// Books `n` ticks of a [quiet](Self::is_quiet) tree in one step: the
+    /// cycles and the stall counts those ticks would have added. The
+    /// caller keeps the sink closed and injects nothing over those cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree is not quiet.
+    pub fn skip_quiet(&mut self, n: u64) {
+        assert!(self.is_quiet(), "only a quiet tree skips ticks");
+        let levels = self.level_start.len() - 1;
+        if self.ports.winner(self.level_start[levels - 1]).is_some() {
+            self.stats.sink_stalls += n;
+        }
+        self.stats.credit_stalls += n * self.lower_winners().count() as u64;
+        self.cycle += n;
+        self.stats.cycles += n;
+        self.credited.clear();
+    }
+
+    /// PEs whose leaf port returned a credit in the last tick: a PE that
+    /// found its port full can inject again from the next cycle.
+    pub fn credits_returned(&self) -> &[usize] {
+        &self.credited
     }
 
     /// Flits currently inside the downward broadcast pipeline. The machine
@@ -191,7 +217,7 @@ impl BroadcastTree {
 
     /// `true` when no flit is buffered or in flight anywhere.
     pub fn is_idle(&self) -> bool {
-        self.down.is_empty() && self.routers.iter().flatten().all(Router::is_empty)
+        self.down.is_empty() && self.ports.is_empty()
     }
 
     /// Activity counters accumulated since construction.
@@ -203,6 +229,16 @@ impl BroadcastTree {
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
+}
+
+/// The first router of every level of `cfg`'s tree, leaves first, then
+/// the router count.
+pub(crate) fn level_starts(cfg: &NocConfig) -> Vec<usize> {
+    let mut starts = vec![0];
+    for l in 0..cfg.levels() {
+        starts.push(starts[l] + cfg.routers_at_level(l));
+    }
+    starts
 }
 
 #[cfg(test)]

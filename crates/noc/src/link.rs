@@ -2,80 +2,159 @@
 
 use std::collections::VecDeque;
 
-/// A router input buffer plus the link feeding it.
-///
-/// Credit accounting: the upstream sender may launch a flit only when
-/// `buffer occupancy + flits in flight on the link < capacity`, so the
-/// buffer can never overflow regardless of timing — the invariant the
-/// paper's "packet-buffer with credit" flow control provides.
-#[derive(Clone, Debug)]
-pub struct Port<T> {
-    queue: VecDeque<T>,
-    capacity: usize,
-    /// In-flight flits: `(arrival_cycle, flit)`, ordered by arrival.
-    link: VecDeque<(u64, T)>,
-    latency: u64,
+/// A flit the routers arbitrate on: at every router the input port whose
+/// head has the smallest key wins, the lowest-numbered port among equal
+/// keys.
+pub(crate) trait Keyed {
+    /// The arbitration key.
+    fn key(&self) -> u32;
 }
 
-impl<T> Port<T> {
-    /// Creates an empty port.
-    pub fn new(capacity: usize, latency: u64) -> Self {
+/// The input buffers of every router of a tree, plus the links feeding
+/// them.
+///
+/// Ports are numbered router-major (port `k` of router `r` is
+/// `r · radix + k`) and routers level by level from the leaves, so a leaf
+/// port's number is the number of the PE that feeds it.
+///
+/// Credit accounting: a sender may launch a flit into a port only when
+/// `buffer occupancy + flits in flight on its link < capacity`, so the
+/// buffer can never overflow regardless of timing — the invariant the
+/// paper's "packet-buffer with credit" flow control provides. Every link
+/// has the same latency, so flits land in the order they were launched and
+/// one FIFO holds the flits of all links.
+#[derive(Clone, Debug)]
+pub(crate) struct Ports<T> {
+    radix: usize,
+    capacity: usize,
+    latency: u64,
+    queues: Vec<VecDeque<T>>,
+    /// Flits on each port's link.
+    incoming: Vec<usize>,
+    /// Flits on any link, in landing order: `(landing cycle, port, flit)`.
+    links: VecDeque<(u64, usize, T)>,
+    /// Per router: the input port that wins arbitration, if any holds a
+    /// flit.
+    winner: Vec<Option<usize>>,
+    /// Flits buffered over all ports.
+    buffered: usize,
+}
+
+impl<T: Keyed> Ports<T> {
+    /// Empty ports for `routers` routers of `radix` inputs each, buffers of
+    /// `capacity` flits and links of `latency` cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is 0.
+    pub(crate) fn new(routers: usize, radix: usize, capacity: usize, latency: u64) -> Self {
         assert!(capacity > 0, "port capacity must be positive");
         Self {
-            queue: VecDeque::new(),
+            radix,
             capacity,
-            link: VecDeque::new(),
             latency,
+            queues: (0..routers * radix).map(|_| VecDeque::new()).collect(),
+            incoming: vec![0; routers * radix],
+            links: VecDeque::new(),
+            winner: vec![None; routers],
+            buffered: 0,
         }
     }
 
-    /// `true` if the sender holds a credit (buffer + in-flight < capacity).
-    pub fn has_credit(&self) -> bool {
-        self.queue.len() + self.link.len() < self.capacity
+    /// `true` if a sender into `port` holds a credit (buffer + in-flight <
+    /// capacity).
+    pub(crate) fn has_credit(&self, port: usize) -> bool {
+        self.queues[port].len() + self.incoming[port] < self.capacity
     }
 
-    /// Launches a flit onto the link at `cycle`.
+    /// Launches a flit onto `port`'s link at `cycle`.
     ///
     /// # Panics
     ///
     /// Panics if called without credit — senders must check
     /// [`has_credit`](Self::has_credit) first (the hardware cannot
     /// physically do otherwise).
-    pub fn send(&mut self, cycle: u64, flit: T) {
-        assert!(self.has_credit(), "send without credit");
-        self.link.push_back((cycle + self.latency, flit));
+    pub(crate) fn send(&mut self, cycle: u64, port: usize, flit: T) {
+        assert!(self.has_credit(port), "send without credit");
+        self.incoming[port] += 1;
+        self.links.push_back((cycle + self.latency, port, flit));
     }
 
-    /// Moves link arrivals due at `cycle` into the buffer.
-    pub fn advance(&mut self, cycle: u64) {
-        while let Some(&(ready, _)) = self.link.front() {
-            if ready > cycle {
-                break;
+    /// Moves the flits landing by `cycle` into their buffers and records
+    /// their ports in `landed`.
+    pub(crate) fn land(&mut self, cycle: u64, landed: &mut Vec<usize>) {
+        landed.clear();
+        while self
+            .links
+            .front()
+            .is_some_and(|&(ready, _, _)| ready <= cycle)
+        {
+            let (_, port, flit) = self.links.pop_front().expect("checked nonempty");
+            self.incoming[port] -= 1;
+            self.buffered += 1;
+            let key = flit.key();
+            let queue = &mut self.queues[port];
+            queue.push_back(flit);
+            debug_assert!(queue.len() <= self.capacity, "credit violation");
+            if queue.len() == 1 {
+                // A new head: it wins if it beats the router's winner.
+                let router = port / self.radix;
+                let beats = self.winner[router].is_none_or(|w| {
+                    let best = self.queues[w].front().expect("a winner has a head").key();
+                    (key, port) < (best, w)
+                });
+                if beats {
+                    self.winner[router] = Some(port);
+                }
             }
-            let (_, flit) = self.link.pop_front().expect("checked nonempty");
-            self.queue.push_back(flit);
-            debug_assert!(self.queue.len() <= self.capacity, "credit violation");
+            landed.push(port);
         }
     }
 
-    /// The flit at the head of the buffer, if any.
-    pub fn head(&self) -> Option<&T> {
-        self.queue.front()
+    /// The input port of `router` that wins arbitration, if any holds a
+    /// flit.
+    pub(crate) fn winner(&self, router: usize) -> Option<usize> {
+        self.winner[router]
     }
 
-    /// Pops the head flit (returns the credit to the sender).
-    pub fn pop(&mut self) -> Option<T> {
-        self.queue.pop_front()
+    /// The flit at the head of `port`'s buffer, if any.
+    pub(crate) fn head(&self, port: usize) -> Option<&T> {
+        self.queues[port].front()
     }
 
-    /// Buffer occupancy (excludes in-flight flits).
-    pub fn occupancy(&self) -> usize {
-        self.queue.len()
+    /// Pops the head of `port`'s buffer (returning the credit to its
+    /// sender) and re-arbitrates its router.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer is empty.
+    pub(crate) fn pop(&mut self, port: usize) -> T {
+        let flit = self.queues[port]
+            .pop_front()
+            .expect("pop from an empty port");
+        self.buffered -= 1;
+        let router = port / self.radix;
+        let first = router * self.radix;
+        self.winner[router] = (first..first + self.radix)
+            .filter_map(|p| self.queues[p].front().map(|f| (f.key(), p)))
+            .min()
+            .map(|(_, p)| p);
+        flit
     }
 
-    /// `true` when both buffer and link are empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty() && self.link.is_empty()
+    /// Buffer occupancy of `port` (excludes in-flight flits).
+    pub(crate) fn occupancy(&self, port: usize) -> usize {
+        self.queues[port].len()
+    }
+
+    /// `true` when no flit is on a link.
+    pub(crate) fn links_empty(&self) -> bool {
+        self.links.is_empty()
+    }
+
+    /// `true` when every buffer and link is empty.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.buffered == 0 && self.links.is_empty()
     }
 }
 
@@ -83,49 +162,74 @@ impl<T> Port<T> {
 mod tests {
     use super::*;
 
+    impl Keyed for u32 {
+        fn key(&self) -> u32 {
+            *self
+        }
+    }
+
     #[test]
     fn credit_blocks_at_capacity() {
-        let mut p: Port<u32> = Port::new(2, 1);
-        assert!(p.has_credit());
-        p.send(0, 1);
-        assert!(p.has_credit());
-        p.send(0, 2);
-        assert!(!p.has_credit(), "2 in flight with capacity 2 ⇒ no credit");
-        p.advance(1);
+        let mut p: Ports<u32> = Ports::new(1, 1, 2, 1);
+        assert!(p.has_credit(0));
+        p.send(0, 0, 1);
+        assert!(p.has_credit(0));
+        p.send(0, 0, 2);
+        assert!(!p.has_credit(0), "2 in flight with capacity 2 ⇒ no credit");
+        p.land(1, &mut Vec::new());
         assert!(
-            !p.has_credit(),
+            !p.has_credit(0),
             "arrivals occupy the buffer, still no credit"
         );
-        assert_eq!(p.pop(), Some(1));
-        assert!(p.has_credit(), "pop returns a credit");
+        assert_eq!(p.pop(0), 1);
+        assert!(p.has_credit(0), "pop returns a credit");
     }
 
     #[test]
     fn latency_is_respected() {
-        let mut p: Port<u32> = Port::new(4, 3);
-        p.send(10, 7);
-        p.advance(12);
-        assert!(p.head().is_none(), "not arrived yet");
-        p.advance(13);
-        assert_eq!(p.head(), Some(&7));
+        let mut p: Ports<u32> = Ports::new(1, 1, 4, 3);
+        let mut landed = Vec::new();
+        p.send(10, 0, 7);
+        p.land(12, &mut landed);
+        assert!(p.head(0).is_none(), "not arrived yet");
+        assert!(landed.is_empty());
+        p.land(13, &mut landed);
+        assert_eq!(p.head(0), Some(&7));
+        assert_eq!(landed, vec![0]);
     }
 
     #[test]
     fn fifo_order_on_link() {
-        let mut p: Port<u32> = Port::new(4, 2);
-        p.send(0, 1);
-        p.send(1, 2);
-        p.advance(3);
-        assert_eq!(p.pop(), Some(1));
-        assert_eq!(p.pop(), Some(2));
-        assert_eq!(p.pop(), None);
+        let mut p: Ports<u32> = Ports::new(1, 1, 4, 2);
+        p.send(0, 0, 1);
+        p.send(1, 0, 2);
+        p.land(3, &mut Vec::new());
+        assert_eq!(p.pop(0), 1);
+        assert_eq!(p.pop(0), 2);
+        assert!(p.is_empty());
+    }
+
+    #[test]
+    fn smallest_head_wins_and_ties_go_to_the_lower_port() {
+        let mut p: Ports<u32> = Ports::new(1, 3, 4, 1);
+        p.send(0, 2, 5);
+        p.send(0, 1, 9);
+        p.send(0, 0, 5);
+        p.land(1, &mut Vec::new());
+        assert_eq!(p.winner(0), Some(0));
+        assert_eq!(p.pop(0), 5);
+        assert_eq!(p.winner(0), Some(2));
+        assert_eq!(p.pop(2), 5);
+        assert_eq!(p.winner(0), Some(1));
+        assert_eq!(p.pop(1), 9);
+        assert_eq!(p.winner(0), None);
     }
 
     #[test]
     #[should_panic(expected = "send without credit")]
     fn overcommit_panics() {
-        let mut p: Port<u32> = Port::new(1, 1);
-        p.send(0, 1);
-        p.send(0, 2);
+        let mut p: Ports<u32> = Ports::new(1, 1, 1, 1);
+        p.send(0, 0, 1);
+        p.send(0, 0, 2);
     }
 }

@@ -8,53 +8,20 @@
 //! continues up the tree with the merged value, the others are absorbed.
 //! The root therefore emits each row's complete 64-PE sum exactly once.
 
+use crate::broadcast::level_starts;
 use crate::config::NocConfig;
-use crate::link::Port;
+use crate::link::{Keyed, Ports};
 use crate::stats::NocStats;
 use std::collections::VecDeque;
 
 /// A partial-sum flit: predictor row and the running Q(2·FRAC) value.
 type SumFlit = (u32, i64);
 
-#[derive(Clone, Debug)]
-struct ReduceRouter {
-    ports: Vec<Port<SumFlit>>,
-    /// Per-row accumulation registers.
-    acc: Vec<i64>,
-    /// Contributions merged so far, per row.
-    cnt: Vec<u32>,
-    /// Contributions expected per row (ports with participating subtrees).
-    expected: u32,
-}
-
-impl ReduceRouter {
-    fn new(cfg: &NocConfig, rows: usize, expected: u32) -> Self {
-        Self {
-            ports: (0..cfg.radix)
-                .map(|_| Port::new(cfg.queue_capacity, cfg.hop_latency))
-                .collect(),
-            acc: vec![0; rows],
-            cnt: vec![0; rows],
-            expected,
-        }
-    }
-
-    /// Port whose head has the smallest row id (deterministic service
-    /// order; any fair policy works because addition commutes).
-    fn winner(&self) -> Option<usize> {
-        let mut best: Option<(u32, usize)> = None;
-        for (i, port) in self.ports.iter().enumerate() {
-            if let Some(&(row, _)) = port.head() {
-                if best.is_none_or(|(brow, _)| row < brow) {
-                    best = Some((row, i));
-                }
-            }
-        }
-        best.map(|(_, i)| i)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.ports.iter().all(Port::is_empty)
+/// Routers serve the smallest row first (a deterministic service order;
+/// any fair policy works because addition commutes).
+impl Keyed for SumFlit {
+    fn key(&self) -> u32 {
+        self.0
     }
 }
 
@@ -67,14 +34,27 @@ impl ReduceRouter {
 #[derive(Clone, Debug)]
 pub struct ReduceTree {
     cfg: NocConfig,
-    levels: usize,
-    routers: Vec<Vec<ReduceRouter>>,
+    /// First router of each level, leaves first, plus the router count.
+    level_start: Vec<usize>,
+    ports: Ports<SumFlit>,
+    rows: usize,
+    /// Per router and row: the accumulation register.
+    acc: Vec<i64>,
+    /// Per router and row: contributions merged so far.
+    cnt: Vec<u32>,
+    /// Per router: contributions expected per row (ports with
+    /// participating subtrees).
+    expected: Vec<u32>,
     /// Completed row sums waiting at the root (emitted one per cycle).
     root_out: VecDeque<SumFlit>,
     cycle: u64,
     stats: NocStats,
     expected_total: u64,
     emitted: u64,
+    /// PEs whose leaf port returned a credit in the last tick.
+    credited: Vec<usize>,
+    /// Ports a flit landed in this tick.
+    landed: Vec<usize>,
 }
 
 impl ReduceTree {
@@ -90,22 +70,21 @@ impl ReduceTree {
             cfg.num_pes,
             "one participation flag per PE"
         );
-        let levels = cfg.levels();
+        let level_start = level_starts(cfg);
+        let routers = *level_start.last().expect("at least one level");
         // A subtree contributes if any of its PEs participate.
         let mut contributing: Vec<bool> = participants.to_vec();
-        let mut routers = Vec::with_capacity(levels);
-        for l in 0..levels {
-            let n = cfg.routers_at_level(l);
-            let mut level = Vec::with_capacity(n);
-            let mut next_contributing = Vec::with_capacity(n);
-            for r in 0..n {
-                let children = &contributing[r * cfg.radix..(r + 1) * cfg.radix];
-                let expected = children.iter().filter(|&&c| c).count() as u32;
-                level.push(ReduceRouter::new(cfg, rows, expected));
-                next_contributing.push(expected > 0);
-            }
-            routers.push(level);
-            contributing = next_contributing;
+        let mut expected = Vec::with_capacity(routers);
+        for _ in 1..level_start.len() {
+            let next: Vec<bool> = contributing
+                .chunks(cfg.radix)
+                .map(|children| {
+                    let n = children.iter().filter(|&&c| c).count() as u32;
+                    expected.push(n);
+                    n > 0
+                })
+                .collect();
+            contributing = next;
         }
         let participating_rows = if participants.iter().any(|&p| p) {
             rows as u64
@@ -114,13 +93,19 @@ impl ReduceTree {
         };
         Self {
             cfg: *cfg,
-            levels,
-            routers,
+            ports: Ports::new(routers, cfg.radix, cfg.queue_capacity, cfg.hop_latency),
+            level_start,
+            rows,
+            acc: vec![0; routers * rows],
+            cnt: vec![0; routers * rows],
+            expected,
             root_out: VecDeque::new(),
             cycle: 0,
             stats: NocStats::default(),
             expected_total: participating_rows,
             emitted: 0,
+            credited: Vec::new(),
+            landed: Vec::new(),
         }
     }
 
@@ -132,13 +117,9 @@ impl ReduceTree {
     /// Panics if `pe` or `row` is out of range.
     pub fn try_inject(&mut self, pe: usize, row: u32, partial: i64) -> bool {
         assert!(pe < self.cfg.num_pes, "PE index out of range");
-        assert!(
-            (row as usize) < self.routers[0][0].acc.len(),
-            "row out of range"
-        );
-        let port = &mut self.routers[0][pe / self.cfg.radix].ports[pe % self.cfg.radix];
-        if port.has_credit() {
-            port.send(self.cycle, (row, partial));
+        assert!((row as usize) < self.rows, "row out of range");
+        if self.ports.has_credit(pe) {
+            self.ports.send(self.cycle, pe, (row, partial));
             true
         } else {
             false
@@ -151,61 +132,52 @@ impl ReduceTree {
         self.cycle += 1;
         self.stats.cycles += 1;
         let cycle = self.cycle;
+        let levels = self.level_start.len() - 1;
+        self.credited.clear();
 
-        for level in &mut self.routers {
-            for r in level.iter_mut() {
-                for p in &mut r.ports {
-                    p.advance(cycle);
-                }
-            }
-        }
+        self.ports.land(cycle, &mut self.landed);
 
         // Root-side first so credits free up for the levels below.
-        for l in (0..self.levels).rev() {
-            let is_root = l == self.levels - 1;
-            let (lower, upper) = self.routers.split_at_mut(l + 1);
-            let this_level = &mut lower[l];
-            for r in 0..this_level.len() {
-                let Some(port) = this_level[r].winner() else {
+        for l in (0..levels).rev() {
+            let is_root = l == levels - 1;
+            for router in self.level_start[l]..self.level_start[l + 1] {
+                let Some(port) = self.ports.winner(router) else {
                     continue;
                 };
-                let &(row, _) = this_level[r].ports[port].head().expect("winner has head");
-                let completes = this_level[r].cnt[row as usize] + 1 == this_level[r].expected;
-                if completes && !is_root {
+                let &(row, _) = self.ports.head(port).expect("winner has head");
+                let slot = router * self.rows + row as usize;
+                let completes = self.cnt[slot] + 1 == self.expected[router];
+                let parent =
+                    self.level_start[l + 1] * self.cfg.radix + (router - self.level_start[l]);
+                if completes && !is_root && !self.ports.has_credit(parent) {
                     // The completing flit must continue upward: it needs a
                     // credit at the parent, else the pipeline stalls.
-                    let parent = &upper[0][r / self.cfg.radix].ports[r % self.cfg.radix];
-                    if !parent.has_credit() {
-                        self.stats.credit_stalls += 1;
-                        continue;
-                    }
+                    self.stats.credit_stalls += 1;
+                    continue;
                 }
-                let (row, val) = this_level[r].ports[port].pop().expect("winner has head");
-                let slot = row as usize;
-                this_level[r].acc[slot] += val;
-                this_level[r].cnt[slot] += 1;
+                let (row, val) = self.ports.pop(port);
+                if l == 0 {
+                    self.credited.push(port);
+                }
+                self.acc[slot] += val;
+                self.cnt[slot] += 1;
                 self.stats.acc_merges += 1;
                 self.stats.hops += 1;
-                if this_level[r].cnt[slot] == this_level[r].expected {
-                    let total = this_level[r].acc[slot];
+                if completes {
+                    let total = self.acc[slot];
                     if is_root {
                         self.root_out.push_back((row, total));
                     } else {
-                        let parent = &mut upper[0][r / self.cfg.radix].ports[r % self.cfg.radix];
-                        parent.send(cycle, (row, total));
+                        self.ports.send(cycle, parent, (row, total));
                     }
                 }
             }
         }
 
-        let peak = self
-            .routers
-            .iter()
-            .flat_map(|lvl| lvl.iter())
-            .flat_map(|r| r.ports.iter().map(Port::occupancy))
-            .max()
-            .unwrap_or(0);
-        self.stats.peak_occupancy = self.stats.peak_occupancy.max(peak);
+        // Only a landing can raise a buffer's occupancy.
+        for &port in &self.landed {
+            self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.ports.occupancy(port));
+        }
 
         let out = self.root_out.pop_front();
         if out.is_some() {
@@ -218,9 +190,31 @@ impl ReduceTree {
     /// `true` once every expected row has been emitted and nothing is in
     /// flight.
     pub fn is_done(&self) -> bool {
-        self.emitted == self.expected_total
-            && self.root_out.is_empty()
-            && self.routers.iter().flatten().all(ReduceRouter::is_empty)
+        self.emitted == self.expected_total && self.is_empty()
+    }
+
+    /// `true` when no partial sum is buffered, on a link or waiting at
+    /// the root: a tick then only counts a cycle.
+    pub fn is_empty(&self) -> bool {
+        self.root_out.is_empty() && self.ports.is_empty()
+    }
+
+    /// Books `n` ticks of an [empty](Self::is_empty) tree in one step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree is not empty.
+    pub fn skip_empty(&mut self, n: u64) {
+        assert!(self.is_empty(), "only an empty tree skips ticks");
+        self.cycle += n;
+        self.stats.cycles += n;
+        self.credited.clear();
+    }
+
+    /// PEs whose leaf port returned a credit in the last tick: a PE whose
+    /// partial was refused can inject it from the next cycle.
+    pub fn credits_returned(&self) -> &[usize] {
+        &self.credited
     }
 
     /// Activity counters accumulated since construction.

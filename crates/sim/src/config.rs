@@ -267,7 +267,7 @@ impl MachineConfig {
             });
         }
         // A product past `usize::MAX` overflows any memory: saturate it.
-        let words = rows.div_ceil(n).checked_mul(cols).unwrap_or(usize::MAX);
+        let words = rows.div_ceil(n).saturating_mul(cols);
         if words > self.w_capacity_words_per_pe() {
             return Err(LayerFitError::WMemoryOverflow {
                 words,

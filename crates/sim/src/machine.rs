@@ -2,11 +2,12 @@
 
 use crate::config::MachineConfig;
 use crate::events::MachineEvents;
-use crate::pe::{Pe, StepOutcome};
+use crate::pe::{ActQueues, Pe};
 use sparsenn_model::fixedpoint::{FixedMatrix, FixedNetwork, FixedPredictor, UvMode};
 use sparsenn_noc::{ActFlit, BroadcastTree, ReduceTree};
 use sparsenn_numeric::{Accumulator, Q6_10};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Why a simulation request could not run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -600,7 +601,7 @@ impl<'a> LayerStages<'a> {
         }
         let n_pes = cfg.num_pes();
         let pes: Vec<Pe> = (0..n_pes)
-            .map(|id| Pe::new(id, n_pes, cfg.act_queue_depth, input, w.rows()))
+            .map(|id| Pe::new(id, n_pes, input, w.rows()))
             .collect();
         let predicted = mode == UvMode::On && is_hidden && predictor.is_some();
         Ok(Self {
@@ -738,17 +739,39 @@ impl<'a> LayerStages<'a> {
     }
 
     /// The overlapped V/U predictor phases. Returns the cycle count.
+    ///
+    /// The clock advances by events: a cycle is simulated only when a
+    /// partial sum leaves a PE, the reduce tree holds a flit, a V result
+    /// waits for or passes the sink gate, or a broadcast lands; the cycles
+    /// between are skipped in one step.
     fn vu_phase(&mut self) -> u64 {
         let p = self.predictor.expect("predicted layers carry a predictor");
         let pes = &mut self.pes;
         let ev = &mut self.ev;
-        let pe_busy = &mut self.pe_busy;
-        let r = p.v.rows();
+        let n = pes.len();
         let participants: Vec<bool> = pes.iter().map(Pe::participates).collect();
-        for pe in pes.iter_mut() {
-            pe.begin_v(r);
+        let mut reduce = ReduceTree::new(&self.cfg.noc, p.v.rows(), &participants);
+        let hold = pes.iter().map(|pe| pe.rows().len().max(1) as u64).collect();
+        let mut queues = ActQueues::new(self.cfg.act_queue_depth, hold);
+        let mut busy = vec![0u64; n];
+        // PEs whose next partial sum is ready to leave, by cycle.
+        let mut due = BinaryHeap::new();
+        for (id, pe) in pes.iter_mut().enumerate() {
+            let before = ev.macs;
+            if let Some(ready) = pe.begin_v(&p.v, ev) {
+                due.push(Reverse((ready, id)));
+            }
+            busy[id] = ev.macs - before;
+            if let Some(start) = pe.u_start() {
+                queues.start(id, start);
+            }
         }
-        let mut reduce = ReduceTree::new(&self.cfg.noc, r, &participants);
+        let mut v_left = pes.iter().filter(|pe| !pe.v_done()).count();
+        // PEs whose partial the reduce tree refused, and those of them
+        // whose leaf port has since returned a credit.
+        let mut refused = vec![false; n];
+        let mut retry: Vec<usize> = Vec::new();
+        let mut inject: Vec<usize> = Vec::new();
         // Root output buffer and the downward broadcast pipeline for the
         // quantized V results.
         let mut pending: VecDeque<ActFlit> = VecDeque::new();
@@ -761,13 +784,32 @@ impl<'a> LayerStages<'a> {
             assert!(cycle < CYCLE_GUARD, "V/U phase deadlock");
 
             // Network interfaces push finished partials into the reduce tree.
-            for pe in pes.iter_mut() {
-                if let Some((row, val)) = pe.pending_v_emit() {
-                    if reduce.try_inject(pe.id(), row, val) {
-                        pe.clear_v_emit();
+            while let Some(&Reverse((ready, id))) = due.peek() {
+                if ready > cycle {
+                    break;
+                }
+                due.pop();
+                inject.push(id);
+            }
+            inject.append(&mut retry);
+            for &id in &inject {
+                let pe = &mut pes[id];
+                let (row, val) = pe.pending_v_emit().expect("a due PE holds a partial");
+                if !reduce.try_inject(id, row, val) {
+                    refused[id] = true;
+                    continue;
+                }
+                match pe.v_injected(cycle) {
+                    Some(ready) => due.push(Reverse((ready, id))),
+                    None => v_left -= 1,
+                }
+                if !queues.started(id) {
+                    if let Some(start) = pe.u_start() {
+                        queues.start(id, start);
                     }
                 }
             }
+            inject.clear();
 
             // Root finishes at most one row per cycle; zero results are not
             // broadcast (the U phase skips them exactly).
@@ -780,100 +822,168 @@ impl<'a> LayerStages<'a> {
                     });
                 }
             }
+            for &id in reduce.credits_returned() {
+                if std::mem::take(&mut refused[id]) {
+                    retry.push(id);
+                }
+            }
 
             // Enter the broadcast pipeline only with guaranteed queue space.
-            let sink_ready = pes.iter().all(|pe| pe.queue_free() > down.len());
-            if sink_ready {
-                if let Some(f) = pending.pop_front() {
-                    down.push_back((cycle + bcast_latency, f));
-                }
+            if !pending.is_empty() && queues.min_free(cycle) > down.len() {
+                let f = pending.pop_front().expect("checked nonempty");
+                down.push_back((cycle + bcast_latency, f));
             }
             if let Some(&(ready, f)) = down.front() {
                 if ready <= cycle {
                     down.pop_front();
-                    for pe in pes.iter_mut() {
-                        pe.push_act(f, ev);
-                    }
+                    queues.deliver(f, cycle);
                 }
             }
 
-            // Datapaths.
-            for (pe, busy) in pes.iter_mut().zip(pe_busy.iter_mut()) {
-                match pe.step_vu(&p.v, &p.u, ev) {
-                    StepOutcome::Busy => {
-                        ev.pe_busy_cycles += 1;
-                        *busy += 1;
-                    }
-                    _ => ev.pe_idle_cycles += 1,
-                }
-            }
-
-            let done = reduce.is_done()
-                && pending.is_empty()
-                && down.is_empty()
-                && pes.iter().all(|pe| pe.v_done() && pe.drained());
-            if done {
+            let settled = v_left == 0 && reduce.is_done() && pending.is_empty() && down.is_empty();
+            if settled && cycle >= queues.drain_end() {
                 break;
+            }
+
+            // With the reduce tree empty and no partial refused, nothing
+            // happens before the next partial leaves, the next broadcast
+            // lands, the sink gate opens or the PEs drain.
+            if retry.is_empty() && reduce.is_empty() {
+                let mut next = due.peek().map_or(u64::MAX, |r| (r.0).0);
+                if let Some(&(ready, _)) = down.front() {
+                    next = next.min(ready);
+                }
+                if !pending.is_empty() {
+                    if let Some(open) = queues.opens_at(down.len()) {
+                        next = next.min(open);
+                    }
+                }
+                if settled {
+                    next = next.min(queues.drain_end());
+                }
+                if next != u64::MAX && next > cycle + 1 {
+                    reduce.skip_empty(next - 1 - cycle);
+                    cycle = next - 1;
+                }
             }
         }
         ev.noc.merge(reduce.stats());
-        for pe in pes.iter_mut() {
+        let flits = queues.flits();
+        for (pe, b) in pes.iter_mut().zip(&mut busy) {
+            *b += pe.accumulate_u(&p.u, flits, ev);
             pe.latch_predictor(ev);
         }
+        let pushes = (n * flits.len()) as u64;
+        ev.queue_pushes += pushes;
+        ev.queue_pops += pushes;
+        self.credit_datapaths(&busy, cycle);
         cycle + self.cfg.pe_pipeline_depth
     }
 
     /// The W feedforward phase. Returns the cycle count.
+    ///
+    /// The clock advances by events: the broadcast tree ticks while a flit
+    /// is moving, and the cycles in which it is frozen — every flit landed,
+    /// the root held by the sink gate, no PE able to inject — are skipped
+    /// up to the PE pop that opens the gate, as are the last PEs' drain
+    /// cycles.
     fn w_phase(&mut self) -> u64 {
-        let w = self.w;
-        let uv_on = self.predicted;
         let pes = &mut self.pes;
         let ev = &mut self.ev;
-        let pe_busy = &mut self.pe_busy;
-        for pe in pes.iter_mut() {
-            pe.rewind_src();
-        }
+        let n = pes.len();
         let mut tree = BroadcastTree::new(&self.cfg.noc);
+        let hold = pes
+            .iter()
+            .map(|pe| pe.w_macs_per_flit().max(1) as u64)
+            .collect();
+        let mut queues = ActQueues::new(self.cfg.act_queue_depth, hold);
+        (0..n).for_each(|id| queues.start(id, 1));
+        // Network interfaces with an activation to inject and a credit to
+        // inject it with; those that ran out of credit wait for the tree
+        // to return one.
+        let mut ready: Vec<usize> = (0..n).filter(|&id| pes[id].participates()).collect();
+        let mut src_left = ready.len();
+        let mut next_ready: Vec<usize> = Vec::new();
+        let mut blocked = vec![false; n];
         let mut cycle: u64 = 0;
         loop {
             cycle += 1;
             assert!(cycle < CYCLE_GUARD, "W phase deadlock");
 
             // Network interfaces: LNZD scan + inject one activation/cycle.
-            for pe in pes.iter_mut() {
-                if let Some(f) = pe.peek_src() {
-                    if tree.try_inject(pe.id(), f) {
-                        pe.advance_src();
-                        ev.src_reads += 1;
-                    }
+            for &id in &ready {
+                let pe = &mut pes[id];
+                let f = pe.peek_src().expect("a ready PE holds an activation");
+                let injected = tree.try_inject(id, f);
+                debug_assert!(injected, "a ready PE holds a credit");
+                pe.advance_src();
+                ev.src_reads += 1;
+                if pe.peek_src().is_none() {
+                    src_left -= 1;
+                } else if tree.can_inject(id) {
+                    next_ready.push(id);
+                } else {
+                    blocked[id] = true;
                 }
             }
 
-            let sink_ready = pes.iter().all(|pe| pe.queue_free() > tree.down_in_flight());
+            let sink_ready = queues.min_free(cycle) > tree.down_in_flight();
             if let Some(f) = tree.tick(sink_ready) {
-                for pe in pes.iter_mut() {
-                    pe.push_act(f, ev);
+                queues.deliver(f, cycle);
+            }
+            for &id in tree.credits_returned() {
+                if std::mem::take(&mut blocked[id]) {
+                    next_ready.push(id);
                 }
             }
+            ready.clear();
+            std::mem::swap(&mut ready, &mut next_ready);
 
-            for (pe, busy) in pes.iter_mut().zip(pe_busy.iter_mut()) {
-                match pe.step_w(w, uv_on, cycle, ev) {
-                    StepOutcome::Busy => {
-                        ev.pe_busy_cycles += 1;
-                        *busy += 1;
-                    }
-                    _ => ev.pe_idle_cycles += 1,
-                }
-            }
-
-            let done =
-                tree.is_idle() && pes.iter().all(|pe| pe.peek_src().is_none() && pe.drained());
-            if done {
+            if src_left == 0 && cycle >= queues.drain_end() && tree.is_idle() {
                 break;
+            }
+            if ready.is_empty() && tree.is_quiet() {
+                // Only a PE pop can change anything now: the one that
+                // opens the sink gate, or the last one's drain.
+                let next = if tree.is_idle() {
+                    queues.drain_end()
+                } else {
+                    queues.opens_at(0).expect("every PE consumes from cycle 1")
+                };
+                if next > cycle + 1 {
+                    tree.skip_quiet(next - 1 - cycle);
+                    cycle = next - 1;
+                }
             }
         }
         ev.noc.merge(tree.stats());
+        let flits = queues.flits();
+        let mut busy = vec![0u64; n];
+        for (id, (pe, b)) in pes.iter_mut().zip(&mut busy).enumerate() {
+            if let Some(last_pop) = queues.last_pop_of(id) {
+                *b = pe.accumulate_w(self.w, flits, last_pop, ev);
+            }
+        }
+        let pushes = (n * flits.len()) as u64;
+        ev.queue_pushes += pushes;
+        ev.queue_pops += pushes;
+        if self.predicted {
+            ev.pred_scans += pushes;
+        }
+        self.credit_datapaths(&busy, cycle);
         cycle + self.cfg.pe_pipeline_depth
+    }
+
+    /// Books one phase's datapath cycles: each PE was busy for `busy[pe]`
+    /// of the phase's `cycles` and idle for the rest.
+    fn credit_datapaths(&mut self, busy: &[u64], cycles: u64) {
+        let mut total = 0;
+        for (acc, &b) in self.pe_busy.iter_mut().zip(busy) {
+            *acc += b;
+            total += b;
+        }
+        self.ev.pe_busy_cycles += total;
+        self.ev.pe_idle_cycles += busy.len() as u64 * cycles - total;
     }
 }
 

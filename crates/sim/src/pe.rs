@@ -15,38 +15,33 @@
 //!   wide accumulators, and the **destination register file** receiving the
 //!   quantized outputs at writeback.
 //!
-//! The [`Pe`] is a passive state machine: `sparsenn-sim`'s
-//! [`Machine`](crate::Machine) advances it one cycle at a time and wires it
-//! to the NoC models.
+//! The model is cycle-exact, but the host advances it by events, not by
+//! clock ticks. A PE's datapath holds each popped activation for a fixed
+//! number of cycles — one MAC per row it touches, and at least the one
+//! cycle the pop and predictor scan take — so the cycle on which every PE
+//! pops a flit is fixed the moment the flit reaches the queues
+//! ([`ActQueues`]). The MACs themselves are then done in bulk, per row
+//! over the whole broadcast log ([`Pe::accumulate_w`],
+//! [`Pe::accumulate_u`]), and each row's last-MAC cycle is the cycle the
+//! one-MAC-per-cycle datapath would have issued it. In the V phase the PE
+//! computes every partial sum up front ([`Pe::begin_v`]) and only the
+//! hand-off of each partial to the reduce tree is timed. `sparsenn-sim`'s
+//! [`Machine`](crate::Machine) wires the PEs to the NoC models and
+//! credits busy and idle datapath cycles per phase.
 
 use sparsenn_model::fixedpoint::FixedMatrix;
 use sparsenn_noc::ActFlit;
 use sparsenn_numeric::{Accumulator, Q6_10};
-use std::collections::VecDeque;
 
 use crate::events::MachineEvents;
-
-/// What the datapath accomplished in one cycle (for utilization stats).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// A MAC (or pop-and-scan) was executed.
-    Busy,
-    /// Nothing to do: queue empty / waiting on the network.
-    Idle,
-    /// Datapath blocked: a finished V partial sum is waiting for reduce-tree
-    /// credit.
-    Stalled,
-}
 
 /// One processing element.
 #[derive(Clone, Debug)]
 pub struct Pe {
     id: usize,
-    queue_cap: usize,
     /// Local nonzero input activations `(global index, value)`, ascending.
     src: Vec<(u32, Q6_10)>,
     src_cursor: usize,
-    queue: VecDeque<ActFlit>,
     /// Global row ids mapped to this PE (`id, id + 64, …`), ascending.
     rows: Vec<u32>,
     /// Wide W-phase accumulators, one per local row.
@@ -59,28 +54,15 @@ pub struct Pe {
     /// Predictor register bank (`true` = row predicted active).
     pred: Vec<bool>,
     /// Local indices of the predicted-active rows, ascending: what the
-    /// bank's leading-nonzero detector yields. Rebuilt whenever the bank
-    /// changes, never per queue pop.
+    /// bank's leading-nonzero detector yields, and the order the W phase
+    /// walks them in. Rebuilt whenever the bank changes.
     active: Vec<u32>,
-    /// Which rows the current activation walks: `true` every local row,
-    /// `false` the rows in `active`.
-    mac_all: bool,
-    /// Next position of the walk.
-    mac_pos: usize,
-    /// MACs still owed for the current activation.
-    mac_rem: usize,
-    /// The activation being processed.
-    cur: Option<ActFlit>,
-    /// V phase: current predictor row (`v_rows` when done).
-    v_row: usize,
-    /// Total predictor rows.
-    v_rows: usize,
-    /// Position inside `src` for the current V row.
-    v_idx: usize,
-    /// Partial sum of the current V row.
-    v_partial: Accumulator,
-    /// A finished partial sum waiting for network credit.
-    v_emit: Option<(u32, i64)>,
+    /// V phase: the finished partial sum of every predictor row.
+    v_partials: Vec<i64>,
+    /// V phase: the next partial the network interface hands on.
+    v_next: usize,
+    /// V phase: first cycle of the U phase, once the last V row started.
+    u_start: Option<u64>,
 }
 
 impl Pe {
@@ -89,13 +71,7 @@ impl Pe {
     /// `input` is the full activation vector; the PE keeps the nonzero
     /// entries whose index is congruent to `id` mod `num_pes`. `rows` is
     /// the layer's output count, distributed the same way.
-    pub fn new(
-        id: usize,
-        num_pes: usize,
-        queue_cap: usize,
-        input: &[Q6_10],
-        out_rows: usize,
-    ) -> Self {
+    pub fn new(id: usize, num_pes: usize, input: &[Q6_10], out_rows: usize) -> Self {
         let src: Vec<(u32, Q6_10)> = input
             .iter()
             .enumerate()
@@ -108,25 +84,17 @@ impl Pe {
         let n_rows = rows.len();
         let mut pe = Self {
             id,
-            queue_cap,
             src,
             src_cursor: 0,
-            queue: VecDeque::new(),
             rows,
             acc_w: vec![Accumulator::new(); n_rows],
             last_w_mac: vec![0; n_rows],
             acc_u: vec![Accumulator::new(); n_rows],
             pred: vec![true; n_rows],
             active: Vec::new(),
-            mac_all: false,
-            mac_pos: 0,
-            mac_rem: 0,
-            cur: None,
-            v_row: 0,
-            v_rows: 0,
-            v_idx: 0,
-            v_partial: Accumulator::new(),
-            v_emit: None,
+            v_partials: Vec::new(),
+            v_next: 0,
+            u_start: None,
         };
         pe.rebuild_active();
         pe
@@ -161,9 +129,10 @@ impl Pe {
         &self.rows
     }
 
-    /// Free slots in the activation queue.
-    pub fn queue_free(&self) -> usize {
-        self.queue_cap - self.queue.len()
+    /// MACs the W phase issues per activation: one per row the predictor
+    /// bank's LNZD yields (every row when the bank is all ones).
+    pub fn w_macs_per_flit(&self) -> usize {
+        self.active.len()
     }
 
     /// The next source activation the network interface would inject.
@@ -181,159 +150,123 @@ impl Pe {
         self.src_cursor += 1;
     }
 
-    /// Rewinds the source LNZD (between phases).
-    pub fn rewind_src(&mut self) {
-        self.src_cursor = 0;
-    }
-
-    /// Accepts a broadcast flit into the activation queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue is full — the machine's sink gating must prevent
-    /// that, exactly like the credit-based broadcast in hardware.
-    pub fn push_act(&mut self, flit: ActFlit, ev: &mut MachineEvents) {
-        assert!(
-            self.queue.len() < self.queue_cap,
-            "activation queue overflow (PE {})",
-            self.id
-        );
-        self.queue.push_back(flit);
-        ev.queue_pushes += 1;
-    }
-
-    /// Prepares the V phase over `v_rows` predictor rows.
-    pub fn begin_v(&mut self, v_rows: usize) {
-        self.v_rows = v_rows;
-        self.v_row = if self.src.is_empty() { v_rows } else { 0 };
-        self.v_idx = 0;
-        self.v_partial = Accumulator::new();
-        self.v_emit = None;
-    }
-
-    /// A finished V partial sum waiting to enter the reduce tree, if any.
-    pub fn pending_v_emit(&self) -> Option<(u32, i64)> {
-        self.v_emit
-    }
-
-    /// Marks the pending partial as accepted by the network.
-    pub fn clear_v_emit(&mut self) {
-        self.v_emit = None;
-    }
-
-    /// `true` once every local V MAC has been executed and emitted.
-    pub fn v_done(&self) -> bool {
-        self.v_row >= self.v_rows && self.v_emit.is_none()
-    }
-
-    /// `true` when the datapath and queue are fully drained.
-    pub fn drained(&self) -> bool {
-        self.queue.is_empty() && self.mac_rem == 0
-    }
-
-    /// Advances the datapath one cycle during the combined V/U phase:
-    /// local V MACs first (partials stream into the reduce tree), then the
-    /// queued V-phase results are consumed against the local U rows.
-    pub fn step_vu(
-        &mut self,
-        v: &FixedMatrix,
-        u: &FixedMatrix,
-        ev: &mut MachineEvents,
-    ) -> StepOutcome {
-        // V phase: one MAC per cycle over (row, local nonzero) pairs.
-        if self.v_row < self.v_rows {
-            if self.v_emit.is_some() {
-                // Output register still occupied: pipeline stall.
-                return StepOutcome::Stalled;
+    /// Starts the V phase over the `v.rows()` predictor rows: the datapath
+    /// computes every local partial sum (one MAC per row and local nonzero,
+    /// row after row from cycle 1), which are counted here. Returns the
+    /// cycle on which the first partial is ready to leave (the cycle after
+    /// its last MAC), or `None` for a PE with no nonzero input, which has
+    /// nothing to reduce.
+    pub fn begin_v(&mut self, v: &FixedMatrix, ev: &mut MachineEvents) -> Option<u64> {
+        let rows = if self.src.is_empty() { 0 } else { v.rows() };
+        self.v_partials = (0..rows)
+            .map(|t| {
+                let row = v.row(t);
+                let mut acc = Accumulator::new();
+                for &(col, val) in &self.src {
+                    acc.mac(row[col as usize], val);
+                }
+                acc.raw()
+            })
+            .collect();
+        let macs = (rows * self.src.len()) as u64;
+        ev.macs += macs;
+        ev.v_reads += macs;
+        self.v_next = 0;
+        self.u_start = None;
+        let ready = self.src.len() as u64 + 1;
+        match rows {
+            0 => {
+                self.u_start = Some(1);
+                None
             }
-            let (col, val) = self.src[self.v_idx];
-            self.v_partial.mac(v.get(self.v_row, col as usize), val);
-            ev.macs += 1;
-            ev.v_reads += 1;
-            self.v_idx += 1;
-            if self.v_idx == self.src.len() {
-                self.v_emit = Some((self.v_row as u32, self.v_partial.raw()));
-                self.v_partial = Accumulator::new();
-                self.v_idx = 0;
-                self.v_row += 1;
+            1 => {
+                self.u_start = Some(ready);
+                Some(ready)
             }
-            return StepOutcome::Busy;
+            _ => Some(ready),
         }
-        // U phase: process queued V results against all local U rows.
-        self.step_queue_consumer(ev, u, true, false, 0)
     }
 
-    /// Advances the datapath one cycle during the W phase. `cycle` is the
-    /// current W-phase cycle number; a MAC issued this cycle stamps its
-    /// target row's completion time (reported by
-    /// [`writeback`](Self::writeback)).
-    ///
-    /// `uv_on` selects output-sparsity skipping: the predictor bank's LNZD
-    /// yields only the active rows, so bypassed rows cost neither a W-memory
-    /// read nor a MAC.
-    pub fn step_w(
+    /// The finished V partial sum `(row, value)` waiting for the reduce
+    /// tree, if any.
+    pub fn pending_v_emit(&self) -> Option<(u32, i64)> {
+        self.v_partials
+            .get(self.v_next)
+            .map(|&sum| (self.v_next as u32, sum))
+    }
+
+    /// The reduce tree accepted the pending partial on `cycle`. The output
+    /// register is free again, so the datapath starts the next row on the
+    /// same cycle; until then it stalled. Returns the cycle on which the
+    /// next partial is ready, or `None` once every partial has left.
+    pub fn v_injected(&mut self, cycle: u64) -> Option<u64> {
+        self.v_next += 1;
+        let left = self.v_partials.len() - self.v_next;
+        if left == 0 {
+            return None;
+        }
+        let ready = cycle + self.src.len() as u64;
+        if left == 1 {
+            // The last row runs now; the datapath turns to the U phase
+            // after its last MAC, whether or not the partial has left.
+            self.u_start = Some(ready);
+        }
+        Some(ready)
+    }
+
+    /// First cycle of this PE's U phase, known once its last V row has
+    /// started.
+    pub fn u_start(&self) -> Option<u64> {
+        self.u_start
+    }
+
+    /// `true` once every V partial has left for the reduce tree.
+    pub fn v_done(&self) -> bool {
+        self.v_next == self.v_partials.len()
+    }
+
+    /// The U phase's MACs: every broadcast V result (`flit.index` = the
+    /// predictor row) against every local U row. Returns the datapath's
+    /// busy cycles, one per MAC.
+    pub fn accumulate_u(
+        &mut self,
+        u: &FixedMatrix,
+        flits: &[ActFlit],
+        ev: &mut MachineEvents,
+    ) -> u64 {
+        for (acc, &row) in self.acc_u.iter_mut().zip(&self.rows) {
+            acc.merge(dot(u.row(row as usize), flits));
+        }
+        let macs = (self.rows.len() * flits.len()) as u64;
+        ev.macs += macs;
+        ev.u_reads += macs;
+        macs
+    }
+
+    /// The W phase's MACs: every broadcast activation against every row
+    /// the predictor bank's LNZD yields, walked in ascending order.
+    /// `last_pop` is the W-phase cycle on which the PE popped the last
+    /// flit; the `k`-th row of the walk got its last MAC `k` cycles later.
+    /// Returns the datapath's busy cycles, one per MAC.
+    pub fn accumulate_w(
         &mut self,
         w: &FixedMatrix,
-        uv_on: bool,
-        cycle: u64,
+        flits: &[ActFlit],
+        last_pop: u64,
         ev: &mut MachineEvents,
-    ) -> StepOutcome {
-        self.step_queue_consumer(ev, w, false, uv_on, cycle)
-    }
-
-    /// Shared queue-pop / MAC-issue logic for the U and W phases.
-    ///
-    /// With `pred_filter` set, the predictor bank's LNZD selects only the
-    /// rows whose bit is set (and the scan itself is counted).
-    fn step_queue_consumer(
-        &mut self,
-        ev: &mut MachineEvents,
-        matrix: &FixedMatrix,
-        is_u: bool,
-        pred_filter: bool,
-        cycle: u64,
-    ) -> StepOutcome {
-        if self.mac_rem == 0 {
-            let Some(flit) = self.queue.pop_front() else {
-                return StepOutcome::Idle;
-            };
-            ev.queue_pops += 1;
-            self.cur = Some(flit);
-            self.mac_pos = 0;
-            self.mac_all = !pred_filter;
-            self.mac_rem = if pred_filter {
-                ev.pred_scans += 1;
-                self.active.len()
-            } else {
-                self.rows.len()
-            };
-            if self.mac_rem == 0 {
-                // Nothing mapped / predicted active for this activation:
-                // the pop and LNZD scan consumed the cycle but the datapath
-                // did no useful work — idle for utilization purposes.
-                return StepOutcome::Idle;
-            }
+    ) -> u64 {
+        if flits.is_empty() {
+            return 0;
         }
-        let local = if self.mac_all {
-            self.mac_pos
-        } else {
-            self.active[self.mac_pos] as usize
-        };
-        self.mac_pos += 1;
-        self.mac_rem -= 1;
-        let flit = self.cur.expect("current activation set");
-        let weight = matrix.get(self.rows[local] as usize, flit.index as usize);
-        let act = Q6_10::from_raw(flit.value);
-        if is_u {
-            self.acc_u[local].mac(weight, act);
-            ev.u_reads += 1;
-        } else {
-            self.acc_w[local].mac(weight, act);
-            self.last_w_mac[local] = cycle;
-            ev.w_reads += 1;
+        for (k, &local) in self.active.iter().enumerate() {
+            let local = local as usize;
+            self.acc_w[local].merge(dot(w.row(self.rows[local] as usize), flits));
+            self.last_w_mac[local] = last_pop + k as u64;
         }
-        ev.macs += 1;
-        StepOutcome::Busy
+        let macs = (self.active.len() * flits.len()) as u64;
+        ev.macs += macs;
+        ev.w_reads += macs;
+        macs
     }
 
     /// Latches the predictor register bank from the U accumulators
@@ -408,12 +341,184 @@ impl Pe {
     }
 }
 
+/// One row's MACs over a run of flits: `row[flit.index] × flit.value`,
+/// summed at full precision.
+fn dot(row: &[Q6_10], flits: &[ActFlit]) -> Accumulator {
+    let mut acc = Accumulator::new();
+    for f in flits {
+        acc.mac(row[f.index as usize], Q6_10::from_raw(f.value));
+    }
+    acc
+}
+
+/// The activation queues of all PEs, kept as windows into one broadcast
+/// log.
+///
+/// Every PE receives the same flit on the same cycle, so the queues differ
+/// only in how far each PE has popped. A PE's datapath holds each popped
+/// flit for a fixed number of cycles, so when a flit arrives the cycle on
+/// which every consuming PE pops it is already determined: the later of
+/// its arrival and the PE's datapath coming free. The log keeps, per flit,
+/// the cycle of its last pop across PEs; the least free space of any queue
+/// — what the root's sink gate needs — follows from it without visiting
+/// the PEs.
+#[derive(Clone, Debug)]
+pub(crate) struct ActQueues {
+    /// Entries per queue.
+    depth: usize,
+    /// Delivered flits, in delivery order.
+    flits: Vec<ActFlit>,
+    /// Cycle on which each flit reached the queues.
+    arrived: Vec<u64>,
+    /// Cycle on which the last consuming PE popped each flit.
+    last_pop: Vec<u64>,
+    /// Leading flits every PE had popped before the cycle last asked about.
+    popped_by_all: usize,
+    /// Per PE: cycles a popped flit holds the datapath.
+    hold: Vec<u64>,
+    /// Per PE: first cycle it can pop its next flit ([`NOT_STARTED`] until
+    /// it starts consuming).
+    free: Vec<u64>,
+    /// PEs that have not started consuming.
+    waiting: usize,
+    /// Last cycle on which some PE is still busy with a popped flit.
+    drain_end: u64,
+}
+
+/// [`ActQueues::free`] of a PE that has not started consuming.
+const NOT_STARTED: u64 = u64::MAX;
+
+impl ActQueues {
+    /// Empty queues of `depth` entries for PEs that hold a flit for
+    /// `hold[pe]` cycles (at least 1). No PE consumes until
+    /// [`start`](Self::start)ed.
+    pub(crate) fn new(depth: usize, hold: Vec<u64>) -> Self {
+        debug_assert!(hold.iter().all(|&h| h >= 1), "a pop takes a cycle");
+        Self {
+            depth,
+            flits: Vec::new(),
+            arrived: Vec::new(),
+            last_pop: Vec::new(),
+            popped_by_all: 0,
+            waiting: hold.len(),
+            free: vec![NOT_STARTED; hold.len()],
+            hold,
+            drain_end: 0,
+        }
+    }
+
+    /// PE `pe` starts popping on `cycle`, beginning with every flit already
+    /// in its queue.
+    pub(crate) fn start(&mut self, pe: usize, cycle: u64) {
+        assert_eq!(self.free[pe], NOT_STARTED, "PE {pe} started twice");
+        self.waiting -= 1;
+        let hold = self.hold[pe];
+        let mut free = cycle;
+        for (&arrived, last) in self.arrived.iter().zip(&mut self.last_pop) {
+            let pop = free.max(arrived);
+            *last = (*last).max(pop);
+            free = pop + hold;
+        }
+        self.free[pe] = free;
+        if !self.flits.is_empty() {
+            self.drain_end = self.drain_end.max(free - 1);
+        }
+    }
+
+    /// `true` once PE `pe` has started consuming.
+    pub(crate) fn started(&self, pe: usize) -> bool {
+        self.free[pe] != NOT_STARTED
+    }
+
+    /// The least free space of any queue at the start of `cycle` (pops of
+    /// earlier cycles done, this cycle's delivery not yet made). Calls
+    /// must not go back in time.
+    pub(crate) fn min_free(&mut self, cycle: u64) -> usize {
+        if self.waiting == 0 {
+            while self
+                .last_pop
+                .get(self.popped_by_all)
+                .is_some_and(|&t| t < cycle)
+            {
+                self.popped_by_all += 1;
+            }
+        }
+        self.depth
+            .checked_sub(self.flits.len() - self.popped_by_all)
+            .expect("activation queue overflow")
+    }
+
+    /// The first cycle from which every queue has more free slots than
+    /// `in_flight` flits heading for them, if no further flit is emitted:
+    /// 0 when that already holds, `None` when it waits on a PE that has
+    /// not started consuming.
+    pub(crate) fn opens_at(&self, in_flight: usize) -> Option<u64> {
+        let Some(k) = (self.flits.len() + in_flight).checked_sub(self.depth) else {
+            return Some(0);
+        };
+        if self.waiting > 0 {
+            return None;
+        }
+        self.last_pop.get(k).map(|&t| t + 1)
+    }
+
+    /// A flit reaches every queue on `cycle`; each consuming PE's pop of it
+    /// is scheduled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some queue is full — the sink gate must prevent that,
+    /// exactly like the credit-based broadcast in hardware.
+    pub(crate) fn deliver(&mut self, flit: ActFlit, cycle: u64) {
+        assert!(self.min_free(cycle) > 0, "activation queue overflow");
+        let mut last = 0;
+        let mut drain = self.drain_end;
+        for (free, &hold) in self.free.iter_mut().zip(&self.hold) {
+            if *free != NOT_STARTED {
+                let pop = (*free).max(cycle);
+                *free = pop + hold;
+                last = last.max(pop);
+                drain = drain.max(pop + hold - 1);
+            }
+        }
+        self.drain_end = drain;
+        self.flits.push(flit);
+        self.arrived.push(cycle);
+        self.last_pop.push(last);
+    }
+
+    /// Every flit delivered so far, in delivery order.
+    pub(crate) fn flits(&self) -> &[ActFlit] {
+        &self.flits
+    }
+
+    /// The cycle on which PE `pe` pops its last flit (`None` before any
+    /// flit arrived or while it has not started).
+    pub(crate) fn last_pop_of(&self, pe: usize) -> Option<u64> {
+        let free = self.free[pe];
+        (!self.flits.is_empty() && free != NOT_STARTED).then(|| free - self.hold[pe])
+    }
+
+    /// The last cycle on which some PE is still busy with a flit it popped
+    /// (0 before any flit arrived). A PE is drained after it.
+    pub(crate) fn drain_end(&self) -> u64 {
+        self.drain_end
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn q(v: f32) -> Q6_10 {
         Q6_10::from_f32(v)
+    }
+
+    fn flit(index: u32, v: f32) -> ActFlit {
+        ActFlit {
+            index,
+            value: q(v).raw(),
+        }
     }
 
     #[test]
@@ -423,7 +528,7 @@ mod tests {
         input[2] = q(1.0);
         input[66] = q(2.0);
         input[3] = q(3.0);
-        let pe = Pe::new(2, 64, 8, &input, 10);
+        let pe = Pe::new(2, 64, &input, 10);
         assert_eq!(pe.src_len(), 2);
         assert_eq!(pe.peek_src().unwrap().index, 2);
         assert!(pe.participates());
@@ -431,9 +536,9 @@ mod tests {
 
     #[test]
     fn rows_are_strided_by_num_pes() {
-        let pe = Pe::new(3, 64, 8, &[Q6_10::ZERO; 64], 200);
+        let pe = Pe::new(3, 64, &[Q6_10::ZERO; 64], 200);
         assert_eq!(pe.rows(), &[3, 67, 131, 195]);
-        let empty = Pe::new(63, 64, 8, &[Q6_10::ZERO; 64], 10);
+        let empty = Pe::new(63, 64, &[Q6_10::ZERO; 64], 10);
         assert!(empty.rows().is_empty());
     }
 
@@ -444,50 +549,40 @@ mod tests {
         }));
         let mut input = vec![Q6_10::ZERO; 4];
         input[0] = q(1.0);
-        let mut pe = Pe::new(0, 64, 8, &input, 128); // rows 0 and 64
+        let mut pe = Pe::new(0, 64, &input, 128); // rows 0 and 64
         let mut ev = MachineEvents::default();
-        pe.push_act(
-            ActFlit {
-                index: 0,
-                value: q(1.0).raw(),
-            },
-            &mut ev,
-        );
-        // Cycle 1: pop + first MAC; cycle 2: second MAC; cycle 3: idle.
-        assert_eq!(pe.step_w(&w, false, 1, &mut ev), StepOutcome::Busy);
-        assert_eq!(pe.step_w(&w, false, 2, &mut ev), StepOutcome::Busy);
-        assert_eq!(pe.step_w(&w, false, 3, &mut ev), StepOutcome::Idle);
+        // Popped on cycle 1: one MAC per row, on cycles 1 and 2.
+        let busy = pe.accumulate_w(&w, &[flit(0, 1.0)], 1, &mut ev);
+        assert_eq!(busy, 2);
         assert_eq!(ev.macs, 2);
         assert_eq!(ev.w_reads, 2);
-        assert!(pe.drained());
         // Each row's completion time is the cycle of its last MAC.
         let wb = pe.writeback(true, &mut ev);
         assert_eq!(wb[0].2, 1, "row 0 finished on cycle 1");
         assert_eq!(wb[1].2, 2, "row 64 finished on cycle 2");
+        assert_eq!(wb[1].1, w.get(64, 0), "1.0 × W[64][0]");
     }
 
     #[test]
     fn predicted_inactive_rows_cost_nothing() {
         let w = FixedMatrix::from_float(&sparsenn_linalg::Matrix::from_fn(128, 4, |_, _| 1.0));
-        let mut pe = Pe::new(0, 64, 8, &[q(1.0); 4], 128);
+        let mut pe = Pe::new(0, 64, &[q(1.0); 4], 128);
         // Force both local rows (0 and 64) inactive.
         pe.set_predictor(&[false; 128]);
+        assert_eq!(pe.w_macs_per_flit(), 0);
         let mut ev = MachineEvents::default();
-        pe.push_act(
-            ActFlit {
-                index: 0,
-                value: q(1.0).raw(),
-            },
-            &mut ev,
-        );
-        // Pop + scan consume the cycle but do no datapath work.
-        assert_eq!(pe.step_w(&w, true, 1, &mut ev), StepOutcome::Idle);
+        assert_eq!(pe.accumulate_w(&w, &[flit(0, 1.0)], 1, &mut ev), 0);
         assert_eq!(ev.macs, 0);
         assert_eq!(ev.w_reads, 0);
-        assert_eq!(ev.pred_scans, 1);
-        assert!(pe.drained());
         // Bypassed rows report no W-MAC completion cycle.
         assert!(pe.writeback(true, &mut ev).iter().all(|&(_, _, t)| t == 0));
+        // The pop and LNZD scan still hold the datapath for a cycle.
+        let mut queues = ActQueues::new(8, vec![pe.w_macs_per_flit().max(1) as u64]);
+        queues.start(0, 1);
+        queues.deliver(flit(0, 1.0), 1);
+        queues.deliver(flit(1, 1.0), 1);
+        assert_eq!(queues.last_pop_of(0), Some(2));
+        assert_eq!(queues.drain_end(), 2);
     }
 
     #[test]
@@ -497,27 +592,17 @@ mod tests {
         }));
         let mut input = vec![Q6_10::ZERO; 64];
         input[5] = q(2.0); // PE 5's only nonzero
-        let mut pe = Pe::new(5, 64, 8, &input, 64);
-        pe.begin_v(3);
-        let u = v.clone();
+        let mut pe = Pe::new(5, 64, &input, 64);
         let mut ev = MachineEvents::default();
+        // One MAC per row: row 0 on cycle 1, its partial ready on cycle 2.
+        let mut ready = pe.begin_v(&v, &mut ev);
+        assert_eq!(ready, Some(2));
         let mut emitted = Vec::new();
-        for _ in 0..10 {
-            if let Some(e) = pe.pending_v_emit() {
-                emitted.push(e);
-                pe.clear_v_emit();
-            }
-            pe.step_vu(&v, &u, &mut ev);
-            if pe.v_done() && pe.pending_v_emit().is_none() && pe.drained() {
-                if let Some(e) = pe.pending_v_emit() {
-                    emitted.push(e);
-                }
-            }
+        while let Some(cycle) = ready {
+            emitted.push(pe.pending_v_emit().expect("a partial is ready"));
+            ready = pe.v_injected(cycle);
         }
-        if let Some(e) = pe.pending_v_emit() {
-            emitted.push(e);
-            pe.clear_v_emit();
-        }
+        assert!(pe.v_done());
         assert_eq!(emitted.len(), 3);
         // Partial for row t must equal V[t, 5] · 2.0 at full precision.
         for (t, raw) in emitted {
@@ -525,6 +610,7 @@ mod tests {
             assert_eq!(raw, expect, "row {t}");
         }
         assert_eq!(ev.v_reads, 3);
+        assert_eq!(ev.macs, 3);
     }
 
     #[test]
@@ -532,18 +618,62 @@ mod tests {
         let v = FixedMatrix::from_float(&sparsenn_linalg::Matrix::from_fn(2, 64, |_, _| 1.0));
         let mut input = vec![Q6_10::ZERO; 64];
         input[0] = q(1.0);
-        let mut pe = Pe::new(0, 64, 8, &input, 64);
-        pe.begin_v(2);
+        let mut pe = Pe::new(0, 64, &input, 64);
         let mut ev = MachineEvents::default();
-        assert_eq!(pe.step_vu(&v, &v, &mut ev), StepOutcome::Busy); // row 0 done, emit set
-        assert_eq!(pe.step_vu(&v, &v, &mut ev), StepOutcome::Stalled); // blocked
-        pe.clear_v_emit();
-        assert_eq!(pe.step_vu(&v, &v, &mut ev), StepOutcome::Busy); // row 1
+        // Row 0's MAC on cycle 1; its partial may leave from cycle 2.
+        assert_eq!(pe.begin_v(&v, &mut ev), Some(2));
+        assert_eq!(pe.u_start(), None, "row 1 has not started");
+        // Refused on cycles 2 and 3, the datapath stalls; the partial
+        // leaves on cycle 4, row 1 runs on cycle 4 and its partial may
+        // leave on cycle 5, when the U phase starts.
+        assert_eq!(pe.v_injected(4), Some(5));
+        assert_eq!(pe.u_start(), Some(5));
+        assert!(!pe.v_done());
+        assert_eq!(pe.v_injected(9), None);
+        assert!(pe.v_done());
+        assert_eq!(
+            pe.u_start(),
+            Some(5),
+            "the U phase does not wait for the last hand-off"
+        );
+    }
+
+    #[test]
+    fn pe_without_nonzero_inputs_consumes_from_the_first_cycle() {
+        let v = FixedMatrix::from_float(&sparsenn_linalg::Matrix::from_fn(2, 64, |_, _| 1.0));
+        let mut pe = Pe::new(1, 64, &[Q6_10::ZERO; 64], 64);
+        let mut ev = MachineEvents::default();
+        assert_eq!(pe.begin_v(&v, &mut ev), None);
+        assert!(pe.v_done());
+        assert_eq!(pe.u_start(), Some(1));
+        assert_eq!(ev.macs, 0);
+    }
+
+    #[test]
+    fn queue_windows_pop_when_the_datapath_frees() {
+        // Two PEs holding a flit 3 and 1 cycles; the first waits to start.
+        let mut queues = ActQueues::new(2, vec![3, 1]);
+        queues.start(1, 1);
+        queues.deliver(flit(0, 1.0), 2);
+        assert_eq!(queues.min_free(3), 1, "PE 0 has not popped");
+        queues.start(0, 4);
+        queues.deliver(flit(1, 1.0), 4);
+        // PE 0 pops on cycles 4 and 7, PE 1 on cycles 2 and 4.
+        assert_eq!(queues.last_pop_of(0), Some(7));
+        assert_eq!(queues.last_pop_of(1), Some(4));
+        assert_eq!(queues.drain_end(), 9);
+        assert_eq!(queues.min_free(5), 1, "flit 0 left every queue on cycle 4");
+        assert_eq!(
+            queues.opens_at(1),
+            Some(8),
+            "flit 1 leaves PE 0's queue on cycle 7"
+        );
+        assert_eq!(queues.min_free(8), 2);
     }
 
     #[test]
     fn latch_predictor_uses_sign_of_u_accumulators() {
-        let mut pe = Pe::new(0, 64, 8, &[q(1.0); 4], 128);
+        let mut pe = Pe::new(0, 64, &[q(1.0); 4], 128);
         pe.acc_u[0].mac(q(1.0), q(1.0)); // positive
         pe.acc_u[1].mac(q(-1.0), q(1.0)); // negative
         let mut ev = MachineEvents::default();
@@ -555,7 +685,7 @@ mod tests {
     #[test]
     fn set_predictor_installs_the_local_slice_of_a_global_mask() {
         // PE 1 of 64 over 200 rows owns rows 1, 65, 129, 193.
-        let mut pe = Pe::new(1, 64, 8, &[q(1.0); 4], 200);
+        let mut pe = Pe::new(1, 64, &[q(1.0); 4], 200);
         let mut mask = vec![false; 200];
         mask[65] = true;
         mask[193] = true;
@@ -565,7 +695,7 @@ mod tests {
 
     #[test]
     fn writeback_applies_relu_and_bypass() {
-        let mut pe = Pe::new(0, 64, 8, &[q(1.0); 4], 128);
+        let mut pe = Pe::new(0, 64, &[q(1.0); 4], 128);
         pe.acc_w[0].mac(q(-2.0), q(1.0)); // negative pre-activation
         pe.acc_w[1].mac(q(3.0), q(1.0));
         let mut mask = vec![false; 128];
@@ -582,10 +712,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "activation queue overflow")]
     fn queue_overflow_panics() {
-        let mut pe = Pe::new(0, 64, 2, &[q(1.0); 4], 4);
-        let mut ev = MachineEvents::default();
+        let mut queues = ActQueues::new(2, vec![1; 64]);
+        (0..64).for_each(|pe| queues.start(pe, 1));
+        // Delivered on one cycle, nothing has been popped before it.
         for i in 0..3 {
-            pe.push_act(ActFlit { index: i, value: 1 }, &mut ev);
+            queues.deliver(flit(i, 1.0), 1);
         }
     }
 }
