@@ -22,23 +22,35 @@ impl Keyed for ActFlit {
 /// fully-pipelined downward broadcast, which delivers it to *every* PE
 /// [`broadcast_latency`] cycles later.
 ///
-/// When every flit has landed, none is in the downward pipeline and no
-/// router below the root holds a credit for its winner, the tree is
-/// [quiet](Self::is_quiet): until the sink opens or a PE injects, every
-/// tick only repeats the same stall counts, so
+/// A tick visits only the routers that may forward: those a flit landed
+/// in, those whose parent port returned a credit, and those that forwarded
+/// in the last tick. When no flit is on a link and no router below the
+/// root can forward, the tree is [quiet](Self::is_quiet): until the sink
+/// opens or a PE injects, every tick only repeats the same stall counts
+/// (and delivers what the downward pipeline holds), so
 /// [`skip_quiet`](Self::skip_quiet) books a run of them at once.
 ///
 /// [`broadcast_latency`]: NocConfig::broadcast_latency
 #[derive(Clone, Debug)]
 pub struct BroadcastTree {
     cfg: NocConfig,
-    /// First router of each level, leaves first, plus the router count:
-    /// level `l` is routers `level_start[l]..level_start[l + 1]`, and the
-    /// root is the last router.
-    level_start: Vec<usize>,
+    /// Tree level of every router, leaves first; the root is the last
+    /// router. Router `r` below the root feeds port `r + num_pes`, so the
+    /// ports below `num_pes` are the PEs' and port `p` above is fed by
+    /// router `p - num_pes`.
+    level: Vec<usize>,
     ports: Ports<ActFlit>,
+    /// Per level below the root: routers to visit this tick.
+    wake: Vec<Vec<usize>>,
+    /// Per router: whether it is in its level's `wake` list.
+    woken: Vec<bool>,
+    /// Routers that forwarded this tick.
+    moved: Vec<usize>,
     /// Downward broadcast pipeline: `(delivery_cycle, flit)`.
     down: VecDeque<(u64, ActFlit)>,
+    /// The flit the root emitted in the last tick, with its delivery
+    /// cycle.
+    emitted: Option<(u64, ActFlit)>,
     cycle: u64,
     stats: NocStats,
     /// PEs whose leaf port returned a credit in the last tick.
@@ -50,18 +62,48 @@ pub struct BroadcastTree {
 impl BroadcastTree {
     /// Builds an idle tree for the given configuration.
     pub fn new(cfg: &NocConfig) -> Self {
-        let level_start = level_starts(cfg);
-        let routers = *level_start.last().expect("at least one level");
+        let level = cfg.router_levels();
+        let routers = level.len();
         Self {
             cfg: *cfg,
+            wake: vec![Vec::new(); level[routers - 1]],
+            level,
             ports: Ports::new(routers, cfg.radix, cfg.queue_capacity, cfg.hop_latency),
-            level_start,
+            woken: vec![false; routers],
+            moved: Vec::new(),
             down: VecDeque::new(),
+            emitted: None,
             cycle: 0,
             stats: NocStats::default(),
             credited: Vec::new(),
             landed: Vec::new(),
         }
+    }
+
+    /// The root router.
+    fn root(&self) -> usize {
+        self.level.len() - 1
+    }
+
+    /// Queues router `r` (below the root) for a visit this tick.
+    fn wake(&mut self, r: usize) {
+        if !std::mem::replace(&mut self.woken[r], true) {
+            self.wake[self.level[r]].push(r);
+        }
+    }
+
+    /// A flit left `port`: its sender holds a credit again.
+    fn credit(&mut self, port: usize) {
+        match port.checked_sub(self.cfg.num_pes) {
+            None => self.credited.push(port),
+            Some(r) => self.wake(r),
+        }
+    }
+
+    /// `true` if router `r` below the root has a winner and a credit to
+    /// forward it with.
+    fn can_forward(&self, r: usize) -> bool {
+        self.ports.winner(r).is_some() && self.ports.has_credit(r + self.cfg.num_pes)
     }
 
     /// `true` when PE `pe`'s leaf port has a credit, so
@@ -99,11 +141,20 @@ impl BroadcastTree {
         self.cycle += 1;
         self.stats.cycles += 1;
         let cycle = self.cycle;
-        let levels = self.level_start.len() - 1;
+        let root = self.root();
         self.credited.clear();
+        self.emitted = None;
 
-        // 1. Link arrivals.
+        // 1. Link arrivals: a router with a new head may forward.
         self.ports.land(cycle, &mut self.landed);
+        for i in 0..self.landed.len() {
+            let r = self.landed[i] / self.cfg.radix;
+            if r != root {
+                self.wake(r);
+            }
+        }
+        let waiting_below_root =
+            self.ports.occupied() - usize::from(self.ports.winner(root).is_some());
 
         // 2. Deliver the head of the downward pipeline if due.
         let delivered = match self.down.front() {
@@ -112,40 +163,53 @@ impl BroadcastTree {
         };
 
         // 3. Root arbitration (gated by the sink).
-        if let Some(port) = self.ports.winner(self.level_start[levels - 1]) {
+        if let Some(port) = self.ports.winner(root) {
             if sink_ready {
                 let flit = self.ports.pop(port);
-                self.down
-                    .push_back((cycle + self.cfg.broadcast_latency(), flit));
+                // Delivered on a later tick: the pipeline's latency, and
+                // at least the next one.
+                let delivery = (cycle + self.cfg.broadcast_latency()).max(cycle + 1);
+                self.down.push_back((delivery, flit));
+                self.emitted = Some((delivery, flit));
                 self.stats.root_emissions += 1;
                 self.stats.hops += 1;
-                if levels == 1 {
-                    self.credited.push(port);
-                }
+                self.credit(port);
             } else {
                 self.stats.sink_stalls += 1;
             }
         }
 
         // 4. Lower levels, root side first so freed credits propagate.
-        for l in (0..levels - 1).rev() {
-            for router in self.level_start[l]..self.level_start[l + 1] {
-                let Some(port) = self.ports.winner(router) else {
+        // Every router below the root that holds a flit and does not
+        // forward it stalls for want of a credit.
+        let mut forwarded = 0;
+        for l in (0..self.wake.len()).rev() {
+            let mut routers = std::mem::take(&mut self.wake[l]);
+            for &r in &routers {
+                self.woken[r] = false;
+                if !self.can_forward(r) {
                     continue;
-                };
-                let parent = self.parent_port(l, router);
-                if self.ports.has_credit(parent) {
-                    let flit = self.ports.pop(port);
-                    self.ports.send(cycle, parent, flit);
-                    self.stats.hops += 1;
-                    if l == 0 {
-                        self.credited.push(port);
-                    }
-                } else {
-                    self.stats.credit_stalls += 1;
                 }
+                let port = self.ports.winner(r).expect("checked");
+                let flit = self.ports.pop(port);
+                self.ports.send(cycle, r + self.cfg.num_pes, flit);
+                self.stats.hops += 1;
+                forwarded += 1;
+                self.moved.push(r);
+                self.credit(port);
+            }
+            routers.clear();
+            self.wake[l] = routers;
+        }
+        self.stats.credit_stalls += (waiting_below_root - forwarded) as u64;
+        // A router that forwarded may forward again next tick.
+        for i in 0..self.moved.len() {
+            let r = self.moved[i];
+            if self.can_forward(r) {
+                self.wake(r);
             }
         }
+        self.moved.clear();
 
         // 5. Occupancy statistics: only a landing can raise a buffer.
         for &port in &self.landed {
@@ -155,50 +219,44 @@ impl BroadcastTree {
         delivered
     }
 
-    /// The input port of `router`'s parent that `router` (on level `l`,
-    /// below the root) feeds.
-    fn parent_port(&self, l: usize, router: usize) -> usize {
-        self.level_start[l + 1] * self.cfg.radix + (router - self.level_start[l])
+    /// The flit the root emitted in the last tick and the cycle on which
+    /// the downward pipeline delivers it to every PE.
+    pub fn emitted(&self) -> Option<(u64, ActFlit)> {
+        self.emitted
     }
 
-    /// Routers below the root holding a winner, each with whether its
-    /// parent port has a credit.
-    fn lower_winners(&self) -> impl Iterator<Item = bool> + '_ {
-        let levels = self.level_start.len() - 1;
-        (0..levels - 1).flat_map(move |l| {
-            (self.level_start[l]..self.level_start[l + 1])
-                .filter(|&r| self.ports.winner(r).is_some())
-                .map(move |r| self.ports.has_credit(self.parent_port(l, r)))
-        })
-    }
-
-    /// `true` when every flit has landed, none is in the downward
-    /// pipeline, and no router below the root has a credit for its
-    /// winner. Another tick with the sink closed and no injection then
-    /// changes nothing but the counters: one cycle, a sink stall if the
-    /// root holds a winner, and a credit stall per router below it that
-    /// holds one.
+    /// `true` when every flit has landed and no router below the root can
+    /// forward. With the sink closed and no injection, a tick then changes
+    /// nothing in the routers and adds only to the counters: one cycle, a
+    /// sink stall if the root holds a winner, and a credit stall per
+    /// router below it that holds one. If the tree is quiet but not
+    /// [empty](Self::is_empty), a flit waits at the root.
     pub fn is_quiet(&self) -> bool {
-        self.ports.links_empty() && self.down.is_empty() && !self.lower_winners().any(|c| c)
+        self.ports.links_empty() && self.wake.iter().all(Vec::is_empty)
     }
 
     /// Books `n` ticks of a [quiet](Self::is_quiet) tree in one step: the
-    /// cycles and the stall counts those ticks would have added. The
+    /// cycles and the stall counts those ticks would have added. Returns
+    /// the flits those ticks deliver, each with its delivery cycle. The
     /// caller keeps the sink closed and injects nothing over those cycles.
     ///
     /// # Panics
     ///
     /// Panics if the tree is not quiet.
-    pub fn skip_quiet(&mut self, n: u64) {
+    pub fn skip_quiet(&mut self, n: u64) -> impl Iterator<Item = (u64, ActFlit)> + '_ {
         assert!(self.is_quiet(), "only a quiet tree skips ticks");
-        let levels = self.level_start.len() - 1;
-        if self.ports.winner(self.level_start[levels - 1]).is_some() {
+        let root_waits = self.ports.winner(self.root()).is_some();
+        if root_waits {
             self.stats.sink_stalls += n;
         }
-        self.stats.credit_stalls += n * self.lower_winners().count() as u64;
+        let waiting_below_root = self.ports.occupied() - usize::from(root_waits);
+        self.stats.credit_stalls += n * waiting_below_root as u64;
         self.cycle += n;
         self.stats.cycles += n;
         self.credited.clear();
+        self.emitted = None;
+        let due = self.down.partition_point(|&(ready, _)| ready <= self.cycle);
+        self.down.drain(..due)
     }
 
     /// PEs whose leaf port returned a credit in the last tick: a PE that
@@ -207,12 +265,10 @@ impl BroadcastTree {
         &self.credited
     }
 
-    /// Flits currently inside the downward broadcast pipeline. The machine
-    /// uses this to keep PE activation queues from overflowing: the sink is
-    /// declared ready only while every queue has more free slots than
-    /// flits already committed downward.
-    pub fn down_in_flight(&self) -> usize {
-        self.down.len()
+    /// `true` when no flit is buffered in a router or on a link (the
+    /// downward pipeline may still carry some).
+    pub fn is_empty(&self) -> bool {
+        self.ports.is_empty()
     }
 
     /// `true` when no flit is buffered or in flight anywhere.
@@ -229,16 +285,6 @@ impl BroadcastTree {
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
-}
-
-/// The first router of every level of `cfg`'s tree, leaves first, then
-/// the router count.
-pub(crate) fn level_starts(cfg: &NocConfig) -> Vec<usize> {
-    let mut starts = vec![0];
-    for l in 0..cfg.levels() {
-        starts.push(starts[l] + cfg.routers_at_level(l));
-    }
-    starts
 }
 
 #[cfg(test)]

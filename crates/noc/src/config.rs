@@ -59,6 +59,14 @@ impl NocConfig {
         self.num_pes / self.radix.pow(l as u32 + 1)
     }
 
+    /// The tree level of every router, leaves first and level by level,
+    /// so the root is the last router.
+    pub(crate) fn router_levels(&self) -> Vec<usize> {
+        (0..self.levels())
+            .flat_map(|l| std::iter::repeat_n(l, self.routers_at_level(l)))
+            .collect()
+    }
+
     /// One-way latency of the downward broadcast pipeline, root to PE.
     pub fn broadcast_latency(&self) -> u64 {
         self.hop_latency * self.levels() as u64

@@ -19,6 +19,13 @@
 //! is ever dropped** (credit flow control blocks the sender instead) and
 //! **router buffers never exceed their capacity**.
 //!
+//! A tick costs host work per moving flit, not per router: it visits only
+//! the routers a flit landed in, those whose parent returned a credit and
+//! those that moved a flit in the last tick. A broadcast tree in which no
+//! flit can move until the sink opens is [quiet](BroadcastTree::is_quiet),
+//! and [`BroadcastTree::skip_quiet`] books any number of its ticks at once;
+//! an empty reduce tree does the same with [`ReduceTree::skip_empty`].
+//!
 //! # Example
 //!
 //! ```
@@ -55,7 +62,7 @@ pub use stats::NocStats;
 /// smallest index will be granted to the next level") and as the column
 /// address the receiving PEs use for their weight lookup. The value is the
 /// raw two's-complement encoding of a Q6.10 word.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ActFlit {
     /// Global activation index (column of the weight matrix).
     pub index: u32,

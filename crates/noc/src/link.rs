@@ -28,8 +28,13 @@ pub(crate) struct Ports<T> {
     radix: usize,
     capacity: usize,
     latency: u64,
-    queues: Vec<VecDeque<T>>,
-    /// Flits on each port's link.
+    /// The buffers: a ring of `capacity` slots per port.
+    slots: Vec<T>,
+    /// Per port: the slot of its head flit within its ring.
+    head: Vec<usize>,
+    /// Per port: flits in its buffer.
+    len: Vec<usize>,
+    /// Per port: flits on its link.
     incoming: Vec<usize>,
     /// Flits on any link, in landing order: `(landing cycle, port, flit)`.
     links: VecDeque<(u64, usize, T)>,
@@ -38,9 +43,11 @@ pub(crate) struct Ports<T> {
     winner: Vec<Option<usize>>,
     /// Flits buffered over all ports.
     buffered: usize,
+    /// Routers holding at least one flit.
+    occupied: usize,
 }
 
-impl<T: Keyed> Ports<T> {
+impl<T: Keyed + Copy + Default> Ports<T> {
     /// Empty ports for `routers` routers of `radix` inputs each, buffers of
     /// `capacity` flits and links of `latency` cycles.
     ///
@@ -49,22 +56,26 @@ impl<T: Keyed> Ports<T> {
     /// Panics if `capacity` is 0.
     pub(crate) fn new(routers: usize, radix: usize, capacity: usize, latency: u64) -> Self {
         assert!(capacity > 0, "port capacity must be positive");
+        let ports = routers * radix;
         Self {
             radix,
             capacity,
             latency,
-            queues: (0..routers * radix).map(|_| VecDeque::new()).collect(),
-            incoming: vec![0; routers * radix],
+            slots: vec![T::default(); ports * capacity],
+            head: vec![0; ports],
+            len: vec![0; ports],
+            incoming: vec![0; ports],
             links: VecDeque::new(),
             winner: vec![None; routers],
             buffered: 0,
+            occupied: 0,
         }
     }
 
     /// `true` if a sender into `port` holds a credit (buffer + in-flight <
     /// capacity).
     pub(crate) fn has_credit(&self, port: usize) -> bool {
-        self.queues[port].len() + self.incoming[port] < self.capacity
+        self.len[port] + self.incoming[port] < self.capacity
     }
 
     /// Launches a flit onto `port`'s link at `cycle`.
@@ -92,23 +103,40 @@ impl<T: Keyed> Ports<T> {
             let (_, port, flit) = self.links.pop_front().expect("checked nonempty");
             self.incoming[port] -= 1;
             self.buffered += 1;
-            let key = flit.key();
-            let queue = &mut self.queues[port];
-            queue.push_back(flit);
-            debug_assert!(queue.len() <= self.capacity, "credit violation");
-            if queue.len() == 1 {
+            let len = self.len[port];
+            debug_assert!(len < self.capacity, "credit violation");
+            let slot = self.slot(port, len);
+            self.slots[slot] = flit;
+            self.len[port] = len + 1;
+            if len == 0 {
                 // A new head: it wins if it beats the router's winner.
                 let router = port / self.radix;
-                let beats = self.winner[router].is_none_or(|w| {
-                    let best = self.queues[w].front().expect("a winner has a head").key();
-                    (key, port) < (best, w)
-                });
+                let key = flit.key();
+                let beats = match self.winner[router] {
+                    None => {
+                        self.occupied += 1;
+                        true
+                    }
+                    Some(w) => {
+                        let best = self.head(w).expect("a winner has a head").key();
+                        (key, port) < (best, w)
+                    }
+                };
                 if beats {
                     self.winner[router] = Some(port);
                 }
             }
             landed.push(port);
         }
+    }
+
+    /// Index into `slots` of the `k`-th flit of `port`'s buffer.
+    fn slot(&self, port: usize, k: usize) -> usize {
+        let mut i = self.head[port] + k;
+        if i >= self.capacity {
+            i -= self.capacity;
+        }
+        port * self.capacity + i
     }
 
     /// The input port of `router` that wins arbitration, if any holds a
@@ -119,7 +147,7 @@ impl<T: Keyed> Ports<T> {
 
     /// The flit at the head of `port`'s buffer, if any.
     pub(crate) fn head(&self, port: usize) -> Option<&T> {
-        self.queues[port].front()
+        (self.len[port] > 0).then(|| &self.slots[port * self.capacity + self.head[port]])
     }
 
     /// Pops the head of `port`'s buffer (returning the credit to its
@@ -129,22 +157,32 @@ impl<T: Keyed> Ports<T> {
     ///
     /// Panics if the buffer is empty.
     pub(crate) fn pop(&mut self, port: usize) -> T {
-        let flit = self.queues[port]
-            .pop_front()
-            .expect("pop from an empty port");
+        assert!(self.len[port] > 0, "pop from an empty port");
+        let first = self.slot(port, 0);
+        let flit = self.slots[first];
+        self.head[port] = self.slot(port, 1) - port * self.capacity;
+        self.len[port] -= 1;
         self.buffered -= 1;
         let router = port / self.radix;
         let first = router * self.radix;
         self.winner[router] = (first..first + self.radix)
-            .filter_map(|p| self.queues[p].front().map(|f| (f.key(), p)))
+            .filter_map(|p| self.head(p).map(|f| (f.key(), p)))
             .min()
             .map(|(_, p)| p);
+        if self.winner[router].is_none() {
+            self.occupied -= 1;
+        }
         flit
+    }
+
+    /// Routers holding at least one flit.
+    pub(crate) fn occupied(&self) -> usize {
+        self.occupied
     }
 
     /// Buffer occupancy of `port` (excludes in-flight flits).
     pub(crate) fn occupancy(&self, port: usize) -> usize {
-        self.queues[port].len()
+        self.len[port]
     }
 
     /// `true` when no flit is on a link.

@@ -8,7 +8,6 @@
 //! continues up the tree with the merged value, the others are absorbed.
 //! The root therefore emits each row's complete 64-PE sum exactly once.
 
-use crate::broadcast::level_starts;
 use crate::config::NocConfig;
 use crate::link::{Keyed, Ports};
 use crate::stats::NocStats;
@@ -31,12 +30,23 @@ impl Keyed for SumFlit {
 /// one nonzero input activation — PEs with nothing to contribute stay
 /// silent, and the expected-contribution counts adjust so rows still
 /// complete).
+///
+/// A tick visits only the routers that may merge: those a flit landed in,
+/// those whose parent port returned a credit, and those that merged in the
+/// last tick.
 #[derive(Clone, Debug)]
 pub struct ReduceTree {
     cfg: NocConfig,
-    /// First router of each level, leaves first, plus the router count.
-    level_start: Vec<usize>,
+    /// Tree level of every router, leaves first; the root is the last
+    /// router. Router `r` below the root feeds port `r + num_pes`.
+    level: Vec<usize>,
     ports: Ports<SumFlit>,
+    /// Per level: routers to visit this tick.
+    wake: Vec<Vec<usize>>,
+    /// Per router: whether it is in its level's `wake` list.
+    woken: Vec<bool>,
+    /// Routers that merged this tick.
+    moved: Vec<usize>,
     rows: usize,
     /// Per router and row: the accumulation register.
     acc: Vec<i64>,
@@ -51,8 +61,6 @@ pub struct ReduceTree {
     stats: NocStats,
     expected_total: u64,
     emitted: u64,
-    /// PEs whose leaf port returned a credit in the last tick.
-    credited: Vec<usize>,
     /// Ports a flit landed in this tick.
     landed: Vec<usize>,
 }
@@ -70,12 +78,13 @@ impl ReduceTree {
             cfg.num_pes,
             "one participation flag per PE"
         );
-        let level_start = level_starts(cfg);
-        let routers = *level_start.last().expect("at least one level");
+        let level = cfg.router_levels();
+        let levels = level[level.len() - 1] + 1;
+        let routers = level.len();
         // A subtree contributes if any of its PEs participate.
         let mut contributing: Vec<bool> = participants.to_vec();
         let mut expected = Vec::with_capacity(routers);
-        for _ in 1..level_start.len() {
+        for _ in 0..levels {
             let next: Vec<bool> = contributing
                 .chunks(cfg.radix)
                 .map(|children| {
@@ -94,7 +103,10 @@ impl ReduceTree {
         Self {
             cfg: *cfg,
             ports: Ports::new(routers, cfg.radix, cfg.queue_capacity, cfg.hop_latency),
-            level_start,
+            level,
+            wake: vec![Vec::new(); levels],
+            woken: vec![false; routers],
+            moved: Vec::new(),
             rows,
             acc: vec![0; routers * rows],
             cnt: vec![0; routers * rows],
@@ -104,7 +116,6 @@ impl ReduceTree {
             stats: NocStats::default(),
             expected_total: participating_rows,
             emitted: 0,
-            credited: Vec::new(),
             landed: Vec::new(),
         }
     }
@@ -126,53 +137,81 @@ impl ReduceTree {
         }
     }
 
+    /// Queues router `r` for a visit this tick.
+    fn wake(&mut self, r: usize) {
+        if !std::mem::replace(&mut self.woken[r], true) {
+            self.wake[self.level[r]].push(r);
+        }
+    }
+
+    /// Router `r`'s winning flit, whether it completes its row there, and
+    /// whether it can move on this tick: a flit that completes its row
+    /// below the root needs a credit at the parent, every other merges.
+    fn winner(&self, r: usize) -> Option<(usize, bool, bool)> {
+        let port = self.ports.winner(r)?;
+        let &(row, _) = self.ports.head(port).expect("a winner has a head");
+        let completes = self.cnt[r * self.rows + row as usize] + 1 == self.expected[r];
+        let is_root = r + 1 == self.level.len();
+        let moves = !completes || is_root || self.ports.has_credit(r + self.cfg.num_pes);
+        Some((port, completes, moves))
+    }
+
     /// Advances one cycle; returns a completed `(row, total)` if the root
     /// finished one.
     pub fn tick(&mut self) -> Option<SumFlit> {
         self.cycle += 1;
         self.stats.cycles += 1;
         let cycle = self.cycle;
-        let levels = self.level_start.len() - 1;
-        self.credited.clear();
+        let n = self.cfg.num_pes;
 
         self.ports.land(cycle, &mut self.landed);
+        for i in 0..self.landed.len() {
+            self.wake(self.landed[i] / self.cfg.radix);
+        }
+        // Every router holding a flit merges it or stalls for a credit.
+        let waiting = self.ports.occupied();
+        let mut merged = 0;
 
         // Root-side first so credits free up for the levels below.
-        for l in (0..levels).rev() {
-            let is_root = l == levels - 1;
-            for router in self.level_start[l]..self.level_start[l + 1] {
-                let Some(port) = self.ports.winner(router) else {
+        for l in (0..self.wake.len()).rev() {
+            let mut routers = std::mem::take(&mut self.wake[l]);
+            for &r in &routers {
+                self.woken[r] = false;
+                let Some((port, completes, true)) = self.winner(r) else {
                     continue;
                 };
-                let &(row, _) = self.ports.head(port).expect("winner has head");
-                let slot = router * self.rows + row as usize;
-                let completes = self.cnt[slot] + 1 == self.expected[router];
-                let parent =
-                    self.level_start[l + 1] * self.cfg.radix + (router - self.level_start[l]);
-                if completes && !is_root && !self.ports.has_credit(parent) {
-                    // The completing flit must continue upward: it needs a
-                    // credit at the parent, else the pipeline stalls.
-                    self.stats.credit_stalls += 1;
-                    continue;
-                }
                 let (row, val) = self.ports.pop(port);
-                if l == 0 {
-                    self.credited.push(port);
+                if let Some(child) = port.checked_sub(n) {
+                    self.wake(child);
                 }
+                let slot = r * self.rows + row as usize;
                 self.acc[slot] += val;
                 self.cnt[slot] += 1;
                 self.stats.acc_merges += 1;
                 self.stats.hops += 1;
+                merged += 1;
                 if completes {
                     let total = self.acc[slot];
-                    if is_root {
+                    if r + 1 == self.level.len() {
                         self.root_out.push_back((row, total));
                     } else {
-                        self.ports.send(cycle, parent, (row, total));
+                        self.ports.send(cycle, r + n, (row, total));
                     }
                 }
+                self.moved.push(r);
+            }
+            routers.clear();
+            self.wake[l] = routers;
+        }
+        self.stats.credit_stalls += (waiting - merged) as u64;
+        // A router that merged may merge again next tick.
+        for i in 0..self.moved.len() {
+            let r = self.moved[i];
+            if matches!(self.winner(r), Some((_, _, true))) {
+                self.wake(r);
             }
         }
+        self.moved.clear();
 
         // Only a landing can raise a buffer's occupancy.
         for &port in &self.landed {
@@ -208,13 +247,6 @@ impl ReduceTree {
         assert!(self.is_empty(), "only an empty tree skips ticks");
         self.cycle += n;
         self.stats.cycles += n;
-        self.credited.clear();
-    }
-
-    /// PEs whose leaf port returned a credit in the last tick: a PE whose
-    /// partial was refused can inject it from the next cycle.
-    pub fn credits_returned(&self) -> &[usize] {
-        &self.credited
     }
 
     /// Activity counters accumulated since construction.

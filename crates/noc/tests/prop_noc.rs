@@ -53,6 +53,64 @@ proptest! {
         prop_assert!(tree.stats().peak_occupancy <= cfg.queue_capacity);
     }
 
+    /// Skipping a quiet broadcast tree's ticks books exactly what ticking
+    /// them would: a tree that jumps over every run of closed-sink cycles
+    /// it is quiet for delivers the same flits on the same cycles, and ends
+    /// with the same counters, as a twin that ticks every cycle.
+    #[test]
+    fn skipping_quiet_ticks_equals_ticking(
+        cfg in cfg_strategy(),
+        flits in prop::collection::vec((0usize..64, 0u32..10_000), 1..200),
+        stall_mask in any::<u64>(),
+    ) {
+        let mut ticked = BroadcastTree::new(&cfg);
+        let mut skipping = BroadcastTree::new(&cfg);
+        let mut pending: Vec<(usize, ActFlit)> = flits
+            .iter()
+            .enumerate()
+            .map(|(k, &(pe, idx))| (pe, ActFlit { index: idx, value: k as i16 }))
+            .collect();
+        let ready = |cycle: u64| (stall_mask >> (cycle % 64)) & 1 == 0 || cycle > 100_000;
+        let (mut by_tick, mut by_skip) = (Vec::new(), Vec::new());
+        let mut cycle = 0u64;
+        while !(pending.is_empty() && ticked.is_idle()) {
+            cycle += 1;
+            prop_assert!(cycle < 200_000, "network livelock");
+            let mut refused = Vec::new();
+            for (pe, f) in pending.drain(..) {
+                let into_ticked = ticked.try_inject(pe, f);
+                prop_assert_eq!(into_ticked, skipping.try_inject(pe, f));
+                if !into_ticked {
+                    refused.push((pe, f));
+                }
+            }
+            pending = refused;
+            if let Some(f) = ticked.tick(ready(cycle)) {
+                by_tick.push((cycle, f));
+            }
+            if let Some(f) = skipping.tick(ready(cycle)) {
+                by_skip.push((cycle, f));
+            }
+            // Jump over the closed-sink cycles in which no pending flit can
+            // enter.
+            if skipping.is_quiet() && pending.iter().all(|&(pe, _)| !skipping.can_inject(pe)) {
+                let n = (cycle + 1..).take_while(|&c| !ready(c)).count() as u64;
+                if n > 0 {
+                    by_skip.extend(skipping.skip_quiet(n));
+                    for _ in 0..n {
+                        cycle += 1;
+                        if let Some(f) = ticked.tick(ready(cycle)) {
+                            by_tick.push((cycle, f));
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(ticked.stats(), skipping.stats(), "cycle {}", cycle);
+        }
+        prop_assert_eq!(by_tick, by_skip);
+        prop_assert_eq!(ticked.cycle(), skipping.cycle());
+    }
+
     /// The reduce tree computes exact per-row sums for arbitrary
     /// participation patterns and values, each row exactly once.
     #[test]

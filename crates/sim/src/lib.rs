@@ -1,7 +1,7 @@
 //! Cycle-level simulator of the 64-PE **SparseNN** accelerator.
 //!
 //! This crate is the reproduction's stand-in for the paper's Verilog RTL:
-//! a deterministic, cycle-by-cycle model of
+//! a deterministic, cycle-exact model of
 //!
 //! * the [`Pe`](pe::Pe) micro-architecture (paper Fig. 5): activation queue,
 //!   leading-nonzero detectors over the source register file and the 1-bit
@@ -24,6 +24,26 @@
 //! `sparsenn-model` — the integration tests assert equality on random
 //! networks — and every simulation returns the [`events::MachineEvents`]
 //! activity counters the energy model consumes.
+//!
+//! # Cycle-exact, advanced by events
+//!
+//! Every cycle count, counter and completion time is the one a
+//! cycle-by-cycle simulation of the model gives, but the host does work
+//! per event — per flit, per MAC, per partial sum — rather than per clock
+//! tick and PE. The NoC trees tick while a flit moves; a tree in which
+//! nothing can move until a PE pops (every flit landed, the root held by
+//! the sink gate, no PE able to inject) or that waits for the PEs to
+//! drain jumps to that cycle and books the skipped ticks' cycles, sink
+//! stalls and credit stalls in one step. A PE's datapath holds each
+//! activation for a fixed number of cycles, so its pop cycles follow from
+//! the arrival cycles ([`pe`]); its MACs run in bulk per row, and these
+//! counters are credited per phase rather than per cycle: `macs`,
+//! `w_reads`, `u_reads`, `v_reads`, `queue_pushes`, `queue_pops`,
+//! `pred_scans`, `pe_busy_cycles`, `pe_idle_cycles` and
+//! [`LayerRun::pe_busy`], with each row's last-MAC cycle (the source of
+//! [`LayerRun::row_ready`]) set to the cycle the one-MAC-per-cycle
+//! datapath would have issued it. Golden snapshots in the repository's
+//! `tests/cycle_golden.rs` pin all of it on several machines.
 //!
 //! # Example
 //!

@@ -6,8 +6,7 @@ use crate::pe::{ActQueues, Pe};
 use sparsenn_model::fixedpoint::{FixedMatrix, FixedNetwork, FixedPredictor, UvMode};
 use sparsenn_noc::{ActFlit, BroadcastTree, ReduceTree};
 use sparsenn_numeric::{Accumulator, Q6_10};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Why a simulation request could not run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -754,12 +753,12 @@ impl<'a> LayerStages<'a> {
         let hold = pes.iter().map(|pe| pe.rows().len().max(1) as u64).collect();
         let mut queues = ActQueues::new(self.cfg.act_queue_depth, hold);
         let mut busy = vec![0u64; n];
-        // PEs whose next partial sum is ready to leave, by cycle.
-        let mut due = BinaryHeap::new();
+        // Per PE: the cycle its next partial sum is ready to leave.
+        let mut due = vec![u64::MAX; n];
         for (id, pe) in pes.iter_mut().enumerate() {
             let before = ev.macs;
             if let Some(ready) = pe.begin_v(&p.v, ev) {
-                due.push(Reverse((ready, id)));
+                due[id] = ready;
             }
             busy[id] = ev.macs - before;
             if let Some(start) = pe.u_start() {
@@ -767,15 +766,9 @@ impl<'a> LayerStages<'a> {
             }
         }
         let mut v_left = pes.iter().filter(|pe| !pe.v_done()).count();
-        // PEs whose partial the reduce tree refused, and those of them
-        // whose leaf port has since returned a credit.
-        let mut refused = vec![false; n];
-        let mut retry: Vec<usize> = Vec::new();
         let mut inject: Vec<usize> = Vec::new();
-        // Root output buffer and the downward broadcast pipeline for the
-        // quantized V results.
+        // Root output buffer for the quantized V results.
         let mut pending: VecDeque<ActFlit> = VecDeque::new();
-        let mut down: VecDeque<(u64, ActFlit)> = VecDeque::new();
         let bcast_latency = self.cfg.noc.broadcast_latency();
 
         let mut cycle: u64 = 0;
@@ -783,25 +776,22 @@ impl<'a> LayerStages<'a> {
             cycle += 1;
             assert!(cycle < CYCLE_GUARD, "V/U phase deadlock");
 
-            // Network interfaces push finished partials into the reduce tree.
-            while let Some(&Reverse((ready, id))) = due.peek() {
-                if ready > cycle {
-                    break;
-                }
-                due.pop();
-                inject.push(id);
-            }
-            inject.append(&mut retry);
+            // Network interfaces push finished partials into the reduce
+            // tree; a refused one tries again next cycle.
+            inject.extend((0..n).filter(|&id| due[id] == cycle));
             for &id in &inject {
                 let pe = &mut pes[id];
                 let (row, val) = pe.pending_v_emit().expect("a due PE holds a partial");
                 if !reduce.try_inject(id, row, val) {
-                    refused[id] = true;
+                    due[id] = cycle + 1;
                     continue;
                 }
                 match pe.v_injected(cycle) {
-                    Some(ready) => due.push(Reverse((ready, id))),
-                    None => v_left -= 1,
+                    Some(ready) => due[id] = ready,
+                    None => {
+                        due[id] = u64::MAX;
+                        v_left -= 1;
+                    }
                 }
                 if !queues.started(id) {
                     if let Some(start) = pe.u_start() {
@@ -822,39 +812,25 @@ impl<'a> LayerStages<'a> {
                     });
                 }
             }
-            for &id in reduce.credits_returned() {
-                if std::mem::take(&mut refused[id]) {
-                    retry.push(id);
-                }
-            }
 
             // Enter the broadcast pipeline only with guaranteed queue space.
-            if !pending.is_empty() && queues.min_free(cycle) > down.len() {
+            if !pending.is_empty() && queues.min_free(cycle) > 0 {
                 let f = pending.pop_front().expect("checked nonempty");
-                down.push_back((cycle + bcast_latency, f));
-            }
-            if let Some(&(ready, f)) = down.front() {
-                if ready <= cycle {
-                    down.pop_front();
-                    queues.deliver(f, cycle);
-                }
+                queues.emit(f, cycle, cycle + bcast_latency);
             }
 
-            let settled = v_left == 0 && reduce.is_done() && pending.is_empty() && down.is_empty();
+            // Every broadcast has arrived by the time the PEs drain.
+            let settled = v_left == 0 && reduce.is_done() && pending.is_empty();
             if settled && cycle >= queues.drain_end() {
                 break;
             }
 
-            // With the reduce tree empty and no partial refused, nothing
-            // happens before the next partial leaves, the next broadcast
-            // lands, the sink gate opens or the PEs drain.
-            if retry.is_empty() && reduce.is_empty() {
-                let mut next = due.peek().map_or(u64::MAX, |r| (r.0).0);
-                if let Some(&(ready, _)) = down.front() {
-                    next = next.min(ready);
-                }
+            // With the reduce tree empty, nothing happens before the next
+            // partial leaves, the sink gate opens or the PEs drain.
+            if reduce.is_empty() {
+                let mut next = due.iter().copied().min().unwrap_or(u64::MAX);
                 if !pending.is_empty() {
-                    if let Some(open) = queues.opens_at(down.len()) {
+                    if let Some(open) = queues.opens_at() {
                         next = next.min(open);
                     }
                 }
@@ -927,9 +903,10 @@ impl<'a> LayerStages<'a> {
                 }
             }
 
-            let sink_ready = queues.min_free(cycle) > tree.down_in_flight();
-            if let Some(f) = tree.tick(sink_ready) {
-                queues.deliver(f, cycle);
+            // The queues count a flit from the moment the root emits it.
+            tree.tick(queues.min_free(cycle) > 0);
+            if let Some((arrives, f)) = tree.emitted() {
+                queues.emit(f, cycle, arrives);
             }
             for &id in tree.credits_returned() {
                 if std::mem::take(&mut blocked[id]) {
@@ -943,15 +920,17 @@ impl<'a> LayerStages<'a> {
                 break;
             }
             if ready.is_empty() && tree.is_quiet() {
-                // Only a PE pop can change anything now: the one that
-                // opens the sink gate, or the last one's drain.
-                let next = if tree.is_idle() {
+                // Only a PE pop can change anything now: the pop that opens
+                // the sink gate for the flit waiting at the root, or the
+                // last one's drain.
+                let next = if tree.is_empty() {
                     queues.drain_end()
                 } else {
-                    queues.opens_at(0).expect("every PE consumes from cycle 1")
+                    queues.opens_at().expect("every PE consumes from cycle 1")
                 };
                 if next > cycle + 1 {
-                    tree.skip_quiet(next - 1 - cycle);
+                    // The queues took the skipped deliveries at emission.
+                    tree.skip_quiet(next - 1 - cycle).for_each(drop);
                     cycle = next - 1;
                 }
             }

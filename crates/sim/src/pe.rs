@@ -18,16 +18,17 @@
 //! The model is cycle-exact, but the host advances it by events, not by
 //! clock ticks. A PE's datapath holds each popped activation for a fixed
 //! number of cycles — one MAC per row it touches, and at least the one
-//! cycle the pop and predictor scan take — so the cycle on which every PE
-//! pops a flit is fixed the moment the flit reaches the queues
-//! ([`ActQueues`]). The MACs themselves are then done in bulk, per row
-//! over the whole broadcast log ([`Pe::accumulate_w`],
-//! [`Pe::accumulate_u`]), and each row's last-MAC cycle is the cycle the
-//! one-MAC-per-cycle datapath would have issued it. In the V phase the PE
-//! computes every partial sum up front ([`Pe::begin_v`]) and only the
-//! hand-off of each partial to the reduce tree is timed. `sparsenn-sim`'s
-//! [`Machine`](crate::Machine) wires the PEs to the NoC models and
-//! credits busy and idle datapath cycles per phase.
+//! cycle the pop and predictor scan take — so the cycle on which each PE
+//! pops a flit is fixed the moment the root emits it. The machine keeps
+//! all activation queues as windows into one broadcast log and schedules
+//! those pops there. The MACs themselves run in bulk, row by row over the
+//! whole log ([`Pe::accumulate_w`], [`Pe::accumulate_u`]), and each row's
+//! last-MAC cycle is the cycle the one-MAC-per-cycle datapath would have
+//! issued it. In the V phase the PE computes every partial sum up front
+//! ([`Pe::begin_v`]) and only the hand-off of each partial to the reduce
+//! tree is timed. `sparsenn-sim`'s [`Machine`](crate::Machine) wires the
+//! PEs to the NoC models and credits busy and idle datapath cycles per
+//! phase.
 
 use sparsenn_model::fixedpoint::FixedMatrix;
 use sparsenn_noc::ActFlit;
@@ -356,37 +357,56 @@ fn dot(row: &[Q6_10], flits: &[ActFlit]) -> Accumulator {
 ///
 /// Every PE receives the same flit on the same cycle, so the queues differ
 /// only in how far each PE has popped. A PE's datapath holds each popped
-/// flit for a fixed number of cycles, so when a flit arrives the cycle on
-/// which every consuming PE pops it is already determined: the later of
-/// its arrival and the PE's datapath coming free. The log keeps, per flit,
-/// the cycle of its last pop across PEs; the least free space of any queue
-/// — what the root's sink gate needs — follows from it without visiting
-/// the PEs.
+/// flit for a fixed number of cycles, so when the root emits a flit, the
+/// cycle on which every consuming PE will pop it is already determined:
+/// the later of its arrival and the PE's datapath coming free. PEs that
+/// hold flits equally long and started consuming on the same cycle pop on
+/// the same cycles and share one schedule. The log keeps, per flit, the
+/// cycle of its last pop across PEs; the least free space of any queue —
+/// what the root's sink gate needs — follows from it without visiting the
+/// PEs.
 #[derive(Clone, Debug)]
 pub(crate) struct ActQueues {
     /// Entries per queue.
     depth: usize,
-    /// Delivered flits, in delivery order.
+    /// Emitted flits, in emission order.
     flits: Vec<ActFlit>,
-    /// Cycle on which each flit reached the queues.
-    arrived: Vec<u64>,
-    /// Cycle on which the last consuming PE popped each flit.
+    /// Cycle on which each flit reaches the queues.
+    arrives: Vec<u64>,
+    /// Cycle on which the last consuming PE pops each flit.
     last_pop: Vec<u64>,
     /// Leading flits every PE had popped before the cycle last asked about.
     popped_by_all: usize,
     /// Per PE: cycles a popped flit holds the datapath.
     hold: Vec<u64>,
-    /// Per PE: first cycle it can pop its next flit ([`NOT_STARTED`] until
-    /// it starts consuming).
-    free: Vec<u64>,
+    /// Per PE: its schedule, once it has started consuming.
+    schedule_of: Vec<Option<usize>>,
+    /// The distinct schedules.
+    schedules: Vec<Schedule>,
     /// PEs that have not started consuming.
     waiting: usize,
     /// Last cycle on which some PE is still busy with a popped flit.
     drain_end: u64,
 }
 
-/// [`ActQueues::free`] of a PE that has not started consuming.
-const NOT_STARTED: u64 = u64::MAX;
+/// The pops of the PEs that hold a flit `hold` cycles and started
+/// consuming on cycle `start`.
+#[derive(Clone, Copy, Debug)]
+struct Schedule {
+    hold: u64,
+    start: u64,
+    /// First cycle on which the next flit can be popped.
+    free: u64,
+}
+
+impl Schedule {
+    /// Pops the flit arriving on `arrives`; returns the pop cycle.
+    fn pop(&mut self, arrives: u64) -> u64 {
+        let pop = self.free.max(arrives);
+        self.free = pop + self.hold;
+        pop
+    }
+}
 
 impl ActQueues {
     /// Empty queues of `depth` entries for PEs that hold a flit for
@@ -397,11 +417,12 @@ impl ActQueues {
         Self {
             depth,
             flits: Vec::new(),
-            arrived: Vec::new(),
+            arrives: Vec::new(),
             last_pop: Vec::new(),
             popped_by_all: 0,
             waiting: hold.len(),
-            free: vec![NOT_STARTED; hold.len()],
+            schedule_of: vec![None; hold.len()],
+            schedules: Vec::new(),
             hold,
             drain_end: 0,
         }
@@ -409,30 +430,43 @@ impl ActQueues {
 
     /// PE `pe` starts popping on `cycle`, beginning with every flit already
     /// in its queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the PE has started already.
     pub(crate) fn start(&mut self, pe: usize, cycle: u64) {
-        assert_eq!(self.free[pe], NOT_STARTED, "PE {pe} started twice");
+        assert!(self.schedule_of[pe].is_none(), "PE {pe} started twice");
         self.waiting -= 1;
         let hold = self.hold[pe];
-        let mut free = cycle;
-        for (&arrived, last) in self.arrived.iter().zip(&mut self.last_pop) {
-            let pop = free.max(arrived);
-            *last = (*last).max(pop);
-            free = pop + hold;
-        }
-        self.free[pe] = free;
-        if !self.flits.is_empty() {
-            self.drain_end = self.drain_end.max(free - 1);
-        }
+        let known = self
+            .schedules
+            .iter()
+            .position(|s| s.hold == hold && s.start == cycle);
+        self.schedule_of[pe] = Some(known.unwrap_or_else(|| {
+            let mut schedule = Schedule {
+                hold,
+                start: cycle,
+                free: cycle,
+            };
+            for (&arrives, last) in self.arrives.iter().zip(&mut self.last_pop) {
+                *last = (*last).max(schedule.pop(arrives));
+            }
+            if !self.flits.is_empty() {
+                self.drain_end = self.drain_end.max(schedule.free - 1);
+            }
+            self.schedules.push(schedule);
+            self.schedules.len() - 1
+        }));
     }
 
     /// `true` once PE `pe` has started consuming.
     pub(crate) fn started(&self, pe: usize) -> bool {
-        self.free[pe] != NOT_STARTED
+        self.schedule_of[pe].is_some()
     }
 
     /// The least free space of any queue at the start of `cycle` (pops of
-    /// earlier cycles done, this cycle's delivery not yet made). Calls
-    /// must not go back in time.
+    /// earlier cycles done), counting every emitted flit as delivered.
+    /// Calls must not go back in time.
     pub(crate) fn min_free(&mut self, cycle: u64) -> usize {
         if self.waiting == 0 {
             while self
@@ -443,64 +477,56 @@ impl ActQueues {
                 self.popped_by_all += 1;
             }
         }
-        self.depth
-            .checked_sub(self.flits.len() - self.popped_by_all)
-            .expect("activation queue overflow")
+        self.depth - (self.flits.len() - self.popped_by_all)
     }
 
-    /// The first cycle from which every queue has more free slots than
-    /// `in_flight` flits heading for them, if no further flit is emitted:
-    /// 0 when that already holds, `None` when it waits on a PE that has
-    /// not started consuming.
-    pub(crate) fn opens_at(&self, in_flight: usize) -> Option<u64> {
-        let Some(k) = (self.flits.len() + in_flight).checked_sub(self.depth) else {
+    /// The first cycle on which every queue has a free slot for a further
+    /// flit: 0 when one is free already, `None` when that waits on a PE
+    /// that has not started consuming.
+    pub(crate) fn opens_at(&self) -> Option<u64> {
+        let Some(k) = self.flits.len().checked_sub(self.depth) else {
             return Some(0);
         };
         if self.waiting > 0 {
             return None;
         }
-        self.last_pop.get(k).map(|&t| t + 1)
+        Some(self.last_pop[k] + 1)
     }
 
-    /// A flit reaches every queue on `cycle`; each consuming PE's pop of it
-    /// is scheduled.
+    /// The root emits a flit on cycle `now`; it reaches every queue on
+    /// cycle `arrives`, and each consuming PE's pop of it is scheduled.
     ///
     /// # Panics
     ///
     /// Panics if some queue is full — the sink gate must prevent that,
     /// exactly like the credit-based broadcast in hardware.
-    pub(crate) fn deliver(&mut self, flit: ActFlit, cycle: u64) {
-        assert!(self.min_free(cycle) > 0, "activation queue overflow");
+    pub(crate) fn emit(&mut self, flit: ActFlit, now: u64, arrives: u64) {
+        assert!(self.min_free(now) > 0, "activation queue overflow");
         let mut last = 0;
-        let mut drain = self.drain_end;
-        for (free, &hold) in self.free.iter_mut().zip(&self.hold) {
-            if *free != NOT_STARTED {
-                let pop = (*free).max(cycle);
-                *free = pop + hold;
-                last = last.max(pop);
-                drain = drain.max(pop + hold - 1);
-            }
+        for schedule in &mut self.schedules {
+            last = last.max(schedule.pop(arrives));
+            self.drain_end = self.drain_end.max(schedule.free - 1);
         }
-        self.drain_end = drain;
         self.flits.push(flit);
-        self.arrived.push(cycle);
+        self.arrives.push(arrives);
         self.last_pop.push(last);
     }
 
-    /// Every flit delivered so far, in delivery order.
+    /// Every flit emitted so far, in emission order.
     pub(crate) fn flits(&self) -> &[ActFlit] {
         &self.flits
     }
 
     /// The cycle on which PE `pe` pops its last flit (`None` before any
-    /// flit arrived or while it has not started).
+    /// flit was emitted or while it has not started).
     pub(crate) fn last_pop_of(&self, pe: usize) -> Option<u64> {
-        let free = self.free[pe];
-        (!self.flits.is_empty() && free != NOT_STARTED).then(|| free - self.hold[pe])
+        let schedule = &self.schedules[self.schedule_of[pe]?];
+        (!self.flits.is_empty()).then(|| schedule.free - schedule.hold)
     }
 
     /// The last cycle on which some PE is still busy with a flit it popped
-    /// (0 before any flit arrived). A PE is drained after it.
+    /// (0 before any flit was emitted). A PE is drained after it, and
+    /// every emitted flit has arrived by then.
     pub(crate) fn drain_end(&self) -> u64 {
         self.drain_end
     }
@@ -579,8 +605,8 @@ mod tests {
         // The pop and LNZD scan still hold the datapath for a cycle.
         let mut queues = ActQueues::new(8, vec![pe.w_macs_per_flit().max(1) as u64]);
         queues.start(0, 1);
-        queues.deliver(flit(0, 1.0), 1);
-        queues.deliver(flit(1, 1.0), 1);
+        queues.emit(flit(0, 1.0), 1, 1);
+        queues.emit(flit(1, 1.0), 1, 1);
         assert_eq!(queues.last_pop_of(0), Some(2));
         assert_eq!(queues.drain_end(), 2);
     }
@@ -654,21 +680,32 @@ mod tests {
         // Two PEs holding a flit 3 and 1 cycles; the first waits to start.
         let mut queues = ActQueues::new(2, vec![3, 1]);
         queues.start(1, 1);
-        queues.deliver(flit(0, 1.0), 2);
+        queues.emit(flit(0, 1.0), 1, 2);
         assert_eq!(queues.min_free(3), 1, "PE 0 has not popped");
         queues.start(0, 4);
-        queues.deliver(flit(1, 1.0), 4);
+        queues.emit(flit(1, 1.0), 3, 4);
         // PE 0 pops on cycles 4 and 7, PE 1 on cycles 2 and 4.
         assert_eq!(queues.last_pop_of(0), Some(7));
         assert_eq!(queues.last_pop_of(1), Some(4));
         assert_eq!(queues.drain_end(), 9);
-        assert_eq!(queues.min_free(5), 1, "flit 0 left every queue on cycle 4");
         assert_eq!(
-            queues.opens_at(1),
-            Some(8),
-            "flit 1 leaves PE 0's queue on cycle 7"
+            queues.opens_at(),
+            Some(5),
+            "flit 0 leaves PE 0's queue on cycle 4"
         );
-        assert_eq!(queues.min_free(8), 2);
+        assert_eq!(queues.min_free(5), 1);
+        assert_eq!(queues.min_free(8), 2, "flit 1 left PE 0's queue on cycle 7");
+    }
+
+    #[test]
+    fn equal_pes_share_one_schedule() {
+        let mut queues = ActQueues::new(4, vec![2, 2, 1, 2]);
+        (0..3).for_each(|pe| queues.start(pe, 1));
+        queues.emit(flit(0, 1.0), 1, 3);
+        queues.start(3, 1);
+        assert_eq!(queues.schedules.len(), 2, "PEs 0, 1 and 3 pop alike");
+        assert_eq!(queues.last_pop_of(3), Some(3));
+        assert_eq!(queues.drain_end(), 4);
     }
 
     #[test]
@@ -714,9 +751,9 @@ mod tests {
     fn queue_overflow_panics() {
         let mut queues = ActQueues::new(2, vec![1; 64]);
         (0..64).for_each(|pe| queues.start(pe, 1));
-        // Delivered on one cycle, nothing has been popped before it.
+        // Emitted on one cycle, nothing has been popped before it.
         for i in 0..3 {
-            queues.deliver(flit(i, 1.0), 1);
+            queues.emit(flit(i, 1.0), 1, 2);
         }
     }
 }
