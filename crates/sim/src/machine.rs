@@ -716,7 +716,7 @@ impl<'a> LayerStages<'a> {
         let mask = self.predicted.then(|| {
             let mut mask = vec![false; rows];
             for pe in &self.pes {
-                for (&row, &bit) in pe.rows().iter().zip(pe.predictor_bits()) {
+                for (row, bit) in pe.rows().zip(pe.predictor_bits()) {
                     mask[row as usize] = bit;
                 }
             }

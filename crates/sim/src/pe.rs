@@ -40,20 +40,13 @@ use crate::events::MachineEvents;
 #[derive(Clone, Debug)]
 pub struct Pe {
     id: usize,
+    num_pes: usize,
     /// Local nonzero input activations `(global index, value)`, ascending.
     src: Vec<(u32, Q6_10)>,
     src_cursor: usize,
-    /// Global row ids mapped to this PE (`id, id + 64, …`), ascending.
-    rows: Vec<u32>,
-    /// Wide W-phase accumulators, one per local row.
-    acc_w: Vec<Accumulator>,
-    /// W-phase cycle of the last MAC into each local row (0 = the row was
-    /// never touched); feeds the per-row completion profile at writeback.
-    last_w_mac: Vec<u64>,
-    /// Wide U-phase accumulators, one per local row.
-    acc_u: Vec<Accumulator>,
-    /// Predictor register bank (`true` = row predicted active).
-    pred: Vec<bool>,
+    /// The local output rows: local row `k` is global row
+    /// `id + k · num_pes`.
+    local_rows: Vec<Row>,
     /// Local indices of the predicted-active rows, ascending: what the
     /// bank's leading-nonzero detector yields, and the order the W phase
     /// walks them in. Rebuilt whenever the bank changes.
@@ -64,6 +57,20 @@ pub struct Pe {
     v_next: usize,
     /// V phase: first cycle of the U phase, once the last V row started.
     u_start: Option<u64>,
+}
+
+/// The state a PE keeps for one of its output rows.
+#[derive(Clone, Copy, Debug)]
+struct Row {
+    /// Wide W-phase accumulator.
+    acc_w: Accumulator,
+    /// Wide U-phase accumulator.
+    acc_u: Accumulator,
+    /// W-phase cycle of the last MAC into the row (0 = never touched);
+    /// feeds the per-row completion profile at writeback.
+    last_w_mac: u64,
+    /// Predictor register bank bit (`true` = row predicted active).
+    pred: bool,
 }
 
 impl Pe {
@@ -81,32 +88,40 @@ impl Pe {
             .filter(|(_, v)| !v.is_zero())
             .map(|(j, &v)| (j as u32, v))
             .collect();
-        let rows: Vec<u32> = (id..out_rows).step_by(num_pes).map(|i| i as u32).collect();
-        let n_rows = rows.len();
-        let mut pe = Self {
+        let n_rows = out_rows.saturating_sub(id).div_ceil(num_pes);
+        Self {
             id,
+            num_pes,
             src,
             src_cursor: 0,
-            rows,
-            acc_w: vec![Accumulator::new(); n_rows],
-            last_w_mac: vec![0; n_rows],
-            acc_u: vec![Accumulator::new(); n_rows],
-            pred: vec![true; n_rows],
-            active: Vec::new(),
+            local_rows: vec![
+                Row {
+                    acc_w: Accumulator::new(),
+                    acc_u: Accumulator::new(),
+                    last_w_mac: 0,
+                    pred: true,
+                };
+                n_rows
+            ],
+            active: (0..n_rows as u32).collect(),
             v_partials: Vec::new(),
             v_next: 0,
             u_start: None,
-        };
-        pe.rebuild_active();
-        pe
+        }
     }
 
     /// Re-derives the active-row list from the predictor bank. Runs once
     /// per predictor change (latch / force / external mask).
     fn rebuild_active(&mut self) {
         self.active.clear();
-        self.active
-            .extend((0..self.pred.len() as u32).filter(|&i| self.pred[i as usize]));
+        self.active.extend(
+            (0..self.local_rows.len() as u32).filter(|&k| self.local_rows[k as usize].pred),
+        );
+    }
+
+    /// Global id of local row `k`.
+    fn global_row(&self, k: usize) -> usize {
+        self.id + k * self.num_pes
     }
 
     /// PE index.
@@ -125,9 +140,9 @@ impl Pe {
         self.src.len()
     }
 
-    /// Local output rows.
-    pub fn rows(&self) -> &[u32] {
-        &self.rows
+    /// Local output rows (global ids, ascending).
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        (0..self.local_rows.len()).map(|k| self.global_row(k) as u32)
     }
 
     /// MACs the W phase issues per activation: one per row the predictor
@@ -235,10 +250,11 @@ impl Pe {
         flits: &[ActFlit],
         ev: &mut MachineEvents,
     ) -> u64 {
-        for (acc, &row) in self.acc_u.iter_mut().zip(&self.rows) {
-            acc.merge(dot(u.row(row as usize), flits));
+        for k in 0..self.local_rows.len() {
+            let sum = dot(u.row(self.global_row(k)), flits);
+            self.local_rows[k].acc_u.merge(sum);
         }
-        let macs = (self.rows.len() * flits.len()) as u64;
+        let macs = (self.local_rows.len() * flits.len()) as u64;
         ev.macs += macs;
         ev.u_reads += macs;
         macs
@@ -259,10 +275,12 @@ impl Pe {
         if flits.is_empty() {
             return 0;
         }
-        for (k, &local) in self.active.iter().enumerate() {
-            let local = local as usize;
-            self.acc_w[local].merge(dot(w.row(self.rows[local] as usize), flits));
-            self.last_w_mac[local] = last_pop + k as u64;
+        for (walk, &local) in self.active.iter().enumerate() {
+            let k = local as usize;
+            let row = &mut self.local_rows[k];
+            row.acc_w
+                .merge(dot(w.row(self.id + k * self.num_pes), flits));
+            row.last_w_mac = last_pop + walk as u64;
         }
         let macs = (self.active.len() * flits.len()) as u64;
         ev.macs += macs;
@@ -273,17 +291,17 @@ impl Pe {
     /// Latches the predictor register bank from the U accumulators
     /// (`p_i = 1` iff the predicted pre-activation is positive).
     pub fn latch_predictor(&mut self, ev: &mut MachineEvents) {
-        for (i, acc) in self.acc_u.iter().enumerate() {
-            self.pred[i] = acc.is_positive();
+        for row in &mut self.local_rows {
+            row.pred = row.acc_u.is_positive();
         }
-        ev.pred_writes += self.rows.len() as u64;
+        ev.pred_writes += self.local_rows.len() as u64;
         self.rebuild_active();
     }
 
     /// Forces every predictor bit active (the `uv_off` / EIE mode and
     /// layers without a predictor).
     pub fn force_all_active(&mut self) {
-        self.pred.iter_mut().for_each(|p| *p = true);
+        self.local_rows.iter_mut().for_each(|row| row.pred = true);
         self.rebuild_active();
     }
 
@@ -297,15 +315,16 @@ impl Pe {
     ///
     /// Panics if `mask` is shorter than the layer's output row count.
     pub fn set_predictor(&mut self, mask: &[bool]) {
-        for (i, &row) in self.rows.iter().enumerate() {
-            self.pred[i] = mask[row as usize];
+        for k in 0..self.local_rows.len() {
+            self.local_rows[k].pred = mask[self.global_row(k)];
         }
         self.rebuild_active();
     }
 
-    /// The predictor bank contents (for mask assembly).
-    pub fn predictor_bits(&self) -> &[bool] {
-        &self.pred
+    /// The predictor bank contents, one bit per local row (for mask
+    /// assembly).
+    pub fn predictor_bits(&self) -> impl ExactSizeIterator<Item = bool> + '_ {
+        self.local_rows.iter().map(|row| row.pred)
     }
 
     /// Quantizes the W accumulators into output activations
@@ -319,26 +338,19 @@ impl Pe {
     /// ([`LayerRun::row_ready`](crate::LayerRun::row_ready)) that lets a
     /// downstream consumer (the wavefront multi-chip executor) start on
     /// rows before the whole layer drains.
-    pub fn writeback(&self, is_hidden: bool, ev: &mut MachineEvents) -> Vec<(u32, Q6_10, u64)> {
-        ev.dst_writes += self.rows.len() as u64;
-        self.rows
-            .iter()
-            .zip(&self.acc_w)
-            .zip(self.pred.iter().zip(&self.last_w_mac))
-            .map(|((&row, acc), (&active, &last_mac))| {
-                let val = if active {
-                    let q: Q6_10 = acc.to_fixed();
-                    if is_hidden {
-                        q.relu()
-                    } else {
-                        q
-                    }
-                } else {
-                    Q6_10::ZERO
-                };
-                (row, val, if active { last_mac } else { 0 })
-            })
-            .collect()
+    pub fn writeback(
+        &self,
+        is_hidden: bool,
+        ev: &mut MachineEvents,
+    ) -> impl Iterator<Item = (u32, Q6_10, u64)> + '_ {
+        ev.dst_writes += self.local_rows.len() as u64;
+        self.rows().zip(&self.local_rows).map(move |(id, row)| {
+            if !row.pred {
+                return (id, Q6_10::ZERO, 0);
+            }
+            let q: Q6_10 = row.acc_w.to_fixed();
+            (id, if is_hidden { q.relu() } else { q }, row.last_w_mac)
+        })
     }
 }
 
@@ -563,9 +575,9 @@ mod tests {
     #[test]
     fn rows_are_strided_by_num_pes() {
         let pe = Pe::new(3, 64, &[Q6_10::ZERO; 64], 200);
-        assert_eq!(pe.rows(), &[3, 67, 131, 195]);
+        assert_eq!(pe.rows().collect::<Vec<_>>(), [3, 67, 131, 195]);
         let empty = Pe::new(63, 64, &[Q6_10::ZERO; 64], 10);
-        assert!(empty.rows().is_empty());
+        assert_eq!(empty.rows().len(), 0);
     }
 
     #[test]
@@ -583,7 +595,7 @@ mod tests {
         assert_eq!(ev.macs, 2);
         assert_eq!(ev.w_reads, 2);
         // Each row's completion time is the cycle of its last MAC.
-        let wb = pe.writeback(true, &mut ev);
+        let wb: Vec<_> = pe.writeback(true, &mut ev).collect();
         assert_eq!(wb[0].2, 1, "row 0 finished on cycle 1");
         assert_eq!(wb[1].2, 2, "row 64 finished on cycle 2");
         assert_eq!(wb[1].1, w.get(64, 0), "1.0 × W[64][0]");
@@ -601,7 +613,7 @@ mod tests {
         assert_eq!(ev.macs, 0);
         assert_eq!(ev.w_reads, 0);
         // Bypassed rows report no W-MAC completion cycle.
-        assert!(pe.writeback(true, &mut ev).iter().all(|&(_, _, t)| t == 0));
+        assert!(pe.writeback(true, &mut ev).all(|(_, _, t)| t == 0));
         // The pop and LNZD scan still hold the datapath for a cycle.
         let mut queues = ActQueues::new(8, vec![pe.w_macs_per_flit().max(1) as u64]);
         queues.start(0, 1);
@@ -711,11 +723,11 @@ mod tests {
     #[test]
     fn latch_predictor_uses_sign_of_u_accumulators() {
         let mut pe = Pe::new(0, 64, &[q(1.0); 4], 128);
-        pe.acc_u[0].mac(q(1.0), q(1.0)); // positive
-        pe.acc_u[1].mac(q(-1.0), q(1.0)); // negative
+        pe.local_rows[0].acc_u.mac(q(1.0), q(1.0)); // positive
+        pe.local_rows[1].acc_u.mac(q(-1.0), q(1.0)); // negative
         let mut ev = MachineEvents::default();
         pe.latch_predictor(&mut ev);
-        assert_eq!(pe.predictor_bits(), &[true, false]);
+        assert_eq!(pe.predictor_bits().collect::<Vec<_>>(), [true, false]);
         assert_eq!(ev.pred_writes, 2);
     }
 
@@ -727,22 +739,25 @@ mod tests {
         mask[65] = true;
         mask[193] = true;
         pe.set_predictor(&mask);
-        assert_eq!(pe.predictor_bits(), &[false, true, false, true]);
+        assert_eq!(
+            pe.predictor_bits().collect::<Vec<_>>(),
+            [false, true, false, true]
+        );
     }
 
     #[test]
     fn writeback_applies_relu_and_bypass() {
         let mut pe = Pe::new(0, 64, &[q(1.0); 4], 128);
-        pe.acc_w[0].mac(q(-2.0), q(1.0)); // negative pre-activation
-        pe.acc_w[1].mac(q(3.0), q(1.0));
+        pe.local_rows[0].acc_w.mac(q(-2.0), q(1.0)); // negative pre-activation
+        pe.local_rows[1].acc_w.mac(q(3.0), q(1.0));
         let mut mask = vec![false; 128];
         mask[0] = true; // row 64 bypassed
         pe.set_predictor(&mask);
         let mut ev = MachineEvents::default();
-        let out = pe.writeback(true, &mut ev);
+        let out: Vec<_> = pe.writeback(true, &mut ev).collect();
         assert_eq!(out[0], (0, Q6_10::ZERO, 0)); // ReLU clamps
         assert_eq!(out[1], (64, Q6_10::ZERO, 0)); // bypassed
-        let out_linear = pe.writeback(false, &mut ev);
+        let out_linear: Vec<_> = pe.writeback(false, &mut ev).collect();
         assert_eq!(out_linear[0].1, q(-2.0)); // no ReLU on classifier
     }
 
