@@ -740,9 +740,9 @@ impl<'a> LayerStages<'a> {
     /// The overlapped V/U predictor phases. Returns the cycle count.
     ///
     /// The clock advances by events: a cycle is simulated only when a
-    /// partial sum leaves a PE, the reduce tree holds a flit, a V result
-    /// waits for or passes the sink gate, or a broadcast lands; the cycles
-    /// between are skipped in one step.
+    /// partial sum is ready to leave a PE, the reduce tree holds a flit or
+    /// a V result waits at the sink gate; the cycles between, and the
+    /// PEs' drain, are skipped in one step.
     fn vu_phase(&mut self) -> u64 {
         let p = self.predictor.expect("predicted layers carry a predictor");
         let pes = &mut self.pes;
@@ -861,8 +861,7 @@ impl<'a> LayerStages<'a> {
     /// The clock advances by events: the broadcast tree ticks while a flit
     /// is moving, and the cycles in which it is frozen — every flit landed,
     /// the root held by the sink gate, no PE able to inject — are skipped
-    /// up to the PE pop that opens the gate, as are the last PEs' drain
-    /// cycles.
+    /// up to the PE pop that opens the gate, as are the PEs' drain cycles.
     fn w_phase(&mut self) -> u64 {
         let pes = &mut self.pes;
         let ev = &mut self.ev;

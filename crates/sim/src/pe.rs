@@ -124,11 +124,6 @@ impl Pe {
         self.id + k * self.num_pes
     }
 
-    /// PE index.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// `true` if this PE holds at least one nonzero input activation
     /// (i.e. participates in the V reduction and the broadcast).
     pub fn participates(&self) -> bool {
