@@ -4,7 +4,6 @@ use crate::config::NocConfig;
 use crate::link::{Keyed, Ports};
 use crate::stats::NocStats;
 use crate::ActFlit;
-use std::collections::VecDeque;
 
 impl Keyed for ActFlit {
     fn key(&self) -> u32 {
@@ -18,17 +17,18 @@ impl Keyed for ActFlit {
 /// Per cycle, each radix-`k` router grants **one** flit — the one with the
 /// smallest activation index among its input-buffer heads — to the next
 /// level if the parent buffer has a credit. The root consumes one winner
-/// per cycle (when the sink is ready) and pushes it into the
-/// fully-pipelined downward broadcast, which delivers it to *every* PE
-/// [`broadcast_latency`] cycles later.
+/// per cycle (when the sink is ready) and sends it down the
+/// fully-pipelined broadcast, which delivers it to *every* PE
+/// [`broadcast_latency`] cycles later. Nothing can stop a flit on its way
+/// down, so [`tick`](Self::tick) reports each flit when the root emits it,
+/// with its delivery cycle, and the tree keeps no record of it after that.
 ///
 /// A tick visits only the routers that may forward: those a flit landed
 /// in, those whose parent port returned a credit, and those that forwarded
 /// in the last tick. When no flit is on a link and no router below the
 /// root can forward, the tree is [quiet](Self::is_quiet): until the sink
-/// opens or a PE injects, every tick only repeats the same stall counts
-/// (and delivers what the downward pipeline holds), so
-/// [`skip_quiet`](Self::skip_quiet) books a run of them at once.
+/// opens or a PE injects, every tick only repeats the same stall counts,
+/// so [`skip_quiet`](Self::skip_quiet) books a run of them at once.
 ///
 /// [`broadcast_latency`]: NocConfig::broadcast_latency
 #[derive(Clone, Debug)]
@@ -46,11 +46,6 @@ pub struct BroadcastTree {
     woken: Vec<bool>,
     /// Routers that forwarded this tick.
     moved: Vec<usize>,
-    /// Downward broadcast pipeline: `(delivery_cycle, flit)`.
-    down: VecDeque<(u64, ActFlit)>,
-    /// The flit the root emitted in the last tick, with its delivery
-    /// cycle.
-    emitted: Option<(u64, ActFlit)>,
     cycle: u64,
     stats: NocStats,
     /// PEs whose leaf port returned a credit in the last tick.
@@ -71,8 +66,6 @@ impl BroadcastTree {
             ports: Ports::new(routers, cfg.radix, cfg.queue_capacity, cfg.hop_latency),
             woken: vec![false; routers],
             moved: Vec::new(),
-            down: VecDeque::new(),
-            emitted: None,
             cycle: 0,
             stats: NocStats::default(),
             credited: Vec::new(),
@@ -136,14 +129,14 @@ impl BroadcastTree {
     ///
     /// `sink_ready` gates the root: when `false` (some PE activation queue
     /// is full), the root holds its winner — backpressure instead of drops.
-    /// Returns the flit delivered to **all** PEs this cycle, if any.
-    pub fn tick(&mut self, sink_ready: bool) -> Option<ActFlit> {
+    /// Returns the flit the root emitted this cycle, if any, with the later
+    /// cycle on which the broadcast delivers it to **all** PEs.
+    pub fn tick(&mut self, sink_ready: bool) -> Option<(u64, ActFlit)> {
         self.cycle += 1;
         self.stats.cycles += 1;
         let cycle = self.cycle;
         let root = self.root();
         self.credited.clear();
-        self.emitted = None;
 
         // 1. Link arrivals: a router with a new head may forward.
         self.ports.land(cycle, &mut self.landed);
@@ -156,21 +149,15 @@ impl BroadcastTree {
         let waiting_below_root =
             self.ports.occupied() - usize::from(self.ports.winner(root).is_some());
 
-        // 2. Deliver the head of the downward pipeline if due.
-        let delivered = match self.down.front() {
-            Some(&(ready, _)) if ready <= cycle => self.down.pop_front().map(|(_, f)| f),
-            _ => None,
-        };
-
-        // 3. Root arbitration (gated by the sink).
+        // 2. Root arbitration (gated by the sink).
+        let mut emitted = None;
         if let Some(port) = self.ports.winner(root) {
             if sink_ready {
                 let flit = self.ports.pop(port);
                 // Delivered on a later tick: the pipeline's latency, and
                 // at least the next one.
                 let delivery = (cycle + self.cfg.broadcast_latency()).max(cycle + 1);
-                self.down.push_back((delivery, flit));
-                self.emitted = Some((delivery, flit));
+                emitted = Some((delivery, flit));
                 self.stats.root_emissions += 1;
                 self.stats.hops += 1;
                 self.credit(port);
@@ -179,7 +166,7 @@ impl BroadcastTree {
             }
         }
 
-        // 4. Lower levels, root side first so freed credits propagate.
+        // 3. Lower levels, root side first so freed credits propagate.
         // Every router below the root that holds a flit and does not
         // forward it stalls for want of a credit.
         let mut forwarded = 0;
@@ -211,18 +198,12 @@ impl BroadcastTree {
         }
         self.moved.clear();
 
-        // 5. Occupancy statistics: only a landing can raise a buffer.
+        // 4. Occupancy statistics: only a landing can raise a buffer.
         for &port in &self.landed {
             self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.ports.occupancy(port));
         }
 
-        delivered
-    }
-
-    /// The flit the root emitted in the last tick and the cycle on which
-    /// the downward pipeline delivers it to every PE.
-    pub fn emitted(&self) -> Option<(u64, ActFlit)> {
-        self.emitted
+        emitted
     }
 
     /// `true` when every flit has landed and no router below the root can
@@ -236,14 +217,13 @@ impl BroadcastTree {
     }
 
     /// Books `n` ticks of a [quiet](Self::is_quiet) tree in one step: the
-    /// cycles and the stall counts those ticks would have added. Returns
-    /// the flits those ticks deliver, each with its delivery cycle. The
+    /// cycles and the stall counts those ticks would have added. The
     /// caller keeps the sink closed and injects nothing over those cycles.
     ///
     /// # Panics
     ///
     /// Panics if the tree is not quiet.
-    pub fn skip_quiet(&mut self, n: u64) -> impl Iterator<Item = (u64, ActFlit)> + '_ {
+    pub fn skip_quiet(&mut self, n: u64) {
         assert!(self.is_quiet(), "only a quiet tree skips ticks");
         let root_waits = self.ports.winner(self.root()).is_some();
         if root_waits {
@@ -254,9 +234,6 @@ impl BroadcastTree {
         self.cycle += n;
         self.stats.cycles += n;
         self.credited.clear();
-        self.emitted = None;
-        let due = self.down.partition_point(|&(ready, _)| ready <= self.cycle);
-        self.down.drain(..due)
     }
 
     /// PEs whose leaf port returned a credit in the last tick: a PE that
@@ -265,15 +242,10 @@ impl BroadcastTree {
         &self.credited
     }
 
-    /// `true` when no flit is buffered in a router or on a link (the
-    /// downward pipeline may still carry some).
+    /// `true` when no flit is buffered in a router or on a link: every
+    /// injected flit has been emitted.
     pub fn is_empty(&self) -> bool {
         self.ports.is_empty()
-    }
-
-    /// `true` when no flit is buffered or in flight anywhere.
-    pub fn is_idle(&self) -> bool {
-        self.down.is_empty() && self.ports.is_empty()
     }
 
     /// Activity counters accumulated since construction.
@@ -298,13 +270,15 @@ mod tests {
         }
     }
 
+    /// The indices of the flits the root emits, in emission order (the
+    /// order every PE receives them in).
     fn drain(tree: &mut BroadcastTree, max_cycles: usize) -> Vec<u32> {
         let mut out = Vec::new();
         for _ in 0..max_cycles {
-            if let Some(f) = tree.tick(true) {
+            if let Some((_, f)) = tree.tick(true) {
                 out.push(f.index);
             }
-            if tree.is_idle() {
+            if tree.is_empty() {
                 break;
             }
         }
@@ -317,7 +291,7 @@ mod tests {
         assert!(tree.try_inject(17, flit(9)));
         let out = drain(&mut tree, 100);
         assert_eq!(out, vec![9]);
-        assert!(tree.is_idle());
+        assert!(tree.is_empty());
     }
 
     #[test]
@@ -328,10 +302,10 @@ mod tests {
         let mut out = Vec::new();
         for _ in 0..1000 {
             pending.retain(|&(pe, f)| !tree.try_inject(pe, f));
-            if let Some(f) = tree.tick(true) {
+            if let Some((_, f)) = tree.tick(true) {
                 out.push(f.index);
             }
-            if pending.is_empty() && tree.is_idle() {
+            if pending.is_empty() && tree.is_empty() {
                 break;
             }
         }
@@ -380,12 +354,12 @@ mod tests {
         for pe in 0..8 {
             assert!(tree.try_inject(pe, flit(pe as u32)));
         }
-        // Sink never ready: nothing may be delivered.
+        // Sink never ready: nothing may be emitted.
         for _ in 0..100 {
             assert_eq!(tree.tick(false), None);
         }
         assert!(tree.stats().sink_stalls > 0);
-        assert!(!tree.is_idle());
+        assert!(!tree.is_empty());
         // Release the sink: all 8 arrive.
         let out = drain(&mut tree, 200);
         assert_eq!(out.len(), 8);
@@ -400,10 +374,10 @@ mod tests {
         let mut deliveries = Vec::new();
         for _ in 0..2000 {
             pending.retain(|&(pe, f)| !tree.try_inject(pe, f));
-            if tree.tick(true).is_some() {
-                deliveries.push(tree.cycle());
+            if let Some((delivery, _)) = tree.tick(true) {
+                deliveries.push(delivery);
             }
-            if pending.is_empty() && tree.is_idle() {
+            if pending.is_empty() && tree.is_empty() {
                 break;
             }
         }
@@ -424,8 +398,8 @@ mod tests {
         assert!(tree.try_inject(0, flit(1)));
         let mut delivered_at = None;
         for _ in 0..100 {
-            if tree.tick(true).is_some() {
-                delivered_at = Some(tree.cycle());
+            if let Some((delivery, _)) = tree.tick(true) {
+                delivered_at = Some(delivery);
                 break;
             }
         }

@@ -35,11 +35,13 @@
 //! assert!(tree.try_inject(5, ActFlit { index: 42, value: 100 }));
 //! let mut delivered = Vec::new();
 //! for _ in 0..32 {
-//!     if let Some(f) = tree.tick(true) {
-//!         delivered.push(f.index);
+//!     // The root emits the flit; every PE receives it on `delivery`.
+//!     if let Some((delivery, f)) = tree.tick(true) {
+//!         delivered.push((delivery, f.index));
 //!     }
 //! }
-//! assert_eq!(delivered, vec![42]);
+//! assert_eq!(delivered.len(), 1);
+//! assert_eq!(delivered[0].1, 42);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -903,8 +903,7 @@ impl<'a> LayerStages<'a> {
             }
 
             // The queues count a flit from the moment the root emits it.
-            tree.tick(queues.min_free(cycle) > 0);
-            if let Some((arrives, f)) = tree.emitted() {
+            if let Some((arrives, f)) = tree.tick(queues.min_free(cycle) > 0) {
                 queues.emit(f, cycle, arrives);
             }
             for &id in tree.credits_returned() {
@@ -915,7 +914,8 @@ impl<'a> LayerStages<'a> {
             ready.clear();
             std::mem::swap(&mut ready, &mut next_ready);
 
-            if src_left == 0 && cycle >= queues.drain_end() && tree.is_idle() {
+            // Every emitted flit has arrived by the time the PEs drain.
+            if src_left == 0 && cycle >= queues.drain_end() && tree.is_empty() {
                 break;
             }
             if ready.is_empty() && tree.is_quiet() {
@@ -928,8 +928,7 @@ impl<'a> LayerStages<'a> {
                     queues.opens_at().expect("every PE consumes from cycle 1")
                 };
                 if next > cycle + 1 {
-                    // The queues took the skipped deliveries at emission.
-                    tree.skip_quiet(next - 1 - cycle).for_each(drop);
+                    tree.skip_quiet(next - 1 - cycle);
                     cycle = next - 1;
                 }
             }
