@@ -2,6 +2,7 @@
 //! (§V.B), column- vs row-based V scheduling (§V.C) and the λ sweep of
 //! Eq. (4).
 
+use super::side_by_side;
 use crate::fmt_f;
 use crate::report::Report;
 use sparsenn_core::datasets::DatasetKind;
@@ -190,8 +191,7 @@ pub fn sched() -> Report {
 
 /// Eq. (4) ablation: the sparsity/accuracy trade-off of the ℓ1 factor λ.
 pub fn lambda(p: Profile) -> Report {
-    let mut rows = Vec::new();
-    for &lambda in &[0.0f32, 1e-4, 1e-3, 5e-3, 2e-2] {
+    let rows = side_by_side(&[0.0f32, 1e-4, 1e-3, 5e-3, 2e-2], |&lambda| {
         let mut cfg = sparsenn_core::train::TrainConfig {
             epochs: p.epochs(),
             lambda,
@@ -206,12 +206,12 @@ pub fn lambda(p: Profile) -> Report {
             .test_samples(p.test_samples())
             .train_config(cfg)
             .build();
-        rows.push(vec![
+        vec![
             format!("{lambda:.0e}"),
             fmt_f(sys.test_error_rate() as f64, 2),
             fmt_f(sys.predicted_sparsity()[0] as f64, 1),
-        ]);
-    }
+        ]
+    });
     let mut out = Report::default();
     let _ = writeln!(
         out,

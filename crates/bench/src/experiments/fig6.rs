@@ -1,6 +1,7 @@
 //! Fig. 6: TER and predicted output sparsity vs predictor rank, 3-layer
 //! network, Truncated-SVD vs End-to-End, on BASIC / ROT / BG-RAND.
 
+use super::side_by_side;
 use crate::fmt_f;
 use crate::report::Report;
 use sparsenn_core::datasets::DatasetKind;
@@ -40,36 +41,43 @@ fn measure(kind: DatasetKind, alg: TrainingAlgorithm, rank: usize, p: Profile) -
         .test_samples(p.test_samples())
         .epochs(p.epochs())
         .build();
+    // NO-UV evaluation ignores the predictor, so only its TER is reported.
+    let sparsity = if alg == TrainingAlgorithm::NoUv {
+        0.0
+    } else {
+        sys.predicted_sparsity()[0]
+    };
     RankPoint {
         rank,
         ter: sys.test_error_rate(),
-        sparsity: sys.predicted_sparsity()[0],
+        sparsity,
     }
 }
 
-/// Runs the full Fig. 6 sweep for one dataset.
-pub fn sweep(kind: DatasetKind, p: Profile) -> Fig6Series {
-    let no_uv = SystemBuilder::new(kind)
-        .dims(&p.dims_3layer())
-        .rank(4)
-        .algorithm(TrainingAlgorithm::NoUv)
-        .train_samples(p.train_samples())
-        .test_samples(p.test_samples())
-        .epochs(p.epochs())
-        .build();
+/// Runs the full Fig. 6 sweep for each dataset in `kinds`, training all
+/// of their systems side by side.
+pub fn sweep(kinds: &[DatasetKind], p: Profile) -> Vec<Fig6Series> {
     let ranks = p.rank_sweep();
-    Fig6Series {
-        kind,
-        no_uv_ter: no_uv.test_error_rate(),
-        svd: ranks
-            .iter()
-            .map(|&r| measure(kind, TrainingAlgorithm::Svd, r, p))
-            .collect(),
-        end_to_end: ranks
-            .iter()
-            .map(|&r| measure(kind, TrainingAlgorithm::EndToEnd, r, p))
-            .collect(),
+    // Per dataset: the NO-UV reference, then SVD and End-to-End per rank.
+    let mut jobs = Vec::new();
+    for &kind in kinds {
+        jobs.push((kind, TrainingAlgorithm::NoUv, 4));
+        for &r in &ranks {
+            jobs.push((kind, TrainingAlgorithm::Svd, r));
+            jobs.push((kind, TrainingAlgorithm::EndToEnd, r));
+        }
     }
+    let points = side_by_side(&jobs, |&(kind, alg, rank)| measure(kind, alg, rank, p));
+    kinds
+        .iter()
+        .zip(points.chunks(1 + 2 * ranks.len()))
+        .map(|(&kind, pts)| Fig6Series {
+            kind,
+            no_uv_ter: pts[0].ter,
+            svd: pts[1..].iter().step_by(2).copied().collect(),
+            end_to_end: pts[2..].iter().step_by(2).copied().collect(),
+        })
+        .collect()
 }
 
 /// Renders the Fig. 6 report for all three datasets.
@@ -85,12 +93,11 @@ pub fn run(p: Profile) -> Report {
          much more slowly as the rank shrinks (≈1% gap on ROT at small ranks), while \
          End-to-End holds clearly higher predicted sparsity at small ranks.\n"
     );
-    for kind in DatasetKind::ALL {
-        let s = sweep(kind, p);
+    for s in sweep(&DatasetKind::ALL, p) {
         let _ = writeln!(
             out,
-            "### {kind} (NO UV reference TER: {:.2}%)\n",
-            s.no_uv_ter
+            "### {} (NO UV reference TER: {:.2}%)\n",
+            s.kind, s.no_uv_ter
         );
         let rows: Vec<Vec<String>> = s
             .svd

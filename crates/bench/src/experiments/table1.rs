@@ -1,6 +1,7 @@
 //! Table I: TER and per-layer predicted sparsity ρ of the 5-layer network
 //! at rank 15, for NO-UV / SVD / End-to-End on all three datasets.
 
+use super::side_by_side;
 use crate::fmt_f;
 use crate::report::Report;
 use sparsenn_core::datasets::DatasetKind;
@@ -95,41 +96,46 @@ pub fn run(p: Profile) -> Report {
         "## Table I — 5-layer network, rank {} (profile: {p})\n",
         p.table_rank()
     );
+    let jobs: Vec<(DatasetKind, TrainingAlgorithm)> =
+        [DatasetKind::Rot, DatasetKind::Basic, DatasetKind::BgRand]
+            .into_iter()
+            .flat_map(|kind| {
+                [
+                    TrainingAlgorithm::NoUv,
+                    TrainingAlgorithm::Svd,
+                    TrainingAlgorithm::EndToEnd,
+                ]
+                .map(|alg| (kind, alg))
+            })
+            .collect();
     let mut rows = Vec::new();
-    for kind in [DatasetKind::Rot, DatasetKind::Basic, DatasetKind::BgRand] {
-        for alg in [
-            TrainingAlgorithm::NoUv,
-            TrainingAlgorithm::Svd,
-            TrainingAlgorithm::EndToEnd,
-        ] {
-            let m = measure(kind, alg, p);
-            let paper = PAPER_TABLE_I
-                .iter()
-                .find(|(k, a, ..)| *k == kind.to_string() && *a == alg.to_string())
-                .expect("paper row exists");
-            let fmt_rho = |v: &[f32]| {
-                if v.is_empty() {
-                    "N.A.".to_string()
-                } else {
-                    v.iter()
-                        .map(|r| format!("{r:.1}"))
-                        .collect::<Vec<_>>()
-                        .join("/")
-                }
-            };
-            let paper_rho = match (paper.3, paper.4, paper.5) {
-                (Some(a), Some(b), Some(c)) => format!("{a:.1}/{b:.1}/{c:.1}"),
-                _ => "N.A.".to_string(),
-            };
-            rows.push(vec![
-                kind.to_string(),
-                alg.to_string(),
-                fmt_f(paper.2 as f64, 2),
-                fmt_f(m.ter as f64, 2),
-                paper_rho,
-                fmt_rho(&m.rho),
-            ]);
-        }
+    for m in side_by_side(&jobs, |&(kind, alg)| measure(kind, alg, p)) {
+        let paper = PAPER_TABLE_I
+            .iter()
+            .find(|(k, a, ..)| *k == m.kind.to_string() && *a == m.algorithm.to_string())
+            .expect("paper row exists");
+        let fmt_rho = |v: &[f32]| {
+            if v.is_empty() {
+                "N.A.".to_string()
+            } else {
+                v.iter()
+                    .map(|r| format!("{r:.1}"))
+                    .collect::<Vec<_>>()
+                    .join("/")
+            }
+        };
+        let paper_rho = match (paper.3, paper.4, paper.5) {
+            (Some(a), Some(b), Some(c)) => format!("{a:.1}/{b:.1}/{c:.1}"),
+            _ => "N.A.".to_string(),
+        };
+        rows.push(vec![
+            m.kind.to_string(),
+            m.algorithm.to_string(),
+            fmt_f(paper.2 as f64, 2),
+            fmt_f(m.ter as f64, 2),
+            paper_rho,
+            fmt_rho(&m.rho),
+        ]);
     }
     out.table(
         &[

@@ -2,13 +2,23 @@
 
 use std::fmt;
 
+/// Rows whose running sums one step of [`Matrix::matvec`] carries side by
+/// side.
+const MATVEC_ROWS: usize = 8;
+
+/// Columns one step of [`Matrix::matvec`] adds to each of its row sums.
+const MATVEC_COLS: usize = 4;
+
 /// A dense row-major matrix of `f32`.
 ///
 /// Deliberately minimal: the SparseNN training loop only ever needs
 /// matrix–vector products (forward pass), transposed matrix–vector products
 /// (backward pass), rank-1 updates (gradient accumulation) and a few
-/// element-wise maps. All kernels are written as straight loops over the
-/// row-major storage so the compiler can autovectorize them.
+/// element-wise maps. Kernels that add a row into an output row
+/// (`matvec_t`, `add_scaled_outer`, `matmul`, `matmul_t`) are straight loops
+/// over the row-major storage that the compiler vectorizes. A reduction
+/// such as `matvec`'s row sums may not be reordered, so it keeps each sum
+/// serial and runs several rows' sums side by side instead.
 ///
 /// # Example
 ///
@@ -151,16 +161,46 @@ impl Matrix {
 
     /// Matrix–vector product `y = A·x`.
     ///
+    /// Every `y[i]` is bit-identical to `vector::dot(row(i), x)`: it starts
+    /// from `0.0` and adds `A[i][j]·x[j]` in ascending `j`. The loop carries
+    /// [`MATVEC_ROWS`] rows' running sums side by side, one lane per row,
+    /// and adds [`MATVEC_COLS`] columns to each per step, so the independent
+    /// lanes hide the add latency that bounds a single serial sum. Rows
+    /// left over after the last full block go through `vector::dot`.
+    ///
     /// # Panics
     ///
     /// Panics if `x.len() != cols`.
     pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        let mut y = vec![0.0f32; self.rows];
-        for (i, yi) in y.iter_mut().enumerate() {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            *yi = crate::vector::dot(row, x);
+        let n = self.cols;
+        if n == 0 {
+            return vec![0.0; self.rows];
         }
+        let mut y = Vec::with_capacity(self.rows);
+        let blocks = self.data.chunks_exact(MATVEC_ROWS * n);
+        let rest = blocks.remainder();
+        let (x_steps, x_tail) = x.split_at(n - n % MATVEC_COLS);
+        for block in blocks {
+            let rows: [&[f32]; MATVEC_ROWS] = std::array::from_fn(|r| &block[r * n..(r + 1) * n]);
+            let mut acc = [0.0f32; MATVEC_ROWS];
+            for (j, xs) in x_steps.chunks_exact(MATVEC_COLS).enumerate() {
+                let j = j * MATVEC_COLS;
+                for (s, row) in acc.iter_mut().zip(&rows) {
+                    for (a, xc) in row[j..j + MATVEC_COLS].iter().zip(xs) {
+                        *s += a * xc;
+                    }
+                }
+            }
+            let j = x_steps.len();
+            for (s, row) in acc.iter_mut().zip(&rows) {
+                for (a, xc) in row[j..].iter().zip(x_tail) {
+                    *s += a * xc;
+                }
+            }
+            y.extend_from_slice(&acc);
+        }
+        y.extend(rest.chunks_exact(n).map(|row| crate::vector::dot(row, x)));
         y
     }
 
@@ -226,7 +266,11 @@ impl Matrix {
         }
     }
 
-    /// Matrix product `self · b` (used only on small predictor factors).
+    /// Matrix product `self · b`.
+    ///
+    /// Each output row sums `self[i][k]·b.row(k)` in ascending `k`, skipping
+    /// zero coefficients. [`truncated_svd`](crate::truncated::truncated_svd)
+    /// multiplies full weight matrices by their thin sketches with it.
     ///
     /// # Panics
     ///
@@ -244,6 +288,35 @@ impl Matrix {
                 let orow = &mut out.data[i * b.cols..(i + 1) * b.cols];
                 for (o, &bkj) in orow.iter_mut().zip(brow) {
                     *o += aik * bkj;
+                }
+            }
+        }
+        out
+    }
+
+    /// Transposed matrix product `selfᵀ · b`, without forming the transpose.
+    ///
+    /// Walks the rows the two matrices share in ascending order and adds
+    /// `self[k][i]·b.row(k)` into output row `i`, skipping zero
+    /// coefficients, so the result is bit-identical to
+    /// `self.transpose().matmul(b)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows != b.rows`.
+    pub fn matmul_t(&self, b: &Matrix) -> Matrix {
+        assert_eq!(self.rows, b.rows, "matmul_t dimension mismatch");
+        let mut out = Matrix::zeros(self.cols, b.cols);
+        for k in 0..self.rows {
+            let brow = &b.data[k * b.cols..(k + 1) * b.cols];
+            let arow = &self.data[k * self.cols..(k + 1) * self.cols];
+            for (i, &aki) in arow.iter().enumerate() {
+                if aki == 0.0 {
+                    continue;
+                }
+                let orow = &mut out.data[i * b.cols..(i + 1) * b.cols];
+                for (o, &bkj) in orow.iter_mut().zip(brow) {
+                    *o += aki * bkj;
                 }
             }
         }

@@ -64,7 +64,8 @@ const OVERSAMPLE: usize = 8;
 /// Computes a rank-`r` truncated SVD of `a` with a seeded Gaussian sketch.
 ///
 /// Deterministic for a given `(a, r, seed)` triple. `r` is clamped to
-/// `min(m, n)`.
+/// `min(m, n)`; at `r = 0` (an empty matrix, or a requested rank of 0)
+/// the factors are empty.
 ///
 /// # Example
 ///
@@ -78,7 +79,14 @@ const OVERSAMPLE: usize = 8;
 /// ```
 pub fn truncated_svd(a: &Matrix, r: usize, seed: u64) -> TruncatedSvd {
     let (m, n) = a.shape();
-    let r = r.min(m).min(n).max(1);
+    let r = r.min(m).min(n);
+    if r == 0 {
+        return TruncatedSvd {
+            u: Matrix::zeros(m, 0),
+            s: Vec::new(),
+            v: Matrix::zeros(n, 0),
+        };
+    }
     let k = (r + OVERSAMPLE).min(m).min(n);
 
     // Gaussian sketch Ω (n × k).
@@ -89,12 +97,12 @@ pub fn truncated_svd(a: &Matrix, r: usize, seed: u64) -> TruncatedSvd {
     let mut q = qr(&a.matmul(&omega)).q;
     // Subspace (power) iterations: Q ← orth(A·orth(Aᵀ·Q)).
     for _ in 0..POWER_ITERATIONS {
-        let z = qr(&a.transpose().matmul(&q)).q;
+        let z = qr(&a.matmul_t(&q)).q;
         q = qr(&a.matmul(&z)).q;
     }
 
     // Small core B = Qᵀ·A (k × n); SVD via Jacobi on the k-column transpose.
-    let b = q.transpose().matmul(a);
+    let b = q.matmul_t(a);
     let core = jacobi_svd(&b.transpose()); // Bᵀ = U₁·S·V₁ᵀ  ⇒  B = V₁·S·U₁ᵀ
     let u = q.matmul(&core.v); // m × k
     let v = core.u; // n × k
@@ -169,6 +177,19 @@ mod tests {
         let t = truncated_svd(&a, 100, 3);
         assert_eq!(t.s.len(), 4);
         assert_eq!(t.u.shape(), (6, 4));
+    }
+
+    #[test]
+    fn empty_matrices_give_empty_factors() {
+        for (m, n) in [(0, 5), (5, 0), (0, 0)] {
+            let t = truncated_svd(&Matrix::zeros(m, n), 3, 1);
+            assert_eq!(t.u.shape(), (m, 0));
+            assert!(t.s.is_empty());
+            assert_eq!(t.v.shape(), (n, 0));
+            let (u, v) = t.predictor_factors();
+            assert_eq!((u.shape(), v.shape()), ((m, 0), (0, n)));
+            assert_eq!(t.reconstruct(), Matrix::zeros(m, n));
+        }
     }
 
     #[test]

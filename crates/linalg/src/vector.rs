@@ -4,7 +4,10 @@
 //! statistics code. Functions that produce a vector allocate; in-place
 //! variants mutate their first argument.
 
-/// Dot product `xᵀ·y` accumulated in `f64` for stability.
+/// Dot product `xᵀ·y`, summed in `f32` in index order: the sum starts
+/// from `0.0` and adds `x[i]·y[i]` for `i = 0, 1, …`, each product and
+/// each addition rounded to `f32`. [`Matrix::matvec`](crate::Matrix::matvec)
+/// keeps this order for every row.
 ///
 /// # Panics
 ///

@@ -86,3 +86,71 @@ proptest! {
         prop_assert_eq!(vector::argmax(&xs), vector::argmax(&p));
     }
 }
+
+/// An `f32` from the values where a change of summation order shows:
+/// signed zeros, subnormals, magnitudes whose sums overflow to ±inf, and
+/// ordinary values.
+fn edge_f32() -> impl Strategy<Value = f32> {
+    (0usize..5, -1.0f32..1.0).prop_map(|(kind, v)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => v * f32::MIN_POSITIVE,
+        3 => 1e38f32.copysign(v),
+        _ => v * 8.0,
+    })
+}
+
+/// A `rows × cols` matrix of [`edge_f32`] entries in which one entry, when
+/// `spot` names one, is NaN, +inf or −inf.
+fn edge_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
+    (
+        prop::collection::vec(edge_f32(), rows * cols),
+        0..=rows * cols,
+        0usize..3,
+    )
+        .prop_map(move |(mut data, spot, kind)| {
+            if let Some(w) = data.get_mut(spot) {
+                *w = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][kind];
+            }
+            Matrix::from_vec(rows, cols, data)
+        })
+}
+
+/// The bit patterns of `v`, with every NaN mapped to one pattern: Rust
+/// leaves the sign and payload of a NaN that arithmetic produces
+/// unspecified, so whether a value is NaN is all that the order of the
+/// operations decides.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The row-blocked `matvec` sums every row exactly as `vector::dot`
+    /// does, for widths and heights on and off the block sizes.
+    #[test]
+    fn matvec_is_bitwise_the_serial_dot(
+        (a, x) in (0usize..=40, 0usize..=40).prop_flat_map(|(m, n)| {
+            (edge_matrix(m, n), prop::collection::vec(edge_f32(), n))
+        })
+    ) {
+        let serial: Vec<f32> = (0..a.rows()).map(|i| vector::dot(a.row(i), &x)).collect();
+        prop_assert_eq!(bits(&a.matvec(&x)), bits(&serial), "{:?}", a.shape());
+    }
+
+    /// `matmul_t` is bitwise the product through an explicit transpose.
+    #[test]
+    fn matmul_t_is_bitwise_the_transposed_matmul(
+        (a, b) in (0usize..=40, 0usize..=40, 0usize..=40).prop_flat_map(|(k, p, q)| {
+            (edge_matrix(k, p), edge_matrix(k, q))
+        })
+    ) {
+        let want = a.transpose().matmul(&b);
+        let got = a.matmul_t(&b);
+        prop_assert_eq!(got.shape(), want.shape());
+        prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{:?}", a.shape());
+    }
+}

@@ -25,8 +25,8 @@ use sparsenn_model::{Mlp, PredictedNetwork, Predictor};
 /// weights (the once-per-epoch step of the baseline).
 pub fn refresh_predictors(net: &mut PredictedNetwork, rank: usize, seed: u64) {
     for l in 0..net.predictors().len() {
-        let w = net.mlp().layers()[l].w().clone();
-        let svd = truncated_svd(&w, rank, seed ^ (l as u64).wrapping_mul(0x9E37_79B9));
+        let w = net.mlp().layers()[l].w();
+        let svd = truncated_svd(w, rank, seed ^ (l as u64).wrapping_mul(0x9E37_79B9));
         let (u, v) = svd.predictor_factors();
         net.predictors_mut()[l] = Predictor::new(u, v);
     }
