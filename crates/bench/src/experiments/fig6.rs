@@ -75,7 +75,7 @@ pub fn sweep(kinds: &[DatasetKind], p: Profile) -> Vec<Fig6Series> {
             kind,
             no_uv_ter: pts[0].ter,
             svd: pts[1..].iter().step_by(2).copied().collect(),
-            end_to_end: pts[2..].iter().step_by(2).copied().collect(),
+            end_to_end: pts[1..].iter().skip(1).step_by(2).copied().collect(),
         })
         .collect()
 }
