@@ -96,18 +96,16 @@ pub fn run(p: Profile) -> Report {
         "## Table I — 5-layer network, rank {} (profile: {p})\n",
         p.table_rank()
     );
-    let jobs: Vec<(DatasetKind, TrainingAlgorithm)> =
-        [DatasetKind::Rot, DatasetKind::Basic, DatasetKind::BgRand]
-            .into_iter()
-            .flat_map(|kind| {
-                [
-                    TrainingAlgorithm::NoUv,
-                    TrainingAlgorithm::Svd,
-                    TrainingAlgorithm::EndToEnd,
-                ]
-                .map(|alg| (kind, alg))
-            })
-            .collect();
+    let mut jobs = Vec::new();
+    for kind in [DatasetKind::Rot, DatasetKind::Basic, DatasetKind::BgRand] {
+        for alg in [
+            TrainingAlgorithm::NoUv,
+            TrainingAlgorithm::Svd,
+            TrainingAlgorithm::EndToEnd,
+        ] {
+            jobs.push((kind, alg));
+        }
+    }
     let mut rows = Vec::new();
     for m in side_by_side(&jobs, |&(kind, alg)| measure(kind, alg, p)) {
         let paper = PAPER_TABLE_I

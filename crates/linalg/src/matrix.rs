@@ -163,10 +163,10 @@ impl Matrix {
     ///
     /// Every `y[i]` is bit-identical to `vector::dot(row(i), x)`: it starts
     /// from `0.0` and adds `A[i][j]·x[j]` in ascending `j`. The loop carries
-    /// [`MATVEC_ROWS`] rows' running sums side by side, one lane per row,
-    /// and adds [`MATVEC_COLS`] columns to each per step, so the independent
-    /// lanes hide the add latency that bounds a single serial sum. Rows
-    /// left over after the last full block go through `vector::dot`.
+    /// eight rows' running sums side by side, one lane per row, and adds
+    /// four columns to each per step, so the independent lanes hide the add
+    /// latency that bounds a single serial sum. Rows left over after the
+    /// last full block go through `vector::dot`.
     ///
     /// # Panics
     ///
