@@ -28,7 +28,6 @@
 //! prints the same report).
 
 use crate::report::Report;
-use sparsenn_core::engine::LeastQueued;
 use sparsenn_frontend::{
     simulate_frontend_traced, AlertKind, BoundedQueues, BurnConfig, ClassBurnAlert,
     DegradeBatching, FrontendConfig, FrontendSummary, HedgeConfig, SloPolicy,
@@ -36,7 +35,7 @@ use sparsenn_frontend::{
 use sparsenn_obs::{
     analyze, breakdown_report, offline_top_k, Exemplar, RingRecorder, Span, TraceAnalysis,
 };
-use sparsenn_serve::{ShardSpec, Workload};
+use sparsenn_serve::{LeastQueued, ShardSpec, Workload};
 use std::fmt::Write as _;
 
 /// Uniform per-request service time of the synthetic shards, µs.

@@ -18,11 +18,13 @@
 
 use crate::fmt_f;
 use crate::report::Report;
-use sparsenn_core::engine::{BatchPolicy, CycleAccurateBackend, FirstIdle, InferenceBackend};
+use sparsenn_core::engine::{CycleAccurateBackend, InferenceBackend};
 use sparsenn_core::model::fixedpoint::UvMode;
 use sparsenn_core::numeric::Q6_10;
 use sparsenn_core::Profile;
-use sparsenn_serve::{simulate_batched, BatchShardSpec, MetricsMode, Workload};
+use sparsenn_serve::{
+    simulate_batched, BatchPolicy, BatchShardSpec, FirstIdle, MetricsMode, Workload,
+};
 use std::fmt::Write as _;
 
 /// Largest batch the study measures.

@@ -25,17 +25,15 @@
 
 use crate::fmt_f;
 use crate::report::Report;
-use sparsenn_core::engine::{
-    AdmitAll, BoundedQueues, CycleAccurateBackend, FastestCompletion, InferenceBackend,
-    LeastQueued, Priority,
-};
+use sparsenn_core::engine::{CycleAccurateBackend, InferenceBackend};
 use sparsenn_core::model::fixedpoint::UvMode;
 use sparsenn_core::Profile;
 use sparsenn_frontend::{
-    best_goodput, simulate_frontend, sweep_combos, AutoscaleConfig, DegradeBatching, Fault,
-    FaultPlan, FrontendConfig, FrontendSummary, HedgeConfig, SloPolicy,
+    best_goodput, simulate_frontend, sweep_combos, AdmitAll, AutoscaleConfig, BoundedQueues,
+    DegradeBatching, Fault, FaultPlan, FrontendConfig, FrontendSummary, HedgeConfig, Priority,
+    SloPolicy,
 };
-use sparsenn_serve::{fleet_capacity_rps, ShardSpec, Workload};
+use sparsenn_serve::{fleet_capacity_rps, FastestCompletion, LeastQueued, ShardSpec, Workload};
 use std::fmt::Write as _;
 
 const ORACLES: &[&str] = &[

@@ -19,9 +19,7 @@
 
 use crate::fmt_f;
 use crate::report::Report;
-use sparsenn_core::engine::{
-    BatchPolicy, CycleAccurateBackend, FirstIdle, InferenceBackend, LeastQueued, PartitionedMachine,
-};
+use sparsenn_core::engine::{CycleAccurateBackend, InferenceBackend, PartitionedMachine};
 use sparsenn_core::model::fixedpoint::UvMode;
 use sparsenn_core::numeric::Q6_10;
 use sparsenn_core::partition::InterChipConfig;
@@ -32,7 +30,8 @@ use sparsenn_frontend::{
 };
 use sparsenn_obs::{check_nesting, chrome_trace, min_wall_us, NullSink, RingRecorder, SpanKind};
 use sparsenn_serve::{
-    simulate_batched, simulate_batched_traced, BatchShardSpec, MetricsMode, ShardSpec, Workload,
+    simulate_batched, simulate_batched_traced, BatchPolicy, BatchShardSpec, FirstIdle, LeastQueued,
+    MetricsMode, ShardSpec, Workload,
 };
 use std::fmt::Write as _;
 

@@ -18,13 +18,14 @@
 
 use crate::fmt_f;
 use crate::report::Report;
-use sparsenn_core::engine::{
-    CycleAccurateBackend, FastestCompletion, FirstIdle, InferenceBackend, LeastQueued, Scheduler,
-};
+use sparsenn_core::engine::{CycleAccurateBackend, InferenceBackend};
 use sparsenn_core::model::fixedpoint::UvMode;
 use sparsenn_core::sim::simd::SimdPlatform;
 use sparsenn_core::Profile;
-use sparsenn_serve::{fleet_capacity_rps, simulate, ServeSummary, ShardSpec, Workload};
+use sparsenn_serve::{
+    fleet_capacity_rps, simulate, FastestCompletion, FirstIdle, LeastQueued, Scheduler,
+    ServeSummary, ShardSpec, Workload,
+};
 use std::fmt::Write as _;
 
 const ORACLES: &[&str] = &[

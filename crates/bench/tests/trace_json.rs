@@ -11,13 +11,15 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use sparsenn_bench::report::json::{lookup, parse, JsonValue, MAX_DEPTH};
 use sparsenn_bench::report::{parse_chrome_trace, BenchResults, ExperimentResult};
-use sparsenn_core::engine::{BatchPolicy, FirstIdle, LeastQueued};
 use sparsenn_frontend::{
     simulate_frontend_traced, BoundedQueues, DegradeBatching, FrontendConfig, HedgeConfig,
     SloPolicy,
 };
 use sparsenn_obs::{check_nesting, chrome_trace, RingRecorder, Span, SpanKind};
-use sparsenn_serve::{simulate_batched_traced, BatchShardSpec, MetricsMode, ShardSpec, Workload};
+use sparsenn_serve::{
+    simulate_batched_traced, BatchPolicy, BatchShardSpec, FirstIdle, LeastQueued, MetricsMode,
+    ShardSpec, Workload,
+};
 
 /// One traced front-end run on a synthetic 2-shard fleet: overload at
 /// 1.2x capacity with hedging and degrade batching on, so the trace

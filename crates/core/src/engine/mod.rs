@@ -29,21 +29,13 @@
 //!   with input broadcast / output gather costed by a chip-level
 //!   interconnect. Serves networks bigger than one chip's W memory;
 //!   bit-identical to a single chip whenever the network fits one.
-//! * [`Scheduler`] — which shard of a simulated fleet takes the next
-//!   request ([`FirstIdle`], [`LeastQueued`], [`FastestCompletion`]).
-//!   The `sparsenn-serve` and `sparsenn-frontend` virtual-time
-//!   simulators drive it.
-//! * [`AdmissionGate`] — admit, degrade or shed each [`Priority`] class
-//!   under overload instead of queueing forever; the policy trait the
-//!   `sparsenn-frontend` production-front-end simulator sweeps.
 //! * **Cross-request batching** — every backend serves batches through
 //!   [`InferenceBackend::run_batch`] (a serial loop by default; the
 //!   cycle-accurate machine overrides it with a true batched core that
 //!   reads each W row once per batch). Results come back as a
 //!   [`BatchRunRecord`]: per-sample records bit-identical to serial
 //!   [`run`](InferenceBackend::run) calls, plus the batch-amortized
-//!   clock/energy book. A [`BatchPolicy`] decides when a shard of the
-//!   `sparsenn-serve` queue-aware batching simulator dispatches.
+//!   clock/energy book.
 //!
 //! Every backend also stamps its records with a modelled wall-clock
 //! latency ([`RunRecord::time_us`]) from its own clock model — the
@@ -80,20 +72,20 @@
 //!
 //! [`SparseNnError`]: crate::SparseNnError
 
-mod admission;
 mod backends;
-mod batch;
 mod kernel;
 mod partitioned;
 mod record;
-mod scheduler;
 mod session;
 
-pub use admission::{AdmissionDecision, AdmissionGate, AdmitAll, BoundedQueues, Priority};
 pub use backends::{CycleAccurateBackend, GoldenBackend, InferenceBackend, SimdBackend};
-pub use batch::BatchPolicy;
 pub use kernel::KernelBackend;
 pub use partitioned::PartitionedMachine;
 pub use record::{BatchRunRecord, LayerRecord, RunRecord};
-pub use scheduler::{FastestCompletion, FirstIdle, LeastQueued, Scheduler, ShardView};
 pub use session::{default_worker_count, Session};
+
+// The serving policies live in `sparsenn-serve`. The repository benchmark
+// (`hostbench/src/serve.rs`) still imports these five from here, and it
+// changes only together with the benchmark, so they stay re-exported.
+#[doc(hidden)]
+pub use sparsenn_serve::{BatchPolicy, BoundedQueues, FastestCompletion, LeastQueued, Priority};

@@ -9,10 +9,9 @@
 //! control loops that a serving system needs on top of dispatch, all
 //! policy-pluggable and all exercised against seeded adversity:
 //!
-//! * **Admission** — the [`AdmissionGate`] trait from
-//!   `sparsenn_core::engine`: classify each request ([`Priority`]), then
-//!   admit, degrade, or shed it *before* it queues into a missed
-//!   deadline.
+//! * **Admission** — the [`AdmissionGate`] trait from `sparsenn_serve`:
+//!   classify each request ([`Priority`]), then admit, degrade, or shed
+//!   it *before* it queues into a missed deadline.
 //! * **Tail tolerance** — a [`FaultPlan`] injects seeded fail-stops and
 //!   straggler windows; a [`HedgeConfig`] fights back with hedged
 //!   duplicate attempts (first finisher wins, loser cancelled) and
@@ -34,11 +33,11 @@
 //! # Example
 //!
 //! ```
-//! use sparsenn_core::engine::{BoundedQueues, LeastQueued, Priority};
 //! use sparsenn_frontend::{
-//!     simulate_frontend, FaultPlan, FrontendConfig, HedgeConfig, SloPolicy,
+//!     simulate_frontend, BoundedQueues, FaultPlan, FrontendConfig, HedgeConfig, Priority,
+//!     SloPolicy,
 //! };
-//! use sparsenn_serve::{ShardSpec, Workload};
+//! use sparsenn_serve::{LeastQueued, ShardSpec, Workload};
 //!
 //! let fleet = vec![
 //!     ShardSpec::uniform("m0", 10.0),
@@ -78,10 +77,9 @@ pub use sim::{
 };
 pub use slo::{best_goodput, sweep_combos, ComboResult, SloPolicy};
 
+pub use sparsenn_obs::{AlertKind, BurnAlert, BurnConfig};
 // The shared policy vocabulary, re-exported so front-end code reads from
 // one place.
-pub use sparsenn_core::engine::{
-    AdmissionDecision, AdmissionGate, AdmitAll, BoundedQueues, Priority,
+pub use sparsenn_serve::{
+    AdmissionDecision, AdmissionGate, AdmitAll, BoundedQueues, Priority, ShardSpec, Workload,
 };
-pub use sparsenn_obs::{AlertKind, BurnAlert, BurnConfig};
-pub use sparsenn_serve::{ShardSpec, Workload};

@@ -7,9 +7,8 @@
 //! requests the workload issues — the same accounting regime as
 //! `sparsenn-serve`'s streaming mode.
 
-use sparsenn_core::engine::Priority;
 use sparsenn_obs::BurnAlert;
-use sparsenn_serve::LatencyStats;
+use sparsenn_serve::{LatencyStats, Priority};
 
 /// One burn-rate alert edge, tagged with the priority class whose SLO
 /// budget raised it (each class runs its own monitor).

@@ -26,15 +26,12 @@ use crate::metrics::{ClassBurnAlert, ClassStats, FrontendSummary};
 use crate::slo::SloPolicy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparsenn_core::engine::{
-    AdmissionDecision, AdmissionGate, BatchPolicy, Priority, Scheduler, ShardView,
-};
 use sparsenn_obs::{
     track, AttrKey, BurnConfig, BurnRateMonitor, NullSink, Span, SpanKind, TraceSink,
 };
 use sparsenn_serve::{
-    rate_per_s, Core, FleetEvent, ServeError, ShardSpec, StreamingLatency, Workload,
-    DEADLINE_SLACK_US,
+    rate_per_s, AdmissionDecision, AdmissionGate, BatchPolicy, Core, FleetEvent, Priority,
+    Scheduler, ServeError, ShardSpec, ShardView, StreamingLatency, Workload, DEADLINE_SLACK_US,
 };
 use std::collections::VecDeque;
 use std::ops::{Index, IndexMut};
@@ -1219,7 +1216,7 @@ fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparsenn_core::engine::{AdmitAll, BoundedQueues, FirstIdle, LeastQueued};
+    use sparsenn_serve::{AdmitAll, BoundedQueues, FirstIdle, LeastQueued};
 
     fn fleet(n: usize, service_us: f64) -> Vec<ShardSpec> {
         (0..n)

@@ -11,8 +11,7 @@ use crate::autoscale::AutoscaleConfig;
 use crate::hedge::HedgeConfig;
 use crate::metrics::FrontendSummary;
 use crate::sim::{simulate_frontend, DegradeBatching, FrontendConfig, FrontendError};
-use sparsenn_core::engine::{AdmissionGate, Priority, Scheduler};
-use sparsenn_serve::ShardSpec;
+use sparsenn_serve::{AdmissionGate, Priority, Scheduler, ShardSpec};
 
 /// Per-class end-to-end latency deadlines, µs.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -155,8 +154,7 @@ pub fn best_goodput(results: &[ComboResult]) -> Option<&ComboResult> {
 mod tests {
     use super::*;
     use crate::faults::FaultPlan;
-    use sparsenn_core::engine::{AdmitAll, BoundedQueues, FirstIdle, LeastQueued};
-    use sparsenn_serve::Workload;
+    use sparsenn_serve::{AdmitAll, BoundedQueues, FirstIdle, LeastQueued, Workload};
 
     #[test]
     fn slo_policy_checks_per_class_deadlines() {

@@ -12,7 +12,7 @@
 //! every arriving request, with the fleet's per-shard [`ShardView`]s and
 //! the number of same-class requests already queued.
 
-use crate::engine::scheduler::ShardView;
+use crate::scheduler::ShardView;
 
 /// Request priority class.
 ///

@@ -15,17 +15,17 @@
 //! queueing latency pays for the fill — sweep `(policy, load)` to find
 //! where an SLO sits on that curve. Feed
 //! [`BatchShardSpec::batch_service_us`] from the real batched machine
-//! (per-(backend, B) [`BatchRunRecord::batch_time_us`] tables) and the
-//! curve is the accelerator's, not an analytic guess.
-//!
-//! [`BatchRunRecord::batch_time_us`]: sparsenn_core::engine::BatchRunRecord
+//! (per-(backend, B) `BatchRunRecord::batch_time_us` tables from
+//! `sparsenn_core::engine`) and the curve is the accelerator's, not an
+//! analytic guess.
 
+use crate::batch_policy::BatchPolicy;
 use crate::core::{
     rate_per_s, Core, LatencyBook, MetricsMode, Request, ServeError, DEADLINE_SLACK_US,
 };
 use crate::metrics::{LatencyStats, RequestMetric, ShardUsage};
+use crate::scheduler::Scheduler;
 use crate::workload::Workload;
-use sparsenn_core::engine::{BatchPolicy, Scheduler};
 use sparsenn_obs::{track, AttrKey, NullSink, Span, SpanBuffer, SpanKind, TraceSink};
 
 /// One simulated batch-capable shard: a name and its modelled batch
@@ -94,8 +94,7 @@ pub struct BatchRecord {
 /// Everything a batched simulation run measured.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BatchedSummary {
-    /// Dispatch policy that placed arrivals
-    /// ([`Scheduler::name`](sparsenn_core::engine::Scheduler::name)).
+    /// Dispatch policy that placed arrivals ([`Scheduler::name`]).
     pub scheduler: String,
     /// Batching policy that fired dispatches ([`BatchPolicy::name`]).
     pub policy: String,
@@ -382,7 +381,7 @@ impl Batcher<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparsenn_core::engine::FirstIdle;
+    use crate::scheduler::FirstIdle;
 
     /// A batch-of-b table with a strong W-amortization win: the first
     /// sample costs full price, every further one 30%.

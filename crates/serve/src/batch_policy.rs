@@ -2,12 +2,12 @@
 //! requests queued for it as one batch.
 //!
 //! Batching trades latency for throughput: each extra sample in a batch
-//! rides the same W-memory sweep (see
-//! [`InferenceBackend::run_batch`](super::InferenceBackend::run_batch)),
-//! so throughput per shard rises with batch size — but the first request
-//! in the batch waits for the last to arrive. [`BatchPolicy`] names the
-//! two classic points on that curve: dispatch immediately with whatever
-//! is queued, or hold until the batch fills or a deadline expires.
+//! rides the same W-memory sweep (see `InferenceBackend::run_batch` in
+//! `sparsenn_core::engine`), so throughput per shard rises with batch
+//! size — but the first request in the batch waits for the last to
+//! arrive. [`BatchPolicy`] names the two classic points on that curve:
+//! dispatch immediately with whatever is queued, or hold until the batch
+//! fills or a deadline expires.
 
 /// When to dispatch queued requests as one batch.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]

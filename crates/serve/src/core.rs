@@ -3,8 +3,8 @@
 
 use crate::events::EventQueue;
 use crate::metrics::{LatencyStats, RequestMetric, ShardUsage, StreamingLatency};
+use crate::scheduler::ShardView;
 use crate::workload::{OpenArrivals, Workload};
-use sparsenn_core::engine::ShardView;
 use std::collections::VecDeque;
 
 /// Slack added to a hold window's oldest wait, µs: it absorbs float
@@ -44,7 +44,7 @@ pub enum ServeError {
     /// The workload parameters are invalid.
     InvalidWorkload(String),
     /// The batching policy's parameters are invalid
-    /// ([`BatchPolicy::validate`](sparsenn_core::engine::BatchPolicy::validate)).
+    /// ([`BatchPolicy::validate`](crate::BatchPolicy::validate)).
     InvalidPolicy(String),
 }
 

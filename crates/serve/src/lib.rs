@@ -11,10 +11,13 @@
 //!   serving state, arrivals, validation and scheduler views;
 //! * [`Workload`] — open-loop Poisson, bursty on/off, and closed-loop
 //!   fixed-concurrency arrival generators (seeded, deterministic);
-//! * [`Scheduler`] — the dispatch policy (re-exported from
-//!   `sparsenn_core::engine`, with its policies [`FirstIdle`],
-//!   [`LeastQueued`] and [`FastestCompletion`]), shared with the
-//!   `sparsenn-frontend` simulator;
+//! * [`Scheduler`] — the dispatch policy over per-shard [`ShardView`]s,
+//!   with its policies [`FirstIdle`], [`LeastQueued`] and
+//!   [`FastestCompletion`], shared with the `sparsenn-frontend`
+//!   simulator;
+//! * [`AdmissionGate`] — admit, degrade or shed each [`Priority`] class
+//!   under overload ([`AdmitAll`], [`BoundedQueues`]); the policy trait
+//!   the `sparsenn-frontend` simulator sweeps;
 //! * [`simulate`] — drives a [`ShardSpec`] fleet (each shard's modelled
 //!   per-request `time_us` table) on the core, one request at a time,
 //!   and folds a [`ServeSummary`]: latency p50/p95/p99, time-in-queue vs
@@ -27,9 +30,8 @@
 //! * [`simulate_batched`] — the queue-aware **cross-request batching**
 //!   model on the same core: shards serve whole batches
 //!   ([`BatchShardSpec`] carries the per-batch-size service table, fed
-//!   from the real batched machine) under a [`BatchPolicy`] (re-exported
-//!   from `sparsenn_core::engine`), exposing the throughput/latency knee
-//!   batching buys.
+//!   from the real batched machine) under a [`BatchPolicy`], exposing the
+//!   throughput/latency knee batching buys.
 //!
 //! The `sparsenn-frontend` crate's production front end drives a
 //! [`Core`] too, with the extended [`FleetEvent`] vocabulary (failures,
@@ -62,23 +64,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod admission;
 mod batch;
+mod batch_policy;
 mod core;
 mod events;
 mod metrics;
+mod scheduler;
 mod sim;
 mod workload;
 
 pub use crate::core::{rate_per_s, Core, MetricsMode, ServeError, Shard, DEADLINE_SLACK_US};
+pub use admission::{AdmissionDecision, AdmissionGate, AdmitAll, BoundedQueues, Priority};
 pub use batch::{
     simulate_batched, simulate_batched_traced, BatchRecord, BatchShardSpec, BatchedSummary,
 };
+pub use batch_policy::BatchPolicy;
 pub use events::{EventQueue, FleetEvent};
 pub use metrics::{
     LatencyStats, QueueStats, RequestMetric, ServeSummary, ShardUsage, StreamingLatency,
 };
+pub use scheduler::{FastestCompletion, FirstIdle, LeastQueued, Scheduler, ShardView};
 pub use sim::{fleet_capacity_rps, simulate, simulate_with, ShardSpec};
-pub use sparsenn_core::engine::{
-    BatchPolicy, FastestCompletion, FirstIdle, LeastQueued, Scheduler, ShardView,
-};
 pub use workload::{OpenArrivals, Workload};

@@ -93,7 +93,7 @@ pub struct QueueStats {
 pub struct ServeSummary {
     /// Dispatch policy that ran ([`Scheduler::name`]).
     ///
-    /// [`Scheduler::name`]: sparsenn_core::engine::Scheduler::name
+    /// [`Scheduler::name`]: crate::Scheduler::name
     pub scheduler: String,
     /// Workload description.
     pub workload: String,

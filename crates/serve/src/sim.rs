@@ -1,12 +1,12 @@
 //! The per-request fleet simulator: [`simulate`] and [`simulate_with`].
 //!
 //! One global virtual timeline, N shards, a pluggable
-//! [`Scheduler`](sparsenn_core::engine::Scheduler) driven on the shared
+//! [`Scheduler`] driven on the shared
 //! [`Core`]. Two event kinds drive the run:
 //!
 //! * **Arrival** — a request is issued (by the open-loop generator, or by
 //!   a closed-loop client finishing its previous request). The scheduler
-//!   sees a [`ShardView`](sparsenn_core::engine::ShardView) snapshot per
+//!   sees a [`ShardView`](crate::ShardView) snapshot per
 //!   shard and places the request: on an idle shard (service starts
 //!   immediately), behind a busy shard (it joins that shard's FIFO
 //!   queue), or — returning `None` — in the central queue, to be claimed
@@ -22,8 +22,8 @@
 
 use crate::core::{rate_per_s, Core, LatencyBook, MetricsMode, Request, ServeError, Shard};
 use crate::metrics::{QueueStats, RequestMetric, ServeSummary};
+use crate::scheduler::Scheduler;
 use crate::workload::Workload;
-use sparsenn_core::engine::Scheduler;
 
 /// One simulated shard: a name and its modelled per-request service times.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,8 +32,8 @@ pub struct ShardSpec {
     pub name: String,
     /// Modelled service times, microseconds. Request `i` costs
     /// `service_us[i % len]` on this shard — feed each backend's
-    /// per-sample [`time_us`](sparsenn_core::engine::RunRecord::time_us)
-    /// table for realistic variance, or a single mean.
+    /// per-sample `RunRecord::time_us` table (from
+    /// `sparsenn_core::engine`) for realistic variance, or a single mean.
     pub service_us: Vec<f64>,
 }
 
@@ -232,7 +232,7 @@ pub fn simulate_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparsenn_core::engine::{FastestCompletion, FirstIdle, LeastQueued};
+    use crate::scheduler::{FastestCompletion, FirstIdle, LeastQueued};
 
     fn homogeneous(n: usize, service_us: f64) -> Vec<ShardSpec> {
         (0..n)
@@ -412,7 +412,7 @@ mod tests {
             fn name(&self) -> &str {
                 "always-wait"
             }
-            fn pick(&self, _: &[sparsenn_core::engine::ShardView]) -> Option<usize> {
+            fn pick(&self, _: &[crate::ShardView]) -> Option<usize> {
                 None
             }
         }

@@ -5,10 +5,9 @@
 //! never holds a request past its deadline while the shard sits idle).
 
 use proptest::prelude::*;
-use sparsenn_core::engine::BatchPolicy;
 use sparsenn_serve::{
-    simulate_batched, simulate_with, BatchShardSpec, EventQueue, FastestCompletion, FirstIdle,
-    LeastQueued, MetricsMode, Scheduler, ShardSpec, Workload,
+    simulate_batched, simulate_with, BatchPolicy, BatchShardSpec, EventQueue, FastestCompletion,
+    FirstIdle, LeastQueued, MetricsMode, Scheduler, ShardSpec, Workload,
 };
 
 fn scheduler_for(which: usize) -> &'static dyn Scheduler {

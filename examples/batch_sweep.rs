@@ -9,9 +9,11 @@
 //! ```
 
 use sparsenn::datasets::DatasetKind;
-use sparsenn::engine::{BatchPolicy, CycleAccurateBackend, FirstIdle, InferenceBackend};
+use sparsenn::engine::{CycleAccurateBackend, InferenceBackend};
 use sparsenn::model::fixedpoint::UvMode;
-use sparsenn::serve::{simulate_batched, BatchShardSpec, MetricsMode, Workload};
+use sparsenn::serve::{
+    simulate_batched, BatchPolicy, BatchShardSpec, FirstIdle, MetricsMode, Workload,
+};
 use sparsenn::{SystemBuilder, TrainingAlgorithm};
 
 const MAX_BATCH: usize = 8;

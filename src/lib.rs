@@ -27,13 +27,13 @@
 pub use sparsenn_core::*;
 
 /// Virtual-time serving simulator (re-export of `sparsenn-serve`):
-/// workload generators, queueing metrics, and the [`engine::Scheduler`]
-/// policies its shards are dispatched by.
+/// workload generators, queueing metrics, and the serving policies
+/// ([`serve::Scheduler`], [`serve::AdmissionGate`], [`serve::BatchPolicy`]).
 pub use sparsenn_serve as serve;
 
 /// Production front end (re-export of `sparsenn-frontend`), simulated in
 /// virtual time: admission control and load shedding through
-/// [`engine::AdmissionGate`], plus fault injection, hedged requests,
+/// [`serve::AdmissionGate`], plus fault injection, hedged requests,
 /// autoscaling, and the SLO policy sweep.
 pub use sparsenn_frontend as frontend;
 

@@ -5,12 +5,12 @@
 //! win.
 
 use sparsenn::datasets::DatasetKind;
-use sparsenn::engine::{
-    BatchPolicy, CycleAccurateBackend, FirstIdle, GoldenBackend, InferenceBackend,
-};
+use sparsenn::engine::{CycleAccurateBackend, GoldenBackend, InferenceBackend};
 use sparsenn::model::fixedpoint::UvMode;
 use sparsenn::numeric::Q6_10;
-use sparsenn::serve::{simulate_batched, BatchShardSpec, MetricsMode, Workload};
+use sparsenn::serve::{
+    simulate_batched, BatchPolicy, BatchShardSpec, FirstIdle, MetricsMode, Workload,
+};
 use sparsenn::{SystemBuilder, TrainedSystem, TrainingAlgorithm};
 
 fn small_system() -> TrainedSystem {

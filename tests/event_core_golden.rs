@@ -9,17 +9,15 @@
 //! up here. The files pin the simulators' behaviour; they are never
 //! rewritten by the test.
 
-use sparsenn::engine::{
-    BatchPolicy, BoundedQueues, FastestCompletion, FirstIdle, LeastQueued, Scheduler, ShardView,
-};
 use sparsenn::frontend::{
-    simulate_frontend, simulate_frontend_traced, AutoscaleConfig, BurnConfig, DegradeBatching,
-    Fault, FaultPlan, FrontendConfig, HedgeConfig, SloPolicy,
+    simulate_frontend, simulate_frontend_traced, AutoscaleConfig, BoundedQueues, BurnConfig,
+    DegradeBatching, Fault, FaultPlan, FrontendConfig, HedgeConfig, SloPolicy,
 };
 use sparsenn::obs::{chrome_trace, RingRecorder};
 use sparsenn::serve::{
     fleet_capacity_rps, simulate, simulate_batched, simulate_batched_traced, simulate_with,
-    BatchShardSpec, MetricsMode, ShardSpec, Workload,
+    BatchPolicy, BatchShardSpec, FastestCompletion, FirstIdle, LeastQueued, MetricsMode, Scheduler,
+    ShardSpec, ShardView, Workload,
 };
 
 /// Compares `actual` with `tests/golden/<name>`, reporting the first

@@ -6,11 +6,11 @@
 //! plans are bit-deterministic; and the autoscaler grows into a burst
 //! (paying warm-up) and retires idle shards after it.
 
-use sparsenn::engine::{AdmitAll, BoundedQueues, LeastQueued, Priority};
 use sparsenn::frontend::{
-    simulate_frontend, AutoscaleConfig, Fault, FaultPlan, FrontendConfig, HedgeConfig, SloPolicy,
+    simulate_frontend, AdmitAll, AutoscaleConfig, BoundedQueues, Fault, FaultPlan, FrontendConfig,
+    HedgeConfig, Priority, SloPolicy,
 };
-use sparsenn::serve::{fleet_capacity_rps, simulate, ShardSpec, Workload};
+use sparsenn::serve::{fleet_capacity_rps, simulate, LeastQueued, ShardSpec, Workload};
 
 /// Four uniform 10 µs shards: 100k rps each, 400k rps fleet capacity.
 fn fleet() -> Vec<ShardSpec> {

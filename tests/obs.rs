@@ -6,7 +6,7 @@
 //! nothing about the simulation's results.
 
 use sparsenn::datasets::DatasetKind;
-use sparsenn::engine::{CycleAccurateBackend, InferenceBackend, LeastQueued, PartitionedMachine};
+use sparsenn::engine::{CycleAccurateBackend, InferenceBackend, PartitionedMachine};
 use sparsenn::frontend::{
     simulate_frontend, simulate_frontend_traced, BoundedQueues, DegradeBatching, Fault, FaultPlan,
     FrontendConfig, FrontendSummary, HedgeConfig, SloPolicy,
@@ -14,7 +14,7 @@ use sparsenn::frontend::{
 use sparsenn::model::fixedpoint::UvMode;
 use sparsenn::obs::{check_nesting, chrome_trace, NullSink, RingRecorder, Span, SpanKind};
 use sparsenn::partition::InterChipConfig;
-use sparsenn::serve::{ShardSpec, Workload};
+use sparsenn::serve::{LeastQueued, ShardSpec, Workload};
 use sparsenn::{SystemBuilder, TrainedSystem, TrainingAlgorithm};
 
 fn small_system() -> TrainedSystem {

@@ -11,10 +11,12 @@
 //! The CI `partition-smoke` step runs this file in release mode.
 
 use sparsenn::datasets::DatasetKind;
-use sparsenn::engine::{FastestCompletion, InferenceBackend, PartitionedMachine};
+use sparsenn::engine::{InferenceBackend, PartitionedMachine};
 use sparsenn::model::fixedpoint::UvMode;
 use sparsenn::partition::{plan, InterChipConfig};
-use sparsenn::serve::{simulate, FirstIdle, LeastQueued, ShardSpec, Workload};
+use sparsenn::serve::{
+    simulate, FastestCompletion, FirstIdle, LeastQueued, Scheduler, ShardSpec, Workload,
+};
 use sparsenn::sim::MachineConfig;
 use sparsenn::{SparseNnError, SystemBuilder, TrainedSystem, TrainingAlgorithm};
 
@@ -194,7 +196,7 @@ fn partitioned_time_tables_drive_the_serving_simulator() {
         seed: 3,
     };
     for scheduler in [
-        &FirstIdle as &dyn sparsenn::engine::Scheduler,
+        &FirstIdle as &dyn Scheduler,
         &LeastQueued,
         &FastestCompletion,
     ] {

@@ -5,13 +5,12 @@
 //! exemplars are exactly the K slowest analysed requests.
 
 use proptest::prelude::*;
-use sparsenn::engine::LeastQueued;
 use sparsenn::frontend::{
     simulate_frontend_traced, BoundedQueues, DegradeBatching, FrontendConfig, HedgeConfig,
     SloPolicy,
 };
 use sparsenn::obs::{analyze, offline_top_k, RingRecorder, Span};
-use sparsenn::serve::{ShardSpec, Workload};
+use sparsenn::serve::{LeastQueued, ShardSpec, Workload};
 
 const SERVICE_US: f64 = 10.0;
 const REQUESTS: usize = 300;

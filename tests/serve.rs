@@ -6,11 +6,11 @@
 //! heterogeneous machine + SIMD fleet.
 
 use sparsenn::datasets::DatasetKind;
-use sparsenn::engine::{
-    CycleAccurateBackend, FastestCompletion, FirstIdle, InferenceBackend, Scheduler, SimdBackend,
-};
+use sparsenn::engine::{CycleAccurateBackend, InferenceBackend, SimdBackend};
 use sparsenn::model::fixedpoint::UvMode;
-use sparsenn::serve::{fleet_capacity_rps, simulate, ShardSpec, Workload};
+use sparsenn::serve::{
+    fleet_capacity_rps, simulate, FastestCompletion, FirstIdle, Scheduler, ShardSpec, Workload,
+};
 use sparsenn::sim::simd::SimdPlatform;
 use sparsenn::{SystemBuilder, TrainedSystem, TrainingAlgorithm};
 
