@@ -23,10 +23,10 @@
 //!   gate's degrade tier onto the batch-native substrate (held, then
 //!   flushed as amortized batches).
 
+use super::service_table;
 use crate::fmt_f;
 use crate::report::Report;
-use sparsenn_core::engine::{CycleAccurateBackend, InferenceBackend};
-use sparsenn_core::model::fixedpoint::UvMode;
+use sparsenn_core::engine::CycleAccurateBackend;
 use sparsenn_core::Profile;
 use sparsenn_frontend::{
     best_goodput, simulate_frontend, sweep_combos, AdmitAll, AutoscaleConfig, BoundedQueues,
@@ -42,20 +42,6 @@ const ORACLES: &[&str] = &[
     "frontend.hedged_beats_unhedged",
     "frontend.autoscale.reacts",
 ];
-
-/// Per-sample modelled service times of the cycle-accurate machine (same
-/// bridge as the serve experiment).
-fn machine_table(sys: &sparsenn_core::TrainedSystem, batch: usize) -> Vec<f64> {
-    let backend: Box<dyn InferenceBackend> =
-        Box::new(CycleAccurateBackend::new(sys.machine().clone()));
-    let mut table = Vec::with_capacity(batch);
-    sys.session_with(backend)
-        .stream_batch(batch, UvMode::On, |_, record| {
-            table.push(record.time_us());
-        })
-        .expect("the study network fits the machine");
-    table
-}
 
 fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len().max(1) as f64
@@ -85,7 +71,11 @@ pub fn run(p: Profile) -> Report {
 /// table is consumed).
 pub fn measure_with(p: Profile, sys: &sparsenn_core::TrainedSystem) -> Report {
     let batch = (p.sim_samples() * 4).min(sys.split().test.len());
-    let machine_us = machine_table(sys, batch);
+    let machine_us = service_table(
+        sys,
+        Box::new(CycleAccurateBackend::new(sys.machine().clone())),
+        batch,
+    );
     let service = mean(&machine_us);
 
     let fleet: Vec<ShardSpec> = (0..4)

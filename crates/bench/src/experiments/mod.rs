@@ -19,7 +19,27 @@ pub mod table2;
 pub mod table3;
 pub mod table4;
 
+use sparsenn_core::engine::InferenceBackend;
+use sparsenn_core::model::fixedpoint::UvMode;
+use sparsenn_core::TrainedSystem;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The per-sample modelled service times of one backend on the first
+/// `batch` test samples — the bridge from the inference engine's clock
+/// models to the serving simulators' service tables.
+fn service_table(
+    sys: &TrainedSystem,
+    backend: Box<dyn InferenceBackend>,
+    batch: usize,
+) -> Vec<f64> {
+    let mut table = Vec::with_capacity(batch);
+    sys.session_with(backend)
+        .stream_batch(batch, UvMode::On, |_, record| {
+            table.push(record.time_us());
+        })
+        .expect("the study network fits every backend");
+    table
+}
 
 /// Maps `f` over `items` on `engine::default_worker_count()` scoped
 /// threads and returns the results in input order. Every thread is joined

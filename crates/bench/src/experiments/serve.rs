@@ -16,10 +16,10 @@
 //!   platforms of Table IV (cf. LRADNN / DNN-Engine), where
 //!   fastest-expected-completion should beat first-idle on p95.
 
+use super::service_table;
 use crate::fmt_f;
 use crate::report::Report;
-use sparsenn_core::engine::{CycleAccurateBackend, InferenceBackend};
-use sparsenn_core::model::fixedpoint::UvMode;
+use sparsenn_core::engine::CycleAccurateBackend;
 use sparsenn_core::sim::simd::SimdPlatform;
 use sparsenn_core::Profile;
 use sparsenn_serve::{
@@ -32,23 +32,6 @@ const ORACLES: &[&str] = &[
     "serve.closed_loop_matches_model",
     "serve.fec_beats_first_idle_p95",
 ];
-
-/// The per-sample modelled service times of one backend on the first
-/// `batch` test samples — the bridge from the inference engine's clock
-/// models to the simulator's service tables.
-fn service_table(
-    sys: &sparsenn_core::TrainedSystem,
-    backend: Box<dyn InferenceBackend>,
-    batch: usize,
-) -> Vec<f64> {
-    let mut table = Vec::with_capacity(batch);
-    sys.session_with(backend)
-        .stream_batch(batch, UvMode::On, |_, record| {
-            table.push(record.time_us());
-        })
-        .expect("the study network fits every backend");
-    table
-}
 
 const SCHEDULERS: [&dyn Scheduler; 3] = [&FirstIdle, &LeastQueued, &FastestCompletion];
 

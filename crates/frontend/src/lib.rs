@@ -77,9 +77,9 @@ pub use sim::{
 };
 pub use slo::{best_goodput, sweep_combos, ComboResult, SloPolicy};
 
-pub use sparsenn_obs::{AlertKind, BurnAlert, BurnConfig};
 // The shared policy vocabulary, re-exported so front-end code reads from
 // one place.
+pub use sparsenn_obs::{AlertKind, BurnAlert, BurnConfig};
 pub use sparsenn_serve::{
     AdmissionDecision, AdmissionGate, AdmitAll, BoundedQueues, Priority, ShardSpec, Workload,
 };

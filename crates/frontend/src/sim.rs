@@ -490,8 +490,7 @@ impl<'a> Engine<'a> {
         );
     }
 
-    /// The shards as a scheduler or admission gate sees them when placing
-    /// `request`.
+    /// The shards as a scheduler sees them when placing `request`.
     fn views(&mut self, now: f64, request: usize) -> &[ShardView] {
         let (specs, health) = (self.specs, &self.health);
         self.core.views(now, |i| {
@@ -823,7 +822,7 @@ impl<'a> Engine<'a> {
         });
         self.classes[class.index()].offered += 1;
         let (admission, waiting) = (self.admission, self.waiting[class.index()]);
-        match admission.decide(class, waiting, self.views(now, request)) {
+        match admission.decide(class, waiting) {
             AdmissionDecision::Admit => {
                 self.classes[class.index()].admitted += 1;
                 self.emit_marker(SpanKind::Admit, request, now);

@@ -9,10 +9,8 @@
 //! explicit, per [`Priority`] class, *before* a request touches a shard.
 //!
 //! The `sparsenn-frontend` virtual-time simulator consults the gate for
-//! every arriving request, with the fleet's per-shard [`ShardView`]s and
-//! the number of same-class requests already queued.
-
-use crate::scheduler::ShardView;
+//! every arriving request, with the number of same-class requests already
+//! queued.
 
 /// Request priority class.
 ///
@@ -68,14 +66,9 @@ pub trait AdmissionGate {
     fn name(&self) -> &str;
 
     /// Decides the fate of one arriving request of class `class`, given
-    /// each shard's [`ShardView`] and the number of *same-class* requests
-    /// already waiting (queued but not in service) fleet-wide.
-    fn decide(
-        &self,
-        class: Priority,
-        waiting_same_class: usize,
-        views: &[ShardView],
-    ) -> AdmissionDecision;
+    /// the number of *same-class* requests already waiting (queued but
+    /// not in service) fleet-wide.
+    fn decide(&self, class: Priority, waiting_same_class: usize) -> AdmissionDecision;
 }
 
 /// The null gate: every request is admitted. Unbounded queueing — the
@@ -88,7 +81,7 @@ impl AdmissionGate for AdmitAll {
         "admit-all"
     }
 
-    fn decide(&self, _: Priority, _: usize, _: &[ShardView]) -> AdmissionDecision {
+    fn decide(&self, _: Priority, _: usize) -> AdmissionDecision {
         AdmissionDecision::Admit
     }
 }
@@ -142,12 +135,7 @@ impl AdmissionGate for BoundedQueues {
         "bounded"
     }
 
-    fn decide(
-        &self,
-        class: Priority,
-        waiting_same_class: usize,
-        _views: &[ShardView],
-    ) -> AdmissionDecision {
+    fn decide(&self, class: Priority, waiting_same_class: usize) -> AdmissionDecision {
         if waiting_same_class >= self.cap(class) {
             return AdmissionDecision::Shed;
         }
@@ -177,10 +165,7 @@ mod tests {
     #[test]
     fn admit_all_never_sheds() {
         for class in Priority::ALL {
-            assert_eq!(
-                AdmitAll.decide(class, usize::MAX, &[]),
-                AdmissionDecision::Admit
-            );
+            assert_eq!(AdmitAll.decide(class, usize::MAX), AdmissionDecision::Admit);
         }
         assert_eq!(AdmitAll.name(), "admit-all");
     }
@@ -188,36 +173,21 @@ mod tests {
     #[test]
     fn bounded_queues_shed_at_their_caps() {
         let gate = BoundedQueues::new(10, 4);
-        assert_eq!(
-            gate.decide(Priority::High, 9, &[]),
-            AdmissionDecision::Admit
-        );
-        assert_eq!(
-            gate.decide(Priority::High, 10, &[]),
-            AdmissionDecision::Shed
-        );
-        assert_eq!(gate.decide(Priority::Low, 3, &[]), AdmissionDecision::Admit);
-        assert_eq!(gate.decide(Priority::Low, 4, &[]), AdmissionDecision::Shed);
+        assert_eq!(gate.decide(Priority::High, 9), AdmissionDecision::Admit);
+        assert_eq!(gate.decide(Priority::High, 10), AdmissionDecision::Shed);
+        assert_eq!(gate.decide(Priority::Low, 3), AdmissionDecision::Admit);
+        assert_eq!(gate.decide(Priority::Low, 4), AdmissionDecision::Shed);
         assert_eq!(gate.name(), "bounded");
     }
 
     #[test]
     fn degrade_tier_applies_only_to_low_priority() {
         let gate = BoundedQueues::new(10, 8).degrade_low_beyond(2);
-        assert_eq!(gate.decide(Priority::Low, 1, &[]), AdmissionDecision::Admit);
-        assert_eq!(
-            gate.decide(Priority::Low, 2, &[]),
-            AdmissionDecision::Degrade
-        );
-        assert_eq!(
-            gate.decide(Priority::Low, 7, &[]),
-            AdmissionDecision::Degrade
-        );
-        assert_eq!(gate.decide(Priority::Low, 8, &[]), AdmissionDecision::Shed);
+        assert_eq!(gate.decide(Priority::Low, 1), AdmissionDecision::Admit);
+        assert_eq!(gate.decide(Priority::Low, 2), AdmissionDecision::Degrade);
+        assert_eq!(gate.decide(Priority::Low, 7), AdmissionDecision::Degrade);
+        assert_eq!(gate.decide(Priority::Low, 8), AdmissionDecision::Shed);
         // High priority passes straight through the degrade band.
-        assert_eq!(
-            gate.decide(Priority::High, 5, &[]),
-            AdmissionDecision::Admit
-        );
+        assert_eq!(gate.decide(Priority::High, 5), AdmissionDecision::Admit);
     }
 }

@@ -19,14 +19,15 @@ pub struct ShardView {
     pub healthy: bool,
     /// `true` when the shard is neither serving nor holding queued work.
     pub idle: bool,
-    /// Requests on the shard: in service (0 or 1) plus waiting in its
-    /// queue. Always 0 when `idle`.
+    /// Requests on the shard: in service plus waiting in its queue. In
+    /// service is one request, or a whole batch under
+    /// [`simulate_batched`](crate::simulate_batched). Always 0 when `idle`.
     pub depth: usize,
     /// Modelled time until the shard could *start* a new request,
-    /// microseconds: remaining service of the in-flight request plus the
-    /// service demand of everything queued behind it. 0 when idle; the
-    /// batching simulator estimates each queued request at its shard's
-    /// batch-of-1 time.
+    /// microseconds: remaining service of the in-flight request or batch
+    /// plus the service demand of everything queued behind it. 0 when
+    /// idle; the batching simulator estimates each queued request at its
+    /// shard's batch-of-1 time.
     pub backlog_us: f64,
     /// Modelled service time of the request being placed, *on this shard*,
     /// microseconds.
