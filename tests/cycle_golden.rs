@@ -13,15 +13,20 @@
 //! paper's default machine, they pin non-default machines where flow
 //! control binds hardest: the `ablation_noc` study's fat layer over its
 //! activation-queue and router-buffer sweeps, and the system's network on
-//! multi-cycle hops, a 16-PE radix-2 tree and shallow queues. The files
-//! pin the machine's behaviour; they are never rewritten by the test.
+//! multi-cycle hops, a 16-PE radix-2 tree and shallow queues. Partitioned
+//! runs pin the chip tiles: three chips on the shallow-queue machine, where
+//! the V results wait at the sink gate; two wavefront chips on the 16-PE
+//! tree; and four chips with uneven tiles over the predictor-less network.
+//! The files pin the machine's behaviour; they are never rewritten by the
+//! test.
 
 use sparsenn::datasets::DatasetKind;
-use sparsenn::engine::{CycleAccurateBackend, InferenceBackend};
+use sparsenn::engine::{CycleAccurateBackend, InferenceBackend, PartitionedMachine};
 use sparsenn::linalg::init::seeded_rng;
 use sparsenn::model::fixedpoint::{FixedNetwork, UvMode};
 use sparsenn::model::Mlp;
 use sparsenn::noc::NocConfig;
+use sparsenn::partition::{InterChipConfig, PipelineMode};
 use sparsenn::sim::{Machine, MachineConfig};
 use sparsenn::train::TrainConfig;
 use sparsenn::{SystemBuilder, TrainedSystem, TrainingAlgorithm};
@@ -193,30 +198,99 @@ fn three_cycle_hops() {
     check("cycle_hop3.txt", &two_images_on(cfg));
 }
 
-#[test]
-fn sixteen_pes_on_a_radix_two_tree() {
+/// Activation queues of two entries and one-flit router buffers.
+fn shallow_queues() -> MachineConfig {
     let d = *system().machine().config();
-    let cfg = MachineConfig {
-        noc: NocConfig {
-            num_pes: 16,
-            radix: 2,
-            ..d.noc
-        },
-        ..d
-    };
-    check("cycle_radix2_16pe.txt", &two_images_on(cfg));
-}
-
-#[test]
-fn shallow_activation_queues_and_router_buffers() {
-    let d = *system().machine().config();
-    let cfg = MachineConfig {
+    MachineConfig {
         act_queue_depth: 2,
         noc: NocConfig {
             queue_capacity: 1,
             ..d.noc
         },
         ..d
-    };
-    check("cycle_shallow_queues.txt", &two_images_on(cfg));
+    }
+}
+
+/// Sixteen PEs on a radix-2 tree.
+fn radix_two_sixteen_pes() -> MachineConfig {
+    let d = *system().machine().config();
+    MachineConfig {
+        noc: NocConfig {
+            num_pes: 16,
+            radix: 2,
+            ..d.noc
+        },
+        ..d
+    }
+}
+
+#[test]
+fn sixteen_pes_on_a_radix_two_tree() {
+    check(
+        "cycle_radix2_16pe.txt",
+        &two_images_on(radix_two_sixteen_pes()),
+    );
+}
+
+#[test]
+fn shallow_activation_queues_and_router_buffers() {
+    check("cycle_shallow_queues.txt", &two_images_on(shallow_queues()));
+}
+
+/// The plan's tile sizes, then the records of `net` on the system's first
+/// two test images in `mode`.
+fn two_images_partitioned(pm: &PartitionedMachine, net: &FixedNetwork, mode: UvMode) -> String {
+    let sys = system();
+    let mut out = String::new();
+    for (l, layer) in pm.plan().layers().iter().enumerate() {
+        let sizes: Vec<usize> = layer.tiles.iter().map(Vec::len).collect();
+        let _ = writeln!(out, "layer {l} tile rows {sizes:?}");
+    }
+    for i in 0..2 {
+        let x = sys.fixed().quantize_input(sys.split().test.image(i));
+        let record = pm.run(net, &x, mode).unwrap();
+        let _ = writeln!(out, "{mode:?} image {i}\n{record:#?}");
+    }
+    out
+}
+
+#[test]
+fn three_serialized_chips_on_shallow_queues() {
+    let net = system().fixed();
+    let pm = PartitionedMachine::new(net, shallow_queues(), 3, InterChipConfig::default()).unwrap();
+    check(
+        "cycle_chips3_shallow_uv_on.txt",
+        &two_images_partitioned(&pm, net, UvMode::On),
+    );
+}
+
+#[test]
+fn two_wavefront_chips_on_a_radix_two_tree() {
+    let net = system().fixed();
+    let pm = PartitionedMachine::with_pipeline(
+        net,
+        radix_two_sixteen_pes(),
+        2,
+        InterChipConfig::default(),
+        PipelineMode::Wavefront,
+    )
+    .unwrap();
+    check(
+        "cycle_chips2_wavefront_radix2.txt",
+        &two_images_partitioned(&pm, net, UvMode::On),
+    );
+}
+
+/// The trained weights without their predictors over four chips: the
+/// nnz-weighted planner scatters each tile's rows over the layer, and the
+/// classifier's ten rows split 2, 2, 3, 3.
+#[test]
+fn four_chips_with_uneven_tiles_and_no_predictor() {
+    let net = FixedNetwork::from_mlp(system().network().mlp());
+    let cfg = *system().machine().config();
+    let pm = PartitionedMachine::new(&net, cfg, 4, InterChipConfig::default()).unwrap();
+    check(
+        "cycle_chips4_uneven_uv_off.txt",
+        &two_images_partitioned(&pm, &net, UvMode::Off),
+    );
 }
