@@ -4,7 +4,7 @@
 use crate::engine::backends::{validate_shapes, InferenceBackend};
 use crate::engine::record::{LayerRecord, RunRecord};
 use crate::error::SparseNnError;
-use sparsenn_model::fixedpoint::{FixedMatrix, FixedNetwork, FixedPredictor, UvMode};
+use sparsenn_model::fixedpoint::{FixedNetwork, UvMode};
 use sparsenn_numeric::Q6_10;
 use sparsenn_obs::{track, AttrKey, Span, SpanKind, TraceSink};
 use sparsenn_partition::{
@@ -73,37 +73,39 @@ fn emit_chip_spans(
     );
 }
 
-/// One chip's share of one layer: its global row indices, its weight
-/// tile, and (for predicted layers) its predictor tile.
-struct ChipTile {
-    rows: Vec<usize>,
-    w: FixedMatrix,
-    predictor: Option<FixedPredictor>,
-}
-
 /// Several cycle-accurate chips serving one (possibly oversized) network
 /// under a [`PartitionPlan`].
 ///
 /// This is the execution side of [`sparsenn_partition`]: construction
-/// plans the network once ([`sparsenn_partition::plan`]) and cuts each
-/// layer's output rows into per-chip tiles. A run executes every tile on
-/// an unmodified cycle-accurate [`Machine`], broadcasts the (sparse)
-/// input activations to all chips and gathers the per-chip output
-/// slices over a chip-level interconnect costed by [`InterChipConfig`].
-/// This is how the serving stack holds networks bigger than one chip's
-/// 8 MB W memory. The machine is bound to the network it was planned
-/// for: a run with any other network returns
-/// [`SparseNnError::Partition`].
+/// plans the network once ([`sparsenn_partition::plan`]), and the plan's
+/// tiles — one sorted list of output rows per chip and layer — are all
+/// the machine keeps besides a handle to the network. A tile is a row
+/// list into the shared [`FixedNetwork`], never a copy of its weights. A
+/// run simulates each layer's tiles together on the cycle-accurate
+/// [`Machine`] ([`Machine::run_tiles`]), broadcasts the (sparse) input
+/// activations to all chips and gathers the per-chip output slices over
+/// a chip-level interconnect costed by [`InterChipConfig`]. This is how
+/// the serving stack holds networks bigger than one chip's 8 MB W
+/// memory. The machine is bound to the network it was planned for: a
+/// run with any other network returns [`SparseNnError::Partition`].
 ///
 /// **Determinism and bit-exactness.** Row arithmetic is row-local: a
 /// chip computing row `r` of a layer performs exactly the operand-level
 /// work the single big machine would (same zero-skipping, same
 /// full-precision accumulate, same round-to-nearest-even writeback), and
-/// a tiled predictor carries the whole V factor, so the quantized `V·a`
-/// — and hence every predictor bit — matches too. The gathered outputs
-/// and masks are therefore **bit-identical** to a single-chip
-/// [`Machine`] run for any network that fits one chip (the oracle the
-/// integration tests enforce).
+/// every chip computes the full `V·a` from the broadcast input, so the
+/// quantized V result — and hence every predictor bit — matches too.
+/// The gathered outputs and masks are therefore **bit-identical** to a
+/// single-chip [`Machine`] run for any network that fits one chip (the
+/// oracle the integration tests enforce).
+///
+/// **One V reduction per layer.** The V phase depends only on the layer
+/// input, V and the chip configuration, so the chips' identical V
+/// reductions are simulated once per layer and each chip replays the
+/// results into its own activation queues for its U phase. Every chip
+/// still books the whole V work (V MACs and reads, the reduce tree's
+/// books and its own phase length), so each chip's record is the one it
+/// would have alone.
 ///
 /// **Time and energy accounting.** Per layer, under the default
 /// [`PipelineMode::Serialized`] schedule:
@@ -160,11 +162,10 @@ pub struct PartitionedMachine {
     interchip: InterChipConfig,
     pipeline: PipelineMode,
     plan: PartitionPlan,
-    /// A handle to the network the tiles were cut from, the only one
-    /// `run` serves: one pointer compare for the shared network the
-    /// backend was built with, a structural compare for any other.
+    /// A handle to the network the plan tiles, the only one `run`
+    /// serves: one pointer compare for the shared network the backend
+    /// was built with, a structural compare for any other.
     planned: FixedNetwork,
-    tiles: Vec<Vec<ChipTile>>,
     name: String,
 }
 
@@ -213,7 +214,6 @@ impl PartitionedMachine {
         pipeline: PipelineMode,
     ) -> Result<Self, SparseNnError> {
         let plan = plan_network(net, &chip, chips)?;
-        let tiles = cut_tiles(net, &plan);
         let name = match pipeline {
             PipelineMode::Serialized => format!("partitioned({chips} chips x cycle-accurate)"),
             PipelineMode::Wavefront => {
@@ -226,7 +226,6 @@ impl PartitionedMachine {
             pipeline,
             plan,
             planned: net.clone(),
-            tiles,
             name,
         })
     }
@@ -300,9 +299,10 @@ impl PartitionedMachine {
         let mut chip_free_us = vec![0.0f64; chips];
         let mut input_ready_us = 0.0f64;
         let mut prev_end_us = 0.0f64;
-        for (l, layer_tiles) in self.tiles.iter().enumerate() {
+        for (l, layer_plan) in self.plan.layers().iter().enumerate() {
             let is_hidden = l + 1 < net.num_layers();
-            let rows = net.layers()[l].rows();
+            let w = &net.layers()[l];
+            let rows = w.rows();
             let nnz_in = acts.iter().filter(|v| !v.is_zero()).count();
             let broadcast_cycles = icc.broadcast_cycles(chips, nnz_in);
             let mut flit_hops = icc.broadcast_flit_hops(chips, nnz_in);
@@ -312,7 +312,24 @@ impl PartitionedMachine {
                 input_ready_us = icc.time_us(broadcast_cycles);
             }
 
-            let predicted = mode == UvMode::On && is_hidden && l < net.predictors().len();
+            let predictor = if is_hidden {
+                net.predictors().get(l)
+            } else {
+                None
+            };
+            let predicted = mode == UvMode::On && predictor.is_some();
+            // A chip with an empty tile idles through the layer.
+            let (live, tiles): (Vec<usize>, Vec<&[usize]>) = layer_plan
+                .tiles
+                .iter()
+                .enumerate()
+                .filter(|(_, tile)| !tile.is_empty())
+                .map(|(c, tile)| (c, tile.as_slice()))
+                .unzip();
+            let runs = self
+                .chip
+                .run_tiles(w, predictor, &acts, is_hidden, mode, &tiles)
+                .map_err(|e| relabel_layer(e.into(), l))?;
             let mut output = vec![Q6_10::ZERO; rows];
             let mut mask = predicted.then(|| vec![false; rows]);
             let mut events = MachineEvents::default();
@@ -320,31 +337,19 @@ impl PartitionedMachine {
             // breakdown is that chip's own vu/w split (mixing maxima
             // from different chips would describe no chip at all).
             let (mut max_cycles, mut crit_vu) = (0u64, 0u64);
-            // Per-chip runs are retained only for the wavefront clock;
-            // the serialized schedule needs nothing past the fold above.
-            let keep_runs = self.pipeline == PipelineMode::Wavefront;
-            let mut runs: Vec<Option<LayerRun>> = Vec::with_capacity(chips);
             // Serialized chip spans start after this layer's broadcast;
             // wavefront spans are placed later, when each chip's actual
             // start is known.
             let serial_start_us = serial_cursor_us + icc.time_us(broadcast_cycles);
-            for (c, tile) in layer_tiles.iter().enumerate() {
-                if tile.rows.is_empty() {
-                    runs.push(None);
-                    continue;
-                }
-                let run = self
-                    .chip
-                    .run_layer(&tile.w, tile.predictor.as_ref(), &acts, is_hidden, mode)
-                    .map_err(|e| relabel_layer(e.into(), l))?;
+            for ((&c, tile), run) in live.iter().zip(&tiles).zip(&runs) {
                 if let (Some(ctx), PipelineMode::Serialized) = (trace, self.pipeline) {
-                    emit_chip_spans(ctx, cfg, l, c, serial_start_us, &run);
+                    emit_chip_spans(ctx, cfg, l, c, serial_start_us, run);
                 }
-                for (local, &global) in tile.rows.iter().enumerate() {
+                for (local, &global) in tile.iter().enumerate() {
                     output[global] = run.output[local];
                 }
                 if let (Some(mask), Some(tile_mask)) = (&mut mask, &run.mask) {
-                    for (local, &global) in tile.rows.iter().enumerate() {
+                    for (local, &global) in tile.iter().enumerate() {
                         mask[global] = tile_mask[local];
                     }
                 }
@@ -353,7 +358,6 @@ impl PartitionedMachine {
                     crit_vu = run.vu_cycles;
                 }
                 events.merge(&run.events);
-                runs.push(keep_runs.then_some(run));
             }
 
             let nnz_out = output.iter().filter(|v| !v.is_zero()).count();
@@ -419,8 +423,7 @@ impl PartitionedMachine {
                         }
                     }
                     let mut slices = Vec::with_capacity(chips);
-                    for (c, run) in runs.iter().enumerate() {
-                        let Some(run) = run else { continue };
+                    for (&c, run) in live.iter().zip(&runs) {
                         let start = input_ready_us.max(chip_free_us[c]);
                         if let Some(ctx) = trace {
                             emit_chip_spans(ctx, cfg, l, c, start, run);
@@ -526,33 +529,6 @@ fn relabel_layer(e: SparseNnError, l: usize) -> SparseNnError {
         },
         other => other,
     }
-}
-
-/// Cuts per-chip weight and predictor tiles for every layer of `net`
-/// under `plan` (which must match the network's shapes).
-fn cut_tiles(net: &FixedNetwork, plan: &PartitionPlan) -> Vec<Vec<ChipTile>> {
-    plan.layers()
-        .iter()
-        .enumerate()
-        .map(|(l, layer)| {
-            let w = &net.layers()[l];
-            let is_hidden = l + 1 < net.num_layers();
-            let predictor = if is_hidden {
-                net.predictors().get(l)
-            } else {
-                None
-            };
-            layer
-                .tiles
-                .iter()
-                .map(|rows| ChipTile {
-                    rows: rows.clone(),
-                    w: w.select_rows(rows),
-                    predictor: predictor.map(|p| p.select_rows(rows)),
-                })
-                .collect()
-        })
-        .collect()
 }
 
 impl InferenceBackend for PartitionedMachine {

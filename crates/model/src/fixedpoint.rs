@@ -60,27 +60,6 @@ impl FixedMatrix {
         self.data[i * self.cols + j]
     }
 
-    /// A new matrix holding the given rows of this one, in the given
-    /// order — the row-tiling primitive of model-parallel partitioning:
-    /// a chip's weight tile is `select_rows(tile_rows)` and computes
-    /// exactly the rows the plan assigned it, bit-identically to the
-    /// full matrix (row arithmetic is row-local).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn select_rows(&self, rows: &[usize]) -> FixedMatrix {
-        let mut data = Vec::with_capacity(rows.len() * self.cols);
-        for &r in rows {
-            data.extend_from_slice(self.row(r));
-        }
-        FixedMatrix {
-            rows: rows.len(),
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// Full-precision dot product of row `i` with the activation vector,
     /// skipping zero activations (they contribute nothing — this is why
     /// input-sparsity skipping is *exact*, not approximate).
@@ -142,22 +121,6 @@ impl FixedPredictor {
     pub fn predict(&self, a: &[Q6_10]) -> Vec<bool> {
         self.u_phase(&self.v_phase(a))
     }
-
-    /// The predictor for a row tile of the layer: U keeps only the tile's
-    /// rows (each U row gates one output neuron), V is carried whole —
-    /// every chip computes the full `V·a` locally from the broadcast
-    /// input, so the quantized V result (and hence every predictor bit)
-    /// is bit-identical to the unpartitioned predictor's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds for U.
-    pub fn select_rows(&self, rows: &[usize]) -> FixedPredictor {
-        FixedPredictor {
-            u: self.u.select_rows(rows),
-            v: self.v.clone(),
-        }
-    }
 }
 
 /// Whether the golden model (and the machine) uses the UV predictor.
@@ -178,7 +141,7 @@ pub enum UvMode {
 ///
 /// The network is a cheap handle to immutable, shared weights: `clone()`
 /// copies a pointer, never the weights, so backends can cache the
-/// network they packed or tiled at O(1) cost. Equality is a pointer
+/// network they packed or partitioned at O(1) cost. Equality is a pointer
 /// compare when both handles share one allocation — the steady state of
 /// every per-call "is this still the cached network?" guard — and the
 /// full structural compare otherwise, so an equal network built
@@ -427,24 +390,6 @@ mod tests {
             }
             assert_eq!(m.row_dot(i, &a), dense);
         }
-    }
-
-    #[test]
-    fn select_rows_is_bit_exact_per_row() {
-        let (_, fixed) = quantized_net(6, &[8, 16, 4], 2);
-        let w = &fixed.layers()[0];
-        let tile = w.select_rows(&[3, 0, 15]);
-        assert_eq!(tile.rows(), 3);
-        assert_eq!(tile.cols(), 8);
-        assert_eq!(tile.row(0), w.row(3));
-        assert_eq!(tile.row(1), w.row(0));
-        assert_eq!(tile.row(2), w.row(15));
-        // A tiled predictor produces the same bits for its rows.
-        let p = &fixed.predictors()[0];
-        let x = fixed.quantize_input(&[0.4; 8]);
-        let full = p.predict(&x);
-        let sub = p.select_rows(&[5, 2]).predict(&x);
-        assert_eq!(sub, vec![full[5], full[2]]);
     }
 
     #[test]

@@ -45,6 +45,21 @@
 //! datapath would have issued it. Golden snapshots in the repository's
 //! `tests/cycle_golden.rs` pin all of it on several machines.
 //!
+//! # Chip tiles
+//!
+//! [`Machine::run_tiles`] simulates one layer on several identical chips,
+//! each holding a tile of its rows. A tile is a row list into the shared
+//! weights, not a copy: position `i` of a tile computes output row
+//! `tile[i]`, so local row `k` of PE `p` reads W and U row
+//! `tile[p + k · num_pes]`. Every chip receives the whole input, and the V
+//! reduction depends only on it, V and the machine, so it is simulated
+//! once per layer; each tile replays the reduced V results into its own
+//! activation queues for its U phase, then runs its own W phase. Each chip
+//! still books the whole V work (V MACs and reads, the reduce tree's
+//! books) and its own phase lengths, so every tile's [`LayerRun`] equals
+//! the run of a chip that holds only that tile. [`Machine::run_layer`] is
+//! the one-tile case.
+//!
 //! # Example
 //!
 //! ```

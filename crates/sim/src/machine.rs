@@ -2,11 +2,10 @@
 
 use crate::config::MachineConfig;
 use crate::events::MachineEvents;
-use crate::pe::{ActQueues, Pe};
+use crate::pe::{ActQueues, Pe, PeSource};
 use sparsenn_model::fixedpoint::{FixedMatrix, FixedNetwork, FixedPredictor, UvMode};
-use sparsenn_noc::{ActFlit, BroadcastTree, ReduceTree};
+use sparsenn_noc::{ActFlit, BroadcastTree, NocStats, ReduceTree};
 use sparsenn_numeric::{Accumulator, Q6_10};
-use std::collections::VecDeque;
 
 /// Why a simulation request could not run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -348,12 +347,16 @@ impl Machine {
     ///
     /// `predictor` is used only when `mode == UvMode::On` and
     /// `is_hidden` — exactly the layers the paper equips with predictors.
+    /// This is [`run_tiles`](Self::run_tiles) with the one tile
+    /// `0..w.rows()`.
     ///
     /// # Errors
     ///
-    /// [`MachineError::LayerDoesNotFit`] if the machine cannot run or the
-    /// layer exceeds one of its limits, [`MachineError::WMemoryOverflow`]
-    /// if the weights exceed the W memory, and
+    /// [`MachineError::LayerDoesNotFit`] if the machine cannot run, the
+    /// layer exceeds one of its limits or a predictor in use is not shaped
+    /// to the layer (U of `w.rows()` rows, V of `w.cols()` columns, U's
+    /// columns matching V's rows), [`MachineError::WMemoryOverflow`] if
+    /// the weights exceed the W memory, and
     /// [`MachineError::InputWidthMismatch`] if `input.len()` differs from
     /// the layer's column count.
     pub fn run_layer(
@@ -364,7 +367,41 @@ impl Machine {
         is_hidden: bool,
         mode: UvMode,
     ) -> Result<LayerRun, MachineError> {
-        let mut stages = LayerStages::begin(&self.cfg, w, predictor, input, is_hidden, mode)?;
+        let all: Vec<usize> = (0..w.rows()).collect();
+        let mut runs = self.run_tiles(w, predictor, input, is_hidden, mode, &[all])?;
+        Ok(runs.pop().expect("one run per tile"))
+    }
+
+    /// Simulates one layer on as many identical chips as there are
+    /// `tiles`, each holding the rows its tile names: position `i` of a
+    /// tile computes output row `tile[i]`, so local row `k` of PE `p`
+    /// reads W and U row `tile[p + k · num_pes]`. The weights are read
+    /// from `w` and `predictor` in place.
+    ///
+    /// Every chip receives the whole input. The V reduction depends only
+    /// on it, V and the machine, so it is simulated once for all tiles,
+    /// and each tile replays its results into its own activation queues
+    /// for the U phase; every run still books the V work (MACs, V reads
+    /// and the reduce tree's books) as its chip did it. Each returned
+    /// [`LayerRun`], indexed by tile position, equals a
+    /// [`run_layer`](Self::run_layer) on a matrix holding only the tile's
+    /// rows of `w` and of the predictor's U.
+    ///
+    /// # Errors
+    ///
+    /// As for [`run_layer`](Self::run_layer), judged on the largest tile,
+    /// and [`MachineError::LayerDoesNotFit`] for a tile row `≥ w.rows()`.
+    pub fn run_tiles<T: AsRef<[usize]>>(
+        &self,
+        w: &FixedMatrix,
+        predictor: Option<&FixedPredictor>,
+        input: &[Q6_10],
+        is_hidden: bool,
+        mode: UvMode,
+        tiles: &[T],
+    ) -> Result<Vec<LayerRun>, MachineError> {
+        let mut stages =
+            LayerStages::begin(&self.cfg, w, predictor, input, is_hidden, mode, tiles)?;
         stages.run_vu();
         stages.run_w();
         Ok(stages.writeback())
@@ -493,17 +530,23 @@ impl Machine {
             }
             mask
         });
-        let mut stages =
-            LayerStages::begin(&self.cfg, w, None, &union_input, is_hidden, UvMode::Off)
-                .map_err(|e| relabel_layer_error(e, layer))?;
+        let all: Vec<usize> = (0..w.rows()).collect();
+        let mut stages = LayerStages::begin(
+            &self.cfg,
+            w,
+            None,
+            &union_input,
+            is_hidden,
+            UvMode::Off,
+            &[all],
+        )
+        .map_err(|e| relabel_layer_error(e, layer))?;
         match &union_mask {
             Some(mask) => stages.force_predictor(mask),
-            None => {
-                stages.run_vu();
-            }
+            None => stages.run_vu(),
         }
         stages.run_w();
-        let union_run = stages.writeback();
+        let union_run = stages.writeback().pop().expect("one run per tile");
 
         let vu_cycles: u64 = per_sample.iter().map(|r| r.vu_cycles).sum();
         let serial_w_cycles: u64 = per_sample.iter().map(|r| r.w_cycles).sum();
@@ -536,348 +579,397 @@ impl Machine {
     }
 }
 
-/// The staged core of one layer simulation: the machine's three-phase
-/// schedule made explicit.
+/// The staged core of one layer simulation on one or more chips, each
+/// holding a tile of the layer's rows: the machine's three-phase schedule
+/// made explicit.
 ///
-/// [`begin`](Self::begin) validates the shapes and loads the PEs;
-/// [`run_vu`](Self::run_vu) executes the overlapped V/U predictor phases
-/// (a no-op outside predicted layers) or
-/// [`force_predictor`](Self::force_predictor) loads a verdict computed
-/// elsewhere; [`run_w`](Self::run_w) executes the feedforward W phase,
-/// stamping every row's last MAC cycle; and [`writeback`](Self::writeback)
-/// quantizes the accumulators into the [`LayerRun`], including the
-/// per-row availability profile ([`LayerRun::row_ready`]) the wavefront
-/// multi-chip executor schedules transfers from. [`Machine::run_layer`]
-/// is exactly `begin → run_vu → run_w → writeback`.
+/// [`begin`](Self::begin) validates the shapes and loads the PEs: one
+/// input side per PE, shared by every tile, and one row side per PE and
+/// tile. [`run_vu`](Self::run_vu) executes the overlapped V/U predictor
+/// phases (a no-op outside predicted layers): the V reduction once, then
+/// each tile's U phase. [`force_predictor`](Self::force_predictor) loads
+/// a verdict computed elsewhere instead; [`run_w`](Self::run_w) executes
+/// each tile's feedforward W phase, stamping every row's last MAC cycle;
+/// and [`writeback`](Self::writeback) quantizes the accumulators into one
+/// [`LayerRun`] per tile, including the per-row availability profile
+/// ([`LayerRun::row_ready`]) the wavefront multi-chip executor schedules
+/// transfers from. [`Machine::run_tiles`] is exactly
+/// `begin → run_vu → run_w → writeback`.
 struct LayerStages<'a> {
     cfg: &'a MachineConfig,
     w: &'a FixedMatrix,
     predictor: Option<&'a FixedPredictor>,
     is_hidden: bool,
     predicted: bool,
+    /// Per PE: its nonzero inputs, the same on every chip.
+    sources: Vec<PeSource>,
+    tiles: Vec<TileStages>,
+    vu_done: bool,
+    w_done: bool,
+}
+
+/// One chip's share of a layer: its PEs' rows of the tile and its books.
+struct TileStages {
+    rows: usize,
     pes: Vec<Pe>,
     ev: MachineEvents,
     pe_busy: Vec<u64>,
-    vu_cycles: Option<u64>,
-    w_cycles: Option<u64>,
+    vu_cycles: u64,
+    w_cycles: u64,
+}
+
+/// The V phase's reduction, which depends only on the layer input, V and
+/// the machine, not on a tile: every chip's PEs compute the same partial
+/// sums and the reduce tree merges them on the same cycles.
+struct VReduction {
+    /// The nonzero quantized V results, in the order the root finished
+    /// them; zero results are never broadcast (the U phase skips them
+    /// exactly).
+    flits: Vec<ActFlit>,
+    /// The cycle on which the root finished each of `flits`.
+    finished: Vec<u64>,
+    /// Per PE: the first cycle of its U phase.
+    u_start: Vec<u64>,
+    /// Per PE: its datapath's V MACs.
+    v_macs: Vec<u64>,
+    /// The cycle on which the last partial sum left the root (at least 1).
+    settled: u64,
+    /// The V work every chip books: MACs, V reads and the reduce tree's
+    /// books, less its cycles, which run to each chip's own phase end.
+    ev: MachineEvents,
 }
 
 impl<'a> LayerStages<'a> {
-    /// Validates the layer against the machine limits and loads the PEs'
-    /// source register files — everything up to (but not including) the
-    /// first simulated cycle.
+    /// Validates the layer and its tiles against the machine limits and
+    /// loads the PEs' source register files and rows — everything up to
+    /// (but not including) the first simulated cycle.
     ///
     /// # Errors
     ///
-    /// As for [`Machine::run_layer`].
-    fn begin(
+    /// As for [`Machine::run_tiles`].
+    fn begin<T: AsRef<[usize]>>(
         cfg: &'a MachineConfig,
         w: &'a FixedMatrix,
         predictor: Option<&'a FixedPredictor>,
         input: &[Q6_10],
         is_hidden: bool,
         mode: UvMode,
+        tiles: &[T],
     ) -> Result<Self, MachineError> {
-        cfg.validate_layer(w.rows(), w.cols())
-            .map_err(|e| match e {
-                crate::LayerFitError::WMemoryOverflow { words, capacity } => {
-                    MachineError::WMemoryOverflow {
-                        layer: 0,
-                        words,
-                        capacity,
-                    }
-                }
-                other => MachineError::LayerDoesNotFit {
+        let does_not_fit = |reason: String| MachineError::LayerDoesNotFit { layer: 0, reason };
+        let largest = tiles.iter().map(|t| t.as_ref().len()).max().unwrap_or(0);
+        cfg.validate_layer(largest, w.cols()).map_err(|e| match e {
+            crate::LayerFitError::WMemoryOverflow { words, capacity } => {
+                MachineError::WMemoryOverflow {
                     layer: 0,
-                    reason: other.to_string(),
-                },
-            })?;
+                    words,
+                    capacity,
+                }
+            }
+            other => does_not_fit(other.to_string()),
+        })?;
+        if let Some(row) = tiles
+            .iter()
+            .flat_map(|t| t.as_ref())
+            .find(|&&row| row >= w.rows())
+        {
+            return Err(does_not_fit(format!(
+                "tile row {row} is past the layer's {} rows",
+                w.rows()
+            )));
+        }
         if input.len() != w.cols() {
             return Err(MachineError::InputWidthMismatch {
                 expected: w.cols(),
                 got: input.len(),
             });
         }
+        let predictor = predictor.filter(|_| mode == UvMode::On && is_hidden);
+        if let Some(FixedPredictor { u, v }) = predictor {
+            if v.cols() != w.cols() || u.rows() != w.rows() || u.cols() != v.rows() {
+                return Err(does_not_fit(format!(
+                    "the predictor's U is {}×{} and V {}×{}, but the {}×{} layer needs \
+                     U of {} rows, V of {} columns and U's columns equal to V's rows",
+                    u.rows(),
+                    u.cols(),
+                    v.rows(),
+                    v.cols(),
+                    w.rows(),
+                    w.cols(),
+                    w.rows(),
+                    w.cols()
+                )));
+            }
+        }
         let n_pes = cfg.num_pes();
-        let pes: Vec<Pe> = (0..n_pes)
-            .map(|id| Pe::new(id, n_pes, input, w.rows()))
+        let tiles = tiles
+            .iter()
+            .map(|tile| {
+                let tile = tile.as_ref();
+                TileStages {
+                    rows: tile.len(),
+                    pes: (0..n_pes).map(|id| Pe::new(id, n_pes, tile)).collect(),
+                    ev: MachineEvents::default(),
+                    pe_busy: vec![0u64; n_pes],
+                    vu_cycles: 0,
+                    w_cycles: 0,
+                }
+            })
             .collect();
-        let predicted = mode == UvMode::On && is_hidden && predictor.is_some();
         Ok(Self {
             cfg,
             w,
             predictor,
             is_hidden,
-            predicted,
-            pes,
-            ev: MachineEvents::default(),
-            pe_busy: vec![0u64; n_pes],
-            vu_cycles: None,
-            w_cycles: None,
+            predicted: predictor.is_some(),
+            sources: (0..n_pes)
+                .map(|id| PeSource::new(id, n_pes, input))
+                .collect(),
+            tiles,
+            vu_done: false,
+            w_done: false,
         })
     }
 
-    /// Runs the overlapped V/U predictor phases and returns their cycle
-    /// count (0 for unpredicted layers, which instead force every
-    /// predictor bit active).
-    fn run_vu(&mut self) -> u64 {
-        assert!(self.vu_cycles.is_none(), "run_vu called twice");
-        let cycles = if self.predicted {
-            self.vu_phase()
-        } else {
-            self.pes.iter_mut().for_each(Pe::force_all_active);
-            0
+    /// Runs the overlapped V/U predictor phases on every tile (nothing in
+    /// unpredicted layers, which instead force every predictor bit
+    /// active).
+    fn run_vu(&mut self) {
+        assert!(!self.vu_done, "run_vu called twice");
+        self.vu_done = true;
+        let Some(p) = self.predictor else {
+            for tile in &mut self.tiles {
+                tile.pes.iter_mut().for_each(Pe::force_all_active);
+            }
+            return;
         };
-        self.vu_cycles = Some(cycles);
-        cycles
+        let reduction = reduce_v(self.cfg, &p.v, &mut self.sources);
+        for tile in &mut self.tiles {
+            tile.vu_cycles = tile.u_phase(self.cfg, &p.u, &reduction);
+        }
     }
 
     /// Skips the V/U phases and loads an externally computed predictor
-    /// verdict instead: `mask[row]` = row active. The W phase then runs
-    /// with output-sparsity skipping against that mask, at zero predictor
-    /// cost — the batched core uses this to drive one W pass with the
-    /// *union* of a batch's per-sample verdicts.
+    /// verdict instead: `mask[i]` = tile position `i` active. The W phase
+    /// then runs with output-sparsity skipping against that mask, at zero
+    /// predictor cost — the batched core uses this to drive one W pass
+    /// with the *union* of a batch's per-sample verdicts.
     ///
-    /// Stands in for [`run_vu`](Self::run_vu) (the phase slot is consumed
-    /// with a cycle count of 0).
+    /// Stands in for [`run_vu`](Self::run_vu).
     ///
     /// # Panics
     ///
     /// Panics if [`run_vu`](Self::run_vu) already ran, or `mask` is
-    /// shorter than the layer's output row count.
+    /// shorter than some tile.
     fn force_predictor(&mut self, mask: &[bool]) {
         assert!(
-            self.vu_cycles.is_none(),
+            !self.vu_done,
             "force_predictor after run_vu (the verdict is already latched)"
         );
-        assert!(
-            mask.len() >= self.w.rows(),
-            "predictor mask covers every output row"
-        );
-        for pe in &mut self.pes {
-            pe.set_predictor(mask);
+        for tile in &mut self.tiles {
+            assert!(mask.len() >= tile.rows, "predictor mask covers every row");
+            tile.pes.iter_mut().for_each(|pe| pe.set_predictor(mask));
         }
         self.predicted = true;
-        self.vu_cycles = Some(0);
+        self.vu_done = true;
     }
 
-    /// Runs the feedforward W phase and returns its cycle count.
+    /// Runs every tile's feedforward W phase.
     ///
     /// # Panics
     ///
     /// Panics if [`run_vu`](Self::run_vu) has not run first — the phases
     /// are a hardware schedule, not independent kernels.
-    fn run_w(&mut self) -> u64 {
+    fn run_w(&mut self) {
         assert!(
-            self.vu_cycles.is_some(),
+            self.vu_done,
             "run_w before run_vu (the W phase consumes the predictor verdict)"
         );
-        assert!(self.w_cycles.is_none(), "run_w called twice");
-        let cycles = self.w_phase();
-        self.w_cycles = Some(cycles);
-        cycles
+        assert!(!self.w_done, "run_w called twice");
+        self.w_done = true;
+        for tile in &mut self.tiles {
+            tile.w_cycles = tile.w_phase(self.cfg, self.w, &self.sources, self.predicted);
+        }
     }
 
-    /// Quantizes the accumulators into the [`LayerRun`]: outputs, mask,
-    /// cycle totals, events — and the per-row availability profile
-    /// ([`LayerRun::row_ready`] plus the
+    /// Quantizes the accumulators into one [`LayerRun`] per tile:
+    /// outputs, mask, cycle totals, events — and the per-row availability
+    /// profile ([`LayerRun::row_ready`] plus the
     /// [`row_ready_hist`](MachineEvents::row_ready_hist) summary).
     ///
     /// # Panics
     ///
     /// Panics unless both [`run_vu`](Self::run_vu) and
     /// [`run_w`](Self::run_w) have run.
-    fn writeback(mut self) -> LayerRun {
-        let vu_cycles = self.vu_cycles.expect("run_vu before writeback");
-        let w_cycles = self.w_cycles.expect("run_w before writeback");
-        let total = vu_cycles + w_cycles;
-        let pipe = self.cfg.pe_pipeline_depth;
-        let rows = self.w.rows();
-        let mut output = vec![Q6_10::ZERO; rows];
-        let mut row_ready = vec![0u64; rows];
-        for pe in &self.pes {
-            for (row, val, last_mac) in pe.writeback(self.is_hidden, &mut self.ev) {
-                output[row as usize] = val;
-                // A row is final once its last MAC clears the PE
-                // pipeline; rows the W phase never touched are final as
-                // soon as the predictor verdict does.
-                row_ready[row as usize] = vu_cycles + last_mac + pipe;
-            }
-        }
-        debug_assert!(
-            row_ready.iter().all(|&t| t <= total),
-            "row availability must be bounded by the layer total"
+    fn writeback(self) -> Vec<LayerRun> {
+        assert!(
+            self.vu_done && self.w_done,
+            "run_vu and run_w before writeback"
         );
-        let span = total.max(1);
-        for &t in &row_ready {
-            let bucket = (t.saturating_mul(8) / span).min(7) as usize;
-            self.ev.row_ready_hist[bucket] += 1;
+        let (pipe, is_hidden, predicted) =
+            (self.cfg.pe_pipeline_depth, self.is_hidden, self.predicted);
+        self.tiles
+            .into_iter()
+            .map(|tile| tile.writeback(pipe, is_hidden, predicted))
+            .collect()
+    }
+}
+
+/// The V phase's partial sums and their reduction through the H-tree.
+/// Returns the root's results with the cycle each finished.
+///
+/// The clock advances by events: a cycle is simulated only when a partial
+/// sum is ready to leave a PE or the reduce tree holds a flit; the cycles
+/// between are skipped in one step.
+fn reduce_v(cfg: &MachineConfig, v: &FixedMatrix, sources: &mut [PeSource]) -> VReduction {
+    let n = sources.len();
+    let mut ev = MachineEvents::default();
+    let participants: Vec<bool> = sources.iter().map(PeSource::participates).collect();
+    let mut reduce = ReduceTree::new(&cfg.noc, v.rows(), &participants);
+    let mut v_macs = vec![0u64; n];
+    // Per PE: the cycle its next partial sum is ready to leave.
+    let mut due = vec![u64::MAX; n];
+    for (id, source) in sources.iter_mut().enumerate() {
+        let before = ev.macs;
+        if let Some(ready) = source.begin_v(v, &mut ev) {
+            due[id] = ready;
         }
-        let mask = self.predicted.then(|| {
-            let mut mask = vec![false; rows];
-            for pe in &self.pes {
-                for (row, bit) in pe.rows().zip(pe.predictor_bits()) {
-                    mask[row as usize] = bit;
+        v_macs[id] = ev.macs - before;
+    }
+    let mut v_left = sources.iter().filter(|s| !s.v_done()).count();
+    let mut inject: Vec<usize> = Vec::new();
+    let (mut flits, mut finished) = (Vec::new(), Vec::new());
+    let mut cycle: u64 = 0;
+    loop {
+        cycle += 1;
+        assert!(cycle < CYCLE_GUARD, "V phase deadlock");
+
+        // Network interfaces push finished partials into the reduce
+        // tree; a refused one tries again next cycle.
+        inject.extend((0..n).filter(|&id| due[id] == cycle));
+        for &id in &inject {
+            let source = &mut sources[id];
+            let (row, val) = source.pending_v_emit().expect("a due PE holds a partial");
+            if !reduce.try_inject(id, row, val) {
+                due[id] = cycle + 1;
+                continue;
+            }
+            match source.v_injected(cycle) {
+                Some(ready) => due[id] = ready,
+                None => {
+                    due[id] = u64::MAX;
+                    v_left -= 1;
                 }
             }
-            mask
-        });
-        self.ev.vu_cycles = vu_cycles;
-        self.ev.w_cycles = w_cycles;
-        self.ev.cycles = total;
-        LayerRun {
-            output,
-            mask,
-            cycles: total,
-            vu_cycles,
-            w_cycles,
-            events: self.ev,
-            pe_busy: self.pe_busy,
-            row_ready,
+        }
+        inject.clear();
+
+        // Root finishes at most one row per cycle.
+        if let Some((row, total)) = reduce.tick() {
+            let q: Q6_10 = Accumulator::from_raw(total).to_fixed();
+            if !q.is_zero() {
+                flits.push(ActFlit {
+                    index: row,
+                    value: q.raw(),
+                });
+                finished.push(cycle);
+            }
+        }
+        if v_left == 0 && reduce.is_done() {
+            break;
+        }
+        // With the reduce tree empty, nothing happens before the next
+        // partial leaves.
+        if reduce.is_empty() {
+            let next = due.iter().copied().min().unwrap_or(u64::MAX);
+            if next != u64::MAX && next > cycle + 1 {
+                reduce.skip_empty(next - 1 - cycle);
+                cycle = next - 1;
+            }
         }
     }
+    ev.noc = NocStats {
+        cycles: 0,
+        ..*reduce.stats()
+    };
+    VReduction {
+        flits,
+        finished,
+        u_start: sources
+            .iter()
+            .map(|s| s.u_start().expect("every PE starts its U phase"))
+            .collect(),
+        v_macs,
+        settled: cycle,
+        ev,
+    }
+}
 
-    /// The overlapped V/U predictor phases. Returns the cycle count.
-    ///
-    /// The clock advances by events: a cycle is simulated only when a
-    /// partial sum is ready to leave a PE, the reduce tree holds a flit or
-    /// a V result waits at the sink gate; the cycles between, and the
-    /// PEs' drain, are skipped in one step.
-    fn vu_phase(&mut self) -> u64 {
-        let p = self.predictor.expect("predicted layers carry a predictor");
-        let pes = &mut self.pes;
-        let ev = &mut self.ev;
-        let n = pes.len();
-        let participants: Vec<bool> = pes.iter().map(Pe::participates).collect();
-        let mut reduce = ReduceTree::new(&self.cfg.noc, p.v.rows(), &participants);
-        let hold = pes.iter().map(|pe| pe.rows().len().max(1) as u64).collect();
-        let mut queues = ActQueues::new(self.cfg.act_queue_depth, hold);
-        let mut busy = vec![0u64; n];
-        // Per PE: the cycle its next partial sum is ready to leave.
-        let mut due = vec![u64::MAX; n];
-        for (id, pe) in pes.iter_mut().enumerate() {
-            let before = ev.macs;
-            if let Some(ready) = pe.begin_v(&p.v, ev) {
-                due[id] = ready;
-            }
-            busy[id] = ev.macs - before;
-            if let Some(start) = pe.u_start() {
-                queues.start(id, start);
-            }
+impl TileStages {
+    /// The tile's U phase: the V results enter the broadcast pipeline in
+    /// root order, one per cycle and only while every activation queue
+    /// has room — the sink gate, which binds on each tile's own rows per
+    /// PE — and each PE consumes them from its U-phase start. Books the
+    /// shared V work, and returns the V/U phase's cycle count: the later
+    /// of the reduction settling and the PEs draining.
+    fn u_phase(&mut self, cfg: &MachineConfig, u: &FixedMatrix, v: &VReduction) -> u64 {
+        let hold: Vec<u64> = self
+            .pes
+            .iter()
+            .map(|pe| pe.rows().len().max(1) as u64)
+            .collect();
+        let mut queues = ActQueues::new(cfg.act_queue_depth, &hold, &v.u_start);
+        let latency = cfg.noc.broadcast_latency();
+        let mut emitted = 0;
+        for (&flit, &finished) in v.flits.iter().zip(&v.finished) {
+            let at = finished.max(emitted + 1).max(queues.opens_at());
+            queues.emit(flit, at, at + latency);
+            emitted = at;
         }
-        let mut v_left = pes.iter().filter(|pe| !pe.v_done()).count();
-        let mut inject: Vec<usize> = Vec::new();
-        // Root output buffer for the quantized V results.
-        let mut pending: VecDeque<ActFlit> = VecDeque::new();
-        let bcast_latency = self.cfg.noc.broadcast_latency();
-
-        let mut cycle: u64 = 0;
-        loop {
-            cycle += 1;
-            assert!(cycle < CYCLE_GUARD, "V/U phase deadlock");
-
-            // Network interfaces push finished partials into the reduce
-            // tree; a refused one tries again next cycle.
-            inject.extend((0..n).filter(|&id| due[id] == cycle));
-            for &id in &inject {
-                let pe = &mut pes[id];
-                let (row, val) = pe.pending_v_emit().expect("a due PE holds a partial");
-                if !reduce.try_inject(id, row, val) {
-                    due[id] = cycle + 1;
-                    continue;
-                }
-                match pe.v_injected(cycle) {
-                    Some(ready) => due[id] = ready,
-                    None => {
-                        due[id] = u64::MAX;
-                        v_left -= 1;
-                    }
-                }
-                if !queues.started(id) {
-                    if let Some(start) = pe.u_start() {
-                        queues.start(id, start);
-                    }
-                }
-            }
-            inject.clear();
-
-            // Root finishes at most one row per cycle; zero results are not
-            // broadcast (the U phase skips them exactly).
-            if let Some((row, total)) = reduce.tick() {
-                let q: Q6_10 = Accumulator::from_raw(total).to_fixed();
-                if !q.is_zero() {
-                    pending.push_back(ActFlit {
-                        index: row,
-                        value: q.raw(),
-                    });
-                }
-            }
-
-            // Enter the broadcast pipeline only with guaranteed queue space.
-            if !pending.is_empty() && queues.min_free(cycle) > 0 {
-                let f = pending.pop_front().expect("checked nonempty");
-                queues.emit(f, cycle, cycle + bcast_latency);
-            }
-
-            // Every broadcast has arrived by the time the PEs drain.
-            let settled = v_left == 0 && reduce.is_done() && pending.is_empty();
-            if settled && cycle >= queues.drain_end() {
-                break;
-            }
-
-            // With the reduce tree empty, nothing happens before the next
-            // partial leaves, the sink gate opens or the PEs drain.
-            if reduce.is_empty() {
-                let mut next = due.iter().copied().min().unwrap_or(u64::MAX);
-                if !pending.is_empty() {
-                    if let Some(open) = queues.opens_at() {
-                        next = next.min(open);
-                    }
-                }
-                if settled {
-                    next = next.min(queues.drain_end());
-                }
-                if next != u64::MAX && next > cycle + 1 {
-                    reduce.skip_empty(next - 1 - cycle);
-                    cycle = next - 1;
-                }
-            }
+        let cycle = v.settled.max(emitted).max(queues.drain_end());
+        self.ev.merge(&v.ev);
+        self.ev.noc.cycles += cycle;
+        let mut busy = v.v_macs.clone();
+        for (pe, b) in self.pes.iter_mut().zip(&mut busy) {
+            *b += pe.accumulate_u(u, &v.flits, &mut self.ev);
+            pe.latch_predictor(&mut self.ev);
         }
-        ev.noc.merge(reduce.stats());
-        let flits = queues.flits();
-        for (pe, b) in pes.iter_mut().zip(&mut busy) {
-            *b += pe.accumulate_u(&p.u, flits, ev);
-            pe.latch_predictor(ev);
-        }
-        let pushes = (n * flits.len()) as u64;
-        ev.queue_pushes += pushes;
-        ev.queue_pops += pushes;
+        let pushes = (self.pes.len() * v.flits.len()) as u64;
+        self.ev.queue_pushes += pushes;
+        self.ev.queue_pops += pushes;
         self.credit_datapaths(&busy, cycle);
-        cycle + self.cfg.pe_pipeline_depth
+        cycle + cfg.pe_pipeline_depth
     }
 
-    /// The W feedforward phase. Returns the cycle count.
+    /// The tile's W feedforward phase. Returns the cycle count.
     ///
     /// The clock advances by events: the broadcast tree ticks while a flit
     /// is moving, and the cycles in which it is frozen — every flit landed,
     /// the root held by the sink gate, no PE able to inject — are skipped
     /// up to the PE pop that opens the gate, as are the PEs' drain cycles.
-    fn w_phase(&mut self) -> u64 {
+    fn w_phase(
+        &mut self,
+        cfg: &MachineConfig,
+        w: &FixedMatrix,
+        sources: &[PeSource],
+        predicted: bool,
+    ) -> u64 {
         let pes = &mut self.pes;
         let ev = &mut self.ev;
         let n = pes.len();
-        let mut tree = BroadcastTree::new(&self.cfg.noc);
-        let hold = pes
+        let mut tree = BroadcastTree::new(&cfg.noc);
+        let hold: Vec<u64> = pes
             .iter()
             .map(|pe| pe.w_macs_per_flit().max(1) as u64)
             .collect();
-        let mut queues = ActQueues::new(self.cfg.act_queue_depth, hold);
-        (0..n).for_each(|id| queues.start(id, 1));
+        let mut queues = ActQueues::new(cfg.act_queue_depth, &hold, &vec![1; n]);
         // Network interfaces with an activation to inject and a credit to
         // inject it with; those that ran out of credit wait for the tree
         // to return one.
-        let mut ready: Vec<usize> = (0..n).filter(|&id| pes[id].participates()).collect();
+        let mut ready: Vec<usize> = (0..n).filter(|&id| sources[id].participates()).collect();
         let mut src_left = ready.len();
+        // Per PE: its next source activation.
+        let mut next_src = vec![0usize; n];
         let mut next_ready: Vec<usize> = Vec::new();
         let mut blocked = vec![false; n];
         let mut cycle: u64 = 0;
@@ -887,13 +979,19 @@ impl<'a> LayerStages<'a> {
 
             // Network interfaces: LNZD scan + inject one activation/cycle.
             for &id in &ready {
-                let pe = &mut pes[id];
-                let f = pe.peek_src().expect("a ready PE holds an activation");
-                let injected = tree.try_inject(id, f);
+                let src = sources[id].src();
+                let (index, value) = src[next_src[id]];
+                let injected = tree.try_inject(
+                    id,
+                    ActFlit {
+                        index,
+                        value: value.raw(),
+                    },
+                );
                 debug_assert!(injected, "a ready PE holds a credit");
-                pe.advance_src();
+                next_src[id] += 1;
                 ev.src_reads += 1;
-                if pe.peek_src().is_none() {
+                if next_src[id] == src.len() {
                     src_left -= 1;
                 } else if tree.can_inject(id) {
                     next_ready.push(id);
@@ -925,7 +1023,7 @@ impl<'a> LayerStages<'a> {
                 let next = if tree.is_empty() {
                     queues.drain_end()
                 } else {
-                    queues.opens_at().expect("every PE consumes from cycle 1")
+                    queues.opens_at()
                 };
                 if next > cycle + 1 {
                     tree.skip_quiet(next - 1 - cycle);
@@ -938,17 +1036,17 @@ impl<'a> LayerStages<'a> {
         let mut busy = vec![0u64; n];
         for (id, (pe, b)) in pes.iter_mut().zip(&mut busy).enumerate() {
             if let Some(last_pop) = queues.last_pop_of(id) {
-                *b = pe.accumulate_w(self.w, flits, last_pop, ev);
+                *b = pe.accumulate_w(w, flits, last_pop, ev);
             }
         }
         let pushes = (n * flits.len()) as u64;
         ev.queue_pushes += pushes;
         ev.queue_pops += pushes;
-        if self.predicted {
+        if predicted {
             ev.pred_scans += pushes;
         }
         self.credit_datapaths(&busy, cycle);
-        cycle + self.cfg.pe_pipeline_depth
+        cycle + cfg.pe_pipeline_depth
     }
 
     /// Books one phase's datapath cycles: each PE was busy for `busy[pe]`
@@ -961,6 +1059,55 @@ impl<'a> LayerStages<'a> {
         }
         self.ev.pe_busy_cycles += total;
         self.ev.pe_idle_cycles += busy.len() as u64 * cycles - total;
+    }
+
+    /// Quantizes the tile's accumulators into its [`LayerRun`].
+    fn writeback(mut self, pipe: u64, is_hidden: bool, predicted: bool) -> LayerRun {
+        let (vu_cycles, w_cycles) = (self.vu_cycles, self.w_cycles);
+        let total = vu_cycles + w_cycles;
+        let rows = self.rows;
+        let mut output = vec![Q6_10::ZERO; rows];
+        let mut row_ready = vec![0u64; rows];
+        for pe in &self.pes {
+            for (row, val, last_mac) in pe.writeback(is_hidden, &mut self.ev) {
+                output[row as usize] = val;
+                // A row is final once its last MAC clears the PE
+                // pipeline; rows the W phase never touched are final as
+                // soon as the predictor verdict does.
+                row_ready[row as usize] = vu_cycles + last_mac + pipe;
+            }
+        }
+        debug_assert!(
+            row_ready.iter().all(|&t| t <= total),
+            "row availability must be bounded by the layer total"
+        );
+        let span = total.max(1);
+        for &t in &row_ready {
+            let bucket = (t.saturating_mul(8) / span).min(7) as usize;
+            self.ev.row_ready_hist[bucket] += 1;
+        }
+        let mask = predicted.then(|| {
+            let mut mask = vec![false; rows];
+            for pe in &self.pes {
+                for (row, bit) in pe.rows().zip(pe.predictor_bits()) {
+                    mask[row as usize] = bit;
+                }
+            }
+            mask
+        });
+        self.ev.vu_cycles = vu_cycles;
+        self.ev.w_cycles = w_cycles;
+        self.ev.cycles = total;
+        LayerRun {
+            output,
+            mask,
+            cycles: total,
+            vu_cycles,
+            w_cycles,
+            events: self.ev,
+            pe_busy: self.pe_busy,
+            row_ready,
+        }
     }
 }
 
@@ -1159,11 +1306,86 @@ mod tests {
         }
     }
 
+    /// The predictor of a `[dims[0], hidden, 10]` network.
+    fn predictor(seed: u64, inputs: usize, hidden: usize, rank: usize) -> FixedPredictor {
+        build(seed, &[inputs, hidden, 10], rank).0.predictors()[0].clone()
+    }
+
+    fn assert_does_not_fit(result: Result<LayerRun, MachineError>, reason: &str) {
+        match result {
+            Err(MachineError::LayerDoesNotFit {
+                layer: 0,
+                reason: r,
+            }) => {
+                assert!(r.contains(reason), "{r}")
+            }
+            other => panic!("expected LayerDoesNotFit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn predictor_v_narrower_than_the_layer_is_a_typed_error() {
+        let (net, x) = build(31, &[96, 64, 10], 4);
+        let narrow = predictor(31, 10, 64, 4);
+        let machine = Machine::new(MachineConfig::default());
+        let w = &net.layers()[0];
+        assert_does_not_fit(
+            machine.run_layer(w, Some(&narrow), &x, true, UvMode::On),
+            "U is 64×4 and V 4×10",
+        );
+        // An unused predictor is never judged.
+        assert!(machine
+            .run_layer(w, Some(&narrow), &x, true, UvMode::Off)
+            .is_ok());
+    }
+
+    #[test]
+    fn predictor_u_shorter_than_the_layer_is_a_typed_error() {
+        let (net, x) = build(32, &[96, 64, 10], 4);
+        let short = predictor(32, 96, 32, 4);
+        let machine = Machine::new(MachineConfig::default());
+        assert_does_not_fit(
+            machine.run_layer(&net.layers()[0], Some(&short), &x, true, UvMode::On),
+            "U is 32×4 and V 4×96",
+        );
+    }
+
+    #[test]
+    fn predictor_rank_mismatch_is_a_typed_error() {
+        let (net, x) = build(33, &[96, 64, 10], 4);
+        let mixed = FixedPredictor {
+            u: predictor(33, 96, 64, 3).u,
+            v: net.predictors()[0].v.clone(),
+        };
+        let machine = Machine::new(MachineConfig::default());
+        assert_does_not_fit(
+            machine.run_layer(&net.layers()[0], Some(&mixed), &x, true, UvMode::On),
+            "U is 64×3 and V 4×96",
+        );
+    }
+
+    #[test]
+    fn tile_row_past_the_layer_is_a_typed_error() {
+        let (net, x) = build(34, &[96, 64, 10], 4);
+        let machine = Machine::new(MachineConfig::default());
+        let tiles = [vec![0, 1, 2], vec![3, 64]];
+        let result = machine.run_tiles(
+            &net.layers()[0],
+            net.predictors().first(),
+            &x,
+            true,
+            UvMode::On,
+            &tiles,
+        );
+        assert_does_not_fit(result.map(|mut runs| runs.remove(0)), "tile row 64");
+    }
+
     #[test]
     #[should_panic(expected = "run_w before run_vu")]
     fn stage_order_is_enforced() {
         let (net, x) = build(14, &[32, 64, 10], 4);
         let machine = Machine::new(MachineConfig::default());
+        let all: Vec<usize> = (0..64).collect();
         let mut stages = LayerStages::begin(
             machine.config(),
             &net.layers()[0],
@@ -1171,6 +1393,7 @@ mod tests {
             &x,
             true,
             UvMode::Off,
+            &[all],
         )
         .unwrap();
         stages.run_w();

@@ -15,6 +15,13 @@
 //!   wide accumulators, and the **destination register file** receiving the
 //!   quantized outputs at writeback.
 //!
+//! The model splits a PE in two. Its input side ([`PeSource`]: the source
+//! activations and the V partial sums computed from them) depends on the
+//! layer input alone, so the chips that each hold a tile of a layer's rows
+//! share one. Its row side ([`Pe`]: the W and U rows, the predictor bank
+//! and the accumulators) belongs to one tile: local row `k` of PE `p` is
+//! tile position `p + k · 64` and reads W and U row `tile[p + k · 64]`.
+//!
 //! The model is cycle-exact, but the host advances it by events, not by
 //! clock ticks. A PE's datapath holds each popped activation for a fixed
 //! number of cycles — one MAC per row it touches, and at least the one
@@ -25,10 +32,10 @@
 //! whole log ([`Pe::accumulate_w`], [`Pe::accumulate_u`]), and each row's
 //! last-MAC cycle is the cycle the one-MAC-per-cycle datapath would have
 //! issued it. In the V phase the PE computes every partial sum up front
-//! ([`Pe::begin_v`]) and only the hand-off of each partial to the reduce
-//! tree is timed. `sparsenn-sim`'s [`Machine`](crate::Machine) wires the
-//! PEs to the NoC models and credits busy and idle datapath cycles per
-//! phase.
+//! ([`PeSource::begin_v`]) and only the hand-off of each partial to the
+//! reduce tree is timed. `sparsenn-sim`'s [`Machine`](crate::Machine)
+//! wires the PEs to the NoC models and credits busy and idle datapath
+//! cycles per phase.
 
 use sparsenn_model::fixedpoint::FixedMatrix;
 use sparsenn_noc::ActFlit;
@@ -36,21 +43,12 @@ use sparsenn_numeric::{Accumulator, Q6_10};
 
 use crate::events::MachineEvents;
 
-/// One processing element.
+/// The input side of one processing element: its nonzero source
+/// activations and the V-phase datapath that reduces them.
 #[derive(Clone, Debug)]
-pub struct Pe {
-    id: usize,
-    num_pes: usize,
+pub struct PeSource {
     /// Local nonzero input activations `(global index, value)`, ascending.
     src: Vec<(u32, Q6_10)>,
-    src_cursor: usize,
-    /// The local output rows: local row `k` is global row
-    /// `id + k · num_pes`.
-    local_rows: Vec<Row>,
-    /// Local indices of the predicted-active rows, ascending: what the
-    /// bank's leading-nonzero detector yields, and the order the W phase
-    /// walks them in. Rebuilt whenever the bank changes.
-    active: Vec<u32>,
     /// V phase: the finished partial sum of every predictor row.
     v_partials: Vec<i64>,
     /// V phase: the next partial the network interface hands on.
@@ -59,69 +57,23 @@ pub struct Pe {
     u_start: Option<u64>,
 }
 
-/// The state a PE keeps for one of its output rows.
-#[derive(Clone, Copy, Debug)]
-struct Row {
-    /// Wide W-phase accumulator.
-    acc_w: Accumulator,
-    /// Wide U-phase accumulator.
-    acc_u: Accumulator,
-    /// W-phase cycle of the last MAC into the row (0 = never touched);
-    /// feeds the per-row completion profile at writeback.
-    last_w_mac: u64,
-    /// Predictor register bank bit (`true` = row predicted active).
-    pred: bool,
-}
-
-impl Pe {
-    /// Builds a PE for one layer run.
-    ///
-    /// `input` is the full activation vector; the PE keeps the nonzero
-    /// entries whose index is congruent to `id` mod `num_pes`. `rows` is
-    /// the layer's output count, distributed the same way.
-    pub fn new(id: usize, num_pes: usize, input: &[Q6_10], out_rows: usize) -> Self {
-        let src: Vec<(u32, Q6_10)> = input
-            .iter()
-            .enumerate()
-            .skip(id)
-            .step_by(num_pes)
-            .filter(|(_, v)| !v.is_zero())
-            .map(|(j, &v)| (j as u32, v))
-            .collect();
-        let n_rows = out_rows.saturating_sub(id).div_ceil(num_pes);
+impl PeSource {
+    /// Loads PE `id`'s slice of the source register file: the nonzero
+    /// entries of `input` whose index is congruent to `id` mod `num_pes`.
+    pub fn new(id: usize, num_pes: usize, input: &[Q6_10]) -> Self {
         Self {
-            id,
-            num_pes,
-            src,
-            src_cursor: 0,
-            local_rows: vec![
-                Row {
-                    acc_w: Accumulator::new(),
-                    acc_u: Accumulator::new(),
-                    last_w_mac: 0,
-                    pred: true,
-                };
-                n_rows
-            ],
-            active: (0..n_rows as u32).collect(),
+            src: input
+                .iter()
+                .enumerate()
+                .skip(id)
+                .step_by(num_pes)
+                .filter(|(_, v)| !v.is_zero())
+                .map(|(j, &v)| (j as u32, v))
+                .collect(),
             v_partials: Vec::new(),
             v_next: 0,
             u_start: None,
         }
-    }
-
-    /// Re-derives the active-row list from the predictor bank. Runs once
-    /// per predictor change (latch / force / external mask).
-    fn rebuild_active(&mut self) {
-        self.active.clear();
-        self.active.extend(
-            (0..self.local_rows.len() as u32).filter(|&k| self.local_rows[k as usize].pred),
-        );
-    }
-
-    /// Global id of local row `k`.
-    fn global_row(&self, k: usize) -> usize {
-        self.id + k * self.num_pes
     }
 
     /// `true` if this PE holds at least one nonzero input activation
@@ -130,35 +82,10 @@ impl Pe {
         !self.src.is_empty()
     }
 
-    /// Number of local nonzero inputs.
-    pub fn src_len(&self) -> usize {
-        self.src.len()
-    }
-
-    /// Local output rows (global ids, ascending).
-    pub fn rows(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
-        (0..self.local_rows.len()).map(|k| self.global_row(k) as u32)
-    }
-
-    /// MACs the W phase issues per activation: one per row the predictor
-    /// bank's LNZD yields (every row when the bank is all ones).
-    pub fn w_macs_per_flit(&self) -> usize {
-        self.active.len()
-    }
-
-    /// The next source activation the network interface would inject.
-    pub fn peek_src(&self) -> Option<ActFlit> {
-        self.src
-            .get(self.src_cursor)
-            .map(|&(index, value)| ActFlit {
-                index,
-                value: value.raw(),
-            })
-    }
-
-    /// Marks the current source activation as injected.
-    pub fn advance_src(&mut self) {
-        self.src_cursor += 1;
+    /// The local nonzero inputs `(global index, value)` in the order the
+    /// LNZD yields them.
+    pub fn src(&self) -> &[(u32, Q6_10)] {
+        &self.src
     }
 
     /// Starts the V phase over the `v.rows()` predictor rows: the datapath
@@ -235,6 +162,89 @@ impl Pe {
     pub fn v_done(&self) -> bool {
         self.v_next == self.v_partials.len()
     }
+}
+
+/// The row side of one processing element for one tile of a layer's
+/// rows: the W and U rows it holds, its predictor register bank and its
+/// accumulators.
+#[derive(Clone, Debug)]
+pub struct Pe {
+    id: usize,
+    num_pes: usize,
+    /// The local output rows: local row `k` is tile position
+    /// `id + k · num_pes`.
+    local_rows: Vec<Row>,
+    /// Local indices of the predicted-active rows, ascending: what the
+    /// bank's leading-nonzero detector yields, and the order the W phase
+    /// walks them in. Rebuilt whenever the bank changes.
+    active: Vec<u32>,
+}
+
+/// The state a PE keeps for one of its output rows.
+#[derive(Clone, Copy, Debug)]
+struct Row {
+    /// The W and U row the tile maps this row to.
+    w_row: u32,
+    /// Wide W-phase accumulator.
+    acc_w: Accumulator,
+    /// Wide U-phase accumulator.
+    acc_u: Accumulator,
+    /// W-phase cycle of the last MAC into the row (0 = never touched);
+    /// feeds the per-row completion profile at writeback.
+    last_w_mac: u64,
+    /// Predictor register bank bit (`true` = row predicted active).
+    pred: bool,
+}
+
+impl Pe {
+    /// Builds PE `id`'s rows of a tile: the positions congruent to `id`
+    /// mod `num_pes`, position `i` reading W and U row `tile[i]`. A whole
+    /// layer is the tile `0..rows`.
+    pub fn new(id: usize, num_pes: usize, tile: &[usize]) -> Self {
+        let local_rows: Vec<Row> = tile
+            .iter()
+            .skip(id)
+            .step_by(num_pes)
+            .map(|&w_row| Row {
+                w_row: w_row as u32,
+                acc_w: Accumulator::new(),
+                acc_u: Accumulator::new(),
+                last_w_mac: 0,
+                pred: true,
+            })
+            .collect();
+        Self {
+            id,
+            num_pes,
+            active: (0..local_rows.len() as u32).collect(),
+            local_rows,
+        }
+    }
+
+    /// Re-derives the active-row list from the predictor bank. Runs once
+    /// per predictor change (latch / force / external mask).
+    fn rebuild_active(&mut self) {
+        self.active.clear();
+        self.active.extend(
+            (0..self.local_rows.len() as u32).filter(|&k| self.local_rows[k as usize].pred),
+        );
+    }
+
+    /// Tile position of local row `k`.
+    fn position(&self, k: usize) -> usize {
+        self.id + k * self.num_pes
+    }
+
+    /// Local output rows (tile positions, ascending).
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        (0..self.local_rows.len()).map(|k| self.position(k) as u32)
+    }
+
+    /// MACs the W phase issues per activation: one per row the predictor
+    /// bank's LNZD yields (every row when the bank is all ones).
+    pub fn w_macs_per_flit(&self) -> usize {
+        self.active.len()
+    }
 
     /// The U phase's MACs: every broadcast V result (`flit.index` = the
     /// predictor row) against every local U row. Returns the datapath's
@@ -245,9 +255,8 @@ impl Pe {
         flits: &[ActFlit],
         ev: &mut MachineEvents,
     ) -> u64 {
-        for k in 0..self.local_rows.len() {
-            let sum = dot(u.row(self.global_row(k)), flits);
-            self.local_rows[k].acc_u.merge(sum);
+        for row in &mut self.local_rows {
+            row.acc_u.merge(dot(u.row(row.w_row as usize), flits));
         }
         let macs = (self.local_rows.len() * flits.len()) as u64;
         ev.macs += macs;
@@ -271,10 +280,8 @@ impl Pe {
             return 0;
         }
         for (walk, &local) in self.active.iter().enumerate() {
-            let k = local as usize;
-            let row = &mut self.local_rows[k];
-            row.acc_w
-                .merge(dot(w.row(self.id + k * self.num_pes), flits));
+            let row = &mut self.local_rows[local as usize];
+            row.acc_w.merge(dot(w.row(row.w_row as usize), flits));
             row.last_w_mac = last_pop + walk as u64;
         }
         let macs = (self.active.len() * flits.len()) as u64;
@@ -301,17 +308,17 @@ impl Pe {
     }
 
     /// Loads the predictor register bank from an externally computed
-    /// per-output-row mask (`mask[row]` = row predicted active), indexed
-    /// by global row id. The batched layer core uses this to drive one
-    /// W pass with the *union* of a batch's per-sample predictor
-    /// verdicts, so each W row is fetched once per batch.
+    /// mask indexed by tile position (`mask[i]` = position `i` predicted
+    /// active). The batched layer core uses this to drive one W pass with
+    /// the *union* of a batch's per-sample predictor verdicts, so each W
+    /// row is fetched once per batch.
     ///
     /// # Panics
     ///
-    /// Panics if `mask` is shorter than the layer's output row count.
+    /// Panics if `mask` is shorter than the tile.
     pub fn set_predictor(&mut self, mask: &[bool]) {
         for k in 0..self.local_rows.len() {
-            self.local_rows[k].pred = mask[self.global_row(k)];
+            self.local_rows[k].pred = mask[self.position(k)];
         }
         self.rebuild_active();
     }
@@ -323,8 +330,8 @@ impl Pe {
     }
 
     /// Quantizes the W accumulators into output activations
-    /// `(global row, value, last W-MAC cycle)`, applying ReLU for hidden
-    /// layers, and counts the destination register file writes.
+    /// `(tile position, value, last W-MAC cycle)`, applying ReLU for
+    /// hidden layers, and counts the destination register file writes.
     ///
     /// The third element is the W-phase cycle of the last MAC into the
     /// row — the moment its value became final (0 for rows that saw no
@@ -364,40 +371,34 @@ fn dot(row: &[Q6_10], flits: &[ActFlit]) -> Accumulator {
 ///
 /// Every PE receives the same flit on the same cycle, so the queues differ
 /// only in how far each PE has popped. A PE's datapath holds each popped
-/// flit for a fixed number of cycles, so when the root emits a flit, the
-/// cycle on which every consuming PE will pop it is already determined:
-/// the later of its arrival and the PE's datapath coming free. PEs that
-/// hold flits equally long and started consuming on the same cycle pop on
-/// the same cycles and share one schedule. The log keeps, per flit, the
-/// cycle of its last pop across PEs; the least free space of any queue —
-/// what the root's sink gate needs — follows from it without visiting the
-/// PEs.
+/// flit for a fixed number of cycles and starts popping on a known cycle,
+/// so when the root emits a flit, the cycle on which every PE will pop it
+/// is already determined: the later of its arrival and the PE's datapath
+/// coming free. PEs that hold flits equally long and start on the same
+/// cycle pop on the same cycles and share one schedule. The log keeps, per
+/// flit, the cycle of its last pop across PEs; the least free space of any
+/// queue — what the root's sink gate needs — follows from it without
+/// visiting the PEs.
 #[derive(Clone, Debug)]
 pub(crate) struct ActQueues {
     /// Entries per queue.
     depth: usize,
     /// Emitted flits, in emission order.
     flits: Vec<ActFlit>,
-    /// Cycle on which each flit reaches the queues.
-    arrives: Vec<u64>,
-    /// Cycle on which the last consuming PE pops each flit.
+    /// Cycle on which the last PE pops each flit.
     last_pop: Vec<u64>,
     /// Leading flits every PE had popped before the cycle last asked about.
     popped_by_all: usize,
-    /// Per PE: cycles a popped flit holds the datapath.
-    hold: Vec<u64>,
-    /// Per PE: its schedule, once it has started consuming.
-    schedule_of: Vec<Option<usize>>,
+    /// Per PE: its schedule.
+    schedule_of: Vec<usize>,
     /// The distinct schedules.
     schedules: Vec<Schedule>,
-    /// PEs that have not started consuming.
-    waiting: usize,
     /// Last cycle on which some PE is still busy with a popped flit.
     drain_end: u64,
 }
 
-/// The pops of the PEs that hold a flit `hold` cycles and started
-/// consuming on cycle `start`.
+/// The pops of the PEs that hold a flit `hold` cycles and start popping
+/// on cycle `start`.
 #[derive(Clone, Copy, Debug)]
 struct Schedule {
     hold: u64,
@@ -417,91 +418,64 @@ impl Schedule {
 
 impl ActQueues {
     /// Empty queues of `depth` entries for PEs that hold a flit for
-    /// `hold[pe]` cycles (at least 1). No PE consumes until
-    /// [`start`](Self::start)ed.
-    pub(crate) fn new(depth: usize, hold: Vec<u64>) -> Self {
+    /// `hold[pe]` cycles (at least 1) and pop from cycle `start[pe]` on.
+    pub(crate) fn new(depth: usize, hold: &[u64], start: &[u64]) -> Self {
         debug_assert!(hold.iter().all(|&h| h >= 1), "a pop takes a cycle");
+        debug_assert_eq!(hold.len(), start.len(), "one start per PE");
+        let mut schedules: Vec<Schedule> = Vec::new();
+        let schedule_of = hold
+            .iter()
+            .zip(start)
+            .map(|(&hold, &start)| {
+                let known = schedules
+                    .iter()
+                    .position(|s| s.hold == hold && s.start == start);
+                known.unwrap_or_else(|| {
+                    schedules.push(Schedule {
+                        hold,
+                        start,
+                        free: start,
+                    });
+                    schedules.len() - 1
+                })
+            })
+            .collect();
         Self {
             depth,
             flits: Vec::new(),
-            arrives: Vec::new(),
             last_pop: Vec::new(),
             popped_by_all: 0,
-            waiting: hold.len(),
-            schedule_of: vec![None; hold.len()],
-            schedules: Vec::new(),
-            hold,
+            schedule_of,
+            schedules,
             drain_end: 0,
         }
-    }
-
-    /// PE `pe` starts popping on `cycle`, beginning with every flit already
-    /// in its queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the PE has started already.
-    pub(crate) fn start(&mut self, pe: usize, cycle: u64) {
-        assert!(self.schedule_of[pe].is_none(), "PE {pe} started twice");
-        self.waiting -= 1;
-        let hold = self.hold[pe];
-        let known = self
-            .schedules
-            .iter()
-            .position(|s| s.hold == hold && s.start == cycle);
-        self.schedule_of[pe] = Some(known.unwrap_or_else(|| {
-            let mut schedule = Schedule {
-                hold,
-                start: cycle,
-                free: cycle,
-            };
-            for (&arrives, last) in self.arrives.iter().zip(&mut self.last_pop) {
-                *last = (*last).max(schedule.pop(arrives));
-            }
-            if !self.flits.is_empty() {
-                self.drain_end = self.drain_end.max(schedule.free - 1);
-            }
-            self.schedules.push(schedule);
-            self.schedules.len() - 1
-        }));
-    }
-
-    /// `true` once PE `pe` has started consuming.
-    pub(crate) fn started(&self, pe: usize) -> bool {
-        self.schedule_of[pe].is_some()
     }
 
     /// The least free space of any queue at the start of `cycle` (pops of
     /// earlier cycles done), counting every emitted flit as delivered.
     /// Calls must not go back in time.
     pub(crate) fn min_free(&mut self, cycle: u64) -> usize {
-        if self.waiting == 0 {
-            while self
-                .last_pop
-                .get(self.popped_by_all)
-                .is_some_and(|&t| t < cycle)
-            {
-                self.popped_by_all += 1;
-            }
+        while self
+            .last_pop
+            .get(self.popped_by_all)
+            .is_some_and(|&t| t < cycle)
+        {
+            self.popped_by_all += 1;
         }
         self.depth - (self.flits.len() - self.popped_by_all)
     }
 
     /// The first cycle on which every queue has a free slot for a further
-    /// flit: 0 when one is free already, `None` when that waits on a PE
-    /// that has not started consuming.
-    pub(crate) fn opens_at(&self) -> Option<u64> {
-        let Some(k) = self.flits.len().checked_sub(self.depth) else {
-            return Some(0);
-        };
-        if self.waiting > 0 {
-            return None;
-        }
-        Some(self.last_pop[k] + 1)
+    /// flit (0 when one is free already).
+    pub(crate) fn opens_at(&self) -> u64 {
+        self.flits
+            .len()
+            .checked_sub(self.depth)
+            .map_or(0, |k| self.last_pop[k] + 1)
     }
 
     /// The root emits a flit on cycle `now`; it reaches every queue on
-    /// cycle `arrives`, and each consuming PE's pop of it is scheduled.
+    /// cycle `arrives`, and each PE's pop of it is scheduled.
     ///
     /// # Panics
     ///
@@ -515,7 +489,6 @@ impl ActQueues {
             self.drain_end = self.drain_end.max(schedule.free - 1);
         }
         self.flits.push(flit);
-        self.arrives.push(arrives);
         self.last_pop.push(last);
     }
 
@@ -525,9 +498,9 @@ impl ActQueues {
     }
 
     /// The cycle on which PE `pe` pops its last flit (`None` before any
-    /// flit was emitted or while it has not started).
+    /// flit was emitted).
     pub(crate) fn last_pop_of(&self, pe: usize) -> Option<u64> {
-        let schedule = &self.schedules[self.schedule_of[pe]?];
+        let schedule = &self.schedules[self.schedule_of[pe]];
         (!self.flits.is_empty()).then(|| schedule.free - schedule.hold)
     }
 
@@ -554,6 +527,11 @@ mod tests {
         }
     }
 
+    /// The whole-layer tile `0..rows`.
+    fn all(rows: usize) -> Vec<usize> {
+        (0..rows).collect()
+    }
+
     #[test]
     fn src_holds_local_nonzeros_in_order() {
         // Indices 2, 66 belong to PE 2 of 64; index 3 does not; zero dropped.
@@ -561,18 +539,40 @@ mod tests {
         input[2] = q(1.0);
         input[66] = q(2.0);
         input[3] = q(3.0);
-        let pe = Pe::new(2, 64, &input, 10);
-        assert_eq!(pe.src_len(), 2);
-        assert_eq!(pe.peek_src().unwrap().index, 2);
+        let pe = PeSource::new(2, 64, &input);
+        assert_eq!(pe.src(), [(2, q(1.0)), (66, q(2.0))]);
         assert!(pe.participates());
+        assert!(!PeSource::new(3, 64, &[Q6_10::ZERO; 64]).participates());
     }
 
     #[test]
     fn rows_are_strided_by_num_pes() {
-        let pe = Pe::new(3, 64, &[Q6_10::ZERO; 64], 200);
+        let pe = Pe::new(3, 64, &all(200));
         assert_eq!(pe.rows().collect::<Vec<_>>(), [3, 67, 131, 195]);
-        let empty = Pe::new(63, 64, &[Q6_10::ZERO; 64], 10);
+        let empty = Pe::new(63, 64, &all(10));
         assert_eq!(empty.rows().len(), 0);
+    }
+
+    #[test]
+    fn tile_positions_read_the_rows_the_tile_names() {
+        // Row i of W is all i/64; the tile maps position i to row 2i + 1.
+        let w = FixedMatrix::from_float(&sparsenn_linalg::Matrix::from_fn(260, 2, |i, _| {
+            i as f32 / 64.0
+        }));
+        let tile: Vec<usize> = (0..130).map(|i| 2 * i + 1).collect();
+        // PE 1 holds positions 1, 65 and 129: W rows 3, 131 and 259.
+        let mut pe = Pe::new(1, 64, &tile);
+        assert_eq!(pe.rows().collect::<Vec<_>>(), [1, 65, 129]);
+        let mut ev = MachineEvents::default();
+        pe.accumulate_w(&w, &[flit(0, 1.0)], 1, &mut ev);
+        let out: Vec<_> = pe
+            .writeback(false, &mut ev)
+            .map(|(i, v, _)| (i, v))
+            .collect();
+        assert_eq!(
+            out,
+            [(1, w.get(3, 0)), (65, w.get(131, 0)), (129, w.get(259, 0))]
+        );
     }
 
     #[test]
@@ -580,9 +580,7 @@ mod tests {
         let w = FixedMatrix::from_float(&sparsenn_linalg::Matrix::from_fn(128, 4, |i, j| {
             (i + j) as f32 * 0.01
         }));
-        let mut input = vec![Q6_10::ZERO; 4];
-        input[0] = q(1.0);
-        let mut pe = Pe::new(0, 64, &input, 128); // rows 0 and 64
+        let mut pe = Pe::new(0, 64, &all(128)); // rows 0 and 64
         let mut ev = MachineEvents::default();
         // Popped on cycle 1: one MAC per row, on cycles 1 and 2.
         let busy = pe.accumulate_w(&w, &[flit(0, 1.0)], 1, &mut ev);
@@ -599,7 +597,7 @@ mod tests {
     #[test]
     fn predicted_inactive_rows_cost_nothing() {
         let w = FixedMatrix::from_float(&sparsenn_linalg::Matrix::from_fn(128, 4, |_, _| 1.0));
-        let mut pe = Pe::new(0, 64, &[q(1.0); 4], 128);
+        let mut pe = Pe::new(0, 64, &all(128));
         // Force both local rows (0 and 64) inactive.
         pe.set_predictor(&[false; 128]);
         assert_eq!(pe.w_macs_per_flit(), 0);
@@ -610,8 +608,7 @@ mod tests {
         // Bypassed rows report no W-MAC completion cycle.
         assert!(pe.writeback(true, &mut ev).all(|(_, _, t)| t == 0));
         // The pop and LNZD scan still hold the datapath for a cycle.
-        let mut queues = ActQueues::new(8, vec![pe.w_macs_per_flit().max(1) as u64]);
-        queues.start(0, 1);
+        let mut queues = ActQueues::new(8, &[pe.w_macs_per_flit().max(1) as u64], &[1]);
         queues.emit(flit(0, 1.0), 1, 1);
         queues.emit(flit(1, 1.0), 1, 1);
         assert_eq!(queues.last_pop_of(0), Some(2));
@@ -625,7 +622,7 @@ mod tests {
         }));
         let mut input = vec![Q6_10::ZERO; 64];
         input[5] = q(2.0); // PE 5's only nonzero
-        let mut pe = Pe::new(5, 64, &input, 64);
+        let mut pe = PeSource::new(5, 64, &input);
         let mut ev = MachineEvents::default();
         // One MAC per row: row 0 on cycle 1, its partial ready on cycle 2.
         let mut ready = pe.begin_v(&v, &mut ev);
@@ -651,7 +648,7 @@ mod tests {
         let v = FixedMatrix::from_float(&sparsenn_linalg::Matrix::from_fn(2, 64, |_, _| 1.0));
         let mut input = vec![Q6_10::ZERO; 64];
         input[0] = q(1.0);
-        let mut pe = Pe::new(0, 64, &input, 64);
+        let mut pe = PeSource::new(0, 64, &input);
         let mut ev = MachineEvents::default();
         // Row 0's MAC on cycle 1; its partial may leave from cycle 2.
         assert_eq!(pe.begin_v(&v, &mut ev), Some(2));
@@ -674,7 +671,7 @@ mod tests {
     #[test]
     fn pe_without_nonzero_inputs_consumes_from_the_first_cycle() {
         let v = FixedMatrix::from_float(&sparsenn_linalg::Matrix::from_fn(2, 64, |_, _| 1.0));
-        let mut pe = Pe::new(1, 64, &[Q6_10::ZERO; 64], 64);
+        let mut pe = PeSource::new(1, 64, &[Q6_10::ZERO; 64]);
         let mut ev = MachineEvents::default();
         assert_eq!(pe.begin_v(&v, &mut ev), None);
         assert!(pe.v_done());
@@ -684,12 +681,10 @@ mod tests {
 
     #[test]
     fn queue_windows_pop_when_the_datapath_frees() {
-        // Two PEs holding a flit 3 and 1 cycles; the first waits to start.
-        let mut queues = ActQueues::new(2, vec![3, 1]);
-        queues.start(1, 1);
+        // Two PEs holding a flit 3 and 1 cycles; the first starts late.
+        let mut queues = ActQueues::new(2, &[3, 1], &[4, 1]);
         queues.emit(flit(0, 1.0), 1, 2);
         assert_eq!(queues.min_free(3), 1, "PE 0 has not popped");
-        queues.start(0, 4);
         queues.emit(flit(1, 1.0), 3, 4);
         // PE 0 pops on cycles 4 and 7, PE 1 on cycles 2 and 4.
         assert_eq!(queues.last_pop_of(0), Some(7));
@@ -697,7 +692,7 @@ mod tests {
         assert_eq!(queues.drain_end(), 9);
         assert_eq!(
             queues.opens_at(),
-            Some(5),
+            5,
             "flit 0 leaves PE 0's queue on cycle 4"
         );
         assert_eq!(queues.min_free(5), 1);
@@ -706,18 +701,16 @@ mod tests {
 
     #[test]
     fn equal_pes_share_one_schedule() {
-        let mut queues = ActQueues::new(4, vec![2, 2, 1, 2]);
-        (0..3).for_each(|pe| queues.start(pe, 1));
-        queues.emit(flit(0, 1.0), 1, 3);
-        queues.start(3, 1);
+        let mut queues = ActQueues::new(4, &[2, 2, 1, 2], &[1; 4]);
         assert_eq!(queues.schedules.len(), 2, "PEs 0, 1 and 3 pop alike");
+        queues.emit(flit(0, 1.0), 1, 3);
         assert_eq!(queues.last_pop_of(3), Some(3));
         assert_eq!(queues.drain_end(), 4);
     }
 
     #[test]
     fn latch_predictor_uses_sign_of_u_accumulators() {
-        let mut pe = Pe::new(0, 64, &[q(1.0); 4], 128);
+        let mut pe = Pe::new(0, 64, &all(128));
         pe.local_rows[0].acc_u.mac(q(1.0), q(1.0)); // positive
         pe.local_rows[1].acc_u.mac(q(-1.0), q(1.0)); // negative
         let mut ev = MachineEvents::default();
@@ -729,7 +722,7 @@ mod tests {
     #[test]
     fn set_predictor_installs_the_local_slice_of_a_global_mask() {
         // PE 1 of 64 over 200 rows owns rows 1, 65, 129, 193.
-        let mut pe = Pe::new(1, 64, &[q(1.0); 4], 200);
+        let mut pe = Pe::new(1, 64, &all(200));
         let mut mask = vec![false; 200];
         mask[65] = true;
         mask[193] = true;
@@ -742,7 +735,7 @@ mod tests {
 
     #[test]
     fn writeback_applies_relu_and_bypass() {
-        let mut pe = Pe::new(0, 64, &[q(1.0); 4], 128);
+        let mut pe = Pe::new(0, 64, &all(128));
         pe.local_rows[0].acc_w.mac(q(-2.0), q(1.0)); // negative pre-activation
         pe.local_rows[1].acc_w.mac(q(3.0), q(1.0));
         let mut mask = vec![false; 128];
@@ -759,8 +752,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "activation queue overflow")]
     fn queue_overflow_panics() {
-        let mut queues = ActQueues::new(2, vec![1; 64]);
-        (0..64).for_each(|pe| queues.start(pe, 1));
+        let mut queues = ActQueues::new(2, &[1; 64], &[1; 64]);
         // Emitted on one cycle, nothing has been popped before it.
         for i in 0..3 {
             queues.emit(flit(i, 1.0), 1, 2);

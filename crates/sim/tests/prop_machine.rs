@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use sparsenn_linalg::init::seeded_rng;
-use sparsenn_model::fixedpoint::{FixedNetwork, UvMode};
+use sparsenn_linalg::Matrix;
+use sparsenn_model::fixedpoint::{FixedMatrix, FixedNetwork, FixedPredictor, UvMode};
 use sparsenn_model::{Mlp, PredictedNetwork};
 use sparsenn_sim::{Machine, MachineConfig};
 
@@ -13,6 +14,27 @@ fn build_net(seed: u64, hidden: usize, rank: usize) -> FixedNetwork {
     let mlp = Mlp::random(&[24, hidden, 10], &mut rng);
     let net = PredictedNetwork::with_random_predictors(mlp, rank, &mut rng);
     FixedNetwork::from_float(&net)
+}
+
+/// A random `rows × cols` layer and its random rank-`rank` predictor, as
+/// float matrices: W, U and V.
+fn float_layer(seed: u64, cols: usize, rows: usize, rank: usize) -> (Matrix, Matrix, Matrix) {
+    let mut rng = seeded_rng(seed);
+    let mlp = Mlp::random(&[cols, rows, 10], &mut rng);
+    let net = PredictedNetwork::with_random_predictors(mlp, rank, &mut rng);
+    let p = &net.predictors()[0];
+    (
+        net.mlp().layers()[0].w().clone(),
+        p.u().clone(),
+        p.v().clone(),
+    )
+}
+
+/// A fresh quantized matrix of the given rows of `m`, in order.
+fn rows_of(m: &Matrix, rows: &[usize]) -> FixedMatrix {
+    FixedMatrix::from_float(&Matrix::from_fn(rows.len(), m.cols(), |i, j| {
+        m.get(rows[i], j)
+    }))
 }
 
 fn build_input(seed: u64, len: usize, sparsity_pct: u8) -> Vec<f32> {
@@ -260,6 +282,79 @@ proptest! {
                     n * (layer.cycles - cfg.pe_pipeline_depth * phases),
                     "{:?} layer {}", mode, l
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A layer's chip tiles run together are each the run of a chip that
+    /// holds only its tile. For random layers, random machines (activation
+    /// queues and router buffers down to one entry) and random disjoint
+    /// tile splits — uneven, some empty — in both UV modes, every tile's
+    /// run equals `run_layer` on matrices built from the tile's rows of W
+    /// and U alone, field for field: the shared V reduction changes no
+    /// chip's outputs, phase lengths or books.
+    #[test]
+    fn tiles_run_together_equal_each_tile_alone(
+        seed in 0u64..10_000,
+        radix_four in any::<bool>(),
+        levels in 1u32..=6,
+        act_queue_depth in 1usize..=8,
+        queue_capacity in 1usize..=4,
+        hop_latency in 1u64..=3,
+        cols in 1usize..80,
+        rows in 1usize..=128,
+        rank in 1usize..6,
+        chips in 1usize..=5,
+        sparsity in 0u8..100,
+        is_hidden in any::<bool>(),
+    ) {
+        use rand::Rng;
+        let (radix, levels) = if radix_four { (4usize, levels.div_ceil(2)) } else { (2, levels) };
+        let cfg = MachineConfig {
+            act_queue_depth,
+            noc: sparsenn_noc::NocConfig {
+                num_pes: radix.pow(levels),
+                radix,
+                queue_capacity,
+                hop_latency,
+            },
+            ..MachineConfig::default()
+        };
+        let (w, u, v) = float_layer(seed, cols, rows, rank);
+        let v = FixedMatrix::from_float(&v);
+        let all: Vec<usize> = (0..rows).collect();
+        let predictor = FixedPredictor { u: rows_of(&u, &all), v: v.clone() };
+        let x = sparsenn_numeric::quantize::quantize_slice(&build_input(seed, cols, sparsity));
+        // Each row goes to a random chip: the tiles are disjoint, their
+        // sizes differ and some may be empty.
+        let mut rng = seeded_rng(seed ^ 0x711E);
+        let mut tiles = vec![Vec::new(); chips];
+        for row in 0..rows {
+            tiles[rng.gen_range(0..chips)].push(row);
+        }
+        let machine = Machine::new(cfg);
+        for mode in [UvMode::On, UvMode::Off] {
+            let runs = machine
+                .run_tiles(&rows_of(&w, &all), Some(&predictor), &x, is_hidden, mode, &tiles)
+                .unwrap();
+            prop_assert_eq!(runs.len(), chips);
+            for (t, (tile, got)) in tiles.iter().zip(&runs).enumerate() {
+                let alone = FixedPredictor { u: rows_of(&u, tile), v: v.clone() };
+                let want = machine
+                    .run_layer(&rows_of(&w, tile), Some(&alone), &x, is_hidden, mode)
+                    .unwrap();
+                prop_assert_eq!(&got.output, &want.output, "{:?} tile {} output", mode, t);
+                prop_assert_eq!(&got.mask, &want.mask, "{:?} tile {} mask", mode, t);
+                prop_assert_eq!(got.cycles, want.cycles, "{:?} tile {} cycles", mode, t);
+                prop_assert_eq!(got.vu_cycles, want.vu_cycles, "{:?} tile {} vu_cycles", mode, t);
+                prop_assert_eq!(got.w_cycles, want.w_cycles, "{:?} tile {} w_cycles", mode, t);
+                prop_assert_eq!(&got.events, &want.events, "{:?} tile {} events", mode, t);
+                prop_assert_eq!(&got.pe_busy, &want.pe_busy, "{:?} tile {} pe_busy", mode, t);
+                prop_assert_eq!(&got.row_ready, &want.row_ready, "{:?} tile {} row_ready", mode, t);
             }
         }
     }
