@@ -920,13 +920,13 @@ impl TileStages {
             .collect();
         let mut queues = ActQueues::new(cfg.act_queue_depth, &hold, &v.u_start);
         let latency = cfg.noc.broadcast_latency();
-        let mut emitted = 0;
+        let mut last_emit = 0;
         for (&flit, &finished) in v.flits.iter().zip(&v.finished) {
-            let at = finished.max(emitted + 1).max(queues.opens_at());
+            let at = finished.max(last_emit + 1).max(queues.opens_at());
             queues.emit(flit, at, at + latency);
-            emitted = at;
+            last_emit = at;
         }
-        let cycle = v.settled.max(emitted).max(queues.drain_end());
+        let cycle = v.settled.max(last_emit).max(queues.drain_end());
         self.ev.merge(&v.ev);
         self.ev.noc.cycles += cycle;
         let mut busy = v.v_macs.clone();

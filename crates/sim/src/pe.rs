@@ -565,28 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn tile_positions_read_the_rows_the_tile_names() {
-        // Row i of W is all i/64; the tile maps position i to row 2i + 1.
-        let w = FixedMatrix::from_float(&sparsenn_linalg::Matrix::from_fn(260, 2, |i, _| {
-            i as f32 / 64.0
-        }));
-        let tile: Vec<usize> = (0..130).map(|i| 2 * i + 1).collect();
-        // PE 1 holds positions 1, 65 and 129: W rows 3, 131 and 259.
-        let mut pe = Pe::new(1, 64, &tile);
-        assert_eq!(pe.rows().collect::<Vec<_>>(), [1, 65, 129]);
-        let mut ev = MachineEvents::default();
-        pe.accumulate_w(&w, &[flit(0, 1.0)], 1, &mut ev);
-        let out: Vec<_> = pe
-            .writeback(false, &mut ev)
-            .map(|(i, v, _)| (i, v))
-            .collect();
-        assert_eq!(
-            out,
-            [(1, w.get(3, 0)), (65, w.get(131, 0)), (129, w.get(259, 0))]
-        );
-    }
-
-    #[test]
     fn w_step_consumes_one_mac_per_cycle() {
         let w = FixedMatrix::from_float(&sparsenn_linalg::Matrix::from_fn(128, 4, |i, j| {
             (i + j) as f32 * 0.01
