@@ -16,7 +16,9 @@
 //! multi-cycle hops, a 16-PE radix-2 tree and shallow queues. Partitioned
 //! runs pin the chip tiles: three chips on the shallow-queue machine, where
 //! the V results wait at the sink gate; two wavefront chips on the 16-PE
-//! tree; and four chips with uneven tiles over the predictor-less network.
+//! tree; four chips with uneven tiles over the predictor-less network; and
+//! two chips whose tiles put unequal rows on a PE in a predicted layer, so
+//! that each chip's V/U phase has its own length.
 //! The files pin the machine's behaviour; they are never rewritten by the
 //! test.
 
@@ -24,7 +26,7 @@ use sparsenn::datasets::DatasetKind;
 use sparsenn::engine::{CycleAccurateBackend, InferenceBackend, PartitionedMachine};
 use sparsenn::linalg::init::seeded_rng;
 use sparsenn::model::fixedpoint::{FixedNetwork, UvMode};
-use sparsenn::model::Mlp;
+use sparsenn::model::{Mlp, PredictedNetwork};
 use sparsenn::noc::NocConfig;
 use sparsenn::partition::{InterChipConfig, PipelineMode};
 use sparsenn::sim::{Machine, MachineConfig};
@@ -292,5 +294,22 @@ fn four_chips_with_uneven_tiles_and_no_predictor() {
     check(
         "cycle_chips4_uneven_uv_off.txt",
         &two_images_partitioned(&pm, &net, UvMode::Off),
+    );
+}
+
+/// A random 784-129-10 network with rank-4 predictors over two chips of
+/// the system's machine: one chip holds 65 of the predicted layer's 129
+/// rows and the other 64, so on 64 PEs one tile puts two rows on PE 0 and
+/// the other one, and the two tiles' U phases drain at different cycles.
+#[test]
+fn two_chips_with_unequal_rows_per_pe() {
+    let mut rng = seeded_rng(0x7113);
+    let mlp = Mlp::random(&[784, 129, 10], &mut rng);
+    let net = FixedNetwork::from_float(&PredictedNetwork::with_random_predictors(mlp, 4, &mut rng));
+    let cfg = *system().machine().config();
+    let pm = PartitionedMachine::new(&net, cfg, 2, InterChipConfig::default()).unwrap();
+    check(
+        "cycle_chips2_unequal_uv_on.txt",
+        &two_images_partitioned(&pm, &net, UvMode::On),
     );
 }
