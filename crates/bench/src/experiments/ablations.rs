@@ -206,10 +206,11 @@ pub fn lambda(p: Profile) -> Report {
             .test_samples(p.test_samples())
             .train_config(cfg)
             .build();
+        let eval = sys.evaluate();
         vec![
             format!("{lambda:.0e}"),
-            fmt_f(sys.test_error_rate() as f64, 2),
-            fmt_f(sys.predicted_sparsity()[0] as f64, 1),
+            fmt_f(eval.ter as f64, 2),
+            fmt_f(eval.rho[0] as f64, 1),
         ]
     });
     let mut out = Report::default();

@@ -5,18 +5,20 @@ use super::side_by_side;
 use crate::fmt_f;
 use crate::report::Report;
 use sparsenn_core::datasets::DatasetKind;
+use sparsenn_core::model::stats::Evaluation;
 use sparsenn_core::{Profile, SystemBuilder, TrainingAlgorithm};
 use std::fmt::Write as _;
 
 /// One `(rank, algorithm)` measurement.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct RankPoint {
     /// Predictor rank.
     pub rank: usize,
     /// Test error rate, %.
     pub ter: f32,
-    /// Mean predicted output sparsity of the hidden layer, %.
-    pub sparsity: f32,
+    /// Mean predicted output sparsity of the hidden layer, % (empty for
+    /// NO UV).
+    pub rho: Vec<f32>,
 }
 
 /// Measured series for one dataset.
@@ -41,17 +43,8 @@ fn measure(kind: DatasetKind, alg: TrainingAlgorithm, rank: usize, p: Profile) -
         .test_samples(p.test_samples())
         .epochs(p.epochs())
         .build();
-    // NO-UV evaluation ignores the predictor, so only its TER is reported.
-    let sparsity = if alg == TrainingAlgorithm::NoUv {
-        0.0
-    } else {
-        sys.predicted_sparsity()[0]
-    };
-    RankPoint {
-        rank,
-        ter: sys.test_error_rate(),
-        sparsity,
-    }
+    let Evaluation { ter, rho } = sys.evaluate();
+    RankPoint { rank, ter, rho }
 }
 
 /// Runs the full Fig. 6 sweep for each dataset in `kinds`, training all
@@ -74,8 +67,8 @@ pub fn sweep(kinds: &[DatasetKind], p: Profile) -> Vec<Fig6Series> {
         .map(|(&kind, pts)| Fig6Series {
             kind,
             no_uv_ter: pts[0].ter,
-            svd: pts[1..].iter().step_by(2).copied().collect(),
-            end_to_end: pts[1..].iter().skip(1).step_by(2).copied().collect(),
+            svd: pts[1..].iter().step_by(2).cloned().collect(),
+            end_to_end: pts[1..].iter().skip(1).step_by(2).cloned().collect(),
         })
         .collect()
 }
@@ -108,8 +101,8 @@ pub fn run(p: Profile) -> Report {
                     svd.rank.to_string(),
                     fmt_f(svd.ter as f64, 2),
                     fmt_f(e2e.ter as f64, 2),
-                    fmt_f(svd.sparsity as f64, 1),
-                    fmt_f(e2e.sparsity as f64, 1),
+                    fmt_f(svd.rho[0] as f64, 1),
+                    fmt_f(e2e.rho[0] as f64, 1),
                 ]
             })
             .collect();

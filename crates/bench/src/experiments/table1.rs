@@ -5,6 +5,7 @@ use super::side_by_side;
 use crate::fmt_f;
 use crate::report::Report;
 use sparsenn_core::datasets::DatasetKind;
+use sparsenn_core::model::stats::Evaluation;
 use sparsenn_core::{Profile, SystemBuilder, TrainingAlgorithm};
 use std::fmt::Write as _;
 
@@ -75,15 +76,11 @@ pub fn measure(kind: DatasetKind, algorithm: TrainingAlgorithm, p: Profile) -> T
         .test_samples(p.test_samples())
         .epochs(p.epochs())
         .build();
-    let rho = if algorithm == TrainingAlgorithm::NoUv {
-        Vec::new()
-    } else {
-        sys.predicted_sparsity()
-    };
+    let Evaluation { ter, rho } = sys.evaluate();
     Table1Row {
         kind,
         algorithm,
-        ter: sys.test_error_rate(),
+        ter,
         rho,
     }
 }

@@ -329,7 +329,7 @@ impl PartitionedMachine {
             let runs = self
                 .chip
                 .run_tiles(w, predictor, &acts, is_hidden, mode, &tiles)
-                .map_err(|e| relabel_layer(e.into(), l))?;
+                .map_err(|e| e.at_layer(l))?;
             let mut output = vec![Q6_10::ZERO; rows];
             let mut mask = predicted.then(|| vec![false; rows]);
             let mut events = MachineEvents::default();
@@ -510,24 +510,6 @@ impl PartitionedMachine {
             acts = output;
         }
         Ok(RunRecord { layers })
-    }
-}
-
-/// Re-labels a per-tile error (reported as layer 0 by the stand-alone
-/// layer run) with the network-level layer index.
-fn relabel_layer(e: SparseNnError, l: usize) -> SparseNnError {
-    match e {
-        SparseNnError::LayerDoesNotFit { reason, .. } => {
-            SparseNnError::LayerDoesNotFit { layer: l, reason }
-        }
-        SparseNnError::WMemoryOverflow {
-            words, capacity, ..
-        } => SparseNnError::WMemoryOverflow {
-            layer: l,
-            words,
-            capacity,
-        },
-        other => other,
     }
 }
 

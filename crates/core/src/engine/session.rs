@@ -129,11 +129,24 @@ impl<'a> Session<'a> {
         samples: usize,
         mode: UvMode,
     ) -> Result<SimulationSummary, SparseNnError> {
+        self.fold_in_order(samples, mode, |_, _| {})
+    }
+
+    /// Runs and folds the first `samples` test images (clamped to the
+    /// test-set size) one after another on the calling thread, handing
+    /// each record to `on_sample`.
+    fn fold_in_order(
+        &self,
+        samples: usize,
+        mode: UvMode,
+        mut on_sample: impl FnMut(usize, &RunRecord),
+    ) -> Result<SimulationSummary, SparseNnError> {
         let samples = samples.min(self.system.split().test.len());
         let mut acc = BatchAccumulator::new(self.system.fixed().num_layers());
         for i in 0..samples {
             let record = self.run_sample(i, mode)?;
             acc.fold(&record, self.is_correct(i, &record))?;
+            on_sample(i, &record);
         }
         Ok(acc.finish(&self.power_model(), samples))
     }
@@ -156,13 +169,7 @@ impl<'a> Session<'a> {
         let workers = self.worker_count(samples);
         if workers <= 1 {
             // Serial fast path (also: scoped threads have nothing to do).
-            let mut acc = BatchAccumulator::new(self.system.fixed().num_layers());
-            for i in 0..samples {
-                let record = self.run_sample(i, mode)?;
-                acc.fold(&record, self.is_correct(i, &record))?;
-                on_sample(i, &record);
-            }
-            return Ok(acc.finish(&self.power_model(), samples));
+            return self.fold_in_order(samples, mode, on_sample);
         }
 
         let next = AtomicUsize::new(0);

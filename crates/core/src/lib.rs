@@ -21,7 +21,7 @@
 //!     .test_samples(40)
 //!     .epochs(2)
 //!     .build();
-//! let ter = system.test_error_rate();
+//! let ter = system.evaluate().ter;
 //! assert!(ter <= 100.0);
 //! let run = system.simulate_sample(0, UvMode::On).unwrap();
 //! assert!(run.total_cycles() > 0);

@@ -5,7 +5,7 @@ use crate::error::SparseNnError;
 use sparsenn_datasets::{DatasetKind, DatasetSpec, SplitDataset};
 use sparsenn_energy::PowerReport;
 use sparsenn_model::fixedpoint::{FixedNetwork, UvMode};
-use sparsenn_model::stats::{predicted_sparsity, test_error_rate, EvalMode};
+use sparsenn_model::stats::{evaluate, Evaluation};
 use sparsenn_model::PredictedNetwork;
 use sparsenn_sim::{Machine, MachineConfig, MachineEvents, NetworkRun};
 use sparsenn_train::{end_to_end, no_uv, svd_baseline, TrainConfig};
@@ -19,7 +19,7 @@ pub enum TrainingAlgorithm {
     EndToEnd,
     /// Truncated-SVD predictor refreshed once per epoch (LRADNN baseline).
     Svd,
-    /// No predictor at all ("NO UV"); the network still *carries* random
+    /// No predictor at all ("NO UV"); the network still *carries* SVD
     /// predictors so it can be simulated, but evaluation ignores them.
     NoUv,
 }
@@ -261,20 +261,16 @@ impl TrainedSystem {
         &self.machine
     }
 
-    /// Test error rate (%), using the evaluation mode matching the
-    /// training algorithm (predictor-gated unless NO-UV).
-    pub fn test_error_rate(&self) -> f32 {
-        let mode = match self.algorithm {
-            TrainingAlgorithm::NoUv => EvalMode::Plain,
-            _ => EvalMode::Predicted,
+    /// Test error rate and predicted output sparsity per hidden layer (%)
+    /// on the test set — the paper's TER and ρ⁽ˡ⁾ — from one
+    /// predictor-gated pass per image. NO UV runs ungated and reports no ρ
+    /// (Table I's "N.A.").
+    pub fn evaluate(&self) -> Evaluation {
+        let predictors = match self.algorithm {
+            TrainingAlgorithm::NoUv => &[],
+            _ => self.net.predictors(),
         };
-        test_error_rate(&self.net, &self.split.test, mode)
-    }
-
-    /// Mean predicted output sparsity per hidden layer (%), on the test
-    /// set — the paper's ρ⁽ˡ⁾.
-    pub fn predicted_sparsity(&self) -> Vec<f32> {
-        predicted_sparsity(&self.net, &self.split.test)
+        evaluate(self.net.mlp(), predictors, &self.split.test)
     }
 
     /// Opens a serving [`Session`] over the cycle-accurate machine.
@@ -416,10 +412,10 @@ mod tests {
             TrainingAlgorithm::Svd,
             TrainingAlgorithm::NoUv,
         ] {
-            let sys = tiny(alg);
-            let ter = sys.test_error_rate();
+            let Evaluation { ter, rho } = tiny(alg).evaluate();
             assert!((0.0..=100.0).contains(&ter), "{alg}: TER {ter}");
-            assert_eq!(sys.predicted_sparsity().len(), 1);
+            let predicted = alg != TrainingAlgorithm::NoUv;
+            assert_eq!(rho.len(), usize::from(predicted), "{alg}");
         }
     }
 

@@ -317,8 +317,8 @@ mod tests {
         let x: Vec<f32> = (0..10).map(|i| ((i as f32) * 0.37).sin().abs()).collect();
         let xq = fixed.quantize_input(&x);
         let golden = fixed.forward(&xq, UvMode::Off);
-        let float_logits = net.forward_plain(&x);
-        for (g, f) in golden.last().unwrap().output.iter().zip(&float_logits) {
+        let float = crate::Tape::record(net.mlp(), &[], &x, crate::PredictorActivation::Indicator);
+        for (g, f) in golden.last().unwrap().output.iter().zip(&float.logits) {
             assert!(
                 (g.to_f32() - f).abs() < 0.12,
                 "fixed {} vs float {f} drifted too far",

@@ -19,8 +19,9 @@
 //!
 //! * [`Mlp`], [`DenseLayer`] — the float network.
 //! * [`Predictor`] — one `U·V` factor pair.
-//! * [`PredictedNetwork`] — network + predictors, with plain and
-//!   predicted forward passes.
+//! * [`PredictedNetwork`] — network + predictors.
+//! * [`Tape`] — the float forward pass, gated or not, recording what
+//!   backprop needs: the one pass training and evaluation share.
 //! * [`fixedpoint`] — the quantized golden model the cycle-level simulator
 //!   is verified against, bit for bit.
 //! * [`stats`] — TER and sparsity measurement.
@@ -28,15 +29,16 @@
 //! # Example
 //!
 //! ```
-//! use sparsenn_model::{Mlp, PredictedNetwork};
+//! use sparsenn_model::{Mlp, PredictedNetwork, PredictorActivation, Tape};
 //! use sparsenn_linalg::init::seeded_rng;
 //!
 //! let mut rng = seeded_rng(1);
 //! let mlp = Mlp::random(&[8, 16, 4], &mut rng);
 //! let net = PredictedNetwork::with_random_predictors(mlp, 4, &mut rng);
 //! let x = vec![0.5f32; 8];
-//! let out = net.forward_predicted(&x);
-//! assert_eq!(out.logits().len(), 4);
+//! let tape = Tape::record(net.mlp(), net.predictors(), &x, PredictorActivation::Indicator);
+//! assert_eq!(tape.logits.len(), 4);
+//! assert!((0.0..=1.0).contains(&tape.predicted_sparsity(0)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,4 +50,4 @@ mod predictor;
 pub mod stats;
 
 pub use mlp::{DenseLayer, Mlp};
-pub use predictor::{PredictedForward, PredictedNetwork, Predictor};
+pub use predictor::{PredictedNetwork, Predictor, PredictorActivation, Tape};

@@ -1,7 +1,7 @@
 //! The plain multi-layer perceptron.
 
 use rand::rngs::StdRng;
-use sparsenn_linalg::{init, vector, Matrix};
+use sparsenn_linalg::{init, Matrix};
 
 /// One fully-connected layer `a ↦ W·a` (no bias, exactly as in the paper's
 /// Eq. (1) and Algorithm 1).
@@ -65,23 +65,6 @@ pub struct Mlp {
     layers: Vec<DenseLayer>,
 }
 
-/// All activations recorded by a forward pass (needed for backprop).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Activations {
-    /// `pre[l] = W⁽ˡ⁾·a⁽ˡ⁾` for every layer `l`.
-    pub pre: Vec<Vec<f32>>,
-    /// `post[0]` is the input; `post[l+1]` the (ReLU'd or linear) output of
-    /// layer `l`. Length `layers + 1`.
-    pub post: Vec<Vec<f32>>,
-}
-
-impl Activations {
-    /// The network output (logits of the linear classifier layer).
-    pub fn logits(&self) -> &[f32] {
-        self.post.last().expect("activations never empty")
-    }
-}
-
 impl Mlp {
     /// Builds an MLP from explicit layers.
     ///
@@ -141,34 +124,12 @@ impl Mlp {
         d.extend(self.layers.iter().map(DenseLayer::outputs));
         d
     }
-
-    /// Full forward pass recording every activation. Hidden layers apply
-    /// ReLU; the final layer is linear.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` does not match the input dimension.
-    pub fn forward(&self, x: &[f32]) -> Activations {
-        let mut pre = Vec::with_capacity(self.layers.len());
-        let mut post = Vec::with_capacity(self.layers.len() + 1);
-        post.push(x.to_vec());
-        for (l, layer) in self.layers.iter().enumerate() {
-            let z = layer.preact(post.last().expect("post never empty"));
-            let a = if l + 1 < self.layers.len() {
-                vector::relu(&z)
-            } else {
-                z.clone()
-            };
-            pre.push(z);
-            post.push(a);
-        }
-        Activations { pre, post }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PredictorActivation, Tape};
     use sparsenn_linalg::init::seeded_rng;
 
     #[test]
@@ -179,25 +140,30 @@ mod tests {
         assert_eq!(mlp.num_hidden(), 2);
     }
 
+    /// The ungated pass: the plain feedforward.
+    fn plain(mlp: &Mlp, x: &[f32]) -> Tape {
+        Tape::record(mlp, &[], x, PredictorActivation::Indicator)
+    }
+
     #[test]
     fn forward_shapes_and_relu() {
         let mlp = Mlp::random(&[6, 8, 3], &mut seeded_rng(1));
-        let acts = mlp.forward(&[0.2; 6]);
-        assert_eq!(acts.post.len(), 3);
-        assert_eq!(acts.pre.len(), 2);
-        assert_eq!(acts.logits().len(), 3);
+        let tape = plain(&mlp, &[0.2; 6]);
+        assert_eq!(tape.a.len(), 2);
+        assert_eq!(tape.z.len(), 1);
+        assert_eq!(tape.logits.len(), 3);
         // Hidden activations are non-negative (ReLU).
-        assert!(acts.post[1].iter().all(|&v| v >= 0.0));
+        assert!(tape.a[1].iter().all(|&v| v >= 0.0));
         // Output layer is linear: logits equal the last pre-activation.
-        assert_eq!(acts.pre[1], *acts.logits());
+        assert_eq!(mlp.layers()[1].preact(&tape.a[1]), tape.logits);
     }
 
     #[test]
     fn identity_layer_passes_input() {
         let id = DenseLayer::new(Matrix::from_fn(4, 4, |i, j| if i == j { 1.0 } else { 0.0 }));
         let mlp = Mlp::new(vec![id]);
-        let acts = mlp.forward(&[1.0, -2.0, 3.0, 0.0]);
-        assert_eq!(acts.logits(), &[1.0, -2.0, 3.0, 0.0]);
+        let tape = plain(&mlp, &[1.0, -2.0, 3.0, 0.0]);
+        assert_eq!(tape.logits, [1.0, -2.0, 3.0, 0.0]);
     }
 
     #[test]
@@ -213,8 +179,7 @@ mod tests {
         // With He-init and a zero-mean input, about half the hidden units die.
         let mlp = Mlp::random(&[50, 200, 10], &mut seeded_rng(2));
         let x: Vec<f32> = (0..50).map(|i| ((i as f32) * 0.37).sin()).collect();
-        let acts = mlp.forward(&x);
-        let hidden = &acts.post[1];
+        let hidden = &plain(&mlp, &x).a[1];
         let s = hidden.iter().filter(|&&v| v == 0.0).count() as f32 / hidden.len() as f32;
         assert!(s > 0.25 && s < 0.75, "hidden sparsity {s}");
     }

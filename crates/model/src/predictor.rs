@@ -57,24 +57,6 @@ impl Predictor {
     pub fn rank(&self) -> usize {
         self.u.cols()
     }
-
-    /// The intermediate `V·a` (the accelerator's V-phase result).
-    pub fn v_scores(&self, a: &[f32]) -> Vec<f32> {
-        self.v.matvec(a)
-    }
-
-    /// The pre-sign scores `U·V·a` (the accelerator's U-phase result).
-    pub fn scores(&self, a: &[f32]) -> Vec<f32> {
-        self.u.matvec(&self.v_scores(a))
-    }
-
-    /// The activeness prediction: `true` where the row is predicted to
-    /// produce a positive (hence nonzero) activation. `sign(0)` counts as
-    /// inactive, matching the hardware's "only positive outputs are
-    /// scheduled".
-    pub fn predict(&self, a: &[f32]) -> Vec<bool> {
-        self.scores(a).iter().map(|&s| s > 0.0).collect()
-    }
 }
 
 /// A network with one predictor per hidden layer.
@@ -82,36 +64,6 @@ impl Predictor {
 pub struct PredictedNetwork {
     mlp: Mlp,
     predictors: Vec<Predictor>,
-}
-
-/// Result of a predictor-gated forward pass.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PredictedForward {
-    /// `post[0]` is the input; `post[l+1]` the gated output of layer `l`.
-    pub post: Vec<Vec<f32>>,
-    /// Per-hidden-layer activeness masks (`true` = computed).
-    pub masks: Vec<Vec<bool>>,
-}
-
-impl PredictedForward {
-    /// The classifier logits.
-    pub fn logits(&self) -> &[f32] {
-        self.post.last().expect("never empty")
-    }
-
-    /// Fraction of hidden units predicted *inactive* at hidden layer `l`
-    /// (the paper's ρ⁽ˡ⁺¹⁾, in `[0, 1]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is out of range.
-    pub fn predicted_sparsity(&self, l: usize) -> f32 {
-        let mask = &self.masks[l];
-        if mask.is_empty() {
-            return 0.0;
-        }
-        mask.iter().filter(|&&m| !m).count() as f32 / mask.len() as f32
-    }
 }
 
 impl PredictedNetwork {
@@ -170,39 +122,131 @@ impl PredictedNetwork {
         &mut self.predictors
     }
 
-    /// Plain forward pass, ignoring the predictors (the NO-UV baseline and
-    /// the `uv_off` accelerator mode).
-    pub fn forward_plain(&self, x: &[f32]) -> Vec<f32> {
-        self.mlp.forward(x).logits().to_vec()
+    /// The network and its predictors, both mutable (an SGD step updates
+    /// `W`, `U` and `V` together).
+    pub fn parts_mut(&mut self) -> (&mut Mlp, &mut [Predictor]) {
+        (&mut self.mlp, &mut self.predictors)
     }
+}
 
-    /// Inference forward pass with output-sparsity bypass: hidden rows
-    /// predicted inactive are *not computed* (their activation is zero),
-    /// exactly like the accelerator's W phase.
+/// The gate `p` the forward pass derives from the predictor scores
+/// `s = U·V·a`.
+///
+/// [`Indicator`](PredictorActivation::Indicator), `p = 1_{s>0}`, gates
+/// exactly like the inference hardware (compute-or-zero); training and
+/// evaluation use it. The paper's literal `p = sign(s) ∈ {−1, +1}`
+/// ([`Sign`](PredictorActivation::Sign)) *negates* the activation of every
+/// false-negative prediction during training, which we measured to derail
+/// learning on dense inputs and deep stacks; it is kept for fidelity
+/// experiments. The continuous
+/// [`HardTanh`](PredictorActivation::HardTanh) surrogate makes the
+/// straight-through gradients of `sparsenn-train` *exact*, which its
+/// gradient checks exploit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
+pub enum PredictorActivation {
+    /// `p = 1_{s>0}` — activeness gating, train/inference consistent.
+    #[default]
+    Indicator,
+    /// `p = sign(s)` — the paper's Eq. (2), read literally.
+    Sign,
+    /// `p = max(−1, min(1, s))` — the straight-through estimator's
+    /// implicit surrogate.
+    HardTanh,
+}
+
+impl PredictorActivation {
+    fn apply(self, s: &[f32]) -> Vec<f32> {
+        match self {
+            PredictorActivation::Indicator => vector::relu_mask(s),
+            PredictorActivation::Sign => vector::sign(s),
+            PredictorActivation::HardTanh => s.iter().map(|&v| v.clamp(-1.0, 1.0)).collect(),
+        }
+    }
+}
+
+/// The float forward pass, with everything backprop needs: the one pass
+/// that training and evaluation share.
+///
+/// Hidden layer `l` computes `z = W·a` and, when it has a predictor,
+/// `V·a`, `s = U·(V·a)` and the gate `p`; its output is `p ∘ ReLU(z)`, or
+/// `ReLU(z)` with no predictor. The classifier is linear. Under
+/// [`Indicator`](PredictorActivation::Indicator) gating the output of a row
+/// predicted inactive is zero, as when the accelerator bypasses it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Tape {
+    /// `a[l]`: the input of layer `l` (`a[0]` is the network input).
+    pub a: Vec<Vec<f32>>,
+    /// `z[l] = W⁽ˡ⁾·a[l]` per hidden layer.
+    pub z: Vec<Vec<f32>>,
+    /// `va[l] = V⁽ˡ⁾·a[l]` per predicted hidden layer.
+    pub va: Vec<Vec<f32>>,
+    /// `s[l] = U⁽ˡ⁾·va[l]`, the predictor scores, per predicted hidden
+    /// layer.
+    pub s: Vec<Vec<f32>>,
+    /// `p[l]`, the gate, per predicted hidden layer.
+    pub p: Vec<Vec<f32>>,
+    /// The classifier's logits.
+    pub logits: Vec<f32>,
+}
+
+impl Tape {
+    /// Runs `x` through `mlp`, gating hidden layer `l` with
+    /// `predictors[l]`; hidden layers past the end of `predictors` are not
+    /// gated.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len()` does not match the input width.
-    pub fn forward_predicted(&self, x: &[f32]) -> PredictedForward {
-        let mut post = vec![x.to_vec()];
-        let mut masks = Vec::with_capacity(self.predictors.len());
-        for (l, layer) in self.mlp.layers().iter().enumerate() {
-            let a = post.last().expect("never empty");
-            if l < self.predictors.len() {
-                let mask = self.predictors[l].predict(a);
-                let mut out = vec![0.0f32; layer.outputs()];
-                for (i, (oi, &active)) in out.iter_mut().zip(&mask).enumerate() {
-                    if active {
-                        *oi = vector::dot(layer.w().row(i), a).max(0.0);
-                    }
+    /// Panics if `x` or a predictor does not match its layer's width.
+    pub fn record(
+        mlp: &Mlp,
+        predictors: &[Predictor],
+        x: &[f32],
+        act: PredictorActivation,
+    ) -> Self {
+        let layers = mlp.layers();
+        let (hidden, gated) = (mlp.num_hidden(), predictors.len());
+        let mut tape = Tape {
+            a: Vec::with_capacity(layers.len()),
+            z: Vec::with_capacity(hidden),
+            va: Vec::with_capacity(gated),
+            s: Vec::with_capacity(gated),
+            p: Vec::with_capacity(gated),
+            logits: Vec::new(),
+        };
+        tape.a.push(x.to_vec());
+        for (l, layer) in layers[..hidden].iter().enumerate() {
+            let a = tape.a.last().expect("never empty");
+            let z = layer.preact(a);
+            let a_next = match predictors.get(l) {
+                Some(predictor) => {
+                    let va = predictor.v().matvec(a);
+                    let s = predictor.u().matvec(&va);
+                    let p = act.apply(&s);
+                    let a_next = vector::hadamard(&p, &vector::relu(&z));
+                    tape.va.push(va);
+                    tape.s.push(s);
+                    tape.p.push(p);
+                    a_next
                 }
-                masks.push(mask);
-                post.push(out);
-            } else {
-                post.push(layer.preact(a));
-            }
+                None => vector::relu(&z),
+            };
+            tape.z.push(z);
+            tape.a.push(a_next);
         }
-        PredictedForward { post, masks }
+        tape.logits = layers[hidden].preact(tape.a.last().expect("never empty"));
+        tape
+    }
+
+    /// Fraction of predicted hidden layer `l`'s rows the gate leaves
+    /// inactive (`p ≤ 0`): the paper's ρ⁽ˡ⁺¹⁾, in `[0, 1]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l` is out of range.
+    pub fn predicted_sparsity(&self, l: usize) -> f32 {
+        let p = &self.p[l];
+        let inactive = p.iter().filter(|&&v| v <= 0.0).count();
+        inactive as f32 / p.len().max(1) as f32
     }
 }
 
@@ -234,19 +278,25 @@ mod tests {
         PredictedNetwork::new(mlp, vec![]);
     }
 
+    /// The Indicator-gated tape of `net` on `x`.
+    fn gated(net: &PredictedNetwork, x: &[f32]) -> Tape {
+        Tape::record(
+            net.mlp(),
+            net.predictors(),
+            x,
+            PredictorActivation::Indicator,
+        )
+    }
+
     #[test]
     fn predicted_inactive_rows_are_zero() {
         let net = small_net(3);
         let x: Vec<f32> = (0..6).map(|i| (i as f32 * 0.61).sin().max(0.0)).collect();
-        let out = net.forward_predicted(&x);
-        for (l, mask) in out.masks.iter().enumerate() {
-            for (i, &active) in mask.iter().enumerate() {
-                if !active {
-                    assert_eq!(
-                        out.post[l + 1][i],
-                        0.0,
-                        "layer {l} row {i} should be bypassed"
-                    );
+        let out = gated(&net, &x);
+        for (l, gate) in out.p.iter().enumerate() {
+            for (i, &p) in gate.iter().enumerate() {
+                if p == 0.0 {
+                    assert_eq!(out.a[l + 1][i], 0.0, "layer {l} row {i} should be bypassed");
                 }
             }
         }
@@ -254,25 +304,29 @@ mod tests {
 
     #[test]
     fn gating_only_removes_or_keeps_values() {
-        // Where the mask is active, the gated value equals the plain ReLU value.
+        // Where the gate is open, the gated value equals the plain ReLU value.
         let net = small_net(4);
         let x: Vec<f32> = (0..6).map(|i| (i as f32 * 0.3).cos().abs()).collect();
-        let plain = net.mlp().forward(&x);
-        let pred = net.forward_predicted(&x);
-        for (i, &active) in pred.masks[0].iter().enumerate() {
-            if active {
-                assert!((pred.post[1][i] - plain.post[1][i]).abs() < 1e-6);
+        let plain = vector::relu(&net.mlp().layers()[0].preact(&x));
+        let pred = gated(&net, &x);
+        for (i, &p) in pred.p[0].iter().enumerate() {
+            if p > 0.0 {
+                assert_eq!(pred.a[1][i], plain[i]);
             }
         }
     }
 
     #[test]
     fn predicted_sparsity_counts_inactive_fraction() {
-        let pf = PredictedForward {
-            post: vec![vec![], vec![]],
-            masks: vec![vec![true, false, false, true]],
+        let tape = Tape {
+            a: vec![vec![], vec![]],
+            z: vec![vec![]],
+            va: vec![vec![]],
+            s: vec![vec![]],
+            p: vec![vec![1.0, 0.0, 0.0, 1.0]],
+            logits: vec![],
         };
-        assert_eq!(pf.predicted_sparsity(0), 0.5);
+        assert_eq!(tape.predicted_sparsity(0), 0.5);
     }
 
     #[test]
@@ -284,9 +338,9 @@ mod tests {
         let eye = Matrix::from_fn(5, 5, |i, j| if i == j { 1.0 } else { 0.0 });
         let net = PredictedNetwork::new(mlp, vec![Predictor::new(w, eye)]);
         let x: Vec<f32> = (0..5).map(|i| (i as f32).cos()).collect();
-        let plain = net.forward_plain(&x);
-        let pred = net.forward_predicted(&x);
-        for (a, b) in plain.iter().zip(pred.logits()) {
+        let plain = Tape::record(net.mlp(), &[], &x, PredictorActivation::Indicator);
+        let pred = gated(&net, &x);
+        for (a, b) in plain.logits.iter().zip(&pred.logits) {
             assert!((a - b).abs() < 1e-5);
         }
     }

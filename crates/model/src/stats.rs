@@ -4,75 +4,53 @@
 //! error rate, %) and **ρ⁽ˡ⁾** (predicted output sparsity per hidden layer,
 //! %).
 
-use crate::{Mlp, PredictedNetwork};
+use crate::{Mlp, Predictor, PredictorActivation, Tape};
 use sparsenn_datasets::Dataset;
 use sparsenn_linalg::vector;
 
-/// Which forward pass to evaluate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum EvalMode {
-    /// Plain feedforward, predictor ignored (the NO-UV rows of Table I).
-    Plain,
-    /// Predictor-gated inference (the SVD / End-to-End rows).
-    #[default]
-    Predicted,
+/// What one network scores on one dataset.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Evaluation {
+    /// Test error rate, %.
+    pub ter: f32,
+    /// Mean predicted output sparsity per predicted hidden layer, %
+    /// (the paper's ρ⁽¹⁾…ρ⁽³⁾ columns); empty without predictors, which
+    /// is Table I's "N.A.".
+    pub rho: Vec<f32>,
 }
 
-/// Test error rate in percent of a predictor-carrying network.
-pub fn test_error_rate(net: &PredictedNetwork, data: &Dataset, mode: EvalMode) -> f32 {
-    if data.is_empty() {
-        return 0.0;
-    }
+/// Scores `mlp` on `data` through one [`Indicator`]-gated [`Tape`] per
+/// image, hidden layer `l` gated by `predictors[l]`: the predicted rows
+/// run, the others output zero, as on the accelerator. An empty dataset
+/// scores 0 % everywhere.
+///
+/// [`Indicator`]: PredictorActivation::Indicator
+pub fn evaluate(mlp: &Mlp, predictors: &[Predictor], data: &Dataset) -> Evaluation {
     let mut wrong = 0usize;
+    let mut sums = vec![0.0f64; predictors.len()];
     for (img, label) in data.iter() {
-        let pred = match mode {
-            EvalMode::Plain => vector::argmax(&net.forward_plain(img)),
-            EvalMode::Predicted => vector::argmax(net.forward_predicted(img).logits()),
-        }
-        .expect("nonempty logits");
-        if pred != label as usize {
+        let tape = Tape::record(mlp, predictors, img, PredictorActivation::Indicator);
+        if vector::argmax(&tape.logits).expect("nonempty logits") != label as usize {
             wrong += 1;
         }
-    }
-    100.0 * wrong as f32 / data.len() as f32
-}
-
-/// Test error rate in percent of a plain MLP.
-pub fn test_error_rate_plain(mlp: &Mlp, data: &Dataset) -> f32 {
-    if data.is_empty() {
-        return 0.0;
-    }
-    let wrong = data
-        .iter()
-        .filter(|(img, label)| {
-            vector::argmax(mlp.forward(img).logits()).expect("nonempty") != *label as usize
-        })
-        .count();
-    100.0 * wrong as f32 / data.len() as f32
-}
-
-/// Mean predicted output sparsity ρ per hidden layer, in percent,
-/// averaged over the dataset (the paper's ρ⁽¹⁾…ρ⁽³⁾ columns).
-pub fn predicted_sparsity(net: &PredictedNetwork, data: &Dataset) -> Vec<f32> {
-    let hidden = net.predictors().len();
-    let mut sums = vec![0.0f64; hidden];
-    if data.is_empty() {
-        return vec![0.0; hidden];
-    }
-    for (img, _) in data.iter() {
-        let fwd = net.forward_predicted(img);
         for (l, s) in sums.iter_mut().enumerate() {
-            *s += f64::from(fwd.predicted_sparsity(l));
+            *s += f64::from(tape.predicted_sparsity(l));
         }
     }
-    sums.iter()
-        .map(|&s| (100.0 * s / data.len() as f64) as f32)
-        .collect()
+    let n = data.len().max(1);
+    Evaluation {
+        ter: 100.0 * wrong as f32 / n as f32,
+        rho: sums
+            .iter()
+            .map(|&s| (100.0 * s / n as f64) as f32)
+            .collect(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PredictedNetwork;
     use sparsenn_datasets::{DatasetKind, DatasetSpec};
     use sparsenn_linalg::init::seeded_rng;
 
@@ -87,21 +65,22 @@ mod tests {
         .test
     }
 
+    fn net(dims: &[usize], rank: usize, seed: u64) -> PredictedNetwork {
+        let mut rng = seeded_rng(seed);
+        let mlp = Mlp::random(dims, &mut rng);
+        PredictedNetwork::with_random_predictors(mlp, rank, &mut rng)
+    }
+
     #[test]
     fn random_network_ter_is_chance_level() {
-        let mut rng = seeded_rng(2);
-        let mlp = Mlp::random(&[784, 32, 10], &mut rng);
-        let net = PredictedNetwork::with_random_predictors(mlp, 4, &mut rng);
-        let data = tiny_data();
-        let ter = test_error_rate(&net, &data, EvalMode::Plain);
+        let net = net(&[784, 32, 10], 4, 2);
+        let ter = evaluate(net.mlp(), &[], &tiny_data()).ter;
         assert!(ter >= 50.0, "random net should be near chance, got {ter}%");
     }
 
     #[test]
     fn empty_dataset_gives_zero_ter() {
-        let mut rng = seeded_rng(3);
-        let mlp = Mlp::random(&[784, 8, 10], &mut rng);
-        let net = PredictedNetwork::with_random_predictors(mlp, 2, &mut rng);
+        let net = net(&[784, 8, 10], 2, 3);
         let empty = DatasetSpec {
             kind: DatasetKind::Basic,
             train: 0,
@@ -110,30 +89,18 @@ mod tests {
         }
         .generate()
         .test;
-        assert_eq!(test_error_rate(&net, &empty, EvalMode::Predicted), 0.0);
-        assert_eq!(predicted_sparsity(&net, &empty), vec![0.0]);
+        let eval = evaluate(net.mlp(), net.predictors(), &empty);
+        assert_eq!(eval.ter, 0.0);
+        assert_eq!(eval.rho, vec![0.0]);
     }
 
     #[test]
     fn sparsity_percentages_are_in_range() {
-        let mut rng = seeded_rng(4);
-        let mlp = Mlp::random(&[784, 16, 16, 10], &mut rng);
-        let net = PredictedNetwork::with_random_predictors(mlp, 4, &mut rng);
-        let data = tiny_data();
-        for s in predicted_sparsity(&net, &data) {
+        let net = net(&[784, 16, 16, 10], 4, 4);
+        let rho = evaluate(net.mlp(), net.predictors(), &tiny_data()).rho;
+        assert_eq!(rho.len(), 2);
+        for s in rho {
             assert!((0.0..=100.0).contains(&s));
         }
-    }
-
-    #[test]
-    fn plain_modes_agree_between_entry_points() {
-        let mut rng = seeded_rng(5);
-        let mlp = Mlp::random(&[784, 16, 10], &mut rng);
-        let net = PredictedNetwork::with_random_predictors(mlp.clone(), 4, &mut rng);
-        let data = tiny_data();
-        assert_eq!(
-            test_error_rate(&net, &data, EvalMode::Plain),
-            test_error_rate_plain(&mlp, &data)
-        );
     }
 }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use sparsenn_linalg::init::seeded_rng;
 use sparsenn_model::fixedpoint::{FixedNetwork, UvMode};
-use sparsenn_model::{Mlp, PredictedNetwork};
+use sparsenn_model::{Mlp, PredictedNetwork, PredictorActivation, Tape};
 
 fn network(seed: u64, hidden: usize, rank: usize) -> PredictedNetwork {
     let mut rng = seeded_rng(seed);
@@ -11,6 +11,16 @@ fn network(seed: u64, hidden: usize, rank: usize) -> PredictedNetwork {
         Mlp::random(&[12, hidden, 8], &mut rng),
         rank,
         &mut rng,
+    )
+}
+
+/// The Indicator-gated tape of `net` on `x`.
+fn gated(net: &PredictedNetwork, x: &[f32]) -> Tape {
+    Tape::record(
+        net.mlp(),
+        net.predictors(),
+        x,
+        PredictorActivation::Indicator,
     )
 }
 
@@ -38,11 +48,11 @@ proptest! {
     fn predicted_nonzeros_are_a_subset_of_plain(seed in 0u64..10_000, rank in 1usize..5) {
         let net = network(seed, 16, rank);
         let x = input(seed);
-        let plain = net.mlp().forward(&x);
-        let pred = net.forward_predicted(&x);
-        for (i, &v) in pred.post[1].iter().enumerate() {
+        let plain = sparsenn_linalg::vector::relu(&net.mlp().layers()[0].preact(&x));
+        let pred = gated(&net, &x);
+        for (i, &v) in pred.a[1].iter().enumerate() {
             if v != 0.0 {
-                prop_assert!((v - plain.post[1][i]).abs() < 1e-6);
+                prop_assert!((v - plain[i]).abs() < 1e-6);
             }
         }
     }
@@ -54,7 +64,7 @@ proptest! {
     fn quantized_mask_agrees_on_decisive_scores(seed in 0u64..10_000) {
         let net = network(seed, 16, 3);
         let x = input(seed);
-        let float_scores = net.predictors()[0].scores(&x);
+        let float_scores = gated(&net, &x).s.remove(0);
         let fixed = FixedNetwork::from_float(&net);
         let xq = fixed.quantize_input(&x);
         let golden = fixed.forward_layer(0, &xq, UvMode::On);
@@ -71,9 +81,9 @@ proptest! {
     fn zero_input_collapses_everything(seed in 0u64..10_000) {
         let net = network(seed, 12, 2);
         let x = vec![0.0f32; 12];
-        let pred = net.forward_predicted(&x);
-        prop_assert!(pred.post[1].iter().all(|&v| v == 0.0));
-        prop_assert!(pred.logits().iter().all(|&v| v == 0.0));
+        let pred = gated(&net, &x);
+        prop_assert!(pred.a[1].iter().all(|&v| v == 0.0));
+        prop_assert!(pred.logits.iter().all(|&v| v == 0.0));
     }
 
     /// Predictor scores are linear in the input (they are a composition of
@@ -83,8 +93,8 @@ proptest! {
         let net = network(seed, 10, 2);
         let x = input(seed);
         let scaled: Vec<f32> = x.iter().map(|v| v * alpha).collect();
-        let s1 = net.predictors()[0].scores(&x);
-        let s2 = net.predictors()[0].scores(&scaled);
+        let s1 = gated(&net, &x).s.remove(0);
+        let s2 = gated(&net, &scaled).s.remove(0);
         for (a, b) in s1.iter().zip(&s2) {
             prop_assert!((a * alpha - b).abs() < 1e-3 * (1.0 + b.abs()), "{a} {b} {alpha}");
         }

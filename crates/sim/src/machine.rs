@@ -290,31 +290,33 @@ impl BatchNetworkRun {
     }
 }
 
-/// Re-labels a per-layer error with its position in the network chain.
-/// Past layer 0 a width mismatch is a malformed layer chain, not a bad
-/// caller input — reported as such (and identically to the functional
-/// backends).
-fn relabel_layer_error(e: MachineError, l: usize) -> MachineError {
-    match e {
-        MachineError::LayerDoesNotFit { reason, .. } => {
-            MachineError::LayerDoesNotFit { layer: l, reason }
-        }
-        MachineError::WMemoryOverflow {
-            words, capacity, ..
-        } => MachineError::WMemoryOverflow {
-            layer: l,
-            words,
-            capacity,
-        },
-        MachineError::InputWidthMismatch { expected, got } if l > 0 => {
-            MachineError::LayerDoesNotFit {
-                layer: l,
-                reason: format!(
-                    "layer expects {expected} inputs but the previous layer produces {got}"
-                ),
+impl MachineError {
+    /// Re-labels the error of a stand-alone layer run (reported as layer
+    /// 0) with the layer's position `l` in the network chain. Past layer 0
+    /// a width mismatch is a malformed layer chain, not a bad caller input
+    /// — reported as such (and identically to the functional backends).
+    pub fn at_layer(self, l: usize) -> MachineError {
+        match self {
+            MachineError::LayerDoesNotFit { reason, .. } => {
+                MachineError::LayerDoesNotFit { layer: l, reason }
             }
+            MachineError::WMemoryOverflow {
+                words, capacity, ..
+            } => MachineError::WMemoryOverflow {
+                layer: l,
+                words,
+                capacity,
+            },
+            MachineError::InputWidthMismatch { expected, got } if l > 0 => {
+                MachineError::LayerDoesNotFit {
+                    layer: l,
+                    reason: format!(
+                        "layer expects {expected} inputs but the previous layer produces {got}"
+                    ),
+                }
+            }
+            other => other,
         }
-        other => other,
     }
 }
 
@@ -434,7 +436,7 @@ impl Machine {
             };
             let run = self
                 .run_layer(&net.layers()[l], predictor, &acts, is_hidden, mode)
-                .map_err(|e| relabel_layer_error(e, l))?;
+                .map_err(|e| e.at_layer(l))?;
             acts = run.output.clone();
             layers.push(run);
         }
@@ -483,7 +485,7 @@ impl Machine {
             for sample in &acts {
                 let run = self
                     .run_layer(w, predictor, sample, is_hidden, mode)
-                    .map_err(|e| relabel_layer_error(e, l))?;
+                    .map_err(|e| e.at_layer(l))?;
                 per_sample.push(run);
             }
             let batch = self.batch_timing(w, &per_sample, &acts, is_hidden, l)?;
@@ -540,7 +542,7 @@ impl Machine {
             UvMode::Off,
             &[all],
         )
-        .map_err(|e| relabel_layer_error(e, layer))?;
+        .map_err(|e| e.at_layer(layer))?;
         match &union_mask {
             Some(mask) => stages.force_predictor(mask),
             None => stages.run_vu(),

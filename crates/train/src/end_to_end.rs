@@ -35,92 +35,12 @@
 //! the paper reports (larger λ ⇒ larger predicted sparsity, slight TER
 //! cost). This implementation uses the indicator reading.
 
-use crate::loss::{cross_entropy, cross_entropy_grad};
+use crate::backprop::{self, Uv};
 use crate::trainer::{run_epochs, History, TrainConfig};
 use sparsenn_datasets::SplitDataset;
 use sparsenn_linalg::init::seeded_rng;
-use sparsenn_linalg::{vector, Matrix};
-use sparsenn_model::{Mlp, PredictedNetwork};
-
-/// Forward activation used for the predictor output.
-///
-/// [`Indicator`](PredictorActivation::Indicator) is the default used by
-/// [`train`]: `p = 1_{x>0}` gates exactly like the inference hardware
-/// (compute-or-zero). The paper's literal `p = sign(x) ∈ {−1, +1}`
-/// ([`Sign`](PredictorActivation::Sign)) *negates* the activation of every
-/// false-negative prediction during training, which we measured to derail
-/// learning on dense inputs and deep stacks; it is kept for fidelity
-/// experiments. The continuous
-/// [`HardTanh`](PredictorActivation::HardTanh) surrogate makes the
-/// straight-through gradients *exact*, which the gradient-check tests
-/// exploit. All three share the same backward formulas.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum PredictorActivation {
-    /// `p = 1_{x>0}` — activeness gating, train/inference consistent.
-    #[default]
-    Indicator,
-    /// `p = sign(x)` — the paper's Eq. (2), read literally.
-    Sign,
-    /// `p = max(−1, min(1, x))` — the STE's implicit surrogate.
-    HardTanh,
-}
-
-fn apply_activation(xs: &[f32], act: PredictorActivation) -> Vec<f32> {
-    match act {
-        PredictorActivation::Indicator => xs
-            .iter()
-            .map(|&v| if v > 0.0 { 1.0 } else { 0.0 })
-            .collect(),
-        PredictorActivation::Sign => vector::sign(xs),
-        PredictorActivation::HardTanh => xs.iter().map(|&v| v.clamp(-1.0, 1.0)).collect(),
-    }
-}
-
-/// Everything the forward pass must remember for backprop.
-#[derive(Clone, Debug)]
-struct ForwardTape {
-    /// `a[l]`: gated input of layer `l` (`a[0]` = network input).
-    a: Vec<Vec<f32>>,
-    /// `z[l] = W a` for hidden layers.
-    z: Vec<Vec<f32>>,
-    /// `s[l] = U V a` predictor pre-activation per hidden layer.
-    s: Vec<Vec<f32>>,
-    /// `p[l]` predictor output per hidden layer.
-    p: Vec<Vec<f32>>,
-    /// `V a` intermediate per hidden layer (needed for ∂ℓ/∂U).
-    va: Vec<Vec<f32>>,
-    /// Classifier logits.
-    logits: Vec<f32>,
-}
-
-fn forward_tape(net: &PredictedNetwork, x: &[f32], act: PredictorActivation) -> ForwardTape {
-    let hidden = net.predictors().len();
-    let mut tape = ForwardTape {
-        a: vec![x.to_vec()],
-        z: Vec::with_capacity(hidden),
-        s: Vec::with_capacity(hidden),
-        p: Vec::with_capacity(hidden),
-        va: Vec::with_capacity(hidden),
-        logits: Vec::new(),
-    };
-    for l in 0..hidden {
-        let a = tape.a.last().expect("nonempty").clone();
-        let layer = &net.mlp().layers()[l];
-        let z = layer.preact(&a);
-        let va = net.predictors()[l].v_scores(&a);
-        let s = net.predictors()[l].u().matvec(&va);
-        let p = apply_activation(&s, act);
-        let a_next = vector::hadamard(&p, &vector::relu(&z));
-        tape.a.push(a_next);
-        tape.z.push(z);
-        tape.s.push(s);
-        tape.p.push(p);
-        tape.va.push(va);
-    }
-    let last = net.mlp().layers().last().expect("at least one layer");
-    tape.logits = last.preact(tape.a.last().expect("nonempty"));
-    tape
-}
+use sparsenn_linalg::Matrix;
+use sparsenn_model::{Mlp, PredictedNetwork, PredictorActivation, Tape};
 
 /// Total training loss for one sample: cross entropy plus the ℓ1 predictor
 /// regularizer `λ·Σ_l ‖p⁽ˡ⁾‖₁` of Eq. (4).
@@ -131,17 +51,8 @@ pub fn sample_loss(
     lambda: f32,
     act: PredictorActivation,
 ) -> f32 {
-    let tape = forward_tape(net, x, act);
-    cross_entropy(&tape.logits, label) + lambda * active_l1(&tape.p)
-}
-
-/// The activeness-ℓ1 regularizer `Σ_l Σ_i max(p⁽ˡ⁾_i, 0)` (see the module
-/// docs for why the positive part is the right reading of Eq. (4)).
-fn active_l1(p_layers: &[Vec<f32>]) -> f32 {
-    p_layers
-        .iter()
-        .map(|p| p.iter().map(|v| v.max(0.0)).sum::<f32>())
-        .sum()
+    let tape = Tape::record(net.mlp(), net.predictors(), x, act);
+    backprop::loss(&tape, label, Uv::Trained { lambda, act })
 }
 
 /// Per-layer gradients of [`sample_loss`].
@@ -155,60 +66,16 @@ pub struct Gradients {
     pub dv: Vec<Matrix>,
 }
 
-/// The backward terms shared by gradient assembly and the in-place SGD
-/// step: for each hidden layer, `(γ, θ, Uᵀθ)`.
-struct BackwardTerms {
-    gamma: Vec<Vec<f32>>,
-    theta: Vec<Vec<f32>>,
-    ut_theta: Vec<Vec<f32>>,
-    /// γ of the final linear layer (= δ⁽ᴸ⁾).
-    delta_out: Vec<f32>,
-}
-
-fn backward_terms(
-    net: &PredictedNetwork,
-    tape: &ForwardTape,
-    label: usize,
-    lambda: f32,
-) -> BackwardTerms {
-    let hidden = net.predictors().len();
-    let delta_out = cross_entropy_grad(&tape.logits, label);
-
-    // δ at the output of hidden layer `l` (i.e. ∂ℓ/∂a[l+1]).
-    let last = net.mlp().layers().last().expect("nonempty");
-    let mut delta = last.w().matvec_t(&delta_out);
-
-    let mut gamma = vec![Vec::new(); hidden];
-    let mut theta = vec![Vec::new(); hidden];
-    let mut ut_theta = vec![Vec::new(); hidden];
-
-    for l in (0..hidden).rev() {
-        let a_ori = vector::relu(&tape.z[l]);
-        // ∂ℓ/∂p = δ ∘ a_ori + λ·1_{p>0} (activeness reading of Eq. (4)).
-        let mut dp = vector::hadamard(&delta, &a_ori);
-        let active: Vec<f32> = tape.p[l]
-            .iter()
-            .map(|&v| if v > 0.0 { 1.0 } else { 0.0 })
-            .collect();
-        vector::axpy(lambda, &active, &mut dp);
-        // ∂ℓ/∂a_ori = δ ∘ p
-        let da_ori = vector::hadamard(&delta, &tape.p[l]);
-        // θ = dp ∘ 1_{|s|<1}
-        let th = vector::hadamard(&dp, &vector::ste_mask(&tape.s[l]));
-        // γ = da_ori ∘ 1_{z>0}
-        let gm = vector::hadamard(&da_ori, &vector::relu_mask(&tape.z[l]));
-        // δ for the next-lower layer flows only through W (paper Alg. 1).
-        delta = net.mlp().layers()[l].w().matvec_t(&gm);
-        ut_theta[l] = net.predictors()[l].u().matvec_t(&th);
-        gamma[l] = gm;
-        theta[l] = th;
-    }
-    BackwardTerms {
-        gamma,
-        theta,
-        ut_theta,
-        delta_out,
-    }
+/// `x yᵀ` for each pair of `xs` and `ys`.
+fn outers(xs: &[Vec<f32>], ys: &[Vec<f32>]) -> Vec<Matrix> {
+    xs.iter()
+        .zip(ys)
+        .map(|(x, y)| {
+            let mut m = Matrix::zeros(x.len(), y.len());
+            m.add_scaled_outer(1.0, x, y);
+            m
+        })
+        .collect()
 }
 
 /// Computes the full gradient set for one sample (used by the gradient
@@ -220,35 +87,19 @@ pub fn compute_gradients(
     lambda: f32,
     act: PredictorActivation,
 ) -> Gradients {
-    let tape = forward_tape(net, x, act);
-    let terms = backward_terms(net, &tape, label, lambda);
-    let hidden = net.predictors().len();
-    let num_layers = net.mlp().num_layers();
-
-    let mut dw = Vec::with_capacity(num_layers);
-    let mut du = Vec::with_capacity(hidden);
-    let mut dv = Vec::with_capacity(hidden);
-    for l in 0..hidden {
-        let layer = &net.mlp().layers()[l];
-        let mut w_grad = Matrix::zeros(layer.outputs(), layer.inputs());
-        w_grad.add_scaled_outer(1.0, &terms.gamma[l], &tape.a[l]);
-        dw.push(w_grad);
-
-        let p = &net.predictors()[l];
-        let mut u_grad = Matrix::zeros(p.u().rows(), p.u().cols());
-        u_grad.add_scaled_outer(1.0, &terms.theta[l], &tape.va[l]);
-        du.push(u_grad);
-
-        let mut v_grad = Matrix::zeros(p.v().rows(), p.v().cols());
-        v_grad.add_scaled_outer(1.0, &terms.ut_theta[l], &tape.a[l]);
-        dv.push(v_grad);
+    let tape = Tape::record(net.mlp(), net.predictors(), x, act);
+    let b = backprop::backward(
+        net.mlp(),
+        net.predictors(),
+        &tape,
+        label,
+        Uv::Trained { lambda, act },
+    );
+    Gradients {
+        dw: outers(&b.gamma, &tape.a),
+        du: outers(&b.theta, &tape.va),
+        dv: outers(&b.ut_theta, &tape.a),
     }
-    let last = net.mlp().layers().last().expect("nonempty");
-    let mut w_grad = Matrix::zeros(last.outputs(), last.inputs());
-    w_grad.add_scaled_outer(1.0, &terms.delta_out, &tape.a[num_layers - 1]);
-    dw.push(w_grad);
-
-    Gradients { dw, du, dv }
 }
 
 /// One in-place SGD step (forward, backward, update). Returns the sample
@@ -261,25 +112,8 @@ pub fn sgd_step(
     lambda: f32,
     act: PredictorActivation,
 ) -> f32 {
-    let tape = forward_tape(net, x, act);
-    let terms = backward_terms(net, &tape, label, lambda);
-    let loss = cross_entropy(&tape.logits, label) + lambda * active_l1(&tape.p);
-
-    let hidden = net.predictors().len();
-    for l in 0..hidden {
-        net.mlp_mut().layers_mut()[l]
-            .w_mut()
-            .add_scaled_outer(-lr, &terms.gamma[l], &tape.a[l]);
-        let (u, v) = net.predictors_mut()[l].factors_mut();
-        u.add_scaled_outer(-lr, &terms.theta[l], &tape.va[l]);
-        v.add_scaled_outer(-lr, &terms.ut_theta[l], &tape.a[l]);
-    }
-    let num_layers = net.mlp().num_layers();
-    let a_last = tape.a[num_layers - 1].clone();
-    net.mlp_mut().layers_mut()[num_layers - 1]
-        .w_mut()
-        .add_scaled_outer(-lr, &terms.delta_out, &a_last);
-    loss
+    let (mlp, predictors) = net.parts_mut();
+    backprop::sgd_step(mlp, predictors, Uv::Trained { lambda, act }, x, label, lr)
 }
 
 /// Trains a predictor-equipped network end to end (Algorithm 1).
@@ -329,7 +163,7 @@ pub fn train(
 mod tests {
     use super::*;
     use sparsenn_datasets::{DatasetKind, DatasetSpec};
-    use sparsenn_model::stats::{test_error_rate, EvalMode};
+    use sparsenn_model::stats::evaluate;
 
     fn tiny_net(seed: u64) -> PredictedNetwork {
         let mut rng = seeded_rng(seed);
@@ -456,7 +290,7 @@ mod tests {
             ..TrainConfig::default()
         };
         let (net, history) = train(&[784, 32, 10], 4, &split, &cfg);
-        let ter = test_error_rate(&net, &split.test, EvalMode::Predicted);
+        let ter = evaluate(net.mlp(), net.predictors(), &split.test).ter;
         assert!(ter < 55.0, "TER {ter}% is no better than chance (90%)");
         assert!(history.epochs[0].train_loss > history.final_loss());
     }
@@ -482,8 +316,8 @@ mod tests {
         };
         let (net_low, _) = train(&[784, 24, 10], 4, &split, &low);
         let (net_high, _) = train(&[784, 24, 10], 4, &split, &high);
-        let s_low = sparsenn_model::stats::predicted_sparsity(&net_low, &split.test)[0];
-        let s_high = sparsenn_model::stats::predicted_sparsity(&net_high, &split.test)[0];
+        let s_low = evaluate(net_low.mlp(), net_low.predictors(), &split.test).rho[0];
+        let s_high = evaluate(net_high.mlp(), net_high.predictors(), &split.test).rho[0];
         assert!(
             s_high > s_low,
             "λ=2e-2 sparsity {s_high}% should exceed λ=0 sparsity {s_low}%"

@@ -14,8 +14,14 @@
 //!   rule limits the flexibility of the backpropagation").
 //! * [`no_uv`] — plain backprop without any predictor (the NO UV rows).
 //!
-//! All three share the per-sample SGD driver in [`trainer`] and the
-//! softmax cross-entropy loss in [`loss`].
+//! All three train through one step: the float forward pass
+//! [`sparsenn_model::Tape`], which evaluation runs too, then Algorithm 1's
+//! backward pass and the SGD update. What the step is handed is the
+//! algorithm's choice: End-to-End gates with its predictors and updates
+//! `W`, `U` and `V`; SVD gates with frozen predictors and updates `W`; NO UV
+//! has no predictor, so its layers are ungated. They share the per-sample
+//! SGD driver in [`trainer`] and the softmax cross-entropy loss in
+//! [`loss`].
 //!
 //! # Example
 //!
@@ -33,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod backprop;
 pub mod end_to_end;
 pub mod loss;
 pub mod no_uv;

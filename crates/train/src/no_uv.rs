@@ -1,32 +1,13 @@
 //! The NO-UV baseline: plain backprop, no predictor.
+//!
+//! Its step is the shared one with no predictor: every hidden layer is
+//! ungated and only `W` is updated.
 
-use crate::loss::{cross_entropy, cross_entropy_grad};
+use crate::backprop::{sgd_step, Uv};
 use crate::trainer::{run_epochs, History, TrainConfig};
 use sparsenn_datasets::SplitDataset;
 use sparsenn_linalg::init::seeded_rng;
-use sparsenn_linalg::vector;
 use sparsenn_model::Mlp;
-
-/// One plain SGD step on an MLP (ReLU hidden layers, linear + softmax-CE
-/// output). Returns the sample loss before the update.
-pub fn sgd_step(mlp: &mut Mlp, x: &[f32], label: usize, lr: f32) -> f32 {
-    let acts = mlp.forward(x);
-    let loss = cross_entropy(acts.logits(), label);
-
-    // γ at the linear output layer.
-    let mut gamma = cross_entropy_grad(acts.logits(), label);
-    for l in (0..mlp.num_layers()).rev() {
-        // δ for the layer below, before this layer's weights change.
-        let delta = mlp.layers()[l].w().matvec_t(&gamma);
-        mlp.layers_mut()[l]
-            .w_mut()
-            .add_scaled_outer(-lr, &gamma, &acts.post[l]);
-        if l > 0 {
-            gamma = vector::hadamard(&delta, &vector::relu_mask(&acts.pre[l - 1]));
-        }
-    }
-    loss
-}
 
 /// Trains a plain MLP — the paper's "NO UV" rows in Fig. 6 and Table I.
 ///
@@ -43,7 +24,7 @@ pub fn train(dims: &[usize], split: &SplitDataset, config: &TrainConfig) -> (Mlp
     let mut rng = seeded_rng(config.seed);
     let mut mlp = Mlp::random(dims, &mut rng);
     let history = run_epochs(&split.train, config, |x, label, lr| {
-        sgd_step(&mut mlp, x, label, lr)
+        sgd_step(&mut mlp, &mut [], Uv::Frozen, x, label, lr)
     });
     (mlp, history)
 }
@@ -51,19 +32,24 @@ pub fn train(dims: &[usize], split: &SplitDataset, config: &TrainConfig) -> (Mlp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::end_to_end::{compute_gradients, PredictorActivation};
+    use crate::end_to_end::compute_gradients;
     use sparsenn_datasets::{DatasetKind, DatasetSpec};
-    use sparsenn_model::stats::test_error_rate_plain;
-    use sparsenn_model::PredictedNetwork;
+    use sparsenn_model::stats::evaluate;
+    use sparsenn_model::{PredictedNetwork, PredictorActivation};
+
+    /// The NO-UV step: ungated, `W` only.
+    fn step(mlp: &mut Mlp, x: &[f32], label: usize, lr: f32) -> f32 {
+        sgd_step(mlp, &mut [], Uv::Frozen, x, label, lr)
+    }
 
     #[test]
     fn step_reduces_loss_on_repeated_sample() {
         let mut mlp = Mlp::random(&[6, 10, 4], &mut seeded_rng(1));
         let x = vec![0.4f32, 0.0, 0.9, 0.2, 0.7, 0.1];
-        let first = sgd_step(&mut mlp, &x, 3, 0.05);
+        let first = step(&mut mlp, &x, 3, 0.05);
         let mut last = first;
         for _ in 0..50 {
-            last = sgd_step(&mut mlp, &x, 3, 0.05);
+            last = step(&mut mlp, &x, 3, 0.05);
         }
         assert!(last < first * 0.5, "loss {first} -> {last}");
     }
@@ -83,7 +69,7 @@ mod tests {
             ..TrainConfig::default()
         };
         let (mlp, _) = train(&[784, 32, 10], &split, &cfg);
-        let ter = test_error_rate_plain(&mlp, &split.test);
+        let ter = evaluate(&mlp, &[], &split.test).ter;
         assert!(ter < 55.0, "TER {ter}%");
     }
 
@@ -109,9 +95,10 @@ mod tests {
 
         let g = compute_gradients(&net, &x, label, 0.0, PredictorActivation::Sign);
 
-        // Plain backprop gradients via a single sgd_step with lr 1 on a clone.
+        // Plain backprop gradients via a single ungated step with lr 1 on a
+        // clone.
         let mut plain = mlp.clone();
-        sgd_step(&mut plain, &x, label, 1.0);
+        step(&mut plain, &x, label, 1.0);
         for l in 0..mlp.num_layers() {
             let before = mlp.layers()[l].w();
             let after = plain.layers()[l].w();

@@ -1,6 +1,7 @@
 //! The truncated-SVD predictor baseline (Davis et al. \[11\] / LRADNN \[12\]).
 //!
-//! `W` is trained by backprop through the predictor-gated forward pass, but
+//! `W` is trained by backprop through the predictor-gated forward pass
+//! (the shared step, with the predictors frozen and Indicator gating), but
 //! the predictor factors are **not** trained: at the start of every epoch
 //! they are recomputed as the rank-`r` truncated SVD of the current `W`
 //! (`U⁽ˡ⁾`, `V⁽ˡ⁾` are the leading singular vectors, with the singular
@@ -12,13 +13,12 @@
 //! opposite predictions), and the once-per-epoch update cannot react to
 //! the loss. Fig. 6 and Table I quantify the resulting gap.
 
-use crate::loss::{cross_entropy, cross_entropy_grad};
+use crate::backprop::{sgd_step, Uv};
 use crate::trainer::{History, TrainConfig};
 use rand::seq::SliceRandom;
 use sparsenn_datasets::SplitDataset;
 use sparsenn_linalg::init::seeded_rng;
 use sparsenn_linalg::truncated::truncated_svd;
-use sparsenn_linalg::vector;
 use sparsenn_model::{Mlp, PredictedNetwork, Predictor};
 
 /// Refreshes every predictor from the truncated SVD of its layer's current
@@ -30,49 +30,6 @@ pub fn refresh_predictors(net: &mut PredictedNetwork, rank: usize, seed: u64) {
         let (u, v) = svd.predictor_factors();
         net.predictors_mut()[l] = Predictor::new(u, v);
     }
-}
-
-/// One SGD step on `W` only, through the activeness-gated forward pass
-/// (the predictor is frozen). Returns the sample loss.
-///
-/// Gating uses the inference semantics (`p > 0` computes the row, else the
-/// activation is zero) — see the `end_to_end` module docs for why the
-/// literal `±1` reading destabilizes training.
-pub fn sgd_step_w_only(net: &mut PredictedNetwork, x: &[f32], label: usize, lr: f32) -> f32 {
-    // Forward with gating, remembering z and p per hidden layer.
-    let hidden = net.predictors().len();
-    let mut a_list = vec![x.to_vec()];
-    let mut z_list = Vec::with_capacity(hidden);
-    let mut p_list = Vec::with_capacity(hidden);
-    for l in 0..hidden {
-        let a = a_list.last().expect("nonempty");
-        let z = net.mlp().layers()[l].preact(a);
-        let p: Vec<f32> = net.predictors()[l]
-            .scores(a)
-            .iter()
-            .map(|&s| if s > 0.0 { 1.0 } else { 0.0 })
-            .collect();
-        let gated = vector::hadamard(&p, &vector::relu(&z));
-        z_list.push(z);
-        p_list.push(p);
-        a_list.push(gated);
-    }
-    let logits = net.mlp().layers()[hidden].preact(a_list.last().expect("nonempty"));
-    let loss = cross_entropy(&logits, label);
-
-    // Backward through W only.
-    let mut gamma = cross_entropy_grad(&logits, label);
-    for l in (0..net.mlp().num_layers()).rev() {
-        let delta = net.mlp().layers()[l].w().matvec_t(&gamma);
-        net.mlp_mut().layers_mut()[l]
-            .w_mut()
-            .add_scaled_outer(-lr, &gamma, &a_list[l]);
-        if l > 0 {
-            let da_ori = vector::hadamard(&delta, &p_list[l - 1]);
-            gamma = vector::hadamard(&da_ori, &vector::relu_mask(&z_list[l - 1]));
-        }
-    }
-    loss
 }
 
 /// Trains the SVD-predictor baseline.
@@ -110,13 +67,10 @@ pub fn train(
         refresh_predictors(&mut net, rank, config.seed.wrapping_add(epoch as u64));
         indices.shuffle(&mut shuffle_rng);
         let mut loss_sum = 0.0f64;
+        let (mlp, predictors) = net.parts_mut();
         for &i in &indices {
-            loss_sum += f64::from(sgd_step_w_only(
-                &mut net,
-                split.train.image(i),
-                split.train.label(i) as usize,
-                lr,
-            ));
+            let (x, label) = (split.train.image(i), split.train.label(i) as usize);
+            loss_sum += f64::from(sgd_step(mlp, predictors, Uv::Frozen, x, label, lr));
         }
         let mean = if indices.is_empty() {
             0.0
@@ -141,7 +95,7 @@ pub fn train(
 mod tests {
     use super::*;
     use sparsenn_datasets::{DatasetKind, DatasetSpec};
-    use sparsenn_model::stats::{test_error_rate, EvalMode};
+    use sparsenn_model::stats::evaluate;
 
     #[test]
     fn refresh_approximates_weights() {
@@ -186,7 +140,7 @@ mod tests {
             ..TrainConfig::default()
         };
         let (net, _) = train(&[784, 32, 10], 16, &split, &cfg);
-        let ter = test_error_rate(&net, &split.test, EvalMode::Predicted);
+        let ter = evaluate(net.mlp(), net.predictors(), &split.test).ter;
         assert!(ter < 60.0, "TER {ter}%");
     }
 
@@ -195,8 +149,17 @@ mod tests {
         let mut rng = seeded_rng(6);
         let mlp = Mlp::random(&[6, 8, 3], &mut rng);
         let mut net = PredictedNetwork::with_random_predictors(mlp, 2, &mut rng);
-        let before = net.predictors()[0].clone();
-        sgd_step_w_only(&mut net, &[0.5, 0.2, 0.8, 0.1, 0.9, 0.3], 1, 0.05);
-        assert_eq!(&before, &net.predictors()[0]);
+        let before = net.clone();
+        let (mlp, predictors) = net.parts_mut();
+        sgd_step(
+            mlp,
+            predictors,
+            Uv::Frozen,
+            &[0.5, 0.2, 0.8, 0.1, 0.9, 0.3],
+            1,
+            0.05,
+        );
+        assert_eq!(before.predictors(), net.predictors());
+        assert_ne!(before.mlp(), net.mlp(), "W moves");
     }
 }

@@ -35,15 +35,16 @@ fn main() {
                 .test_samples(200)
                 .epochs(5)
                 .build();
-            let sparsity = match alg {
-                TrainingAlgorithm::NoUv => "n/a".to_string(),
-                _ => format!("{:.1}", sys.predicted_sparsity()[0]),
-            };
+            let eval = sys.evaluate();
+            let sparsity = eval
+                .rho
+                .first()
+                .map_or("n/a".to_string(), |rho| format!("{rho:.1}"));
             println!(
                 "{:<14} {:>6} {:>10.2} {:>22}",
                 alg.to_string(),
                 rank,
-                sys.test_error_rate(),
+                eval.ter,
                 sparsity
             );
         }

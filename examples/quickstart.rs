@@ -23,13 +23,11 @@ fn main() {
         .epochs(5)
         .build();
 
-    println!(
-        "  test error rate:        {:.2} %",
-        system.test_error_rate()
-    );
+    let eval = system.evaluate();
+    println!("  test error rate:        {:.2} %", eval.ter);
     println!(
         "  predicted output sparsity (hidden layer): {:.1} %",
-        system.predicted_sparsity()[0]
+        eval.rho[0]
     );
 
     // 2. Open a serving session on the cycle-accurate backend and run one

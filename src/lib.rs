@@ -21,7 +21,7 @@
 //!     .test_samples(20)
 //!     .epochs(1)
 //!     .build();
-//! assert!(sys.test_error_rate() <= 100.0);
+//! assert!(sys.evaluate().ter <= 100.0);
 //! ```
 
 pub use sparsenn_core::*;

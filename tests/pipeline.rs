@@ -3,6 +3,7 @@
 
 use sparsenn::datasets::DatasetKind;
 use sparsenn::model::fixedpoint::UvMode;
+use sparsenn::model::{PredictorActivation, Tape};
 use sparsenn::{SystemBuilder, TrainingAlgorithm};
 
 const ALGORITHMS: [TrainingAlgorithm; 3] = [
@@ -28,7 +29,7 @@ fn small_system(alg: TrainingAlgorithm) -> sparsenn::TrainedSystem {
 #[test]
 fn trained_system_beats_chance_and_simulates_exactly() {
     let sys = small_system(TrainingAlgorithm::EndToEnd);
-    let ter = sys.test_error_rate();
+    let ter = sys.evaluate().ter;
     assert!(ter < 60.0, "TER {ter}% is at chance level");
 
     // The cycle-level machine must agree with the golden model bit for bit
@@ -90,9 +91,14 @@ fn quantized_accuracy_tracks_float_accuracy() {
     for i in 0..n {
         let img = sys.split().test.image(i);
         let label = sys.split().test.label(i) as usize;
-        let float_pred =
-            sparsenn::linalg::vector::argmax(sys.network().forward_predicted(img).logits())
-                .unwrap();
+        let net = sys.network();
+        let float = Tape::record(
+            net.mlp(),
+            net.predictors(),
+            img,
+            PredictorActivation::Indicator,
+        );
+        let float_pred = sparsenn::linalg::vector::argmax(&float.logits).unwrap();
         let xq = sys.fixed().quantize_input(img);
         let fixed_pred = sys.fixed().classify(&xq, UvMode::On);
         float_correct += usize::from(float_pred == label);

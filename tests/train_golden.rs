@@ -12,6 +12,7 @@
 
 use sparsenn::datasets::{DatasetKind, DatasetSpec, SplitDataset};
 use sparsenn::linalg::Matrix;
+use sparsenn::model::stats::Evaluation;
 use sparsenn::train::{end_to_end, no_uv, svd_baseline, History, TrainConfig};
 use sparsenn::{SystemBuilder, TrainedSystem, TrainingAlgorithm};
 use std::fmt::Write as _;
@@ -92,14 +93,8 @@ fn snapshot(sys: &TrainedSystem, history: &History) -> String {
         let (loss, lr) = (epoch.train_loss, epoch.lr);
         let _ = writeln!(out, "epoch {e} loss {loss:?} lr {lr:?}");
     }
-    // NO UV carries the SVD predictors only for the hardware path; it
-    // reports no ρ (Table I's "N.A.").
-    let rho = if sys.algorithm() == TrainingAlgorithm::NoUv {
-        Vec::new()
-    } else {
-        sys.predicted_sparsity()
-    };
-    let _ = writeln!(out, "TER {:?}", sys.test_error_rate());
+    let Evaluation { ter, rho } = sys.evaluate();
+    let _ = writeln!(out, "TER {ter:?}");
     if rho.is_empty() {
         let _ = writeln!(out, "rho N.A.");
     } else {
