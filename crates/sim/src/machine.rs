@@ -1492,6 +1492,34 @@ mod tests {
     }
 
     #[test]
+    fn disjoint_samples_fall_back_to_serial_w_reads() {
+        // A 2-2-2 network whose rank-1 predictor (V = [1, −1], U = [1; −1])
+        // activates only row 0 for input (0.5, 0) and only row 1 for
+        // (0, 0.5). Each sample reads one W word; the union pass would read
+        // both inputs' columns of both rows, 4 words, so the layer is not
+        // batched.
+        use sparsenn_linalg::Matrix;
+        use sparsenn_model::{DenseLayer, Predictor};
+        let w = || DenseLayer::new(Matrix::from_rows(&[vec![1.0, 0.5], vec![0.5, 1.0]]));
+        let mlp = Mlp::new(vec![w(), w()]);
+        let uv = Predictor::new(
+            Matrix::from_rows(&[vec![1.0], vec![-1.0]]),
+            Matrix::from_rows(&[vec![1.0, -1.0]]),
+        );
+        let net = FixedNetwork::from_float(&PredictedNetwork::new(mlp, vec![uv]));
+        let inputs = [[0.5, 0.0], [0.0, 0.5]]
+            .map(|x| net.quantize_input(&x))
+            .to_vec();
+        let machine = Machine::new(MachineConfig::default());
+        let batch = machine
+            .run_network_batch(&net, &inputs, UvMode::On)
+            .unwrap();
+        let l0 = &batch.layers[0].batch;
+        assert!(!l0.amortized, "the union pass loses");
+        assert_eq!((l0.w_reads_serial, l0.w_reads_amortized), (2, 2));
+    }
+
+    #[test]
     fn batch_events_book_sums_samples_with_amortized_w_reads() {
         let (net, _) = build(24, &[36, 80, 10], 4);
         let machine = Machine::new(MachineConfig::default());
