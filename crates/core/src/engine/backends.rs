@@ -178,11 +178,11 @@ impl InferenceBackend for CycleAccurateBackend {
     ) -> Result<BatchRunRecord, SparseNnError> {
         let run = self.machine.run_network_batch(net, inputs, mode)?;
         let cfg = self.machine.config();
-        let batch_time_us = run.layers.iter().map(|l| cfg.time_us(l.batch.cycles)).sum();
+        let batch_time_us = run.layers.iter().map(|l| cfg.time_us(l.cycles)).sum();
         let (w_reads_serial, w_reads_amortized) = run.w_read_totals();
         let batch_events = run.total_events();
         let records = run
-            .sample_runs()
+            .samples
             .into_iter()
             .map(|r| RunRecord::from_network_run(r, cfg))
             .collect();

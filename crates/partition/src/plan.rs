@@ -36,7 +36,7 @@ pub enum PartitionError {
     },
     /// Even the best row tile overflows a chip's W memory — the
     /// chip-level counterpart of
-    /// [`LayerFitError::WMemoryOverflow`](sparsenn_sim::LayerFitError),
+    /// [`MachineError::WMemoryOverflow`](sparsenn_sim::MachineError::WMemoryOverflow),
     /// carrying the same per-PE word sizes (`sparsenn-core` surfaces it
     /// as its typed `WMemoryOverflow` error).
     ChipCapacity {
@@ -320,7 +320,7 @@ mod tests {
     use super::*;
     use sparsenn_linalg::init::seeded_rng;
     use sparsenn_model::Mlp;
-    use sparsenn_sim::LayerFitError;
+    use sparsenn_sim::MachineError;
 
     fn fixed(dims: &[usize], seed: u64) -> FixedNetwork {
         FixedNetwork::from_mlp(&Mlp::random(dims, &mut seeded_rng(seed)))
@@ -356,7 +356,11 @@ mod tests {
                 assert_eq!((layer, chips), (0, 1));
                 assert_eq!(
                     small.validate_layer(512, 784),
-                    Err(LayerFitError::WMemoryOverflow { words, capacity })
+                    Err(MachineError::WMemoryOverflow {
+                        layer: 0,
+                        words,
+                        capacity
+                    })
                 );
             }
             other => panic!("expected ChipCapacity, got {other:?}"),

@@ -1,66 +1,7 @@
 //! Machine configuration (the paper's Table II).
 
+use crate::machine::MachineError;
 use sparsenn_noc::NocConfig;
-
-/// Why an `rows × cols` layer cannot run on a machine — the typed result
-/// of [`MachineConfig::validate_layer`]. The W-memory case carries the
-/// exact sizes so capacity planners (the multi-chip partitioner) can
-/// report how far over budget a layer is instead of parsing a string.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LayerFitError {
-    /// The layer's input width exceeds the activation register files.
-    TooManyInputs {
-        /// Input activations the layer needs.
-        cols: usize,
-        /// Register-file entries available ([`MachineConfig::max_activations`]).
-        max: usize,
-    },
-    /// The layer's output width exceeds the activation register files.
-    TooManyOutputs {
-        /// Output activations the layer produces.
-        rows: usize,
-        /// Register-file entries available ([`MachineConfig::max_activations`]).
-        max: usize,
-    },
-    /// The layer's weights exceed the per-PE W memory.
-    WMemoryOverflow {
-        /// Weight words the layer needs per PE.
-        words: usize,
-        /// Words the W memory holds per PE
-        /// ([`MachineConfig::w_capacity_words_per_pe`]).
-        capacity: usize,
-    },
-    /// The machine itself cannot run ([`MachineConfig::validate`]).
-    Config(ConfigError),
-}
-
-impl std::fmt::Display for LayerFitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LayerFitError::TooManyInputs { cols, max } => {
-                write!(
-                    f,
-                    "{cols} input activations exceed the {max}-entry register files"
-                )
-            }
-            LayerFitError::TooManyOutputs { rows, max } => {
-                write!(
-                    f,
-                    "{rows} output activations exceed the {max}-entry register files"
-                )
-            }
-            LayerFitError::WMemoryOverflow { words, capacity } => {
-                write!(
-                    f,
-                    "layer needs {words} weight words per PE, W memory holds {capacity}"
-                )
-            }
-            LayerFitError::Config(e) => write!(f, "invalid machine configuration: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for LayerFitError {}
 
 /// Largest PE count [`MachineConfig::validate`] accepts: 64 times the
 /// paper's 64-PE machine.
@@ -249,29 +190,33 @@ impl MachineConfig {
     ///
     /// # Errors
     ///
-    /// The violated limit as a typed [`LayerFitError`] (the W-memory case
-    /// carries the exact word counts, saturated at `usize::MAX`).
-    pub fn validate_layer(&self, rows: usize, cols: usize) -> Result<(), LayerFitError> {
-        self.validate().map_err(LayerFitError::Config)?;
-        let n = self.num_pes();
-        if cols > self.max_activations() {
-            return Err(LayerFitError::TooManyInputs {
-                cols,
-                max: self.max_activations(),
-            });
+    /// [`MachineError::WMemoryOverflow`] with the exact word counts
+    /// (saturated at `usize::MAX`) when the weights exceed the W memory,
+    /// otherwise [`MachineError::LayerDoesNotFit`] naming the violated
+    /// limit; both report layer 0.
+    pub fn validate_layer(&self, rows: usize, cols: usize) -> Result<(), MachineError> {
+        let does_not_fit = |reason: String| MachineError::LayerDoesNotFit { layer: 0, reason };
+        self.validate()
+            .map_err(|e| does_not_fit(format!("invalid machine configuration: {e}")))?;
+        let max = self.max_activations();
+        if cols > max {
+            return Err(does_not_fit(format!(
+                "{cols} input activations exceed the {max}-entry register files"
+            )));
         }
-        if rows > self.max_activations() {
-            return Err(LayerFitError::TooManyOutputs {
-                rows,
-                max: self.max_activations(),
-            });
+        if rows > max {
+            return Err(does_not_fit(format!(
+                "{rows} output activations exceed the {max}-entry register files"
+            )));
         }
         // A product past `usize::MAX` overflows any memory: saturate it.
-        let words = rows.div_ceil(n).saturating_mul(cols);
-        if words > self.w_capacity_words_per_pe() {
-            return Err(LayerFitError::WMemoryOverflow {
+        let words = rows.div_ceil(self.num_pes()).saturating_mul(cols);
+        let capacity = self.w_capacity_words_per_pe();
+        if words > capacity {
+            return Err(MachineError::WMemoryOverflow {
+                layer: 0,
                 words,
-                capacity: self.w_capacity_words_per_pe(),
+                capacity,
             });
         }
         Ok(())
@@ -339,7 +284,8 @@ mod tests {
         // 2^34 rows per PE × 2^40 columns overflows usize.
         assert_eq!(
             c.validate_layer(1 << 40, 1 << 40),
-            Err(LayerFitError::WMemoryOverflow {
+            Err(MachineError::WMemoryOverflow {
+                layer: 0,
                 words: usize::MAX,
                 capacity: 64 * 1024
             })
@@ -351,33 +297,39 @@ mod tests {
         let c = MachineConfig::default();
         assert_eq!(
             c.validate_layer(5000, 1000),
-            Err(LayerFitError::TooManyOutputs {
-                rows: 5000,
-                max: 4096
-            })
+            Err(does_not_fit(
+                "5000 output activations exceed the 4096-entry register files"
+            ))
         );
         assert_eq!(
             c.validate_layer(1000, 5000),
-            Err(LayerFitError::TooManyInputs {
-                cols: 5000,
-                max: 4096
-            })
+            Err(does_not_fit(
+                "5000 input activations exceed the 4096-entry register files"
+            ))
         );
         // 4K×4K needs 64 rows/PE × 4096 cols = 256K words against 64K.
         assert_eq!(
             c.validate_layer(4096, 4096),
-            Err(LayerFitError::WMemoryOverflow {
+            Err(MachineError::WMemoryOverflow {
+                layer: 0,
                 words: 64 * 4096,
                 capacity: 64 * 1024
             })
         );
     }
 
+    fn does_not_fit(reason: &str) -> MachineError {
+        MachineError::LayerDoesNotFit {
+            layer: 0,
+            reason: reason.to_string(),
+        }
+    }
+
     fn rejected(cfg: MachineConfig) -> ConfigError {
         let e = cfg.validate().unwrap_err();
         assert_eq!(
             cfg.validate_layer(10, 10),
-            Err(LayerFitError::Config(e)),
+            Err(does_not_fit(&format!("invalid machine configuration: {e}"))),
             "validate_layer checks the machine first"
         );
         e
@@ -527,7 +479,11 @@ mod tests {
         };
         // 512 words per PE; 64 rows over 64 PEs = 1 row/PE × 784 cols.
         match tiny.validate_layer(64, 784) {
-            Err(LayerFitError::WMemoryOverflow { words, capacity }) => {
+            Err(MachineError::WMemoryOverflow {
+                layer: 0,
+                words,
+                capacity,
+            }) => {
                 assert_eq!(words, 784);
                 assert_eq!(capacity, 512);
             }

@@ -60,6 +60,15 @@
 //! the run of a chip that holds only that tile. [`Machine::run_layer`] is
 //! the one-tile case.
 //!
+//! # Batches
+//!
+//! [`Machine::run_network_batch`] runs each sample through the serial core
+//! and adds one union W pass per layer. Its [`BatchNetworkRun`] holds both
+//! books: `samples`, each sample's [`NetworkRun`], bit-identical to running
+//! it alone, and `layers`, one amortized [`BatchTiming`] per layer. Every
+//! rejection, of the machine, a layer's shape or an input, is a
+//! [`MachineError`].
+//!
 //! # Example
 //!
 //! ```
@@ -87,8 +96,6 @@ mod machine;
 pub mod pe;
 pub mod simd;
 
-pub use config::{ConfigError, LayerFitError, MachineConfig, MAX_LATENCY_CYCLES, MAX_PES};
+pub use config::{ConfigError, MachineConfig, MAX_LATENCY_CYCLES, MAX_PES};
 pub use events::MachineEvents;
-pub use machine::{
-    BatchLayerRun, BatchNetworkRun, BatchTiming, LayerRun, Machine, MachineError, NetworkRun,
-};
+pub use machine::{BatchNetworkRun, BatchTiming, LayerRun, Machine, MachineError, NetworkRun};

@@ -168,18 +168,17 @@ impl NetworkRun {
 
 /// Batch-amortized timing of one layer pass over B samples.
 ///
-/// The batched core keeps **two books**. The exact book is the per-sample
-/// [`LayerRun`]s (bit-identical to serial runs by construction — they *are*
-/// serial runs). This struct is the amortized book: what the layer pass
-/// costs when the machine keeps each W row resident while B lanes consume
-/// it, so every W-memory word is fetched once per *batch* instead of once
-/// per *sample*. Predictor (V/U) work stays per-sample — each sample's
-/// verdict is its own — but the W phase runs once over the **union** of
-/// the batch's nonzero-input pattern and predicted-active rows.
+/// The batched core keeps **two books** ([`BatchNetworkRun`]). The exact
+/// book is the per-sample [`NetworkRun`]s (bit-identical to serial runs by
+/// construction — they *are* serial runs). This struct is one layer of the
+/// amortized book: what the layer pass costs when the machine keeps each W
+/// row resident while B lanes consume it, so every W-memory word is fetched
+/// once per *batch* instead of once per *sample*. Predictor (V/U) work
+/// stays per-sample — each sample's verdict is its own — but the W phase
+/// runs once over the **union** of the batch's nonzero-input pattern and
+/// predicted-active rows.
 #[derive(Clone, Debug)]
 pub struct BatchTiming {
-    /// Samples in the batch.
-    pub batch_size: usize,
     /// Batch clock: `vu_cycles + w_cycles`.
     pub cycles: u64,
     /// Summed per-sample predictor cycles (the V/U phases do not amortize).
@@ -212,58 +211,33 @@ impl BatchTiming {
     }
 }
 
-/// One layer of a batched network run: the exact per-sample results plus
-/// the amortized batch timing.
-#[derive(Clone, Debug)]
-pub struct BatchLayerRun {
-    /// Exact per-sample results, bit-identical to serial execution.
-    pub per_sample: Vec<LayerRun>,
-    /// The amortized clock/energy book for the whole batch.
-    pub batch: BatchTiming,
-}
-
 /// Result of simulating a whole network over a batch of inputs.
 #[derive(Clone, Debug)]
 pub struct BatchNetworkRun {
-    /// Per-layer results, input side first.
-    pub layers: Vec<BatchLayerRun>,
+    /// The exact book: each sample's run, bit-identical to running it
+    /// alone.
+    pub samples: Vec<NetworkRun>,
+    /// The amortized book, per layer, input side first.
+    pub layers: Vec<BatchTiming>,
 }
 
 impl BatchNetworkRun {
-    /// Samples in the batch.
-    pub fn batch_size(&self) -> usize {
-        self.layers.first().map_or(0, |l| l.per_sample.len())
-    }
-
-    /// Output activations of the final layer for one sample.
-    pub fn output(&self, sample: usize) -> &[Q6_10] {
-        &self.layers.last().expect("at least one layer").per_sample[sample].output
-    }
-
-    /// Argmax classification of the final layer for one sample.
-    pub fn classify(&self, sample: usize) -> usize {
-        sparsenn_numeric::argmax(self.output(sample))
-    }
-
     /// Batch clock: summed per-layer amortized cycles.
     pub fn total_cycles(&self) -> u64 {
-        self.layers.iter().map(|l| l.batch.cycles).sum()
+        self.layers.iter().map(|l| l.cycles).sum()
     }
 
     /// What the B samples would cost run back to back (the serial
     /// baseline the amortization is measured against).
     pub fn serial_cycles(&self) -> u64 {
-        self.layers
-            .iter()
-            .flat_map(|l| l.per_sample.iter().map(|r| r.cycles))
-            .sum()
+        self.samples.iter().map(NetworkRun::total_cycles).sum()
     }
 
     /// Merged amortized activity counters.
     pub fn total_events(&self) -> MachineEvents {
         let mut ev = MachineEvents::default();
         for l in &self.layers {
-            ev.merge(&l.batch.events);
+            ev.merge(&l.events);
         }
         ev
     }
@@ -271,22 +245,8 @@ impl BatchNetworkRun {
     /// Total W reads of the serial baseline / the amortized batch.
     pub fn w_read_totals(&self) -> (u64, u64) {
         self.layers.iter().fold((0, 0), |(s, a), l| {
-            (s + l.batch.w_reads_serial, a + l.batch.w_reads_amortized)
+            (s + l.w_reads_serial, a + l.w_reads_amortized)
         })
-    }
-
-    /// Reassembles the exact per-sample [`NetworkRun`]s — each is
-    /// bit-identical to running that sample alone.
-    pub fn sample_runs(&self) -> Vec<NetworkRun> {
-        (0..self.batch_size())
-            .map(|s| NetworkRun {
-                layers: self
-                    .layers
-                    .iter()
-                    .map(|l| l.per_sample[s].clone())
-                    .collect(),
-            })
-            .collect()
     }
 }
 
@@ -402,11 +362,8 @@ impl Machine {
         mode: UvMode,
         tiles: &[T],
     ) -> Result<Vec<LayerRun>, MachineError> {
-        let mut stages =
-            LayerStages::begin(&self.cfg, w, predictor, input, is_hidden, mode, tiles)?;
-        stages.run_vu();
-        stages.run_w();
-        Ok(stages.writeback())
+        let predictor = predictor.filter(|_| mode == UvMode::On && is_hidden);
+        self.simulate(w, predictor, None, input, is_hidden, tiles)
     }
 
     /// Simulates the whole network, feeding each layer's (already
@@ -447,11 +404,11 @@ impl Machine {
     /// weight-stationary batched core: B samples per layer pass, reading
     /// each W row once per *batch*.
     ///
-    /// Each sample's functional result (outputs, masks, per-sample events)
-    /// is produced by the exact serial core, so batched execution is
-    /// bit-identical to per-request execution by construction; the
-    /// amortized clock/energy book rides alongside in
-    /// [`BatchLayerRun::batch`]. See [`BatchTiming`] for the model.
+    /// Each sample's run ([`BatchNetworkRun::samples`]) is produced by the
+    /// exact serial core, so batched execution is bit-identical to
+    /// per-request execution by construction; the amortized clock/energy
+    /// book rides alongside in [`BatchNetworkRun::layers`]. See
+    /// [`BatchTiming`] for the model.
     ///
     /// # Errors
     ///
@@ -470,7 +427,12 @@ impl Machine {
         if net.num_layers() == 0 {
             return Err(MachineError::EmptyNetwork);
         }
-        let mut acts: Vec<Vec<Q6_10>> = inputs.to_vec();
+        let mut samples: Vec<NetworkRun> = inputs
+            .iter()
+            .map(|_| NetworkRun {
+                layers: Vec::with_capacity(net.num_layers()),
+            })
+            .collect();
         let mut layers = Vec::with_capacity(net.num_layers());
         for l in 0..net.num_layers() {
             let is_hidden = l + 1 < net.num_layers();
@@ -481,40 +443,43 @@ impl Machine {
             };
             let w = &net.layers()[l];
             // The exact book: every sample runs the real serial core.
-            let mut per_sample = Vec::with_capacity(acts.len());
-            for sample in &acts {
+            for (sample, input) in samples.iter_mut().zip(inputs) {
+                let x = sample.layers.last().map_or(input, |prev| &prev.output);
                 let run = self
-                    .run_layer(w, predictor, sample, is_hidden, mode)
+                    .run_layer(w, predictor, x, is_hidden, mode)
                     .map_err(|e| e.at_layer(l))?;
-                per_sample.push(run);
+                sample.layers.push(run);
             }
-            let batch = self.batch_timing(w, &per_sample, &acts, is_hidden, l)?;
-            for (sample, run) in acts.iter_mut().zip(&per_sample) {
-                sample.clone_from(&run.output);
-            }
-            layers.push(BatchLayerRun { per_sample, batch });
+            layers.push(self.batch_timing(w, inputs, &samples, l, is_hidden)?);
         }
-        Ok(BatchNetworkRun { layers })
+        Ok(BatchNetworkRun { samples, layers })
     }
 
-    /// The amortized book of one batched layer pass: a single W pass over
-    /// the union nonzero-input pattern, gated by the union predictor
-    /// verdict, with serial fallback when the union pass would lose.
+    /// The amortized book of layer `l`, which every sample has run: a
+    /// single W pass over the union nonzero-input pattern, gated by the
+    /// union predictor verdict, with serial fallback when the union pass
+    /// would lose.
     fn batch_timing(
         &self,
         w: &FixedMatrix,
-        per_sample: &[LayerRun],
         inputs: &[Vec<Q6_10>],
+        samples: &[NetworkRun],
+        l: usize,
         is_hidden: bool,
-        layer: usize,
     ) -> Result<BatchTiming, MachineError> {
+        let runs = || samples.iter().map(|s| &s.layers[l]);
         // Union pseudo-input: position j carries the first nonzero value
         // any sample supplies there, so the union pass broadcasts exactly
         // the batch's union nonzero pattern (values are irrelevant to
         // timing; only the pattern drives the clock).
         let mut union_input = vec![Q6_10::ZERO; w.cols()];
-        for sample in inputs {
-            for (u, &v) in union_input.iter_mut().zip(sample) {
+        for (input, sample) in inputs.iter().zip(samples) {
+            let x = if l == 0 {
+                input
+            } else {
+                &sample.layers[l - 1].output
+            };
+            for (u, &v) in union_input.iter_mut().zip(x) {
                 if u.is_zero() && !v.is_zero() {
                     *u = v;
                 }
@@ -522,9 +487,9 @@ impl Machine {
         }
         // Union predictor verdict: a W row is fetched if any sample
         // computes it.
-        let union_mask: Option<Vec<bool>> = per_sample[0].mask.as_ref().map(|m0| {
+        let union_mask: Option<Vec<bool>> = samples[0].layers[l].mask.as_ref().map(|m0| {
             let mut mask = vec![false; m0.len()];
-            for run in per_sample {
+            for run in runs() {
                 let m = run.mask.as_ref().expect("mode is uniform across a batch");
                 for (u, &b) in mask.iter_mut().zip(m) {
                     *u |= b;
@@ -533,26 +498,22 @@ impl Machine {
             mask
         });
         let all: Vec<usize> = (0..w.rows()).collect();
-        let mut stages = LayerStages::begin(
-            &self.cfg,
-            w,
-            None,
-            &union_input,
-            is_hidden,
-            UvMode::Off,
-            &[all],
-        )
-        .map_err(|e| e.at_layer(layer))?;
-        match &union_mask {
-            Some(mask) => stages.force_predictor(mask),
-            None => stages.run_vu(),
-        }
-        stages.run_w();
-        let union_run = stages.writeback().pop().expect("one run per tile");
+        let union_run = self
+            .simulate(
+                w,
+                None,
+                union_mask.as_deref(),
+                &union_input,
+                is_hidden,
+                &[all],
+            )
+            .map_err(|e| e.at_layer(l))?
+            .pop()
+            .expect("one run per tile");
 
-        let vu_cycles: u64 = per_sample.iter().map(|r| r.vu_cycles).sum();
-        let serial_w_cycles: u64 = per_sample.iter().map(|r| r.w_cycles).sum();
-        let serial_w_reads: u64 = per_sample.iter().map(|r| r.events.w_reads).sum();
+        let vu_cycles: u64 = runs().map(|r| r.vu_cycles).sum();
+        let serial_w_cycles: u64 = runs().map(|r| r.w_cycles).sum();
+        let serial_w_reads: u64 = runs().map(|r| r.events.w_reads).sum();
         let amortized =
             union_run.w_cycles <= serial_w_cycles && union_run.events.w_reads <= serial_w_reads;
         let (w_cycles, w_reads) = if amortized {
@@ -561,7 +522,7 @@ impl Machine {
             (serial_w_cycles, serial_w_reads)
         };
         let mut events = MachineEvents::default();
-        for run in per_sample {
+        for run in runs() {
             events.merge(&run.events);
         }
         events.w_reads = w_reads;
@@ -569,7 +530,6 @@ impl Machine {
         events.w_cycles = w_cycles;
         events.cycles = vu_cycles + w_cycles;
         Ok(BatchTiming {
-            batch_size: per_sample.len(),
             cycles: vu_cycles + w_cycles,
             vu_cycles,
             w_cycles,
@@ -579,39 +539,100 @@ impl Machine {
             amortized,
         })
     }
-}
 
-/// The staged core of one layer simulation on one or more chips, each
-/// holding a tile of the layer's rows: the machine's three-phase schedule
-/// made explicit.
-///
-/// [`begin`](Self::begin) validates the shapes and loads the PEs: one
-/// input side per PE, shared by every tile, and one row side per PE and
-/// tile. [`run_vu`](Self::run_vu) executes the overlapped V/U predictor
-/// phases (a no-op outside predicted layers): the V reduction once, then
-/// each tile's U phase. [`force_predictor`](Self::force_predictor) loads
-/// a verdict computed elsewhere instead; [`run_w`](Self::run_w) executes
-/// each tile's feedforward W phase, stamping every row's last MAC cycle;
-/// and [`writeback`](Self::writeback) quantizes the accumulators into one
-/// [`LayerRun`] per tile, including the per-row availability profile
-/// ([`LayerRun::row_ready`]) the wavefront multi-chip executor schedules
-/// transfers from. [`Machine::run_tiles`] is exactly
-/// `begin → run_vu → run_w → writeback`.
-struct LayerStages<'a> {
-    cfg: &'a MachineConfig,
-    w: &'a FixedMatrix,
-    predictor: Option<&'a FixedPredictor>,
-    is_hidden: bool,
-    predicted: bool,
-    /// Per PE: its nonzero inputs, the same on every chip.
-    sources: Vec<PeSource>,
-    tiles: Vec<TileStages>,
-    vu_done: bool,
-    w_done: bool,
+    /// Simulates one layer on one chip per tile (see
+    /// [`run_tiles`](Self::run_tiles)) through the schedule of §V.D.
+    ///
+    /// With a `predictor`, the V reduction runs once for every tile and
+    /// each tile then runs its U phase, which latches the predictor
+    /// verdict. A `forced` verdict (`forced[i]`: tile position `i`
+    /// computes) stands in for the V/U phases at zero predictor cost: the
+    /// batched core drives its union pass with it. With neither, every
+    /// row computes. Each tile then runs its W phase, stamping every row's
+    /// last MAC cycle, and quantizes its accumulators into its
+    /// [`LayerRun`], including the per-row availability profile
+    /// ([`LayerRun::row_ready`]) the wavefront multi-chip executor
+    /// schedules transfers from.
+    ///
+    /// # Errors
+    ///
+    /// As for [`run_tiles`](Self::run_tiles).
+    fn simulate<T: AsRef<[usize]>>(
+        &self,
+        w: &FixedMatrix,
+        predictor: Option<&FixedPredictor>,
+        forced: Option<&[bool]>,
+        input: &[Q6_10],
+        is_hidden: bool,
+        tiles: &[T],
+    ) -> Result<Vec<LayerRun>, MachineError> {
+        let cfg = &self.cfg;
+        let does_not_fit = |reason: String| MachineError::LayerDoesNotFit { layer: 0, reason };
+        let largest = tiles.iter().map(|t| t.as_ref().len()).max().unwrap_or(0);
+        cfg.validate_layer(largest, w.cols())?;
+        if let Some(row) = tiles
+            .iter()
+            .flat_map(|t| t.as_ref())
+            .find(|&&row| row >= w.rows())
+        {
+            return Err(does_not_fit(format!(
+                "tile row {row} is past the layer's {} rows",
+                w.rows()
+            )));
+        }
+        if input.len() != w.cols() {
+            return Err(MachineError::InputWidthMismatch {
+                expected: w.cols(),
+                got: input.len(),
+            });
+        }
+        if let Some(FixedPredictor { u, v }) = predictor {
+            if v.cols() != w.cols() || u.rows() != w.rows() || u.cols() != v.rows() {
+                return Err(does_not_fit(format!(
+                    "the predictor's U is {}×{} and V {}×{}, but the {}×{} layer needs \
+                     U of {} rows, V of {} columns and U's columns equal to V's rows",
+                    u.rows(),
+                    u.cols(),
+                    v.rows(),
+                    v.cols(),
+                    w.rows(),
+                    w.cols(),
+                    w.rows(),
+                    w.cols()
+                )));
+            }
+        }
+        // Per PE: its nonzero inputs, the same on every chip.
+        let n_pes = cfg.num_pes();
+        let mut sources: Vec<PeSource> = (0..n_pes)
+            .map(|id| PeSource::new(id, n_pes, input))
+            .collect();
+        let reduction = predictor.map(|p| (&p.u, reduce_v(cfg, &p.v, &mut sources)));
+        let predicted = predictor.is_some() || forced.is_some();
+        let runs = tiles.iter().map(|tile| {
+            let tile = tile.as_ref();
+            let mut chip = Tile {
+                rows: tile.len(),
+                pes: (0..n_pes).map(|id| Pe::new(id, n_pes, tile)).collect(),
+                ev: MachineEvents::default(),
+                pe_busy: vec![0u64; n_pes],
+                vu_cycles: 0,
+                w_cycles: 0,
+            };
+            match (&reduction, forced) {
+                (Some((u, v)), _) => chip.vu_cycles = chip.u_phase(cfg, u, v),
+                (None, Some(mask)) => chip.pes.iter_mut().for_each(|pe| pe.set_predictor(mask)),
+                (None, None) => chip.pes.iter_mut().for_each(Pe::force_all_active),
+            }
+            chip.w_cycles = chip.w_phase(cfg, w, &sources, predicted);
+            chip.writeback(cfg.pe_pipeline_depth, is_hidden, predicted)
+        });
+        Ok(runs.collect())
+    }
 }
 
 /// One chip's share of a layer: its PEs' rows of the tile and its books.
-struct TileStages {
+struct Tile {
     rows: usize,
     pes: Vec<Pe>,
     ev: MachineEvents,
@@ -639,182 +660,6 @@ struct VReduction {
     /// The V work every chip books: MACs, V reads and the reduce tree's
     /// books, less its cycles, which run to each chip's own phase end.
     ev: MachineEvents,
-}
-
-impl<'a> LayerStages<'a> {
-    /// Validates the layer and its tiles against the machine limits and
-    /// loads the PEs' source register files and rows — everything up to
-    /// (but not including) the first simulated cycle.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Machine::run_tiles`].
-    fn begin<T: AsRef<[usize]>>(
-        cfg: &'a MachineConfig,
-        w: &'a FixedMatrix,
-        predictor: Option<&'a FixedPredictor>,
-        input: &[Q6_10],
-        is_hidden: bool,
-        mode: UvMode,
-        tiles: &[T],
-    ) -> Result<Self, MachineError> {
-        let does_not_fit = |reason: String| MachineError::LayerDoesNotFit { layer: 0, reason };
-        let largest = tiles.iter().map(|t| t.as_ref().len()).max().unwrap_or(0);
-        cfg.validate_layer(largest, w.cols()).map_err(|e| match e {
-            crate::LayerFitError::WMemoryOverflow { words, capacity } => {
-                MachineError::WMemoryOverflow {
-                    layer: 0,
-                    words,
-                    capacity,
-                }
-            }
-            other => does_not_fit(other.to_string()),
-        })?;
-        if let Some(row) = tiles
-            .iter()
-            .flat_map(|t| t.as_ref())
-            .find(|&&row| row >= w.rows())
-        {
-            return Err(does_not_fit(format!(
-                "tile row {row} is past the layer's {} rows",
-                w.rows()
-            )));
-        }
-        if input.len() != w.cols() {
-            return Err(MachineError::InputWidthMismatch {
-                expected: w.cols(),
-                got: input.len(),
-            });
-        }
-        let predictor = predictor.filter(|_| mode == UvMode::On && is_hidden);
-        if let Some(FixedPredictor { u, v }) = predictor {
-            if v.cols() != w.cols() || u.rows() != w.rows() || u.cols() != v.rows() {
-                return Err(does_not_fit(format!(
-                    "the predictor's U is {}×{} and V {}×{}, but the {}×{} layer needs \
-                     U of {} rows, V of {} columns and U's columns equal to V's rows",
-                    u.rows(),
-                    u.cols(),
-                    v.rows(),
-                    v.cols(),
-                    w.rows(),
-                    w.cols(),
-                    w.rows(),
-                    w.cols()
-                )));
-            }
-        }
-        let n_pes = cfg.num_pes();
-        let tiles = tiles
-            .iter()
-            .map(|tile| {
-                let tile = tile.as_ref();
-                TileStages {
-                    rows: tile.len(),
-                    pes: (0..n_pes).map(|id| Pe::new(id, n_pes, tile)).collect(),
-                    ev: MachineEvents::default(),
-                    pe_busy: vec![0u64; n_pes],
-                    vu_cycles: 0,
-                    w_cycles: 0,
-                }
-            })
-            .collect();
-        Ok(Self {
-            cfg,
-            w,
-            predictor,
-            is_hidden,
-            predicted: predictor.is_some(),
-            sources: (0..n_pes)
-                .map(|id| PeSource::new(id, n_pes, input))
-                .collect(),
-            tiles,
-            vu_done: false,
-            w_done: false,
-        })
-    }
-
-    /// Runs the overlapped V/U predictor phases on every tile (nothing in
-    /// unpredicted layers, which instead force every predictor bit
-    /// active).
-    fn run_vu(&mut self) {
-        assert!(!self.vu_done, "run_vu called twice");
-        self.vu_done = true;
-        let Some(p) = self.predictor else {
-            for tile in &mut self.tiles {
-                tile.pes.iter_mut().for_each(Pe::force_all_active);
-            }
-            return;
-        };
-        let reduction = reduce_v(self.cfg, &p.v, &mut self.sources);
-        for tile in &mut self.tiles {
-            tile.vu_cycles = tile.u_phase(self.cfg, &p.u, &reduction);
-        }
-    }
-
-    /// Skips the V/U phases and loads an externally computed predictor
-    /// verdict instead: `mask[i]` = tile position `i` active. The W phase
-    /// then runs with output-sparsity skipping against that mask, at zero
-    /// predictor cost — the batched core uses this to drive one W pass
-    /// with the *union* of a batch's per-sample verdicts.
-    ///
-    /// Stands in for [`run_vu`](Self::run_vu).
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`run_vu`](Self::run_vu) already ran, or `mask` is
-    /// shorter than some tile.
-    fn force_predictor(&mut self, mask: &[bool]) {
-        assert!(
-            !self.vu_done,
-            "force_predictor after run_vu (the verdict is already latched)"
-        );
-        for tile in &mut self.tiles {
-            assert!(mask.len() >= tile.rows, "predictor mask covers every row");
-            tile.pes.iter_mut().for_each(|pe| pe.set_predictor(mask));
-        }
-        self.predicted = true;
-        self.vu_done = true;
-    }
-
-    /// Runs every tile's feedforward W phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`run_vu`](Self::run_vu) has not run first — the phases
-    /// are a hardware schedule, not independent kernels.
-    fn run_w(&mut self) {
-        assert!(
-            self.vu_done,
-            "run_w before run_vu (the W phase consumes the predictor verdict)"
-        );
-        assert!(!self.w_done, "run_w called twice");
-        self.w_done = true;
-        for tile in &mut self.tiles {
-            tile.w_cycles = tile.w_phase(self.cfg, self.w, &self.sources, self.predicted);
-        }
-    }
-
-    /// Quantizes the accumulators into one [`LayerRun`] per tile:
-    /// outputs, mask, cycle totals, events — and the per-row availability
-    /// profile ([`LayerRun::row_ready`] plus the
-    /// [`row_ready_hist`](MachineEvents::row_ready_hist) summary).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both [`run_vu`](Self::run_vu) and
-    /// [`run_w`](Self::run_w) have run.
-    fn writeback(self) -> Vec<LayerRun> {
-        assert!(
-            self.vu_done && self.w_done,
-            "run_vu and run_w before writeback"
-        );
-        let (pipe, is_hidden, predicted) =
-            (self.cfg.pe_pipeline_depth, self.is_hidden, self.predicted);
-        self.tiles
-            .into_iter()
-            .map(|tile| tile.writeback(pipe, is_hidden, predicted))
-            .collect()
-    }
 }
 
 /// The V phase's partial sums and their reduction through the H-tree.
@@ -907,7 +752,7 @@ fn reduce_v(cfg: &MachineConfig, v: &FixedMatrix, sources: &mut [PeSource]) -> V
     }
 }
 
-impl TileStages {
+impl Tile {
     /// The tile's U phase: the V results enter the broadcast pipeline in
     /// root order, one per cycle and only while every activation queue
     /// has room — the sink gate, which binds on each tile's own rows per
@@ -1382,25 +1227,6 @@ mod tests {
         assert_does_not_fit(result.map(|mut runs| runs.remove(0)), "tile row 64");
     }
 
-    #[test]
-    #[should_panic(expected = "run_w before run_vu")]
-    fn stage_order_is_enforced() {
-        let (net, x) = build(14, &[32, 64, 10], 4);
-        let machine = Machine::new(MachineConfig::default());
-        let all: Vec<usize> = (0..64).collect();
-        let mut stages = LayerStages::begin(
-            machine.config(),
-            &net.layers()[0],
-            None,
-            &x,
-            true,
-            UvMode::Off,
-            &[all],
-        )
-        .unwrap();
-        stages.run_w();
-    }
-
     fn batch_inputs(net: &FixedNetwork, dims0: usize, b: usize) -> Vec<Vec<Q6_10>> {
         (0..b)
             .map(|s| {
@@ -1425,15 +1251,16 @@ mod tests {
         let inputs = batch_inputs(&net, 40, 4);
         for mode in [UvMode::Off, UvMode::On] {
             let batch = machine.run_network_batch(&net, &inputs, mode).unwrap();
-            assert_eq!(batch.batch_size(), 4);
+            assert_eq!(batch.samples.len(), 4);
             for (s, x) in inputs.iter().enumerate() {
                 let serial = machine.run_network(&net, x, mode).unwrap();
-                assert_eq!(batch.output(s), serial.output(), "{mode:?} sample {s}");
-                assert_eq!(batch.classify(s), serial.classify(), "{mode:?} sample {s}");
-                for (l, (bl, sl)) in batch.layers.iter().zip(&serial.layers).enumerate() {
-                    assert_eq!(bl.per_sample[s].output, sl.output, "{mode:?} L{l}");
-                    assert_eq!(bl.per_sample[s].mask, sl.mask, "{mode:?} L{l}");
-                    assert_eq!(bl.per_sample[s].events, sl.events, "{mode:?} L{l}");
+                let own = &batch.samples[s];
+                assert_eq!(own.output(), serial.output(), "{mode:?} sample {s}");
+                assert_eq!(own.classify(), serial.classify(), "{mode:?} sample {s}");
+                for (l, (bl, sl)) in own.layers.iter().zip(&serial.layers).enumerate() {
+                    assert_eq!(bl.output, sl.output, "{mode:?} L{l}");
+                    assert_eq!(bl.mask, sl.mask, "{mode:?} L{l}");
+                    assert_eq!(bl.events, sl.events, "{mode:?} L{l}");
                 }
             }
             // The amortized book never loses to serial.
@@ -1457,8 +1284,8 @@ mod tests {
             let (serial_reads, batch_reads) = batch.w_read_totals();
             assert_eq!(serial_reads, batch_reads, "{mode:?}: B=1 amortizes nothing");
             for l in &batch.layers {
-                assert!(l.batch.amortized, "{mode:?}: the union pass ties serial");
-                assert!((l.batch.w_read_amortization() - 1.0).abs() < 1e-12);
+                assert!(l.amortized, "{mode:?}: the union pass ties serial");
+                assert!((l.w_read_amortization() - 1.0).abs() < 1e-12);
             }
         }
     }
@@ -1477,16 +1304,16 @@ mod tests {
         assert_eq!(serial_reads, 6 * batch_reads);
         assert!(batch.total_cycles() < batch.serial_cycles());
         for l in &batch.layers {
-            assert!(l.batch.amortized);
-            assert!((l.batch.w_read_amortization() - 6.0).abs() < 1e-12);
+            assert!(l.amortized);
+            assert!((l.w_read_amortization() - 6.0).abs() < 1e-12);
         }
         // Per-sample VU work is not amortized: the predictor runs per
         // sample, so the batch clock still carries all six VU phases.
-        let vu: u64 = batch.layers.iter().map(|l| l.batch.vu_cycles).sum();
+        let vu: u64 = batch.layers.iter().map(|l| l.vu_cycles).sum();
         let serial_vu: u64 = batch
-            .layers
+            .samples
             .iter()
-            .flat_map(|l| l.per_sample.iter().map(|r| r.vu_cycles))
+            .flat_map(|s| s.layers.iter().map(|r| r.vu_cycles))
             .sum();
         assert_eq!(vu, serial_vu);
     }
@@ -1514,7 +1341,7 @@ mod tests {
         let batch = machine
             .run_network_batch(&net, &inputs, UvMode::On)
             .unwrap();
-        let l0 = &batch.layers[0].batch;
+        let l0 = &batch.layers[0];
         assert!(!l0.amortized, "the union pass loses");
         assert_eq!((l0.w_reads_serial, l0.w_reads_amortized), (2, 2));
     }
@@ -1527,19 +1354,19 @@ mod tests {
         let batch = machine
             .run_network_batch(&net, &inputs, UvMode::On)
             .unwrap();
-        for l in &batch.layers {
+        for (l, timing) in batch.layers.iter().enumerate() {
             let mut summed = MachineEvents::default();
-            for r in &l.per_sample {
-                summed.merge(&r.events);
+            for s in &batch.samples {
+                summed.merge(&s.layers[l].events);
             }
-            let ev = &l.batch.events;
+            let ev = &timing.events;
             assert_eq!(ev.macs, summed.macs);
             assert_eq!(ev.src_reads, summed.src_reads);
             assert_eq!(ev.u_reads, summed.u_reads);
             assert_eq!(ev.v_reads, summed.v_reads);
             assert_eq!(ev.dst_writes, summed.dst_writes);
-            assert_eq!(ev.w_reads, l.batch.w_reads_amortized);
-            assert_eq!(ev.cycles, l.batch.cycles);
+            assert_eq!(ev.w_reads, timing.w_reads_amortized);
+            assert_eq!(ev.cycles, timing.cycles);
         }
     }
 

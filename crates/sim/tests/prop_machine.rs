@@ -170,11 +170,10 @@ proptest! {
         let mode = if uv_on { UvMode::On } else { UvMode::Off };
         let machine = Machine::new(MachineConfig::default());
         let batch = machine.run_network_batch(&net, &inputs, mode).unwrap();
-        prop_assert_eq!(batch.batch_size(), b);
+        prop_assert_eq!(batch.samples.len(), b);
         for (s, x) in inputs.iter().enumerate() {
             let serial = machine.run_network(&net, x, mode).unwrap();
-            for (l, (batched, own)) in batch.layers.iter()
-                .map(|layer| &layer.per_sample[s])
+            for (l, (batched, own)) in batch.samples[s].layers.iter()
                 .zip(&serial.layers)
                 .enumerate()
             {
@@ -189,8 +188,8 @@ proptest! {
         // and W reads equals the sum, and amortization only ever removes
         // W work.
         let mut summed = sparsenn_sim::MachineEvents::default();
-        for layer in &batch.layers {
-            for run in &layer.per_sample {
+        for sample in &batch.samples {
+            for run in &sample.layers {
                 summed.merge(&run.events);
             }
         }

@@ -114,7 +114,7 @@ fn two_chip_pipelined_uv_on_summary() {
 }
 
 #[test]
-fn per_sample_runs_in_both_modes() {
+fn single_samples_in_both_modes() {
     let sys = system();
     for (mode, name) in [
         (UvMode::On, "cycle_samples_uv_on.txt"),
