@@ -149,10 +149,7 @@ impl SystemBuilder {
                 let (mlp, _) = no_uv::train(&self.dims, &split, &self.config);
                 // Attach SVD predictors so the hardware path stays runnable;
                 // NO-UV evaluation ignores them.
-                let mut rng = sparsenn_linalg::init::seeded_rng(self.config.seed);
-                let mut net = PredictedNetwork::with_random_predictors(mlp, self.rank, &mut rng);
-                svd_baseline::refresh_predictors(&mut net, self.rank, self.config.seed);
-                net
+                svd_baseline::with_svd_predictors(mlp, self.rank, self.config.seed)
             }
         };
         let fixed = FixedNetwork::from_float(&net);

@@ -84,10 +84,10 @@ pub(crate) fn backward(
     let mut theta = vec![Vec::new(); trained];
     let mut ut_theta = vec![Vec::new(); trained];
     gamma[hidden] = cross_entropy_grad(&tape.logits, label);
-
-    // δ at the output of hidden layer `l` (i.e. ∂ℓ/∂a[l+1]).
-    let mut delta = layers[hidden].w().matvec_t(&gamma[hidden]);
     for l in (0..hidden).rev() {
+        // δ at the output of hidden layer `l` (i.e. ∂ℓ/∂a[l+1]) flows only
+        // through W (paper Alg. 1); nothing consumes the δ below layer 0.
+        let delta = layers[l + 1].w().matvec_t(&gamma[l + 1]);
         // ∂ℓ/∂a_ori = δ ∘ p, or δ where no predictor gates the layer.
         let da_ori = match predictors.get(l) {
             None => delta,
@@ -111,8 +111,6 @@ pub(crate) fn backward(
         };
         // γ = ∂ℓ/∂a_ori ∘ 1_{z>0}
         gamma[l] = vector::hadamard(&da_ori, &vector::relu_mask(&tape.z[l]));
-        // δ for the next-lower layer flows only through W (paper Alg. 1).
-        delta = layers[l].w().matvec_t(&gamma[l]);
     }
     Backward {
         gamma,

@@ -21,22 +21,39 @@ use sparsenn_linalg::init::seeded_rng;
 use sparsenn_linalg::truncated::truncated_svd;
 use sparsenn_model::{Mlp, PredictedNetwork, Predictor};
 
+/// The rank-`rank` truncated-SVD predictor of hidden layer `l`'s current
+/// weights.
+fn svd_predictor(mlp: &Mlp, l: usize, rank: usize, seed: u64) -> Predictor {
+    let w = mlp.layers()[l].w();
+    let svd = truncated_svd(w, rank, seed ^ (l as u64).wrapping_mul(0x9E37_79B9));
+    let (u, v) = svd.predictor_factors();
+    Predictor::new(u, v)
+}
+
+/// Attaches to every hidden layer of `mlp` the rank-`rank` truncated-SVD
+/// predictor of its weights, seeded as the baseline's epoch refresh is.
+pub fn with_svd_predictors(mlp: Mlp, rank: usize, seed: u64) -> PredictedNetwork {
+    let predictors = (0..mlp.num_hidden())
+        .map(|l| svd_predictor(&mlp, l, rank, seed))
+        .collect();
+    PredictedNetwork::new(mlp, predictors)
+}
+
 /// Refreshes every predictor from the truncated SVD of its layer's current
 /// weights (the once-per-epoch step of the baseline).
-pub fn refresh_predictors(net: &mut PredictedNetwork, rank: usize, seed: u64) {
-    for l in 0..net.predictors().len() {
-        let w = net.mlp().layers()[l].w();
-        let svd = truncated_svd(w, rank, seed ^ (l as u64).wrapping_mul(0x9E37_79B9));
-        let (u, v) = svd.predictor_factors();
-        net.predictors_mut()[l] = Predictor::new(u, v);
+pub(crate) fn refresh_predictors(net: &mut PredictedNetwork, rank: usize, seed: u64) {
+    let (mlp, predictors) = net.parts_mut();
+    for (l, p) in predictors.iter_mut().enumerate() {
+        *p = svd_predictor(mlp, l, rank, seed);
     }
 }
 
 /// Trains the SVD-predictor baseline.
 ///
-/// Epoch structure: refresh `U, V` from SVD(`W`), then run one shuffled
-/// pass of W-only SGD. A final refresh follows the last epoch so the
-/// returned predictor matches the returned weights.
+/// Training starts from `U, V` = SVD(`W`) of the initial weights. Each
+/// epoch runs one shuffled pass of W-only SGD, then refreshes `U, V` from
+/// SVD(`W`), so the next epoch, or the returned network, pairs the
+/// predictor with the weights it was computed from.
 ///
 /// # Example
 ///
@@ -53,18 +70,14 @@ pub fn train(
     split: &SplitDataset,
     config: &TrainConfig,
 ) -> (PredictedNetwork, History) {
-    let mut rng = seeded_rng(config.seed);
-    let mlp = Mlp::random(dims, &mut rng);
-    // Rank placeholder predictors; immediately replaced by the SVD refresh.
-    let mut net = PredictedNetwork::with_random_predictors(mlp, rank, &mut rng);
-    refresh_predictors(&mut net, rank, config.seed);
+    let mlp = Mlp::random(dims, &mut seeded_rng(config.seed));
+    let mut net = with_svd_predictors(mlp, rank, config.seed);
 
     let mut history = History::default();
     let mut indices: Vec<usize> = (0..split.train.len()).collect();
     let mut shuffle_rng = seeded_rng(config.seed ^ 0x51d3);
     let mut lr = config.lr;
     for epoch in 0..config.epochs {
-        refresh_predictors(&mut net, rank, config.seed.wrapping_add(epoch as u64));
         indices.shuffle(&mut shuffle_rng);
         let mut loss_sum = 0.0f64;
         let (mlp, predictors) = net.parts_mut();
@@ -82,12 +95,8 @@ pub fn train(
             lr,
         });
         lr *= config.lr_decay;
+        refresh_predictors(&mut net, rank, config.seed.wrapping_add(epoch as u64 + 1));
     }
-    refresh_predictors(
-        &mut net,
-        rank,
-        config.seed.wrapping_add(config.epochs as u64),
-    );
     (net, history)
 }
 
