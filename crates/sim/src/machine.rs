@@ -1383,6 +1383,64 @@ mod tests {
     }
 
     #[test]
+    fn macs_are_exact_at_the_rails() {
+        // A 37-column layer (four full 8-word blocks and a 5-word tail) of
+        // i16::MIN, i16::MAX and alternating weights. The `pairs` input
+        // leaves blocks 1 and 3 dead and holds i16::MAX in blocks 0 and 2,
+        // so an all-MIN row sums 2 · (−2¹⁵ · (2¹⁵ − 1)) = −(2³¹ − 2¹⁶) per
+        // word pair in each live block: no two such pairs fit one i32.
+        // `rails` adds i16::MIN activations, `small` is live everywhere.
+        use sparsenn_linalg::Matrix;
+        const MIN: f32 = -32.0;
+        const MAX: f32 = 32_767.0 / 1024.0;
+        let (rows, cols) = (150, 37);
+        let w = FixedMatrix::from_float(&Matrix::from_fn(rows, cols, |i, j| match i % 3 {
+            0 => MIN,
+            1 if j % 2 == 0 => MIN,
+            _ => MAX,
+        }));
+        let predictor = FixedPredictor {
+            u: FixedMatrix::from_float(&Matrix::from_fn(rows, 2, |i, t| {
+                [[MAX, 0.0], [0.0, MAX], [MIN, MIN], [MIN, MAX]][i % 4][t]
+            })),
+            v: FixedMatrix::from_float(&Matrix::from_fn(2, cols, |t, _| [MAX, MIN][t])),
+        };
+        let raw = |f: &dyn Fn(usize) -> i16| -> Vec<Q6_10> {
+            (0..cols).map(|j| Q6_10::from_raw(f(j))).collect()
+        };
+        let tail = [3, 0, -2, 0, 1];
+        let pairs = raw(&|j| match j / 8 {
+            0 | 2 => i16::MAX,
+            4 => tail[j - 32],
+            _ => 0,
+        });
+        let rails = raw(&|j| match j {
+            16 | 17 | 35 => i16::MIN,
+            _ if j / 8 == 1 => 0,
+            _ => [i16::MAX, i16::MIN, 0, 7][j % 4],
+        });
+        let small = raw(&|j| (j as i16 % 7 - 3) * 5);
+        let machine = Machine::new(MachineConfig::default());
+        for (name, x) in [("pairs", &pairs), ("rails", &rails), ("small", &small)] {
+            let off = machine
+                .run_layer(&w, None, x, false, UvMode::Off)
+                .unwrap();
+            let on = machine
+                .run_layer(&w, Some(&predictor), x, true, UvMode::On)
+                .unwrap();
+            let mask = predictor.predict(x);
+            assert!(mask.contains(&true) && mask.contains(&false), "{name}");
+            assert_eq!(on.mask.as_ref(), Some(&mask), "{name}");
+            for i in 0..rows {
+                let exact: Q6_10 = w.row_dot(i, x).to_fixed();
+                assert_eq!(off.output[i], exact, "{name}: uv_off row {i}");
+                let gated = if mask[i] { exact.relu() } else { Q6_10::ZERO };
+                assert_eq!(on.output[i], gated, "{name}: uv_on row {i}");
+            }
+        }
+    }
+
+    #[test]
     fn network_run_accounting_adds_up() {
         let (net, x) = build(8, &[36, 80, 10], 4);
         let machine = Machine::new(MachineConfig::default());
