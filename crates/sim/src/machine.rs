@@ -2,7 +2,7 @@
 
 use crate::config::MachineConfig;
 use crate::events::MachineEvents;
-use crate::pe::{ActQueues, Pe, PeSource};
+use crate::pe::{ActQueues, BlockPass, Image, Pe, PeSource};
 use sparsenn_model::fixedpoint::{FixedMatrix, FixedNetwork, FixedPredictor, UvMode};
 use sparsenn_noc::{ActFlit, BroadcastTree, NocStats, ReduceTree};
 use sparsenn_numeric::{Accumulator, Q6_10};
@@ -608,6 +608,7 @@ impl Machine {
             .map(|id| PeSource::new(id, n_pes, input))
             .collect();
         let reduction = predictor.map(|p| (&p.u, reduce_v(cfg, &p.v, &mut sources)));
+        let image = Image::new(input);
         let predicted = predictor.is_some() || forced.is_some();
         let runs = tiles.iter().map(|tile| {
             let tile = tile.as_ref();
@@ -624,7 +625,7 @@ impl Machine {
                 (None, Some(mask)) => chip.pes.iter_mut().for_each(|pe| pe.set_predictor(mask)),
                 (None, None) => chip.pes.iter_mut().for_each(Pe::force_all_active),
             }
-            chip.w_cycles = chip.w_phase(cfg, w, &sources, predicted);
+            chip.w_cycles = chip.w_phase(cfg, w, &image, &sources, predicted);
             chip.writeback(cfg.pe_pipeline_depth, is_hidden, predicted)
         });
         Ok(runs.collect())
@@ -776,9 +777,15 @@ impl Tile {
         let cycle = v.settled.max(last_emit).max(queues.drain_end());
         self.ev.merge(&v.ev);
         self.ev.noc.cycles += cycle;
+        let mut results = vec![Q6_10::ZERO; u.cols()];
+        for flit in &v.flits {
+            results[flit.index as usize] = Q6_10::from_raw(flit.value);
+        }
+        let results = Image::new(&results);
+        let mut pass = BlockPass::default();
         let mut busy = v.v_macs.clone();
         for (pe, b) in self.pes.iter_mut().zip(&mut busy) {
-            *b += pe.accumulate_u(u, &v.flits, &mut self.ev);
+            *b += pe.accumulate_u(u, &results, &mut pass, &mut self.ev);
             pe.latch_predictor(&mut self.ev);
         }
         let pushes = (self.pes.len() * v.flits.len()) as u64;
@@ -798,6 +805,7 @@ impl Tile {
         &mut self,
         cfg: &MachineConfig,
         w: &FixedMatrix,
+        x: &Image,
         sources: &[PeSource],
         predicted: bool,
     ) -> u64 {
@@ -880,10 +888,11 @@ impl Tile {
         }
         ev.noc.merge(tree.stats());
         let flits = queues.flits();
+        let mut pass = BlockPass::default();
         let mut busy = vec![0u64; n];
         for (id, (pe, b)) in pes.iter_mut().zip(&mut busy).enumerate() {
             if let Some(last_pop) = queues.last_pop_of(id) {
-                *b = pe.accumulate_w(w, flits, last_pop, ev);
+                *b = pe.accumulate_w(w, x, &mut pass, last_pop, ev);
             }
         }
         let pushes = (n * flits.len()) as u64;

@@ -246,45 +246,49 @@ impl Pe {
         self.active.len()
     }
 
-    /// The U phase's MACs: every broadcast V result (`flit.index` = the
-    /// predictor row) against every local U row. Returns the datapath's
-    /// busy cycles, one per MAC.
-    pub fn accumulate_u(
+    /// The U phase's MACs: every broadcast V result — every nonzero of
+    /// `v`, indexed by predictor row — against every local U row. Returns
+    /// the datapath's busy cycles, one per MAC.
+    pub(crate) fn accumulate_u<'m>(
         &mut self,
-        u: &FixedMatrix,
-        flits: &[ActFlit],
+        u: &'m FixedMatrix,
+        v: &Image,
+        pass: &mut BlockPass<'m>,
         ev: &mut MachineEvents,
     ) -> u64 {
-        for row in &mut self.local_rows {
-            row.acc_u.merge(dot(u.row(row.w_row as usize), flits));
+        let rows = self.local_rows.iter().map(|row| row.w_row as usize);
+        let sums = pass.run(u, rows, v);
+        for (row, &sum) in self.local_rows.iter_mut().zip(sums) {
+            row.acc_u = Accumulator::from_raw(sum);
         }
-        let macs = (self.local_rows.len() * flits.len()) as u64;
+        let macs = (self.local_rows.len() * v.nnz()) as u64;
         ev.macs += macs;
         ev.u_reads += macs;
         macs
     }
 
-    /// The W phase's MACs: every broadcast activation against every row
-    /// the predictor bank's LNZD yields, walked in ascending order.
-    /// `last_pop` is the W-phase cycle on which the PE popped the last
-    /// flit; the `k`-th row of the walk got its last MAC `k` cycles later.
-    /// Returns the datapath's busy cycles, one per MAC.
-    pub fn accumulate_w(
+    /// The W phase's MACs: every broadcast activation — every nonzero of
+    /// the layer input `x` — against every row the predictor bank's LNZD
+    /// yields, walked in ascending order. `last_pop` is the W-phase cycle
+    /// on which the PE popped the last flit; the `k`-th row of the walk
+    /// got its last MAC `k` cycles later. Returns the datapath's busy
+    /// cycles, one per MAC.
+    pub(crate) fn accumulate_w<'m>(
         &mut self,
-        w: &FixedMatrix,
-        flits: &[ActFlit],
+        w: &'m FixedMatrix,
+        x: &Image,
+        pass: &mut BlockPass<'m>,
         last_pop: u64,
         ev: &mut MachineEvents,
     ) -> u64 {
-        if flits.is_empty() {
-            return 0;
-        }
-        for (walk, &local) in self.active.iter().enumerate() {
+        let rows = self.active.iter();
+        let sums = pass.run(w, rows.map(|&k| self.local_rows[k as usize].w_row as usize), x);
+        for (walk, (&local, &sum)) in self.active.iter().zip(sums).enumerate() {
             let row = &mut self.local_rows[local as usize];
-            row.acc_w.merge(dot(w.row(row.w_row as usize), flits));
+            row.acc_w = Accumulator::from_raw(sum);
             row.last_w_mac = last_pop + walk as u64;
         }
-        let macs = (self.active.len() * flits.len()) as u64;
+        let macs = (self.active.len() * x.nnz()) as u64;
         ev.macs += macs;
         ev.w_reads += macs;
         macs
@@ -356,25 +360,143 @@ impl Pe {
     }
 }
 
-/// One row's MACs over a run of flits: `row[flit.index] × flit.value`,
-/// summed at full precision.
+/// A layer input as the MACs read it: its live 8-word blocks, in column
+/// order, and the words past the last whole block.
 ///
-/// Two flits per step. The machine's host time is mostly this loop, and
-/// with one flit per step its body (about 38 bytes) ran the `uv_off`
-/// machine about 17 % slower in builds that placed it across a 64-byte
-/// boundary (Xeon, family 6 model 207); two flits per step span two
-/// 64-byte lines wherever the body lands.
-fn dot(row: &[Q6_10], flits: &[ActFlit]) -> Accumulator {
-    let mut acc = Accumulator::new();
-    let mut pairs = flits.chunks_exact(2);
-    for pair in &mut pairs {
-        acc.mac(row[pair[0].index as usize], Q6_10::from_raw(pair[0].value));
-        acc.mac(row[pair[1].index as usize], Q6_10::from_raw(pair[1].value));
+/// The W phase's broadcast log holds every nonzero input exactly once (and
+/// the U phase's every nonzero V result), so a row's MACs over the log are
+/// its dot product with the input. [`BlockPass`] runs a PE's rows over the
+/// live blocks block by block: lane `j` of a row takes the pair
+/// `w[2j]·a[2j] + w[2j+1]·a[2j+1]`, so a row meets a block in one
+/// `pmaddwd`. With `|w| ≤ 2¹⁵` and `|a| ≤ m`, a pair is at most `2¹⁶ · m`
+/// in size, so a lane takes `⌊(2³¹ − 1) / (2¹⁶ · m)⌋` blocks before it is
+/// flushed into the row's i64 sum: at least one while `m < 2¹⁵`. An
+/// activation of i16::MIN (`m = 2¹⁵`) can make one pair 2³¹, so such an
+/// input runs product by product in i64 instead.
+#[derive(Clone, Debug)]
+pub(crate) struct Image {
+    /// The input in 8-word blocks, the last one padded with zeros.
+    x: Vec<[Q6_10; 8]>,
+    /// The whole blocks holding a nonzero word, ascending.
+    live: Vec<u32>,
+    /// Whole blocks: `x[whole]`, if any, holds the words past them.
+    whole: usize,
+    /// Blocks a lane takes between flushes; 0 for the product-by-product
+    /// path.
+    per_flush: usize,
+    /// Nonzero words: the flits the phase broadcasts.
+    nnz: usize,
+}
+
+impl Image {
+    /// The image of a layer input.
+    pub(crate) fn new(input: &[Q6_10]) -> Self {
+        let (whole, tail) = input.as_chunks::<8>();
+        let live = (0..whole.len() as u32)
+            .filter(|&b| whole[b as usize].iter().any(|a| !a.is_zero()))
+            .collect();
+        let mut x = whole.to_vec();
+        if !tail.is_empty() {
+            let mut last = [Q6_10::ZERO; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            x.push(last);
+        }
+        let max = input.iter().map(|a| a.raw().unsigned_abs()).max();
+        let per_flush = match max.unwrap_or(0) {
+            0 => usize::MAX,
+            0x8000 => 0,
+            m => (i64::from(i32::MAX) / (i64::from(m) << 16)) as usize,
+        };
+        Self {
+            whole: whole.len(),
+            x,
+            live,
+            per_flush,
+            nnz: input.iter().filter(|a| !a.is_zero()).count(),
+        }
     }
-    for f in pairs.remainder() {
-        acc.mac(row[f.index as usize], Q6_10::from_raw(f.value));
+
+    /// Nonzero words.
+    pub(crate) fn nnz(&self) -> usize {
+        self.nnz
     }
-    acc
+}
+
+/// The block pass's buffers, reused across the PEs of a phase.
+#[derive(Debug, Default)]
+pub(crate) struct BlockPass<'m> {
+    /// The rows' whole blocks and tails.
+    rows: Vec<&'m [[Q6_10; 8]]>,
+    tails: Vec<&'m [Q6_10]>,
+    lane: Vec<[i32; 4]>,
+    sum: Vec<i64>,
+}
+
+impl<'m> BlockPass<'m> {
+    /// Rows `rows` of `m`, each dotted with `x` at full precision.
+    fn run(
+        &mut self,
+        m: &'m FixedMatrix,
+        rows: impl Iterator<Item = usize>,
+        x: &Image,
+    ) -> &[i64] {
+        self.rows.clear();
+        self.tails.clear();
+        for i in rows {
+            let (whole, tail) = m.row(i).as_chunks::<8>();
+            self.rows.push(whole);
+            self.tails.push(tail);
+        }
+        let dot = |w: &[Q6_10], a: &[Q6_10]| -> i64 {
+            w.iter().zip(a).map(|(w, a)| i64::from(w.wide_mul(*a))).sum()
+        };
+        let tail = x.x.get(x.whole);
+        self.sum.clear();
+        self.sum.extend(self.tails.iter().map(|w| tail.map_or(0, |a| dot(w, a))));
+        if x.per_flush == 0 {
+            for (sum, row) in self.sum.iter_mut().zip(&self.rows) {
+                for &b in &x.live {
+                    *sum += dot(&row[b as usize], &x.x[b as usize]);
+                }
+            }
+            return &self.sum;
+        }
+        self.lane.clear();
+        self.lane.resize(self.rows.len(), [0; 4]);
+        for run in x.live.chunks(x.per_flush) {
+            pairs(&mut self.lane, &self.rows, &x.x, run);
+            for (sum, lane) in self.sum.iter_mut().zip(&mut self.lane) {
+                *sum += lane.iter().map(|&l| i64::from(l)).sum::<i64>();
+                *lane = [0; 4];
+            }
+        }
+        &self.sum
+    }
+}
+
+/// Every row meets every block of `blocks`: lane `j` takes
+/// `w[2j]·a[2j] + w[2j+1]·a[2j+1]`, one `pmaddwd` per row and block. The
+/// shape is what LLVM matches: both blocks copied into `i16` arrays, the
+/// pairs summed even product first into a temporary, then added to the
+/// lanes; summing odd first swaps the words of every W load. Kept out of
+/// line so its slice parameters tell the compiler the lanes alias neither
+/// operand: each block then stays in a register across the rows.
+#[inline(never)]
+fn pairs(lane: &mut [[i32; 4]], rows: &[&[[Q6_10; 8]]], x: &[[Q6_10; 8]], live: &[u32]) {
+    for &b in live {
+        let b = b as usize;
+        let a = x[b];
+        for (lane, row) in lane.iter_mut().zip(rows) {
+            let w = row[b];
+            let mut pair = [0i32; 4];
+            for (j, p) in pair.iter_mut().enumerate() {
+                *p = w[2 * j].wide_mul(a[2 * j]) + w[2 * j + 1].wide_mul(a[2 * j + 1]);
+            }
+            for (l, p) in lane.iter_mut().zip(pair) {
+                *l += p;
+            }
+        }
+    }
 }
 
 /// The activation queues of all PEs, kept as windows into one broadcast
@@ -572,7 +694,8 @@ mod tests {
         let mut pe = Pe::new(0, 64, &all(128)); // rows 0 and 64
         let mut ev = MachineEvents::default();
         // Popped on cycle 1: one MAC per row, on cycles 1 and 2.
-        let busy = pe.accumulate_w(&w, &[flit(0, 1.0)], 1, &mut ev);
+        let x = Image::new(&[q(1.0), Q6_10::ZERO, Q6_10::ZERO, Q6_10::ZERO]);
+        let busy = pe.accumulate_w(&w, &x, &mut BlockPass::default(), 1, &mut ev);
         assert_eq!(busy, 2);
         assert_eq!(ev.macs, 2);
         assert_eq!(ev.w_reads, 2);
@@ -591,7 +714,9 @@ mod tests {
         pe.set_predictor(&[false; 128]);
         assert_eq!(pe.w_macs_per_flit(), 0);
         let mut ev = MachineEvents::default();
-        assert_eq!(pe.accumulate_w(&w, &[flit(0, 1.0)], 1, &mut ev), 0);
+        let x = Image::new(&[q(1.0), Q6_10::ZERO, Q6_10::ZERO, Q6_10::ZERO]);
+        let pass = &mut BlockPass::default();
+        assert_eq!(pe.accumulate_w(&w, &x, pass, 1, &mut ev), 0);
         assert_eq!(ev.macs, 0);
         assert_eq!(ev.w_reads, 0);
         // Bypassed rows report no W-MAC completion cycle.
