@@ -34,8 +34,12 @@ pub(crate) struct Ports<T> {
     head: Vec<usize>,
     /// Per port: flits in its buffer.
     len: Vec<usize>,
-    /// Per port: flits on its link.
-    incoming: Vec<usize>,
+    /// Per port: credits its sender holds (capacity less the flits in its
+    /// buffer and on its link).
+    credits: Vec<usize>,
+    /// Per port: its head flit's key, [`EMPTY`] for an empty buffer, so
+    /// arbitration reads one word per port.
+    key: Vec<u32>,
     /// Flits on any link, in landing order: `(landing cycle, port, flit)`.
     links: VecDeque<(u64, usize, T)>,
     /// Per router: the input port that wins arbitration, if any holds a
@@ -46,6 +50,9 @@ pub(crate) struct Ports<T> {
     /// Routers holding at least one flit.
     occupied: usize,
 }
+
+/// The key of an empty port: above every flit's.
+const EMPTY: u32 = u32::MAX;
 
 impl<T: Keyed + Copy + Default> Ports<T> {
     /// Empty ports for `routers` routers of `radix` inputs each, buffers of
@@ -64,7 +71,8 @@ impl<T: Keyed + Copy + Default> Ports<T> {
             slots: vec![T::default(); ports * capacity],
             head: vec![0; ports],
             len: vec![0; ports],
-            incoming: vec![0; ports],
+            credits: vec![capacity; ports],
+            key: vec![EMPTY; ports],
             links: VecDeque::new(),
             winner: vec![None; routers],
             buffered: 0,
@@ -75,7 +83,7 @@ impl<T: Keyed + Copy + Default> Ports<T> {
     /// `true` if a sender into `port` holds a credit (buffer + in-flight <
     /// capacity).
     pub(crate) fn has_credit(&self, port: usize) -> bool {
-        self.len[port] + self.incoming[port] < self.capacity
+        self.credits[port] > 0
     }
 
     /// Launches a flit onto `port`'s link at `cycle`.
@@ -84,10 +92,11 @@ impl<T: Keyed + Copy + Default> Ports<T> {
     ///
     /// Panics if called without credit — senders must check
     /// [`has_credit`](Self::has_credit) first (the hardware cannot
-    /// physically do otherwise).
+    /// physically do otherwise) — or with a flit whose key is `u32::MAX`.
     pub(crate) fn send(&mut self, cycle: u64, port: usize, flit: T) {
         assert!(self.has_credit(port), "send without credit");
-        self.incoming[port] += 1;
+        assert!(flit.key() != EMPTY, "flit key out of range");
+        self.credits[port] -= 1;
         self.links.push_back((cycle + self.latency, port, flit));
     }
 
@@ -101,7 +110,6 @@ impl<T: Keyed + Copy + Default> Ports<T> {
             .is_some_and(|&(ready, _, _)| ready <= cycle)
         {
             let (_, port, flit) = self.links.pop_front().expect("checked nonempty");
-            self.incoming[port] -= 1;
             self.buffered += 1;
             let len = self.len[port];
             debug_assert!(len < self.capacity, "credit violation");
@@ -110,20 +118,16 @@ impl<T: Keyed + Copy + Default> Ports<T> {
             self.len[port] = len + 1;
             if len == 0 {
                 // A new head: it wins if it beats the router's winner.
-                let router = port / self.radix;
                 let key = flit.key();
-                let beats = match self.winner[router] {
+                self.key[port] = key;
+                let router = port / self.radix;
+                match self.winner[router] {
                     None => {
                         self.occupied += 1;
-                        true
+                        self.winner[router] = Some(port);
                     }
-                    Some(w) => {
-                        let best = self.head(w).expect("a winner has a head").key();
-                        (key, port) < (best, w)
-                    }
-                };
-                if beats {
-                    self.winner[router] = Some(port);
+                    Some(w) if (key, port) < (self.key[w], w) => self.winner[router] = Some(port),
+                    Some(_) => {}
                 }
             }
             landed.push(port);
@@ -150,6 +154,11 @@ impl<T: Keyed + Copy + Default> Ports<T> {
         (self.len[port] > 0).then(|| &self.slots[port * self.capacity + self.head[port]])
     }
 
+    /// The key of the flit at the head of `port`'s buffer, if any.
+    pub(crate) fn head_key(&self, port: usize) -> Option<u32> {
+        Some(self.key[port]).filter(|&k| k != EMPTY)
+    }
+
     /// Pops the head of `port`'s buffer (returning the credit to its
     /// sender) and re-arbitrates its router.
     ///
@@ -160,18 +169,30 @@ impl<T: Keyed + Copy + Default> Ports<T> {
         assert!(self.len[port] > 0, "pop from an empty port");
         let first = self.slot(port, 0);
         let flit = self.slots[first];
+        let len = self.len[port] - 1;
         self.head[port] = self.slot(port, 1) - port * self.capacity;
-        self.len[port] -= 1;
+        self.len[port] = len;
+        self.credits[port] += 1;
         self.buffered -= 1;
+        self.key[port] = if len == 0 {
+            EMPTY
+        } else {
+            self.slots[port * self.capacity + self.head[port]].key()
+        };
+        // The smallest (key, port) of the router: one packed word per port.
         let router = port / self.radix;
         let first = router * self.radix;
-        self.winner[router] = (first..first + self.radix)
-            .filter_map(|p| self.head(p).map(|f| (f.key(), p)))
+        let keys = &self.key[first..first + self.radix];
+        let best = (keys.iter().enumerate())
+            .map(|(k, &key)| u64::from(key) << 32 | k as u64)
             .min()
-            .map(|(_, p)| p);
-        if self.winner[router].is_none() {
+            .expect("a router has ports");
+        self.winner[router] = if best >> 32 == u64::from(EMPTY) {
             self.occupied -= 1;
-        }
+            None
+        } else {
+            Some(first + (best & u64::from(u32::MAX)) as usize)
+        };
         flit
     }
 

@@ -144,18 +144,6 @@ impl ReduceTree {
         }
     }
 
-    /// Router `r`'s winning flit, whether it completes its row there, and
-    /// whether it can move on this tick: a flit that completes its row
-    /// below the root needs a credit at the parent, every other merges.
-    fn winner(&self, r: usize) -> Option<(usize, bool, bool)> {
-        let port = self.ports.winner(r)?;
-        let &(row, _) = self.ports.head(port).expect("a winner has a head");
-        let completes = self.cnt[r * self.rows + row as usize] + 1 == self.expected[r];
-        let is_root = r + 1 == self.level.len();
-        let moves = !completes || is_root || self.ports.has_credit(r + self.cfg.num_pes);
-        Some((port, completes, moves))
-    }
-
     /// Advances one cycle; returns a completed `(row, total)` if the root
     /// finished one.
     pub fn tick(&mut self) -> Option<SumFlit> {
@@ -163,6 +151,7 @@ impl ReduceTree {
         self.stats.cycles += 1;
         let cycle = self.cycle;
         let n = self.cfg.num_pes;
+        let root = self.level.len() - 1;
 
         self.ports.land(cycle, &mut self.landed);
         for i in 0..self.landed.len() {
@@ -172,27 +161,32 @@ impl ReduceTree {
         let waiting = self.ports.occupied();
         let mut merged = 0;
 
-        // Root-side first so credits free up for the levels below.
+        // Root-side first so credits free up for the levels below. A
+        // flit that completes its row below the root needs a credit at
+        // the parent; every other merges.
         for l in (0..self.wake.len()).rev() {
             let mut routers = std::mem::take(&mut self.wake[l]);
             for &r in &routers {
                 self.woken[r] = false;
-                let Some((port, completes, true)) = self.winner(r) else {
+                let Some(port) = self.ports.winner(r) else {
                     continue;
                 };
-                let (row, val) = self.ports.pop(port);
+                let row = self.ports.head_key(port).expect("a winner has a head");
+                let slot = r * self.rows + row as usize;
+                let completes = self.cnt[slot] + 1 == self.expected[r];
+                if completes && r != root && !self.ports.has_credit(r + n) {
+                    continue;
+                }
+                let (_, val) = self.ports.pop(port);
                 if let Some(child) = port.checked_sub(n) {
                     self.wake(child);
                 }
-                let slot = r * self.rows + row as usize;
                 self.acc[slot] += val;
                 self.cnt[slot] += 1;
-                self.stats.acc_merges += 1;
-                self.stats.hops += 1;
                 merged += 1;
                 if completes {
                     let total = self.acc[slot];
-                    if r + 1 == self.level.len() {
+                    if r == root {
                         self.root_out.push_back((row, total));
                     } else {
                         self.ports.send(cycle, r + n, (row, total));
@@ -203,11 +197,13 @@ impl ReduceTree {
             routers.clear();
             self.wake[l] = routers;
         }
+        self.stats.acc_merges += merged as u64;
+        self.stats.hops += merged as u64;
         self.stats.credit_stalls += (waiting - merged) as u64;
         // A router that merged may merge again next tick.
         for i in 0..self.moved.len() {
             let r = self.moved[i];
-            if matches!(self.winner(r), Some((_, _, true))) {
+            if self.ports.winner(r).is_some() {
                 self.wake(r);
             }
         }

@@ -675,12 +675,14 @@ fn reduce_v(cfg: &MachineConfig, v: &FixedMatrix, sources: &mut [PeSource]) -> V
     let participants: Vec<bool> = sources.iter().map(PeSource::participates).collect();
     let mut reduce = ReduceTree::new(&cfg.noc, v.rows(), &participants);
     let mut v_macs = vec![0u64; n];
-    // Per PE: the cycle its next partial sum is ready to leave.
-    let mut due = vec![u64::MAX; n];
+    // The PEs by the cycle their next partial sum is ready to leave: a
+    // PE's partials are at most its nonzero count plus one cycles apart.
+    let span = sources.iter().map(|s| s.src().len()).max().unwrap_or(0) + 2;
+    let mut due = DueRing::new(span);
     for (id, source) in sources.iter_mut().enumerate() {
         let before = ev.macs;
         if let Some(ready) = source.begin_v(v, &mut ev) {
-            due[id] = ready;
+            due.push(ready, id);
         }
         v_macs[id] = ev.macs - before;
     }
@@ -694,23 +696,19 @@ fn reduce_v(cfg: &MachineConfig, v: &FixedMatrix, sources: &mut [PeSource]) -> V
 
         // Network interfaces push finished partials into the reduce
         // tree; a refused one tries again next cycle.
-        inject.extend((0..n).filter(|&id| due[id] == cycle));
+        due.take(cycle, &mut inject);
         for &id in &inject {
             let source = &mut sources[id];
             let (row, val) = source.pending_v_emit().expect("a due PE holds a partial");
             if !reduce.try_inject(id, row, val) {
-                due[id] = cycle + 1;
+                due.push(cycle + 1, id);
                 continue;
             }
             match source.v_injected(cycle) {
-                Some(ready) => due[id] = ready,
-                None => {
-                    due[id] = u64::MAX;
-                    v_left -= 1;
-                }
+                Some(ready) => due.push(ready, id),
+                None => v_left -= 1,
             }
         }
-        inject.clear();
 
         // Root finishes at most one row per cycle.
         if let Some((row, total)) = reduce.tick() {
@@ -729,10 +727,11 @@ fn reduce_v(cfg: &MachineConfig, v: &FixedMatrix, sources: &mut [PeSource]) -> V
         // With the reduce tree empty, nothing happens before the next
         // partial leaves.
         if reduce.is_empty() {
-            let next = due.iter().copied().min().unwrap_or(u64::MAX);
-            if next != u64::MAX && next > cycle + 1 {
-                reduce.skip_empty(next - 1 - cycle);
-                cycle = next - 1;
+            if let Some(next) = due.first_after(cycle) {
+                if next > cycle + 1 {
+                    reduce.skip_empty(next - 1 - cycle);
+                    cycle = next - 1;
+                }
             }
         }
     }
@@ -750,6 +749,52 @@ fn reduce_v(cfg: &MachineConfig, v: &FixedMatrix, sources: &mut [PeSource]) -> V
         v_macs,
         settled: cycle,
         ev,
+    }
+}
+
+/// PEs by the cycle on which they are due, in a ring of one bucket per
+/// cycle: every due cycle lies less than the ring's span ahead.
+struct DueRing {
+    buckets: Vec<Vec<usize>>,
+    due: usize,
+}
+
+impl DueRing {
+    /// A ring for due cycles less than `span` cycles ahead.
+    fn new(span: usize) -> Self {
+        Self {
+            buckets: vec![Vec::new(); span.next_power_of_two()],
+            due: 0,
+        }
+    }
+
+    fn bucket(&self, cycle: u64) -> usize {
+        cycle as usize & (self.buckets.len() - 1)
+    }
+
+    /// PE `id` is due on `cycle`.
+    fn push(&mut self, cycle: u64, id: usize) {
+        let b = self.bucket(cycle);
+        self.buckets[b].push(id);
+        self.due += 1;
+    }
+
+    /// Moves the PEs due on `cycle` into `into`, which must be empty or
+    /// is cleared.
+    fn take(&mut self, cycle: u64, into: &mut Vec<usize>) {
+        into.clear();
+        let b = self.bucket(cycle);
+        std::mem::swap(&mut self.buckets[b], into);
+        self.due -= into.len();
+    }
+
+    /// The first cycle after `cycle` on which some PE is due.
+    fn first_after(&self, cycle: u64) -> Option<u64> {
+        (self.due > 0).then(|| {
+            (cycle + 1..)
+                .find(|&c| !self.buckets[self.bucket(c)].is_empty())
+                .expect("a due PE is in the ring")
+        })
     }
 }
 
