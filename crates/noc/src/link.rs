@@ -149,11 +149,6 @@ impl<T: Keyed + Copy + Default> Ports<T> {
         self.winner[router]
     }
 
-    /// The flit at the head of `port`'s buffer, if any.
-    pub(crate) fn head(&self, port: usize) -> Option<&T> {
-        (self.len[port] > 0).then(|| &self.slots[port * self.capacity + self.head[port]])
-    }
-
     /// The key of the flit at the head of `port`'s buffer, if any.
     pub(crate) fn head_key(&self, port: usize) -> Option<u32> {
         Some(self.key[port]).filter(|&k| k != EMPTY)
@@ -250,10 +245,10 @@ mod tests {
         let mut landed = Vec::new();
         p.send(10, 0, 7);
         p.land(12, &mut landed);
-        assert!(p.head(0).is_none(), "not arrived yet");
+        assert!(p.head_key(0).is_none(), "not arrived yet");
         assert!(landed.is_empty());
         p.land(13, &mut landed);
-        assert_eq!(p.head(0), Some(&7));
+        assert_eq!(p.head_key(0), Some(7));
         assert_eq!(landed, vec![0]);
     }
 

@@ -604,9 +604,7 @@ impl Machine {
         }
         // Per PE: its nonzero inputs, the same on every chip.
         let n_pes = cfg.num_pes();
-        let mut sources: Vec<PeSource> = (0..n_pes)
-            .map(|id| PeSource::new(id, n_pes, input))
-            .collect();
+        let mut sources = PeSource::all(n_pes, input);
         let reduction = predictor.map(|p| (&p.u, reduce_v(cfg, &p.v, &mut sources)));
         let image = Image::new(input);
         let predicted = predictor.is_some() || forced.is_some();
@@ -678,7 +676,7 @@ fn reduce_v(cfg: &MachineConfig, v: &FixedMatrix, sources: &mut [PeSource]) -> V
     // The PEs by the cycle their next partial sum is ready to leave: a
     // PE's partials are at most its nonzero count plus one cycles apart.
     let span = sources.iter().map(|s| s.src().len()).max().unwrap_or(0) + 2;
-    let mut due = DueRing::new(span);
+    let mut due = DueRing::new(n, span);
     for (id, source) in sources.iter_mut().enumerate() {
         let before = ev.macs;
         if let Some(ready) = source.begin_v(v, &mut ev) {
@@ -753,38 +751,51 @@ fn reduce_v(cfg: &MachineConfig, v: &FixedMatrix, sources: &mut [PeSource]) -> V
 }
 
 /// PEs by the cycle on which they are due, in a ring of one bucket per
-/// cycle: every due cycle lies less than the ring's span ahead.
+/// cycle: every due cycle lies less than the ring's span ahead. A bucket
+/// is a list threaded through `next`, since a PE is due on one cycle at a
+/// time; the PEs of one cycle inject in any order, each into its own leaf
+/// port.
 struct DueRing {
-    buckets: Vec<Vec<usize>>,
+    /// Per bucket: its first PE.
+    first: Vec<usize>,
+    /// Per PE: the next PE of its bucket.
+    next: Vec<usize>,
     due: usize,
 }
 
+/// The end of a bucket's list.
+const NIL: usize = usize::MAX;
+
 impl DueRing {
-    /// A ring for due cycles less than `span` cycles ahead.
-    fn new(span: usize) -> Self {
+    /// A ring for `pes` PEs due less than `span` cycles ahead.
+    fn new(pes: usize, span: usize) -> Self {
         Self {
-            buckets: vec![Vec::new(); span.next_power_of_two()],
+            first: vec![NIL; span.next_power_of_two()],
+            next: vec![NIL; pes],
             due: 0,
         }
     }
 
     fn bucket(&self, cycle: u64) -> usize {
-        cycle as usize & (self.buckets.len() - 1)
+        cycle as usize & (self.first.len() - 1)
     }
 
     /// PE `id` is due on `cycle`.
     fn push(&mut self, cycle: u64, id: usize) {
         let b = self.bucket(cycle);
-        self.buckets[b].push(id);
+        self.next[id] = std::mem::replace(&mut self.first[b], id);
         self.due += 1;
     }
 
-    /// Moves the PEs due on `cycle` into `into`, which must be empty or
-    /// is cleared.
+    /// Moves the PEs due on `cycle` into `into`, replacing its contents.
     fn take(&mut self, cycle: u64, into: &mut Vec<usize>) {
         into.clear();
         let b = self.bucket(cycle);
-        std::mem::swap(&mut self.buckets[b], into);
+        let mut id = std::mem::replace(&mut self.first[b], NIL);
+        while id != NIL {
+            into.push(id);
+            id = self.next[id];
+        }
         self.due -= into.len();
     }
 
@@ -792,7 +803,7 @@ impl DueRing {
     fn first_after(&self, cycle: u64) -> Option<u64> {
         (self.due > 0).then(|| {
             (cycle + 1..)
-                .find(|&c| !self.buckets[self.bucket(c)].is_empty())
+                .find(|&c| self.first[self.bucket(c)] != NIL)
                 .expect("a due PE is in the ring")
         })
     }
@@ -982,9 +993,11 @@ impl Tile {
             row_ready.iter().all(|&t| t <= total),
             "row availability must be bounded by the layer total"
         );
-        let span = total.max(1);
+        // Bucket `⌊8t / total⌋`, at most 7: the count of eighths of the
+        // layer that `t` has reached, without a division per row.
+        let eighths: [u64; 7] = std::array::from_fn(|k| (k as u64 + 1) * total.max(1));
         for &t in &row_ready {
-            let bucket = (t.saturating_mul(8) / span).min(7) as usize;
+            let bucket = eighths.iter().filter(|&&e| t.saturating_mul(8) >= e).count();
             self.ev.row_ready_hist[bucket] += 1;
         }
         let mask = predicted.then(|| {
@@ -1485,10 +1498,10 @@ mod tests {
             let mask = predictor.predict(x);
             assert!(mask.contains(&true) && mask.contains(&false), "{name}");
             assert_eq!(on.mask.as_ref(), Some(&mask), "{name}");
-            for i in 0..rows {
+            for (i, &active) in mask.iter().enumerate() {
                 let exact: Q6_10 = w.row_dot(i, x).to_fixed();
                 assert_eq!(off.output[i], exact, "{name}: uv_off row {i}");
-                let gated = if mask[i] { exact.relu() } else { Q6_10::ZERO };
+                let gated = if active { exact.relu() } else { Q6_10::ZERO };
                 assert_eq!(on.output[i], gated, "{name}: uv_on row {i}");
             }
         }

@@ -60,20 +60,32 @@ pub struct PeSource {
 impl PeSource {
     /// Loads PE `id`'s slice of the source register file: the nonzero
     /// entries of `input` whose index is congruent to `id` mod `num_pes`.
+    #[cfg(test)]
     pub fn new(id: usize, num_pes: usize, input: &[Q6_10]) -> Self {
-        Self {
-            src: input
-                .iter()
-                .enumerate()
-                .skip(id)
-                .step_by(num_pes)
-                .filter(|(_, v)| !v.is_zero())
-                .map(|(j, &v)| (j as u32, v))
-                .collect(),
-            v_partials: Vec::new(),
-            v_next: 0,
-            u_start: None,
-        }
+        Self::all(num_pes, input).swap_remove(id)
+    }
+
+    /// Loads every PE's slice of the source register file in one pass over
+    /// `input`: PE `p` holds the nonzero entries whose index is congruent
+    /// to `p` mod `num_pes`.
+    pub fn all(num_pes: usize, input: &[Q6_10]) -> Vec<Self> {
+        (0..num_pes)
+            .map(|id| {
+                let nonzero = || {
+                    let strided = input[id.min(input.len())..].iter().step_by(num_pes);
+                    let indexed = (id as u32..).step_by(num_pes).zip(strided);
+                    indexed.filter(|(_, v)| !v.is_zero())
+                };
+                let mut src = Vec::with_capacity(nonzero().count());
+                src.extend(nonzero().map(|(j, &v)| (j, v)));
+                Self {
+                    src,
+                    v_partials: Vec::new(),
+                    v_next: 0,
+                    u_start: None,
+                }
+            })
+            .collect()
     }
 
     /// `true` if this PE holds at least one nonzero input activation
