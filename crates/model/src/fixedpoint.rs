@@ -45,6 +45,7 @@ impl FixedMatrix {
     /// # Panics
     ///
     /// Panics if `i >= rows`.
+    #[inline]
     pub fn row(&self, i: usize) -> &[Q6_10] {
         assert!(i < self.rows, "row out of bounds");
         &self.data[i * self.cols..(i + 1) * self.cols]
@@ -55,6 +56,7 @@ impl FixedMatrix {
     /// # Panics
     ///
     /// Panics if out of bounds.
+    #[inline]
     pub fn get(&self, i: usize, j: usize) -> Q6_10 {
         assert!(i < self.rows && j < self.cols, "index out of bounds");
         self.data[i * self.cols + j]

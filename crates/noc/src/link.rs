@@ -279,6 +279,73 @@ mod tests {
         assert_eq!(p.winner(0), None);
     }
 
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Over random sends, landings and pops, every router's winner is
+        /// the port a scan of its heads picks (smallest key, then lowest
+        /// port), and a sender holds a credit exactly while its port's
+        /// buffer and link hold fewer flits than the capacity.
+        #[test]
+        fn arbitration_and_credits_match_a_scan(
+            shape in (2usize..9, 1usize..5, 1u64..4, 1usize..4),
+            steps in prop::collection::vec((0u8..4, 0usize..64, 0u32..6), 1..300),
+        ) {
+            let (radix, capacity, latency, routers) = shape;
+            let mut p: Ports<u32> = Ports::new(routers, radix, capacity, latency);
+            let ports = routers * radix;
+            // The reference: each port's buffer and every flit in flight.
+            let mut buffer: Vec<VecDeque<u32>> = vec![VecDeque::new(); ports];
+            let mut flight: VecDeque<(u64, usize, u32)> = VecDeque::new();
+            let mut cycle = 0u64;
+            for (op, pick, key) in steps {
+                match op {
+                    0 => {
+                        let port = pick % ports;
+                        if p.has_credit(port) {
+                            p.send(cycle, port, key);
+                            flight.push_back((cycle + latency, port, key));
+                        }
+                    }
+                    1 => {
+                        cycle += 1;
+                        p.land(cycle, &mut Vec::new());
+                        while flight.front().is_some_and(|&(at, _, _)| at <= cycle) {
+                            let (_, port, key) = flight.pop_front().expect("checked");
+                            buffer[port].push_back(key);
+                        }
+                    }
+                    2 => {
+                        if let Some(port) = p.winner(pick % routers) {
+                            prop_assert_eq!(Some(p.pop(port)), buffer[port].pop_front());
+                        }
+                    }
+                    _ => {
+                        let port = pick % ports;
+                        if !buffer[port].is_empty() {
+                            prop_assert_eq!(Some(p.pop(port)), buffer[port].pop_front());
+                        }
+                    }
+                }
+                for r in 0..routers {
+                    let scan = (r * radix..(r + 1) * radix)
+                        .filter_map(|q| buffer[q].front().map(|&k| (k, q)))
+                        .min()
+                        .map(|(_, q)| q);
+                    prop_assert_eq!(p.winner(r), scan, "router {}", r);
+                }
+                for (q, b) in buffer.iter().enumerate() {
+                    let on_link = flight.iter().filter(|f| f.1 == q).count();
+                    prop_assert_eq!(p.has_credit(q), b.len() + on_link < capacity, "port {}", q);
+                    prop_assert_eq!(p.occupancy(q), b.len(), "port {}", q);
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "send without credit")]
     fn overcommit_panics() {
