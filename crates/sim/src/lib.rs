@@ -36,8 +36,11 @@
 //! drain jumps to that cycle and books the skipped ticks' cycles, sink
 //! stalls and credit stalls in one step. A PE's datapath holds each
 //! activation for a fixed number of cycles, so its pop cycles follow from
-//! the arrival cycles ([`pe`]); its MACs run in bulk per row, and these
-//! counters are credited per phase rather than per cycle: `macs`,
+//! the arrival cycles ([`pe`]); its MACs run in bulk once per phase, as
+//! an exact i32 pair pass over the input's live 8-word blocks (one
+//! `pmaddwd` per row and block, flushed to i64 before a lane could
+//! overflow; see [`pe`]), and these counters are credited per phase
+//! rather than per cycle: `macs`,
 //! `w_reads`, `u_reads`, `v_reads`, `queue_pushes`, `queue_pops`,
 //! `pred_scans`, `pe_busy_cycles`, `pe_idle_cycles` and
 //! [`LayerRun::pe_busy`], with each row's last-MAC cycle (the source of

@@ -997,7 +997,10 @@ impl Tile {
         // layer that `t` has reached, without a division per row.
         let eighths: [u64; 7] = std::array::from_fn(|k| (k as u64 + 1) * total.max(1));
         for &t in &row_ready {
-            let bucket = eighths.iter().filter(|&&e| t.saturating_mul(8) >= e).count();
+            let bucket = eighths
+                .iter()
+                .filter(|&&e| t.saturating_mul(8) >= e)
+                .count();
             self.ev.row_ready_hist[bucket] += 1;
         }
         let mask = predicted.then(|| {
@@ -1489,9 +1492,7 @@ mod tests {
         let small = raw(&|j| (j as i16 % 7 - 3) * 5);
         let machine = Machine::new(MachineConfig::default());
         for (name, x) in [("pairs", &pairs), ("rails", &rails), ("small", &small)] {
-            let off = machine
-                .run_layer(&w, None, x, false, UvMode::Off)
-                .unwrap();
+            let off = machine.run_layer(&w, None, x, false, UvMode::Off).unwrap();
             let on = machine
                 .run_layer(&w, Some(&predictor), x, true, UvMode::On)
                 .unwrap();

@@ -28,14 +28,25 @@
 //! cycle the pop and predictor scan take — so the cycle on which each PE
 //! pops a flit is fixed the moment the root emits it. The machine keeps
 //! all activation queues as windows into one broadcast log and schedules
-//! those pops there. The MACs themselves run in bulk, row by row over the
-//! whole log ([`Pe::accumulate_w`], [`Pe::accumulate_u`]), and each row's
-//! last-MAC cycle is the cycle the one-MAC-per-cycle datapath would have
-//! issued it. In the V phase the PE computes every partial sum up front
-//! ([`PeSource::begin_v`]) and only the hand-off of each partial to the
-//! reduce tree is timed. `sparsenn-sim`'s [`Machine`](crate::Machine)
-//! wires the PEs to the NoC models and credits busy and idle datapath
-//! cycles per phase.
+//! those pops there. The MACs themselves run in bulk once the log is
+//! complete, and each row's last-MAC cycle is the cycle the
+//! one-MAC-per-cycle datapath would have issued it. In the V phase the PE
+//! computes every partial sum up front ([`PeSource::begin_v`]) and only
+//! the hand-off of each partial to the reduce tree is timed.
+//! `sparsenn-sim`'s [`Machine`](crate::Machine) wires the PEs to the NoC
+//! models and credits busy and idle datapath cycles per phase.
+//!
+//! The W (and U) log holds every nonzero of the phase's input exactly
+//! once, so a row's MACs over it are its dot product with that input. A
+//! block pass computes them on W and U as stored, row-major: it lists the
+//! input's live 8-word blocks and runs a PE's rows over them block by
+//! block, each row taking a block in one `pmaddwd` (lane `j` of the row
+//! sums the pair `w[2j]·a[2j] + w[2j+1]·a[2j+1]` in i32). It is exact.
+//! With `|w| ≤ 2¹⁵` and the input's largest `|a| = m < 2¹⁵`, a pair is at
+//! most `2¹⁶ · m`, so a lane is flushed into its row's i64 sum after
+//! `⌊(2³¹ − 1) / (2¹⁶ · m)⌋` blocks, at least one. An input holding
+//! i16::MIN, whose pair with two i16::MIN weights would be 2³¹, runs
+//! product by product in i64 instead.
 
 use sparsenn_model::fixedpoint::FixedMatrix;
 use sparsenn_noc::ActFlit;
@@ -294,7 +305,11 @@ impl Pe {
         ev: &mut MachineEvents,
     ) -> u64 {
         let rows = self.active.iter();
-        let sums = pass.run(w, rows.map(|&k| self.local_rows[k as usize].w_row as usize), x);
+        let sums = pass.run(
+            w,
+            rows.map(|&k| self.local_rows[k as usize].w_row as usize),
+            x,
+        );
         for (walk, (&local, &sum)) in self.active.iter().zip(sums).enumerate() {
             let row = &mut self.local_rows[local as usize];
             row.acc_w = Accumulator::from_raw(sum);
@@ -372,19 +387,9 @@ impl Pe {
     }
 }
 
-/// A layer input as the MACs read it: its live 8-word blocks, in column
-/// order, and the words past the last whole block.
-///
-/// The W phase's broadcast log holds every nonzero input exactly once (and
-/// the U phase's every nonzero V result), so a row's MACs over the log are
-/// its dot product with the input. [`BlockPass`] runs a PE's rows over the
-/// live blocks block by block: lane `j` of a row takes the pair
-/// `w[2j]·a[2j] + w[2j+1]·a[2j+1]`, so a row meets a block in one
-/// `pmaddwd`. With `|w| ≤ 2¹⁵` and `|a| ≤ m`, a pair is at most `2¹⁶ · m`
-/// in size, so a lane takes `⌊(2³¹ − 1) / (2¹⁶ · m)⌋` blocks before it is
-/// flushed into the row's i64 sum: at least one while `m < 2¹⁵`. An
-/// activation of i16::MIN (`m = 2¹⁵`) can make one pair 2³¹, so such an
-/// input runs product by product in i64 instead.
+/// A phase's input as the block pass reads it (see the module docs): its
+/// 8-word blocks, the live ones listed, and how many blocks a lane may
+/// take between flushes.
 #[derive(Clone, Debug)]
 pub(crate) struct Image {
     /// The input in 8-word blocks, the last one padded with zeros.
@@ -446,12 +451,7 @@ pub(crate) struct BlockPass<'m> {
 
 impl<'m> BlockPass<'m> {
     /// Rows `rows` of `m`, each dotted with `x` at full precision.
-    fn run(
-        &mut self,
-        m: &'m FixedMatrix,
-        rows: impl Iterator<Item = usize>,
-        x: &Image,
-    ) -> &[i64] {
+    fn run(&mut self, m: &'m FixedMatrix, rows: impl Iterator<Item = usize>, x: &Image) -> &[i64] {
         self.rows.clear();
         self.tails.clear();
         for i in rows {
@@ -460,11 +460,15 @@ impl<'m> BlockPass<'m> {
             self.tails.push(tail);
         }
         let dot = |w: &[Q6_10], a: &[Q6_10]| -> i64 {
-            w.iter().zip(a).map(|(w, a)| i64::from(w.wide_mul(*a))).sum()
+            w.iter()
+                .zip(a)
+                .map(|(w, a)| i64::from(w.wide_mul(*a)))
+                .sum()
         };
         let tail = x.x.get(x.whole);
         self.sum.clear();
-        self.sum.extend(self.tails.iter().map(|w| tail.map_or(0, |a| dot(w, a))));
+        self.sum
+            .extend(self.tails.iter().map(|w| tail.map_or(0, |a| dot(w, a))));
         if x.per_flush == 0 {
             for (sum, row) in self.sum.iter_mut().zip(&self.rows) {
                 for &b in &x.live {
