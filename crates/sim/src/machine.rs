@@ -604,7 +604,9 @@ impl Machine {
         }
         // Per PE: its nonzero inputs, the same on every chip.
         let n_pes = cfg.num_pes();
-        let mut sources = PeSource::all(n_pes, input);
+        let mut sources: Vec<PeSource> = (0..n_pes)
+            .map(|id| PeSource::new(id, n_pes, input))
+            .collect();
         let reduction = predictor.map(|p| (&p.u, reduce_v(cfg, &p.v, &mut sources)));
         let image = Image::new(input);
         let predicted = predictor.is_some() || forced.is_some();
@@ -644,11 +646,12 @@ struct Tile {
 /// the machine, not on a tile: every chip's PEs compute the same partial
 /// sums and the reduce tree merges them on the same cycles.
 struct VReduction {
-    /// The nonzero quantized V results, in the order the root finished
-    /// them; zero results are never broadcast (the U phase skips them
-    /// exactly).
-    flits: Vec<ActFlit>,
-    /// The cycle on which the root finished each of `flits`.
+    /// The quantized V results, one per predictor row, as the U phase's
+    /// MACs read them. Zero results are never broadcast (the U phase skips
+    /// them exactly).
+    results: Image,
+    /// The cycle on which the root finished each nonzero result, in the
+    /// order it finished them.
     finished: Vec<u64>,
     /// Per PE: the first cycle of its U phase.
     u_start: Vec<u64>,
@@ -686,7 +689,7 @@ fn reduce_v(cfg: &MachineConfig, v: &FixedMatrix, sources: &mut [PeSource]) -> V
     }
     let mut v_left = sources.iter().filter(|s| !s.v_done()).count();
     let mut inject: Vec<usize> = Vec::new();
-    let (mut flits, mut finished) = (Vec::new(), Vec::new());
+    let (mut results, mut finished) = (vec![Q6_10::ZERO; v.rows()], Vec::new());
     let mut cycle: u64 = 0;
     loop {
         cycle += 1;
@@ -712,10 +715,7 @@ fn reduce_v(cfg: &MachineConfig, v: &FixedMatrix, sources: &mut [PeSource]) -> V
         if let Some((row, total)) = reduce.tick() {
             let q: Q6_10 = Accumulator::from_raw(total).to_fixed();
             if !q.is_zero() {
-                flits.push(ActFlit {
-                    index: row,
-                    value: q.raw(),
-                });
+                results[row as usize] = q;
                 finished.push(cycle);
             }
         }
@@ -738,7 +738,7 @@ fn reduce_v(cfg: &MachineConfig, v: &FixedMatrix, sources: &mut [PeSource]) -> V
         ..*reduce.stats()
     };
     VReduction {
-        flits,
+        results: Image::new(&results),
         finished,
         u_start: sources
             .iter()
@@ -825,26 +825,21 @@ impl Tile {
         let mut queues = ActQueues::new(cfg.act_queue_depth, &hold, &v.u_start);
         let latency = cfg.noc.broadcast_latency();
         let mut last_emit = 0;
-        for (&flit, &finished) in v.flits.iter().zip(&v.finished) {
+        for &finished in &v.finished {
             let at = finished.max(last_emit + 1).max(queues.opens_at());
-            queues.emit(flit, at, at + latency);
+            queues.emit(at, at + latency);
             last_emit = at;
         }
         let cycle = v.settled.max(last_emit).max(queues.drain_end());
         self.ev.merge(&v.ev);
         self.ev.noc.cycles += cycle;
-        let mut results = vec![Q6_10::ZERO; u.cols()];
-        for flit in &v.flits {
-            results[flit.index as usize] = Q6_10::from_raw(flit.value);
-        }
-        let results = Image::new(&results);
         let mut pass = BlockPass::default();
         let mut busy = v.v_macs.clone();
         for (pe, b) in self.pes.iter_mut().zip(&mut busy) {
-            *b += pe.accumulate_u(u, &results, &mut pass, &mut self.ev);
+            *b += pe.accumulate_u(u, &v.results, &mut pass, &mut self.ev);
             pe.latch_predictor(&mut self.ev);
         }
-        let pushes = (self.pes.len() * v.flits.len()) as u64;
+        let pushes = (self.pes.len() * v.finished.len()) as u64;
         self.ev.queue_pushes += pushes;
         self.ev.queue_pops += pushes;
         self.credit_datapaths(&busy, cycle);
@@ -912,8 +907,8 @@ impl Tile {
             }
 
             // The queues count a flit from the moment the root emits it.
-            if let Some((arrives, f)) = tree.tick(queues.min_free(cycle) > 0) {
-                queues.emit(f, cycle, arrives);
+            if let Some((arrives, _)) = tree.tick(queues.min_free(cycle) > 0) {
+                queues.emit(cycle, arrives);
             }
             for &id in tree.credits_returned() {
                 if std::mem::take(&mut blocked[id]) {
@@ -943,7 +938,6 @@ impl Tile {
             }
         }
         ev.noc.merge(tree.stats());
-        let flits = queues.flits();
         let mut pass = BlockPass::default();
         let mut busy = vec![0u64; n];
         for (id, (pe, b)) in pes.iter_mut().zip(&mut busy).enumerate() {
@@ -951,7 +945,7 @@ impl Tile {
                 *b = pe.accumulate_w(w, x, &mut pass, last_pop, ev);
             }
         }
-        let pushes = (n * flits.len()) as u64;
+        let pushes = (n * queues.emitted()) as u64;
         ev.queue_pushes += pushes;
         ev.queue_pops += pushes;
         if predicted {

@@ -49,7 +49,6 @@
 //! product by product in i64 instead.
 
 use sparsenn_model::fixedpoint::FixedMatrix;
-use sparsenn_noc::ActFlit;
 use sparsenn_numeric::{Accumulator, Q6_10};
 
 use crate::events::MachineEvents;
@@ -71,32 +70,20 @@ pub struct PeSource {
 impl PeSource {
     /// Loads PE `id`'s slice of the source register file: the nonzero
     /// entries of `input` whose index is congruent to `id` mod `num_pes`.
-    #[cfg(test)]
     pub fn new(id: usize, num_pes: usize, input: &[Q6_10]) -> Self {
-        Self::all(num_pes, input).swap_remove(id)
-    }
-
-    /// Loads every PE's slice of the source register file in one pass over
-    /// `input`: PE `p` holds the nonzero entries whose index is congruent
-    /// to `p` mod `num_pes`.
-    pub fn all(num_pes: usize, input: &[Q6_10]) -> Vec<Self> {
-        (0..num_pes)
-            .map(|id| {
-                let nonzero = || {
-                    let strided = input[id.min(input.len())..].iter().step_by(num_pes);
-                    let indexed = (id as u32..).step_by(num_pes).zip(strided);
-                    indexed.filter(|(_, v)| !v.is_zero())
-                };
-                let mut src = Vec::with_capacity(nonzero().count());
-                src.extend(nonzero().map(|(j, &v)| (j, v)));
-                Self {
-                    src,
-                    v_partials: Vec::new(),
-                    v_next: 0,
-                    u_start: None,
-                }
-            })
-            .collect()
+        let nonzero = || {
+            let strided = input[id.min(input.len())..].iter().step_by(num_pes);
+            let indexed = (id as u32..).step_by(num_pes).zip(strided);
+            indexed.filter(|(_, v)| !v.is_zero())
+        };
+        let mut src = Vec::with_capacity(nonzero().count());
+        src.extend(nonzero().map(|(j, &v)| (j, v)));
+        Self {
+            src,
+            v_partials: Vec::new(),
+            v_next: 0,
+            u_start: None,
+        }
     }
 
     /// `true` if this PE holds at least one nonzero input activation
@@ -532,9 +519,8 @@ fn pairs(lane: &mut [[i32; 4]], rows: &[&[[Q6_10; 8]]], x: &[[Q6_10; 8]], live: 
 pub(crate) struct ActQueues {
     /// Entries per queue.
     depth: usize,
-    /// Emitted flits, in emission order.
-    flits: Vec<ActFlit>,
-    /// Cycle on which the last PE pops each flit.
+    /// Per emitted flit, in emission order: the cycle on which the last PE
+    /// pops it.
     last_pop: Vec<u64>,
     /// Leading flits every PE had popped before the cycle last asked about.
     popped_by_all: usize,
@@ -591,7 +577,6 @@ impl ActQueues {
             .collect();
         Self {
             depth,
-            flits: Vec::new(),
             last_pop: Vec::new(),
             popped_by_all: 0,
             schedule_of,
@@ -611,13 +596,13 @@ impl ActQueues {
         {
             self.popped_by_all += 1;
         }
-        self.depth - (self.flits.len() - self.popped_by_all)
+        self.depth - (self.last_pop.len() - self.popped_by_all)
     }
 
     /// The first cycle on which every queue has a free slot for a further
     /// flit (0 when one is free already).
     pub(crate) fn opens_at(&self) -> u64 {
-        self.flits
+        self.last_pop
             .len()
             .checked_sub(self.depth)
             .map_or(0, |k| self.last_pop[k] + 1)
@@ -630,27 +615,26 @@ impl ActQueues {
     ///
     /// Panics if some queue is full — the sink gate must prevent that,
     /// exactly like the credit-based broadcast in hardware.
-    pub(crate) fn emit(&mut self, flit: ActFlit, now: u64, arrives: u64) {
+    pub(crate) fn emit(&mut self, now: u64, arrives: u64) {
         assert!(self.min_free(now) > 0, "activation queue overflow");
         let mut last = 0;
         for schedule in &mut self.schedules {
             last = last.max(schedule.pop(arrives));
             self.drain_end = self.drain_end.max(schedule.free - 1);
         }
-        self.flits.push(flit);
         self.last_pop.push(last);
     }
 
-    /// Every flit emitted so far, in emission order.
-    pub(crate) fn flits(&self) -> &[ActFlit] {
-        &self.flits
+    /// Flits emitted so far.
+    pub(crate) fn emitted(&self) -> usize {
+        self.last_pop.len()
     }
 
     /// The cycle on which PE `pe` pops its last flit (`None` before any
     /// flit was emitted).
     pub(crate) fn last_pop_of(&self, pe: usize) -> Option<u64> {
         let schedule = &self.schedules[self.schedule_of[pe]];
-        (!self.flits.is_empty()).then(|| schedule.free - schedule.hold)
+        (!self.last_pop.is_empty()).then(|| schedule.free - schedule.hold)
     }
 
     /// The last cycle on which some PE is still busy with a flit it popped
@@ -667,13 +651,6 @@ mod tests {
 
     fn q(v: f32) -> Q6_10 {
         Q6_10::from_f32(v)
-    }
-
-    fn flit(index: u32, v: f32) -> ActFlit {
-        ActFlit {
-            index,
-            value: q(v).raw(),
-        }
     }
 
     /// The whole-layer tile `0..rows`.
@@ -739,8 +716,8 @@ mod tests {
         assert!(pe.writeback(true, &mut ev).all(|(_, _, t)| t == 0));
         // The pop and LNZD scan still hold the datapath for a cycle.
         let mut queues = ActQueues::new(8, &[pe.w_macs_per_flit().max(1) as u64], &[1]);
-        queues.emit(flit(0, 1.0), 1, 1);
-        queues.emit(flit(1, 1.0), 1, 1);
+        queues.emit(1, 1);
+        queues.emit(1, 1);
         assert_eq!(queues.last_pop_of(0), Some(2));
         assert_eq!(queues.drain_end(), 2);
     }
@@ -813,9 +790,9 @@ mod tests {
     fn queue_windows_pop_when_the_datapath_frees() {
         // Two PEs holding a flit 3 and 1 cycles; the first starts late.
         let mut queues = ActQueues::new(2, &[3, 1], &[4, 1]);
-        queues.emit(flit(0, 1.0), 1, 2);
+        queues.emit(1, 2);
         assert_eq!(queues.min_free(3), 1, "PE 0 has not popped");
-        queues.emit(flit(1, 1.0), 3, 4);
+        queues.emit(3, 4);
         // PE 0 pops on cycles 4 and 7, PE 1 on cycles 2 and 4.
         assert_eq!(queues.last_pop_of(0), Some(7));
         assert_eq!(queues.last_pop_of(1), Some(4));
@@ -833,7 +810,7 @@ mod tests {
     fn equal_pes_share_one_schedule() {
         let mut queues = ActQueues::new(4, &[2, 2, 1, 2], &[1; 4]);
         assert_eq!(queues.schedules.len(), 2, "PEs 0, 1 and 3 pop alike");
-        queues.emit(flit(0, 1.0), 1, 3);
+        queues.emit(1, 3);
         assert_eq!(queues.last_pop_of(3), Some(3));
         assert_eq!(queues.drain_end(), 4);
     }
@@ -884,8 +861,8 @@ mod tests {
     fn queue_overflow_panics() {
         let mut queues = ActQueues::new(2, &[1; 64], &[1; 64]);
         // Emitted on one cycle, nothing has been popped before it.
-        for i in 0..3 {
-            queues.emit(flit(i, 1.0), 1, 2);
+        for _ in 0..3 {
+            queues.emit(1, 2);
         }
     }
 }
