@@ -377,7 +377,7 @@ impl Pe {
 /// A phase's input as the block pass reads it (see the module docs): its
 /// 8-word blocks, the live ones listed, and how many blocks a lane may
 /// take between flushes.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct Image {
     /// The input in 8-word blocks, the last one padded with zeros.
     x: Vec<[Q6_10; 8]>,
@@ -429,10 +429,12 @@ impl Image {
 /// The block pass's buffers, reused across the PEs of a phase.
 #[derive(Debug, Default)]
 pub(crate) struct BlockPass<'m> {
-    /// The rows' whole blocks and tails.
+    /// Per row: its whole blocks, and the words past them.
     rows: Vec<&'m [[Q6_10; 8]]>,
     tails: Vec<&'m [Q6_10]>,
+    /// Per row: its i32 pair lanes since the last flush.
     lane: Vec<[i32; 4]>,
+    /// Per row: its exact sum.
     sum: Vec<i64>,
 }
 
@@ -477,13 +479,14 @@ impl<'m> BlockPass<'m> {
     }
 }
 
-/// Every row meets every block of `blocks`: lane `j` takes
+/// Every row meets every block of `live`: lane `j` takes
 /// `w[2j]·a[2j] + w[2j+1]·a[2j+1]`, one `pmaddwd` per row and block. The
-/// shape is what LLVM matches: both blocks copied into `i16` arrays, the
+/// shape is what LLVM matches: both blocks copied as `[Q6_10; 8]`, the
 /// pairs summed even product first into a temporary, then added to the
-/// lanes; summing odd first swaps the words of every W load. Kept out of
-/// line so its slice parameters tell the compiler the lanes alias neither
-/// operand: each block then stays in a register across the rows.
+/// lanes; summing odd first, or copying through `Q6_10::raw`, swaps the
+/// words of every W load. Kept out of line so its slice parameters tell
+/// the compiler the lanes alias neither operand: each block then stays in
+/// a register across the rows.
 #[inline(never)]
 fn pairs(lane: &mut [[i32; 4]], rows: &[&[[Q6_10; 8]]], x: &[[Q6_10; 8]], live: &[u32]) {
     for &b in live {
