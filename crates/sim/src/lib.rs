@@ -40,13 +40,13 @@
 //! an exact i32 pair pass over the input's live 8-word blocks (one
 //! `pmaddwd` per row and block, flushed to i64 before a lane could
 //! overflow; see [`pe`]), and these counters are credited per phase
-//! rather than per cycle: `macs`,
-//! `w_reads`, `u_reads`, `v_reads`, `queue_pushes`, `queue_pops`,
-//! `pred_scans`, `pe_busy_cycles`, `pe_idle_cycles` and
-//! [`LayerRun::pe_busy`], with each row's last-MAC cycle (the source of
-//! [`LayerRun::row_ready`]) set to the cycle the one-MAC-per-cycle
-//! datapath would have issued it. Golden snapshots in the repository's
-//! `tests/cycle_golden.rs` pin all of it on several machines.
+//! rather than per cycle: `macs`, `w_reads`, `u_reads`, `v_reads`,
+//! `queue_pushes`, `queue_pops`, `pred_scans`, `pe_busy_cycles`,
+//! `pe_idle_cycles` and [`LayerRun::pe_busy`], with each row's last-MAC
+//! cycle (the source of [`LayerRun::row_ready`]) set to the cycle the
+//! one-MAC-per-cycle datapath would have issued it. Golden snapshots in
+//! the repository's `tests/cycle_golden.rs` pin all of it on several
+//! machines.
 //!
 //! # Chip tiles
 //!
